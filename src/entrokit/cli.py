@@ -8,7 +8,6 @@ Exit codes: 0 ok, 1 theorem-suite failures, 2 parse, 3 integrity/schema,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -157,8 +156,7 @@ def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
     model = build_model(scn, str(decl["system"]))
     env = build_reference_env(scn, str(decl["env"]))
     grid = build_grid(scn, table_name)
-    workers = int(os.environ.get("ENTROKIT_THREADS", "1"))
-    rows = open_fundamental_relation(env, model, grid, workers=workers)
+    rows = open_fundamental_relation(env, model, grid)
     r = max((len(row.n0) for row in rows), default=0)
     tau = max((len(row.eps) for row in rows), default=0)
     header = (["E"] + [f"n0_{i}" for i in range(r)] + ["V", "S_se"]

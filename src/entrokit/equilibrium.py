@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -32,6 +31,7 @@ from .matter_models import (
     solve_energy_at_temperature,
     temperature_of,
 )
+from .roots import brentq, expand_bracket
 from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork
 
 MAX_ITER = 200
@@ -144,20 +144,14 @@ class _Evaluator:
                 for m, p, c in zip(prob.models, prob.params, comps)
             ) - prob.total_energy
 
-        t_lo, t_hi = 1.0, 1.0
-        for _ in range(400):
-            if excess(t_hi) >= 0.0:
-                break
-            t_hi *= 8.0
-        else:
-            raise RangeError("no temperature matches the energy budget")
-        for _ in range(400):
-            if excess(t_lo) <= 0.0:
-                break
-            t_lo /= 8.0
-        else:
-            raise RangeError("no temperature matches the energy budget")
-        t_eq = brentq(excess, t_lo, t_hi, xtol=1e-15 * max(1.0, t_hi), rtol=1e-15)
+        # the excess grows with T; bracket at powers of 8 on the far side of T = 1
+        t_eq, e1 = 1.0, excess(1.0)
+        if e1 != 0.0:
+            factor = 8.0 if e1 < 0.0 else 0.125
+            t, e = expand_bracket(excess, factor, e1, 0.0, factor=factor)
+            (t_lo, e_lo), (t_hi, e_hi) = sorted([(1.0, e1), (t, e)])
+            t_eq, _ = brentq(excess, t_lo, t_hi, xtol=1e-15 * max(1.0, t_hi), rtol=1e-15,
+                             fa=e_lo, fb=e_hi)
         energies = [
             solve_energy_at_temperature(m, t_eq, p, c)
             for m, p, c in zip(prob.models, prob.params, comps)
@@ -526,7 +520,7 @@ def pressure_of(model: MatterModel, st: SystemState) -> float:
     """Pressure: the negative volume-conjugate force -dE/dV at constant S, n."""
     s0 = entropy_of(model, st)
     v0 = st.params.volume
-    h = 1e-6 * max(1.0, v0)
+    h = 1e-6 * v0
     e_hi = energy_of(model, s0, st.params.with_volume(v0 + h), st.comp)
     e_lo = energy_of(model, s0, st.params.with_volume(v0 - h), st.comp)
     return -(e_hi - e_lo) / (2.0 * h)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergence, RangeError, RangeExceeded
+from .roots import brentq, expand_bracket
 from .stoichiometry import Composition, _frozen_array
 
 #: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
@@ -130,6 +130,10 @@ class MatterModel:
 
     def volume_on_isentrope(self, entropy: float, temperature: float, comp) -> float | None:
         """Closed-form volume where the isentrope at S meets temperature T, or None."""
+        return None
+
+    def volume_at_pressure(self, temperature: float, pressure: float, comp) -> float | None:
+        """Closed-form volume of the state at temperature T and pressure p, or None."""
         return None
 
 
@@ -283,6 +287,10 @@ class IdealGasMixture(MatterModel):
                            - math.log(nk) + s0)
         return math.exp((entropy / self.kb - const) / n_tot)
 
+    def volume_at_pressure(self, temperature, pressure, comp) -> float:
+        n = self._check_comp(comp)
+        return self.kb * temperature * float(n.sum()) / pressure
+
 
 def ideal_gas_model(dof_per_particle: float, kb: float = 1.0) -> IdealGasMixture:
     """Single-species ideal gas with the given degrees of freedom."""
@@ -349,9 +357,6 @@ class ThermalReservoir:
 
     def entropy_change(self, d_energy: float) -> float:
         return d_energy / self.temperature
-
-    def model(self) -> ReservoirModel:
-        return ReservoirModel(self.temperature, self.e_min, self.e_max)
 
 
 def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalReservoir:
@@ -430,17 +435,7 @@ def energy_of(model: MatterModel, entropy: float, params: Parameters,
         return lo
 
     scale = max(1.0, abs(lo))
-    hi = min(lo + scale, ceiling)
-    f_hi = f(hi)
-    expansions = 0
-    while f_hi < 0.0:
-        if hi >= ceiling:
-            raise RangeError(f"entropy {entropy:.6g} above the attainable range")
-        hi = min(lo + (hi - lo) * 8.0, ceiling)
-        f_hi = f(hi)
-        expansions += 1
-        if expansions > 200:
-            raise RangeError("bracket expansion failed to reach the target entropy")
+    hi, _ = expand_bracket(f, min(lo + scale, ceiling), f_lo, lo, limit=ceiling)
 
     # solve in log(E - lo): roots just above the ground bound need relative,
     # not absolute, precision
@@ -451,14 +446,16 @@ def energy_of(model: MatterModel, entropy: float, params: Parameters,
 
     x_hi = math.log(span)
     x_lo = x_hi - 600.0  # E - lo down to span * e^-600
-    if g(x_lo) >= 0.0:
-        root = lo + math.exp(x_lo)
+    g_lo = g(x_lo)
+    if g_lo >= 0.0:
+        root, f_root = lo + math.exp(x_lo), g_lo
     else:
-        x_root = brentq(g, x_lo, x_hi, xtol=1e-14, rtol=1e-15, maxiter=300)
+        x_root, f_root = brentq(g, x_lo, x_hi, xtol=1e-14, rtol=1e-15, maxiter=300,
+                                fa=g_lo)
         root = lo + math.exp(x_root)
-    if abs(f(root)) > tol:
+    if abs(f_root) > tol:
         raise NonConvergence(
-            f"energy_of missed the entropy target by {abs(f(root)):.3g}", best=root
+            f"energy_of missed the entropy target by {abs(f_root):.3g}", best=root
         )
     return float(root)
 
@@ -483,26 +480,18 @@ def solve_energy_at_temperature(model: MatterModel, temperature: float,
     # keep a margin for the central difference inside temperature_of
     margin = 4.0 * H_E_REL * max(1.0, abs(floor) + 1.0)
     lo = floor + margin
-    hi = min(floor + max(1.0, abs(floor)), ceiling)
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        if hi >= ceiling:
-            raise RangeError(f"no admissible state at temperature {temperature:.6g}")
-        hi = min(floor + (hi - floor) * 8.0, ceiling)
-    else:
-        raise RangeError(f"no admissible state at temperature {temperature:.6g}")
-    for _ in range(200):
-        if lo - floor <= margin and f(lo) > 0.0:
-            raise RangeError(
-                f"temperature {temperature:.6g} unreachable above the ground bound"
-            )
-        if f(lo) <= 0.0:
-            break
-        lo = floor + max(margin, (lo - floor) / 8.0)
-    else:
-        raise RangeError(f"no admissible state at temperature {temperature:.6g}")
-    return float(brentq(f, lo, hi, xtol=1e-14 * max(1.0, abs(hi)), rtol=1e-15))
+    f_lo = f(lo)
+    if f_lo > 0.0:
+        raise RangeError(
+            f"temperature {temperature:.6g} unreachable above the ground bound"
+        )
+    if f_lo == 0.0:
+        return lo
+    hi, f_hi = expand_bracket(f, min(floor + max(1.0, abs(floor)), ceiling), f_lo, floor,
+                              limit=ceiling)
+    root, _ = brentq(f, lo, hi, xtol=1e-14 * max(1.0, abs(hi)), rtol=1e-15,
+                     fa=f_lo, fb=f_hi)
+    return float(root)
 
 
 def temperature_of(model: MatterModel, st: SystemState) -> float:

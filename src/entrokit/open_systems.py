@@ -11,14 +11,12 @@ reference states at the environment's temperature and pressure.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumProblem, stable_equilibrium, pressure_of
+from .equilibrium import H_N_REL, EquilibriumProblem, stable_equilibrium, pressure_of
 from .errors import (
     DomainError,
     Infeasible,
@@ -39,6 +37,7 @@ from .matter_models import (
     temperature_of,
 )
 from .process_engine import measure_entropy
+from .roots import decreasing_root
 from .stoichiometry import (
     Composition,
     ReactionNetwork,
@@ -47,7 +46,8 @@ from .stoichiometry import (
     validate_elemental_set,
 )
 
-H_N_REL = 1e-6
+#: One unit amount of a single species: the content of each reference box.
+UNIT = Composition([1.0])
 
 
 @dataclass(frozen=True)
@@ -92,26 +92,24 @@ class ReferenceEnvironment:
 
     def reference_volume(self, i: int) -> float:
         model = self.species_models[i]
-        if isinstance(model, IdealGasMixture):
-            return model.kb * self.t0 / self.p0
-        # generic: root-find the volume whose pressure at T0 is p0
-        from scipy.optimize import brentq
+        closed = model.volume_at_pressure(self.t0, self.p0, UNIT)
+        if closed is not None:
+            return closed
 
+        # generic: root-find the volume whose pressure at T0 is p0
         def f(log_v):
             params = Parameters([math.exp(log_v)])
-            comp = Composition([1.0])
-            e = solve_energy_at_temperature(model, self.t0, params, comp)
-            return pressure_of(model, SystemState(e, params, comp)) - self.p0
+            e = solve_energy_at_temperature(model, self.t0, params, UNIT)
+            return pressure_of(model, SystemState(e, params, UNIT)) - self.p0
 
-        lo, hi = math.log(1e-6), math.log(1e6)
-        return math.exp(brentq(f, lo, hi, xtol=1e-12))
+        # pressure falls as volume grows; start from the reduced ideal-gas volume
+        return math.exp(decreasing_root(f, math.log(self.t0 / self.p0), xtol=1e-12))
 
     def reference_state(self, i: int) -> SystemState:
         model = self.species_models[i]
         params = Parameters([self.reference_volume(i)])
-        comp = Composition([1.0])
-        energy = solve_energy_at_temperature(model, self.t0, params, comp)
-        return SystemState(energy, params, comp)
+        energy = solve_energy_at_temperature(model, self.t0, params, UNIT)
+        return SystemState(energy, params, UNIT)
 
     def physical_reference(self, i: int) -> tuple[float, float]:
         """(energy, entropy) of one unit of species i at (T0, p0), model scale."""
@@ -421,26 +419,16 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
 
 
 def open_fundamental_relation(env: ReferenceEnvironment, model: MatterModel,
-                              grid: OpenGrid, workers: int | None = None) -> list[OpenTableRow]:
-    """Tabulate the open fundamental relation over a grid.
+                              grid: OpenGrid) -> list[OpenTableRow]:
+    """Tabulate the open fundamental relation over a grid, in grid order.
 
     Reactive grids solve a chemical equilibrium per point and record the
     equilibrium reaction coordinates.  Failed points become flagged gaps
-    rather than aborting the table.  Worker count defaults to the
-    ENTROKIT_THREADS environment variable (1 if unset); assembly order is
-    the grid order regardless of parallelism.
+    rather than aborting the table.
     """
-    points = [
-        (e, v, c)
+    return [
+        _tabulate_point(env, model, grid, (e, v, c))
         for e in grid.energies
         for v in grid.volumes
         for c in grid.compositions
     ]
-    if workers is None:
-        workers = int(os.environ.get("ENTROKIT_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _tabulate_point(env, model, grid, p), points))
-    else:
-        rows = [_tabulate_point(env, model, grid, p) for p in points]
-    return rows

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateStates,
@@ -37,6 +36,7 @@ from .matter_models import (
     state,
     temperature_of,
 )
+from .roots import decreasing_root
 
 #: Entropy slack below which a process counts as reversible.
 TOL_REV = 1e-9
@@ -159,32 +159,8 @@ def _volume_on_isentrope(model: MatterModel, entropy: float, temperature: float,
         energy = _invert_entropy(model, entropy, params, st.comp)
         return temperature_of(model, SystemState(energy, params, st.comp)) - temperature
 
-    x0 = math.log(st.params.volume)
-    lo = hi = x0
-    f0 = f(x0)
-    step = 0.5
-    if f0 > 0.0:
-        # temperature falls as volume grows along an isentrope
-        for _ in range(200):
-            hi = hi + step
-            if f(hi) <= 0.0:
-                break
-            step *= 1.6
-        else:
-            raise InadmissibleStep("isentrope never reaches the reservoir temperature")
-        lo = hi - step
-    elif f0 < 0.0:
-        for _ in range(200):
-            lo = lo - step
-            if f(lo) >= 0.0:
-                break
-            step *= 1.6
-        else:
-            raise InadmissibleStep("isentrope never reaches the reservoir temperature")
-        hi = lo + step
-    else:
-        return st.params
-    root = brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
+    # temperature falls as volume grows along an isentrope
+    root = decreasing_root(f, math.log(st.params.volume), xtol=1e-13, rtol=1e-15)
     return st.params.with_volume(math.exp(root))
 
 

@@ -283,17 +283,6 @@ def test_table_flags_gaps_instead_of_failing():
     assert any(s == "ok" for s in statuses)
 
 
-def test_table_parallel_assembly_deterministic():
-    env = water_env()
-    mix = water_mix()
-    grid = OpenGrid(energies=(8.0, 9.0), volumes=(1.0, 2.0),
-                    compositions=(Composition([2.0, 1.0, 0.0]),),
-                    reactive=True, network=WATER_NET)
-    serial = open_fundamental_relation(env, mix, grid, workers=1)
-    threaded = open_fundamental_relation(env, mix, grid, workers=4)
-    assert [r.entropy for r in serial] == [r.entropy for r in threaded]
-
-
 def test_incomplete_elemental_set_rejected_at_construction():
     # an extra constituent no reaction can form breaks completeness
     names = ("H2", "O2", "H2O", "He")

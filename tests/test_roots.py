@@ -1,0 +1,249 @@
+"""The shared root finder: Brent's method checked against scipy's ``brentq``
+as an independent oracle, the bracket expansion, and every inversion site
+driven through its generic path."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq as scipy_brentq
+
+from entrokit.equilibrium import EquilibriumProblem, stable_equilibrium
+from entrokit.errors import DomainError, NonConvergence, RangeError
+from entrokit.matter_models import (
+    IdealGasMixture,
+    Parameters,
+    Species,
+    energy_of,
+    entropy_of,
+    solve_energy_at_temperature,
+    state,
+)
+from entrokit.open_systems import ReferenceEnvironment
+from entrokit.process_engine import _volume_on_isentrope
+from entrokit.roots import (
+    MAX_EXPANSIONS,
+    RTOL_MIN,
+    brentq,
+    decreasing_root,
+    expand_bracket,
+)
+from entrokit.stoichiometry import Composition, ReactionNetwork
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Counted:
+    """A function wrapper that records where it was evaluated."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.xs = []
+
+    def __call__(self, x):
+        self.xs.append(x)
+        return self.fn(x)
+
+
+def _monotone(kind, root, slope):
+    if kind == "cubic":
+        return lambda x: slope * (x - root) ** 3 + (x - root)
+    if kind == "exp":
+        return lambda x: math.exp(x) - math.exp(root)
+    if kind == "log":
+        return lambda x: math.log(x) - math.log(root)
+    # nearly flat tails on both sides of a steep middle
+    return lambda x: math.tanh(slope * (x - root))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["cubic", "exp", "log", "flat"]),
+    root=st.floats(0.05, 20.0),
+    slope=st.floats(0.01, 50.0),
+    below=st.floats(1e-3, 30.0),
+    above=st.floats(1e-3, 30.0),
+    flip=st.booleans(),
+    swap=st.booleans(),
+    xtol=st.floats(1e-15, 1e-3),
+    rtol_scale=st.floats(1.0, 1e10),
+)
+def test_brentq_matches_scipy(kind, root, slope, below, above, flip, swap, xtol,
+                              rtol_scale):
+    f = _monotone(kind, root, slope)
+    if flip:
+        f0 = f
+        f = lambda x: -f0(x)  # noqa: E731
+    if kind == "log":
+        a, b = root * math.exp(-below), root * math.exp(above)
+    else:
+        a, b = root - below, root + above
+    if swap:
+        a, b = b, a
+    rtol = RTOL_MIN * rtol_scale
+    want, info = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)
+    counted = Counted(f)
+    if info.converged:
+        got, f_got = brentq(counted, a, b, xtol=xtol, rtol=rtol)
+        assert f_got == f(got)
+    else:
+        with pytest.raises(NonConvergence) as err:
+            brentq(counted, a, b, xtol=xtol, rtol=rtol)
+        got = err.value.best
+    assert abs(got - want) <= xtol + rtol * abs(want)
+    assert len(counted.xs) == info.function_calls
+
+
+def test_brentq_no_sign_change_raises_range_error():
+    with pytest.raises(RangeError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_exhausted_budget_raises_nonconvergence_with_best():
+    with pytest.raises(NonConvergence) as err:
+        brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=2)
+    assert err.value.best is not None
+    assert 0.0 <= err.value.best <= 2.0
+
+
+@pytest.mark.parametrize("a, b, zero", [(1.0, 3.0, 1.0), (-2.0, 1.0, 1.0)])
+def test_brentq_zero_at_endpoint_returns_it(a, b, zero):
+    root, f_root = brentq(lambda x: x - zero, a, b)
+    assert (root, f_root) == (zero, 0.0)
+
+
+def test_brentq_does_not_reevaluate_supplied_endpoints():
+    f = Counted(lambda x: math.exp(x) - 3.0)
+    root, f_root = brentq(f, 0.0, 2.0, xtol=1e-14, fa=f.fn(0.0), fb=f.fn(2.0))
+    _, info = scipy_brentq(f.fn, 0.0, 2.0, xtol=1e-14, full_output=True)
+    assert 0.0 not in f.xs and 2.0 not in f.xs
+    assert len(f.xs) == info.function_calls - 2
+    assert root == pytest.approx(math.log(3.0), rel=1e-14)
+    assert f_root == f.fn(root)
+
+
+def test_brentq_nan_raises_domain_error():
+    with pytest.raises(DomainError):
+        brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0)
+
+
+def test_expand_bracket_steps_geometrically_from_origin():
+    f = Counted(lambda x: x - 100.0)
+    assert expand_bracket(f, 1.0, -1.0, 0.0) == (512.0, 412.0)
+    assert f.xs == [1.0, 8.0, 64.0, 512.0]
+    # shrinking toward the origin
+    g = Counted(lambda t: 1e-3 - t)
+    t, g_t = expand_bracket(g, 0.125, -1.0, 0.0, factor=0.125)
+    assert t == 0.125 ** 4 and g_t > 0.0
+
+
+def test_expand_bracket_limits_raise_range_error():
+    never = Counted(lambda x: -1.0)
+    with pytest.raises(RangeError):
+        expand_bracket(never, 1.0, -1.0, 0.0, factor=1.5)
+    assert len(never.xs) == MAX_EXPANSIONS
+    f = Counted(lambda x: -1.0)
+    with pytest.raises(RangeError):
+        expand_bracket(f, 1.0, -1.0, 0.0, limit=100.0)
+    assert f.xs == [1.0, 8.0, 64.0, 100.0]
+
+
+def test_decreasing_root_searches_both_directions():
+    for root in (-30.0, -0.2, 0.0, 0.7, 42.0):
+        got = decreasing_root(lambda x, r=root: math.tanh(r - x), 0.3, xtol=1e-13)
+        assert got == pytest.approx(root, abs=1e-12)
+    with pytest.raises(RangeError):
+        decreasing_root(lambda x: 1.0, 0.0, xtol=1e-12)
+
+
+class OpaqueGas(IdealGasMixture):
+    """An ideal gas with every closed-form hook hidden, so each inversion
+    takes its generic root-finding path."""
+
+    def ds_de(self, energy, params, comp):
+        return None
+
+    def invert_entropy(self, entropy, params, comp):
+        return None
+
+    def energy_at_temperature(self, temperature, params, comp):
+        return None
+
+    def volume_on_isentrope(self, entropy, temperature, comp):
+        return None
+
+    def volume_at_pressure(self, temperature, pressure, comp):
+        return None
+
+
+GAS = IdealGasMixture([Species("gas", 3.0)])
+OPAQUE = OpaqueGas([Species("gas", 3.0)])
+GAS5 = IdealGasMixture([Species("gas", 5.0)])
+OPAQUE5 = OpaqueGas([Species("gas", 5.0)])
+ONE = Composition([1.0])
+NO_REACTIONS = ReactionNetwork(np.zeros((1, 0)))
+
+
+def _energy_of():
+    params = Parameters([2.0])
+    s = entropy_of(GAS, state(0.7, 2.0, [1.0]))
+    return energy_of(OPAQUE, s, params, ONE), GAS.invert_entropy(s, params, ONE)
+
+
+def _energy_at_temperature():
+    params = Parameters([2.0])
+    return (solve_energy_at_temperature(OPAQUE, 2.5, params, ONE),
+            GAS.energy_at_temperature(2.5, params, ONE))
+
+
+def _isentrope():
+    st0 = state(1.5, 1.0, [1.0])
+    s = entropy_of(GAS, st0)
+    got = _volume_on_isentrope(OPAQUE, s, 0.4, st0).volume
+    return got, GAS.volume_on_isentrope(s, 0.4, ONE)
+
+
+def _split():
+    comps = (Composition([1.0]), Composition([2.0]))
+    prob = EquilibriumProblem((OPAQUE, OPAQUE5), (Parameters([1.0]), Parameters([2.0])),
+                              comps, 26.0)
+    sol = stable_equilibrium(prob)
+    # equal temperatures: E = (3 * 1 + 5 * 2) T / 2
+    return sol.temperature, 2.0 * 26.0 / 13.0
+
+
+def _reference_volume(p0):
+    def volume():
+        env = ReferenceEnvironment(("X",), (0,), NO_REACTIONS, (OPAQUE,),
+                                   1.0, p0, [0.0], [0.0])
+        return env.reference_volume(0), GAS.volume_at_pressure(1.0, p0, ONE)
+    return volume
+
+
+@pytest.mark.parametrize("site, rel", [
+    (_energy_of, 1e-12),
+    (_energy_at_temperature, 1e-8),
+    (_isentrope, 1e-8),
+    (_split, 1e-8),
+    (_reference_volume(1e-8), 1e-6),
+    (_reference_volume(1.0), 1e-6),
+    (_reference_volume(1e8), 1e-6),
+], ids=["energy_of", "energy_at_temperature", "isentrope", "split",
+        "reference_volume_p1e-8", "reference_volume_p1", "reference_volume_p1e8"])
+def test_generic_inversions_match_closed_forms(site, rel):
+    got, want = site()
+    assert got == pytest.approx(want, rel=rel)
+
+
+def test_runtime_imports_leave_scipy_out():
+    code = ("import sys, entrokit, entrokit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
