@@ -19,6 +19,7 @@ from .matter_models import (
     Parameters,
     SystemState,
     ThermalReservoir,
+    energy_of,
     entropy_of,
     solve_energy_at_temperature,
 )
@@ -27,7 +28,6 @@ from .process_engine import (
     Isentropic,
     IsothermalContact,
     Schedule,
-    _invert_entropy,
     _volume_on_isentrope,
     measure_entropy_difference,
     measure_entropy_difference_composite,
@@ -157,7 +157,7 @@ def _random_schedule(model, st0, reservoir, rng) -> Schedule:
         if kind < 0.45:
             params = st.params.with_volume(st.params.volume * math.exp(rng.uniform(-1.0, 1.0)))
             steps.append(Isentropic(params))
-            energy = _invert_entropy(model, s_here, params, st.comp)
+            energy = energy_of(model, s_here, params, st.comp, tol=1e-12)
             st = SystemState(energy, params, st.comp)
         elif kind < 0.8:
             # direct contact strictly toward the reservoir temperature

@@ -486,34 +486,17 @@ def mutual_equilibrium(model_a: MatterModel, st_a: SystemState,
 
 def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
                    d_beta) -> float:
-    """Defect of the differential relation dE = T dS + sum_j F_j d beta_j.
+    """Defect of the differential relation dE = T dS + sum_j F_j d beta_j:
+    the closed-system case of ``open_systems.gibbs_open_residual``.
 
     T and the generalized forces are central finite differences at the state;
     the residual shrinks quadratically with the perturbation.
     """
-    d_beta = np.atleast_1d(np.asarray(d_beta, dtype=float))
-    if d_beta.shape[0] != len(st.params):
-        raise ValueError("d_beta length does not match the parameter vector")
-    s0 = entropy_of(model, st)
-    beta0 = np.array(st.params.beta)
+    # imported here: open_systems imports this module
+    from .open_systems import OpenState, gibbs_open_residual
 
-    e_new = energy_of(model, s0 + d_s, Parameters(beta0 + d_beta), st.comp)
-    delta_e = e_new - st.energy
-
-    h_s = 1e-6 * max(1.0, abs(s0))
-    t_fd = (energy_of(model, s0 + h_s, st.params, st.comp)
-            - energy_of(model, s0 - h_s, st.params, st.comp)) / (2.0 * h_s)
-
-    forces = np.empty_like(beta0)
-    for j in range(beta0.shape[0]):
-        h_b = 1e-6 * max(1.0, abs(beta0[j]))
-        hi, lo = beta0.copy(), beta0.copy()
-        hi[j] += h_b
-        lo[j] -= h_b
-        forces[j] = (energy_of(model, s0, Parameters(hi), st.comp)
-                     - energy_of(model, s0, Parameters(lo), st.comp)) / (2.0 * h_b)
-
-    return abs(delta_e - t_fd * d_s - float(forces @ d_beta))
+    return gibbs_open_residual(None, model, OpenState(st.comp, st.energy, st.params),
+                               d_s, np.zeros(len(st.comp)), d_beta)
 
 
 def pressure_of(model: MatterModel, st: SystemState) -> float:

@@ -264,7 +264,10 @@ class IdealGasMixture(MatterModel):
             half = 0.5 * dof
             const += nk * (half * math.log(half * self.kb) + math.log(v / nk) + s0)
         log_t = (entropy / self.kb - const) / (0.5 * d_tot)
-        t = math.exp(log_t)
+        try:
+            t = math.exp(log_t)
+        except OverflowError:
+            raise RangeError(f"entropy {entropy:.6g} beyond any finite energy") from None
         return float(self._e0 @ n) + 0.5 * d_tot * self.kb * t
 
     def energy_at_temperature(self, temperature, params, comp) -> float:
@@ -405,12 +408,16 @@ def energy_of(model: MatterModel, entropy: float, params: Parameters,
               comp: Composition, tol: float = TOL_INV) -> float:
     """Invert the fundamental relation: the energy at which S(E) = entropy.
 
-    Uses bracketed root-finding on the strictly increasing S(E); raises
-    RangeError when the target entropy is not attained on the admissible
-    energy interval.
+    Takes the model's closed form when it gives a finite energy on the
+    admissible interval, otherwise bracketed root-finding on the strictly
+    increasing S(E); raises RangeError when the target entropy is not
+    attained on the admissible energy interval.
     """
     floor = model.energy_floor(params, comp)
     ceiling = model.energy_ceiling(params, comp)
+    closed = model.invert_entropy(entropy, params, comp)
+    if closed is not None and math.isfinite(closed) and floor <= closed <= ceiling:
+        return float(closed)
 
     def f(energy: float) -> float:
         return model.entropy(energy, params, comp) - entropy

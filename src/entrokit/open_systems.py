@@ -11,12 +11,12 @@ reference states at the environment's temperature and pressure.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import H_N_REL, EquilibriumProblem, stable_equilibrium, pressure_of
+from .equilibrium import EquilibriumProblem, _fd_ds_dn, pressure_of, stable_equilibrium
 from .errors import (
     DomainError,
     Infeasible,
@@ -26,7 +26,6 @@ from .errors import (
     RangeExceeded,
 )
 from .matter_models import (
-    IdealGasMixture,
     MatterModel,
     Parameters,
     SystemState,
@@ -43,6 +42,7 @@ from .stoichiometry import (
     ReactionNetwork,
     TOL_COMPAT,
     RCOND,
+    _frozen_array,
     validate_elemental_set,
 )
 
@@ -58,6 +58,8 @@ class ReferenceEnvironment:
     stable equilibrium state at the environment temperature and pressure.
     ``e0_assigned`` / ``s0_assigned`` are the per-unit-amount values given to
     those states; the chemical convention sets E0 + p0 V0 = 0 and S0 = 0.
+    Values that depend only on the environment are computed once, on first
+    use, and kept with the (immutable) instance.
     """
 
     constituents: tuple
@@ -111,10 +113,19 @@ class ReferenceEnvironment:
         energy = solve_energy_at_temperature(model, self.t0, params, UNIT)
         return SystemState(energy, params, UNIT)
 
+    @cached_property
+    def physical_references(self) -> tuple:
+        """(energy, entropy) of one unit of each elemental species at (T0, p0),
+        model scale, in declared elemental order."""
+        refs = []
+        for i, model in enumerate(self.species_models):
+            st = self.reference_state(i)
+            refs.append((st.energy, entropy_of(model, st)))
+        return tuple(refs)
+
     def physical_reference(self, i: int) -> tuple[float, float]:
         """(energy, entropy) of one unit of species i at (T0, p0), model scale."""
-        st = self.reference_state(i)
-        return st.energy, entropy_of(self.species_models[i], st)
+        return self.physical_references[i]
 
     def reservoir(self) -> ThermalReservoir:
         width = 1e9 * max(1.0, self.t0)
@@ -132,6 +143,14 @@ class ReferenceEnvironment:
                 f"composition has {n.shape[0]} entries, environment declares "
                 f"{len(self.constituents)}"
             )
+        w, eps = self._content(n)
+        if np.any(w < -TOL_COMPAT):
+            raise NotExpressible("composition would need negative elemental amounts")
+        return np.where(w < 0.0, 0.0, w), eps
+
+    def _content(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Signed elemental content and reaction coordinates of the amounts
+        ``n``, linear in ``n``; a matrix ``n`` maps column by column."""
         in_set = np.zeros(n.shape[0], dtype=bool)
         in_set[list(self.elemental)] = True
         nu = self.network.stoich
@@ -142,21 +161,17 @@ class ReferenceEnvironment:
             if np.max(np.abs(rows_out @ eps - target)) > TOL_COMPAT:
                 raise NotExpressible("composition is not reachable from the elemental set")
         else:
-            eps = np.zeros(nu.shape[1])
+            eps = np.zeros((nu.shape[1],) + n.shape[1:])
         # fancy indexing keeps w aligned with the declared elemental order
         elem = list(self.elemental)
-        w = n[elem] - (nu @ eps)[elem]
-        if np.any(w < -TOL_COMPAT):
-            raise NotExpressible("composition would need negative elemental amounts")
-        return np.where(w < 0.0, 0.0, w), eps
+        return n[elem] - (nu @ eps)[elem], eps
 
     def physical_sums(self, w) -> tuple[float, float]:
         """Total (energy, entropy) of the elemental boxes holding amounts w."""
         e = s = 0.0
-        for i, wi in enumerate(w):
+        for wi, (e_phys, s_phys) in zip(w, self.physical_references):
             if wi == 0.0:
                 continue
-            e_phys, s_phys = self.physical_reference(i)
             e += wi * e_phys
             s += wi * s_phys
         return e, s
@@ -168,6 +183,15 @@ class ReferenceEnvironment:
         e_phys, s_phys = self.physical_sums(w)
         return (float(w @ self.e0_assigned) - e_phys,
                 float(w @ self.s0_assigned) - s_phys)
+
+    @cached_property
+    def gauge_gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """Constant gradients (dg_E/dn, dg_S/dn) of the gauge, which is linear
+        in the amounts wherever the composition is expressible."""
+        content, _ = self._content(np.eye(len(self.constituents)))
+        e_phys, s_phys = np.array(self.physical_references).T
+        return (_frozen_array(content.T @ (self.e0_assigned - e_phys)),
+                _frozen_array(content.T @ (self.s0_assigned - s_phys)))
 
     @classmethod
     def chemical_convention(cls, constituents, elemental, network, species_models,
@@ -221,12 +245,11 @@ def reference_values(env: ReferenceEnvironment, comp: Composition) -> tuple[floa
 
 def _reference_proxy_state(env: ReferenceEnvironment, model: MatterModel,
                            comp: Composition) -> SystemState:
-    """Canonical state of the closed proxy at the environment's (T0, p0)."""
-    n_tot = comp.total
-    if isinstance(model, IdealGasMixture):
-        volume = n_tot * model.kb * env.t0 / env.p0
-    else:
-        volume = n_tot * env.t0 / env.p0
+    """Canonical state of the closed proxy at the environment's (T0, p0); the
+    reduced ideal-gas volume stands in when the model has no closed form."""
+    volume = model.volume_at_pressure(env.t0, env.p0, comp)
+    if volume is None:
+        volume = comp.total * env.t0 / env.p0
     params = Parameters([volume])
     energy = solve_energy_at_temperature(model, env.t0, params, comp)
     return SystemState(energy, params, comp)
@@ -241,16 +264,12 @@ def open_energy_entropy(env: ReferenceEnvironment, model: MatterModel,
     to the elemental reference states, so states of different compositions
     land on one comparable scale.
     """
-    e0_assigned, s0_assigned = reference_values(env, ost.comp)
-    w, _ = env.decompose(ost.comp)
-    e_elem, s_elem = env.physical_sums(w)
-
+    g_e, g_s = env.gauge(ost.comp)
     ref_state = _reference_proxy_state(env, model, ost.comp)
-    s_anchor = s0_assigned + (entropy_of(model, ref_state) - s_elem)
+    s_anchor = g_s + entropy_of(model, ref_state)
     s_open = measure_entropy(model, ost.closed_proxy(), ref_state, s_anchor,
                              env.reservoir())
-    e_open = e0_assigned + (ost.energy - e_elem)
-    return e_open, s_open
+    return g_e + ost.energy, s_open
 
 
 def open_entropy_direct(env: ReferenceEnvironment, model: MatterModel,
@@ -263,8 +282,8 @@ def open_entropy_direct(env: ReferenceEnvironment, model: MatterModel,
     return s0_assigned - s_elem + entropy_of(model, ost.closed_proxy())
 
 
-def _open_energy_function(env, model, ost: OpenState):
-    """E_open(S_open, n, beta) around a state, for finite differencing."""
+def _open_energy_function(env, model):
+    """E_open(S_open, n, beta), the inverted open relation, for finite differencing."""
 
     def e_open(s_open: float, comp: Composition, params: Parameters) -> float:
         if env is None:
@@ -279,42 +298,41 @@ def total_potential(env: ReferenceEnvironment | None, model: MatterModel,
                     ost: OpenState, k: int) -> float:
     """Total potential of constituent k: dE/dn_k at fixed entropy and parameters.
 
-    Central finite difference on the open fundamental relation; near n_k = 0
-    a one-sided difference is used and flagged with a warning.  ``env=None``
-    differentiates the closed proxy relation on the model's own scale.
+    Closed form on the open relation E_open = g_E(n) + E(S_open - g_S(n), n, beta):
+    mu_k = dg_E/dn_k - T (dg_S/dn_k + dS/dn_k), with the environment's
+    constant gauge gradient and dS/dn_k at fixed (E, beta) from the model's
+    ``ds_dn`` hook, or a finite difference when the model has none.
+    ``env=None`` gives mu_k = -T dS/dn_k on the model's own scale.  Amounts at
+    or below 1e-12 have no potential (DomainError); compositions the
+    environment cannot form raise NotExpressible.
     """
     n = ost.comp.amounts
     if k < 0 or k >= n.shape[0]:
         raise IndexError(f"constituent index {k} out of range")
-    h = H_N_REL * max(1.0, n[k])
     if n[k] <= 1e-12:
         raise DomainError(f"amount {k} is at the boundary; no potential defined")
-
-    e_open_fn = _open_energy_function(env, model, ost)
+    if env is not None:
+        env.decompose(ost.comp)  # NotExpressible unless the environment forms it
+    st = ost.closed_proxy()
+    t = temperature_of(model, st)
+    ds_dn = model.ds_dn(st.energy, st.params, st.comp)
+    if ds_dn is None:
+        ds_dn = _fd_ds_dn(model, st.energy, st.params, st.comp)
     if env is None:
-        s_here = entropy_of(model, ost.closed_proxy())
-    else:
-        g_e, g_s = env.gauge(ost.comp)
-        s_here = g_s + entropy_of(model, ost.closed_proxy())
-
-    n_hi = n.copy()
-    n_hi[k] += h
-    if n[k] - h > 0.0:
-        n_lo = n.copy()
-        n_lo[k] -= h
-        e_hi = e_open_fn(s_here, Composition(n_hi), ost.params)
-        e_lo = e_open_fn(s_here, Composition(n_lo), ost.params)
-        return (e_hi - e_lo) / (2.0 * h)
-    warnings.warn(f"amount {k} too small for a central difference; using one-sided")
-    e_hi = e_open_fn(s_here, Composition(n_hi), ost.params)
-    e_0 = e_open_fn(s_here, ost.comp, ost.params)
-    return (e_hi - e_0) / h
+        return -t * float(ds_dn[k])
+    g_e, g_s = env.gauge_gradient
+    return float(g_e[k]) - t * (float(g_s[k]) + float(ds_dn[k]))
 
 
 def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
                         ost: OpenState, d_s: float, d_n, d_beta) -> float:
     """Defect of dE = T dS + sum_i mu_i dn_i + sum_j F_j d beta_j on the open
-    relation; shrinks quadratically with the perturbation."""
+    relation; shrinks quadratically with the perturbation.
+
+    A test oracle: T, mu and F are central differences of the inverted open
+    relation itself, taken along the perturbed coordinates only, with step
+    1e-6 max(1, |x|) (one-sided in an amount smaller than its step).
+    """
     d_n = np.atleast_1d(np.asarray(d_n, dtype=float))
     d_beta = np.atleast_1d(np.asarray(d_beta, dtype=float))
     n0 = ost.comp.amounts
@@ -322,34 +340,24 @@ def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
     if d_n.shape[0] != n0.shape[0] or d_beta.shape[0] != beta0.shape[0]:
         raise ValueError("perturbation shapes do not match the state")
 
-    e_open_fn = _open_energy_function(env, model, ost)
-    if env is None:
-        s_here = entropy_of(model, ost.closed_proxy())
-        e_here = ost.energy
-    else:
-        g_e, g_s = env.gauge(ost.comp)
-        s_here = g_s + entropy_of(model, ost.closed_proxy())
-        e_here = g_e + ost.energy
+    e_open_fn = _open_energy_function(env, model)
+    g_e, g_s = (0.0, 0.0) if env is None else env.gauge(ost.comp)
+    r = n0.shape[0]
+    x0 = np.concatenate(([g_s + entropy_of(model, ost.closed_proxy())], n0, beta0))
+    dx = np.concatenate(([d_s], d_n, d_beta))
 
-    e_new = e_open_fn(s_here + d_s, Composition(n0 + d_n), Parameters(beta0 + d_beta))
-    delta_e = e_new - e_here
+    def e_at(x):  # x = (S_open, n, beta)
+        return e_open_fn(x[0], Composition(x[1:1 + r]), Parameters(x[1 + r:]))
 
-    h_s = 1e-6 * max(1.0, abs(s_here))
-    t_fd = (e_open_fn(s_here + h_s, ost.comp, ost.params)
-            - e_open_fn(s_here - h_s, ost.comp, ost.params)) / (2.0 * h_s)
-
-    mu = np.array([total_potential(env, model, ost, k) for k in range(n0.shape[0])])
-
-    forces = np.empty_like(beta0)
-    for j in range(beta0.shape[0]):
-        h_b = 1e-6 * max(1.0, abs(beta0[j]))
-        hi, lo = beta0.copy(), beta0.copy()
-        hi[j] += h_b
-        lo[j] -= h_b
-        forces[j] = (e_open_fn(s_here, ost.comp, Parameters(hi))
-                     - e_open_fn(s_here, ost.comp, Parameters(lo))) / (2.0 * h_b)
-
-    return abs(delta_e - t_fd * d_s - float(mu @ d_n) - float(forces @ d_beta))
+    slopes = np.zeros_like(x0)
+    for i in np.nonzero(dx)[0]:
+        h = 1e-6 * max(1.0, abs(x0[i]))
+        h_lo = 0.0 if 1 <= i <= r and x0[i] <= h else h
+        hi, lo = x0.copy(), x0.copy()
+        hi[i] += h
+        lo[i] -= h_lo
+        slopes[i] = (e_at(hi) - e_at(lo)) / (h + h_lo)
+    return abs(e_at(x0 + dx) - (g_e + ost.energy) - float(slopes @ dx))
 
 
 @dataclass(frozen=True)

@@ -136,13 +136,6 @@ def _require_uncorrelated(st: SystemState) -> None:
         raise DomainError("entropy is undefined for a state correlated with its environment")
 
 
-def _invert_entropy(model: MatterModel, entropy: float, params: Parameters, comp) -> float:
-    closed = model.invert_entropy(entropy, params, comp)
-    if closed is not None:
-        return closed
-    return energy_of(model, entropy, params, comp, tol=1e-12)
-
-
 def _volume_on_isentrope(model: MatterModel, entropy: float, temperature: float,
                          st: SystemState) -> Parameters:
     """Parameters at which the isentrope through ``entropy`` has the given temperature."""
@@ -156,7 +149,7 @@ def _volume_on_isentrope(model: MatterModel, entropy: float, temperature: float,
 
     def f(log_v: float) -> float:
         params = st.params.with_volume(math.exp(log_v))
-        energy = _invert_entropy(model, entropy, params, st.comp)
+        energy = energy_of(model, entropy, params, st.comp, tol=1e-12)
         return temperature_of(model, SystemState(energy, params, st.comp)) - temperature
 
     # temperature falls as volume grows along an isentrope
@@ -184,7 +177,7 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
 
     for step in schedule.steps:
         if isinstance(step, Isentropic):
-            e_next = _invert_entropy(model, s_current, step.target_params, st.comp)
+            e_next = energy_of(model, s_current, step.target_params, st.comp, tol=1e-12)
             nxt = SystemState(e_next, step.target_params, st.comp)
             s_next = entropy_of(model, nxt)
             if abs(s_next - s_current) > TOL_S * max(1.0, abs(s_current)):
@@ -318,8 +311,8 @@ def staged_direct_contact_family(model, st1, st2, reservoir,
     def build(theta: np.ndarray) -> Schedule:
         v_stage = math.exp(log_lo + float(theta[0]) * (log_hi - log_lo))
         params_stage = st1.params.with_volume(v_stage)
-        e_before = _invert_entropy(model, s1, params_stage, st1.comp)
-        e_after = _invert_entropy(model, s2, params_stage, st2.comp)
+        e_before = energy_of(model, s1, params_stage, st1.comp, tol=1e-12)
+        e_after = energy_of(model, s2, params_stage, st2.comp, tol=1e-12)
         return Schedule((
             Isentropic(params_stage),
             DirectContact(e_after - e_before),

@@ -95,6 +95,18 @@ def test_energy_of_range_error_below_ground():
         energy_of(reservoir, 2.0, Parameters([1.0]), BASE.comp)
 
 
+@pytest.mark.parametrize("entropy", [-200.0, 1e4])
+def test_energy_of_range_error_where_closed_form_leaves_the_domain(entropy):
+    # S = -200 inverts below the ground bound; S = 1e4 overflows the exponent
+    with pytest.raises(RangeError):
+        energy_of(GAS3, entropy, Parameters([1.0]), BASE.comp)
+
+
+def test_invert_entropy_overflow_is_range_error():
+    with pytest.raises(RangeError):
+        GAS3.invert_entropy(1e4, Parameters([1.0]), BASE.comp)
+
+
 def test_temperature_equipartition():
     assert temperature_of(GAS3, BASE) == pytest.approx(1.0, rel=1e-12)
     st5 = state(5.0, 2.0, [2.0])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrokit.errors import NotExpressible
 from entrokit.matter_models import (
@@ -17,6 +18,7 @@ from entrokit.open_systems import (
     OpenGrid,
     OpenState,
     ReferenceEnvironment,
+    _open_energy_function,
     gibbs_open_residual,
     open_energy_entropy,
     open_entropy_direct,
@@ -43,6 +45,13 @@ def water_mix(e0_water=-2.0):
     return IdealGasMixture([
         Species("H2", 5.0), Species("O2", 5.0), Species("H2O", 6.0, e0=e0_water),
     ])
+
+
+class HiddenDsDn(IdealGasMixture):
+    """An ideal-gas mixture that offers no analytic dS/dn."""
+
+    def ds_dn(self, energy, params, comp):
+        return None
 
 
 def single_species_env(convention="chemical"):
@@ -201,11 +210,106 @@ def test_total_potential_is_intensive():
 
 
 def test_total_potential_near_zero_uses_one_sided_difference():
+    # n_k = 1e-7 lies below the amount step: the closed form still applies,
+    # and without a ds_dn hook the fallback difference goes one-sided
     mix = water_mix()
     ost = OpenState(Composition([2.0, 1.0, 1e-7]), 9.0, Parameters([1.0]))
-    with pytest.warns(UserWarning):
-        mu = total_potential(None, mix, ost, 2)
+    proxy = ost.closed_proxy()
+    t = temperature_of(mix, proxy)
+    ds_dn = mix.ds_dn(proxy.energy, proxy.params, proxy.comp)
+    mu = total_potential(None, mix, ost, 2)
     assert math.isfinite(mu)
+    assert mu == pytest.approx(-t * ds_dn[2], rel=1e-12)
+    assert math.isfinite(total_potential(None, HiddenDsDn(mix.species), ost, 2))
+
+
+def _central_potential(env, model, ost, k):
+    """dE_open/dn_k at fixed S_open and V by a central difference."""
+    e_open = _open_energy_function(env, model)
+    s_here = entropy_of(model, ost.closed_proxy())
+    if env is not None:
+        s_here += env.gauge(ost.comp)[1]
+    h = 1e-6 * max(1.0, ost.comp.amounts[k])
+    hi, lo = ost.comp.amounts.copy(), ost.comp.amounts.copy()
+    hi[k] += h
+    lo[k] -= h
+    return (e_open(s_here, Composition(hi), ost.params)
+            - e_open(s_here, Composition(lo), ost.params)) / (2.0 * h)
+
+
+WATER_ENV = water_env()
+
+
+@given(st.lists(st.floats(0.2, 2.0), min_size=3, max_size=3), st.floats(5.0, 12.0),
+       st.floats(0.5, 3.0), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_total_potential_matches_central_difference(amounts, energy, volume, with_env):
+    env = WATER_ENV if with_env else None
+    mix = water_mix()
+    ost = OpenState(Composition(amounts), energy, Parameters([volume]))
+    for k in range(3):
+        mu = total_potential(env, mix, ost, k)
+        assert abs(mu - _central_potential(env, mix, ost, k)) <= 1e-7 * max(1.0, abs(mu))
+
+
+def test_total_potential_finite_difference_fallback():
+    env = water_env()
+    mix = water_mix()
+    hidden = HiddenDsDn(mix.species)
+    ost = OpenState(Composition([1.0, 0.5, 1.0]), 9.0, Parameters([1.5]))
+    for e in (None, env):
+        for k in range(3):
+            mu = total_potential(e, hidden, ost, k)
+            assert math.isfinite(mu)
+            assert mu == pytest.approx(total_potential(e, mix, ost, k), abs=1e-6)
+
+
+def test_total_potential_rejects_inexpressible_composition():
+    env = water_env()
+    ost = OpenState(Composition([1.0, 1.0]), 9.0, Parameters([1.5]))
+    with pytest.raises(NotExpressible):
+        total_potential(env, IdealGasMixture([Species("H2", 5.0), Species("O2", 5.0)]),
+                        ost, 0)
+
+
+@pytest.mark.parametrize("convention", ["chemical", "natural"])
+def test_gauge_gradient_matches_finite_difference(convention):
+    env = water_env(convention, t0=1.3, p0=0.7)
+    n = np.array([1.0, 0.5, 1.0])
+    g_e, g_s = env.gauge_gradient
+    assert not g_e.flags.writeable and not g_s.flags.writeable  # shared by every caller
+    for k in range(3):
+        hi, lo = n.copy(), n.copy()
+        hi[k] += 1e-4
+        lo[k] -= 1e-4
+        (e_hi, s_hi), (e_lo, s_lo) = env.gauge(Composition(hi)), env.gauge(Composition(lo))
+        assert g_e[k] == pytest.approx((e_hi - e_lo) / 2e-4, rel=1e-9, abs=1e-9)
+        assert g_s[k] == pytest.approx((s_hi - s_lo) / 2e-4, rel=1e-9, abs=1e-9)
+
+
+def test_gauge_gradient_spans_constituents_with_signed_content():
+    # A -> B + C with elements {A, B}: one unit of C alone has content
+    # (A: +1, B: -1), yet gauge differences through C stay linear
+    names = ("A", "B", "C")
+    net = ReactionNetwork([[-1.0], [1.0], [1.0]])
+    sp_a = IdealGasMixture([Species("A", 3.0)])
+    sp_b = IdealGasMixture([Species("B", 5.0)])
+    env = ReferenceEnvironment.chemical_convention(names, (0, 1), net, (sp_a, sp_b), 1.0, 2.0)
+    n = np.array([0.5, 2.0, 1.0])
+    g_e, _ = env.gauge_gradient
+    hi = n.copy()
+    hi[2] += 0.25
+    e_hi, _ = env.gauge(Composition(hi))
+    e_0, _ = env.gauge(Composition(n))
+    assert g_e[2] == pytest.approx((e_hi - e_0) / 0.25, rel=1e-12)
+
+
+def test_cached_physical_reference_equals_fresh_solve():
+    env = water_env(t0=1.3, p0=0.7)
+    for i, model in enumerate(env.species_models):
+        fresh = env.reference_state(i)
+        assert env.physical_reference(i) == (fresh.energy, entropy_of(model, fresh))
+    assert env.physical_references is env.physical_references
 
 
 def test_gibbs_open_residual_second_order():

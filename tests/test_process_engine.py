@@ -16,6 +16,7 @@ from entrokit.errors import (
     DomainError,
     InadmissibleStep,
     NotWeightProcess,
+    RangeError,
     RangeExceeded,
 )
 from entrokit.matter_models import (
@@ -81,6 +82,22 @@ def test_isentropic_step_closed_form():
     assert rec.work == pytest.approx(1.5 - 1.5 * 2.0 ** (-2.0 / 3.0), rel=1e-12)
     assert rec.d_e_res == 0.0
     assert rec.reversible
+
+
+def test_isentropic_step_below_ground_is_range_error():
+    # a state with S = -200: its isentrope reaches V = 1 below the ground bound
+    st0 = state(1.5, math.exp(-200.0 - 1.5 * math.log(1.5)), [1.0])
+    assert entropy_of(GAS, st0) == pytest.approx(-200.0, rel=1e-12)
+    with pytest.raises(RangeError):
+        run_schedule(GAS, st0, RES, Schedule((Isentropic(Parameters([1.0])),)))
+
+
+def test_isentropic_step_energy_overflow_is_range_error():
+    # with one degree of freedom the isentrope to V = 1e-300 needs E ~ e^1382
+    gas1 = ideal_gas_model(1.0)
+    st0 = state(1.0, 1.0, [1.0])
+    with pytest.raises(RangeError):
+        run_schedule(gas1, st0, RES, Schedule((Isentropic(Parameters([1e-300])),)))
 
 
 def test_isothermal_step_reversible_ledger():
