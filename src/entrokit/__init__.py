@@ -67,6 +67,7 @@ from .open_systems import (
     open_fundamental_relation,
     reference_values,
     total_potential,
+    total_potentials,
 )
 from .process_engine import (
     DirectContact,

@@ -32,7 +32,7 @@ from .matter_models import (
     temperature_of,
 )
 from .roots import brentq, expand_bracket
-from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork
+from .stoichiometry import TOL_NEG, Composition, ReactionCoordinates, ReactionNetwork
 
 MAX_ITER = 200
 TOL_KKT = 1e-10
@@ -351,7 +351,8 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
     n_scale = max(1.0, float(np.max(np.abs(ev.n0))))
     barrier = 0.0  # switched on near the boundary
     for it in range(1, max_iter + 1):
-        grad = ev.gradient(eps)
+        dsdn, energies, _, comps = ev.ds_dn_concat(eps)
+        grad = ev.nu.T @ dsdn
         n_here = ev.amounts(eps)
         if barrier > 0.0:
             grad = grad + barrier * (ev.nu.T @ (1.0 / np.maximum(n_here, 1e-300)))
@@ -363,7 +364,7 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
                 continue
             return solution_at(prob, eps, iterations=it)
 
-        hess = _fd_hessian(ev, eps, barrier)
+        hess = _hessian(ev, eps, barrier, energies, comps)
         step = _ascent_step(hess, grad)
 
         # stay strictly feasible: cap the step at the boundary
@@ -424,6 +425,48 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
         f"iteration budget {max_iter} exhausted (kkt residual {sol.kkt_residual:.3g})",
         best=sol,
     )
+
+
+def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
+             comps) -> np.ndarray:
+    """Hessian in eps of the barrier-augmented entropy, from the models'
+    ``d2s`` hooks at the equal-temperature split; ``_fd_hessian`` when a model
+    has no hook.
+
+    Changing the amounts by dn moves the split by dE_i = (dlam - b_i . dn_i) / a_i
+    with sum_i dE_i = 0 (a_i = d2S_i/dE_i^2, b_i = d2S_i/dE_i dn_i), so the
+    Hessian in the amounts is blockdiag(H_i - b_i b_i^T / a_i) + c c^T / sum_i 1/a_i
+    with c_i = b_i / a_i; for one subsystem it reduces to H.  Wherever a central
+    step of ``_fd_hessian`` would leave the domain, it returns that route's
+    steepest-ascent scaling -I as well.
+    """
+    prob = ev.prob
+    parts = [m.d2s(e, p, c) for m, e, p, c in zip(prob.models, energies, prob.params, comps)]
+    if any(d is None for d in parts):
+        return _fd_hessian(ev, eps, barrier)
+    # where a central step would make an amount negative, the gradients that
+    # route differences cannot be evaluated; the ground bound is not probed, as
+    # the entropy falls to -inf there and ascent moves away from it
+    step = np.diag(1e-6 * np.maximum(1.0, np.abs(eps)))
+    stepped = ev.n0[:, None] + ev.nu @ (eps[:, None] + np.hstack([step, -step]))
+    if stepped.min() < -TOL_NEG:
+        return -np.eye(eps.shape[0])
+    if len(parts) == 1:
+        h_nn = parts[0][2]
+    else:
+        r = ev.n0.shape[0]
+        h_nn, c, inv_a_sum = np.zeros((r, r)), np.zeros(r), 0.0
+        for sl, (a, b, h) in zip(ev.slices, parts):
+            h_nn[sl, sl] = h - np.outer(b, b) / a
+            c[sl] = b / a
+            inv_a_sum += 1.0 / a
+        h_nn += np.outer(c, c) / inv_a_sum
+    hess = ev.nu.T @ h_nn @ ev.nu
+    if barrier > 0.0:
+        # written as a product so an empty amount no reaction moves adds 0, not nan
+        scaled = ev.nu / np.maximum(ev.amounts(eps), 1e-300)[:, None]
+        hess -= barrier * (scaled.T @ scaled)
+    return 0.5 * (hess + hess.T)
 
 
 def _fd_hessian(ev: _Evaluator, eps: np.ndarray, barrier: float) -> np.ndarray:

@@ -120,6 +120,11 @@ class MatterModel:
         """Analytic dS/dn_k at fixed (E, beta), or None."""
         return None
 
+    def d2s(self, energy, params, comp) -> tuple | None:
+        """Analytic second derivatives (d2S/dE2, d2S/dE dn, d2S/dn2) at fixed
+        beta, a scalar, a vector and a matrix, or None."""
+        return None
+
     def invert_entropy(self, entropy: float, params, comp) -> float | None:
         """Closed-form E with S(E, beta, n) = entropy, or None."""
         return None
@@ -182,7 +187,7 @@ class IdealGasMixture(MatterModel):
             raise DomainError(
                 f"composition has {n.shape[0]} entries, model has {len(self.species)} species"
             )
-        if not np.any(n > 0):
+        if not comp.total > 0.0:
             raise DomainError("composition is empty")
         return n
 
@@ -252,6 +257,19 @@ class IdealGasMixture(MatterModel):
                 - e0 / t
             )
         return out
+
+    def d2s(self, energy, params, comp) -> tuple:
+        # with 1/T = dS/dE = kB D / (2 E_th), D = dof . n and E_th = E - e0 . n:
+        # d2S/dE2 = -(1/T) / E_th, d2S/dE dn = b = (1/T) (dof / D + e0 / E_th)
+        # and d2S/dn2 = -T E_th b b^T - kB diag(1 / n); an empty entry adds
+        # nothing to the diagonal, as its capped ds_dn does not vary
+        n = self._check_comp(comp)
+        d_tot = float(self._dof @ n)
+        e_th = energy - float(self._e0 @ n)
+        inv_t = 0.5 * self.kb * d_tot / e_th
+        b = inv_t * (self._dof / d_tot + self._e0 / e_th)
+        inv_n = np.divide(self.kb, n, out=np.zeros_like(n), where=n > 0.0)
+        return -inv_t / e_th, b, -(e_th / inv_t) * np.outer(b, b) - np.diag(inv_n)
 
     def invert_entropy(self, entropy, params, comp) -> float:
         n = self._check_comp(comp)

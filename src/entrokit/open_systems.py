@@ -294,23 +294,18 @@ def _open_energy_function(env, model):
     return e_open
 
 
-def total_potential(env: ReferenceEnvironment | None, model: MatterModel,
-                    ost: OpenState, k: int) -> float:
-    """Total potential of constituent k: dE/dn_k at fixed entropy and parameters.
+def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
+                     ost: OpenState) -> np.ndarray:
+    """Total potentials of all constituents: dE/dn_k at fixed entropy and parameters.
 
     Closed form on the open relation E_open = g_E(n) + E(S_open - g_S(n), n, beta):
     mu_k = dg_E/dn_k - T (dg_S/dn_k + dS/dn_k), with the environment's
     constant gauge gradient and dS/dn_k at fixed (E, beta) from the model's
     ``ds_dn`` hook, or a finite difference when the model has none.
     ``env=None`` gives mu_k = -T dS/dn_k on the model's own scale.  Amounts at
-    or below 1e-12 have no potential (DomainError); compositions the
-    environment cannot form raise NotExpressible.
+    or below 1e-12 have no potential (NaN); compositions the environment
+    cannot form raise NotExpressible.
     """
-    n = ost.comp.amounts
-    if k < 0 or k >= n.shape[0]:
-        raise IndexError(f"constituent index {k} out of range")
-    if n[k] <= 1e-12:
-        raise DomainError(f"amount {k} is at the boundary; no potential defined")
     if env is not None:
         env.decompose(ost.comp)  # NotExpressible unless the environment forms it
     st = ost.closed_proxy()
@@ -319,9 +314,24 @@ def total_potential(env: ReferenceEnvironment | None, model: MatterModel,
     if ds_dn is None:
         ds_dn = _fd_ds_dn(model, st.energy, st.params, st.comp)
     if env is None:
-        return -t * float(ds_dn[k])
-    g_e, g_s = env.gauge_gradient
-    return float(g_e[k]) - t * (float(g_s[k]) + float(ds_dn[k]))
+        mu = -t * np.asarray(ds_dn, dtype=float)
+    else:
+        g_e, g_s = env.gauge_gradient
+        mu = g_e - t * (g_s + ds_dn)
+    return np.where(st.comp.amounts > 1e-12, mu, math.nan)
+
+
+def total_potential(env: ReferenceEnvironment | None, model: MatterModel,
+                    ost: OpenState, k: int) -> float:
+    """Total potential of constituent k, from ``total_potentials``.  An index
+    out of range raises IndexError; an amount at or below 1e-12 has no
+    potential (DomainError)."""
+    n = ost.comp.amounts
+    if k < 0 or k >= n.shape[0]:
+        raise IndexError(f"constituent index {k} out of range")
+    if n[k] <= 1e-12:
+        raise DomainError(f"amount {k} is at the boundary; no potential defined")
+    return float(total_potentials(env, model, ost)[k])
 
 
 def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
@@ -412,11 +422,7 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
         e_open, s_open = open_energy_entropy(env, model, ost)
         temp = temperature_of(model, st)
         pres = pressure_of(model, st)
-        mu = tuple(
-            float(total_potential(env, model, ost, k)) if st.comp.amounts[k] > 1e-12
-            else math.nan
-            for k in range(len(st.comp))
-        )
+        mu = tuple(float(x) for x in total_potentials(env, model, ost))
         return OpenTableRow(e_open, volume, tuple(comp.amounts), s_open, eps,
                             tuple(st.comp.amounts), temp, pres, mu)
     except (DomainError, RangeError, RangeExceeded, Infeasible, NonConvergence,

@@ -10,12 +10,13 @@ The exact grammar is documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, NegativeAmount, ParseError
 from .matter_models import (
     KB_SI,
     IdealGasMixture,
@@ -80,19 +81,16 @@ class Scenario:
 
 
 def _parse_token(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    if "/" in tok:
+    """An int, float or rational like 3/2 when the token is a finite number;
+    otherwise the token itself, so that nan, inf and overflowing literals
+    such as 1e999 fail the type checks of numeric keys as bare words do."""
+    for convert in (int, float, lambda t: float(Fraction(t))):
         try:
-            return float(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            pass
+            value = convert(tok)
+            finite = math.isfinite(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            continue
+        return value if finite else tok
     return tok
 
 
@@ -155,6 +153,12 @@ def _as_floats(value, where: str) -> list[float]:
     return out
 
 
+def _as_float(value, where: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got '{value}'")
+    return float(value)
+
+
 def _as_words(value) -> list[str]:
     items = value if isinstance(value, list) else [value]
     return [str(v) for v in items]
@@ -181,8 +185,8 @@ def parse_scenario(text: str) -> Scenario:
             if not isinstance(rows, list) or not isinstance(rows[0], list):
                 rows = [rows if isinstance(rows, list) else [rows]]
             try:
-                scn.network = ReactionNetwork(np.array(rows, dtype=float))
-            except ValueError as exc:
+                scn.network = ReactionNetwork([_as_floats(r, "nu") for r in rows])
+            except (ValueError, ParseError) as exc:
                 raise ParseError(f"bad network: {exc}", sec.line) from exc
             names = _as_words(e.get("names", []))
             scn.network_names = tuple(
@@ -227,14 +231,15 @@ def build_reservoir(scn: Scenario, name: str) -> ThermalReservoir:
     decl = scn.reservoirs[name]
     rng = _as_floats(decl.get("range", [-1e9, 1e9]), name)
     return ThermalReservoir(
-        float(decl["temperature"]), float(decl.get("energy", 0.0)), rng[0], rng[1]
+        _as_float(decl["temperature"], name), _as_float(decl.get("energy", 0.0), name),
+        rng[0], rng[1],
     )
 
 
 def build_weight(scn: Scenario, name: str) -> Weight:
     decl = scn.weights[name]
-    return Weight(float(decl["mass"]), float(decl["gravity"]),
-                  float(decl.get("height", 0.0)))
+    return Weight(_as_float(decl["mass"], name), _as_float(decl["gravity"], name),
+                  _as_float(decl.get("height", 0.0), name))
 
 
 def default_amounts(scn: Scenario, system_name: str) -> np.ndarray:
@@ -248,9 +253,10 @@ def build_state(scn: Scenario, state_name: str) -> tuple[str, SystemState]:
     system_name = str(decl["system"])
     amounts = (np.array(_as_floats(decl["amounts"], state_name))
                if "amounts" in decl else default_amounts(scn, system_name))
-    volume = float(decl.get("volume", scn.systems[system_name].get("volume", 1.0)))
+    volume = _as_float(decl.get("volume", scn.systems[system_name].get("volume", 1.0)),
+                       state_name)
     return system_name, SystemState(
-        float(decl["energy"]), Parameters([volume]), Composition(amounts)
+        _as_float(decl["energy"], state_name), Parameters([volume]), Composition(amounts)
     )
 
 
@@ -261,6 +267,10 @@ def build_schedule_steps(scn: Scenario, sched_name: str):
     decl = scn.schedules[sched_name]
     raw = decl.get("steps")
     rows = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
+
+    def num(kv, key):
+        return _as_float(_parse_token(kv[key]), sched_name)
+
     steps = []
     for row in rows:
         toks = [str(t) for t in (row if isinstance(row, list) else [row])]
@@ -268,14 +278,14 @@ def build_schedule_steps(scn: Scenario, sched_name: str):
             continue
         op, kv = toks[0], dict(t.split("=", 1) for t in toks[1:] if "=" in t)
         if op == "isentropic":
-            steps.append(Isentropic(Parameters([float(kv["volume"])])))
+            steps.append(Isentropic(Parameters([num(kv, "volume")])))
         elif op == "isothermal":
             if "volume" in kv:
-                steps.append(IsothermalContact(target_params=Parameters([float(kv["volume"])])))
+                steps.append(IsothermalContact(target_params=Parameters([num(kv, "volume")])))
             else:
-                steps.append(IsothermalContact(target_energy=float(kv["energy"])))
+                steps.append(IsothermalContact(target_energy=num(kv, "energy")))
         elif op == "direct":
-            steps.append(DirectContact(float(kv["heat"])))
+            steps.append(DirectContact(num(kv, "heat")))
         else:
             raise IntegrityError(f"schedule '{sched_name}': unknown step '{op}'", sched_name)
     from .process_engine import Schedule
@@ -290,12 +300,13 @@ def build_problem(scn: Scenario, prob_name: str):
     system_names = _as_words(decl["systems"])
     models = tuple(build_model(scn, s) for s in system_names)
     params = tuple(
-        Parameters([float(scn.systems[s].get("volume", 1.0))]) for s in system_names
+        Parameters([_as_float(scn.systems[s].get("volume", 1.0), s)]) for s in system_names
     )
     n0 = tuple(Composition(default_amounts(scn, s)) for s in system_names)
     reactive = str(decl.get("reactive", "false")).lower() in ("true", "yes", "1")
     network = scn.network if reactive else None
-    return EquilibriumProblem(models, params, n0, float(decl["energy"]), network=network)
+    return EquilibriumProblem(models, params, n0, _as_float(decl["energy"], prob_name),
+                              network=network)
 
 
 def build_reference_env(scn: Scenario, env_name: str) -> ReferenceEnvironment:
@@ -316,7 +327,7 @@ def build_reference_env(scn: Scenario, env_name: str) -> ReferenceEnvironment:
     maker = (ReferenceEnvironment.chemical_convention if convention == "chemical"
              else ReferenceEnvironment.natural_convention)
     return maker(tuple(species_names), elemental, scn.network, species_models,
-                 float(decl["temperature"]), float(decl["pressure"]))
+                 _as_float(decl["temperature"], env_name), _as_float(decl["pressure"], env_name))
 
 
 def build_grid(scn: Scenario, table_name: str) -> OpenGrid:
@@ -328,7 +339,7 @@ def build_grid(scn: Scenario, table_name: str) -> OpenGrid:
     return OpenGrid(
         energies=tuple(_as_floats(decl["energies"], table_name)),
         volumes=tuple(_as_floats(decl["volumes"], table_name)),
-        compositions=tuple(Composition(np.array(c, dtype=float)) for c in comps_raw),
+        compositions=tuple(Composition(_as_floats(c, table_name)) for c in comps_raw),
         reactive=reactive,
         network=scn.network if reactive else None,
     )
@@ -372,7 +383,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
             schema(name, str(exc))
         try:
             build_model(scn, name)
-        except (IntegrityError, ValueError) as exc:
+        except (IntegrityError, ParseError, ValueError) as exc:
             schema(name, str(exc))
 
     for name, decl in scn.reservoirs.items():
@@ -390,6 +401,8 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
             v = decl.get(key)
             if not isinstance(v, (int, float)) or float(v) <= 0:
                 schema(name, f"weight {key} must be positive, got {v}")
+        if not isinstance(decl.get("height", 0.0), (int, float)):
+            schema(name, f"weight height must be a number, got {decl['height']}")
 
     for name, decl in scn.states.items():
         sysname = decl.get("system")
@@ -404,6 +417,8 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
             model = build_model(scn, str(sysname))
             model.validate(st.energy, st.params, st.comp)
             model.entropy(st.energy, st.params, st.comp)
+        except ParseError as exc:
+            schema(name, str(exc))
         except Exception as exc:
             issues.append(Issue("integrity", name, f"state outside model domain: {exc}"))
 
@@ -429,7 +444,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
         else:
             try:
                 build_schedule_steps(scn, name)
-            except (IntegrityError, KeyError, ValueError) as exc:
+            except (IntegrityError, KeyError, ParseError, ValueError) as exc:
                 schema(name, f"bad steps: {exc}")
 
     for name, decl in scn.problems.items():
@@ -438,11 +453,17 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
                 integrity(name, f"equilibrium references undeclared system '{sysname}'")
         if "energy" not in decl:
             schema(name, "equilibrium needs a total energy")
+        elif not isinstance(decl["energy"], (int, float)):
+            schema(name, f"equilibrium energy must be a number, got {decl['energy']}")
         reactive = str(decl.get("reactive", "false")).lower() in ("true", "yes", "1")
         if reactive and scn.network is None:
             integrity(name, "reactive equilibrium declared but no network present")
 
     for name, decl in scn.ref_envs.items():
+        for key in ("temperature", "pressure"):
+            v = decl.get(key)
+            if not isinstance(v, (int, float)) or float(v) <= 0:
+                schema(name, f"reference {key} must be positive, got {v}")
         basis = decl.get("basis")
         if basis not in scn.systems:
             integrity(name, f"reference_env references undeclared system '{basis}'")
@@ -470,9 +491,14 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
             integrity(name, f"table references undeclared system '{decl.get('system')}'")
         if decl.get("env") not in scn.ref_envs:
             integrity(name, f"table references undeclared reference_env '{decl.get('env')}'")
-        for key in ("energies", "volumes", "compositions"):
-            if key not in decl:
-                schema(name, f"table needs '{key}'")
+        missing = [key for key in ("energies", "volumes", "compositions") if key not in decl]
+        for key in missing:
+            schema(name, f"table needs '{key}'")
+        if not missing:
+            try:
+                build_grid(scn, name)
+            except (NegativeAmount, ParseError, ValueError) as exc:
+                schema(name, str(exc))
 
     for name, decl in scn.joints.items():
         if "file" not in decl:

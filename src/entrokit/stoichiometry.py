@@ -32,26 +32,31 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Composition:
-    """Amounts of each constituent, one entry per single-constituent region."""
+    """Amounts of each constituent, one entry per single-constituent region.
+
+    ``total`` (the summed amount) is computed once, at construction; it is
+    positive exactly when some amount is.
+    """
 
     amounts: np.ndarray
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.atleast_1d(np.array(self.amounts, dtype=float))
         if arr.ndim != 1:
             raise ValueError("composition must be a vector")
-        for i, v in enumerate(arr):
-            if v < -TOL_NEG:
-                raise NegativeAmount(i, float(v))
-        arr = np.where(arr < 0.0, 0.0, arr)
-        object.__setattr__(self, "amounts", _frozen_array(arr))
+        negative = arr < 0.0
+        if negative.any():
+            bad = np.flatnonzero(arr < -TOL_NEG)
+            if bad.size:
+                raise NegativeAmount(int(bad[0]), float(arr[bad[0]]))
+            arr[negative] = 0.0
+        arr.flags.writeable = False
+        object.__setattr__(self, "amounts", arr)
+        object.__setattr__(self, "total", float(arr.sum()))
 
     def __len__(self) -> int:
         return self.amounts.shape[0]
-
-    @property
-    def total(self) -> float:
-        return float(self.amounts.sum())
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entrokit import equilibrium
 from entrokit.equilibrium import (
     EquilibriumProblem,
+    _Evaluator,
+    _fd_hessian,
+    _feasible_interval_1d,
+    _hessian,
     equilibrium_residual,
     esev_partition,
     gibbs_residual,
@@ -319,3 +325,106 @@ def test_relaxation_by_direct_contacts_reaches_solver_split():
             st_b, st_a = rec_out.final, rec_in.final
     assert st_a.energy == pytest.approx(sol.energies[0], abs=1e-6)
     assert st_b.energy == pytest.approx(sol.energies[1], abs=1e-6)
+
+
+WATER_WITH_INERT_NET = ReactionNetwork([[-2.0], [-1.0], [2.0], [0.0]])
+
+
+def water_inert_problem(energy=9.0, n_inert=0.7, volume=1.0):
+    """The water mixture sharing its energy with an inert gas in a second region."""
+    return EquilibriumProblem(
+        (water_problem().models[0], IdealGasMixture([Species("Ar", 3.0, e0=0.3)])),
+        (Parameters([volume]), Parameters([2.0])),
+        (Composition([2.0, 1.0, 0.2]), Composition([n_inert])), energy,
+        network=WATER_WITH_INERT_NET,
+    )
+
+
+class HiddenD2s(IdealGasMixture):
+    """An ideal-gas mixture that offers no analytic second derivatives."""
+
+    def d2s(self, energy, params, comp):
+        return None
+
+
+@given(st.floats(0.05, 0.95), st.floats(6.0, 14.0), st.floats(0.5, 3.0),
+       st.booleans(), st.sampled_from([0.0, 1e-6, 1e-3]))
+@settings(max_examples=100, deadline=None)
+def test_analytic_hessian_matches_finite_differences(frac, energy, volume, two, barrier):
+    prob = (water_inert_problem(energy, volume=volume) if two
+            else water_problem(energy, volume))
+    ev = _Evaluator(prob)
+    lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, 0])
+    eps = np.array([lo + frac * (hi - lo)])
+    _, energies, _, comps = ev.ds_dn_concat(eps)
+    analytic = _hessian(ev, eps, barrier, energies, comps)
+    oracle = _fd_hessian(ev, eps, barrier)
+    assert analytic == pytest.approx(oracle, rel=1e-6, abs=1e-8)
+
+
+def test_analytic_hessian_matches_finite_differences_over_two_reactions():
+    # two extents across two regions couple the split and both amounts blocks
+    net = ReactionNetwork([[-2.0, 0.0], [-1.0, 0.0], [2.0, -1.0], [0.0, 1.0]])
+    base = water_inert_problem()
+    prob = EquilibriumProblem(base.models, base.params, base.n0, base.total_energy,
+                              network=net)
+    ev = _Evaluator(prob)
+    eps = np.array([0.2, 0.05])
+    _, energies, _, comps = ev.ds_dn_concat(eps)
+    for barrier in (0.0, 1e-3):
+        analytic = _hessian(ev, eps, barrier, energies, comps)
+        assert analytic == pytest.approx(_fd_hessian(ev, eps, barrier), rel=1e-6, abs=1e-8)
+
+
+def test_hessian_falls_back_to_steepest_ascent_at_the_wall():
+    # no water yet: the backward central step would make its amount negative
+    prob = water_problem()
+    ev = _Evaluator(prob)
+    eps = np.zeros(1)
+    _, energies, _, comps = ev.ds_dn_concat(eps)
+    assert np.array_equal(_fd_hessian(ev, eps, 0.0), -np.eye(1))
+    assert np.array_equal(_hessian(ev, eps, 0.0, energies, comps), -np.eye(1))
+
+
+def test_model_without_second_derivatives_takes_finite_differences(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _fd_hessian(*args)
+
+    monkeypatch.setattr(equilibrium, "_fd_hessian", counted)
+    plain = water_problem()
+    sol = stable_equilibrium(plain)
+    assert not calls
+    hidden = EquilibriumProblem((HiddenD2s(plain.models[0].species),), plain.params,
+                                plain.n0, plain.total_energy, network=plain.network)
+    sol_fd = stable_equilibrium(hidden)
+    assert calls
+    assert sol_fd.eps_se.epsilon == pytest.approx(sol.eps_se.epsilon, abs=1e-10)
+    assert sol_fd.entropy == pytest.approx(sol.entropy, abs=1e-12)
+
+
+class CountingMixture(IdealGasMixture):
+    """An ideal-gas mixture that counts its dS/dn evaluations."""
+
+    def __init__(self, species):
+        super().__init__(species)
+        self.ds_dn_calls = 0
+
+    def ds_dn(self, energy, params, comp):
+        self.ds_dn_calls += 1
+        return super().ds_dn(energy, params, comp)
+
+
+@pytest.mark.parametrize("make", [water_problem, water_inert_problem])
+def test_solver_evaluates_ds_dn_once_per_iteration(make):
+    # one gradient per iteration plus the final packaging: a Hessian built by
+    # differencing gradients would cost 2 more evaluations per reaction and iteration
+    base = make()
+    counting = CountingMixture(base.models[0].species)
+    prob = EquilibriumProblem((counting,) + base.models[1:], base.params, base.n0,
+                              base.total_energy, network=base.network)
+    sol = stable_equilibrium(prob)
+    assert sol.iterations >= 3
+    assert counting.ds_dn_calls <= sol.iterations + 2

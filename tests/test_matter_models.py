@@ -226,3 +226,36 @@ def test_mixture_closed_form_hooks_match_generic_inversion():
     assert closed == pytest.approx(rooted, rel=1e-10)
     t = temperature_of(mix, st0)
     assert mix.energy_at_temperature(t, params, comp) == pytest.approx(st0.energy, rel=1e-12)
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), min_size=3, max_size=3)
+       .filter(lambda n: sum(n) > 0.0),
+       st.floats(4.0, 12.0), st.floats(0.5, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_mixture_second_derivatives_match_central_differences(amounts, energy, volume):
+    mix = IdealGasMixture([Species("a", 3), Species("b", 5, e0=-1.0, s0=0.1),
+                           Species("c", 6, e0=0.5)])
+    params = Parameters([volume])
+    comp = Composition(amounts)
+    d_ee, d_en, d_nn = mix.d2s(energy, params, comp)
+    h = 1e-6 * energy
+    assert d_ee == pytest.approx(
+        (mix.ds_de(energy + h, params, comp) - mix.ds_de(energy - h, params, comp)) / (2 * h),
+        rel=1e-6)
+    live = comp.amounts > 0.0
+    slope_e = (mix.ds_dn(energy + h, params, comp) - mix.ds_dn(energy - h, params, comp)) / (2 * h)
+    assert d_en[live] == pytest.approx(slope_e[live], rel=1e-6, abs=1e-9)
+    for k, nk in enumerate(comp.amounts):
+        # one-sided, with a shorter step, at an empty entry
+        h_hi, h_lo = (1e-6 * max(1.0, nk), 1e-6 * max(1.0, nk)) if nk else (1e-8, 0.0)
+        hi, lo = comp.amounts.copy(), comp.amounts.copy()
+        hi[k] += h_hi
+        lo[k] -= h_lo
+        column = (mix.ds_dn(energy, params, Composition(hi))
+                  - mix.ds_dn(energy, params, Composition(lo))) / (h_hi + h_lo)
+        # rows of empty entries hold the capped stand-in slope, which is constant
+        assert d_nn[live, k] == pytest.approx(column[live], rel=1e-5, abs=1e-6)
+    assert np.array_equal(d_nn, d_nn.T)
+    # an empty entry adds nothing to the diagonal beyond the rank-one part b b^T / a
+    empty = ~live
+    assert np.diag(d_nn)[empty] == pytest.approx((d_en ** 2 / d_ee)[empty], rel=1e-12)

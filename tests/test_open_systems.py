@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrokit.errors import NotExpressible
+from entrokit.errors import DomainError, NotExpressible
 from entrokit.matter_models import (
     IdealGasMixture,
     Parameters,
@@ -25,6 +25,7 @@ from entrokit.open_systems import (
     open_fundamental_relation,
     reference_values,
     total_potential,
+    total_potentials,
 )
 from entrokit.process_engine import measure_entropy_difference
 from entrokit.stoichiometry import Composition, ReactionNetwork
@@ -250,6 +251,23 @@ def test_total_potential_matches_central_difference(amounts, energy, volume, wit
     for k in range(3):
         mu = total_potential(env, mix, ost, k)
         assert abs(mu - _central_potential(env, mix, ost, k)) <= 1e-7 * max(1.0, abs(mu))
+
+
+@pytest.mark.parametrize("amounts", [[1.0, 0.5, 1.0], [2.0, 1.0, 1e-12], [0.0, 1.0, 0.3]])
+def test_total_potentials_match_per_constituent_potentials(amounts):
+    mix = water_mix()
+    ost = OpenState(Composition(amounts), 9.0, Parameters([1.5]))
+    for env in (None, WATER_ENV):
+        mu = total_potentials(env, mix, ost)
+        for k, nk in enumerate(amounts):
+            if nk <= 1e-12:
+                assert math.isnan(mu[k])
+                with pytest.raises(DomainError):
+                    total_potential(env, mix, ost, k)
+            else:
+                assert mu[k] == total_potential(env, mix, ost, k)
+    with pytest.raises(IndexError):
+        total_potential(None, mix, ost, 3)
 
 
 def test_total_potential_finite_difference_fallback():

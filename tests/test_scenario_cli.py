@@ -132,6 +132,30 @@ def test_cli_validate_integrity_error(tmp_path):
     assert main(["validate", "--scenario", str(broken)]) == 3
 
 
+@pytest.mark.parametrize("old, new", [
+    ("dof = 3", "dof = abc"),  # a ParseError from the model builder
+    ("volume = 1\n\n[reservoir", "volume = nan\n\n[reservoir"),
+    ("energy = 1.5\nvolume = 1", "energy = inf\nvolume = 1"),
+    ("energy = 1.5\nvolume = 2", "energy = -1e999\nvolume = 2"),
+    ("temperature = 1", "temperature = 1e999"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_malformed_numbers_are_schema_errors(tmp_path, capsys, old, new, command):
+    path = tmp_path / "bad.scn"
+    path.write_text(MINIMAL.replace(old, new, 1), encoding="utf-8")
+    argv = [command, "--scenario", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o"), "--measure-entropy", "p1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "[schema]" in captured.out + captured.err
+
+
+def test_parse_keeps_non_finite_literals_as_words():
+    scn = parse_scenario(MINIMAL.replace("range = -100 100", "range = nan 1e999 -inf 3/0"))
+    assert scn.reservoirs["R1"]["range"] == ["nan", "1e999", "-inf", "3/0"]
+
+
 def test_cli_measure_entropy(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([

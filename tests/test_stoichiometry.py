@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrokit.errors import NegativeAmount
+from entrokit.errors import DomainError, NegativeAmount
+from entrokit.matter_models import IdealGasMixture, Parameters, Species
 from entrokit.stoichiometry import (
     Composition,
     ReactionCoordinates,
@@ -163,3 +164,24 @@ def test_independence_failure_always_has_witness():
         report = validate_elemental_set(full, net)
         assert not report.independent
         assert len(report.violating_reactions) >= 1
+
+
+def test_composition_reports_first_negative_index():
+    with pytest.raises(NegativeAmount) as info:
+        Composition([1.0, -1e-14, -0.5, -2.0])
+    assert info.value.index == 2
+    assert info.value.value == -0.5
+
+
+@given(st.lists(st.floats(min_value=-1e-13, max_value=10.0), min_size=1, max_size=12))
+@settings(max_examples=100)
+def test_composition_total_is_the_sum_of_amounts(amounts):
+    c = Composition(amounts)
+    assert c.total == float(c.amounts.sum())
+    assert (c.total > 0.0) == bool(np.any(c.amounts > 0.0))
+
+
+def test_all_zero_composition_is_outside_the_mixture_domain():
+    mix = IdealGasMixture([Species("a", 3.0), Species("b", 5.0)])
+    with pytest.raises(DomainError):
+        mix.entropy(1.0, Parameters([1.0]), Composition([0.0, -1e-14]))
