@@ -22,19 +22,7 @@ from .correlations import (
     _shannon,
 )
 from .equilibrium import equilibrium_residual, stable_equilibrium
-from .errors import (
-    DomainError,
-    EntrokitError,
-    InadmissibleStep,
-    Infeasible,
-    IntegrityError,
-    NegativeAmount,
-    NonConvergence,
-    NotExpressible,
-    ParseError,
-    RangeError,
-    RangeExceeded,
-)
+from .errors import EntrokitError, Infeasible, IntegrityError, NonConvergence, ParseError
 from .matter_models import ThermalReservoir, state
 from .open_systems import open_fundamental_relation
 from .process_engine import measure_entropy_difference, run_schedule
@@ -74,16 +62,23 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_validate(args) -> int:
+def _load(path) -> Scenario | None:
+    """The scenario at ``path``, or None after a one-line message saying why not."""
     try:
-        scn = load_scenario(args.scenario)
+        return load_scenario(path)
     except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_PARSE
+        print(f"error: scenario file not found: {path}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read scenario file {path}: {exc}", file=sys.stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    return None
 
+
+def cmd_validate(args) -> int:
+    scn = _load(args.scenario)
+    if scn is None:
+        return EXIT_PARSE
     issues = validate_scenario(scn)
     if not issues:
         print(f"{args.scenario}: OK ({scn.name})")
@@ -176,9 +171,7 @@ def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
 def _run_decorrelate(scn: Scenario, joint_name: str, outdir: Path,
                      scenario_path: Path) -> None:
     decl = scn.joints[joint_name]
-    joint_path = Path(str(decl["file"]))
-    if not joint_path.is_absolute():
-        joint_path = scenario_path.parent / joint_path
+    joint_path = scenario_path.parent / str(decl["file"])  # an absolute path stays as it is
     joint = load_joint_csv(joint_path)
     m = marginals(joint)
     write_csv(
@@ -233,15 +226,9 @@ def _run_theorem_suite(outdir: Path, seed: int) -> bool:
 
 
 def cmd_run(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
+    scn = _load(args.scenario)
+    if scn is None:
         return EXIT_PARSE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
     issues = validate_scenario(scn)
     if issues:
         for issue in issues:
@@ -253,35 +240,33 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else scn.seed
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     scenario_path = Path(args.scenario)
 
+    jobs = (
+        ("pair", scn.pairs, args.measure_entropy, lambda n: _run_measure(scn, n, outdir)),
+        ("schedule", scn.schedules, args.run_schedule,
+         lambda n: _run_schedule_cmd(scn, n, outdir)),
+        ("equilibrium", scn.problems, args.equilibrate,
+         lambda n: _run_equilibrate(scn, n, outdir, seed)),
+        ("table", scn.tables, args.tabulate, lambda n: _run_tabulate(scn, n, outdir)),
+        ("joint", scn.joints, args.decorrelate,
+         lambda n: _run_decorrelate(scn, n, outdir, scenario_path)),
+    )
     try:
-        for pair_name in args.measure_entropy:
-            if pair_name not in scn.pairs:
-                raise IntegrityError(f"no pair '{pair_name}' declared", pair_name)
-            _run_measure(scn, pair_name, outdir)
-        for sched_name in args.run_schedule:
-            if sched_name not in scn.schedules:
-                raise IntegrityError(f"no schedule '{sched_name}' declared", sched_name)
-            _run_schedule_cmd(scn, sched_name, outdir)
-        for prob_name in args.equilibrate:
-            if prob_name not in scn.problems:
-                raise IntegrityError(f"no equilibrium '{prob_name}' declared", prob_name)
-            _run_equilibrate(scn, prob_name, outdir, seed)
-        for table_name in args.tabulate:
-            if table_name not in scn.tables:
-                raise IntegrityError(f"no table '{table_name}' declared", table_name)
-            _run_tabulate(scn, table_name, outdir)
-        for joint_name in args.decorrelate:
-            if joint_name not in scn.joints:
-                raise IntegrityError(f"no joint '{joint_name}' declared", joint_name)
-            _run_decorrelate(scn, joint_name, outdir, scenario_path)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for kind, declared, names, run in jobs:
+            for name in names:
+                if name not in declared:
+                    raise IntegrityError(f"no {kind} '{name}' declared")
+                run(name)
         if args.theorem_suite:
             if not _run_theorem_suite(outdir, seed):
                 return EXIT_SUITE_FAILED
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # an unreadable joint file or an unusable output directory
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
@@ -289,14 +274,17 @@ def cmd_run(args) -> int:
     except (NonConvergence, Infeasible) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (DomainError, RangeError, RangeExceeded, NegativeAmount,
-            NotExpressible, InadmissibleStep) as exc:
+    except EntrokitError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except EntrokitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """A non-negative integer seed, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got '{text}'")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run computations from a scenario file")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_seed, default=None)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--units", choices=("reduced", "si"), default=None)
     p_run.add_argument("--measure-entropy", action="append", default=[],

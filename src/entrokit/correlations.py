@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
 from .stoichiometry import _frozen_array
 
 PROB_TOL = 1e-12
@@ -35,6 +36,8 @@ class JointState:
         table = np.atleast_2d(np.array(self.table, dtype=float))
         ea = np.atleast_1d(np.array(self.energies_a, dtype=float))
         eb = np.atleast_1d(np.array(self.energies_b, dtype=float))
+        if not all(np.isfinite(a).all() for a in (table, ea, eb)):
+            raise ValueError("probabilities and energies must be finite")
         if table.shape != (ea.shape[0], eb.shape[0]):
             raise ValueError(
                 f"table shape {table.shape} does not match energies "
@@ -112,16 +115,23 @@ def entropy_difference_correlated(j1: JointState, j2: JointState) -> float:
 
 def load_joint_csv(path) -> JointState:
     """Read a joint table from CSV: row 1 the energies of A, row 2 the
-    energies of B, then the m-by-k probability table."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    energies of B, then the m-by-k probability table.  ParseError, with the
+    line, for a cell that is not a number, a missing row or an invalid table."""
+    rows, lines = [], []
+    # undecodable bytes become cells that are not numbers
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise ParseError(f"joint CSV: not a number in '{line}'", lineno) from None
+            lines.append(lineno)
     if len(rows) < 3:
-        raise ValueError("joint CSV needs two energy rows and a table")
-    ea, eb = rows[0], rows[1]
-    table = np.array(rows[2:], dtype=float)
-    return JointState(table, ea, eb)
+        raise ParseError("joint CSV needs two energy rows and a table", lines[-1] if lines else 0)
+    try:
+        return JointState(np.array(rows[2:], dtype=float), rows[0], rows[1])
+    except ValueError as exc:
+        raise ParseError(f"joint CSV: {exc}", lines[2]) from None

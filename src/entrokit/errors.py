@@ -60,15 +60,10 @@ class NotExpressible(EntrokitError):
 class ParseError(EntrokitError):
     """Scenario text could not be parsed."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, line: int = 0):
         self.line = line
-        self.column = column
         super().__init__(f"line {line}: {message}" if line else message)
 
 
 class IntegrityError(EntrokitError):
     """A scenario references something it never declared, or declares it inconsistently."""
-
-    def __init__(self, message: str, reference: str = ""):
-        self.reference = reference
-        super().__init__(message)

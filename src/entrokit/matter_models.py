@@ -306,7 +306,11 @@ class IdealGasMixture(MatterModel):
             half = 0.5 * dof
             const += nk * (half * math.log(half * self.kb * temperature)
                            - math.log(nk) + s0)
-        return math.exp((entropy / self.kb - const) / n_tot)
+        try:
+            return math.exp((entropy / self.kb - const) / n_tot)
+        except OverflowError:
+            raise RangeError(f"entropy {entropy:.6g} at temperature {temperature:.6g} "
+                             f"needs a volume beyond any finite one") from None
 
     def volume_at_pressure(self, temperature, pressure, comp) -> float:
         n = self._check_comp(comp)

@@ -5,18 +5,21 @@ processes, equilibrium problems, reference environment, output tables).
 Grammar: '#' comments; '[kind name]' section headers; 'key = value' lines.
 A value is whitespace-separated tokens (numbers, fractions like 3/2, or
 words); ';' separates the rows of a matrix or the steps of a schedule.
-The exact grammar is documented in the README.
+``SCHEMA`` says what every key of every section holds; validation and the
+builders both read keys through it.  The exact grammar is documented in the
+README.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-import numpy as np
-
-from .errors import IntegrityError, NegativeAmount, ParseError
+from .equilibrium import EquilibriumProblem
+from .errors import DomainError, ParseError, RangeExceeded
 from .matter_models import (
     KB_SI,
     IdealGasMixture,
@@ -24,16 +27,106 @@ from .matter_models import (
     Species,
     SystemState,
     ThermalReservoir,
-    Weight,
+    entropy_of,
 )
 from .open_systems import OpenGrid, ReferenceEnvironment
+from .process_engine import DirectContact, Isentropic, IsothermalContact, Schedule
 from .stoichiometry import Composition, ReactionNetwork, validate_elemental_set
 
-_SECTION_KINDS = (
-    "scenario", "constituents", "network", "system", "reservoir", "weight",
-    "state", "pair", "schedule", "equilibrium", "reference_env", "table",
-    "joint",
-)
+
+@dataclass(frozen=True)
+class Spec:
+    """How one key of a section is read: its type (a key of ``_TYPES``), a check
+    on its numbers or names (a key of ``_CHECKS``), the words it may be, its
+    shape ('species': one entry, in each row, per species of the system the
+    section declares or names; or a fixed count), its default (repeated per
+    species then), and the kind of section, or 'constituent', it refers to."""
+
+    type: str
+    check: str | None = None
+    choices: tuple = ()
+    shape: str | int | None = None
+    default: object = None
+    required: bool = False
+    ref: str | None = None
+
+
+SCHEMA = {
+    "scenario": {"name": Spec("word", default="scenario"),
+                 "units": Spec("word", choices=("reduced", "si"), default="reduced"),
+                 "seed": Spec("integer", check="non-negative", default=0)},
+    "constituents": {"names": Spec("words", default=())},
+    "network": {"nu": Spec("rows", required=True), "names": Spec("words")},
+    "system": {"species": Spec("words", check="distinct", ref="constituent"),
+               "dof": Spec("numbers", check="at least 1", shape="species", default=3.0),
+               "e0": Spec("numbers", shape="species", default=0.0),
+               "s0": Spec("numbers", shape="species", default=0.0),
+               "amounts": Spec("numbers", check="non-negative", shape="species",
+                               default=1.0),
+               "volume": Spec("number", check="positive", default=1.0)},
+    "reservoir": {"temperature": Spec("number", check="positive", required=True),
+                  "energy": Spec("number", default=0.0),
+                  "range": Spec("numbers", shape=2, default=(-1e9, 1e9))},
+    "weight": {"mass": Spec("number", check="positive", required=True),
+               "gravity": Spec("number", check="positive", required=True),
+               "height": Spec("number", default=0.0)},
+    # a state without volume or amounts takes its system's
+    "state": {"system": Spec("word", required=True, ref="system"),
+              "energy": Spec("number", required=True),
+              "volume": Spec("number", check="positive"),
+              "amounts": Spec("numbers", check="non-negative", shape="species")},
+    "pair": {"from": Spec("word", required=True, ref="state"),
+             "to": Spec("word", required=True, ref="state"),
+             "reservoir": Spec("word", required=True, ref="reservoir")},
+    "schedule": {"system": Spec("word", required=True, ref="system"),
+                 "start": Spec("word", required=True, ref="state"),
+                 "reservoir": Spec("word", required=True, ref="reservoir"),
+                 "steps": Spec("steps", required=True)},
+    "equilibrium": {"systems": Spec("words", required=True, ref="system"),
+                    "energy": Spec("number", required=True),
+                    "reactive": Spec("flag", default=False)},
+    "reference_env": {"basis": Spec("word", required=True, ref="system"),
+                      "elemental": Spec("words", check="distinct", required=True),
+                      "temperature": Spec("number", check="positive", required=True),
+                      "pressure": Spec("number", check="positive", required=True),
+                      "convention": Spec("word", choices=("chemical", "natural"),
+                                         default="chemical")},
+    "table": {"system": Spec("word", required=True, ref="system"),
+              "env": Spec("word", required=True, ref="reference_env"),
+              "energies": Spec("numbers", required=True),
+              "volumes": Spec("numbers", check="positive", required=True),
+              "compositions": Spec("rows", check="non-negative", shape="species",
+                                   required=True),
+              "reactive": Spec("flag", default=False)},
+    "joint": {"file": Spec("word", required=True)},
+}
+
+#: Named sections and the Scenario field holding their declarations; the
+#: other kinds are read into the Scenario while parsing.
+_BUCKETS = {
+    "system": "systems", "reservoir": "reservoirs", "weight": "weights",
+    "state": "states", "pair": "pairs", "schedule": "schedules",
+    "equilibrium": "problems", "reference_env": "ref_envs", "table": "tables",
+    "joint": "joints",
+}
+
+#: check -> (test of a value's numbers or names, what it asks in messages)
+_CHECKS = {
+    "positive": (lambda items: min(items) > 0, "be positive"),
+    "non-negative": (lambda items: min(items) >= 0, "be non-negative"),
+    "at least 1": (lambda items: min(items) >= 1, "be at least 1"),
+    "distinct": (lambda items: len(set(items)) == len(items), "not name anything twice"),
+}
+
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+#: Schedule step (operation, key) -> the primitive it makes from the key's value.
+_STEPS = {
+    ("isentropic", "volume"): lambda v: Isentropic(Parameters([v])),
+    ("isothermal", "volume"): lambda v: IsothermalContact(target_params=Parameters([v])),
+    ("isothermal", "energy"): lambda v: IsothermalContact(target_energy=v),
+    ("direct", "heat"): DirectContact,
+}
 
 
 @dataclass
@@ -118,11 +211,14 @@ def parse_sections(text: str) -> list[Section]:
             if not header:
                 raise ParseError("empty section header", lineno)
             kind = header[0]
-            if kind not in _SECTION_KINDS:
+            if kind not in SCHEMA:
                 raise ParseError(f"unknown section kind '{kind}'", lineno)
             name = header[1] if len(header) > 1 else kind
             if len(header) > 2:
                 raise ParseError("section header has too many tokens", lineno)
+            # sections read while parsing are one per file, whatever their name
+            if any(s.kind == kind and (s.name == name or kind not in _BUCKETS) for s in sections):
+                raise ParseError(f"duplicate {kind} '{name}'", lineno)
             current = Section(kind, name, {}, lineno)
             sections.append(current)
             continue
@@ -143,210 +239,192 @@ def parse_sections(text: str) -> list[Section]:
     return sections
 
 
-def _as_floats(value, where: str) -> list[float]:
-    items = value if isinstance(value, list) else [value]
-    out = []
-    for v in items:
-        if not isinstance(v, (int, float)):
-            raise ParseError(f"{where}: expected numbers, got '{v}'")
-        out.append(float(v))
-    return out
+# typed reads: parsed tokens -> values, as SCHEMA specifies
 
 
-def _as_float(value, where: str) -> float:
-    if not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got '{value}'")
-    return float(value)
+def _number(tok) -> float:
+    if not isinstance(tok, (int, float)):
+        raise ValueError(tok)
+    return float(tok)
 
 
-def _as_words(value) -> list[str]:
-    items = value if isinstance(value, list) else [value]
-    return [str(v) for v in items]
+def _step(row) -> tuple:
+    """One schedule step 'operation key=value' as (operation, key, value)."""
+    op, arg = row
+    key, _, value = str(arg).partition("=")
+    if (op, key) not in _STEPS:
+        raise ValueError(row)
+    return op, key, _number(_parse_token(value))
+
+
+#: type -> (reader of a token, or of a row for rows and steps; what it expects)
+_TYPES = {
+    "word": (str, "one word"),
+    "words": (str, "words"),
+    "number": (_number, "a number"),
+    "integer": (operator.index, "an integer"),
+    "numbers": (_number, "numbers"),
+    "rows": (lambda row: [_number(tok) for tok in row], "';'-rows of numbers of one length"),
+    "flag": (lambda tok: _FLAGS[str(tok).lower()], "true or false"),
+    "steps": (_step, "';'-separated steps such as 'isentropic volume=2'"),
+}
+
+
+def _typed(kind: str, entries: dict, key: str, n_species: int | None = None):
+    """``entries[key]`` read as ``SCHEMA[kind][key]`` specifies, or the key's
+    default; ParseError names the first way the value misses its spec.
+    ``n_species`` sizes per-species keys; None leaves their shape unchecked."""
+    spec = SCHEMA[kind][key]
+    if key not in entries:
+        if spec.required:
+            raise ParseError(f"'{key}' is required")
+        if spec.shape == "species" and spec.default is not None and n_species is not None:
+            return [spec.default] * n_species
+        return spec.default
+    raw = entries[key]
+    read, expected = _TYPES[spec.type]
+    nested = isinstance(raw, list) and isinstance(raw[0], list)
+    rows = raw if nested else [raw if isinstance(raw, list) else [raw]]
+    try:
+        if spec.type in ("rows", "steps"):
+            value = [read(row) for row in rows]
+            if spec.type == "rows" and (not rows[0] or len(set(map(len, rows))) != 1):
+                raise ValueError(raw)
+        elif nested:
+            raise ValueError(raw)
+        else:
+            value = [read(tok) for tok in rows[0]]
+            if spec.type not in ("words", "numbers"):
+                (value,) = value
+    except (LookupError, TypeError, ValueError):
+        problem = f"expects {expected}"
+    else:
+        typed = value if spec.type == "rows" else [value if isinstance(value, list) else [value]]
+        holds, asks = _CHECKS.get(spec.check, (None, None))
+        length = n_species if spec.shape == "species" else spec.shape
+        if spec.choices and value not in spec.choices:
+            problem = f"must be one of {', '.join(spec.choices)}"
+        elif holds and not holds([x for row in typed for x in row]):
+            problem = f"must {asks}"
+        elif length is not None and any(len(row) != length for row in typed):
+            problem = f"needs {length} entries" + (" (one per species)" if n_species else "")
+        else:
+            return value
+    raise ParseError(f"'{key}' {problem}, got '{_fmt_value(raw)}'")
+
+
+def _get(scn: Scenario, kind: str, name: str, key: str):
+    """Typed value of ``key`` in the declaration ``name`` of ``kind``: the one
+    accessor validation and the builders read declarations through."""
+    decl = getattr(scn, _BUCKETS[kind])[name]
+    if kind == "system" and key == "species" and key not in decl:
+        return [name]  # a system without a species list holds one species, itself
+    n_species = None
+    if SCHEMA[kind][key].shape == "species":
+        try:  # the system's species; unknown while it is undeclared or malformed
+            system = name if kind == "system" else _get(scn, kind, name, "system")
+            n_species = len(_get(scn, "system", system, "species"))
+        except (KeyError, ParseError):
+            pass
+    return _typed(kind, decl, key, n_species)
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text into the declaration object (no semantic checks)."""
+    """Parse scenario text into the declaration object.  The scenario,
+    constituents and network sections are read here, so any problem in them
+    is a ParseError; other sections keep their raw tokens for validation."""
     scn = Scenario()
     for sec in parse_sections(text):
-        e = sec.entries
-        if sec.kind == "scenario":
-            scn.name = str(e.get("name", scn.name))
-            scn.units = str(e.get("units", scn.units))
-            seed = e.get("seed", scn.seed)
-            if not isinstance(seed, int):
-                raise ParseError(f"seed must be an integer, got '{seed}'", sec.line)
-            scn.seed = seed
-        elif sec.kind == "constituents":
-            scn.constituents = tuple(_as_words(e.get("names", [])))
-        elif sec.kind == "network":
-            rows = e.get("nu")
-            if rows is None:
-                raise ParseError("network section needs 'nu'", sec.line)
-            if not isinstance(rows, list) or not isinstance(rows[0], list):
-                rows = [rows if isinstance(rows, list) else [rows]]
-            try:
-                scn.network = ReactionNetwork([_as_floats(r, "nu") for r in rows])
-            except (ValueError, ParseError) as exc:
-                raise ParseError(f"bad network: {exc}", sec.line) from exc
-            names = _as_words(e.get("names", []))
-            scn.network_names = tuple(
-                names if names else (f"r{i + 1}" for i in range(scn.network.n_reactions))
-            )
-        elif sec.kind in ("system", "reservoir", "weight", "state", "pair",
-                          "schedule", "equilibrium", "reference_env", "table",
-                          "joint"):
-            bucket = {
-                "system": scn.systems, "reservoir": scn.reservoirs,
-                "weight": scn.weights, "state": scn.states, "pair": scn.pairs,
-                "schedule": scn.schedules, "equilibrium": scn.problems,
-                "reference_env": scn.ref_envs, "table": scn.tables,
-                "joint": scn.joints,
-            }[sec.kind]
-            if sec.name in bucket:
-                raise ParseError(f"duplicate {sec.kind} '{sec.name}'", sec.line)
-            bucket[sec.name] = dict(e, _line=sec.line)
+        if sec.kind in _BUCKETS:
+            getattr(scn, _BUCKETS[sec.kind])[sec.name] = dict(sec.entries, _line=sec.line)
+            continue
+        try:
+            unknown = [key for key in sec.entries if key not in SCHEMA[sec.kind]]
+            if unknown:
+                raise ParseError(f"unknown key '{unknown[0]}'")
+            get = partial(_typed, sec.kind, sec.entries)
+            if sec.kind == "scenario":
+                scn.name, scn.units, scn.seed = get("name"), get("units"), get("seed")
+            elif sec.kind == "constituents":
+                scn.constituents = tuple(get("names"))
+            else:
+                scn.network = ReactionNetwork(get("nu"))
+                scn.network_names = tuple(
+                    get("names") or (f"r{i + 1}" for i in range(scn.network.n_reactions))
+                )
+        except (ParseError, ValueError) as exc:  # ValueError: a network column of zeros
+            raise ParseError(str(exc), sec.line) from None
     return scn
 
 
 # builders: declaration -> live objects
 
 
+def _start(scn: Scenario, system_name: str, state_name: str | None = None):
+    """A system's declared parameters and composition, or those a state of it declares."""
+    own = scn.states[state_name] if state_name else {}
+    volume, amounts = (_get(scn, "state", state_name, key) if key in own
+                       else _get(scn, "system", system_name, key) for key in ("volume", "amounts"))
+    return Parameters([volume]), Composition(amounts)
+
+
 def build_model(scn: Scenario, system_name: str) -> IdealGasMixture:
-    decl = scn.systems[system_name]
-    species_names = (_as_words(decl["species"]) if "species" in decl
-                     else [system_name])
-    dof = _as_floats(decl.get("dof", [3.0] * len(species_names)), system_name)
-    e0 = _as_floats(decl.get("e0", [0.0] * len(species_names)), system_name)
-    s0 = _as_floats(decl.get("s0", [0.0] * len(species_names)), system_name)
-    if not (len(dof) == len(e0) == len(s0) == len(species_names)):
-        raise IntegrityError(
-            f"system '{system_name}': species attribute lengths disagree",
-            system_name,
-        )
-    species = [Species(nm, d, a, b) for nm, d, a, b in zip(species_names, dof, e0, s0)]
-    return IdealGasMixture(species, kb=scn.kb)
+    get = partial(_get, scn, "system", system_name)
+    species = zip(get("species"), get("dof"), get("e0"), get("s0"))
+    return IdealGasMixture([Species(*sp) for sp in species], kb=scn.kb)
 
 
 def build_reservoir(scn: Scenario, name: str) -> ThermalReservoir:
-    decl = scn.reservoirs[name]
-    rng = _as_floats(decl.get("range", [-1e9, 1e9]), name)
-    return ThermalReservoir(
-        _as_float(decl["temperature"], name), _as_float(decl.get("energy", 0.0), name),
-        rng[0], rng[1],
-    )
-
-
-def build_weight(scn: Scenario, name: str) -> Weight:
-    decl = scn.weights[name]
-    return Weight(_as_float(decl["mass"], name), _as_float(decl["gravity"], name),
-                  _as_float(decl.get("height", 0.0), name))
-
-
-def default_amounts(scn: Scenario, system_name: str) -> np.ndarray:
-    decl = scn.systems[system_name]
-    n_species = len(_as_words(decl.get("species", [system_name])))
-    return np.array(_as_floats(decl.get("amounts", [1.0] * n_species), system_name))
+    get = partial(_get, scn, "reservoir", name)
+    e_min, e_max = get("range")
+    return ThermalReservoir(get("temperature"), get("energy"), e_min, e_max)
 
 
 def build_state(scn: Scenario, state_name: str) -> tuple[str, SystemState]:
-    decl = scn.states[state_name]
-    system_name = str(decl["system"])
-    amounts = (np.array(_as_floats(decl["amounts"], state_name))
-               if "amounts" in decl else default_amounts(scn, system_name))
-    volume = _as_float(decl.get("volume", scn.systems[system_name].get("volume", 1.0)),
-                       state_name)
-    return system_name, SystemState(
-        _as_float(decl["energy"], state_name), Parameters([volume]), Composition(amounts)
-    )
+    system_name = _get(scn, "state", state_name, "system")
+    params, comp = _start(scn, system_name, state_name)
+    return system_name, SystemState(_get(scn, "state", state_name, "energy"), params, comp)
 
 
-def build_schedule_steps(scn: Scenario, sched_name: str):
+def build_schedule_steps(scn: Scenario, sched_name: str) -> Schedule:
     """Decode 'steps = isentropic volume=2 ; direct heat=0.5 ; ...'."""
-    from .process_engine import DirectContact, Isentropic, IsothermalContact
-
-    decl = scn.schedules[sched_name]
-    raw = decl.get("steps")
-    rows = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
-
-    def num(kv, key):
-        return _as_float(_parse_token(kv[key]), sched_name)
-
-    steps = []
-    for row in rows:
-        toks = [str(t) for t in (row if isinstance(row, list) else [row])]
-        if not toks:
-            continue
-        op, kv = toks[0], dict(t.split("=", 1) for t in toks[1:] if "=" in t)
-        if op == "isentropic":
-            steps.append(Isentropic(Parameters([num(kv, "volume")])))
-        elif op == "isothermal":
-            if "volume" in kv:
-                steps.append(IsothermalContact(target_params=Parameters([num(kv, "volume")])))
-            else:
-                steps.append(IsothermalContact(target_energy=num(kv, "energy")))
-        elif op == "direct":
-            steps.append(DirectContact(num(kv, "heat")))
-        else:
-            raise IntegrityError(f"schedule '{sched_name}': unknown step '{op}'", sched_name)
-    from .process_engine import Schedule
-
-    return Schedule(tuple(steps))
+    steps = _get(scn, "schedule", sched_name, "steps")
+    return Schedule(tuple(_STEPS[op, key](value) for op, key, value in steps))
 
 
-def build_problem(scn: Scenario, prob_name: str):
-    from .equilibrium import EquilibriumProblem
-
-    decl = scn.problems[prob_name]
-    system_names = _as_words(decl["systems"])
-    models = tuple(build_model(scn, s) for s in system_names)
-    params = tuple(
-        Parameters([_as_float(scn.systems[s].get("volume", 1.0), s)]) for s in system_names
-    )
-    n0 = tuple(Composition(default_amounts(scn, s)) for s in system_names)
-    reactive = str(decl.get("reactive", "false")).lower() in ("true", "yes", "1")
-    network = scn.network if reactive else None
-    return EquilibriumProblem(models, params, n0, _as_float(decl["energy"], prob_name),
-                              network=network)
+def build_problem(scn: Scenario, prob_name: str) -> EquilibriumProblem:
+    get = partial(_get, scn, "equilibrium", prob_name)
+    systems = get("systems")
+    params, n0 = zip(*(_start(scn, s) for s in systems))
+    return EquilibriumProblem([build_model(scn, s) for s in systems], params, n0,
+                              get("energy"), network=scn.network if get("reactive") else None)
 
 
 def build_reference_env(scn: Scenario, env_name: str) -> ReferenceEnvironment:
-    decl = scn.ref_envs[env_name]
-    basis = str(decl["basis"])
-    basis_decl = scn.systems[basis]
-    species_names = _as_words(basis_decl.get("species", [basis]))
-    elemental_names = _as_words(decl["elemental"])
-    elemental = tuple(species_names.index(nm) for nm in elemental_names)
-    dof = _as_floats(basis_decl.get("dof", [3.0] * len(species_names)), basis)
-    e0 = _as_floats(basis_decl.get("e0", [0.0] * len(species_names)), basis)
-    s0 = _as_floats(basis_decl.get("s0", [0.0] * len(species_names)), basis)
-    species_models = tuple(
-        IdealGasMixture([Species(species_names[i], dof[i], e0[i], s0[i])], kb=scn.kb)
-        for i in elemental
-    )
-    convention = str(decl.get("convention", "chemical"))
-    maker = (ReferenceEnvironment.chemical_convention if convention == "chemical"
+    get = partial(_get, scn, "reference_env", env_name)
+    basis = build_model(scn, get("basis"))
+    elemental = tuple(basis.names.index(nm) for nm in get("elemental"))
+    species_models = tuple(IdealGasMixture([basis.species[i]], kb=scn.kb) for i in elemental)
+    maker = (ReferenceEnvironment.chemical_convention if get("convention") == "chemical"
              else ReferenceEnvironment.natural_convention)
-    return maker(tuple(species_names), elemental, scn.network, species_models,
-                 _as_float(decl["temperature"], env_name), _as_float(decl["pressure"], env_name))
+    return maker(basis.names, elemental, scn.network, species_models,
+                 get("temperature"), get("pressure"))
 
 
 def build_grid(scn: Scenario, table_name: str) -> OpenGrid:
-    decl = scn.tables[table_name]
-    comps_raw = decl["compositions"]
-    if not (isinstance(comps_raw, list) and comps_raw and isinstance(comps_raw[0], list)):
-        comps_raw = [comps_raw if isinstance(comps_raw, list) else [comps_raw]]
-    reactive = str(decl.get("reactive", "false")).lower() in ("true", "yes", "1")
-    return OpenGrid(
-        energies=tuple(_as_floats(decl["energies"], table_name)),
-        volumes=tuple(_as_floats(decl["volumes"], table_name)),
-        compositions=tuple(Composition(_as_floats(c, table_name)) for c in comps_raw),
-        reactive=reactive,
-        network=scn.network if reactive else None,
-    )
+    get = partial(_get, scn, "table", table_name)
+    reactive = get("reactive")
+    return OpenGrid(get("energies"), get("volumes"), get("compositions"), reactive,
+                    network=scn.network if reactive else None)
 
 
 def validate_scenario(scn: Scenario) -> list[Issue]:
-    """Schema and referential-integrity checks; empty list means clean."""
+    """Schema, referential-integrity and physics checks; empty list means clean.
+
+    Every key of every declaration is read through its spec (schema issues,
+    as are keys the schema does not list), and every name a reference key
+    holds must be declared (integrity issues).  The cross-section checks
+    after that build objects, so they run only once both pass."""
     issues: list[Issue] = []
 
     def schema(where, message):
@@ -355,155 +433,82 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
     def integrity(where, message):
         issues.append(Issue("integrity", where, message))
 
-    if scn.units not in ("reduced", "si"):
-        schema("scenario", f"units must be 'reduced' or 'si', got '{scn.units}'")
+    net = scn.network
+    if net is not None and scn.constituents and net.n_constituents != len(scn.constituents):
+        integrity("network", f"network has {net.n_constituents} rows but "
+                             f"{len(scn.constituents)} constituents are declared")
 
-    if scn.network is not None and scn.constituents:
-        if scn.network.n_constituents != len(scn.constituents):
-            integrity("network",
-                      f"network has {scn.network.n_constituents} rows but "
-                      f"{len(scn.constituents)} constituents are declared")
+    for kind, bucket in _BUCKETS.items():
+        for name, decl in getattr(scn, bucket).items():
+            for key in decl:
+                if key not in SCHEMA[kind] and key != "_line":
+                    schema(name, f"unknown key '{key}'")
+            for key, spec in SCHEMA[kind].items():
+                try:
+                    value = _get(scn, kind, name, key)
+                except ParseError as exc:
+                    schema(name, str(exc))
+                    continue
+                # species are free while no constituents section lists them
+                if spec.ref is None or (spec.ref == "constituent" and not scn.constituents):
+                    continue
+                declared = (scn.constituents if spec.ref == "constituent"
+                            else getattr(scn, _BUCKETS[spec.ref]))
+                for target in ([value] if isinstance(value, str) else value):
+                    if target not in declared:
+                        integrity(name, f"{key} '{target}' is not a declared {spec.ref}")
+    if issues:
+        return issues
 
-    for name, decl in scn.systems.items():
-        species = _as_words(decl.get("species", [name]))
-        if len(set(species)) != len(species):
-            integrity(name, "system declares the same constituent in one region twice")
-        if scn.constituents:
-            for sp in species:
-                if sp not in scn.constituents:
-                    integrity(name, f"species '{sp}' not among declared constituents")
-        vol = decl.get("volume", 1.0)
-        if not isinstance(vol, (int, float)) or float(vol) <= 0:
-            schema(name, f"volume must be positive, got {vol}")
-        try:
-            amounts = default_amounts(scn, name)
-            if np.any(amounts < 0):
-                schema(name, "amounts must be non-negative")
-        except ParseError as exc:
-            schema(name, str(exc))
-        try:
-            build_model(scn, name)
-        except (IntegrityError, ParseError, ValueError) as exc:
-            schema(name, str(exc))
-
-    for name, decl in scn.reservoirs.items():
-        temp = decl.get("temperature")
-        if not isinstance(temp, (int, float)) or float(temp) <= 0:
-            schema(name, f"reservoir temperature must be positive, got {temp}")
-            continue
+    get = partial(_get, scn)
+    for name in scn.reservoirs:
         try:
             build_reservoir(scn, name)
-        except Exception as exc:
-            schema(name, str(exc))
+        except RangeExceeded as exc:
+            integrity(name, str(exc))
+    for name in scn.pairs:
+        if len({get("state", get("pair", name, end), "system") for end in ("from", "to")}) > 1:
+            integrity(name, "pair endpoints belong to different systems")
+    for name in scn.schedules:
+        start = get("schedule", name, "start")
+        if get("state", start, "system") != get("schedule", name, "system"):
+            integrity(name, "schedule starts from a state of another system")
 
-    for name, decl in scn.weights.items():
-        for key in ("mass", "gravity"):
-            v = decl.get(key)
-            if not isinstance(v, (int, float)) or float(v) <= 0:
-                schema(name, f"weight {key} must be positive, got {v}")
-        if not isinstance(decl.get("height", 0.0), (int, float)):
-            schema(name, f"weight height must be a number, got {decl['height']}")
+    # declarations the network acts on, with the systems it spans
+    spans = [(name, get("equilibrium", name, "systems")) for name in scn.problems
+             if get("equilibrium", name, "reactive")]
+    spans += [(name, [get("table", name, "system")]) for name in scn.tables
+              if get("table", name, "reactive")]
+    spans += [(name, [get("reference_env", name, "basis")]) for name in scn.ref_envs]
+    for name, systems in spans:
+        n_species = sum(len(get("system", s, "species")) for s in systems)
+        if net is None:
+            integrity(name, "needs a network, but none is declared")
+        elif net.n_constituents != n_species:
+            integrity(name, f"network has {net.n_constituents} rows but its "
+                            f"systems hold {n_species} species")
 
-    for name, decl in scn.states.items():
-        sysname = decl.get("system")
-        if sysname not in scn.systems:
-            integrity(name, f"state references undeclared system '{sysname}'")
-            continue
-        if "energy" not in decl:
-            schema(name, "state needs an energy")
-            continue
-        try:
-            _, st = build_state(scn, name)
-            model = build_model(scn, str(sysname))
-            model.validate(st.energy, st.params, st.comp)
-            model.entropy(st.energy, st.params, st.comp)
-        except ParseError as exc:
-            schema(name, str(exc))
-        except Exception as exc:
-            issues.append(Issue("integrity", name, f"state outside model domain: {exc}"))
-
-    for name, decl in scn.pairs.items():
-        for key in ("from", "to"):
-            if decl.get(key) not in scn.states:
-                integrity(name, f"pair references undeclared state '{decl.get(key)}'")
-        if decl.get("reservoir") not in scn.reservoirs:
-            integrity(name, f"pair references undeclared reservoir '{decl.get('reservoir')}'")
-        s_from, s_to = decl.get("from"), decl.get("to")
-        if s_from in scn.states and s_to in scn.states:
-            if scn.states[s_from].get("system") != scn.states[s_to].get("system"):
-                integrity(name, "pair endpoints belong to different systems")
-
-    for name, decl in scn.schedules.items():
-        if decl.get("system") not in scn.systems:
-            integrity(name, f"schedule references undeclared system '{decl.get('system')}'")
-        if decl.get("start") not in scn.states:
-            integrity(name, f"schedule references undeclared state '{decl.get('start')}'")
-        if decl.get("reservoir") not in scn.reservoirs:
-            integrity(name, f"schedule references undeclared reservoir "
-                            f"'{decl.get('reservoir')}'")
-        else:
-            try:
-                build_schedule_steps(scn, name)
-            except (IntegrityError, KeyError, ParseError, ValueError) as exc:
-                schema(name, f"bad steps: {exc}")
-
-    for name, decl in scn.problems.items():
-        for sysname in _as_words(decl.get("systems", [])):
-            if sysname not in scn.systems:
-                integrity(name, f"equilibrium references undeclared system '{sysname}'")
-        if "energy" not in decl:
-            schema(name, "equilibrium needs a total energy")
-        elif not isinstance(decl["energy"], (int, float)):
-            schema(name, f"equilibrium energy must be a number, got {decl['energy']}")
-        reactive = str(decl.get("reactive", "false")).lower() in ("true", "yes", "1")
-        if reactive and scn.network is None:
-            integrity(name, "reactive equilibrium declared but no network present")
-
-    for name, decl in scn.ref_envs.items():
-        for key in ("temperature", "pressure"):
-            v = decl.get(key)
-            if not isinstance(v, (int, float)) or float(v) <= 0:
-                schema(name, f"reference {key} must be positive, got {v}")
-        basis = decl.get("basis")
-        if basis not in scn.systems:
-            integrity(name, f"reference_env references undeclared system '{basis}'")
-            continue
-        if scn.network is None:
-            integrity(name, "reference_env needs a network")
-            continue
-        species_names = _as_words(scn.systems[basis].get("species", [basis]))
-        elem = _as_words(decl.get("elemental", []))
-        missing = [nm for nm in elem if nm not in species_names]
+    for name in scn.ref_envs:
+        names = get("system", get("reference_env", name, "basis"), "species")
+        elemental = get("reference_env", name, "elemental")
+        missing = [nm for nm in elemental if nm not in names]
         if missing:
             integrity(name, f"elemental species {missing} not in basis system")
-            continue
-        indices = [species_names.index(nm) for nm in elem]
-        report = validate_elemental_set(indices, scn.network)
-        if not report.complete:
-            integrity(name, f"elemental set incomplete: constituents "
-                            f"{report.unreachable} unreachable")
-        if not report.independent:
-            integrity(name, f"elemental set not independent: reactions "
-                            f"{report.violating_reactions} live on the set")
+        elif net is not None and net.n_constituents == len(names):
+            report = validate_elemental_set([names.index(nm) for nm in elemental], net)
+            if not report.complete:
+                integrity(name, f"elemental set incomplete: constituents "
+                                f"{report.unreachable} unreachable")
+            if not report.independent:
+                integrity(name, f"elemental set not independent: reactions "
+                                f"{report.violating_reactions} live on the set")
 
-    for name, decl in scn.tables.items():
-        if decl.get("system") not in scn.systems:
-            integrity(name, f"table references undeclared system '{decl.get('system')}'")
-        if decl.get("env") not in scn.ref_envs:
-            integrity(name, f"table references undeclared reference_env '{decl.get('env')}'")
-        missing = [key for key in ("energies", "volumes", "compositions") if key not in decl]
-        for key in missing:
-            schema(name, f"table needs '{key}'")
-        if not missing:
-            try:
-                build_grid(scn, name)
-            except (NegativeAmount, ParseError, ValueError) as exc:
-                schema(name, str(exc))
-
-    for name, decl in scn.joints.items():
-        if "file" not in decl:
-            schema(name, "joint needs a file path")
-
+    for name in scn.states:
+        system_name, st = build_state(scn, name)
+        try:
+            entropy_of(build_model(scn, system_name), st)
+        except DomainError as exc:
+            integrity(name, f"state outside model domain: {exc}")
     return issues
 
 
@@ -537,14 +542,8 @@ def serialize_scenario(scn: Scenario) -> str:
             " ".join(_fmt(x) for x in row) for row in scn.network.stoich
         )
         out += ["[network]", f"names = {' '.join(scn.network_names)}", f"nu = {rows}", ""]
-    for kind, bucket in (
-        ("system", scn.systems), ("reservoir", scn.reservoirs),
-        ("weight", scn.weights), ("state", scn.states), ("pair", scn.pairs),
-        ("schedule", scn.schedules), ("equilibrium", scn.problems),
-        ("reference_env", scn.ref_envs), ("table", scn.tables),
-        ("joint", scn.joints),
-    ):
-        for name, decl in bucket.items():
+    for kind, bucket in _BUCKETS.items():
+        for name, decl in getattr(scn, bucket).items():
             out.append(f"[{kind} {name}]")
             for key, value in decl.items():
                 if key.startswith("_"):

@@ -13,6 +13,7 @@ from entrokit.correlations import (
     marginals,
     product_state,
 )
+from entrokit.errors import ParseError
 
 
 def make_joint(table, ea=None, eb=None):
@@ -127,6 +128,10 @@ def test_invalid_tables_rejected():
         make_joint([[0.7, -0.1], [0.2, 0.2]])
     with pytest.raises(ValueError):
         JointState(np.full((2, 2), 0.25), [0.0], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        make_joint([[0.5, math.nan], [0.0, 0.5]])
+    with pytest.raises(ValueError):
+        make_joint([[0.5, 0.0], [0.0, 0.5]], ea=[0.0, math.inf])
 
 
 prob_rows = st.lists(
@@ -175,6 +180,21 @@ def test_sigma_zero_iff_product():
             assert prod_gap <= 1e-5
         if prod_gap <= 1e-15:
             assert sigma <= 1e-12
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0,1\n0,1\na,b\n0,0.5\n", 3),               # a cell that is not a number
+    ("# energies\n0,1\n\n0,1\n", 4),              # no table rows
+    ("0,1\n0,1\n0.5,0\n0,0.25\n", 3),             # JointState: sums to 0.75
+    ("0,1\n0,1\n0.5,0\n0.5\n", 3),                # ragged table
+    ("0,1\n0,1\n0.5,nan\n0,0.5\n", 3),            # non-finite probability
+], ids=["non-numeric", "too-few-rows", "not-normalized", "ragged", "nan"])
+def test_load_joint_csv_reports_parse_errors_with_line(tmp_path, text, line):
+    path = tmp_path / "joint.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_joint_csv(path)
+    assert err.value.line == line
 
 
 def test_load_joint_csv_round_trip(tmp_path):

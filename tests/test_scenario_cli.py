@@ -1,4 +1,6 @@
 import math
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from entrokit.cli import main
 from entrokit.errors import ParseError
 from entrokit.scenario import (
+    SCHEMA,
     parse_scenario,
     serialize_scenario,
     validate_scenario,
@@ -73,6 +76,16 @@ def test_parse_error_reports_line():
 def test_parse_error_unknown_section():
     with pytest.raises(ParseError):
         parse_scenario("[warp drive]\n")
+
+
+@pytest.mark.parametrize("extra", ["[scenario]\nseed = 2", "[scenario again]\nseed = 2",
+                                   "[system gas1]\ndof = 5"])
+def test_parse_rejects_a_repeated_section(extra):
+    text = MINIMAL + "\n" + extra + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert err.value.line == len(text.splitlines()) - 1
+    assert "duplicate" in str(err.value)
 
 
 def test_rational_stoichiometric_coefficients():
@@ -235,3 +248,159 @@ def test_cli_theorem_suite(tmp_path):
     lines = table.strip().splitlines()
     assert len(lines) > 5
     assert all(",true," in ln for ln in lines[1:])
+
+
+def _mutated(tmp_path, scenario, old, new):
+    """A copy of a shipped scenario with ``old`` replaced by ``new``, next to
+    the joint table the shipped scenarios read."""
+    text = (SCENARIOS / scenario).read_text(encoding="utf-8")
+    assert old in text
+    shutil.copy(SCENARIOS / "joint_diag.csv", tmp_path / "joint_diag.csv")
+    path = tmp_path / scenario
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return str(path)
+
+
+#: The jobs of each shipped scenario.
+JOBS = {
+    "demo_gas.scn": ["--measure-entropy", "pair1", "--run-schedule", "sched1",
+                     "--decorrelate", "j1"],
+    "demo_equilibrium.scn": ["--equilibrate", "prob1"],
+    "demo_open.scn": ["--tabulate", "tab1"],
+}
+FUZZ_VALUES = ["nan", "inf", "1e999", "abc", "0", "-1", "1 2", "3/0", "1e-300"]
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("scenario", sorted(JOBS))
+def test_every_mutated_value_ends_in_a_documented_exit_code(tmp_path, capsys, scenario, value):
+    # every 'key = value' line of the scenario, its value replaced, through
+    # validate and through run with the scenario's jobs
+    lines = (SCENARIOS / scenario).read_text(encoding="utf-8").splitlines()
+    shutil.copy(SCENARIOS / "joint_diag.csv", tmp_path / "joint_diag.csv")
+    path = tmp_path / scenario
+    codes = {}
+    for i, line in enumerate(lines):
+        key, eq, _ = line.split("#", 1)[0].partition("=")
+        if not eq:
+            continue
+        path.write_text("\n".join(lines[:i] + [f"{key.strip()} = {value}"] + lines[i + 1:]),
+                        encoding="utf-8")
+        for argv in (["validate", "--scenario", str(path)],
+                     ["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                      *JOBS[scenario]]):
+            codes[(key.strip(), i + 1, argv[0])] = main(argv)
+    capsys.readouterr()
+    assert codes
+    odd = {where: code for where, code in codes.items() if code not in (0, 2, 3, 4, 5)}
+    assert not odd
+
+
+@pytest.mark.parametrize("old, new", [
+    ("amounts = 1", "amounts = 1e-300"),             # in [system gas1]
+    ("temperature = 1\n", "temperature = 1e-300\n"),  # in [reservoir R1]
+], ids=["amounts", "temperature"])
+def test_cli_isentrope_beyond_any_volume_is_a_range_error(tmp_path, capsys, old, new):
+    path = _mutated(tmp_path, "demo_gas.scn", old, new)
+    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
+                 "--measure-entropy", "pair1"])
+    assert code == 4
+    assert "beyond any finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("new", ["file = nan", "file = missing.csv", "file = ."])
+def test_cli_unreadable_joint_file_is_a_parse_error(tmp_path, capsys, new):
+    path = _mutated(tmp_path, "demo_gas.scn", "file = joint_diag.csv", new)
+    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
+                 "--decorrelate", "j1"])
+    assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_cli_unusable_output_directory_is_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["run", "--scenario", str(SCENARIOS / "demo_gas.scn"), "--out", str(blocker),
+                 "--measure-entropy", "pair1"])
+    assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_cli_malformed_joint_table_is_a_parse_error(tmp_path, capsys):
+    path = _mutated(tmp_path, "demo_gas.scn", "file = joint_diag.csv", "file = bad.csv")
+    (tmp_path / "bad.csv").write_text("0,1\n0,1\na,b\n0,0.5\n", encoding="utf-8")
+    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
+                 "--decorrelate", "j1"])
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_flag_is_rejected_by_argparse(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(SCENARIOS / "demo_equilibrium.scn"),
+              "--out", str(tmp_path), "--seed", "-1", "--equilibrate", "prob1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_negative_scenario_seed_is_a_parse_error(tmp_path, command):
+    path = _mutated(tmp_path, "demo_equilibrium.scn", "seed = 0", "seed = -1")
+    argv = [command, "--scenario", path]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out"), "--equilibrate", "prob1"]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("scenario, old, new, category, words", [
+    pytest.param("demo_gas.scn", "system = gas1\nenergy = 1.5\nvolume = 1",
+                 "system = gas1 1 2\nenergy = 1.5\nvolume = 1", "schema", "one word",
+                 id="two-word-reference"),
+    pytest.param("demo_open.scn", "nu = -2 ; -1 ; 2", "nu = -1", "integrity", "rows",
+                 id="network-rows-against-basis"),
+    pytest.param("demo_equilibrium.scn", "amounts = 2 1 0", "amounts = 0", "schema",
+                 "per species", id="amounts-per-species"),
+    pytest.param("demo_open.scn", "compositions = 2 1 0", "compositions = 1 2", "schema",
+                 "per species", id="compositions-per-species"),
+    pytest.param("demo_gas.scn", "[weight W1]", "[weight W1]\ncolour = blue", "schema",
+                 "unknown key", id="unknown-key"),
+    pytest.param("demo_equilibrium.scn", "reactive = true", "reactive = maybe", "schema",
+                 "true or false", id="reactive-flag"),
+    pytest.param("demo_open.scn", "convention = chemical", "convention = other", "schema",
+                 "one of", id="convention-choice"),
+    pytest.param("demo_open.scn", "volumes = 1 2", "volumes = 0 2", "schema", "positive",
+                 id="table-volumes"),
+    pytest.param("demo_gas.scn", "direct heat=-0.25", "direct heat=-0.25 extra=1", "schema",
+                 "steps", id="step-extra-token"),
+    pytest.param("demo_gas.scn", "energy = 0\nrange = -1e6 1e6\n\n[reservoir Rcold]",
+                 "energy = 2e6\nrange = -1e6 1e6\n\n[reservoir Rcold]", "integrity",
+                 "outside", id="reservoir-energy-outside-range"),
+    pytest.param("demo_open.scn", "system = mix1\nenv = env1", "system = mix2\nenv = env1",
+                 "integrity", "not a declared system", id="undeclared-system"),
+    pytest.param("demo_gas.scn", "[schedule sched1]\nsystem = gas1",
+                 "[system gas2]\nspecies = Ar\ndof = 5\n\n[schedule sched1]\nsystem = gas2",
+                 "integrity", "another system", id="schedule-start-in-another-system"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_inconsistent_declarations(tmp_path, capsys, scenario, old, new,
+                                               category, words, command):
+    path = _mutated(tmp_path, scenario, old, new)
+    argv = [command, "--scenario", path]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out"), *JOBS[scenario]]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    issues = [ln for ln in (captured.out + captured.err).splitlines()
+              if ln.startswith(f"[{category}]")]
+    assert any(words in ln for ln in issues), issues
+
+
+def test_readme_section_table_lists_the_schema_keys():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| section | keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        section, keys = row.strip("|").split("|")[:2]
+        # keys are the backticked words outside parentheses
+        listed[section.strip().strip("`").split()[0]] = set(
+            re.findall(r"`([a-z_0-9]+)`", re.sub(r"\([^)]*\)", "", keys)))
+    assert listed == {kind: set(keys) for kind, keys in SCHEMA.items()}
