@@ -45,18 +45,15 @@ from .matter_models import (
     IdealGasMixture,
     MatterModel,
     Parameters,
-    ReservoirModel,
     Species,
     SystemState,
     ThermalReservoir,
-    Weight,
     energy_of,
     entropy_of,
     ideal_gas_model,
     reservoir_exchange,
     state,
     temperature_of,
-    weight_work,
 )
 from .open_systems import (
     OpenGrid,

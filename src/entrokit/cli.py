@@ -28,6 +28,7 @@ from .open_systems import open_fundamental_relation
 from .process_engine import measure_entropy_difference, run_schedule
 from .scenario import (
     Scenario,
+    _fmt,
     build_grid,
     build_model,
     build_problem,
@@ -45,14 +46,6 @@ EXIT_PARSE = 2
 EXIT_INTEGRITY = 3
 EXIT_DOMAIN = 4
 EXIT_NONCONVERGENCE = 5
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -91,10 +84,10 @@ def cmd_validate(args) -> int:
 
 def _run_measure(scn: Scenario, pair_name: str, outdir: Path) -> None:
     decl = scn.pairs[pair_name]
-    sys_name, st1 = build_state(scn, str(decl["from"]))
-    _, st2 = build_state(scn, str(decl["to"]))
+    sys_name, st1 = build_state(scn, decl["from"])
+    _, st2 = build_state(scn, decl["to"])
     model = build_model(scn, sys_name)
-    reservoir = build_reservoir(scn, str(decl["reservoir"]))
+    reservoir = build_reservoir(scn, decl["reservoir"])
     delta_s = measure_entropy_difference(model, st1, st2, reservoir)
     write_csv(
         outdir / f"measure_{pair_name}.csv",
@@ -107,10 +100,10 @@ def _run_measure(scn: Scenario, pair_name: str, outdir: Path) -> None:
 
 def _run_schedule_cmd(scn: Scenario, sched_name: str, outdir: Path) -> None:
     decl = scn.schedules[sched_name]
-    sys_name = str(decl["system"])
+    sys_name = decl["system"]
     model = build_model(scn, sys_name)
-    _, st0 = build_state(scn, str(decl["start"]))
-    reservoir = build_reservoir(scn, str(decl["reservoir"]))
+    _, st0 = build_state(scn, decl["start"])
+    reservoir = build_reservoir(scn, decl["reservoir"])
     schedule = build_schedule_steps(scn, sched_name)
     record = run_schedule(model, st0, reservoir, schedule)
     write_csv(
@@ -148,8 +141,8 @@ def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path, seed: int) -> 
 
 def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
     decl = scn.tables[table_name]
-    model = build_model(scn, str(decl["system"]))
-    env = build_reference_env(scn, str(decl["env"]))
+    model = build_model(scn, decl["system"])
+    env = build_reference_env(scn, decl["env"])
     grid = build_grid(scn, table_name)
     rows = open_fundamental_relation(env, model, grid)
     r = max((len(row.n0) for row in rows), default=0)
@@ -171,7 +164,7 @@ def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
 def _run_decorrelate(scn: Scenario, joint_name: str, outdir: Path,
                      scenario_path: Path) -> None:
     decl = scn.joints[joint_name]
-    joint_path = scenario_path.parent / str(decl["file"])  # an absolute path stays as it is
+    joint_path = scenario_path.parent / decl["file"]  # an absolute path stays as it is
     joint = load_joint_csv(joint_path)
     m = marginals(joint)
     write_csv(

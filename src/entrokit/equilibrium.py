@@ -23,9 +23,11 @@ from .errors import (
     RangeError,
 )
 from .matter_models import (
+    H_REL,
     MatterModel,
     Parameters,
     SystemState,
+    _fd_slopes,
     energy_of,
     entropy_of,
     solve_energy_at_temperature,
@@ -37,9 +39,6 @@ from .stoichiometry import TOL_NEG, Composition, ReactionCoordinates, ReactionNe
 MAX_ITER = 200
 TOL_KKT = 1e-10
 TOL_T = 1e-9
-
-#: Relative finite-difference step in amounts.
-H_N_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,25 +185,8 @@ class _Evaluator:
 
 def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
               comp: Composition) -> np.ndarray:
-    n = comp.amounts
-    out = np.empty_like(n)
-    for k in range(n.shape[0]):
-        h = H_N_REL * max(1.0, n[k])
-        lo = n[k] - h
-        if lo > 0.0:
-            np_hi, np_lo = n.copy(), n.copy()
-            np_hi[k] += h
-            np_lo[k] = lo
-            s_hi = model.entropy(energy, params, Composition(np_hi))
-            s_lo = model.entropy(energy, params, Composition(np_lo))
-            out[k] = (s_hi - s_lo) / (2.0 * h)
-        else:
-            np_hi = n.copy()
-            np_hi[k] += h
-            s_hi = model.entropy(energy, params, Composition(np_hi))
-            s_0 = model.entropy(energy, params, comp)
-            out[k] = (s_hi - s_0) / h
-    return out
+    return _fd_slopes(lambda n: model.entropy(energy, params, Composition(n)),
+                      comp.amounts, amounts=range(len(comp)))
 
 
 def _feasible_interval_1d(n0: np.ndarray, col: np.ndarray) -> tuple[float, float]:
@@ -317,26 +299,16 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
     NonConvergence (best iterate attached) when the iteration budget runs out.
     """
     tau = prob.n_reactions
-    if tau == 0:
-        try:
-            return solution_at(prob, np.zeros(0))
-        except (DomainError, RangeError) as exc:
-            raise Infeasible(str(exc)) from exc
-
-    rng = np.random.default_rng(seed)
     ev = _Evaluator(prob)
-
-    # every reaction pinned (zero-width extent intervals): nothing to optimize
-    widths = []
-    for j in range(tau):
-        lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, j])
-        widths.append((hi - lo) if math.isfinite(lo) and math.isfinite(hi) else math.inf)
-    if max(widths) <= 1e-13:
+    # no reaction, or every one pinned (zero-width extent intervals): nothing to optimize
+    intervals = (_feasible_interval_1d(ev.n0, ev.nu[:, j]) for j in range(tau))
+    if max((hi - lo for lo, hi in intervals), default=0.0) <= 1e-13:
         try:
             return solution_at(prob, np.zeros(tau))
         except (DomainError, RangeError) as exc:
             raise Infeasible(str(exc)) from exc
 
+    rng = np.random.default_rng(seed)
     if start is not None:
         eps = np.atleast_1d(np.asarray(start, dtype=float))
         if np.min(ev.amounts(eps)) < 0.0:
@@ -410,21 +382,16 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
             if barrier > 1e-12:
                 barrier /= 64.0
                 continue
-            sol = solution_at(prob, eps, iterations=it)
-            if sol.kkt_residual <= max(tol, 1e-8):
-                return sol
-            raise NonConvergence(
-                f"no ascent step after {it} iterations "
-                f"(kkt residual {sol.kkt_residual:.3g})", best=sol,
-            )
+            failure = f"no ascent step after {it} iterations"
+            break
+    else:
+        it, failure = max_iter, f"iteration budget {max_iter} exhausted"
 
-    sol = solution_at(prob, eps, iterations=max_iter)
+    # certify the last iterate by its KKT residual
+    sol = solution_at(prob, eps, iterations=it)
     if sol.kkt_residual <= max(tol, 1e-8):
         return sol
-    raise NonConvergence(
-        f"iteration budget {max_iter} exhausted (kkt residual {sol.kkt_residual:.3g})",
-        best=sol,
-    )
+    raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
 
 
 def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
@@ -447,7 +414,7 @@ def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
     # where a central step would make an amount negative, the gradients that
     # route differences cannot be evaluated; the ground bound is not probed, as
     # the entropy falls to -inf there and ascent moves away from it
-    step = np.diag(1e-6 * np.maximum(1.0, np.abs(eps)))
+    step = np.diag(H_REL * np.maximum(1.0, np.abs(eps)))
     stepped = ev.n0[:, None] + ev.nu @ (eps[:, None] + np.hstack([step, -step]))
     if stepped.min() < -TOL_NEG:
         return -np.eye(eps.shape[0])
@@ -470,22 +437,16 @@ def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
 
 
 def _fd_hessian(ev: _Evaluator, eps: np.ndarray, barrier: float) -> np.ndarray:
-    tau = eps.shape[0]
-    hess = np.empty((tau, tau))
-    for j in range(tau):
-        h = 1e-6 * max(1.0, abs(eps[j]))
-        hi, lo = eps.copy(), eps.copy()
-        hi[j] += h
-        lo[j] -= h
-        try:
-            g_hi = ev.gradient(hi)
-            g_lo = ev.gradient(lo)
-        except (DomainError, RangeError, NegativeAmount):
-            return -np.eye(tau)  # fall back to steepest ascent scaling
+    def grad(e):
+        g = ev.gradient(e)
         if barrier > 0.0:
-            g_hi = g_hi + barrier * (ev.nu.T @ (1.0 / np.maximum(ev.amounts(hi), 1e-300)))
-            g_lo = g_lo + barrier * (ev.nu.T @ (1.0 / np.maximum(ev.amounts(lo), 1e-300)))
-        hess[:, j] = (g_hi - g_lo) / (2.0 * h)
+            g = g + barrier * (ev.nu.T @ (1.0 / np.maximum(ev.amounts(e), 1e-300)))
+        return g
+
+    try:
+        hess = _fd_slopes(grad, eps)
+    except (DomainError, RangeError, NegativeAmount):
+        return -np.eye(eps.shape[0])  # fall back to steepest ascent scaling
     return 0.5 * (hess + hess.T)
 
 
@@ -543,13 +504,13 @@ def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
 
 
 def pressure_of(model: MatterModel, st: SystemState) -> float:
-    """Pressure: the negative volume-conjugate force -dE/dV at constant S, n."""
+    """Pressure: the negative volume-conjugate force -dE/dV at constant S, n,
+    differenced with a step of H_REL * V, which also serves V << 1."""
     s0 = entropy_of(model, st)
     v0 = st.params.volume
-    h = 1e-6 * v0
-    e_hi = energy_of(model, s0, st.params.with_volume(v0 + h), st.comp)
-    e_lo = energy_of(model, s0, st.params.with_volume(v0 - h), st.comp)
-    return -(e_hi - e_lo) / (2.0 * h)
+    (slope,) = _fd_slopes(lambda v: energy_of(model, s0, st.params.with_volume(v[0]), st.comp),
+                          [v0], step=H_REL * v0)
+    return -slope
 
 
 def esev_partition(model: MatterModel, states, tol: float = 1e-9) -> list[list[int]]:

@@ -3,9 +3,8 @@
 A model supplies a fundamental relation S(E, beta, n) over its stable
 equilibrium states.  Built in: the classical ideal gas and ideal-gas mixture
 in reduced units (k_B = 1; SI mode applies the single multiplicative constant
-k_B), a constant-temperature reservoir relation, and the weight used as a
-work accumulator.  Temperature, inverse relations and derivatives are derived
-from the relation itself.
+k_B), and the thermal reservoir.  Temperature, inverse relations and
+derivatives are derived from the relation itself.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ GROUND_EPS = 1e-12
 #: Contract tolerance for energy_of: |S(E*) - S| in entropy units.
 TOL_INV = 1e-10
 
-#: Relative step used by finite-difference temperature estimates.
-H_E_REL = 1e-6
+#: Relative finite-difference step: h_i = H_REL * max(1, |x_i|).
+H_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,6 @@ class MatterModel:
     hooks return None when no closed form is available; callers then fall
     back to finite differences or bracketed root-finding.
     """
-
-    #: human-readable domain description
-    domain = "E above ground bound"
 
     def entropy(self, energy: float, params: Parameters, comp: Composition) -> float:
         raise NotImplementedError
@@ -166,8 +162,6 @@ class IdealGasMixture(MatterModel):
     S(E, V, n) = n [ (dof/2) ln(E/n) + ln(V/n) ].
     """
 
-    domain = "E - sum n_k e0_k >= 1e-12, V > 0, n >= 0 with some n_k > 0"
-
     def __init__(self, species, kb: float = 1.0):
         self.species = tuple(species)
         if not self.species:
@@ -187,7 +181,7 @@ class IdealGasMixture(MatterModel):
             raise DomainError(
                 f"composition has {n.shape[0]} entries, model has {len(self.species)} species"
             )
-        if not comp.total > 0.0:
+        if not self.kb * comp.total > 0.0:  # k_B n may underflow in SI units
             raise DomainError("composition is empty")
         return n
 
@@ -220,6 +214,8 @@ class IdealGasMixture(MatterModel):
                 f"thermal energy {e_th:.6g} at or below the ground bound"
             )
         t = 2.0 * e_th / (self.kb * float(self._dof @ n))
+        if t == 0.0:  # dof . n overflowed, or the quotient underflowed
+            raise DomainError(f"no positive temperature at thermal energy {e_th:.6g}")
         total = 0.0
         log_t = math.log(t)
         log_v = math.log(v)
@@ -296,7 +292,7 @@ class IdealGasMixture(MatterModel):
 
     def volume_on_isentrope(self, entropy, temperature, comp) -> float:
         n = self._check_comp(comp)
-        if temperature <= 0:
+        if not 0.5 * self.kb * temperature > 0.0:  # k_B T may underflow in SI units
             raise DomainError("temperature must be positive")
         n_tot = float(n.sum())
         const = 0.0
@@ -324,40 +320,6 @@ def ideal_gas_model(dof_per_particle: float, kb: float = 1.0) -> IdealGasMixture
     return IdealGasMixture([Species("gas", dof_per_particle)], kb=kb)
 
 
-class ReservoirModel(MatterModel):
-    """Fundamental relation of a thermal reservoir: S(E) = E / T_R on a finite
-    energy range.  Every stable equilibrium state has the same temperature."""
-
-    def __init__(self, temperature: float, e_min: float, e_max: float):
-        if temperature <= 0:
-            raise ValueError("reservoir temperature must be positive")
-        if not e_min < e_max:
-            raise ValueError("reservoir range must be a nonempty interval")
-        self.temperature = float(temperature)
-        self.e_min = float(e_min)
-        self.e_max = float(e_max)
-        self.domain = f"E in [{e_min:.6g}, {e_max:.6g}]"
-
-    def entropy(self, energy, params, comp) -> float:
-        if not self.e_min <= energy <= self.e_max:
-            raise DomainError(
-                f"reservoir energy {energy:.6g} outside [{self.e_min:.6g}, {self.e_max:.6g}]"
-            )
-        return energy / self.temperature
-
-    def energy_floor(self, params, comp) -> float:
-        return self.e_min
-
-    def energy_ceiling(self, params, comp) -> float:
-        return self.e_max
-
-    def ds_de(self, energy, params, comp) -> float:
-        return 1.0 / self.temperature
-
-    def invert_entropy(self, entropy, params, comp) -> float:
-        return entropy * self.temperature
-
-
 @dataclass(frozen=True)
 class ThermalReservoir:
     """Fixed-temperature energy sink with a finite admissible energy range.
@@ -380,9 +342,6 @@ class ThermalReservoir:
                 f"[{self.e_min:.6g}, {self.e_max:.6g}]"
             )
 
-    def entropy_change(self, d_energy: float) -> float:
-        return d_energy / self.temperature
-
 
 def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalReservoir:
     """Move energy into (positive) or out of (negative) a reservoir.
@@ -397,27 +356,6 @@ def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalR
             f"outside [{reservoir.e_min:.6g}, {reservoir.e_max:.6g}]"
         )
     return ThermalReservoir(reservoir.temperature, new_energy, reservoir.e_min, reservoir.e_max)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Potential-energy accumulator: a mass on a vertical line in uniform gravity."""
-
-    mass: float
-    gravity: float
-    height: float = 0.0
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0:
-            raise ValueError("mass and gravity must be positive")
-
-    def at_height(self, z: float) -> "Weight":
-        return Weight(self.mass, self.gravity, z)
-
-
-def weight_work(weight: Weight, z1: float, z2: float) -> float:
-    """Work done BY the system when the weight moves from z1 to z2 (m g dz)."""
-    return weight.mass * weight.gravity * (z2 - z1)
 
 
 def entropy_of(model: MatterModel, st: SystemState) -> float:
@@ -507,7 +445,7 @@ def solve_energy_at_temperature(model: MatterModel, temperature: float,
         return temperature_of(model, SystemState(energy, params, comp)) - temperature
 
     # keep a margin for the central difference inside temperature_of
-    margin = 4.0 * H_E_REL * max(1.0, abs(floor) + 1.0)
+    margin = 4.0 * H_REL * max(1.0, abs(floor) + 1.0)
     lo = floor + margin
     f_lo = f(lo)
     if f_lo > 0.0:
@@ -527,19 +465,36 @@ def temperature_of(model: MatterModel, st: SystemState) -> float:
     """Temperature (dE/dS at fixed parameters) of a stable equilibrium state.
 
     Analytic when the model supplies dS/dE, otherwise a central finite
-    difference with step 1e-6 * max(1, |E|).
+    difference of the relation in E.
     """
     model.validate(st.energy, st.params, st.comp)
     slope = model.ds_de(st.energy, st.params, st.comp)
     if slope is None:
-        h = H_E_REL * max(1.0, abs(st.energy))
-        lo, hi = st.energy - h, st.energy + h
-        if lo < model.energy_floor(st.params, st.comp):
-            raise DomainError("state too close to the ground bound for a central difference")
-        if hi > model.energy_ceiling(st.params, st.comp):
-            raise DomainError("state too close to the energy ceiling for a central difference")
-        slope = (model.entropy(hi, st.params, st.comp)
-                 - model.entropy(lo, st.params, st.comp)) / (2.0 * h)
+        (slope,) = _fd_slopes(
+            lambda e: entropy_of(model, SystemState(e[0], st.params, st.comp)), [st.energy])
     if slope <= 0:
         raise DomainError(f"fundamental relation not increasing at E={st.energy:.6g}")
     return 1.0 / slope
+
+
+def _fd_slopes(f, x, amounts=(), step=None) -> np.ndarray:
+    """Finite-difference slopes of ``f`` at the point ``x``, one per coordinate:
+    a vector for a scalar ``f``, the Jacobian (column i along x_i) for a vector
+    ``f``.  Central, with step ``H_REL * max(1, |x_i|)`` unless ``step`` gives
+    one; forward along an amount (the indices ``amounts``) within one step of 0.
+    Raises DomainError when a step is lost to rounding."""
+    x = np.array(x, dtype=float, ndmin=1)
+    slopes, f_x = [], None
+    for i, x_i in enumerate(x.tolist()):
+        h = H_REL * max(1.0, abs(x_i)) if step is None else step
+        if x_i + h == x_i:
+            raise DomainError(f"finite-difference step vanishes at {x_i:.6g}")
+        hi, lo = x.copy(), x.copy()
+        hi[i] = x_i + h
+        if i in amounts and x_i <= h:
+            f_x = f(x) if f_x is None else f_x
+            slopes.append((f(hi) - f_x) / h)
+        else:
+            lo[i] = x_i - h
+            slopes.append((f(hi) - f(lo)) / (2.0 * h))
+    return np.array(slopes).T

@@ -11,7 +11,7 @@ reference states at the environment's temperature and pressure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .equilibrium import EquilibriumProblem, _fd_ds_dn, pressure_of, stable_equilibrium
 from .errors import (
     DomainError,
+    InadmissibleStep,
     Infeasible,
     NonConvergence,
     NotExpressible,
@@ -30,6 +31,7 @@ from .matter_models import (
     Parameters,
     SystemState,
     ThermalReservoir,
+    _fd_slopes,
     energy_of,
     entropy_of,
     solve_energy_at_temperature,
@@ -217,20 +219,14 @@ class ReferenceEnvironment:
 
 @dataclass(frozen=True)
 class OpenState:
-    """State of an open system: composition not fixed to a compatibility class.
-
-    ``inflow`` is an informational ledger of particle transfer rates; it is
-    carried, not integrated.
-    """
+    """State of an open system: composition not fixed to a compatibility class."""
 
     comp: Composition
     energy: float
     params: Parameters
-    inflow: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         object.__setattr__(self, "energy", float(self.energy))
-        object.__setattr__(self, "inflow", np.atleast_1d(np.asarray(self.inflow, dtype=float)))
 
     def closed_proxy(self) -> SystemState:
         return SystemState(self.energy, self.params, self.comp)
@@ -276,10 +272,8 @@ def open_entropy_direct(env: ReferenceEnvironment, model: MatterModel,
                         ost: OpenState) -> float:
     """Open-scale entropy straight from the fundamental relation (no process);
     the analytic counterpart of open_energy_entropy's measured value."""
-    _, s0_assigned = reference_values(env, ost.comp)
-    w, _ = env.decompose(ost.comp)
-    _, s_elem = env.physical_sums(w)
-    return s0_assigned - s_elem + entropy_of(model, ost.closed_proxy())
+    _, g_s = env.gauge(ost.comp)
+    return g_s + entropy_of(model, ost.closed_proxy())
 
 
 def _open_energy_function(env, model):
@@ -339,9 +333,8 @@ def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
     """Defect of dE = T dS + sum_i mu_i dn_i + sum_j F_j d beta_j on the open
     relation; shrinks quadratically with the perturbation.
 
-    A test oracle: T, mu and F are central differences of the inverted open
-    relation itself, taken along the perturbed coordinates only, with step
-    1e-6 max(1, |x|) (one-sided in an amount smaller than its step).
+    A test oracle: T, mu and F are finite differences of the inverted open
+    relation itself, taken along the perturbed coordinates only.
     """
     d_n = np.atleast_1d(np.asarray(d_n, dtype=float))
     d_beta = np.atleast_1d(np.asarray(d_beta, dtype=float))
@@ -359,15 +352,16 @@ def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
     def e_at(x):  # x = (S_open, n, beta)
         return e_open_fn(x[0], Composition(x[1:1 + r]), Parameters(x[1 + r:]))
 
-    slopes = np.zeros_like(x0)
-    for i in np.nonzero(dx)[0]:
-        h = 1e-6 * max(1.0, abs(x0[i]))
-        h_lo = 0.0 if 1 <= i <= r and x0[i] <= h else h
-        hi, lo = x0.copy(), x0.copy()
-        hi[i] += h
-        lo[i] -= h_lo
-        slopes[i] = (e_at(hi) - e_at(lo)) / (h + h_lo)
-    return abs(e_at(x0 + dx) - (g_e + ost.energy) - float(slopes @ dx))
+    along = np.nonzero(dx)[0]
+
+    def e_along(y):
+        x = x0.copy()
+        x[along] = y
+        return e_at(x)
+
+    amounts = [j for j, i in enumerate(along) if 1 <= i <= r]
+    slopes = _fd_slopes(e_along, x0[along], amounts)
+    return abs(e_at(x0 + dx) - (g_e + ost.energy) - float(slopes @ dx[along]))
 
 
 @dataclass(frozen=True)
@@ -425,8 +419,8 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
         mu = tuple(float(x) for x in total_potentials(env, model, ost))
         return OpenTableRow(e_open, volume, tuple(comp.amounts), s_open, eps,
                             tuple(st.comp.amounts), temp, pres, mu)
-    except (DomainError, RangeError, RangeExceeded, Infeasible, NonConvergence,
-            NotExpressible) as exc:
+    except (DomainError, RangeError, RangeExceeded, InadmissibleStep, Infeasible,
+            NonConvergence, NotExpressible) as exc:
         nan = math.nan
         return OpenTableRow(nan, volume, tuple(comp.amounts), nan, (), (),
                             nan, nan, (), status=f"gap: {exc}")

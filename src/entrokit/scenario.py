@@ -1,22 +1,23 @@
 """Scenario files: the plain-text declaration of the largest isolated system
-under study (constituents, network, models, reservoirs, weight, states,
-processes, equilibrium problems, reference environment, output tables).
+under study (constituents, network, models, reservoirs, states, processes,
+equilibrium problems, reference environment, output tables).
 
 Grammar: '#' comments; '[kind name]' section headers; 'key = value' lines.
 A value is whitespace-separated tokens (numbers, fractions like 3/2, or
 words); ';' separates the rows of a matrix or the steps of a schedule.
-``SCHEMA`` says what every key of every section holds; validation and the
-builders both read keys through it.  The exact grammar is documented in the
-README.
+Tokens are kept as written; ``SCHEMA`` says what every key of every section
+holds, and validation and the builders both read keys through it.  The exact
+grammar is documented in the README.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+
+import numpy as np
 
 from .equilibrium import EquilibriumProblem
 from .errors import DomainError, ParseError, RangeExceeded
@@ -67,9 +68,6 @@ SCHEMA = {
     "reservoir": {"temperature": Spec("number", check="positive", required=True),
                   "energy": Spec("number", default=0.0),
                   "range": Spec("numbers", shape=2, default=(-1e9, 1e9))},
-    "weight": {"mass": Spec("number", check="positive", required=True),
-               "gravity": Spec("number", check="positive", required=True),
-               "height": Spec("number", default=0.0)},
     # a state without volume or amounts takes its system's
     "state": {"system": Spec("word", required=True, ref="system"),
               "energy": Spec("number", required=True),
@@ -104,10 +102,9 @@ SCHEMA = {
 #: Named sections and the Scenario field holding their declarations; the
 #: other kinds are read into the Scenario while parsing.
 _BUCKETS = {
-    "system": "systems", "reservoir": "reservoirs", "weight": "weights",
-    "state": "states", "pair": "pairs", "schedule": "schedules",
-    "equilibrium": "problems", "reference_env": "ref_envs", "table": "tables",
-    "joint": "joints",
+    "system": "systems", "reservoir": "reservoirs", "state": "states", "pair": "pairs",
+    "schedule": "schedules", "equilibrium": "problems", "reference_env": "ref_envs",
+    "table": "tables", "joint": "joints",
 }
 
 #: check -> (test of a value's numbers or names, what it asks in messages)
@@ -159,7 +156,6 @@ class Scenario:
     network: ReactionNetwork | None = None
     systems: dict = field(default_factory=dict)
     reservoirs: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)
     pairs: dict = field(default_factory=dict)
     schedules: dict = field(default_factory=dict)
@@ -173,28 +169,13 @@ class Scenario:
         return KB_SI if self.units == "si" else 1.0
 
 
-def _parse_token(tok: str):
-    """An int, float or rational like 3/2 when the token is a finite number;
-    otherwise the token itself, so that nan, inf and overflowing literals
-    such as 1e999 fail the type checks of numeric keys as bare words do."""
-    for convert in (int, float, lambda t: float(Fraction(t))):
-        try:
-            value = convert(tok)
-            finite = math.isfinite(value)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            continue
-        return value if finite else tok
-    return tok
-
-
 def _parse_value(raw: str):
-    """Tokens of one value; multiple ';'-separated groups become a list of rows."""
+    """Tokens of one value, as text; multiple ';'-separated groups become a
+    list of rows."""
     if ";" in raw:
-        return [[_parse_token(t) for t in part.split()] for part in raw.split(";")]
-    toks = [_parse_token(t) for t in raw.split()]
-    if len(toks) == 1:
-        return toks[0]
-    return toks
+        return [part.split() for part in raw.split(";")]
+    toks = raw.split()
+    return toks[0] if len(toks) == 1 else toks
 
 
 def parse_sections(text: str) -> list[Section]:
@@ -242,19 +223,26 @@ def parse_sections(text: str) -> list[Section]:
 # typed reads: parsed tokens -> values, as SCHEMA specifies
 
 
-def _number(tok) -> float:
-    if not isinstance(tok, (int, float)):
-        raise ValueError(tok)
-    return float(tok)
+def _number(tok: str) -> float:
+    """A finite number written as an int, a float or a rational like 3/2; nan,
+    inf and overflowing literals such as 1e999 are not numbers."""
+    for convert in (float, Fraction):
+        try:
+            value = float(convert(tok))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            continue
+        if math.isfinite(value):
+            return value
+    raise ValueError(tok)
 
 
 def _step(row) -> tuple:
     """One schedule step 'operation key=value' as (operation, key, value)."""
     op, arg = row
-    key, _, value = str(arg).partition("=")
+    key, _, value = arg.partition("=")
     if (op, key) not in _STEPS:
         raise ValueError(row)
-    return op, key, _number(_parse_token(value))
+    return op, key, _number(value)
 
 
 #: type -> (reader of a token, or of a row for rows and steps; what it expects)
@@ -262,10 +250,10 @@ _TYPES = {
     "word": (str, "one word"),
     "words": (str, "words"),
     "number": (_number, "a number"),
-    "integer": (operator.index, "an integer"),
+    "integer": (int, "an integer"),
     "numbers": (_number, "numbers"),
     "rows": (lambda row: [_number(tok) for tok in row], "';'-rows of numbers of one length"),
-    "flag": (lambda tok: _FLAGS[str(tok).lower()], "true or false"),
+    "flag": (lambda tok: _FLAGS[tok.lower()], "true or false"),
     "steps": (_step, "';'-separated steps such as 'isentropic volume=2'"),
 }
 
@@ -512,18 +500,23 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
     return issues
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _fmt(x) -> str:
+    """Text of a number or flag, in CSV cells and serialized scenarios: floats,
+    numpy's too, with round-trip precision and bools as true or false."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return f"{x:.17g}"
+    return str(x)
 
 
 def _fmt_value(value) -> str:
+    """A value's tokens as written."""
     if isinstance(value, list):
         if value and isinstance(value[0], list):
-            return " ; ".join(" ".join(_fmt(t) for t in row) for row in value)
-        return " ".join(_fmt(t) for t in value)
-    return _fmt(value)
+            return " ; ".join(" ".join(row) for row in value)
+        return " ".join(value)
+    return value
 
 
 def serialize_scenario(scn: Scenario) -> str:

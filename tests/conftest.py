@@ -1,0 +1,38 @@
+"""Shared test models."""
+
+from entrokit.errors import DomainError
+from entrokit.matter_models import MatterModel
+
+
+class ReservoirModel(MatterModel):
+    """Fundamental relation of a thermal reservoir as a linear test model:
+    S(E) = E / T_R on a finite energy range, so every stable equilibrium
+    state has the same temperature."""
+
+    def __init__(self, temperature: float, e_min: float, e_max: float):
+        if temperature <= 0:
+            raise ValueError("reservoir temperature must be positive")
+        if not e_min < e_max:
+            raise ValueError("reservoir range must be a nonempty interval")
+        self.temperature = float(temperature)
+        self.e_min = float(e_min)
+        self.e_max = float(e_max)
+
+    def entropy(self, energy, params, comp) -> float:
+        if not self.e_min <= energy <= self.e_max:
+            raise DomainError(
+                f"reservoir energy {energy:.6g} outside [{self.e_min:.6g}, {self.e_max:.6g}]"
+            )
+        return energy / self.temperature
+
+    def energy_floor(self, params, comp) -> float:
+        return self.e_min
+
+    def energy_ceiling(self, params, comp) -> float:
+        return self.e_max
+
+    def ds_de(self, energy, params, comp) -> float:
+        return 1.0 / self.temperature
+
+    def invert_entropy(self, entropy, params, comp) -> float:
+        return entropy * self.temperature

@@ -30,7 +30,6 @@ from entrokit.errors import DomainError
 from entrokit.matter_models import (
     IdealGasMixture,
     Parameters,
-    ReservoirModel,
     Species,
     ThermalReservoir,
     entropy_of,
@@ -46,6 +45,8 @@ from entrokit.process_engine import (
 )
 from entrokit.scenario import parse_scenario, serialize_scenario, validate_scenario
 from entrokit.stoichiometry import Composition, ReactionNetwork
+
+from conftest import ReservoirModel
 
 GAS3 = ideal_gas_model(3.0)
 GAS5 = ideal_gas_model(5.0)

@@ -23,7 +23,6 @@ from entrokit.errors import DomainError, Infeasible
 from entrokit.matter_models import (
     IdealGasMixture,
     Parameters,
-    ReservoirModel,
     Species,
     ThermalReservoir,
     ideal_gas_model,
@@ -32,6 +31,8 @@ from entrokit.matter_models import (
 )
 from entrokit.process_engine import DirectContact, Schedule, run_schedule
 from entrokit.stoichiometry import Composition, ReactionNetwork
+
+from conftest import ReservoirModel
 
 GAS3 = ideal_gas_model(3.0)
 

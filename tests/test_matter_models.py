@@ -6,24 +6,25 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from entrokit.checks import bracket_single_valued, monotonicity_scan, smoothness_scan
+from entrokit.equilibrium import pressure_of
 from entrokit.errors import DomainError, RangeError, RangeExceeded
 from entrokit.stoichiometry import Composition
 from entrokit.matter_models import (
     IdealGasMixture,
     Parameters,
-    ReservoirModel,
     Species,
     SystemState,
     ThermalReservoir,
-    Weight,
+    _fd_slopes,
     energy_of,
     entropy_of,
     ideal_gas_model,
     reservoir_exchange,
     state,
     temperature_of,
-    weight_work,
 )
+
+from conftest import ReservoirModel
 
 GAS3 = ideal_gas_model(3.0)
 BASE = state(1.5, 1.0, [1.0])
@@ -149,7 +150,6 @@ def test_reservoir_entropy_change_is_heat_over_temperature():
     res = ThermalReservoir(1.0, 0.0, -10.0, 10.0)
     moved = reservoir_exchange(res, -math.log(2.0))
     assert moved.energy == pytest.approx(-math.log(2.0))
-    assert res.entropy_change(-math.log(2.0)) == pytest.approx(-math.log(2.0))
 
 
 def test_reservoir_exchange_zero_is_identity():
@@ -161,19 +161,6 @@ def test_reservoir_range_enforced():
     res = ThermalReservoir(1.0, 9.5, -10.0, 10.0)
     with pytest.raises(RangeExceeded):
         reservoir_exchange(res, 1.0)
-
-
-def test_weight_work_direct_formula():
-    w = Weight(1.0, 9.81)
-    assert weight_work(w, 0.0, 2.0) == pytest.approx(19.62)
-    assert weight_work(w, 1.0, 1.0) == 0.0
-
-
-@given(st.floats(-10, 10), st.floats(-10, 10))
-@settings(max_examples=100)
-def test_weight_work_antisymmetric(z1, z2):
-    w = Weight(2.0, 3.0)
-    assert weight_work(w, z1, z2) == -weight_work(w, z2, z1)
 
 
 def test_theorem8_scan_builtin_models():
@@ -259,3 +246,58 @@ def test_mixture_second_derivatives_match_central_differences(amounts, energy, v
     # an empty entry adds nothing to the diagonal beyond the rank-one part b b^T / a
     empty = ~live
     assert np.diag(d_nn)[empty] == pytest.approx((d_en ** 2 / d_ee)[empty], rel=1e-12)
+
+
+def test_fd_slopes_is_exact_to_rounding_on_a_quadratic():
+    # a central difference of a quadratic has no truncation error; a forward
+    # one would be off by h f''/2, about 1e-6 here
+    x = np.array([0.3, -2.0, 5.0])
+    slopes = _fd_slopes(lambda y: y[0] ** 2 + 3.0 * y[0] * y[1] - 0.5 * y[2] ** 2, x)
+    assert slopes == pytest.approx([2 * 0.3 + 3 * -2.0, 3 * 0.3, -5.0], abs=1e-9)
+
+
+def test_fd_slopes_goes_forward_along_an_amount_within_one_step_of_zero():
+    seen = []
+
+    def f(y):
+        seen.append(y[0])
+        return y[0] ** 2
+
+    # n = 1e-7 lies within one step (1e-6) of 0: (f(n + h) - f(n)) / h = 2n + h
+    assert _fd_slopes(f, [1e-7], amounts=[0])[0] == pytest.approx(2e-7 + 1e-6, rel=1e-9)
+    assert min(seen) >= 0.0
+    # the same coordinate, not flagged as an amount, is differenced centrally
+    assert _fd_slopes(f, [1e-7])[0] == pytest.approx(2e-7, rel=1e-6)
+
+
+def test_fd_slopes_matches_the_amount_difference_of_the_entropy():
+    mix = IdealGasMixture([Species("a", 5), Species("b", 5), Species("c", 6, e0=-2.0)])
+    energy, params, n = 9.0, Parameters([1.0]), np.array([2.0, 1.0, 1e-7])
+    expected = np.empty(3)
+    for k, nk in enumerate(n):  # central where the step fits above 0, else forward
+        h = 1e-6 * max(1.0, nk)
+        hi, lo = n.copy(), n.copy()
+        hi[k] += h
+        lo[k] = nk - h if nk - h > 0.0 else nk
+        expected[k] = ((mix.entropy(energy, params, Composition(hi))
+                        - mix.entropy(energy, params, Composition(lo)))
+                       / (2.0 * h if nk - h > 0.0 else h))
+    slopes = _fd_slopes(lambda m: mix.entropy(energy, params, Composition(m)), n, amounts=range(3))
+    assert np.array_equal(slopes, expected)
+
+
+def test_fd_slopes_of_a_vector_function_is_its_jacobian():
+    a = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.0]])
+    jac = _fd_slopes(lambda y: a @ y + np.array([y[0] * y[1], 0.0, 0.0]), [1.0, -2.0])
+    assert jac.shape == (3, 2)
+    assert jac == pytest.approx(a + [[-2.0, 1.0], [0.0, 0.0], [0.0, 0.0]], abs=1e-9)
+
+
+def test_fd_slopes_raises_when_the_step_is_lost_to_rounding():
+    with pytest.raises(DomainError):
+        _fd_slopes(lambda y: y[0], [1e-320], step=1e-6 * 1e-320)  # the step underflows to 0
+    with pytest.raises(DomainError):
+        _fd_slopes(lambda y: y[0], [math.inf])
+    # the pressure of a subnormal volume has no difference step left
+    with pytest.raises(DomainError):
+        pressure_of(GAS3, state(1.5, 1e-320, [1.0]))

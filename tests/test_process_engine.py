@@ -22,7 +22,6 @@ from entrokit.errors import (
 from entrokit.matter_models import (
     IdealGasMixture,
     Parameters,
-    ReservoirModel,
     Species,
     SystemState,
     ThermalReservoir,
@@ -48,6 +47,8 @@ from entrokit.process_engine import (
     run_schedule,
     staged_direct_contact_family,
 )
+
+from conftest import ReservoirModel
 
 GAS = ideal_gas_model(3.0)
 ST1 = state(1.5, 1.0, [1.0])

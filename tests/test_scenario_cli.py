@@ -4,6 +4,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrokit.cli import main
 from entrokit.errors import ParseError
@@ -268,7 +269,8 @@ JOBS = {
     "demo_equilibrium.scn": ["--equilibrate", "prob1"],
     "demo_open.scn": ["--tabulate", "tab1"],
 }
-FUZZ_VALUES = ["nan", "inf", "1e999", "abc", "0", "-1", "1 2", "3/0", "1e-300"]
+FUZZ_VALUES = ["nan", "inf", "1e999", "abc", "0", "-1", "1 2", "3/0", "1e-300", "1e308",
+               "1e-320"]
 
 
 @pytest.mark.parametrize("value", FUZZ_VALUES)
@@ -306,6 +308,48 @@ def test_cli_isentrope_beyond_any_volume_is_a_range_error(tmp_path, capsys, old,
                  "--measure-entropy", "pair1"])
     assert code == 4
     assert "beyond any finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("amounts = 1", "amounts = 1e-320"),             # k_B n underflows to 0
+    ("temperature = 1\n", "temperature = 1e-320\n"),  # k_B T underflows to 0
+], ids=["amounts", "temperature"])
+def test_cli_si_value_that_underflows_is_a_domain_error(tmp_path, capsys, old, new):
+    path = _mutated(tmp_path, "demo_gas.scn", old, new)
+    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"), "--units", "si",
+                 "--measure-entropy", "pair1"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("domain error:")
+
+
+def test_cli_tabulate_records_a_gap_where_the_pressure_cannot_be_differenced(tmp_path, capsys):
+    # at V = 1e-320 the pressure's step 1e-6 V underflows and the measurement
+    # misses its target: those points are gaps, the others are tabulated
+    path = _mutated(tmp_path, "demo_open.scn", "volumes = 1 2", "volumes = 1e-320 2")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), "--tabulate", "tab1"]) == 0
+    rows = (out / "table_tab1.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 6
+    assert [",gap: " in row for row in rows] == [True, False] * 3
+
+
+def test_reference_to_a_name_that_reads_as_a_number_keeps_its_spelling(tmp_path, capsys):
+    path = tmp_path / "names.scn"
+    path.write_text("[system 1.50]\ndof = 3\n\n[state s1]\nsystem = 1.50\nenergy = 1.5\n",
+                    encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 0
+
+
+def test_joint_file_name_that_reads_as_a_number_keeps_its_spelling(tmp_path, capsys):
+    path = _mutated(tmp_path, "demo_gas.scn", "file = joint_diag.csv", "file = 007")
+    shutil.copy(SCENARIOS / "joint_diag.csv", tmp_path / "007")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), "--decorrelate", "j1"]) == 0
+    assert (out / "decorrelate_j1.csv").exists()
+
+
+def test_scenario_name_that_reads_as_a_number_keeps_its_spelling():
+    assert parse_scenario("[scenario]\nname = 1e3\n").name == "1e3"
 
 
 @pytest.mark.parametrize("new", ["file = nan", "file = missing.csv", "file = ."])
@@ -361,8 +405,8 @@ def test_cli_negative_scenario_seed_is_a_parse_error(tmp_path, command):
                  "per species", id="amounts-per-species"),
     pytest.param("demo_open.scn", "compositions = 2 1 0", "compositions = 1 2", "schema",
                  "per species", id="compositions-per-species"),
-    pytest.param("demo_gas.scn", "[weight W1]", "[weight W1]\ncolour = blue", "schema",
-                 "unknown key", id="unknown-key"),
+    pytest.param("demo_gas.scn", "[reservoir Rhot]", "[reservoir Rhot]\ncolour = blue",
+                 "schema", "unknown key", id="unknown-key"),
     pytest.param("demo_equilibrium.scn", "reactive = true", "reactive = maybe", "schema",
                  "true or false", id="reactive-flag"),
     pytest.param("demo_open.scn", "convention = chemical", "convention = other", "schema",
@@ -392,6 +436,50 @@ def test_cli_rejects_inconsistent_declarations(tmp_path, capsys, scenario, old, 
     issues = [ln for ln in (captured.out + captured.err).splitlines()
               if ln.startswith(f"[{category}]")]
     assert any(words in ln for ln in issues), issues
+
+
+#: Replacement values for the property below: the float range's edges, words
+#: that read as numbers, references and malformed lists.
+FUZZ_TOKENS = FUZZ_VALUES + ["5e-324", "-inf", "2.5", "3/2", "1.50", "007", "1e3", "true",
+                             "gas1", "s1", "mix1", "1 2 3", "2 ; 1", "isentropic volume=0"]
+
+
+@st.composite
+def _mutated_run(draw):
+    """A shipped scenario with one line's value replaced, or one line deleted
+    or duplicated, and the argv of a run of its jobs."""
+    scenario = draw(st.sampled_from(sorted(JOBS)))
+    lines = (SCENARIOS / scenario).read_text(encoding="utf-8").splitlines()
+    edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if edit == "replace":
+        i = draw(st.sampled_from([j for j, ln in enumerate(lines) if "=" in ln.split("#")[0]]))
+        key = lines[i].partition("=")[0].strip()
+        lines[i] = f"{key} = {draw(st.sampled_from(FUZZ_TOKENS))}"
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [] if edit == "delete" else [lines[i]] * 2
+    seed = str(draw(st.integers(-1, 2**32)))
+    extra = draw(st.sampled_from([[], ["--units", "si"], ["--units", "reduced"],
+                                  ["--seed", seed]]))
+    return scenario, "\n".join(lines), JOBS[scenario] + extra
+
+
+@given(_mutated_run())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_any_mutated_scenario_ends_in_a_documented_exit_code(tmp_path_factory, case):
+    scenario, text, jobs = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(SCENARIOS / "joint_diag.csv", tmp / "joint_diag.csv")
+    path = tmp / scenario
+    path.write_text(text, encoding="utf-8")
+    for argv in (["validate", "--scenario", str(path)],
+                 ["run", "--scenario", str(path), "--out", str(tmp / "out"), *jobs]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting an argument
+            code = exc.code
+            assert code == 2
+        assert code in (0, 1, 2, 3, 4, 5)
 
 
 def test_readme_section_table_lists_the_schema_keys():
