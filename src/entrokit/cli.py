@@ -14,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .correlations import (
-    decorrelation_entropy,
-    joint_energy,
-    load_joint_csv,
-    marginals,
-    _shannon,
-)
+from .correlations import joint_energy, joint_entropies, load_joint_csv
 from .equilibrium import equilibrium_residual, stable_equilibrium
 from .errors import EntrokitError, Infeasible, IntegrityError, NonConvergence, ParseError
 from .matter_models import ThermalReservoir, state
@@ -145,8 +139,8 @@ def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
     env = build_reference_env(scn, decl["env"])
     grid = build_grid(scn, table_name)
     rows = open_fundamental_relation(env, model, grid)
-    r = max((len(row.n0) for row in rows), default=0)
-    tau = max((len(row.eps) for row in rows), default=0)
+    r = len(grid.compositions[0])  # from the grid, so an all-gap table keeps its columns
+    tau = grid.network.n_reactions if grid.reactive else 0
     header = (["E"] + [f"n0_{i}" for i in range(r)] + ["V", "S_se"]
               + [f"eps_{i}" for i in range(tau)] + ["T", "p"]
               + [f"mu_{i}" for i in range(r)] + ["status"])
@@ -166,14 +160,13 @@ def _run_decorrelate(scn: Scenario, joint_name: str, outdir: Path,
     decl = scn.joints[joint_name]
     joint_path = scenario_path.parent / decl["file"]  # an absolute path stays as it is
     joint = load_joint_csv(joint_path)
-    m = marginals(joint)
+    h, h_a, h_b, sigma = joint_entropies(joint)
     write_csv(
         outdir / f"decorrelate_{joint_name}.csv",
         ["joint", "sigma", "H_joint", "H_A", "H_B", "energy"],
-        [[joint_name, decorrelation_entropy(joint), _shannon(joint.table),
-          _shannon(m.p_a), _shannon(m.p_b), joint_energy(joint)]],
+        [[joint_name, sigma, h, h_a, h_b, joint_energy(joint)]],
     )
-    print(f"decorrelate {joint_name}: sigma = {decorrelation_entropy(joint):.9g}")
+    print(f"decorrelate {joint_name}: sigma = {sigma:.9g}")
 
 
 def _run_theorem_suite(outdir: Path, seed: int) -> bool:
@@ -222,14 +215,14 @@ def cmd_run(args) -> int:
     scn = _load(args.scenario)
     if scn is None:
         return EXIT_PARSE
+    if args.units:  # before validation, which checks the states in these units
+        scn.units = args.units
     issues = validate_scenario(scn)
     if issues:
         for issue in issues:
             print(str(issue), file=sys.stderr)
         return EXIT_INTEGRITY
 
-    if args.units:
-        scn.units = args.units
     seed = args.seed if args.seed is not None else scn.seed
 
     outdir = Path(args.out)
@@ -311,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with np.errstate(all="ignore"):  # non-finite values end as issues, gaps or exit codes
+        return args.func(args)
 
 
 if __name__ == "__main__":

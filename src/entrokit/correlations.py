@@ -3,12 +3,15 @@
 A classical realization of correlated composite states: the composite state
 is a joint table over subsystem outcomes, the uncorrelated counterpart is the
 product of its marginals, and the entropy gained by decorrelating is the
-mutual information of the table (natural log; 0 ln 0 = 0).
+mutual information of the table (natural log; 0 ln 0 = 0).  Entropies and
+mean energies come from batch kernels, one numpy reduction over a stack of
+equal-shape tables (n, m, k) each; a single JointState is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,10 +21,33 @@ from .stoichiometry import _frozen_array
 PROB_TOL = 1e-12
 
 
-def _shannon(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (0 ln 0 = 0) of each distribution along the last axis."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def valid_tables(tables: np.ndarray) -> np.ndarray:
+    """Which tables of a stack (n, m, k) are finite, non-negative and sum to 1
+    within PROB_TOL: the tables a JointState accepts."""
+    flat = tables.reshape(tables.shape[0], -1)
+    return ((flat >= 0.0).all(axis=1) & np.isfinite(flat).all(axis=1)
+            & (np.abs(flat.sum(axis=1) - 1.0) <= PROB_TOL))
+
+
+def table_entropies(tables: np.ndarray) -> tuple:
+    """H(p), H(p_a), H(p_b) and sigma = H(p_a) + H(p_b) - H(p) of each table
+    of a stack (n, m, k), each of shape (n,)."""
+    h = _shannon(tables.reshape(tables.shape[0], -1))
+    h_a = _shannon(tables.sum(axis=2))
+    h_b = _shannon(tables.sum(axis=1))
+    return h, h_a, h_b, h_a + h_b - h
+
+
+def table_energies(tables: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
+    """Mean energy of each table of a stack (n, m, k) with per-outcome energies
+    (n, m) and (n, k); depends only on the marginals."""
+    p_a, p_b = tables.sum(axis=2)[:, None, :], tables.sum(axis=1)[:, None, :]
+    return (p_a @ e_a[:, :, None] + p_b @ e_b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -36,41 +62,26 @@ class JointState:
         table = np.atleast_2d(np.array(self.table, dtype=float))
         ea = np.atleast_1d(np.array(self.energies_a, dtype=float))
         eb = np.atleast_1d(np.array(self.energies_b, dtype=float))
-        if not all(np.isfinite(a).all() for a in (table, ea, eb)):
-            raise ValueError("probabilities and energies must be finite")
         if table.shape != (ea.shape[0], eb.shape[0]):
             raise ValueError(
                 f"table shape {table.shape} does not match energies "
                 f"({ea.shape[0]}, {eb.shape[0]})"
             )
-        if np.any(table < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(table.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {table.sum():.15g}, not 1")
+        if not (np.isfinite(ea).all() and np.isfinite(eb).all()):
+            raise ValueError("energies must be finite")
+        if not valid_tables(table[None])[0]:
+            raise ValueError("probabilities must be finite, non-negative and sum to 1, "
+                             f"got sum {table.sum():.15g}")
         object.__setattr__(self, "table", _frozen_array(table))
         object.__setattr__(self, "energies_a", _frozen_array(ea))
         object.__setattr__(self, "energies_b", _frozen_array(eb))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.table.shape
 
-
-@dataclass(frozen=True)
-class MarginalPair:
+class MarginalPair(NamedTuple):
     """Subsystem outcome distributions obtained from a joint table."""
 
     p_a: np.ndarray
     p_b: np.ndarray
-
-    def __post_init__(self):
-        pa = np.atleast_1d(np.array(self.p_a, dtype=float))
-        pb = np.atleast_1d(np.array(self.p_b, dtype=float))
-        for name, p in (("p_a", pa), ("p_b", pb)):
-            if np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
-                raise ValueError(f"{name} is not a probability vector")
-        object.__setattr__(self, "p_a", _frozen_array(pa))
-        object.__setattr__(self, "p_b", _frozen_array(pb))
 
 
 def marginals(joint: JointState) -> MarginalPair:
@@ -90,14 +101,18 @@ def decorrelation_entropy(joint: JointState) -> float:
     sigma = H(p_a) + H(p_b) - H(p); non-negative, zero exactly when the table
     already factorizes.
     """
-    m = marginals(joint)
-    return _shannon(m.p_a) + _shannon(m.p_b) - _shannon(joint.table)
+    return joint_entropies(joint)[3]
+
+
+def joint_entropies(joint: JointState) -> tuple[float, float, float, float]:
+    """H(p), H(p_a), H(p_b) and sigma of one joint, a stack of one."""
+    return tuple(float(x[0]) for x in table_entropies(joint.table[None]))
 
 
 def joint_energy(joint: JointState) -> float:
     """Mean energy of the composite; depends only on the marginals."""
-    p = joint.table
-    return float(p.sum(axis=1) @ joint.energies_a + p.sum(axis=0) @ joint.energies_b)
+    return float(table_energies(joint.table[None], joint.energies_a[None],
+                                joint.energies_b[None])[0])
 
 
 def entropy_difference_correlated(j1: JointState, j2: JointState) -> float:
@@ -106,11 +121,9 @@ def entropy_difference_correlated(j1: JointState, j2: JointState) -> float:
     Combines the subsystem entropy differences with the change of
     decorrelation entropy; identically equal to H(p2) - H(p1).
     """
-    m1, m2 = marginals(j1), marginals(j2)
-    d_a = _shannon(m2.p_a) - _shannon(m1.p_a)
-    d_b = _shannon(m2.p_b) - _shannon(m1.p_b)
-    d_sigma = decorrelation_entropy(j2) - decorrelation_entropy(j1)
-    return d_a + d_b - d_sigma
+    _, a1, b1, sigma1 = joint_entropies(j1)
+    _, a2, b2, sigma2 = joint_entropies(j2)
+    return (a2 - a1) + (b2 - b1) - (sigma2 - sigma1)
 
 
 def load_joint_csv(path) -> JointState:

@@ -301,17 +301,20 @@ def _typed(kind: str, entries: dict, key: str, n_species: int | None = None):
     raise ParseError(f"'{key}' {problem}, got '{_fmt_value(raw)}'")
 
 
-def _get(scn: Scenario, kind: str, name: str, key: str):
+def _get(scn: Scenario, kind: str, name: str, key: str, counts: dict | None = None):
     """Typed value of ``key`` in the declaration ``name`` of ``kind``: the one
-    accessor validation and the builders read declarations through."""
+    accessor validation and the builders read declarations through.
+    ``counts`` keeps each system's species count across the calls sharing it."""
     decl = getattr(scn, _BUCKETS[kind])[name]
     if kind == "system" and key == "species" and key not in decl:
         return [name]  # a system without a species list holds one species, itself
     n_species = None
     if SCHEMA[kind][key].shape == "species":
+        counts = {} if counts is None else counts
         try:  # the system's species; unknown while it is undeclared or malformed
             system = name if kind == "system" else _get(scn, kind, name, "system")
-            n_species = len(_get(scn, "system", system, "species"))
+            n_species = counts.get(system) or len(_get(scn, "system", system, "species"))
+            counts[system] = n_species
         except (KeyError, ParseError):
             pass
     return _typed(kind, decl, key, n_species)
@@ -348,16 +351,17 @@ def parse_scenario(text: str) -> Scenario:
 # builders: declaration -> live objects
 
 
-def _start(scn: Scenario, system_name: str, state_name: str | None = None):
+def _start(scn: Scenario, system_name: str, state_name: str | None = None, counts=None):
     """A system's declared parameters and composition, or those a state of it declares."""
     own = scn.states[state_name] if state_name else {}
-    volume, amounts = (_get(scn, "state", state_name, key) if key in own
-                       else _get(scn, "system", system_name, key) for key in ("volume", "amounts"))
+    volume, amounts = (_get(scn, "state", state_name, key, counts) if key in own
+                       else _get(scn, "system", system_name, key, counts)
+                       for key in ("volume", "amounts"))
     return Parameters([volume]), Composition(amounts)
 
 
-def build_model(scn: Scenario, system_name: str) -> IdealGasMixture:
-    get = partial(_get, scn, "system", system_name)
+def build_model(scn: Scenario, system_name: str, counts=None) -> IdealGasMixture:
+    get = partial(_get, scn, "system", system_name, counts=counts)
     species = zip(get("species"), get("dof"), get("e0"), get("s0"))
     return IdealGasMixture([Species(*sp) for sp in species], kb=scn.kb)
 
@@ -368,9 +372,9 @@ def build_reservoir(scn: Scenario, name: str) -> ThermalReservoir:
     return ThermalReservoir(get("temperature"), get("energy"), e_min, e_max)
 
 
-def build_state(scn: Scenario, state_name: str) -> tuple[str, SystemState]:
+def build_state(scn: Scenario, state_name: str, counts=None) -> tuple[str, SystemState]:
     system_name = _get(scn, "state", state_name, "system")
-    params, comp = _start(scn, system_name, state_name)
+    params, comp = _start(scn, system_name, state_name, counts)
     return system_name, SystemState(_get(scn, "state", state_name, "energy"), params, comp)
 
 
@@ -414,6 +418,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
     holds must be declared (integrity issues).  The cross-section checks
     after that build objects, so they run only once both pass."""
     issues: list[Issue] = []
+    counts: dict = {}  # species count per system, read once
 
     def schema(where, message):
         issues.append(Issue("schema", where, message))
@@ -433,7 +438,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
                     schema(name, f"unknown key '{key}'")
             for key, spec in SCHEMA[kind].items():
                 try:
-                    value = _get(scn, kind, name, key)
+                    value = _get(scn, kind, name, key, counts)
                 except ParseError as exc:
                     schema(name, str(exc))
                     continue
@@ -448,7 +453,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
     if issues:
         return issues
 
-    get = partial(_get, scn)
+    get = partial(_get, scn, counts=counts)
     for name in scn.reservoirs:
         try:
             build_reservoir(scn, name)
@@ -492,9 +497,9 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
                                 f"{report.violating_reactions} live on the set")
 
     for name in scn.states:
-        system_name, st = build_state(scn, name)
+        system_name, st = build_state(scn, name, counts)
         try:
-            entropy_of(build_model(scn, system_name), st)
+            entropy_of(build_model(scn, system_name, counts), st)
         except DomainError as exc:
             integrity(name, f"state outside model domain: {exc}")
     return issues

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entrokit import checks
 from entrokit.correlations import (
     JointState,
     decorrelation_entropy,
@@ -203,3 +204,43 @@ def test_load_joint_csv_round_trip(tmp_path):
     joint = load_joint_csv(path)
     assert decorrelation_entropy(joint) == pytest.approx(math.log(2.0), abs=1e-12)
     assert joint_energy(joint) == pytest.approx(1.0, abs=1e-15)
+
+
+def _decorrelation_oracle(rng, n, max_dim):
+    """decorrelation_check as a per-sample loop over validated JointStates."""
+    worst, ok = math.inf, True
+    for _ in range(n):
+        m = int(rng.integers(2, max_dim + 1))
+        k = int(rng.integers(2, max_dim + 1))
+        table = rng.random((m, k))
+        table /= table.sum()
+        joint = JointState(table, rng.normal(size=m), rng.normal(size=k))
+        sigma = decorrelation_entropy(joint)
+        worst = min(worst, sigma)
+        prod = product_state(joint)
+        gap = abs(joint_energy(joint) - joint_energy(prod))
+        ok = ok and sigma >= 0.0 and decorrelation_entropy(prod) <= 1e-12 \
+            and gap <= 1e-12 * max(1.0, abs(joint_energy(joint)))
+    return ok, n, worst
+
+
+@pytest.mark.parametrize("max_dim", [2, 4])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_decorrelation_check_matches_the_per_sample_loop(seed, max_dim):
+    rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = checks.decorrelation_check(rng_batch, n=300, max_dim=max_dim)
+    ok, n_trials, worst = _decorrelation_oracle(rng_loop, 300, max_dim)
+    assert (result.passed, result.n_trials) == (ok, n_trials)
+    assert result.worst == pytest.approx(worst, abs=1e-15)
+    assert rng_batch.random() == rng_loop.random()  # same draws, in the same order
+
+
+def test_decorrelation_check_builds_no_joint_state(monkeypatch):
+    built = []
+    post_init = JointState.__post_init__
+    monkeypatch.setattr(JointState, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    assert checks.decorrelation_check(np.random.default_rng(0), 2000).passed
+    assert built == []
+    make_joint(np.full((2, 2), 0.25))  # the patch counts a JointState when one is built
+    assert built == [1]

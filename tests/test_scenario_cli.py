@@ -1,10 +1,11 @@
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entrokit.cli import main
 from entrokit.errors import ParseError
@@ -273,15 +274,30 @@ FUZZ_VALUES = ["nan", "inf", "1e999", "abc", "0", "-1", "1 2", "3/0", "1e-300", 
                "1e-320"]
 
 
+#: A line the CLI may write to stderr: a validation issue, or why the run stopped.
+STDERR_LINE = re.compile(r"\[(schema|integrity)\] |((parse|integrity|solver|domain) )?error: ")
+
+
+def _run_quietly(argv, capsys) -> tuple[int, list]:
+    """Exit code of ``main(argv)`` and what it wrote to stderr, numpy warnings
+    included, as lines that are not documented messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    return code, [ln for ln in err if not STDERR_LINE.match(ln)] + [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("value", FUZZ_VALUES)
 @pytest.mark.parametrize("scenario", sorted(JOBS))
 def test_every_mutated_value_ends_in_a_documented_exit_code(tmp_path, capsys, scenario, value):
     # every 'key = value' line of the scenario, its value replaced, through
-    # validate and through run with the scenario's jobs
+    # validate and through run with the scenario's jobs; stderr holds nothing
+    # but the documented one-line messages
     lines = (SCENARIOS / scenario).read_text(encoding="utf-8").splitlines()
     shutil.copy(SCENARIOS / "joint_diag.csv", tmp_path / "joint_diag.csv")
     path = tmp_path / scenario
-    codes = {}
+    codes, noise = {}, {}
     for i, line in enumerate(lines):
         key, eq, _ = line.split("#", 1)[0].partition("=")
         if not eq:
@@ -291,11 +307,12 @@ def test_every_mutated_value_ends_in_a_documented_exit_code(tmp_path, capsys, sc
         for argv in (["validate", "--scenario", str(path)],
                      ["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
                       *JOBS[scenario]]):
-            codes[(key.strip(), i + 1, argv[0])] = main(argv)
-    capsys.readouterr()
+            where = (key.strip(), i + 1, argv[0])
+            codes[where], noise[where] = _run_quietly(argv, capsys)
     assert codes
     odd = {where: code for where, code in codes.items() if code not in (0, 2, 3, 4, 5)}
     assert not odd
+    assert not {where: lines for where, lines in noise.items() if lines}
 
 
 @pytest.mark.parametrize("old, new", [
@@ -310,16 +327,29 @@ def test_cli_isentrope_beyond_any_volume_is_a_range_error(tmp_path, capsys, old,
     assert "beyond any finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("amounts = 1", "amounts = 1e-320"),             # k_B n underflows to 0
-    ("temperature = 1\n", "temperature = 1e-320\n"),  # k_B T underflows to 0
-], ids=["amounts", "temperature"])
-def test_cli_si_value_that_underflows_is_a_domain_error(tmp_path, capsys, old, new):
-    path = _mutated(tmp_path, "demo_gas.scn", old, new)
+def test_cli_si_temperature_that_underflows_is_a_domain_error(tmp_path, capsys):
+    # k_B T underflows to 0
+    path = _mutated(tmp_path, "demo_gas.scn", "temperature = 1\n", "temperature = 1e-320\n")
     code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"), "--units", "si",
                  "--measure-entropy", "pair1"])
     assert code == 4
     assert capsys.readouterr().err.startswith("domain error:")
+
+
+def test_cli_units_flag_is_applied_before_validation(tmp_path, capsys):
+    # k_B n underflows to 0 in SI units only: the flag and the file's own
+    # 'units = si' give the same schema-time verdict
+    path = _mutated(tmp_path, "demo_gas.scn", "amounts = 1", "amounts = 1e-320")
+    run = ["run", "--scenario", path, "--out", str(tmp_path / "out"), "--measure-entropy", "pair1"]
+    assert main(run + ["--units", "si"]) == 3
+    by_flag = capsys.readouterr().err.splitlines()
+    in_file = _mutated(tmp_path, "demo_gas.scn", "amounts = 1", "amounts = 1e-320")
+    Path(in_file).write_text(Path(in_file).read_text(encoding="utf-8").replace(
+        "units = reduced", "units = si"), encoding="utf-8")
+    assert main(run) == 3
+    assert capsys.readouterr().err.splitlines() == by_flag
+    assert by_flag and all(ln.startswith("[integrity]") for ln in by_flag)
+    assert "composition is empty" in by_flag[0]
 
 
 def test_cli_tabulate_records_a_gap_where_the_pressure_cannot_be_differenced(tmp_path, capsys):
@@ -331,6 +361,20 @@ def test_cli_tabulate_records_a_gap_where_the_pressure_cannot_be_differenced(tmp
     rows = (out / "table_tab1.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 6
     assert [",gap: " in row for row in rows] == [True, False] * 3
+
+
+def test_cli_all_gap_reactive_table_keeps_its_columns(tmp_path, capsys):
+    # no point of the table is tabulated, yet its header still has the
+    # reaction coordinate column, and every row as many cells as the header
+    path = _mutated(tmp_path, "demo_open.scn", "temperature = 1\n", "temperature = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), "--tabulate", "tab1"]) == 0
+    header, *rows = (out / "table_tab1.csv").read_text(encoding="utf-8").splitlines()
+    golden = (Path(__file__).parent / "golden" / "table_tab1.csv").read_text(encoding="utf-8")
+    assert header == golden.splitlines()[0]
+    assert len(rows) == 6
+    assert all(",gap: " in row for row in rows)
+    assert {len(row.split(",", header.count(",") + 1)) for row in rows} == {header.count(",") + 1}
 
 
 def test_reference_to_a_name_that_reads_as_a_number_keeps_its_spelling(tmp_path, capsys):
@@ -465,8 +509,9 @@ def _mutated_run(draw):
 
 
 @given(_mutated_run())
-@settings(max_examples=300, derandomize=True, deadline=None)
-def test_any_mutated_scenario_ends_in_a_documented_exit_code(tmp_path_factory, case):
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per call
+def test_any_mutated_scenario_ends_in_a_documented_exit_code(tmp_path_factory, capsys, case):
     scenario, text, jobs = case
     tmp = tmp_path_factory.mktemp("fuzz")
     shutil.copy(SCENARIOS / "joint_diag.csv", tmp / "joint_diag.csv")
@@ -475,11 +520,13 @@ def test_any_mutated_scenario_ends_in_a_documented_exit_code(tmp_path_factory, c
     for argv in (["validate", "--scenario", str(path)],
                  ["run", "--scenario", str(path), "--out", str(tmp / "out"), *jobs]):
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejecting an argument
-            code = exc.code
-            assert code == 2
+            code, noise = _run_quietly(argv, capsys)
+        except SystemExit as exc:  # argparse rejecting an argument, with its usage
+            capsys.readouterr()
+            assert exc.code == 2
+            continue
         assert code in (0, 1, 2, 3, 4, 5)
+        assert not noise
 
 
 def test_readme_section_table_lists_the_schema_keys():
