@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 theorem-suite failures, 2 parse, 3 integrity/schema,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -43,10 +44,11 @@ EXIT_NONCONVERGENCE = 5
 
 
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Header and rows as CSV; a cell holding a comma or a quote is quoted."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _load(path) -> Scenario | None:

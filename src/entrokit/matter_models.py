@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, RangeError, RangeExceeded
 from .roots import brentq, expand_bracket
-from .stoichiometry import Composition, _frozen_array
+from .stoichiometry import Composition
 
 #: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
 KB_SI = 1.380649e-23
@@ -38,8 +38,9 @@ class Parameters:
     beta: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.array(self.beta, dtype=float))
-        object.__setattr__(self, "beta", _frozen_array(arr))
+        arr = np.array(self.beta, dtype=float, ndmin=1)
+        arr.flags.writeable = False
+        object.__setattr__(self, "beta", arr)
 
     def __len__(self) -> int:
         return self.beta.shape[0]
@@ -98,6 +99,8 @@ class MatterModel:
         return math.inf
 
     def validate(self, energy: float, params: Parameters, comp: Composition) -> None:
+        if not math.isfinite(energy):
+            raise DomainError(f"energy {energy:.6g} is not finite")
         if energy < self.energy_floor(params, comp):
             raise DomainError(
                 f"energy {energy:.6g} below ground bound "
@@ -160,6 +163,16 @@ class IdealGasMixture(MatterModel):
     with T = 2 (E - sum_k n_k e0_k) / (kB sum_k dof_k n_k).  For one species
     with e0 = s0 = 0 and kB = 1 this reduces to
     S(E, V, n) = n [ (dof/2) ln(E/n) + ln(V/n) ].
+
+    With c_k = (dof_k/2) ln((dof_k/2) kB) + s0_k the relation reads
+    S = kB [ sum_{n_k > 0} n_k (c_k - ln n_k) + (dof . n / 2) ln T + n ln V ],
+    so every method needs only three sums over the composition: e0 . n,
+    dof . n and the sum over c_k.  ``_sums`` checks the composition and
+    computes them, in plain floats, and keeps them for the last Composition
+    object it saw; a call with that same object reuses them.  This relies on
+    Composition being frozen with read-only amounts, so one object always
+    holds one set of amounts, and the kept reference stops its id from being
+    reused by another object.
     """
 
     def __init__(self, species, kb: float = 1.0):
@@ -167,9 +180,11 @@ class IdealGasMixture(MatterModel):
         if not self.species:
             raise ValueError("mixture needs at least one species")
         self.kb = float(kb)
-        self._dof = np.array([s.dof for s in self.species])
-        self._e0 = np.array([s.e0 for s in self.species])
-        self._s0 = np.array([s.s0 for s in self.species])
+        self._dof = tuple(float(s.dof) for s in self.species)
+        self._e0 = tuple(float(s.e0) for s in self.species)
+        self._c = tuple(0.5 * s.dof * math.log(0.5 * s.dof * self.kb) + s.s0
+                        for s in self.species)
+        self._memo = (None, None)  # (composition, its sums), swapped as one
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -185,52 +200,50 @@ class IdealGasMixture(MatterModel):
             raise DomainError("composition is empty")
         return n
 
+    def _sums(self, comp: Composition) -> tuple[float, float, float]:
+        """(e0 . n, dof . n, sum_{n_k > 0} n_k (c_k - ln n_k)) of a checked
+        composition; remembered for the last composition object."""
+        memo = self._memo
+        if memo[0] is comp:
+            return memo[1]
+        n = self._check_comp(comp).tolist()
+        sums = (
+            sum(e0 * nk for e0, nk in zip(self._e0, n)),
+            sum(dof * nk for dof, nk in zip(self._dof, n)),
+            sum(nk * (c - math.log(nk)) for c, nk in zip(self._c, n) if nk > 0.0),
+        )
+        self._memo = (comp, sums)
+        return sums
+
     def _check_volume(self, params: Parameters) -> float:
         v = params.volume
         if v <= 0:
             raise DomainError(f"volume must be positive, got {v:.6g}")
+        if not v < math.inf:
+            raise DomainError(f"volume {v:.6g} is not finite")
         return v
 
-    def dof_total(self, comp: Composition) -> float:
-        return float(self._dof @ comp.amounts)
-
-    def energy_offset(self, comp: Composition) -> float:
-        return float(self._e0 @ comp.amounts)
-
     def energy_floor(self, params, comp) -> float:
-        self._check_comp(comp)
-        return self.energy_offset(comp) + GROUND_EPS
+        return self._sums(comp)[0] + GROUND_EPS
 
     def temperature_closed_form(self, energy: float, comp: Composition) -> float:
-        e_th = energy - self.energy_offset(comp)
-        return 2.0 * e_th / (self.kb * self.dof_total(comp))
+        e0n, dn, _ = self._sums(comp)
+        return 2.0 * (energy - e0n) / (self.kb * dn)
 
     def entropy(self, energy, params, comp) -> float:
-        n = self._check_comp(comp)
+        e0n, dn, cn = self._sums(comp)
         v = self._check_volume(params)
-        e_th = energy - float(self._e0 @ n)
+        e_th = energy - e0n
         if e_th <= 0.0:
             raise DomainError(
                 f"thermal energy {e_th:.6g} at or below the ground bound"
             )
-        t = 2.0 * e_th / (self.kb * float(self._dof @ n))
+        t = 2.0 * e_th / (self.kb * dn)
         if t == 0.0:  # dof . n overflowed, or the quotient underflowed
             raise DomainError(f"no positive temperature at thermal energy {e_th:.6g}")
-        total = 0.0
-        log_t = math.log(t)
-        log_v = math.log(v)
-        for nk, dof, s0 in zip(n, self._dof, self._s0):
-            if nk <= 0.0:
-                continue
-            half = 0.5 * dof
-            total += nk * (
-                half * (math.log(half * self.kb) + log_t)
-                + log_v - math.log(nk) + s0
-            )
-        return self.kb * total
+        return self.kb * (cn + 0.5 * dn * math.log(t) + comp.total * math.log(v))
 
     def ds_de(self, energy, params, comp) -> float:
-        self._check_comp(comp)
         return 1.0 / self.temperature_closed_form(energy, comp)
 
     #: stand-in slope for d(n ln n)/dn at n = 0, where the true slope diverges;
@@ -238,79 +251,59 @@ class IdealGasMixture(MatterModel):
     LN_DIVERGENCE_CAP = 1e30
 
     def ds_dn(self, energy, params, comp) -> np.ndarray:
-        n = self._check_comp(comp)
-        v = self._check_volume(params)
         t = self.temperature_closed_form(energy, comp)
-        out = np.empty_like(n)
-        for k, (nk, dof, e0, s0) in enumerate(zip(n, self._dof, self._e0, self._s0)):
-            if nk <= 0.0:
-                out[k] = self.LN_DIVERGENCE_CAP
-                continue
-            half = 0.5 * dof
-            out[k] = (
-                self.kb * (half * math.log(half * self.kb * t)
-                           + math.log(v / nk) + s0 - 1.0 - half)
-                - e0 / t
-            )
-        return out
+        log_v = math.log(self._check_volume(params))
+        log_t = math.log(t)
+        kb = self.kb
+        return np.array([
+            kb * (c + 0.5 * dof * (log_t - 1.0) + log_v - math.log(nk) - 1.0) - e0 / t
+            if nk > 0.0 else self.LN_DIVERGENCE_CAP
+            for nk, dof, c, e0 in zip(comp.amounts.tolist(), self._dof, self._c, self._e0)
+        ])
 
     def d2s(self, energy, params, comp) -> tuple:
         # with 1/T = dS/dE = kB D / (2 E_th), D = dof . n and E_th = E - e0 . n:
         # d2S/dE2 = -(1/T) / E_th, d2S/dE dn = b = (1/T) (dof / D + e0 / E_th)
         # and d2S/dn2 = -T E_th b b^T - kB diag(1 / n); an empty entry adds
         # nothing to the diagonal, as its capped ds_dn does not vary
-        n = self._check_comp(comp)
-        d_tot = float(self._dof @ n)
-        e_th = energy - float(self._e0 @ n)
-        inv_t = 0.5 * self.kb * d_tot / e_th
-        b = inv_t * (self._dof / d_tot + self._e0 / e_th)
+        e0n, dn, _ = self._sums(comp)
+        n = comp.amounts
+        e_th = energy - e0n
+        inv_t = 0.5 * self.kb * dn / e_th
+        b = inv_t * (np.array(self._dof) / dn + np.array(self._e0) / e_th)
         inv_n = np.divide(self.kb, n, out=np.zeros_like(n), where=n > 0.0)
         return -inv_t / e_th, b, -(e_th / inv_t) * np.outer(b, b) - np.diag(inv_n)
 
     def invert_entropy(self, entropy, params, comp) -> float:
-        n = self._check_comp(comp)
+        e0n, dn, cn = self._sums(comp)
         v = self._check_volume(params)
-        d_tot = float(self._dof @ n)
-        const = 0.0
-        for nk, dof, s0 in zip(n, self._dof, self._s0):
-            if nk <= 0.0:
-                continue
-            half = 0.5 * dof
-            const += nk * (half * math.log(half * self.kb) + math.log(v / nk) + s0)
-        log_t = (entropy / self.kb - const) / (0.5 * d_tot)
+        log_t = (entropy / self.kb - cn - comp.total * math.log(v)) / (0.5 * dn)
         try:
             t = math.exp(log_t)
         except OverflowError:
             raise RangeError(f"entropy {entropy:.6g} beyond any finite energy") from None
-        return float(self._e0 @ n) + 0.5 * d_tot * self.kb * t
+        return e0n + 0.5 * dn * self.kb * t
 
     def energy_at_temperature(self, temperature, params, comp) -> float:
-        n = self._check_comp(comp)
+        e0n, dn, _ = self._sums(comp)
         if temperature <= 0:
             raise DomainError("temperature must be positive")
-        return float(self._e0 @ n) + 0.5 * float(self._dof @ n) * self.kb * temperature
+        return e0n + 0.5 * dn * self.kb * temperature
 
     def volume_on_isentrope(self, entropy, temperature, comp) -> float:
-        n = self._check_comp(comp)
+        _, dn, cn = self._sums(comp)
         if not 0.5 * self.kb * temperature > 0.0:  # k_B T may underflow in SI units
             raise DomainError("temperature must be positive")
-        n_tot = float(n.sum())
-        const = 0.0
-        for nk, dof, s0 in zip(n, self._dof, self._s0):
-            if nk <= 0.0:
-                continue
-            half = 0.5 * dof
-            const += nk * (half * math.log(half * self.kb * temperature)
-                           - math.log(nk) + s0)
+        const = cn + 0.5 * dn * math.log(temperature)
         try:
-            return math.exp((entropy / self.kb - const) / n_tot)
+            return math.exp((entropy / self.kb - const) / comp.total)
         except OverflowError:
             raise RangeError(f"entropy {entropy:.6g} at temperature {temperature:.6g} "
                              f"needs a volume beyond any finite one") from None
 
     def volume_at_pressure(self, temperature, pressure, comp) -> float:
-        n = self._check_comp(comp)
-        return self.kb * temperature * float(n.sum()) / pressure
+        self._sums(comp)
+        return self.kb * temperature * comp.total / pressure
 
 
 def ideal_gas_model(dof_per_particle: float, kb: float = 1.0) -> IdealGasMixture:

@@ -240,9 +240,9 @@ def _three_leg_schedule(model: MatterModel, st1: SystemState, st2: SystemState,
                         t_res: float) -> Schedule:
     _require_uncorrelated(st1)
     _require_uncorrelated(st2)
-    if len(st1.comp) != len(st2.comp) or not np.allclose(
-        st1.comp.amounts, st2.comp.amounts, rtol=0.0, atol=1e-12
-    ):
+    same_comp = st1.comp is st2.comp or (len(st1.comp) == len(st2.comp) and np.allclose(
+        st1.comp.amounts, st2.comp.amounts, rtol=0.0, atol=1e-12))
+    if not same_comp:
         raise DomainError(
             "standard weight processes connect states of identical composition; "
             "anchor differing compositions through a reference environment"

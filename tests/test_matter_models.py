@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from entrokit import checks
 from entrokit.checks import bracket_single_valued, monotonicity_scan, smoothness_scan
 from entrokit.equilibrium import pressure_of
 from entrokit.errors import DomainError, RangeError, RangeExceeded
 from entrokit.stoichiometry import Composition
 from entrokit.matter_models import (
+    KB_SI,
     IdealGasMixture,
     Parameters,
     Species,
@@ -301,3 +303,154 @@ def test_fd_slopes_raises_when_the_step_is_lost_to_rounding():
     # the pressure of a subnormal volume has no difference step left
     with pytest.raises(DomainError):
         pressure_of(GAS3, state(1.5, 1e-320, [1.0]))
+
+
+@pytest.mark.parametrize("measure, energy, volume", [
+    (entropy_of, math.nan, 1.0),
+    (entropy_of, 1.5, math.nan),
+    (entropy_of, 1.5, math.inf),
+    (temperature_of, math.nan, 1.0),
+])
+def test_non_finite_energy_or_volume_is_a_domain_error(measure, energy, volume):
+    with pytest.raises(DomainError, match="is not finite"):
+        measure(GAS3, state(energy, volume, [1.0]))
+
+
+def _oracle_terms(dof, e0, s0, kb, energy, volume, n):
+    """The class docstring's relation, one species at a time: the temperature
+    and the per-species terms n_k [(dof_k/2) ln((dof_k/2) kB T) + ln(V/n_k) + s0_k]
+    split into their three parts, zero for empty species."""
+    t = 2.0 * (energy - e0 @ n) / (kb * (dof @ n))
+    live = n > 0.0
+    safe = np.where(live, n, 1.0)
+    thermal = np.where(live, n * 0.5 * dof * np.log(0.5 * dof * kb * t), 0.0)
+    spatial = np.where(live, n * np.log(volume / safe), 0.0)
+    constant = np.where(live, n * s0, 0.0)
+    return t, thermal, spatial, constant
+
+
+def _random_mixtures(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, 5))
+        dof = rng.uniform(1.0, 7.0, k)
+        e0 = rng.uniform(0.1, 2.0, k) * rng.choice([-1.0, 1.0], k)
+        s0 = rng.uniform(-3.0, 3.0, k)
+        n = rng.uniform(0.1, 3.0, k) * (rng.random(k) < 0.7)
+        if not n.any():
+            n[int(rng.integers(k))] = rng.uniform(0.1, 3.0)
+        kb = KB_SI if i % 2 else 1.0
+        # the thermal energy per unit of dof . n sets kB T / 2
+        energy = e0 @ n + rng.uniform(0.05, 5.0) * (dof @ n)
+        yield dof, e0, s0, n, kb, energy, rng.uniform(0.1, 10.0)
+
+
+def _close(got, want, scale):
+    """Agreement within 1e-12 of ``scale``, the largest magnitude summed into ``want``."""
+    return abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+def test_mixture_relation_matches_the_per_species_oracle():
+    for dof, e0, s0, n, kb, energy, volume in _random_mixtures(11, 400):
+        gas = IdealGasMixture([Species(f"x{k}", d, a, b)
+                               for k, (d, a, b) in enumerate(zip(dof, e0, s0))], kb=kb)
+        comp, params = Composition(n), Parameters([volume])
+        t, *parts = _oracle_terms(dof, e0, s0, kb, energy, volume, n)
+        s_want = kb * sum(p.sum() for p in parts)
+        s_scale = kb * sum(np.abs(p).sum() for p in parts)
+        e_scale = abs(e0 @ n) + abs(energy)
+        assert _close(gas.entropy(energy, params, comp), s_want, s_scale)
+        assert _close(gas.invert_entropy(s_want, params, comp), energy, e_scale)
+        assert _close(gas.volume_on_isentrope(s_want, t, comp), volume, volume)
+        assert _close(gas.energy_at_temperature(t, params, comp), energy, e_scale)
+        # dS/dn_k of the docstring relation, T depending on n through
+        # E - e0 . n and dof . n: kB [(dof_k/2) ln((dof_k/2) kB T) + ln(V/n_k)
+        # + s0_k - 1 - dof_k/2] - e0_k / T
+        live = n > 0.0
+        safe = np.where(live, n, 1.0)
+        pieces = [kb * 0.5 * dof * np.log(0.5 * dof * kb * t), kb * np.log(volume / safe),
+                  kb * s0, kb * (1.0 + 0.5 * dof), e0 / t]
+        mu_want = pieces[0] + pieces[1] + pieces[2] - pieces[3] - pieces[4]
+        mu_scale = sum(np.abs(p) for p in pieces)
+        for got, want, scale, alive in zip(gas.ds_dn(energy, params, comp), mu_want,
+                                           mu_scale, live):
+            if alive:
+                assert _close(got, want, scale)
+            else:
+                assert got == IdealGasMixture.LN_DIVERGENCE_CAP
+
+
+MIX2 = [Species("a", 3.0, e0=0.2, s0=0.1), Species("b", 5.0, e0=-0.1, s0=1.0)]
+
+
+def _methods(gas, params):
+    """Each relation method of ``gas`` at one state, as a function of the
+    composition returning a comparable value."""
+    return [
+        lambda c: gas.entropy(4.0, params, c), lambda c: gas.energy_floor(params, c),
+        lambda c: gas.ds_de(4.0, params, c), lambda c: tuple(gas.ds_dn(4.0, params, c)),
+        lambda c: gas.d2s(4.0, params, c)[0], lambda c: gas.invert_entropy(2.0, params, c),
+        lambda c: gas.energy_at_temperature(1.3, params, c),
+        lambda c: gas.volume_on_isentrope(2.0, 1.3, c),
+        lambda c: gas.volume_at_pressure(1.3, 0.7, c),
+    ]
+
+
+def test_alternating_compositions_each_get_their_own_values():
+    gas, params = IdealGasMixture(MIX2), Parameters([1.5])
+    methods = _methods(gas, params)
+    comps = [Composition([1.0, 0.5]), Composition([0.3, 2.0]), Composition([0.0, 1.0])]
+    # a new model per composition has nothing remembered
+    want = [tuple(m(c) for m in _methods(IdealGasMixture(MIX2), params)) for c in comps]
+    assert len(set(want)) == len(comps)
+    for _ in range(3):
+        for comp, values in zip(comps, want):
+            assert tuple(m(comp) for m in methods) == values
+            # an equal composition in a new object gives the same values
+            assert tuple(m(Composition(comp.amounts)) for m in methods) == values
+
+
+@pytest.mark.parametrize("amounts", [[1.0], [1.0, 1.0, 1.0], [], [0.0, 0.0]])
+def test_bad_composition_raises_on_every_call_even_after_a_valid_one(amounts):
+    gas, params = IdealGasMixture(MIX2), Parameters([1.5])
+    good, bad = Composition([1.0, 0.5]), Composition(amounts)
+    for _ in range(2):
+        for method in _methods(gas, params):
+            method(good)
+            with pytest.raises(DomainError):
+                method(bad)
+            with pytest.raises(DomainError):
+                method(bad)
+
+
+def _counting(monkeypatch, cls, name):
+    """Count the calls of method ``name`` of ``cls`` for the rest of the test."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(None)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_theorem_suite_evaluates_the_relation_a_fixed_number_of_times(
+        tmp_path, monkeypatch, capsys):
+    # the count of the relation before the composition sums were remembered:
+    # a faster suite did not come from skipping evaluations
+    from entrokit.cli import _run_theorem_suite
+
+    calls = _counting(monkeypatch, IdealGasMixture, "entropy")
+    assert _run_theorem_suite(tmp_path, 0)
+    assert len(calls) == 15130
+
+
+def test_weight_process_fuzz_checks_its_one_composition_once_or_so(monkeypatch):
+    calls = _counting(monkeypatch, IdealGasMixture, "_check_comp")
+    records = checks.fuzz_weight_processes(
+        ideal_gas_model(3.0), BASE, ThermalReservoir(1.0, 0.0, -1e6, 1e6),
+        np.random.default_rng(0), n=200)
+    assert len(records) == 200
+    assert 1 <= len(calls) <= 3

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import shutil
@@ -375,6 +376,19 @@ def test_cli_all_gap_reactive_table_keeps_its_columns(tmp_path, capsys):
     assert len(rows) == 6
     assert all(",gap: " in row for row in rows)
     assert {len(row.split(",", header.count(",") + 1)) for row in rows} == {header.count(",") + 1}
+
+
+@pytest.mark.parametrize("temperature, units", [("1e300", []), ("1e308", ["--units", "si"])])
+def test_gap_reason_with_a_comma_stays_in_its_cell(tmp_path, capsys, temperature, units):
+    path = _mutated(tmp_path, "demo_open.scn", "temperature = 1\n",
+                    f"temperature = {temperature}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), *units,
+                 "--tabulate", "tab1"]) == 0
+    with open(out / "table_tab1.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert any("," in row[-1] for row in rows)
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_reference_to_a_name_that_reads_as_a_number_keeps_its_spelling(tmp_path, capsys):
