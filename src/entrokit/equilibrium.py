@@ -40,6 +40,8 @@ MAX_ITER = 200
 TOL_KKT = 1e-10
 TOL_T = 1e-9
 
+_FLOAT_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class EquilibriumProblem:
@@ -107,8 +109,23 @@ class EquilibriumSolution:
     iterations: int
 
 
+@dataclass
+class _Point:
+    """Reaction coordinates and what the solver needs there, each evaluated
+    once: the amounts, the subsystem compositions, the equal-temperature
+    split and the total entropy.  dS/dn is filled in on first use."""
+
+    eps: np.ndarray
+    n: np.ndarray
+    comps: list
+    energies: list
+    temperature: float
+    entropy: float
+    ds_dn: np.ndarray | None = None
+
+
 class _Evaluator:
-    """Entropy, gradient and split bookkeeping at fixed reaction coordinates."""
+    """Evaluation of the problem at reaction coordinates, and the energy split."""
 
     def __init__(self, prob: EquilibriumProblem):
         self.prob = prob
@@ -121,9 +138,17 @@ class _Evaluator:
             return self.n0
         return self.n0 + self.nu @ eps
 
-    def comps(self, eps: np.ndarray) -> list[Composition]:
+    def point(self, eps: np.ndarray) -> _Point:
+        """The problem evaluated at ``eps``; raises DomainError, RangeError or
+        NegativeAmount where it has no admissible state."""
         n = self.amounts(eps)
-        return [Composition(n[sl]) for sl in self.slices]
+        comps = [Composition(n[sl]) for sl in self.slices]
+        energies, t_eq = self.split(comps)
+        entropy = sum(
+            entropy_of(m, SystemState(e, p, c))
+            for m, e, p, c in zip(self.prob.models, energies, self.prob.params, comps)
+        )
+        return _Point(eps, n, comps, energies, t_eq, entropy)
 
     def split(self, comps) -> tuple[list[float], float]:
         """Energy split equalizing subsystem temperatures; returns (energies, T)."""
@@ -157,30 +182,22 @@ class _Evaluator:
         ]
         return energies, float(t_eq)
 
-    def entropy_at(self, eps: np.ndarray) -> float:
-        comps = self.comps(eps)
-        energies, _ = self.split(comps)
-        return sum(
-            entropy_of(m, SystemState(e, p, c))
-            for m, e, p, c in zip(self.prob.models, energies, self.prob.params, comps)
-        )
-
-    def ds_dn_concat(self, eps: np.ndarray):
-        """dS/dn for each constituent at the equal-temperature split."""
-        comps = self.comps(eps)
-        energies, t_eq = self.split(comps)
-        parts = []
-        for model, e, p, c in zip(self.prob.models, energies, self.prob.params, comps):
-            d = model.ds_dn(e, p, c)
-            if d is None:
-                d = _fd_ds_dn(model, e, p, c)
-            parts.append(np.asarray(d, dtype=float))
-        return np.concatenate(parts), energies, t_eq, comps
+    def ds_dn(self, pt: _Point) -> np.ndarray:
+        """dS/dn for each constituent at the point's split, computed once."""
+        if pt.ds_dn is None:
+            parts = []
+            for model, e, p, c in zip(self.prob.models, pt.energies, self.prob.params,
+                                      pt.comps):
+                d = model.ds_dn(e, p, c)
+                if d is None:
+                    d = _fd_ds_dn(model, e, p, c)
+                parts.append(np.asarray(d, dtype=float))
+            pt.ds_dn = np.concatenate(parts)
+        return pt.ds_dn
 
     def gradient(self, eps: np.ndarray) -> np.ndarray:
         """dS_total/d eps; the energy-reallocation terms cancel at the split."""
-        dsdn, *_ = self.ds_dn_concat(eps)
-        return self.nu.T @ dsdn
+        return self.nu.T @ self.ds_dn(self.point(eps))
 
 
 def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
@@ -199,7 +216,7 @@ def _feasible_interval_1d(n0: np.ndarray, col: np.ndarray) -> tuple[float, float
     return lo, hi
 
 
-def _interior_start(ev: _Evaluator, rng: np.random.Generator) -> np.ndarray:
+def _interior_start(ev: _Evaluator, seed: int) -> np.ndarray:
     """A strictly feasible starting point with decent slack.
 
     The zero extent is always feasible (the initial composition is), so a
@@ -213,6 +230,7 @@ def _interior_start(ev: _Evaluator, rng: np.random.Generator) -> np.ndarray:
         hi = hi if math.isfinite(hi) else 1.0
         return np.array([0.5 * (lo + hi)])
     # probe axis-aligned box around eps = 0 for the best min-slack point
+    rng = np.random.default_rng(seed)
     box = np.empty((tau, 2))
     for j in range(tau):
         lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, j])
@@ -233,21 +251,21 @@ def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> Equilibri
     """Package the split, potentials and residuals at given reaction coordinates."""
     ev = _Evaluator(prob)
     eps = np.atleast_1d(np.asarray(eps, dtype=float)) if prob.n_reactions else np.zeros(0)
-    comps = ev.comps(eps)
-    energies, t_eq = ev.split(comps)
-    states = tuple(
-        SystemState(e, p, c) for e, p, c in zip(energies, prob.params, comps)
-    )
-    s_total = sum(entropy_of(m, st) for m, st in zip(prob.models, states))
+    return _package(ev, ev.point(eps), iterations)
 
+
+def _package(ev: _Evaluator, pt: _Point, iterations: int) -> EquilibriumSolution:
+    prob = ev.prob
+    states = tuple(
+        SystemState(e, p, c) for e, p, c in zip(pt.energies, prob.params, pt.comps)
+    )
     if prob.n_reactions:
-        dsdn, *_ = ev.ds_dn_concat(eps)
-        mu = -t_eq * dsdn
-        affinities = prob.network.stoich.T @ mu
+        dsdn = ev.ds_dn(pt)
+        mu = -pt.temperature * dsdn
+        affinities = ev.nu.T @ mu
         grad = ev.nu.T @ dsdn
-        n = ev.amounts(eps)
         scale = max(1.0, float(np.max(np.abs(ev.n0))))
-        active = tuple(int(k) for k in np.nonzero(n <= 1e-9 * scale)[0])
+        active = tuple(int(k) for k in np.nonzero(pt.n <= 1e-9 * scale)[0])
         if active:
             # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
             a = ev.nu[list(active), :].T
@@ -256,27 +274,25 @@ def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> Equilibri
             kkt = float(np.max(np.abs(grad + a @ lam)))
         else:
             kkt = float(np.max(np.abs(grad)))
-        rank = np.linalg.matrix_rank(ev.nu, tol=1e-10 * max(1.0, float(np.max(np.abs(ev.nu)))))
-        degenerate = bool(rank < prob.n_reactions)
+        degenerate = prob.network.rank < prob.n_reactions
         if degenerate:
-            eps_report, *_ = np.linalg.lstsq(ev.nu, ev.amounts(eps) - ev.n0, rcond=1e-10)
+            eps_report, *_ = np.linalg.lstsq(ev.nu, pt.n - ev.n0, rcond=1e-10)
         else:
-            eps_report = eps
+            eps_report = pt.eps
     else:
-        dsdn = np.zeros(0)
         mu = np.zeros(0)
         affinities = np.zeros(0)
         kkt = 0.0
         active = ()
         degenerate = False
-        eps_report = eps
+        eps_report = np.zeros(0)
 
     return EquilibriumSolution(
-        eps_se=ReactionCoordinates(eps_report) if prob.n_reactions else ReactionCoordinates(np.zeros(0)),
-        energies=tuple(energies),
+        eps_se=ReactionCoordinates(eps_report),
+        energies=tuple(pt.energies),
         states=states,
-        entropy=float(s_total),
-        temperature=t_eq,
+        entropy=float(pt.entropy),
+        temperature=pt.temperature,
         chemical_potentials=mu,
         affinities=affinities,
         kkt_residual=kkt,
@@ -308,24 +324,23 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
         except (DomainError, RangeError) as exc:
             raise Infeasible(str(exc)) from exc
 
-    rng = np.random.default_rng(seed)
     if start is not None:
         eps = np.atleast_1d(np.asarray(start, dtype=float))
         if np.min(ev.amounts(eps)) < 0.0:
             raise Infeasible("supplied start is outside the feasible set")
     else:
-        eps = _interior_start(ev, rng)
+        eps = _interior_start(ev, seed)
     try:
-        s_here = ev.entropy_at(eps)
+        pt = ev.point(eps)
     except (DomainError, RangeError, NegativeAmount) as exc:
         raise Infeasible(f"no admissible interior point: {exc}") from exc
 
     n_scale = max(1.0, float(np.max(np.abs(ev.n0))))
     barrier = 0.0  # switched on near the boundary
     for it in range(1, max_iter + 1):
-        dsdn, energies, _, comps = ev.ds_dn_concat(eps)
-        grad = ev.nu.T @ dsdn
-        n_here = ev.amounts(eps)
+        # each iteration starts from the point the last line search accepted
+        eps, n_here = pt.eps, pt.n
+        grad = ev.nu.T @ ev.ds_dn(pt)
         if barrier > 0.0:
             grad = grad + barrier * (ev.nu.T @ (1.0 / np.maximum(n_here, 1e-300)))
 
@@ -334,44 +349,42 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
             if barrier > 1e-12:
                 barrier /= 64.0
                 continue
-            return solution_at(prob, eps, iterations=it)
+            return _package(ev, pt, it)
 
-        hess = _hessian(ev, eps, barrier, energies, comps)
-        step = _ascent_step(hess, grad)
+        step = _ascent_step(_hessian(ev, pt, barrier), grad)
 
         # stay strictly feasible: cap the step at the boundary
-        alpha = 1.0
         change = ev.nu @ step
-        for nk, dk in zip(n_here, change):
-            if dk < 0.0:
-                alpha = min(alpha, 0.995 * nk / (-dk))
+        falling = change < 0.0
+        alpha = float(np.min(0.995 * n_here[falling] / -change[falling], initial=1.0))
         if alpha <= 0.0:
             alpha = 1e-16
 
         # backtracking on the (possibly barrier-augmented) objective; once the
         # predicted gain drops below float resolution, take the Newton step
         # as-is so the iteration can polish to machine precision
-        base = s_here + barrier * float(np.sum(np.log(np.maximum(n_here, 1e-300))))
+        base = pt.entropy + barrier * float(np.sum(np.log(np.maximum(n_here, 1e-300))))
+        gain = float(grad @ step)
+        gain_floor = 64.0 * _FLOAT_EPS * max(1.0, abs(base))
+        step_norm = float(np.linalg.norm(step))
+        step_floor = 1e-6 * max(1.0, float(np.linalg.norm(eps)))
         improved = False
         for _ in range(60):
             cand = eps + alpha * step
             try:
-                s_cand = ev.entropy_at(cand)
+                # a step lost to rounding lands on the current point
+                trial = pt if np.array_equal(cand, eps) else ev.point(cand)
             except (DomainError, RangeError, NegativeAmount):
                 alpha *= 0.5
                 continue
-            n_cand = ev.amounts(cand)
-            if np.min(n_cand) <= 0.0:
+            if np.min(trial.n) <= 0.0:
                 alpha *= 0.5
                 continue
-            merit = s_cand + barrier * float(np.sum(np.log(n_cand)))
-            predicted = alpha * float(grad @ step)
-            polishing = (
-                predicted <= 64.0 * np.finfo(float).eps * max(1.0, abs(base))
-                and alpha * float(np.linalg.norm(step)) <= 1e-6 * max(1.0, float(np.linalg.norm(eps)))
-            )
+            merit = trial.entropy + barrier * float(np.sum(np.log(trial.n)))
+            predicted = alpha * gain
+            polishing = predicted <= gain_floor and alpha * step_norm <= step_floor
             if merit > base + 1e-4 * predicted or polishing:
-                eps, s_here = cand, s_cand
+                pt = trial
                 improved = True
                 break
             alpha *= 0.5
@@ -388,14 +401,13 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
         it, failure = max_iter, f"iteration budget {max_iter} exhausted"
 
     # certify the last iterate by its KKT residual
-    sol = solution_at(prob, eps, iterations=it)
+    sol = _package(ev, pt, it)
     if sol.kkt_residual <= max(tol, 1e-8):
         return sol
     raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
 
 
-def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
-             comps) -> np.ndarray:
+def _hessian(ev: _Evaluator, pt: _Point, barrier: float) -> np.ndarray:
     """Hessian in eps of the barrier-augmented entropy, from the models'
     ``d2s`` hooks at the equal-temperature split; ``_fd_hessian`` when a model
     has no hook.
@@ -407,8 +419,9 @@ def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
     step of ``_fd_hessian`` would leave the domain, it returns that route's
     steepest-ascent scaling -I as well.
     """
-    prob = ev.prob
-    parts = [m.d2s(e, p, c) for m, e, p, c in zip(prob.models, energies, prob.params, comps)]
+    prob, eps = ev.prob, pt.eps
+    parts = [m.d2s(e, p, c)
+             for m, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps)]
     if any(d is None for d in parts):
         return _fd_hessian(ev, eps, barrier)
     # where a central step would make an amount negative, the gradients that
@@ -431,7 +444,7 @@ def _hessian(ev: _Evaluator, eps: np.ndarray, barrier: float, energies,
     hess = ev.nu.T @ h_nn @ ev.nu
     if barrier > 0.0:
         # written as a product so an empty amount no reaction moves adds 0, not nan
-        scaled = ev.nu / np.maximum(ev.amounts(eps), 1e-300)[:, None]
+        scaled = ev.nu / np.maximum(pt.n, 1e-300)[:, None]
         hess -= barrier * (scaled.T @ scaled)
     return 0.5 * (hess + hess.T)
 

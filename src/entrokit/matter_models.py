@@ -244,6 +244,7 @@ class IdealGasMixture(MatterModel):
         return self.kb * (cn + 0.5 * dn * math.log(t) + comp.total * math.log(v))
 
     def ds_de(self, energy, params, comp) -> float:
+        self._check_volume(params)
         return 1.0 / self.temperature_closed_form(energy, comp)
 
     #: stand-in slope for d(n ln n)/dn at n = 0, where the true slope diverges;
@@ -296,10 +297,14 @@ class IdealGasMixture(MatterModel):
             raise DomainError("temperature must be positive")
         const = cn + 0.5 * dn * math.log(temperature)
         try:
-            return math.exp((entropy / self.kb - const) / comp.total)
+            v = math.exp((entropy / self.kb - const) / comp.total)
         except OverflowError:
             raise RangeError(f"entropy {entropy:.6g} at temperature {temperature:.6g} "
                              f"needs a volume beyond any finite one") from None
+        if v == 0.0:
+            raise RangeError(f"entropy {entropy:.6g} at temperature {temperature:.6g} "
+                             f"needs a volume below any positive one")
+        return v
 
     def volume_at_pressure(self, temperature, pressure, comp) -> float:
         self._sums(comp)

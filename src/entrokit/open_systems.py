@@ -145,28 +145,34 @@ class ReferenceEnvironment:
                 f"composition has {n.shape[0]} entries, environment declares "
                 f"{len(self.constituents)}"
             )
-        w, eps = self._content(n)
+        content, coords, residual = self.content_maps
+        if np.max(np.abs(residual @ n), initial=0.0) > TOL_COMPAT:
+            raise NotExpressible("composition is not reachable from the elemental set")
+        w = content @ n
         if np.any(w < -TOL_COMPAT):
             raise NotExpressible("composition would need negative elemental amounts")
-        return np.where(w < 0.0, 0.0, w), eps
+        return np.where(w < 0.0, 0.0, w), coords @ n
 
-    def _content(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Signed elemental content and reaction coordinates of the amounts
-        ``n``, linear in ``n``; a matrix ``n`` maps column by column."""
-        in_set = np.zeros(n.shape[0], dtype=bool)
-        in_set[list(self.elemental)] = True
+    @cached_property
+    def content_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Matrices of the maps, linear in the amounts n, to the signed elemental
+        content w (declared elemental order), to the reaction coordinates eps,
+        and to the residual of the non-elemental rows of n = n_elem(w) + nu eps.
+
+        eps is the least-squares solution of the non-elemental rows, through
+        their pseudo-inverse at the relative cutoff RCOND; the residual vanishes,
+        up to rounding, exactly when those rows are solvable.
+        """
         nu = self.network.stoich
-        rows_out = nu[~in_set, :]
-        target = n[~in_set]
-        if rows_out.size:
-            eps, *_ = np.linalg.lstsq(rows_out, target, rcond=RCOND)
-            if np.max(np.abs(rows_out @ eps - target)) > TOL_COMPAT:
-                raise NotExpressible("composition is not reachable from the elemental set")
-        else:
-            eps = np.zeros((nu.shape[1],) + n.shape[1:])
-        # fancy indexing keeps w aligned with the declared elemental order
+        eye = np.eye(nu.shape[0])
         elem = list(self.elemental)
-        return n[elem] - (nu @ eps)[elem], eps
+        outside = np.ones(nu.shape[0], dtype=bool)
+        outside[elem] = False
+        rows_out, select_out = nu[outside], eye[outside]
+        coords = np.linalg.pinv(rows_out, rcond=RCOND) @ select_out
+        content = eye[elem] - nu[elem] @ coords
+        return (_frozen_array(content), _frozen_array(coords),
+                _frozen_array(rows_out @ coords - select_out))
 
     def physical_sums(self, w) -> tuple[float, float]:
         """Total (energy, entropy) of the elemental boxes holding amounts w."""
@@ -190,7 +196,7 @@ class ReferenceEnvironment:
     def gauge_gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Constant gradients (dg_E/dn, dg_S/dn) of the gauge, which is linear
         in the amounts wherever the composition is expressible."""
-        content, _ = self._content(np.eye(len(self.constituents)))
+        content = self.content_maps[0]
         e_phys, s_phys = np.array(self.physical_references).T
         return (_frozen_array(content.T @ (self.e0_assigned - e_phys)),
                 _frozen_array(content.T @ (self.s0_assigned - s_phys)))

@@ -7,6 +7,7 @@ gives continuous spectra, so no integer-only mode is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,13 @@ class ReactionNetwork:
     @property
     def n_reactions(self) -> int:
         return self.stoich.shape[1]
+
+    @cached_property
+    def rank(self) -> int:
+        """Number of independent reactions, at a cutoff relative to the largest
+        coefficient; computed once per network."""
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(self.stoich))))
+        return int(np.linalg.matrix_rank(self.stoich, tol=tol))
 
 
 @dataclass(frozen=True)

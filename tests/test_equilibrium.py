@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -177,16 +178,32 @@ def test_residual_vacuous_without_reactions():
     assert sol.eps_se.epsilon.shape == (0,)
 
 
-def test_near_complete_reaction_runs_to_the_wall():
-    # strongly exothermic and entropy-hungry: the residual reactant amounts
-    # fall below the boundary-detection threshold (complete combustion)
+def wall_problem():
+    """Strongly exothermic and entropy-hungry water formation: the residual
+    reactant amounts fall below the boundary-detection threshold."""
     mix = IdealGasMixture([
         Species("H2", 5.0), Species("O2", 5.0), Species("H2O", 6.0, e0=-10.0, s0=40.0),
     ])
-    prob = EquilibriumProblem(
+    return EquilibriumProblem(
         (mix,), (Parameters([1.0]),), (Composition([2.0, 1.0, 0.0]),), 10.0,
         network=WATER_NET,
     )
+
+
+def spectator_problem():
+    """A -> B beside an empty constituent C no reaction touches; C keeps the
+    iterate off the interior, so the solver certifies it through its barrier."""
+    net = ReactionNetwork([[-1.0], [1.0], [0.0]])
+    mix = IdealGasMixture([Species("A", 3.0), Species("B", 3.0), Species("C", 3.0)])
+    return EquilibriumProblem(
+        (mix,), (Parameters([1.0]),), (Composition([1.0, 0.0, 0.0]),), 1.5,
+        network=net,
+    )
+
+
+def test_near_complete_reaction_runs_to_the_wall():
+    # complete combustion: the optimum lies on the boundary
+    prob = wall_problem()
     sol = stable_equilibrium(prob)
     assert sol.boundary
     n = sol.states[0].comp.amounts
@@ -200,13 +217,7 @@ def test_near_complete_reaction_runs_to_the_wall():
 
 def test_spectator_species_at_zero_amount():
     # a constituent no reaction touches stays at zero without poisoning the solve
-    net = ReactionNetwork([[-1.0], [1.0], [0.0]])
-    mix = IdealGasMixture([Species("A", 3.0), Species("B", 3.0), Species("C", 3.0)])
-    prob = EquilibriumProblem(
-        (mix,), (Parameters([1.0]),), (Composition([1.0, 0.0, 0.0]),), 1.5,
-        network=net,
-    )
-    sol = stable_equilibrium(prob)
+    sol = stable_equilibrium(spectator_problem())
     assert sol.eps_se.epsilon[0] == pytest.approx(0.5, abs=1e-10)
     assert sol.states[0].comp.amounts[2] == 0.0
 
@@ -357,8 +368,7 @@ def test_analytic_hessian_matches_finite_differences(frac, energy, volume, two, 
     ev = _Evaluator(prob)
     lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, 0])
     eps = np.array([lo + frac * (hi - lo)])
-    _, energies, _, comps = ev.ds_dn_concat(eps)
-    analytic = _hessian(ev, eps, barrier, energies, comps)
+    analytic = _hessian(ev, ev.point(eps), barrier)
     oracle = _fd_hessian(ev, eps, barrier)
     assert analytic == pytest.approx(oracle, rel=1e-6, abs=1e-8)
 
@@ -371,9 +381,9 @@ def test_analytic_hessian_matches_finite_differences_over_two_reactions():
                               network=net)
     ev = _Evaluator(prob)
     eps = np.array([0.2, 0.05])
-    _, energies, _, comps = ev.ds_dn_concat(eps)
+    pt = ev.point(eps)
     for barrier in (0.0, 1e-3):
-        analytic = _hessian(ev, eps, barrier, energies, comps)
+        analytic = _hessian(ev, pt, barrier)
         assert analytic == pytest.approx(_fd_hessian(ev, eps, barrier), rel=1e-6, abs=1e-8)
 
 
@@ -382,9 +392,8 @@ def test_hessian_falls_back_to_steepest_ascent_at_the_wall():
     prob = water_problem()
     ev = _Evaluator(prob)
     eps = np.zeros(1)
-    _, energies, _, comps = ev.ds_dn_concat(eps)
     assert np.array_equal(_fd_hessian(ev, eps, 0.0), -np.eye(1))
-    assert np.array_equal(_hessian(ev, eps, 0.0, energies, comps), -np.eye(1))
+    assert np.array_equal(_hessian(ev, ev.point(eps), 0.0), -np.eye(1))
 
 
 def test_model_without_second_derivatives_takes_finite_differences(monkeypatch):
@@ -429,3 +438,114 @@ def test_solver_evaluates_ds_dn_once_per_iteration(make):
     sol = stable_equilibrium(prob)
     assert sol.iterations >= 3
     assert counting.ds_dn_calls <= sol.iterations + 2
+
+
+CHAIN_NET = ReactionNetwork([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
+
+
+def seeded_problem(kind, seed):
+    """A water, chain (A -> B -> C, two extents) or water+inert problem with
+    drawn constants."""
+    rng = np.random.default_rng(seed)
+    if kind == "water":
+        return water_problem(float(rng.uniform(6.0, 12.0)), float(rng.uniform(0.5, 3.0)),
+                             float(rng.uniform(-3.0, 0.5)))
+    if kind == "inert":
+        return water_inert_problem(float(rng.uniform(7.0, 12.0)),
+                                   float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.5, 3.0)))
+    mix = IdealGasMixture([
+        Species("a", 3.0),
+        Species("b", float(rng.uniform(3, 6)), e0=float(rng.uniform(-0.5, 0.5))),
+        Species("c", float(rng.uniform(3, 6)), e0=float(rng.uniform(-0.5, 0.5))),
+    ])
+    return EquilibriumProblem((mix,), (Parameters([float(rng.uniform(0.5, 3.0))]),),
+                              (Composition([1.5, 0.5, 0.5]),), float(rng.uniform(4.0, 9.0)),
+                              network=CHAIN_NET)
+
+
+SOLVED = {
+    **{f"{kind}-{seed}": (lambda kind=kind, seed=seed: seeded_problem(kind, seed))
+       for kind in ("water", "chain", "inert") for seed in (81, 82, 83)},
+    "wall": wall_problem,
+    "barrier": spectator_problem,
+}
+
+
+def _bits(value):
+    """The exact bits of a solution field, through tuples and dataclasses."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, (float, np.ndarray)):
+        arr = np.asarray(value, dtype=float)
+        return arr.shape, arr.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_solver_answer_is_the_solution_at_its_coordinates(name):
+    # the solver packages the point its line search accepted; evaluating the
+    # problem afresh at the reported coordinates gives the same bits
+    prob = SOLVED[name]()
+    sol = stable_equilibrium(prob)
+    again = solution_at(prob, sol.eps_se.epsilon, sol.iterations)
+    for field in dataclasses.fields(sol):
+        assert _bits(getattr(again, field.name)) == _bits(getattr(sol, field.name)), field.name
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_solver_evaluates_each_point_once(monkeypatch, name):
+    # one energy split per evaluated point, and no point evaluated twice in a
+    # row: the next gradient, the Hessian and the answer reuse the accepted
+    # one.  Near the wall a line search can repeat earlier trial points; in
+    # the interior no point comes back at all.
+    points, splits = [], []
+    real_point, real_split = _Evaluator.point, _Evaluator.split
+
+    def point(self, eps):
+        points.append(np.asarray(eps, dtype=float).tobytes())
+        return real_point(self, eps)
+
+    def split(self, comps):
+        splits.append(len(comps))
+        return real_split(self, comps)
+
+    monkeypatch.setattr(_Evaluator, "point", point)
+    monkeypatch.setattr(_Evaluator, "split", split)
+    stable_equilibrium(SOLVED[name]())
+    assert len(splits) == len(points)
+    assert all(a != b for a, b in zip(points, points[1:]))
+    if name not in ("wall", "barrier"):
+        assert len(set(points)) == len(points)
+
+
+def test_network_rank_is_computed_once_per_network(monkeypatch):
+    calls = []
+    real = np.linalg.matrix_rank
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    net = ReactionNetwork(CHAIN_NET.stoich)  # a fresh network: nothing cached yet
+    for seed in (81, 82, 83):
+        base = seeded_problem("chain", seed)
+        stable_equilibrium(EquilibriumProblem(base.models, base.params, base.n0,
+                                              base.total_energy, network=net))
+    assert len(calls) == 1
+
+
+def test_redundant_network_reports_minimum_norm_coordinates():
+    # the second reaction is the first one doubled: the amounts fix only
+    # eps_1 + 2 eps_2, and the report is its minimum-norm solution
+    net = ReactionNetwork([[-1.0, -2.0], [1.0, 2.0]])
+    assert net.rank == 1
+    base = iso_problem()
+    prob = EquilibriumProblem(base.models, base.params, base.n0, base.total_energy,
+                              network=net)
+    sol = solution_at(prob, [0.1, 0.2])
+    assert sol.degenerate
+    assert sol.eps_se.epsilon == pytest.approx([0.1, 0.2], abs=1e-12)
+    assert sol.states[0].comp.amounts == pytest.approx([0.5, 0.5], abs=1e-12)

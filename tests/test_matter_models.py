@@ -316,6 +316,23 @@ def test_non_finite_energy_or_volume_is_a_domain_error(measure, energy, volume):
         measure(GAS3, state(energy, volume, [1.0]))
 
 
+@pytest.mark.parametrize("volume", [math.nan, -1.0, math.inf])
+def test_temperature_checks_the_volume_as_entropy_does(volume):
+    st_bad = state(1.5, volume, [1.0])
+    with pytest.raises(DomainError) as by_entropy:
+        entropy_of(GAS3, st_bad)
+    with pytest.raises(DomainError) as by_temperature:
+        temperature_of(GAS3, st_bad)
+    assert str(by_temperature.value) == str(by_entropy.value)
+
+
+def test_isentrope_volume_that_underflows_is_a_range_error():
+    with pytest.raises(RangeError, match="needs a volume below any positive one"):
+        GAS3.volume_on_isentrope(-1e4, 1.0, Composition([1.0]))
+    with pytest.raises(RangeError, match="needs a volume beyond any finite one"):
+        GAS3.volume_on_isentrope(1e4, 1.0, Composition([1.0]))
+
+
 def _oracle_terms(dof, e0, s0, kb, energy, volume, n):
     """The class docstring's relation, one species at a time: the temperature
     and the per-species terms n_k [(dof_k/2) ln((dof_k/2) kB T) + ln(V/n_k) + s0_k]

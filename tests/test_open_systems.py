@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from entrokit.open_systems import (
     total_potentials,
 )
 from entrokit.process_engine import measure_entropy_difference
-from entrokit.stoichiometry import Composition, ReactionNetwork
+from entrokit.scenario import build_reference_env, load_scenario
+from entrokit.stoichiometry import RCOND, Composition, ReactionNetwork
 
 WATER_NET = ReactionNetwork([[-2.0], [-1.0], [2.0]])
 NAMES = ("H2", "O2", "H2O")
@@ -429,3 +431,83 @@ def test_composition_needing_negative_elements_not_expressible():
         env.decompose(Composition([0.0, 0.0, 1.0]))
     w, _ = env.decompose(Composition([0.0, 1.0, 1.0]))
     assert np.allclose(w, [1.0, 0.0])
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def demo_open_env():
+    return build_reference_env(load_scenario(SCENARIOS / "demo_open.scn"), "env1")
+
+
+def chain_env():
+    # A -> B -> C with A elemental: two extents form B and C
+    net = ReactionNetwork([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
+    return ReferenceEnvironment.chemical_convention(
+        ("A", "B", "C"), (0,), net, (IdealGasMixture([Species("A", 3.0)]),), 1.0, 1.0)
+
+
+def _lstsq_decompose(env, n):
+    """Per-call oracle: the non-elemental rows of n = n_elem(w) + nu eps
+    solved for eps by least squares, then w from the elemental rows."""
+    nu = env.network.stoich
+    outside = [k for k in range(nu.shape[0]) if k not in env.elemental]
+    eps, *_ = np.linalg.lstsq(nu[outside], n[outside], rcond=RCOND)
+    elem = list(env.elemental)
+    return n[elem] - (nu @ eps)[elem], eps
+
+
+# water_env is the environment of the tabulate benchmark workload as well
+@pytest.mark.parametrize("make", [demo_open_env, water_env, chain_env])
+def test_decompose_matches_a_per_call_least_squares_oracle(make):
+    env = make()
+    rng = np.random.default_rng(91)
+    scales = rng.choice([1e-3, 1.0, 1e3], (200, 1))
+    for n in rng.uniform(0.0, 3.0, (200, len(env.constituents))) * scales:
+        w, eps = env.decompose(Composition(n))
+        w_want, eps_want = _lstsq_decompose(env, n)
+        tol = 1e-12 * max(1.0, float(np.max(n)))
+        assert np.max(np.abs(w - np.maximum(w_want, 0.0))) <= tol
+        assert np.max(np.abs(eps - eps_want)) <= tol
+
+
+def test_content_maps_are_built_once_and_decompose_solves_nothing(monkeypatch):
+    env = water_env()
+    calls = {"lstsq": 0, "pinv": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for n in np.random.default_rng(92).uniform(0.0, 2.0, (50, 3)):
+        env.decompose(Composition(n))
+        env.gauge(Composition(n))
+    env.gauge_gradient
+    assert calls == {"lstsq": 0, "pinv": 1}
+
+
+def test_decompose_refusals_keep_their_messages():
+    with pytest.raises(NotExpressible,
+                       match="^composition has 2 entries, environment declares 3$"):
+        water_env().decompose(Composition([1.0, 1.0]))
+    # A -> B + C with elements {A, B}: C alone needs negative elemental B
+    net = ReactionNetwork([[-1.0], [1.0], [1.0]])
+    sp_a = IdealGasMixture([Species("A", 3.0)])
+    sp_b = IdealGasMixture([Species("B", 3.0)])
+    env = ReferenceEnvironment.chemical_convention(("A", "B", "C"), (0, 1), net,
+                                                   (sp_a, sp_b), 1.0, 1.0)
+    lone_c = Composition([0.0, 0.0, 1.0])
+    with pytest.raises(NotExpressible,
+                       match="^composition would need negative elemental amounts$"):
+        env.decompose(lone_c)
+    # a complete elemental set reaches every composition, so an offset
+    # residual map stands in for an unreachable one; reachability is checked
+    # before the sign of the content
+    content, coords, residual = env.content_maps
+    env.__dict__["content_maps"] = (content, coords, residual + 1.0)
+    with pytest.raises(NotExpressible,
+                       match="^composition is not reachable from the elemental set$"):
+        env.decompose(lone_c)

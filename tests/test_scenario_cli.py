@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from entrokit.cli import main
+from entrokit.cli import main, write_csv
 from entrokit.errors import ParseError
 from entrokit.scenario import (
     SCHEMA,
@@ -378,8 +378,18 @@ def test_cli_all_gap_reactive_table_keeps_its_columns(tmp_path, capsys):
     assert {len(row.split(",", header.count(",") + 1)) for row in rows} == {header.count(",") + 1}
 
 
+def test_cell_with_a_comma_or_a_quote_stays_in_its_cell(tmp_path):
+    path = tmp_path / "table.csv"
+    reason = 'gap: volume "v" out of range, at T = 1'
+    write_csv(path, ["V", "status"], [[1.5, reason], [2.0, "ok"]])
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["V", "status"], ["1.5", reason], ["2", "ok"]]
+
+
 @pytest.mark.parametrize("temperature, units", [("1e300", []), ("1e308", ["--units", "si"])])
-def test_gap_reason_with_a_comma_stays_in_its_cell(tmp_path, capsys, temperature, units):
+def test_hot_environment_gap_names_the_vanishing_volume(tmp_path, capsys, temperature, units):
+    # the reference isentrope at this temperature needs a volume that
+    # underflows to 0; every point is a gap that says so
     path = _mutated(tmp_path, "demo_open.scn", "temperature = 1\n",
                     f"temperature = {temperature}\n")
     out = tmp_path / "out"
@@ -387,8 +397,12 @@ def test_gap_reason_with_a_comma_stays_in_its_cell(tmp_path, capsys, temperature
                  "--tabulate", "tab1"]) == 0
     with open(out / "table_tab1.csv", newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
-    assert any("," in row[-1] for row in rows)
+    assert len(rows) == 6
     assert all(len(row) == len(header) for row in rows)
+    reason = re.compile(r"gap: entropy \S+ at temperature "
+                        + re.escape(f"{float(temperature):.6g}")
+                        + " needs a volume below any positive one")
+    assert all(reason.fullmatch(row[-1]) for row in rows)
 
 
 def test_reference_to_a_name_that_reads_as_a_number_keeps_its_spelling(tmp_path, capsys):
