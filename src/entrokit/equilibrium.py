@@ -3,9 +3,10 @@
 A problem fixes the total energy, the per-subsystem parameters, and an
 initial composition; the free variables are the energy split across
 subsystems and the reaction coordinates.  The inner split is solved by
-temperature equalization (stationarity across subsystems), the outer
-maximization over reaction coordinates by damped projected Newton with a
-log-barrier fallback near the non-negativity boundary.
+temperature equalization (stationarity across subsystems).  Along one
+reaction the outer maximization brackets the zero of the reaction's
+affinity; over several it runs damped projected Newton with a log-barrier
+fallback near the non-negativity boundary.
 """
 
 from __future__ import annotations
@@ -216,25 +217,23 @@ def _feasible_interval_1d(n0: np.ndarray, col: np.ndarray) -> tuple[float, float
     return lo, hi
 
 
-def _interior_start(ev: _Evaluator, seed: int) -> np.ndarray:
-    """A strictly feasible starting point with decent slack.
+def _extent_box(ev: _Evaluator) -> np.ndarray:
+    """The feasible extent interval of each reaction alone, one row each."""
+    cols = () if ev.nu is None else ev.nu.T
+    return np.array([_feasible_interval_1d(ev.n0, col) for col in cols]).reshape(-1, 2)
+
+
+def _interior_start(ev: _Evaluator, box: np.ndarray, seed: int) -> np.ndarray:
+    """A strictly feasible starting point with decent slack: the best of 256
+    seeded draws from ``box`` (``_extent_box`` with unbounded sides cut).
 
     The zero extent is always feasible (the initial composition is), so a
     width-zero interval degenerates to that single point rather than being
     empty.
     """
-    tau = ev.prob.n_reactions
-    if tau == 1:
-        lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, 0])
-        lo = lo if math.isfinite(lo) else -1.0
-        hi = hi if math.isfinite(hi) else 1.0
-        return np.array([0.5 * (lo + hi)])
+    tau = box.shape[0]
     # probe axis-aligned box around eps = 0 for the best min-slack point
     rng = np.random.default_rng(seed)
-    box = np.empty((tau, 2))
-    for j in range(tau):
-        lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, j])
-        box[j] = (lo if math.isfinite(lo) else -1.0, hi if math.isfinite(hi) else 1.0)
     best, best_slack = np.zeros(tau), np.min(ev.amounts(np.zeros(tau)))
     for _ in range(256):
         theta = rng.random(tau)
@@ -263,17 +262,7 @@ def _package(ev: _Evaluator, pt: _Point, iterations: int) -> EquilibriumSolution
         dsdn = ev.ds_dn(pt)
         mu = -pt.temperature * dsdn
         affinities = ev.nu.T @ mu
-        grad = ev.nu.T @ dsdn
-        scale = max(1.0, float(np.max(np.abs(ev.n0))))
-        active = tuple(int(k) for k in np.nonzero(pt.n <= 1e-9 * scale)[0])
-        if active:
-            # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
-            a = ev.nu[list(active), :].T
-            lam, *_ = np.linalg.lstsq(a, -grad, rcond=None)
-            lam = np.maximum(lam, 0.0)
-            kkt = float(np.max(np.abs(grad + a @ lam)))
-        else:
-            kkt = float(np.max(np.abs(grad)))
+        kkt, active = _kkt(ev, pt)
         degenerate = prob.network.rank < prob.n_reactions
         if degenerate:
             eps_report, *_ = np.linalg.lstsq(ev.nu, pt.n - ev.n0, rcond=1e-10)
@@ -303,6 +292,21 @@ def _package(ev: _Evaluator, pt: _Point, iterations: int) -> EquilibriumSolution
     )
 
 
+def _kkt(ev: _Evaluator, pt: _Point) -> tuple[float, tuple]:
+    """KKT residual at the point, and its active constituents: those with
+    amounts at most 1e-9 times the largest initial amount (at least 1)."""
+    grad = ev.nu.T @ ev.ds_dn(pt)
+    scale = max(1.0, float(np.max(np.abs(ev.n0))))
+    active = tuple(int(k) for k in np.nonzero(pt.n <= 1e-9 * scale)[0])
+    if not active:
+        return float(np.max(np.abs(grad))), active
+    # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
+    a = ev.nu[list(active), :].T
+    lam, *_ = np.linalg.lstsq(a, -grad, rcond=None)
+    lam = np.maximum(lam, 0.0)
+    return float(np.max(np.abs(grad + a @ lam))), active
+
+
 def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
                        max_iter: int = MAX_ITER, tol: float = TOL_KKT,
                        start=None) -> EquilibriumSolution:
@@ -310,15 +314,19 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
 
     Interior optima satisfy equal subsystem temperatures and zero reaction
     affinities; boundary optima (exhausted constituents) are certified by the
-    sign of the KKT multipliers.  ``start`` overrides the automatic interior
-    starting point.  Raises Infeasible when the constraint set is empty and
+    sign of the KKT multipliers.  One independent reaction is solved as the
+    zero of its affinity (``_affinity_root``; ``iterations`` counts affinity
+    evaluations), more by damped Newton (``_newton``).  Dependent reactions
+    are solved on a maximal independent subset and reported as the
+    minimum-norm coordinates.  ``start`` overrides the automatic starting
+    point.  Raises Infeasible when the constraint set is empty and
     NonConvergence (best iterate attached) when the iteration budget runs out.
     """
     tau = prob.n_reactions
     ev = _Evaluator(prob)
     # no reaction, or every one pinned (zero-width extent intervals): nothing to optimize
-    intervals = (_feasible_interval_1d(ev.n0, ev.nu[:, j]) for j in range(tau))
-    if max((hi - lo for lo, hi in intervals), default=0.0) <= 1e-13:
+    box = _extent_box(ev)
+    if np.max(box[:, 1] - box[:, 0], initial=0.0) <= 1e-13:
         try:
             return solution_at(prob, np.zeros(tau))
         except (DomainError, RangeError) as exc:
@@ -328,13 +336,94 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
         eps = np.atleast_1d(np.asarray(start, dtype=float))
         if np.min(ev.amounts(eps)) < 0.0:
             raise Infeasible("supplied start is outside the feasible set")
-    else:
-        eps = _interior_start(ev, seed)
+    solve_ev = ev
+    if prob.network.rank < tau:
+        solve_ev = _Evaluator(EquilibriumProblem(
+            prob.models, prob.params, prob.n0, prob.total_energy,
+            network=ReactionNetwork(ev.nu[:, list(prob.network.independent_columns)])))
+        box = _extent_box(solve_ev)
+        if start is not None:
+            eps, *_ = np.linalg.lstsq(solve_ev.nu, ev.nu @ eps, rcond=None)
+    if start is None:
+        cut = np.nan_to_num(box, posinf=1.0, neginf=-1.0)
+        eps = cut.mean(axis=1) if len(box) == 1 else _interior_start(solve_ev, cut, seed)
     try:
-        pt = ev.point(eps)
+        pt = solve_ev.point(eps)
     except (DomainError, RangeError, NegativeAmount) as exc:
         raise Infeasible(f"no admissible interior point: {exc}") from exc
 
+    if len(box) == 1:
+        pt, it, failure = _affinity_root(solve_ev, pt, box[0], max_iter)
+    else:
+        pt, it, failure = _newton(solve_ev, pt, max_iter, tol)
+    # certify the answer by its KKT residual
+    sol = _package(ev, pt, it)
+    if failure is None or sol.kkt_residual <= max(tol, 1e-8):
+        return sol
+    raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
+
+
+def _affinity_root(ev: _Evaluator, pt: _Point, interval: np.ndarray,
+                   max_iter: int) -> tuple:
+    """The entropy maximum along one reaction: the zero of its affinity
+    g(eps) = nu . dS/dn, which falls along eps because S is concave.
+
+    From the starting point the bracket moves geometrically toward the end
+    of the feasible extent ``interval`` that g points to, and Brent's method
+    refines it.  If g keeps its sign up to that end, the end is the optimum.
+    A point with no admissible state lies past the optimum, so g counts as
+    infinite there, pointing back.  Every evaluation of g counts against
+    ``max_iter``.  Returns (point, evaluations, what to report if the point
+    fails its KKT certificate).
+    """
+    col = ev.nu[:, 0]
+    x0 = float(pt.eps[0])
+    seen = {x0: (pt, float(col @ ev.ds_dn(pt)))}  # eps -> (point, g), in order
+
+    def affinity(x: float) -> float:
+        if len(seen) >= max_iter:
+            raise NonConvergence(f"iteration budget {max_iter} exhausted")
+        try:
+            here = ev.point(np.array([x]))
+        except (DomainError, RangeError, NegativeAmount):
+            seen[x] = (None, math.copysign(math.inf, x0 - x))
+        else:
+            seen[x] = (here, float(col @ ev.ds_dn(here)))
+        return seen[x][1]
+
+    g0 = seen[x0][1]
+    end = float(interval[1] if g0 > 0.0 else interval[0])
+    if math.isfinite(end):  # approach the end, cutting the distance 8-fold
+        origin, factor, x1 = end, 0.125, end + 0.125 * (x0 - end)
+    else:  # step away 8-fold farther each time
+        origin, factor, x1 = x0, 8.0, x0 + math.copysign(max(1.0, abs(x0)), g0)
+    try:
+        if g0 != 0.0:
+            x, gx = expand_bracket(affinity, x1, g0, origin, factor=factor, limit=end)
+            a = list(seen)[-2]  # the last point short of x: the bracket's near end
+            brentq(affinity, a, x, xtol=_FLOAT_EPS * abs(x - a), fa=seen[a][1], fb=gx,
+                   maxiter=max_iter)
+        # near a wall g is steep, and only one side of the root may certify:
+        # the candidates are the closest evaluated points on either side
+        admissible = [(y, g) for y, (p, g) in seen.items() if p is not None]
+        candidates = [max((y for y, g in admissible if g >= 0.0), default=x0),
+                      min((y for y, g in admissible if g <= 0.0), default=x0)]
+        failure = f"affinity root near eps = {candidates[0]:.17g}"
+    except RangeError:  # g keeps its sign up to the end: a boundary optimum
+        candidates = [list(seen)[-1]]
+        failure = f"affinity keeps its sign up to eps = {candidates[0]:.17g}"
+    except NonConvergence as exc:
+        candidates, failure = list(seen), str(exc)
+    best = min((seen[y][0] for y in candidates if seen[y][0] is not None),
+               key=lambda p: _kkt(ev, p)[0])
+    return best, len(seen), failure
+
+
+def _newton(ev: _Evaluator, pt: _Point, max_iter: int,
+            tol: float) -> tuple[_Point, int, str | None]:
+    """Damped projected Newton ascent over several reaction coordinates, with
+    a log-barrier fallback near the non-negativity boundary.  Returns (point,
+    iterations, failure); failure is None when the KKT test passed."""
     n_scale = max(1.0, float(np.max(np.abs(ev.n0))))
     barrier = 0.0  # switched on near the boundary
     for it in range(1, max_iter + 1):
@@ -349,7 +438,7 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
             if barrier > 1e-12:
                 barrier /= 64.0
                 continue
-            return _package(ev, pt, it)
+            return pt, it, None
 
         step = _ascent_step(_hessian(ev, pt, barrier), grad)
 
@@ -399,12 +488,7 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
             break
     else:
         it, failure = max_iter, f"iteration budget {max_iter} exhausted"
-
-    # certify the last iterate by its KKT residual
-    sol = _package(ev, pt, it)
-    if sol.kkt_residual <= max(tol, 1e-8):
-        return sol
-    raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
+    return pt, it, failure
 
 
 def _hessian(ev: _Evaluator, pt: _Point, barrier: float) -> np.ndarray:

@@ -138,6 +138,8 @@ class ReferenceEnvironment:
 
         Solves the non-elemental rows of n = n_elem(w) + nu eps; raises
         NotExpressible when the composition cannot be reached from the set.
+        Both refusals test against TOL_COMPAT times the total amount (at
+        least 1), as the rounding of the maps grows with the amounts.
         """
         n = comp.amounts
         if n.shape[0] != len(self.constituents):
@@ -146,10 +148,11 @@ class ReferenceEnvironment:
                 f"{len(self.constituents)}"
             )
         content, coords, residual = self.content_maps
-        if np.max(np.abs(residual @ n), initial=0.0) > TOL_COMPAT:
+        tol = TOL_COMPAT * max(1.0, comp.total)
+        if np.max(np.abs(residual @ n), initial=0.0) > tol:
             raise NotExpressible("composition is not reachable from the elemental set")
         w = content @ n
-        if np.any(w < -TOL_COMPAT):
+        if np.any(w < -tol):
             raise NotExpressible("composition would need negative elemental amounts")
         return np.where(w < 0.0, 0.0, w), coords @ n
 

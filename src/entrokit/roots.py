@@ -123,8 +123,8 @@ def expand_bracket(f, x: float, f_ref: float, origin: float, factor: float = 8.0
         if x == limit:
             raise RangeError(f"root bracket reached its limit {limit:.6g} "
                              "without a sign change")
-        x = origin + factor * (x - origin)
-        x = min(x, limit) if limit > origin else max(x, limit)
+        moved = origin + factor * (x - origin)
+        x = min(moved, limit) if limit > x else max(moved, limit)
     raise RangeError(f"no sign change after {MAX_EXPANSIONS} bracket expansions")
 
 

@@ -87,12 +87,25 @@ class ReactionNetwork:
     def n_reactions(self) -> int:
         return self.stoich.shape[1]
 
+    @property
+    def _rank_tol(self) -> float:
+        return 1e-10 * max(1.0, float(np.max(np.abs(self.stoich))))
+
     @cached_property
     def rank(self) -> int:
         """Number of independent reactions, at a cutoff relative to the largest
         coefficient; computed once per network."""
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(self.stoich))))
-        return int(np.linalg.matrix_rank(self.stoich, tol=tol))
+        return int(np.linalg.matrix_rank(self.stoich, tol=self._rank_tol))
+
+    @cached_property
+    def independent_columns(self) -> tuple[int, ...]:
+        """A maximal set of linearly independent reactions at the cutoff of
+        ``rank``, first come first kept; computed once per network."""
+        cols: list[int] = []
+        for j in range(self.n_reactions):
+            if np.linalg.matrix_rank(self.stoich[:, cols + [j]], tol=self._rank_tol) > len(cols):
+                cols.append(j)
+        return tuple(cols)
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,12 @@ def water_problem(energy=8.0, volume=1.0, heat_of_reaction=-2.0):
 
 
 def grid_max_entropy(prob, n_grid=10001, refinements=3):
-    """Brute-force oracle: scan the feasible extent interval, then zoom."""
+    """Brute-force oracle: scan the feasible extent interval, then zoom.  With
+    several subsystems the entropy at each extent comes from the library's
+    equal-temperature split."""
     model = prob.models[0]
     params = prob.params[0]
-    n0 = prob.n0[0].amounts
+    n0 = prob.n0_concat()
     col = prob.network.stoich[:, 0]
     lo, hi = -math.inf, math.inf
     for nk, c in zip(n0, col):
@@ -79,7 +81,8 @@ def grid_max_entropy(prob, n_grid=10001, refinements=3):
             if np.any(n < 0):
                 continue
             try:
-                s = model.entropy(prob.total_energy, params, Composition(n))
+                s = (model.entropy(prob.total_energy, params, Composition(n))
+                     if len(prob.models) == 1 else solution_at(prob, [eps]).entropy)
             except DomainError:
                 continue
             if s > best_s:
@@ -178,11 +181,12 @@ def test_residual_vacuous_without_reactions():
     assert sol.eps_se.epsilon.shape == (0,)
 
 
-def wall_problem():
+def wall_problem(e0=-10.0, s0=40.0):
     """Strongly exothermic and entropy-hungry water formation: the residual
-    reactant amounts fall below the boundary-detection threshold."""
+    reactant amounts fall below the boundary-detection threshold (at the
+    default constants) or just above it."""
     mix = IdealGasMixture([
-        Species("H2", 5.0), Species("O2", 5.0), Species("H2O", 6.0, e0=-10.0, s0=40.0),
+        Species("H2", 5.0), Species("O2", 5.0), Species("H2O", 6.0, e0=e0, s0=s0),
     ])
     return EquilibriumProblem(
         (mix,), (Parameters([1.0]),), (Composition([2.0, 1.0, 0.0]),), 10.0,
@@ -396,25 +400,6 @@ def test_hessian_falls_back_to_steepest_ascent_at_the_wall():
     assert np.array_equal(_hessian(ev, ev.point(eps), 0.0), -np.eye(1))
 
 
-def test_model_without_second_derivatives_takes_finite_differences(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _fd_hessian(*args)
-
-    monkeypatch.setattr(equilibrium, "_fd_hessian", counted)
-    plain = water_problem()
-    sol = stable_equilibrium(plain)
-    assert not calls
-    hidden = EquilibriumProblem((HiddenD2s(plain.models[0].species),), plain.params,
-                                plain.n0, plain.total_energy, network=plain.network)
-    sol_fd = stable_equilibrium(hidden)
-    assert calls
-    assert sol_fd.eps_se.epsilon == pytest.approx(sol.eps_se.epsilon, abs=1e-10)
-    assert sol_fd.entropy == pytest.approx(sol.entropy, abs=1e-12)
-
-
 class CountingMixture(IdealGasMixture):
     """An ideal-gas mixture that counts its dS/dn evaluations."""
 
@@ -549,3 +534,159 @@ def test_redundant_network_reports_minimum_norm_coordinates():
     assert sol.degenerate
     assert sol.eps_se.epsilon == pytest.approx([0.1, 0.2], abs=1e-12)
     assert sol.states[0].comp.amounts == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_model_without_second_derivatives_takes_finite_differences(monkeypatch):
+    # the Newton route over two reactions differences gradients instead
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _fd_hessian(*args)
+
+    monkeypatch.setattr(equilibrium, "_fd_hessian", counted)
+    plain = seeded_problem("chain", 81)
+    sol = stable_equilibrium(plain)
+    assert not calls
+    hidden = EquilibriumProblem((HiddenD2s(plain.models[0].species),), plain.params,
+                                plain.n0, plain.total_energy, network=plain.network)
+    sol_fd = stable_equilibrium(hidden)
+    assert calls
+    assert sol_fd.eps_se.epsilon == pytest.approx(sol.eps_se.epsilon, abs=1e-10)
+    assert sol_fd.entropy == pytest.approx(sol.entropy, abs=1e-12)
+
+
+class HiddenHooks(HiddenD2s):
+    """An ideal-gas mixture that offers no analytic dS/dn either."""
+
+    def ds_dn(self, energy, params, comp):
+        return None
+
+
+@pytest.mark.parametrize("seed", [81, 82, 83])
+def test_one_reaction_without_derivative_hooks_takes_finite_differences(monkeypatch, seed):
+    calls = []
+    real = equilibrium._fd_ds_dn
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equilibrium, "_fd_ds_dn", counted)
+    plain = seeded_problem("water", seed)
+    sol = stable_equilibrium(plain)
+    assert not calls
+    hidden = EquilibriumProblem((HiddenHooks(plain.models[0].species),), plain.params,
+                                plain.n0, plain.total_energy, network=plain.network)
+    sol_fd = stable_equilibrium(hidden)
+    assert len(calls) >= sol_fd.iterations
+    # differenced slopes carry rounding noise: the answer certifies by the
+    # solver's final rule
+    assert sol_fd.kkt_residual <= 1e-8
+    assert sol_fd.eps_se.epsilon == pytest.approx(sol.eps_se.epsilon, abs=1e-8)
+    assert sol_fd.entropy == pytest.approx(sol.entropy, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["water", "inert"])
+def test_one_reaction_answers_match_the_grid_oracle(kind):
+    for seed in (84, 85, 86):
+        prob = seeded_problem(kind, seed)
+        sol = stable_equilibrium(prob)
+        eps_grid, s_grid = grid_max_entropy(prob, n_grid=201, refinements=8)
+        assert sol.entropy >= s_grid - 1e-12
+        assert sol.eps_se.epsilon[0] == pytest.approx(eps_grid, abs=1e-6)
+
+
+def test_one_reaction_never_enters_the_newton_loop(monkeypatch):
+    calls = {"_hessian": 0, "_ascent_step": 0, "point": 0}
+    for name in ("_hessian", "_ascent_step"):
+        def counted(*args, _real=getattr(equilibrium, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(equilibrium, name, counted)
+    real_point = _Evaluator.point
+
+    def point(self, eps):
+        calls["point"] += 1
+        return real_point(self, eps)
+
+    monkeypatch.setattr(_Evaluator, "point", point)
+    for kind in ("water", "inert"):
+        for seed in range(81, 91):
+            calls["point"] = 0
+            sol = stable_equilibrium(seeded_problem(kind, seed))
+            assert calls["point"] == sol.iterations <= 16
+    assert calls["_hessian"] == calls["_ascent_step"] == 0
+
+
+@pytest.mark.parametrize("e0", [-4.0, -6.0, -8.0, -12.0])
+def test_entropy_hungry_water_converges_next_to_the_wall(e0):
+    # the optimum leaves under 1e-6 of O2, just above the active-set threshold
+    prob = wall_problem(e0, s0=20.0)
+    sol = stable_equilibrium(prob)
+    assert sol.kkt_residual <= 1e-8
+    assert 1e-9 < sol.states[0].comp.amounts[1] < 1e-6
+    _, s_grid = grid_max_entropy(prob, n_grid=2001)
+    assert sol.entropy >= s_grid - 1e-12
+
+
+def test_wall_solve_takes_few_points(monkeypatch):
+    points = []
+    real_point = _Evaluator.point
+
+    def point(self, eps):
+        points.append(float(eps[0]))
+        return real_point(self, eps)
+
+    monkeypatch.setattr(_Evaluator, "point", point)
+    sol = stable_equilibrium(wall_problem())
+    assert sol.boundary
+    assert len(points) == len(set(points)) == sol.iterations <= 40
+
+
+def test_redundant_network_solves_on_an_independent_reaction():
+    # A <-> B twice over: solved as the one reaction, reported on both
+    net = ReactionNetwork([[-1.0, -2.0], [1.0, 2.0]])
+    base = iso_problem()
+    prob = EquilibriumProblem(base.models, base.params, base.n0, base.total_energy,
+                              network=net)
+    one = stable_equilibrium(base)
+    for start in (None, [0.05, 0.1]):
+        sol = stable_equilibrium(prob, start=start)
+        assert sol.degenerate
+        assert sol.kkt_residual <= 1e-10
+        assert np.max(np.abs(sol.states[0].comp.amounts - one.states[0].comp.amounts)) <= 1e-12
+        # minimum-norm coordinates of eps_1 + 2 eps_2 = 0.5
+        assert sol.eps_se.epsilon == pytest.approx([0.1, 0.2], abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_reaction_with_an_unbounded_extent_interval(sign):
+    # a reaction that only creates A (or, reversed, only destroys it) can run
+    # without bound; the entropy at fixed energy still peaks at finite extent
+    mix = IdealGasMixture([Species("A", 3.0, s0=2.0), Species("B", 5.0)])
+    prob = EquilibriumProblem((mix,), (Parameters([2.0]),), (Composition([1.0, 0.5]),), 3.0,
+                              network=ReactionNetwork([[sign], [0.0]]))
+    sol = stable_equilibrium(prob)
+    assert sol.kkt_residual <= 1e-10
+    eps = sol.eps_se.epsilon[0]
+    assert sign * eps > 0.5
+    for step in (-1e-4, 1e-4):
+        assert solution_at(prob, [eps + step]).entropy < sol.entropy
+
+
+@pytest.mark.parametrize("s0", [15.0, 30.0])
+def test_one_reaction_bracket_past_the_energy_floor(s0):
+    # endothermic water at low energy: extents past 0.9 leave no thermal
+    # energy, and the first bracket probe (0.9375) lands there; such a point
+    # lies past the optimum and bounds the bracket
+    base = wall_problem(1.0, s0)
+    prob = EquilibriumProblem(base.models, base.params, base.n0, 1.8, network=base.network)
+    with pytest.raises(DomainError):
+        solution_at(prob, [0.9375])
+    sol = stable_equilibrium(prob)
+    assert sol.kkt_residual <= 1e-10
+    eps_grid, s_grid = grid_max_entropy(prob)
+    assert sol.entropy >= s_grid - 1e-12
+    assert sol.eps_se.epsilon[0] == pytest.approx(eps_grid, abs=1e-6)

@@ -511,3 +511,32 @@ def test_decompose_refusals_keep_their_messages():
     with pytest.raises(NotExpressible,
                        match="^composition is not reachable from the elemental set$"):
         env.decompose(lone_c)
+
+
+def lone_c_env():
+    """A -> B + C with elements {A, B}: C without its co-product B would need
+    negative elemental B."""
+    net = ReactionNetwork([[-1.0], [1.0], [1.0]])
+    return ReferenceEnvironment.chemical_convention(
+        ("A", "B", "C"), (0, 1), net,
+        (IdealGasMixture([Species("A", 3.0)]), IdealGasMixture([Species("B", 3.0)])),
+        1.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e7, 1e8])
+def test_decompose_tolerances_grow_with_the_amounts(scale):
+    # a complete elemental set reaches every composition at any size, while
+    # rounding in the maps grows with the amounts
+    env = chain_env()
+    rng = np.random.default_rng(94)
+    for n in rng.uniform(0.0, 3.0, (200, 3)) * scale:
+        env.decompose(Composition(n))
+    # what is out of reach stays out of reach at every size, down to a
+    # shortage of one part in 1e6 of the largest amount
+    env = lone_c_env()
+    for n in ([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0 - 1e-6, 1.0]):
+        with pytest.raises(NotExpressible, match="negative elemental"):
+            env.decompose(Composition(np.array(n) * scale))
+    env.__dict__["content_maps"] = (*env.content_maps[:2], env.content_maps[2] + 1e-6)
+    with pytest.raises(NotExpressible, match="not reachable"):
+        env.decompose(Composition(np.array([0.0, 1.0, 1.0]) * scale))

@@ -153,6 +153,17 @@ def test_expand_bracket_limits_raise_range_error():
     assert f.xs == [1.0, 8.0, 64.0, 100.0]
 
 
+def test_expand_bracket_closes_in_on_a_limit_at_its_origin():
+    # from either side the distance to the limit shrinks 8-fold, until x
+    # lands on the limit itself
+    for x, end in ((0.5, 1.0), (-0.5, -1.0), (3.0, 2.0)):
+        f = Counted(lambda y: -1.0)
+        with pytest.raises(RangeError):
+            expand_bracket(f, x, -1.0, end, factor=0.125, limit=end)
+        assert f.xs[:3] == [x, end + (x - end) / 8, end + (x - end) / 64]
+        assert f.xs[-1] == end and len(f.xs) <= 21
+
+
 def test_decreasing_root_searches_both_directions():
     for root in (-30.0, -0.2, 0.0, 0.7, 42.0):
         got = decreasing_root(lambda x, r=root: math.tanh(r - x), 0.3, xtol=1e-13)
