@@ -19,9 +19,7 @@ from .equilibrium import (
     EquilibriumProblem,
     EquilibriumSolution,
     equilibrium_residual,
-    esev_partition,
     gibbs_residual,
-    mutual_equilibrium,
     pressure_of,
     solution_at,
     stable_equilibrium,

@@ -39,7 +39,6 @@ from .stoichiometry import TOL_NEG, Composition, ReactionCoordinates, ReactionNe
 
 MAX_ITER = 200
 TOL_KKT = 1e-10
-TOL_T = 1e-9
 
 _FLOAT_EPS = float(np.finfo(float).eps)
 
@@ -144,20 +143,16 @@ class _Evaluator:
         NegativeAmount where it has no admissible state."""
         n = self.amounts(eps)
         comps = [Composition(n[sl]) for sl in self.slices]
-        energies, t_eq = self.split(comps)
-        entropy = sum(
-            entropy_of(m, SystemState(e, p, c))
-            for m, e, p, c in zip(self.prob.models, energies, self.prob.params, comps)
-        )
-        return _Point(eps, n, comps, energies, t_eq, entropy)
+        return _Point(eps, n, comps, *self.split(comps))
 
-    def split(self, comps) -> tuple[list[float], float]:
-        """Energy split equalizing subsystem temperatures; returns (energies, T)."""
+    def split(self, comps) -> tuple[list[float], float, float]:
+        """Energy split equalizing subsystem temperatures; returns (energies,
+        T, total entropy)."""
         prob = self.prob
         if len(prob.models) == 1:
             e = prob.total_energy
-            st = SystemState(e, prob.params[0], comps[0])
-            return [e], temperature_of(prob.models[0], st)
+            t_eq, entropy = prob.models[0].evaluate(e, prob.params[0], comps[0])
+            return [e], t_eq, entropy
 
         floors = [m.energy_floor(p, c) for m, p, c in zip(prob.models, prob.params, comps)]
         if prob.total_energy <= sum(floors):
@@ -181,7 +176,11 @@ class _Evaluator:
             solve_energy_at_temperature(m, t_eq, p, c)
             for m, p, c in zip(prob.models, prob.params, comps)
         ]
-        return energies, float(t_eq)
+        entropy = sum(
+            entropy_of(m, SystemState(e, p, c))
+            for m, e, p, c in zip(prob.models, energies, prob.params, comps)
+        )
+        return energies, float(t_eq), entropy
 
     def ds_dn(self, pt: _Point) -> np.ndarray:
         """dS/dn for each constituent at the point's split, computed once."""
@@ -576,15 +575,6 @@ def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> 
     return float(np.max(np.abs(affinity)) / t_eq)
 
 
-def mutual_equilibrium(model_a: MatterModel, st_a: SystemState,
-                       model_b: MatterModel, st_b: SystemState) -> bool:
-    """Whether two equilibrium states are in mutual stable equilibrium,
-    i.e. share a temperature."""
-    t_a = temperature_of(model_a, st_a)
-    t_b = temperature_of(model_b, st_b)
-    return abs(t_a - t_b) <= TOL_T * max(t_a, t_b)
-
-
 def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
                    d_beta) -> float:
     """Defect of the differential relation dE = T dS + sum_j F_j d beta_j:
@@ -601,31 +591,30 @@ def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
 
 
 def pressure_of(model: MatterModel, st: SystemState) -> float:
-    """Pressure: the negative volume-conjugate force -dE/dV at constant S, n,
-    differenced with a step of H_REL * V, which also serves V << 1."""
+    """Pressure p = T dS/dV at fixed (E, n), which is -dE/dV at fixed (S, n):
+    from the model's ``ds_dv`` hook, else the finite difference
+    ``_fd_pressure``.  Raises DomainError where it is not finite."""
+    return _pressure(model, st, None)
+
+
+def _pressure(model: MatterModel, st: SystemState, temperature: float | None) -> float:
+    """``pressure_of``, reading the temperature of a checked state when given."""
+    slope = model.ds_dv(st.energy, st.params, st.comp)
+    if slope is None:
+        p = _fd_pressure(model, st)
+    else:
+        t = temperature_of(model, st) if temperature is None else temperature
+        p = t * slope
+    if not math.isfinite(p):
+        raise DomainError(f"pressure {p:.6g} at volume {st.params.volume:.6g} is not finite")
+    return p
+
+
+def _fd_pressure(model: MatterModel, st: SystemState) -> float:
+    """-dE/dV at fixed (S, n), differenced with a step of H_REL * V, which also
+    serves V << 1; the fallback of ``pressure_of`` and its test oracle."""
     s0 = entropy_of(model, st)
     v0 = st.params.volume
     (slope,) = _fd_slopes(lambda v: energy_of(model, s0, st.params.with_volume(v[0]), st.comp),
                           [v0], step=H_REL * v0)
     return -slope
-
-
-def esev_partition(model: MatterModel, states, tol: float = 1e-9) -> list[list[int]]:
-    """Group equilibrium states into classes of equal energy and entropy.
-
-    States whose energies and entropies agree within ``tol`` (absolute,
-    states assumed O(1)) belong to the same class; returns index groups in
-    first-seen order.
-    """
-    keys = [(st.energy, entropy_of(model, st)) for st in states]
-    groups: list[list[int]] = []
-    reps: list[tuple[float, float]] = []
-    for i, (e, s) in enumerate(keys):
-        for g, (er, sr) in enumerate(reps):
-            if abs(e - er) <= tol and abs(s - sr) <= tol:
-                groups[g].append(i)
-                break
-        else:
-            groups.append([i])
-            reps.append((e, s))
-    return groups

@@ -99,20 +99,24 @@ class MatterModel:
         return math.inf
 
     def validate(self, energy: float, params: Parameters, comp: Composition) -> None:
-        if not math.isfinite(energy):
-            raise DomainError(f"energy {energy:.6g} is not finite")
-        if energy < self.energy_floor(params, comp):
-            raise DomainError(
-                f"energy {energy:.6g} below ground bound "
-                f"{self.energy_floor(params, comp):.6g}"
-            )
-        if energy > self.energy_ceiling(params, comp):
-            raise DomainError(f"energy {energy:.6g} above admissible range")
+        _check_energy(energy, self.energy_floor(params, comp),
+                      self.energy_ceiling(params, comp))
+
+    def evaluate(self, energy: float, params: Parameters,
+                 comp: Composition) -> tuple[float, float]:
+        """Temperature 1 / (dS/dE) and entropy of the state (E, beta, n), from
+        one validation; models may override it with a cheaper route."""
+        self.validate(energy, params, comp)
+        return _temperature(self, energy, params, comp), self.entropy(energy, params, comp)
 
     # analytic hooks, all optional
 
     def ds_de(self, energy, params, comp) -> float | None:
         """Analytic dS/dE at fixed (beta, n), or None."""
+        return None
+
+    def ds_dv(self, energy, params, comp) -> float | None:
+        """Analytic dS/dV at fixed (E, n), V the first parameter, or None."""
         return None
 
     def ds_dn(self, energy, params, comp) -> np.ndarray | None:
@@ -243,9 +247,20 @@ class IdealGasMixture(MatterModel):
             raise DomainError(f"no positive temperature at thermal energy {e_th:.6g}")
         return self.kb * (cn + 0.5 * dn * math.log(t) + comp.total * math.log(v))
 
+    def evaluate(self, energy, params, comp) -> tuple[float, float]:
+        # the checks of validate, and T from the sums the relation reads
+        e0n, dn, _ = self._sums(comp)
+        _check_energy(energy, e0n + GROUND_EPS)
+        entropy = self.entropy(energy, params, comp)
+        return 2.0 * (energy - e0n) / (self.kb * dn), entropy
+
     def ds_de(self, energy, params, comp) -> float:
         self._check_volume(params)
         return 1.0 / self.temperature_closed_form(energy, comp)
+
+    def ds_dv(self, energy, params, comp) -> float:
+        self._sums(comp)
+        return self.kb * comp.total / self._check_volume(params)
 
     #: stand-in slope for d(n ln n)/dn at n = 0, where the true slope diverges;
     #: large but finite so downstream linear algebra stays well defined
@@ -354,6 +369,16 @@ def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalR
             f"outside [{reservoir.e_min:.6g}, {reservoir.e_max:.6g}]"
         )
     return ThermalReservoir(reservoir.temperature, new_energy, reservoir.e_min, reservoir.e_max)
+
+
+def _check_energy(energy: float, floor: float, ceiling: float = math.inf) -> None:
+    """Refuse an energy that is not finite or lies outside [floor, ceiling]."""
+    if not math.isfinite(energy):
+        raise DomainError(f"energy {energy:.6g} is not finite")
+    if energy < floor:
+        raise DomainError(f"energy {energy:.6g} below ground bound {floor:.6g}")
+    if energy > ceiling:
+        raise DomainError(f"energy {energy:.6g} above admissible range")
 
 
 def entropy_of(model: MatterModel, st: SystemState) -> float:
@@ -466,12 +491,19 @@ def temperature_of(model: MatterModel, st: SystemState) -> float:
     difference of the relation in E.
     """
     model.validate(st.energy, st.params, st.comp)
-    slope = model.ds_de(st.energy, st.params, st.comp)
+    return _temperature(model, st.energy, st.params, st.comp)
+
+
+def _temperature(model: MatterModel, energy: float, params: Parameters,
+                 comp: Composition) -> float:
+    """1 / (dS/dE) at a validated state: the ``ds_de`` hook, else a central
+    difference of the relation."""
+    slope = model.ds_de(energy, params, comp)
     if slope is None:
-        (slope,) = _fd_slopes(
-            lambda e: entropy_of(model, SystemState(e[0], st.params, st.comp)), [st.energy])
+        (slope,) = _fd_slopes(lambda e: entropy_of(model, SystemState(e[0], params, comp)),
+                              [energy])
     if slope <= 0:
-        raise DomainError(f"fundamental relation not increasing at E={st.energy:.6g}")
+        raise DomainError(f"fundamental relation not increasing at E={energy:.6g}")
     return 1.0 / slope
 
 

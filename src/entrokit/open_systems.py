@@ -16,7 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import EquilibriumProblem, _fd_ds_dn, pressure_of, stable_equilibrium
+from .equilibrium import (
+    EquilibriumProblem,
+    _fd_ds_dn,
+    _pressure,
+    pressure_of,
+    stable_equilibrium,
+)
 from .errors import (
     DomainError,
     InadmissibleStep,
@@ -312,7 +318,13 @@ def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
     if env is not None:
         env.decompose(ost.comp)  # NotExpressible unless the environment forms it
     st = ost.closed_proxy()
-    t = temperature_of(model, st)
+    return _potentials(env, model, st, temperature_of(model, st))
+
+
+def _potentials(env: ReferenceEnvironment | None, model: MatterModel, st: SystemState,
+                t: float) -> np.ndarray:
+    """``total_potentials`` at a checked state of temperature ``t`` whose
+    composition the environment forms."""
     ds_dn = model.ds_dn(st.energy, st.params, st.comp)
     if ds_dn is None:
         ds_dn = _fd_ds_dn(model, st.energy, st.params, st.comp)
@@ -415,17 +427,16 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
             prob = EquilibriumProblem((model,), (params,), (comp,), energy,
                                       network=grid.network)
             sol = stable_equilibrium(prob)
-            st = sol.states[0]
+            st, temp = sol.states[0], sol.temperature
             eps = tuple(float(x) for x in sol.eps_se.epsilon)
         else:
             st = SystemState(energy, params, comp)
-            entropy_of(model, st)  # domain check
+            temp, _ = model.evaluate(energy, params, comp)
             eps = ()
-        ost = OpenState(st.comp, st.energy, params)
-        e_open, s_open = open_energy_entropy(env, model, ost)
-        temp = temperature_of(model, st)
-        pres = pressure_of(model, st)
-        mu = tuple(float(x) for x in total_potentials(env, model, ost))
+        # the gauge decomposes the composition, refusing what env cannot form
+        e_open, s_open = open_energy_entropy(env, model, OpenState(st.comp, st.energy, params))
+        pres = _pressure(model, st, temp)
+        mu = tuple(float(x) for x in _potentials(env, model, st, temp))
         return OpenTableRow(e_open, volume, tuple(comp.amounts), s_open, eps,
                             tuple(st.comp.amounts), temp, pres, mu)
     except (DomainError, RangeError, RangeExceeded, InadmissibleStep, Infeasible,

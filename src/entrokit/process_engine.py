@@ -157,6 +157,14 @@ def _volume_on_isentrope(model: MatterModel, entropy: float, temperature: float,
     return st.params.with_volume(math.exp(root))
 
 
+def _evaluate(model: MatterModel, st: SystemState,
+              with_temperature: bool) -> tuple[float | None, float]:
+    """(T, S) of a state from one validation; T is None unless asked for."""
+    if with_temperature:
+        return model.evaluate(st.energy, st.params, st.comp)
+    return None, entropy_of(model, st)
+
+
 def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservoir,
                  schedule: Schedule) -> ProcessRecord:
     """Execute a schedule and return its ledger.
@@ -169,27 +177,29 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
     """
     _require_uncorrelated(st0)
     t_res = reservoir.temperature
+    # one checked evaluation per state, with T where an isothermal contact
+    # starts or ends: the contact's entry check reads the carried value
+    contact = [isinstance(step, IsothermalContact) for step in schedule.steps]
+    wants_t = [a or b for a, b in zip(contact, contact[1:] + [False])]
     st = st0
-    s_current = entropy_of(model, st)
+    t_current, s_current = _evaluate(model, st, contact[0])
     s_initial = s_current
     res = reservoir
     work = 0.0
 
-    for step in schedule.steps:
+    for step, with_t in zip(schedule.steps, wants_t):
         if isinstance(step, Isentropic):
             e_next = energy_of(model, s_current, step.target_params, st.comp, tol=1e-12)
             nxt = SystemState(e_next, step.target_params, st.comp)
-            s_next = entropy_of(model, nxt)
+            t_next, s_next = _evaluate(model, nxt, with_t)
             if abs(s_next - s_current) > TOL_S * max(1.0, abs(s_current)):
                 raise InadmissibleStep("isentropic step failed to conserve entropy")
             work += st.energy - e_next
-            st, s_current = nxt, s_next
 
         elif isinstance(step, IsothermalContact):
-            t_here = temperature_of(model, st)
-            if abs(t_here - t_res) > TOL_T * max(1.0, t_res):
+            if abs(t_current - t_res) > TOL_T * max(1.0, t_res):
                 raise InadmissibleStep(
-                    f"isothermal contact entered at T={t_here:.9g}, reservoir at {t_res:.9g}"
+                    f"isothermal contact entered at T={t_current:.9g}, reservoir at {t_res:.9g}"
                 )
             if step.target_params is not None:
                 params = step.target_params
@@ -198,31 +208,29 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
                 params = st.params
                 e_next = step.target_energy
             nxt = SystemState(e_next, params, st.comp)
-            t_exit = temperature_of(model, nxt)
-            if abs(t_exit - t_res) > TOL_T * max(1.0, t_res):
+            t_next, s_next = _evaluate(model, nxt, True)
+            if abs(t_next - t_res) > TOL_T * max(1.0, t_res):
                 raise InadmissibleStep(
-                    f"isothermal contact exited at T={t_exit:.9g}, reservoir at {t_res:.9g}"
+                    f"isothermal contact exited at T={t_next:.9g}, reservoir at {t_res:.9g}"
                 )
-            s_next = entropy_of(model, nxt)
             heat = t_res * (s_next - s_current)  # reversible exchange
             res = reservoir_exchange(res, -heat)
             work += (st.energy - e_next) + heat
-            st, s_current = nxt, s_next
 
         elif isinstance(step, DirectContact):
             e_next = st.energy + step.heat
             nxt = SystemState(e_next, st.params, st.comp)
-            s_next = entropy_of(model, nxt)
+            t_next, s_next = _evaluate(model, nxt, with_t)
             sigma_step = (s_next - s_current) - step.heat / t_res
             if sigma_step < -TOL_REV:
                 raise InadmissibleStep(
                     f"direct contact would destroy entropy ({sigma_step:.3g})"
                 )
             res = reservoir_exchange(res, -step.heat)
-            st, s_current = nxt, s_next
 
         else:
             raise TypeError(f"unknown primitive {step!r}")
+        st, t_current, s_current = nxt, t_next, s_next
 
     d_e_res = res.energy - reservoir.energy
     sigma = (s_current - s_initial) + d_e_res / t_res

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from entrokit import checks
 from entrokit.checks import bracket_single_valued, monotonicity_scan, smoothness_scan
-from entrokit.equilibrium import pressure_of
+from entrokit.equilibrium import _fd_pressure, pressure_of
 from entrokit.errors import DomainError, RangeError, RangeExceeded
 from entrokit.stoichiometry import Composition
 from entrokit.matter_models import (
@@ -300,9 +300,12 @@ def test_fd_slopes_raises_when_the_step_is_lost_to_rounding():
         _fd_slopes(lambda y: y[0], [1e-320], step=1e-6 * 1e-320)  # the step underflows to 0
     with pytest.raises(DomainError):
         _fd_slopes(lambda y: y[0], [math.inf])
-    # the pressure of a subnormal volume has no difference step left
+    # at a subnormal volume the closed-form pressure overflows, and its
+    # finite-difference fallback has no step left: both refuse the state
     with pytest.raises(DomainError):
         pressure_of(GAS3, state(1.5, 1e-320, [1.0]))
+    with pytest.raises(DomainError):
+        _fd_pressure(GAS3, state(1.5, 1e-320, [1.0]))
 
 
 @pytest.mark.parametrize("measure, energy, volume", [

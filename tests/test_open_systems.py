@@ -540,3 +540,61 @@ def test_decompose_tolerances_grow_with_the_amounts(scale):
     env.__dict__["content_maps"] = (*env.content_maps[:2], env.content_maps[2] + 1e-6)
     with pytest.raises(NotExpressible, match="not reachable"):
         env.decompose(Composition(np.array([0.0, 1.0, 1.0]) * scale))
+
+
+def _calls_per_point(monkeypatch, reactive):
+    """Calls per tabulated point over seeded water points: checked evaluations
+    (validate and evaluate), relation evaluations, decompositions, and the
+    inversions the pressure makes."""
+    from entrokit import equilibrium, matter_models, open_systems
+
+    env, mix = water_env(), water_mix()
+    env.physical_references, env.content_maps  # built once, before counting
+    counts = dict.fromkeys(("checked", "entropy", "decompose", "inversions"), 0)
+    for owner, name, key in [
+        (matter_models.MatterModel, "validate", "checked"),
+        (IdealGasMixture, "evaluate", "checked"),
+        (IdealGasMixture, "entropy", "entropy"),
+        (open_systems.ReferenceEnvironment, "decompose", "decompose"),
+        (equilibrium, "energy_of", "inversions"),  # the pressure's fallback
+    ]:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    rng = np.random.default_rng(93)
+    points = 0
+    for a, b, vol in zip(rng.uniform(0.6, 1.4, 12), rng.uniform(0.1, 0.5, 12),
+                         rng.uniform(0.5, 3.0, 12)):
+        grid = OpenGrid(tuple(rng.uniform(5.0, 10.0, 2)), (vol,),
+                        (Composition([2.0 * a, a, b]),), reactive=reactive,
+                        network=WATER_NET)
+        rows = open_fundamental_relation(env, mix, grid)
+        assert all(row.status == "ok" for row in rows)
+        points += len(rows)
+    return {key: value / points for key, value in counts.items()}
+
+
+def test_a_nonreactive_table_point_evaluates_each_state_once(monkeypatch):
+    # the table state, the reference proxy state and the legs of the
+    # reversible measurement: 13 checked evaluations and 9 relation
+    # evaluations before they shared one, 2 decompositions and 2 inversions
+    # for a differenced pressure
+    per_point = _calls_per_point(monkeypatch, reactive=False)
+    assert per_point["checked"] <= 9
+    assert per_point["entropy"] <= 9
+    assert per_point["decompose"] == 1
+    assert per_point["inversions"] == 0
+
+
+def test_a_reactive_table_point_evaluates_each_solver_point_once(monkeypatch):
+    # each equilibrium point is validated once, not twice; before, these
+    # points made 29.4 checked and 16.71 relation evaluations each
+    per_point = _calls_per_point(monkeypatch, reactive=True)
+    assert per_point["checked"] <= 18
+    assert per_point["entropy"] <= 16.71
+    assert per_point["decompose"] == 1
+    assert per_point["inversions"] == 0

@@ -21,6 +21,7 @@ from entrokit.errors import (
 )
 from entrokit.matter_models import (
     IdealGasMixture,
+    MatterModel,
     Parameters,
     Species,
     SystemState,
@@ -64,7 +65,12 @@ class VeiledGas(IdealGasMixture):
     """The same relation with every closed-form shortcut hidden, to drive the
     generic root-finding paths of the engine."""
 
+    evaluate = MatterModel.evaluate  # its temperature from ds_de, hidden below
+
     def ds_de(self, energy, params, comp):
+        return None
+
+    def ds_dv(self, energy, params, comp):
         return None
 
     def invert_entropy(self, entropy, params, comp):
@@ -131,6 +137,53 @@ def test_isothermal_entry_must_match_reservoir_temperature():
     with pytest.raises(InadmissibleStep):
         run_schedule(GAS, ST1, wide_reservoir(2.0),
                      Schedule((IsothermalContact(target_params=Parameters([2.0])),)))
+
+
+# Schedules whose isothermal contact follows each kind of leg: the contact's
+# entry check reads the temperature the previous leg's evaluation carried.
+AFTER_LEG = {
+    "isentropic": (GAS, state(1.5 * 2.0 ** (2.0 / 3.0), 1.0, [1.0]),
+                   [Isentropic(Parameters([2.0])), IsothermalContact(target_params=Parameters([3.0])),
+                    Isentropic(Parameters([1.0]))]),
+    "direct": (GAS, state(0.75, 1.0, [1.0]),
+               [DirectContact(0.75), IsothermalContact(target_params=Parameters([2.0]))]),
+    "isothermal": (ReservoirModel(1.0, -5.0, 5.0), state(0.0, 1.0, [1.0]),
+                   [IsothermalContact(target_energy=1.0), IsothermalContact(target_energy=-0.5)]),
+}
+
+#: (final energy, d_e_res, work, sigma_gen) of each, as the runner gave them
+#: when it evaluated every temperature afresh
+AFTER_LEG_LEDGERS = {
+    "isentropic": ("0x1.8f6047b2b5be6p+1", "-0x1.9f323ecbf9850p-2", "-0x1.559080d2ab178p-2",
+                   "0x0.0p+0"),
+    "direct": ("0x1.8000000000000p+0", "-0x1.717217f7d1cf8p+0", "0x1.62e42fefa39efp-1",
+               "0x1.28ac8fceeadc8p-2"),
+    "isothermal": ("-0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(AFTER_LEG))
+def test_carried_temperatures_leave_the_ledger_bit_identical(leg):
+    model, st0, steps = AFTER_LEG[leg]
+    rec = run_schedule(model, st0, RES, Schedule(steps))
+    got = (rec.final.energy, rec.d_e_res, rec.work, rec.sigma_gen)
+    assert tuple(x.hex() for x in got) == AFTER_LEG_LEDGERS[leg]
+
+
+@pytest.mark.parametrize("leg, st0, first, match", [
+    # from T = 1 to T = 2^(-2/3)
+    ("isentropic", ST1, Isentropic(Parameters([2.0])), "entered"),
+    # from T = 1/2 to T = 5/6
+    ("direct", state(0.75, 1.0, [1.0]), DirectContact(0.5), "entered"),
+    # a contact exits at the reservoir temperature or raises, so the contact
+    # after it enters there: off it, the first contact's own exit refuses
+    ("isothermal", ST1, IsothermalContact(target_energy=2.0), "exited"),
+])
+def test_isothermal_contact_off_the_reservoir_temperature_after_each_leg(leg, st0, first,
+                                                                         match):
+    steps = (first, IsothermalContact(target_params=Parameters([3.0])))
+    with pytest.raises(InadmissibleStep, match=match):
+        run_schedule(GAS, st0, RES, Schedule(steps))
 
 
 def test_isothermal_energy_transfer_between_reservoir_like_systems():

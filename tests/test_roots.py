@@ -17,6 +17,7 @@ from entrokit.equilibrium import EquilibriumProblem, stable_equilibrium
 from entrokit.errors import DomainError, NonConvergence, RangeError
 from entrokit.matter_models import (
     IdealGasMixture,
+    MatterModel,
     Parameters,
     Species,
     energy_of,
@@ -176,7 +177,12 @@ class OpaqueGas(IdealGasMixture):
     """An ideal gas with every closed-form hook hidden, so each inversion
     takes its generic root-finding path."""
 
+    evaluate = MatterModel.evaluate  # its temperature from ds_de, hidden below
+
     def ds_de(self, energy, params, comp):
+        return None
+
+    def ds_dv(self, energy, params, comp):
         return None
 
     def invert_entropy(self, entropy, params, comp):
