@@ -61,7 +61,6 @@ from .open_systems import (
     open_energy_entropy,
     open_fundamental_relation,
     reference_values,
-    total_potential,
     total_potentials,
 )
 from .process_engine import (
@@ -70,18 +69,14 @@ from .process_engine import (
     IsothermalContact,
     ProcessRecord,
     Schedule,
-    ScheduleFamily,
     assign_temperature,
     check_entropy_nondecrease,
     measure_entropy,
     measure_entropy_difference,
     measure_entropy_difference_composite,
     measure_temperature_ratio,
-    minimize_reservoir_energy,
     reversible_standard_process,
-    reversible_three_leg_family,
     run_schedule,
-    staged_direct_contact_family,
 )
 from .stoichiometry import (
     Composition,

@@ -114,11 +114,11 @@ def _run_schedule_cmd(scn: Scenario, sched_name: str, outdir: Path) -> None:
           f"sigma = {record.sigma_gen:.3g}")
 
 
-def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path, seed: int) -> None:
+def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
     from .equilibrium import pressure_of
 
     prob = build_problem(scn, prob_name)
-    sol = stable_equilibrium(prob, seed=seed)
+    sol = stable_equilibrium(prob)
     residual = equilibrium_residual(sol, prob)
     n_se = np.concatenate([st.comp.amounts for st in sol.states])
     eps = sol.eps_se.epsilon
@@ -235,7 +235,7 @@ def cmd_run(args) -> int:
         ("schedule", scn.schedules, args.run_schedule,
          lambda n: _run_schedule_cmd(scn, n, outdir)),
         ("equilibrium", scn.problems, args.equilibrate,
-         lambda n: _run_equilibrate(scn, n, outdir, seed)),
+         lambda n: _run_equilibrate(scn, n, outdir)),
         ("table", scn.tables, args.tabulate, lambda n: _run_tabulate(scn, n, outdir)),
         ("joint", scn.joints, args.decorrelate,
          lambda n: _run_decorrelate(scn, n, outdir, scenario_path)),

@@ -2,11 +2,14 @@
 
 A problem fixes the total energy, the per-subsystem parameters, and an
 initial composition; the free variables are the energy split across
-subsystems and the reaction coordinates.  The inner split is solved by
-temperature equalization (stationarity across subsystems).  Along one
-reaction the outer maximization brackets the zero of the reaction's
-affinity; over several it runs damped projected Newton with a log-barrier
-fallback near the non-negativity boundary.
+subsystems and the amounts the reactions can reach.  The inner split is
+solved by temperature equalization (stationarity across subsystems).  Along
+one independent reaction the maximization brackets the zero of the
+reaction's affinity.  Over several it minimizes the convex dual in the
+element potentials and 1/T (W. C. Reynolds, STANJAN, 1986; Gordon & McBride,
+NASA RP-1311, 1994): each model gives its amounts at given potentials and
+temperature in closed form (the ``log_amounts`` hook), and the answer is
+packaged and certified at those amounts.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .matter_models import (
     temperature_of,
 )
 from .roots import brentq, expand_bracket
-from .stoichiometry import TOL_NEG, Composition, ReactionCoordinates, ReactionNetwork
+from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork
 
 MAX_ITER = 200
 TOL_KKT = 1e-10
@@ -111,7 +114,7 @@ class EquilibriumSolution:
 
 @dataclass
 class _Point:
-    """Reaction coordinates and what the solver needs there, each evaluated
+    """Reaction coordinates and what the solvers need there, each evaluated
     once: the amounts, the subsystem compositions, the equal-temperature
     split and the total entropy.  dS/dn is filled in on first use."""
 
@@ -125,7 +128,8 @@ class _Point:
 
 
 class _Evaluator:
-    """Evaluation of the problem at reaction coordinates, and the energy split."""
+    """Evaluation of the problem at reaction coordinates or amounts, and the
+    energy split."""
 
     def __init__(self, prob: EquilibriumProblem):
         self.prob = prob
@@ -141,7 +145,15 @@ class _Evaluator:
     def point(self, eps: np.ndarray) -> _Point:
         """The problem evaluated at ``eps``; raises DomainError, RangeError or
         NegativeAmount where it has no admissible state."""
-        n = self.amounts(eps)
+        return self._point(eps, self.amounts(eps))
+
+    def point_at(self, n: np.ndarray) -> _Point:
+        """The problem evaluated at the amounts ``n``, with the minimum-norm
+        coordinates that reach them."""
+        eps, *_ = np.linalg.lstsq(self.nu, n - self.n0, rcond=1e-10)
+        return self._point(eps, n)
+
+    def _point(self, eps: np.ndarray, n: np.ndarray) -> _Point:
         comps = [Composition(n[sl]) for sl in self.slices]
         return _Point(eps, n, comps, *self.split(comps))
 
@@ -195,10 +207,6 @@ class _Evaluator:
             pt.ds_dn = np.concatenate(parts)
         return pt.ds_dn
 
-    def gradient(self, eps: np.ndarray) -> np.ndarray:
-        """dS_total/d eps; the energy-reallocation terms cancel at the split."""
-        return self.nu.T @ self.ds_dn(self.point(eps))
-
 
 def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
               comp: Composition) -> np.ndarray:
@@ -222,29 +230,6 @@ def _extent_box(ev: _Evaluator) -> np.ndarray:
     return np.array([_feasible_interval_1d(ev.n0, col) for col in cols]).reshape(-1, 2)
 
 
-def _interior_start(ev: _Evaluator, box: np.ndarray, seed: int) -> np.ndarray:
-    """A strictly feasible starting point with decent slack: the best of 256
-    seeded draws from ``box`` (``_extent_box`` with unbounded sides cut).
-
-    The zero extent is always feasible (the initial composition is), so a
-    width-zero interval degenerates to that single point rather than being
-    empty.
-    """
-    tau = box.shape[0]
-    # probe axis-aligned box around eps = 0 for the best min-slack point
-    rng = np.random.default_rng(seed)
-    best, best_slack = np.zeros(tau), np.min(ev.amounts(np.zeros(tau)))
-    for _ in range(256):
-        theta = rng.random(tau)
-        cand = box[:, 0] + theta * (box[:, 1] - box[:, 0])
-        slack = np.min(ev.amounts(cand))
-        if slack > best_slack:
-            best, best_slack = cand, slack
-    if best_slack < 0.0:
-        raise Infeasible("no feasible reaction coordinates found")
-    return best
-
-
 def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> EquilibriumSolution:
     """Package the split, potentials and residuals at given reaction coordinates."""
     ev = _Evaluator(prob)
@@ -252,7 +237,10 @@ def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> Equilibri
     return _package(ev, ev.point(eps), iterations)
 
 
-def _package(ev: _Evaluator, pt: _Point, iterations: int) -> EquilibriumSolution:
+def _package(ev: _Evaluator, pt: _Point, iterations: int,
+             certificate: tuple | None = None) -> EquilibriumSolution:
+    """The solution at a point; ``certificate`` is its ``_kkt`` pair when
+    already known."""
     prob = ev.prob
     states = tuple(
         SystemState(e, p, c) for e, p, c in zip(pt.energies, prob.params, pt.comps)
@@ -261,7 +249,7 @@ def _package(ev: _Evaluator, pt: _Point, iterations: int) -> EquilibriumSolution
         dsdn = ev.ds_dn(pt)
         mu = -pt.temperature * dsdn
         affinities = ev.nu.T @ mu
-        kkt, active = _kkt(ev, pt)
+        kkt, active = _kkt(ev, pt) if certificate is None else certificate
         degenerate = prob.network.rank < prob.n_reactions
         if degenerate:
             eps_report, *_ = np.linalg.lstsq(ev.nu, pt.n - ev.n0, rcond=1e-10)
@@ -306,20 +294,22 @@ def _kkt(ev: _Evaluator, pt: _Point) -> tuple[float, tuple]:
     return float(np.max(np.abs(grad + a @ lam))), active
 
 
-def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
-                       max_iter: int = MAX_ITER, tol: float = TOL_KKT,
-                       start=None) -> EquilibriumSolution:
+def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
+                       tol: float = TOL_KKT, start=None) -> EquilibriumSolution:
     """Maximize total entropy over the energy split and reaction coordinates.
 
     Interior optima satisfy equal subsystem temperatures and zero reaction
     affinities; boundary optima (exhausted constituents) are certified by the
     sign of the KKT multipliers.  One independent reaction is solved as the
     zero of its affinity (``_affinity_root``; ``iterations`` counts affinity
-    evaluations), more by damped Newton (``_newton``).  Dependent reactions
-    are solved on a maximal independent subset and reported as the
-    minimum-norm coordinates.  ``start`` overrides the automatic starting
-    point.  Raises Infeasible when the constraint set is empty and
-    NonConvergence (best iterate attached) when the iteration budget runs out.
+    evaluations, and ``start`` overrides the starting extent); dependent
+    reactions are then solved on a maximal independent subset and reported
+    as the minimum-norm coordinates.  Several independent reactions are
+    solved through the element-potential dual (``_dual``; ``iterations``
+    counts its Newton steps), which needs every model's ``log_amounts`` hook
+    and takes no ``start`` (ValueError).  Raises Infeasible when the
+    constraint set is empty and NonConvergence (best iterate attached) when
+    the answer fails its KKT certificate.
     """
     tau = prob.n_reactions
     ev = _Evaluator(prob)
@@ -331,33 +321,35 @@ def stable_equilibrium(prob: EquilibriumProblem, seed: int = 0,
         except (DomainError, RangeError) as exc:
             raise Infeasible(str(exc)) from exc
 
-    if start is not None:
-        eps = np.atleast_1d(np.asarray(start, dtype=float))
-        if np.min(ev.amounts(eps)) < 0.0:
-            raise Infeasible("supplied start is outside the feasible set")
-    solve_ev = ev
-    if prob.network.rank < tau:
-        solve_ev = _Evaluator(EquilibriumProblem(
-            prob.models, prob.params, prob.n0, prob.total_energy,
-            network=ReactionNetwork(ev.nu[:, list(prob.network.independent_columns)])))
-        box = _extent_box(solve_ev)
+    if prob.network.rank >= 2:
         if start is not None:
-            eps, *_ = np.linalg.lstsq(solve_ev.nu, ev.nu @ eps, rcond=None)
-    if start is None:
-        cut = np.nan_to_num(box, posinf=1.0, neginf=-1.0)
-        eps = cut.mean(axis=1) if len(box) == 1 else _interior_start(solve_ev, cut, seed)
-    try:
-        pt = solve_ev.point(eps)
-    except (DomainError, RangeError, NegativeAmount) as exc:
-        raise Infeasible(f"no admissible interior point: {exc}") from exc
-
-    if len(box) == 1:
-        pt, it, failure = _affinity_root(solve_ev, pt, box[0], max_iter)
+            raise ValueError("start applies to one independent reaction only")
+        pt, it, failure = _dual(ev, max_iter)
+        certificate = None
     else:
-        pt, it, failure = _newton(solve_ev, pt, max_iter, tol)
-    # certify the answer by its KKT residual
-    sol = _package(ev, pt, it)
-    if failure is None or sol.kkt_residual <= max(tol, 1e-8):
+        if start is not None:
+            eps = np.atleast_1d(np.asarray(start, dtype=float))
+            if np.min(ev.amounts(eps)) < 0.0:
+                raise Infeasible("supplied start is outside the feasible set")
+        solve_ev = ev
+        if prob.network.rank < tau:
+            solve_ev = _Evaluator(EquilibriumProblem(
+                prob.models, prob.params, prob.n0, prob.total_energy,
+                network=ReactionNetwork(ev.nu[:, list(prob.network.independent_columns)])))
+            box = _extent_box(solve_ev)
+            if start is not None:
+                eps, *_ = np.linalg.lstsq(solve_ev.nu, ev.nu @ eps, rcond=None)
+        if start is None:
+            eps = np.nan_to_num(box, posinf=1.0, neginf=-1.0).mean(axis=1)
+        try:
+            pt = solve_ev.point(eps)
+        except (DomainError, RangeError, NegativeAmount) as exc:
+            raise Infeasible(f"no admissible interior point: {exc}") from exc
+        pt, it, failure, certificate = _affinity_root(solve_ev, pt, box[0], max_iter)
+        if solve_ev is not ev:  # the certificate is on the full network
+            certificate = None
+    sol = _package(ev, pt, it, certificate)
+    if sol.kkt_residual <= max(tol, 1e-8):
         return sol
     raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
 
@@ -373,7 +365,7 @@ def _affinity_root(ev: _Evaluator, pt: _Point, interval: np.ndarray,
     A point with no admissible state lies past the optimum, so g counts as
     infinite there, pointing back.  Every evaluation of g counts against
     ``max_iter``.  Returns (point, evaluations, what to report if the point
-    fails its KKT certificate).
+    fails its KKT certificate, the point's ``_kkt`` pair).
     """
     col = ev.nu[:, 0]
     x0 = float(pt.eps[0])
@@ -413,151 +405,123 @@ def _affinity_root(ev: _Evaluator, pt: _Point, interval: np.ndarray,
         failure = f"affinity keeps its sign up to eps = {candidates[0]:.17g}"
     except NonConvergence as exc:
         candidates, failure = list(seen), str(exc)
-    best = min((seen[y][0] for y in candidates if seen[y][0] is not None),
-               key=lambda p: _kkt(ev, p)[0])
-    return best, len(seen), failure
+    ranked = {y: _kkt(ev, seen[y][0]) for y in dict.fromkeys(candidates)
+              if seen[y][0] is not None}
+    best = min(ranked, key=lambda y: ranked[y][0])
+    return seen[best][0], len(seen), failure, ranked[best]
 
 
-def _newton(ev: _Evaluator, pt: _Point, max_iter: int,
-            tol: float) -> tuple[_Point, int, str | None]:
-    """Damped projected Newton ascent over several reaction coordinates, with
-    a log-barrier fallback near the non-negativity boundary.  Returns (point,
-    iterations, failure); failure is None when the KKT test passed."""
-    n_scale = max(1.0, float(np.max(np.abs(ev.n0))))
-    barrier = 0.0  # switched on near the boundary
+def _reachable(nu: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """Mask of the constituents present in ``n0`` or produced from it.  A
+    reaction runs, either way, once every constituent it consumes that way is
+    present or produced; what it makes is then produced.  A cycle of
+    reactions that needs an absent constituent it gives back is not run, and
+    its answer fails the KKT certificate rather than passing unnoticed."""
+    present = n0 > 0.0
+    grown = True
+    while grown:
+        grown = False
+        for col in np.concatenate([nu, -nu], axis=1).T:
+            if present[col < 0.0].all() and not present[col > 0.0].all():
+                present |= col > 0.0
+                grown = True
+    return present
+
+
+def _dual(ev: _Evaluator, max_iter: int) -> tuple[_Point, int, str]:
+    """The entropy maximum over several independent reactions, from the dual
+    in the element potentials lam and beta = 1/T:
+
+        g(lam, beta) = S(n, T) - lam . (A n - A n0) - beta (E(n, T) - E),
+
+    at the amounts n(lam, T) where dS/dn at fixed E is A^T lam, which each
+    model's ``log_amounts`` hook gives.  The rows of A span the combinations
+    of constituents the network conserves.  g is convex, with gradient
+    (A n0 - A n, E - E(n, T)) and Hessian sum_k n_k w_k w_k^T / k_B, plus
+    C T^2 in its (beta, beta) entry, where w_k = (A_k, u_k), u_k = k_B T
+    dln n_k/dln T is dE/dn_k at fixed T, and C = dE/dT at fixed amounts.
+    Newton steps backtrack on g, and the full step is taken once the
+    predicted decrease falls below the rounding of g; that step ends the
+    iteration.
+
+    Constituents no reaction touches, and those no reaction can produce
+    (``_reachable``), keep their initial amounts, and their energy at T
+    enters E(n, T).  The iteration starts at the temperature of the initial
+    composition, with the potentials that best reproduce it; an initial
+    composition without an admissible state raises Infeasible.  Returns
+    (point at the last amounts, Newton steps, what to report if the point
+    fails its KKT certificate).
+    """
+    prob = ev.prob
+    models, params, slices = prob.models, prob.params, ev.slices
+    free = np.any(ev.nu != 0.0, axis=1) & _reachable(ev.nu, ev.n0)
+    # the conserved rows are orthonormal, so their singular values are at most 1
+    _, sv, vt = np.linalg.svd(prob.network.conserved[:, free], full_matrices=False)
+    a = vt[:int(np.sum(sv > 1e-10))]
+    b = a @ ev.n0[free]
+
+    def at(lam: np.ndarray, beta: float) -> tuple:
+        """(g, gradient, amounts, compositions, T, dln n/dln T) at (lam, beta)."""
+        if not beta > 0.0:
+            raise DomainError("1/T must be positive")
+        t = 1.0 / beta
+        potentials = np.zeros(ev.n0.shape[0])
+        potentials[free] = a.T @ lam
+        n, dlog = ev.n0.copy(), np.empty_like(ev.n0)
+        for m, p, sl in zip(models, params, slices):
+            log_n, dlog[sl] = m.log_amounts(t, p, potentials[sl])
+            moved = free[sl]
+            if np.max(log_n[moved], initial=0.0) > 700.0:
+                raise RangeError("amounts beyond any finite value")
+            n[sl][moved] = np.exp(log_n[moved])
+        comps = [Composition(n[sl]) for sl in slices]
+        energies = [solve_energy_at_temperature(m, t, p, c)
+                    for m, p, c in zip(models, params, comps)]
+        entropy = sum(m.entropy(e, p, c) for m, e, p, c in zip(models, energies, params, comps))
+        grad = np.append(b - a @ n[free], prob.total_energy - sum(energies))
+        return entropy + lam @ grad[:-1] + beta * grad[-1], grad, n, comps, t, dlog
+
+    try:
+        t0 = ev.split([Composition(ev.n0[sl]) for sl in slices])[1]
+    except (DomainError, RangeError) as exc:
+        raise Infeasible(f"no admissible state at the initial composition: {exc}") from exc
+    # the potentials that best reproduce the initial amounts, absent ones at a small share
+    target = np.maximum(ev.n0, 1e-3 * ev.n0.max())[free]
+    at_zero = np.concatenate([m.log_amounts(t0, p, np.zeros(sl.stop - sl.start))[0]
+                              for m, p, sl in zip(models, params, slices)])[free]
+    kb = np.concatenate([np.full(sl.stop - sl.start, m.kb) for m, sl in zip(models, slices)])
+    lam, *_ = np.linalg.lstsq(a.T, kb[free] * (at_zero - np.log(target)), rcond=None)
+    beta = 1.0 / t0
+    here = at(lam, beta)
+    failure = f"iteration budget {max_iter} exhausted"
     for it in range(1, max_iter + 1):
-        # each iteration starts from the point the last line search accepted
-        eps, n_here = pt.eps, pt.n
-        grad = ev.nu.T @ ev.ds_dn(pt)
-        if barrier > 0.0:
-            grad = grad + barrier * (ev.nu.T @ (1.0 / np.maximum(n_here, 1e-300)))
-
-        interior = np.min(n_here) > 1e-9 * n_scale
-        if np.max(np.abs(grad)) <= tol and (interior or barrier > 0.0):
-            if barrier > 1e-12:
-                barrier /= 64.0
-                continue
-            return pt, it, None
-
-        step = _ascent_step(_hessian(ev, pt, barrier), grad)
-
-        # stay strictly feasible: cap the step at the boundary
-        change = ev.nu @ step
-        falling = change < 0.0
-        alpha = float(np.min(0.995 * n_here[falling] / -change[falling], initial=1.0))
-        if alpha <= 0.0:
-            alpha = 1e-16
-
-        # backtracking on the (possibly barrier-augmented) objective; once the
-        # predicted gain drops below float resolution, take the Newton step
-        # as-is so the iteration can polish to machine precision
-        base = pt.entropy + barrier * float(np.sum(np.log(np.maximum(n_here, 1e-300))))
-        gain = float(grad @ step)
-        gain_floor = 64.0 * _FLOAT_EPS * max(1.0, abs(base))
-        step_norm = float(np.linalg.norm(step))
-        step_floor = 1e-6 * max(1.0, float(np.linalg.norm(eps)))
-        improved = False
+        g, grad, n, comps, t, dlog = here
+        w = np.vstack([a, kb[free] * t * dlog[free]])
+        hess = (w * (n[free] / kb[free])) @ w.T
+        hess[-1, -1] += t * t * sum(
+            _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
+                       [t], step=H_REL * t)[0]
+            for m, p, c in zip(models, params, comps))
+        step = np.linalg.solve(hess, -grad)
+        decrease = -float(grad @ step)
+        if decrease <= 64.0 * _FLOAT_EPS * abs(g):
+            here = at(lam + step[:-1], beta + step[-1])
+            failure = f"element-potential dual converged in {it} steps"
+            break
+        alpha = 1.0
         for _ in range(60):
-            cand = eps + alpha * step
             try:
-                # a step lost to rounding lands on the current point
-                trial = pt if np.array_equal(cand, eps) else ev.point(cand)
-            except (DomainError, RangeError, NegativeAmount):
-                alpha *= 0.5
-                continue
-            if np.min(trial.n) <= 0.0:
-                alpha *= 0.5
-                continue
-            merit = trial.entropy + barrier * float(np.sum(np.log(trial.n)))
-            predicted = alpha * gain
-            polishing = predicted <= gain_floor and alpha * step_norm <= step_floor
-            if merit > base + 1e-4 * predicted or polishing:
-                pt = trial
-                improved = True
+                trial = at(lam + alpha * step[:-1], beta + alpha * step[-1])
+            except (DomainError, RangeError):
+                trial = None
+            if trial is not None and trial[0] <= g - 1e-4 * alpha * decrease:
                 break
             alpha *= 0.5
-        if not improved:
-            if barrier == 0.0 and np.min(n_here) <= 1e-6 * n_scale:
-                barrier = 1e-6 * n_scale  # log-barrier fallback near the boundary
-                continue
-            if barrier > 1e-12:
-                barrier /= 64.0
-                continue
-            failure = f"no ascent step after {it} iterations"
+        else:
+            failure = f"no descent step after {it} steps"
             break
-    else:
-        it, failure = max_iter, f"iteration budget {max_iter} exhausted"
-    return pt, it, failure
-
-
-def _hessian(ev: _Evaluator, pt: _Point, barrier: float) -> np.ndarray:
-    """Hessian in eps of the barrier-augmented entropy, from the models'
-    ``d2s`` hooks at the equal-temperature split; ``_fd_hessian`` when a model
-    has no hook.
-
-    Changing the amounts by dn moves the split by dE_i = (dlam - b_i . dn_i) / a_i
-    with sum_i dE_i = 0 (a_i = d2S_i/dE_i^2, b_i = d2S_i/dE_i dn_i), so the
-    Hessian in the amounts is blockdiag(H_i - b_i b_i^T / a_i) + c c^T / sum_i 1/a_i
-    with c_i = b_i / a_i; for one subsystem it reduces to H.  Wherever a central
-    step of ``_fd_hessian`` would leave the domain, it returns that route's
-    steepest-ascent scaling -I as well.
-    """
-    prob, eps = ev.prob, pt.eps
-    parts = [m.d2s(e, p, c)
-             for m, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps)]
-    if any(d is None for d in parts):
-        return _fd_hessian(ev, eps, barrier)
-    # where a central step would make an amount negative, the gradients that
-    # route differences cannot be evaluated; the ground bound is not probed, as
-    # the entropy falls to -inf there and ascent moves away from it
-    step = np.diag(H_REL * np.maximum(1.0, np.abs(eps)))
-    stepped = ev.n0[:, None] + ev.nu @ (eps[:, None] + np.hstack([step, -step]))
-    if stepped.min() < -TOL_NEG:
-        return -np.eye(eps.shape[0])
-    if len(parts) == 1:
-        h_nn = parts[0][2]
-    else:
-        r = ev.n0.shape[0]
-        h_nn, c, inv_a_sum = np.zeros((r, r)), np.zeros(r), 0.0
-        for sl, (a, b, h) in zip(ev.slices, parts):
-            h_nn[sl, sl] = h - np.outer(b, b) / a
-            c[sl] = b / a
-            inv_a_sum += 1.0 / a
-        h_nn += np.outer(c, c) / inv_a_sum
-    hess = ev.nu.T @ h_nn @ ev.nu
-    if barrier > 0.0:
-        # written as a product so an empty amount no reaction moves adds 0, not nan
-        scaled = ev.nu / np.maximum(pt.n, 1e-300)[:, None]
-        hess -= barrier * (scaled.T @ scaled)
-    return 0.5 * (hess + hess.T)
-
-
-def _fd_hessian(ev: _Evaluator, eps: np.ndarray, barrier: float) -> np.ndarray:
-    def grad(e):
-        g = ev.gradient(e)
-        if barrier > 0.0:
-            g = g + barrier * (ev.nu.T @ (1.0 / np.maximum(ev.amounts(e), 1e-300)))
-        return g
-
-    try:
-        hess = _fd_slopes(grad, eps)
-    except (DomainError, RangeError, NegativeAmount):
-        return -np.eye(eps.shape[0])  # fall back to steepest ascent scaling
-    return 0.5 * (hess + hess.T)
-
-
-def _ascent_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton ascent direction, guarded against indefinite Hessians."""
-    try:
-        eigvals = np.linalg.eigvalsh(hess)
-        if np.max(eigvals) < -1e-14:
-            step = np.linalg.solve(hess, -grad)
-            if float(grad @ step) > 0.0:
-                return step
-    except np.linalg.LinAlgError:
-        pass
-    norm = float(np.linalg.norm(grad))
-    return grad / max(norm, 1e-300)
+        lam, beta, here = lam + alpha * step[:-1], beta + alpha * step[-1], trial
+    return ev.point_at(here[2]), it, failure
 
 
 def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> float:

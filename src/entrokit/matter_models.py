@@ -84,7 +84,8 @@ class MatterModel:
 
     Subclasses must implement ``entropy`` and ``energy_floor``.  The optional
     hooks return None when no closed form is available; callers then fall
-    back to finite differences or bracketed root-finding.
+    back to finite differences or bracketed root-finding.  ``log_amounts``
+    has no such fallback and raises NotImplementedError.
     """
 
     def entropy(self, energy: float, params: Parameters, comp: Composition) -> float:
@@ -123,10 +124,15 @@ class MatterModel:
         """Analytic dS/dn_k at fixed (E, beta), or None."""
         return None
 
-    def d2s(self, energy, params, comp) -> tuple | None:
-        """Analytic second derivatives (d2S/dE2, d2S/dE dn, d2S/dn2) at fixed
-        beta, a scalar, a vector and a matrix, or None."""
-        return None
+    def log_amounts(self, temperature, params, potentials) -> tuple:
+        """The amounts at which dS/dn at fixed (E, beta) equals ``potentials``
+        at the given temperature, in closed form: (ln n, dln n/dln T), one
+        entry per constituent, with dln n_k/d potentials_k = -1/k_B (the
+        model's attribute ``kb``).  Equilibrium over several independent
+        reactions needs it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no log_amounts hook, which equilibrium "
+            f"over several independent reactions needs")
 
     def invert_entropy(self, entropy: float, params, comp) -> float | None:
         """Closed-form E with S(E, beta, n) = entropy, or None."""
@@ -277,18 +283,16 @@ class IdealGasMixture(MatterModel):
             for nk, dof, c, e0 in zip(comp.amounts.tolist(), self._dof, self._c, self._e0)
         ])
 
-    def d2s(self, energy, params, comp) -> tuple:
-        # with 1/T = dS/dE = kB D / (2 E_th), D = dof . n and E_th = E - e0 . n:
-        # d2S/dE2 = -(1/T) / E_th, d2S/dE dn = b = (1/T) (dof / D + e0 / E_th)
-        # and d2S/dn2 = -T E_th b b^T - kB diag(1 / n); an empty entry adds
-        # nothing to the diagonal, as its capped ds_dn does not vary
-        e0n, dn, _ = self._sums(comp)
-        n = comp.amounts
-        e_th = energy - e0n
-        inv_t = 0.5 * self.kb * dn / e_th
-        b = inv_t * (np.array(self._dof) / dn + np.array(self._e0) / e_th)
-        inv_n = np.divide(self.kb, n, out=np.zeros_like(n), where=n > 0.0)
-        return -inv_t / e_th, b, -(e_th / inv_t) * np.outer(b, b) - np.diag(inv_n)
+    def log_amounts(self, temperature, params, potentials) -> tuple:
+        # dS/dn_k = k_B (c_k - 1 - ln n_k + (dof_k/2)(ln T - 1) + ln V) - e0_k/T,
+        # solved for ln n_k
+        if not temperature > 0.0:
+            raise DomainError("temperature must be positive")
+        log_t, log_v = math.log(temperature), math.log(self._check_volume(params))
+        dof, e0 = np.array(self._dof), np.array(self._e0)
+        log_n = (np.array(self._c) - 1.0 + 0.5 * dof * (log_t - 1.0) + log_v
+                 - (e0 / temperature + np.asarray(potentials, dtype=float)) / self.kb)
+        return log_n, 0.5 * dof + e0 / (self.kb * temperature)
 
     def invert_entropy(self, entropy, params, comp) -> float:
         e0n, dn, cn = self._sums(comp)

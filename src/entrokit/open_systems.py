@@ -336,19 +336,6 @@ def _potentials(env: ReferenceEnvironment | None, model: MatterModel, st: System
     return np.where(st.comp.amounts > 1e-12, mu, math.nan)
 
 
-def total_potential(env: ReferenceEnvironment | None, model: MatterModel,
-                    ost: OpenState, k: int) -> float:
-    """Total potential of constituent k, from ``total_potentials``.  An index
-    out of range raises IndexError; an amount at or below 1e-12 has no
-    potential (DomainError)."""
-    n = ost.comp.amounts
-    if k < 0 or k >= n.shape[0]:
-        raise IndexError(f"constituent index {k} out of range")
-    if n[k] <= 1e-12:
-        raise DomainError(f"amount {k} is at the boundary; no potential defined")
-    return float(total_potentials(env, model, ost)[k])
-
-
 def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
                         ost: OpenState, d_s: float, d_n, d_beta) -> float:
     """Defect of dE = T dS + sum_i mu_i dn_i + sum_j F_j d beta_j on the open

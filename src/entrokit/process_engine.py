@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .errors import (
     DomainError,
     InadmissibleStep,
     NotWeightProcess,
-    RangeError,
-    RangeExceeded,
 )
 from .matter_models import (
     MatterModel,
@@ -99,19 +97,6 @@ class Schedule:
         if not steps:
             raise ValueError("schedule must contain at least one step")
         object.__setattr__(self, "steps", steps)
-
-    def encoding(self) -> tuple:
-        """Deterministic sortable encoding, used to break ties in searches."""
-        enc = []
-        for s in self.steps:
-            if isinstance(s, Isentropic):
-                enc.append(("I", tuple(s.target_params.beta)))
-            elif isinstance(s, IsothermalContact):
-                beta = tuple(s.target_params.beta) if s.target_params is not None else ()
-                enc.append(("T", beta, s.target_energy if s.target_energy is not None else math.nan))
-            else:
-                enc.append(("D", s.heat))
-        return tuple(enc)
 
 
 @dataclass(frozen=True)
@@ -278,119 +263,6 @@ def reversible_standard_process(model: MatterModel, st1: SystemState,
     if gap > 1e-9 * max(1.0, abs(st2.energy)):
         raise InadmissibleStep(f"standard process missed the target state by {gap:.3g}")
     return record
-
-
-@dataclass(frozen=True)
-class ScheduleFamily:
-    """A parametric family of standard weight processes between two fixed states.
-
-    ``build`` maps a point of the unit cube [0, 1]^dimension to a schedule;
-    searches evaluate the family on a grid plus random draws.
-    """
-
-    dimension: int
-    build: Callable[[np.ndarray], Schedule]
-    label: str = ""
-
-
-def reversible_three_leg_family(model, st1, st2, reservoir) -> ScheduleFamily:
-    """Family containing only the reversible three-leg process."""
-    schedule = _three_leg_schedule(model, st1, st2, reservoir.temperature)
-
-    def build(_theta: np.ndarray) -> Schedule:
-        return schedule
-
-    return ScheduleFamily(0, build, "reversible-three-leg")
-
-
-def staged_direct_contact_family(model, st1, st2, reservoir,
-                                 volume_span: float = 16.0) -> ScheduleFamily:
-    """Isentropic pre-conditioning, one direct contact, isentropic finish.
-
-    The single parameter is the staging volume at which the direct heat is
-    exchanged; the heat is fixed by requiring the contact to land on the
-    isentrope through the final state.
-    """
-    s1 = entropy_of(model, st1)
-    s2 = entropy_of(model, st2)
-    v1 = st1.params.volume
-    log_lo, log_hi = math.log(v1 / volume_span), math.log(v1 * volume_span)
-
-    def build(theta: np.ndarray) -> Schedule:
-        v_stage = math.exp(log_lo + float(theta[0]) * (log_hi - log_lo))
-        params_stage = st1.params.with_volume(v_stage)
-        e_before = energy_of(model, s1, params_stage, st1.comp, tol=1e-12)
-        e_after = energy_of(model, s2, params_stage, st2.comp, tol=1e-12)
-        return Schedule((
-            Isentropic(params_stage),
-            DirectContact(e_after - e_before),
-            Isentropic(st2.params),
-        ))
-
-    return ScheduleFamily(1, build, "staged-direct-contact")
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Best reservoir energy change found over a schedule family."""
-
-    d_e_res: float
-    schedule: Schedule
-    record: ProcessRecord
-    n_evaluated: int
-    n_feasible: int
-
-
-def minimize_reservoir_energy(model, st1, st2, reservoir,
-                              family: ScheduleFamily, budget: int = 200,
-                              seed: int = 0) -> MinimizeResult:
-    """Search a schedule family for the least reservoir energy change.
-
-    Grid points and seeded random draws share the evaluation budget;
-    infeasible schedules (inadmissible steps, range violations) are skipped.
-    Ties are broken by the lexicographic schedule encoding, so the result is
-    deterministic for a given seed.  The minimum can never undercut the
-    reversible value -T_R (S2 - S1).
-    """
-    rng = np.random.default_rng(seed)
-    thetas: list[np.ndarray] = []
-    if family.dimension == 0:
-        thetas.append(np.zeros(0))
-    else:
-        n_grid = max(2, budget // 2)
-        per_axis = max(2, int(round(n_grid ** (1.0 / family.dimension))))
-        axes = [np.linspace(0.0, 1.0, per_axis) for _ in range(family.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
-        thetas.extend(grid)
-        n_random = max(0, budget - len(grid))
-        thetas.extend(rng.random((n_random, family.dimension)))
-
-    best: tuple[float, tuple, Schedule, ProcessRecord] | None = None
-    n_feasible = 0
-    for theta in thetas:
-        try:
-            sched = family.build(np.atleast_1d(theta))
-            record = run_schedule(model, st1, reservoir, sched)
-        except (InadmissibleStep, RangeExceeded, DomainError, RangeError):
-            continue
-        gap = abs(record.final.energy - st2.energy)
-        if gap > 1e-9 * max(1.0, abs(st2.energy)):
-            continue
-        n_feasible += 1
-        key = (record.d_e_res, sched.encoding())
-        if best is None or key < (best[0], best[1]):
-            best = (record.d_e_res, sched.encoding(), sched, record)
-
-    if best is None:
-        raise InadmissibleStep("no feasible schedule found in the family")
-    return MinimizeResult(
-        d_e_res=best[0],
-        schedule=best[2],
-        record=best[3],
-        n_evaluated=len(thetas),
-        n_feasible=n_feasible,
-    )
 
 
 def measure_entropy_difference(model: MatterModel, st1: SystemState,

@@ -301,23 +301,27 @@ def _typed(kind: str, entries: dict, key: str, n_species: int | None = None):
     raise ParseError(f"'{key}' {problem}, got '{_fmt_value(raw)}'")
 
 
-def _get(scn: Scenario, kind: str, name: str, key: str, counts: dict | None = None):
+def _get(scn: Scenario, kind: str, name: str, key: str, memo: dict | None = None):
     """Typed value of ``key`` in the declaration ``name`` of ``kind``: the one
     accessor validation and the builders read declarations through.
-    ``counts`` keeps each system's species count across the calls sharing it."""
+    ``memo`` keeps the typed values, keyed by (kind, name, key), across the
+    calls sharing it."""
+    if memo is not None and (kind, name, key) in memo:
+        return memo[kind, name, key]
     decl = getattr(scn, _BUCKETS[kind])[name]
     if kind == "system" and key == "species" and key not in decl:
         return [name]  # a system without a species list holds one species, itself
     n_species = None
     if SCHEMA[kind][key].shape == "species":
-        counts = {} if counts is None else counts
         try:  # the system's species; unknown while it is undeclared or malformed
-            system = name if kind == "system" else _get(scn, kind, name, "system")
-            n_species = counts.get(system) or len(_get(scn, "system", system, "species"))
-            counts[system] = n_species
+            system = name if kind == "system" else _get(scn, kind, name, "system", memo)
+            n_species = len(_get(scn, "system", system, "species", memo))
         except (KeyError, ParseError):
             pass
-    return _typed(kind, decl, key, n_species)
+    value = _typed(kind, decl, key, n_species)
+    if memo is not None:
+        memo[kind, name, key] = value
+    return value
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -351,31 +355,32 @@ def parse_scenario(text: str) -> Scenario:
 # builders: declaration -> live objects
 
 
-def _start(scn: Scenario, system_name: str, state_name: str | None = None, counts=None):
+def _start(scn: Scenario, system_name: str, state_name: str | None = None, memo=None):
     """A system's declared parameters and composition, or those a state of it declares."""
     own = scn.states[state_name] if state_name else {}
-    volume, amounts = (_get(scn, "state", state_name, key, counts) if key in own
-                       else _get(scn, "system", system_name, key, counts)
+    volume, amounts = (_get(scn, "state", state_name, key, memo) if key in own
+                       else _get(scn, "system", system_name, key, memo)
                        for key in ("volume", "amounts"))
     return Parameters([volume]), Composition(amounts)
 
 
-def build_model(scn: Scenario, system_name: str, counts=None) -> IdealGasMixture:
-    get = partial(_get, scn, "system", system_name, counts=counts)
+def build_model(scn: Scenario, system_name: str, memo=None) -> IdealGasMixture:
+    get = partial(_get, scn, "system", system_name, memo=memo)
     species = zip(get("species"), get("dof"), get("e0"), get("s0"))
     return IdealGasMixture([Species(*sp) for sp in species], kb=scn.kb)
 
 
-def build_reservoir(scn: Scenario, name: str) -> ThermalReservoir:
-    get = partial(_get, scn, "reservoir", name)
+def build_reservoir(scn: Scenario, name: str, memo=None) -> ThermalReservoir:
+    get = partial(_get, scn, "reservoir", name, memo=memo)
     e_min, e_max = get("range")
     return ThermalReservoir(get("temperature"), get("energy"), e_min, e_max)
 
 
-def build_state(scn: Scenario, state_name: str, counts=None) -> tuple[str, SystemState]:
-    system_name = _get(scn, "state", state_name, "system")
-    params, comp = _start(scn, system_name, state_name, counts)
-    return system_name, SystemState(_get(scn, "state", state_name, "energy"), params, comp)
+def build_state(scn: Scenario, state_name: str, memo=None) -> tuple[str, SystemState]:
+    get = partial(_get, scn, "state", state_name, memo=memo)
+    system_name = get("system")
+    params, comp = _start(scn, system_name, state_name, memo)
+    return system_name, SystemState(get("energy"), params, comp)
 
 
 def build_schedule_steps(scn: Scenario, sched_name: str) -> Schedule:
@@ -418,7 +423,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
     holds must be declared (integrity issues).  The cross-section checks
     after that build objects, so they run only once both pass."""
     issues: list[Issue] = []
-    counts: dict = {}  # species count per system, read once
+    memo: dict = {}  # typed values, each read once
 
     def schema(where, message):
         issues.append(Issue("schema", where, message))
@@ -438,7 +443,7 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
                     schema(name, f"unknown key '{key}'")
             for key, spec in SCHEMA[kind].items():
                 try:
-                    value = _get(scn, kind, name, key, counts)
+                    value = _get(scn, kind, name, key, memo)
                 except ParseError as exc:
                     schema(name, str(exc))
                     continue
@@ -453,10 +458,10 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
     if issues:
         return issues
 
-    get = partial(_get, scn, counts=counts)
+    get = partial(_get, scn, memo=memo)
     for name in scn.reservoirs:
         try:
-            build_reservoir(scn, name)
+            build_reservoir(scn, name, memo)
         except RangeExceeded as exc:
             integrity(name, str(exc))
     for name in scn.pairs:
@@ -497,9 +502,9 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
                                 f"{report.violating_reactions} live on the set")
 
     for name in scn.states:
-        system_name, st = build_state(scn, name, counts)
+        system_name, st = build_state(scn, name, memo)
         try:
-            entropy_of(build_model(scn, system_name, counts), st)
+            entropy_of(build_model(scn, system_name, memo), st)
         except DomainError as exc:
             integrity(name, f"state outside model domain: {exc}")
     return issues

@@ -98,6 +98,14 @@ class ReactionNetwork:
         return int(np.linalg.matrix_rank(self.stoich, tol=self._rank_tol))
 
     @cached_property
+    def conserved(self) -> np.ndarray:
+        """Orthonormal rows spanning the combinations a of constituents that no
+        reaction changes (a . stoich = 0), at the cutoff of ``rank``; computed
+        once per network."""
+        u, _, _ = np.linalg.svd(self.stoich)
+        return _frozen_array(u[:, self.rank:].T)
+
+    @cached_property
     def independent_columns(self) -> tuple[int, ...]:
         """A maximal set of linearly independent reactions at the cutoff of
         ``rank``, first come first kept; computed once per network."""

@@ -3,26 +3,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from entrokit import equilibrium
 from entrokit.equilibrium import (
     EquilibriumProblem,
     _Evaluator,
-    _fd_hessian,
     _fd_pressure,
-    _feasible_interval_1d,
-    _hessian,
+    _package,
     equilibrium_residual,
     gibbs_residual,
     pressure_of,
     solution_at,
     stable_equilibrium,
 )
-from entrokit.errors import DomainError, Infeasible
+from entrokit.errors import DomainError, Infeasible, NegativeAmount, RangeError
 from entrokit.matter_models import (
     KB_SI,
     IdealGasMixture,
+    MatterModel,
     Parameters,
     Species,
     SystemState,
@@ -196,8 +194,8 @@ def wall_problem(e0=-10.0, s0=40.0):
 
 
 def spectator_problem():
-    """A -> B beside an empty constituent C no reaction touches; C keeps the
-    iterate off the interior, so the solver certifies it through its barrier."""
+    """A -> B beside an empty constituent C no reaction touches; C sits on the
+    wall, so the certificate counts it as active."""
     net = ReactionNetwork([[-1.0], [1.0], [0.0]])
     mix = IdealGasMixture([Species("A", 3.0), Species("B", 3.0), Species("C", 3.0)])
     return EquilibriumProblem(
@@ -357,50 +355,6 @@ def water_inert_problem(energy=9.0, n_inert=0.7, volume=1.0):
     )
 
 
-class HiddenD2s(IdealGasMixture):
-    """An ideal-gas mixture that offers no analytic second derivatives."""
-
-    def d2s(self, energy, params, comp):
-        return None
-
-
-@given(st.floats(0.05, 0.95), st.floats(6.0, 14.0), st.floats(0.5, 3.0),
-       st.booleans(), st.sampled_from([0.0, 1e-6, 1e-3]))
-@settings(max_examples=100, deadline=None)
-def test_analytic_hessian_matches_finite_differences(frac, energy, volume, two, barrier):
-    prob = (water_inert_problem(energy, volume=volume) if two
-            else water_problem(energy, volume))
-    ev = _Evaluator(prob)
-    lo, hi = _feasible_interval_1d(ev.n0, ev.nu[:, 0])
-    eps = np.array([lo + frac * (hi - lo)])
-    analytic = _hessian(ev, ev.point(eps), barrier)
-    oracle = _fd_hessian(ev, eps, barrier)
-    assert analytic == pytest.approx(oracle, rel=1e-6, abs=1e-8)
-
-
-def test_analytic_hessian_matches_finite_differences_over_two_reactions():
-    # two extents across two regions couple the split and both amounts blocks
-    net = ReactionNetwork([[-2.0, 0.0], [-1.0, 0.0], [2.0, -1.0], [0.0, 1.0]])
-    base = water_inert_problem()
-    prob = EquilibriumProblem(base.models, base.params, base.n0, base.total_energy,
-                              network=net)
-    ev = _Evaluator(prob)
-    eps = np.array([0.2, 0.05])
-    pt = ev.point(eps)
-    for barrier in (0.0, 1e-3):
-        analytic = _hessian(ev, pt, barrier)
-        assert analytic == pytest.approx(_fd_hessian(ev, eps, barrier), rel=1e-6, abs=1e-8)
-
-
-def test_hessian_falls_back_to_steepest_ascent_at_the_wall():
-    # no water yet: the backward central step would make its amount negative
-    prob = water_problem()
-    ev = _Evaluator(prob)
-    eps = np.zeros(1)
-    assert np.array_equal(_fd_hessian(ev, eps, 0.0), -np.eye(1))
-    assert np.array_equal(_hessian(ev, ev.point(eps), 0.0), -np.eye(1))
-
-
 class CountingMixture(IdealGasMixture):
     """An ideal-gas mixture that counts its dS/dn evaluations."""
 
@@ -415,8 +369,8 @@ class CountingMixture(IdealGasMixture):
 
 @pytest.mark.parametrize("make", [water_problem, water_inert_problem])
 def test_solver_evaluates_ds_dn_once_per_iteration(make):
-    # one gradient per iteration plus the final packaging: a Hessian built by
-    # differencing gradients would cost 2 more evaluations per reaction and iteration
+    # one dS/dn per affinity evaluation; the certificate and the answer reuse
+    # the evaluated points'
     base = make()
     counting = CountingMixture(base.models[0].species)
     prob = EquilibriumProblem((counting,) + base.models[1:], base.params, base.n0,
@@ -471,11 +425,17 @@ def _bits(value):
 
 @pytest.mark.parametrize("name", sorted(SOLVED))
 def test_solver_answer_is_the_solution_at_its_coordinates(name):
-    # the solver packages the point its line search accepted; evaluating the
-    # problem afresh at the reported coordinates gives the same bits
+    # the solver packages the point it accepted: evaluating the problem afresh
+    # at the reported coordinates (one reaction), or at the dual's own amounts
+    # (several), gives the same bits
     prob = SOLVED[name]()
     sol = stable_equilibrium(prob)
-    again = solution_at(prob, sol.eps_se.epsilon, sol.iterations)
+    if prob.network.rank >= 2:
+        ev = _Evaluator(prob)
+        amounts = np.concatenate([st.comp.amounts for st in sol.states])
+        again = _package(ev, ev.point_at(amounts), sol.iterations)
+    else:
+        again = solution_at(prob, sol.eps_se.epsilon, sol.iterations)
     for field in dataclasses.fields(sol):
         assert _bits(getattr(again, field.name)) == _bits(getattr(sol, field.name)), field.name
 
@@ -483,9 +443,9 @@ def test_solver_answer_is_the_solution_at_its_coordinates(name):
 @pytest.mark.parametrize("name", sorted(SOLVED))
 def test_solver_evaluates_each_point_once(monkeypatch, name):
     # one energy split per evaluated point, and no point evaluated twice in a
-    # row: the next gradient, the Hessian and the answer reuse the accepted
-    # one.  Near the wall a line search can repeat earlier trial points; in
-    # the interior no point comes back at all.
+    # row: the certificate and the answer reuse the evaluated points.  Near
+    # the wall the bracket can come back to an earlier point; in the interior
+    # no point comes back at all.
     points, splits = [], []
     real_point, real_split = _Evaluator.point, _Evaluator.split
 
@@ -499,7 +459,12 @@ def test_solver_evaluates_each_point_once(monkeypatch, name):
 
     monkeypatch.setattr(_Evaluator, "point", point)
     monkeypatch.setattr(_Evaluator, "split", split)
-    stable_equilibrium(SOLVED[name]())
+    prob = SOLVED[name]()
+    stable_equilibrium(prob)
+    if prob.network.rank >= 2:
+        # the dual splits the energy at the initial composition and at its answer
+        assert not points and len(splits) == 2
+        return
     assert len(splits) == len(points)
     assert all(a != b for a, b in zip(points, points[1:]))
     if name not in ("wall", "barrier"):
@@ -537,28 +502,34 @@ def test_redundant_network_reports_minimum_norm_coordinates():
     assert sol.states[0].comp.amounts == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
-def test_model_without_second_derivatives_takes_finite_differences(monkeypatch):
-    # the Newton route over two reactions differences gradients instead
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _fd_hessian(*args)
-
-    monkeypatch.setattr(equilibrium, "_fd_hessian", counted)
+def test_several_reactions_need_the_log_amounts_hook():
+    # the dual has no fallback: a model without the hook names it
     plain = seeded_problem("chain", 81)
-    sol = stable_equilibrium(plain)
-    assert not calls
-    hidden = EquilibriumProblem((HiddenD2s(plain.models[0].species),), plain.params,
-                                plain.n0, plain.total_energy, network=plain.network)
-    sol_fd = stable_equilibrium(hidden)
-    assert calls
-    assert sol_fd.eps_se.epsilon == pytest.approx(sol.eps_se.epsilon, abs=1e-10)
-    assert sol_fd.entropy == pytest.approx(sol.entropy, abs=1e-12)
+    hookless = EquilibriumProblem((HookLess(plain.models[0].species),), plain.params,
+                                  plain.n0, plain.total_energy, network=plain.network)
+    with pytest.raises(NotImplementedError, match="log_amounts"):
+        stable_equilibrium(hookless)
+    # one reaction and no reaction still solve without it
+    for prob in (seeded_problem("water", 81), iso_problem()):
+        hookless = EquilibriumProblem((HookLess(prob.models[0].species),), prob.params,
+                                      prob.n0, prob.total_energy, network=prob.network)
+        assert stable_equilibrium(hookless).entropy == stable_equilibrium(prob).entropy
 
 
-class HiddenHooks(HiddenD2s):
-    """An ideal-gas mixture that offers no analytic dS/dn either."""
+class HookLess(IdealGasMixture):
+    """An ideal-gas mixture that does not give its amounts at given potentials."""
+
+    def log_amounts(self, temperature, params, potentials):
+        return MatterModel.log_amounts(self, temperature, params, potentials)
+
+
+def test_start_with_several_reactions_is_refused():
+    with pytest.raises(ValueError, match="start"):
+        stable_equilibrium(seeded_problem("chain", 81), start=[0.1, 0.1])
+
+
+class HiddenHooks(IdealGasMixture):
+    """An ideal-gas mixture that offers no analytic dS/dn."""
 
     def ds_dn(self, energy, params, comp):
         return None
@@ -598,27 +569,40 @@ def test_one_reaction_answers_match_the_grid_oracle(kind):
         assert sol.eps_se.epsilon[0] == pytest.approx(eps_grid, abs=1e-6)
 
 
-def test_one_reaction_never_enters_the_newton_loop(monkeypatch):
-    calls = {"_hessian": 0, "_ascent_step": 0, "point": 0}
-    for name in ("_hessian", "_ascent_step"):
-        def counted(*args, _real=getattr(equilibrium, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
+def test_one_reaction_never_enters_the_dual(monkeypatch):
+    def dual(*args):
+        raise AssertionError("one reaction reached the dual")
 
-        monkeypatch.setattr(equilibrium, name, counted)
+    monkeypatch.setattr(equilibrium, "_dual", dual)
+    points = []
     real_point = _Evaluator.point
 
     def point(self, eps):
-        calls["point"] += 1
+        points.append(eps)
         return real_point(self, eps)
 
     monkeypatch.setattr(_Evaluator, "point", point)
     for kind in ("water", "inert"):
         for seed in range(81, 91):
-            calls["point"] = 0
+            points.clear()
             sol = stable_equilibrium(seeded_problem(kind, seed))
-            assert calls["point"] == sol.iterations <= 16
-    assert calls["_hessian"] == calls["_ascent_step"] == 0
+            assert len(points) == sol.iterations <= 16
+
+
+@pytest.mark.parametrize("name", ["water-81", "inert-82", "wall", "barrier"])
+def test_one_reaction_certifies_its_answer_at_most_twice(monkeypatch, name):
+    # the affinity root ranks its distinct candidates by the certificate, and
+    # the answer carries the winner's
+    calls = []
+    real = equilibrium._kkt
+
+    def counted(ev, pt):
+        calls.append(pt.eps.tobytes())
+        return real(ev, pt)
+
+    monkeypatch.setattr(equilibrium, "_kkt", counted)
+    stable_equilibrium(SOLVED[name]())
+    assert len(calls) == len(set(calls)) <= 2
 
 
 @pytest.mark.parametrize("e0", [-4.0, -6.0, -8.0, -12.0])
@@ -691,3 +675,120 @@ def test_one_reaction_bracket_past_the_energy_floor(s0):
     eps_grid, s_grid = grid_max_entropy(prob)
     assert sol.entropy >= s_grid - 1e-12
     assert sol.eps_se.epsilon[0] == pytest.approx(eps_grid, abs=1e-6)
+
+
+# several independent reactions: the element-potential dual
+
+
+def deep_chain_problems(count):
+    """The first ``count`` problems of the deep-well A -> B -> C draw: formation
+    energies of tens of kT put the optimum near a wall."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        e0_b, e0_c = rng.uniform(-20.0, 0.0, 2)
+        s0 = rng.uniform(0.0, 30.0, 3)
+        dof = rng.uniform(3.0, 6.0, 3)
+        energy, volume = rng.uniform(2.0, 12.0), rng.uniform(0.3, 3.0)
+        mix = IdealGasMixture([Species("A", dof[0], 0.0, s0[0]),
+                               Species("B", dof[1], e0_b, s0[1]),
+                               Species("C", dof[2], e0_c, s0[2])])
+        yield EquilibriumProblem((mix,), (Parameters([volume]),),
+                                 (Composition([1.5, 0.5, 0.5]),), energy, network=CHAIN_NET)
+
+
+def nelder_mead_max_entropy(prob, starts):
+    """Independent oracle: the best entropy a multi-start Nelder-Mead search
+    over the reaction coordinates finds, inadmissible points counting as -inf."""
+    from scipy.optimize import minimize
+
+    ev = _Evaluator(prob)
+
+    def neg_entropy(eps):
+        try:
+            return -ev.point(np.asarray(eps, dtype=float)).entropy
+        except (DomainError, RangeError, NegativeAmount):
+            return math.inf
+
+    best = -math.inf
+    for x0 in starts:
+        res = minimize(neg_entropy, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 1000})
+        best = max(best, -res.fun)
+    return best
+
+
+CHAIN_STARTS = [(0.0, 0.0), (1.2, 1.4), (-0.8, -0.4)]
+
+
+def test_deep_chain_problems_solve_and_match_the_oracle():
+    for prob in deep_chain_problems(30):
+        sol = stable_equilibrium(prob)
+        assert sol.kkt_residual <= 1e-10
+        oracle = nelder_mead_max_entropy(prob, CHAIN_STARTS)
+        assert sol.entropy >= oracle - 1e-12 * abs(sol.entropy)
+
+
+def test_reaction_beside_a_semipermeable_wall():
+    # region 1 holds A and B, region 2 holds A only; one column moves A
+    # through the wall, the other turns A into B inside region 1
+    a = Species("A", 3.0, 0.0, 1.0)
+    inside = IdealGasMixture([a, Species("B", 5.0, -1.5, 2.0)])
+    outside = IdealGasMixture([a])
+    net = ReactionNetwork([[-1.0, -1.0], [0.0, 1.0], [1.0, 0.0]])
+    prob = EquilibriumProblem((inside, outside), (Parameters([1.0]), Parameters([2.5])),
+                              (Composition([1.0, 0.2]), Composition([0.3])), 7.0,
+                              network=net)
+    sol = stable_equilibrium(prob)
+    assert sol.kkt_residual <= 1e-10
+    # A has one chemical potential on both sides of the wall
+    mu = sol.chemical_potentials
+    assert mu[0] == pytest.approx(mu[2], rel=1e-12, abs=1e-12)
+    assert sol.entropy >= nelder_mead_max_entropy(
+        prob, [(0.0, 0.0), (-0.2, 0.5), (0.5, 0.2)]) - 1e-12 * abs(sol.entropy)
+
+
+def test_untouched_constituents_keep_their_amounts_exactly():
+    # A -> B -> C beside an empty D and, in a second region, an inert gas that
+    # no reaction touches: both stay outside the dual, and the inert's energy
+    # at T enters the energy balance
+    base = seeded_problem("chain", 81)
+    mix = IdealGasMixture(base.models[0].species + (Species("D", 3.0),))
+    inert = IdealGasMixture([Species("Ar", 3.0, e0=0.3)])
+    net = ReactionNetwork(np.vstack([CHAIN_NET.stoich, np.zeros((2, 2))]))
+    n_inert = 0.7123456789
+    prob = EquilibriumProblem((mix, inert), (base.params[0], Parameters([2.0])),
+                              (Composition([1.5, 0.5, 0.5, 0.0]), Composition([n_inert])),
+                              base.total_energy + 2.0, network=net)
+    sol = stable_equilibrium(prob)
+    assert sol.kkt_residual <= 1e-10
+    assert sol.states[0].comp.amounts[3] == 0.0
+    assert sol.states[1].comp.amounts[0] == n_inert
+    assert sum(sol.energies) == pytest.approx(prob.total_energy, rel=1e-12)
+    assert temperature_of(inert, sol.states[1]) == pytest.approx(sol.temperature, rel=1e-12)
+
+
+def test_partly_pinned_network():
+    # A -> B and C -> D with neither C nor D present: the second reaction
+    # cannot run, and the first solves as it would alone
+    mix = IdealGasMixture([Species("A", 3.0), Species("B", 5.0, e0=-1.0),
+                           Species("C", 3.0), Species("D", 4.0)])
+    n0 = Composition([1.0, 0.2, 0.0, 0.0])
+    both = ReactionNetwork([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    alone = ReactionNetwork([[-1.0], [1.0], [0.0], [0.0]])
+    sols = [stable_equilibrium(EquilibriumProblem((mix,), (Parameters([1.5]),), (n0,), 4.0,
+                                                  network=net))
+            for net in (both, alone)]
+    assert sols[0].kkt_residual <= 1e-10
+    amounts = [s.states[0].comp.amounts for s in sols]
+    assert amounts[0][2] == amounts[0][3] == 0.0
+    assert amounts[0] == pytest.approx(amounts[1], rel=1e-12, abs=1e-15)
+    assert sols[0].entropy == pytest.approx(sols[1].entropy, rel=1e-13)
+
+
+def test_energy_below_every_reachable_ground_bound_is_infeasible():
+    mix = IdealGasMixture([Species("A", 3.0, e0=5.0), Species("B", 3.0, e0=6.0),
+                           Species("C", 3.0, e0=7.0)])
+    prob = EquilibriumProblem((mix,), (Parameters([1.0]),), (Composition([1.5, 0.5, 0.5]),),
+                              10.0, network=CHAIN_NET)
+    with pytest.raises(Infeasible):
+        stable_equilibrium(prob)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrokit.errors import DomainError, NotExpressible
+from entrokit.errors import NotExpressible
 from entrokit.matter_models import (
     IdealGasMixture,
     Parameters,
@@ -25,7 +25,6 @@ from entrokit.open_systems import (
     open_entropy_direct,
     open_fundamental_relation,
     reference_values,
-    total_potential,
     total_potentials,
 )
 from entrokit.process_engine import measure_entropy_difference
@@ -200,15 +199,15 @@ def test_total_potential_single_species_closed_form():
     s = entropy_of(gas, ost.closed_proxy())
     t = temperature_of(gas, ost.closed_proxy())
     expected = t * (-s / 1.0 + 1.5 + 1.0)
-    assert total_potential(None, gas, ost, 0) == pytest.approx(expected, abs=1e-6)
+    assert total_potentials(None, gas, ost)[0] == pytest.approx(expected, abs=1e-6)
 
 
 def test_total_potential_is_intensive():
     gas = ideal_gas_model(3.0)
     ost1 = OpenState(Composition([1.0]), 1.5, Parameters([1.0]))
     ost2 = OpenState(Composition([2.0]), 3.0, Parameters([2.0]))
-    mu1 = total_potential(None, gas, ost1, 0)
-    mu2 = total_potential(None, gas, ost2, 0)
+    mu1 = total_potentials(None, gas, ost1)[0]
+    mu2 = total_potentials(None, gas, ost2)[0]
     assert mu1 == pytest.approx(mu2, abs=1e-6)
 
 
@@ -220,10 +219,10 @@ def test_total_potential_near_zero_uses_one_sided_difference():
     proxy = ost.closed_proxy()
     t = temperature_of(mix, proxy)
     ds_dn = mix.ds_dn(proxy.energy, proxy.params, proxy.comp)
-    mu = total_potential(None, mix, ost, 2)
+    mu = total_potentials(None, mix, ost)[2]
     assert math.isfinite(mu)
     assert mu == pytest.approx(-t * ds_dn[2], rel=1e-12)
-    assert math.isfinite(total_potential(None, HiddenDsDn(mix.species), ost, 2))
+    assert math.isfinite(total_potentials(None, HiddenDsDn(mix.species), ost)[2])
 
 
 def _central_potential(env, model, ost, k):
@@ -250,26 +249,24 @@ def test_total_potential_matches_central_difference(amounts, energy, volume, wit
     env = WATER_ENV if with_env else None
     mix = water_mix()
     ost = OpenState(Composition(amounts), energy, Parameters([volume]))
-    for k in range(3):
-        mu = total_potential(env, mix, ost, k)
+    for k, mu in enumerate(total_potentials(env, mix, ost)):
         assert abs(mu - _central_potential(env, mix, ost, k)) <= 1e-7 * max(1.0, abs(mu))
 
 
 @pytest.mark.parametrize("amounts", [[1.0, 0.5, 1.0], [2.0, 1.0, 1e-12], [0.0, 1.0, 0.3]])
-def test_total_potentials_match_per_constituent_potentials(amounts):
+def test_total_potentials_are_undefined_at_the_boundary(amounts):
+    # one potential per constituent, none (nan) at an amount at or below 1e-12
     mix = water_mix()
     ost = OpenState(Composition(amounts), 9.0, Parameters([1.5]))
     for env in (None, WATER_ENV):
         mu = total_potentials(env, mix, ost)
+        assert mu.shape == (3,)
         for k, nk in enumerate(amounts):
-            if nk <= 1e-12:
-                assert math.isnan(mu[k])
-                with pytest.raises(DomainError):
-                    total_potential(env, mix, ost, k)
-            else:
-                assert mu[k] == total_potential(env, mix, ost, k)
-    with pytest.raises(IndexError):
-        total_potential(None, mix, ost, 3)
+            assert math.isnan(mu[k]) == (nk <= 1e-12)
+            if nk > 1e-12:
+                assert math.isfinite(mu[k])
+        with pytest.raises(IndexError):
+            mu[3]
 
 
 def test_total_potential_finite_difference_fallback():
@@ -278,18 +275,16 @@ def test_total_potential_finite_difference_fallback():
     hidden = HiddenDsDn(mix.species)
     ost = OpenState(Composition([1.0, 0.5, 1.0]), 9.0, Parameters([1.5]))
     for e in (None, env):
-        for k in range(3):
-            mu = total_potential(e, hidden, ost, k)
-            assert math.isfinite(mu)
-            assert mu == pytest.approx(total_potential(e, mix, ost, k), abs=1e-6)
+        mu = total_potentials(e, hidden, ost)
+        assert np.all(np.isfinite(mu))
+        assert mu == pytest.approx(total_potentials(e, mix, ost), abs=1e-6)
 
 
 def test_total_potential_rejects_inexpressible_composition():
     env = water_env()
     ost = OpenState(Composition([1.0, 1.0]), 9.0, Parameters([1.5]))
     with pytest.raises(NotExpressible):
-        total_potential(env, IdealGasMixture([Species("H2", 5.0), Species("O2", 5.0)]),
-                        ost, 0)
+        total_potentials(env, IdealGasMixture([Species("H2", 5.0), Species("O2", 5.0)]), ost)
 
 
 @pytest.mark.parametrize("convention", ["chemical", "natural"])

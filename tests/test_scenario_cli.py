@@ -3,11 +3,13 @@ import math
 import re
 import shutil
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from entrokit import scenario
 from entrokit.cli import main, write_csv
 from entrokit.errors import ParseError
 from entrokit.scenario import (
@@ -131,6 +133,22 @@ def test_round_trip_all_shipped_scenarios():
         assert serialize_scenario(again) == serialize_scenario(scn), path.name
 
 
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_validation_types_each_value_once(monkeypatch, path):
+    # validation and the builders it calls share one memo of typed values
+    scn = parse_scenario(path.read_text(encoding="utf-8"))
+    calls = Counter()
+    real = scenario._typed
+
+    def typed(kind, entries, key, n_species=None):
+        calls[kind, id(entries), key] += 1
+        return real(kind, entries, key, n_species)
+
+    monkeypatch.setattr(scenario, "_typed", typed)
+    assert validate_scenario(scn) == []
+    assert calls and max(calls.values()) == 1
+
+
 def test_cli_validate_ok():
     assert main(["validate", "--scenario", str(SCENARIOS / "demo_gas.scn")]) == 0
 
@@ -226,6 +244,49 @@ def test_cli_seeded_runs_are_byte_identical(tmp_path):
     f1 = (out1 / "equilibrium_prob1.csv").read_bytes()
     f2 = (out2 / "equilibrium_prob1.csv").read_bytes()
     assert f1 == f2
+
+
+DEEP_CHAIN = """
+[scenario]
+name = deep_chain
+
+[constituents]
+names = A B C
+
+[network]
+names = r1 r2
+nu = -1 0 ; 1 -1 ; 0 1
+
+[system mix]
+species = A B C
+dof = 3 4 5
+e0 = 0 -12 -18
+s0 = 5 20 25
+amounts = 1.5 0.5 0.5
+volume = 1
+
+[equilibrium chain]
+systems = mix
+energy = 6
+reactive = true
+"""
+
+
+def test_cli_equilibrates_a_deep_two_reaction_chain(tmp_path):
+    # A -> B -> C with wells of tens of kT: the optimum leaves ~1e-11 of A
+    path = tmp_path / "chain.scn"
+    path.write_text(DEEP_CHAIN, encoding="utf-8")
+    outputs = []
+    for seed in ("0", "5"):
+        out = tmp_path / seed
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--seed", seed,
+                     "--equilibrate", "chain"]) == 0
+        outputs.append((out / "equilibrium_chain.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    with (tmp_path / "0" / "equilibrium_chain.csv").open(encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["kkt_residual"]) <= 1e-10
+    assert 0.0 < float(row["n_0"]) < 1e-9
 
 
 def test_cli_tabulate_ignores_thread_env(tmp_path, monkeypatch):
