@@ -5,17 +5,20 @@ initial composition; the free variables are the energy split across
 subsystems and the amounts the reactions can reach.  The inner split is
 solved by temperature equalization (stationarity across subsystems).  Along
 one independent reaction the maximization brackets the zero of the
-reaction's affinity.  Over several it minimizes the convex dual in the
-element potentials and 1/T (W. C. Reynolds, STANJAN, 1986; Gordon & McBride,
-NASA RP-1311, 1994): each model gives its amounts at given potentials and
-temperature in closed form (the ``log_amounts`` hook), and the answer is
-packaged and certified at those amounts.
+reaction's affinity: in a one-region problem a probe is the model's closed
+form ``ds_dn_along`` where it has one, else an evaluated point.  Over
+several it minimizes the convex dual in the element potentials and 1/T
+(W. C. Reynolds, STANJAN, 1986; Gordon & McBride, NASA RP-1311, 1994): each
+model gives its amounts at given potentials and temperature in closed form
+(the ``log_amounts`` hook), and the answer is packaged and certified at those
+amounts.  Certificates take nonnegative least-squares multipliers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -136,6 +139,8 @@ class _Evaluator:
         self.slices = prob.slices()
         self.n0 = prob.n0_concat()
         self.nu = None if prob.network is None else prob.network.stoich
+        # amounts at most this count as exhausted: 1e-9 of the largest initial one, at least 1
+        self.wall = 1e-9 * max(1.0, float(np.max(np.abs(self.n0), initial=0.0)))
 
     def amounts(self, eps: np.ndarray) -> np.ndarray:
         if self.nu is None:
@@ -281,17 +286,37 @@ def _package(ev: _Evaluator, pt: _Point, iterations: int,
 
 def _kkt(ev: _Evaluator, pt: _Point) -> tuple[float, tuple]:
     """KKT residual at the point, and its active constituents: those with
-    amounts at most 1e-9 times the largest initial amount (at least 1)."""
+    amounts at most ``ev.wall``."""
     grad = ev.nu.T @ ev.ds_dn(pt)
-    scale = max(1.0, float(np.max(np.abs(ev.n0))))
-    active = tuple(int(k) for k in np.nonzero(pt.n <= 1e-9 * scale)[0])
+    active = tuple(int(k) for k in np.nonzero(pt.n <= ev.wall)[0])
     if not active:
         return float(np.max(np.abs(grad))), active
     # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
     a = ev.nu[list(active), :].T
-    lam, *_ = np.linalg.lstsq(a, -grad, rcond=None)
-    lam = np.maximum(lam, 0.0)
-    return float(np.max(np.abs(grad + a @ lam))), active
+    return float(np.max(np.abs(grad + a @ _nnls(a, -grad)))), active
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x >= 0 minimizing |a x - b|, by the active-set method of Lawson and
+    Hanson (Solving Least Squares Problems, 1974, ch. 23)."""
+    x, free = np.zeros(a.shape[1]), np.zeros(a.shape[1], dtype=bool)
+    tol = 10.0 * _FLOAT_EPS * max(a.shape) * max(1.0, float(np.max(np.abs(a).sum(axis=0))))
+    for _ in range(3 * a.shape[1]):
+        w = a.T @ (b - a @ x)
+        if free.all() or np.max(w[~free]) <= tol:
+            break
+        free[np.argmax(np.where(free, -np.inf, w))] = True
+        while True:  # solve on the free set, stepping back while an entry is not positive
+            z = np.zeros_like(x)
+            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            out = free & (z <= 0.0)
+            if not out.any():
+                break
+            x += np.min(x[out] / np.maximum(x[out] - z[out], np.finfo(float).tiny)) * (z - x)
+            free &= x > tol
+            x[~free] = 0.0
+        x = z
+    return x
 
 
 def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
@@ -339,13 +364,10 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
             box = _extent_box(solve_ev)
             if start is not None:
                 eps, *_ = np.linalg.lstsq(solve_ev.nu, ev.nu @ eps, rcond=None)
-        if start is None:
-            eps = np.nan_to_num(box, posinf=1.0, neginf=-1.0).mean(axis=1)
-        try:
-            pt = solve_ev.point(eps)
-        except (DomainError, RangeError, NegativeAmount) as exc:
-            raise Infeasible(f"no admissible interior point: {exc}") from exc
-        pt, it, failure, certificate = _affinity_root(solve_ev, pt, box[0], max_iter)
+        if start is None:  # the middle of the extent interval, an infinite end at +-1
+            eps = [sum(math.copysign(1.0, y) if math.isinf(y) else y
+                       for y in box[0].tolist()) / 2.0]
+        pt, it, failure, certificate = _affinity_root(solve_ev, float(eps[0]), box[0], max_iter)
         if solve_ev is not ev:  # the certificate is on the full network
             certificate = None
     sol = _package(ev, pt, it, certificate)
@@ -354,35 +376,51 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
     raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
 
 
-def _affinity_root(ev: _Evaluator, pt: _Point, interval: np.ndarray,
+def _affinity_root(ev: _Evaluator, x0: float, interval: np.ndarray,
                    max_iter: int) -> tuple:
     """The entropy maximum along one reaction: the zero of its affinity
     g(eps) = nu . dS/dn, which falls along eps because S is concave.
 
-    From the starting point the bracket moves geometrically toward the end
-    of the feasible extent ``interval`` that g points to, and Brent's method
-    refines it.  If g keeps its sign up to that end, the end is the optimum.
-    A point with no admissible state lies past the optimum, so g counts as
-    infinite there, pointing back.  Every evaluation of g counts against
-    ``max_iter``.  Returns (point, evaluations, what to report if the point
-    fails its KKT certificate, the point's ``_kkt`` pair).
+    From the starting extent ``x0`` the bracket moves geometrically toward
+    the end of the feasible extent ``interval`` that g points to, and Brent's
+    method refines it.  If g keeps its sign up to that end, the end is the
+    optimum.  A point with no admissible state lies past the optimum, so g
+    counts as infinite there, pointing back.  A probe of g is the model's
+    ``ds_dn_along`` in a one-region problem where the model has it, else an
+    evaluated point; each counts against ``max_iter``.  Only candidates that
+    can still certify best become points.  Returns (point, probes, what to
+    report if the point fails its KKT certificate, the point's ``_kkt`` pair).
     """
     col = ev.nu[:, 0]
-    x0 = float(pt.eps[0])
-    seen = {x0: (pt, float(col @ ev.ds_dn(pt)))}  # eps -> (point, g), in order
+    n0, d = ev.n0.tolist(), col.tolist()
+    points, refused = {}, set()  # eps -> point where evaluated; eps without a state
+
+    def at_point(x: float) -> float:
+        points[x] = here = ev.point(np.array([x]))
+        return float(col @ ev.ds_dn(here))
+
+    probe = at_point
+    if len(ev.prob.models) == 1:
+        probe = partial(ev.prob.models[0].ds_dn_along, ev.prob.total_energy, ev.prob.params[0],
+                        n0, d)
+    try:
+        g0 = probe(x0)
+        if g0 is None:  # the model has no such hook
+            probe, g0 = at_point, at_point(x0)
+    except (DomainError, RangeError, NegativeAmount) as exc:
+        raise Infeasible(f"no admissible interior point: {exc}") from exc
+    seen = {x0: g0}  # eps -> g, in order
 
     def affinity(x: float) -> float:
         if len(seen) >= max_iter:
             raise NonConvergence(f"iteration budget {max_iter} exhausted")
         try:
-            here = ev.point(np.array([x]))
+            seen[x] = probe(x)
         except (DomainError, RangeError, NegativeAmount):
-            seen[x] = (None, math.copysign(math.inf, x0 - x))
-        else:
-            seen[x] = (here, float(col @ ev.ds_dn(here)))
-        return seen[x][1]
+            seen[x] = math.copysign(math.inf, x0 - x)
+            refused.add(x)
+        return seen[x]
 
-    g0 = seen[x0][1]
     end = float(interval[1] if g0 > 0.0 else interval[0])
     if math.isfinite(end):  # approach the end, cutting the distance 8-fold
         origin, factor, x1 = end, 0.125, end + 0.125 * (x0 - end)
@@ -392,11 +430,11 @@ def _affinity_root(ev: _Evaluator, pt: _Point, interval: np.ndarray,
         if g0 != 0.0:
             x, gx = expand_bracket(affinity, x1, g0, origin, factor=factor, limit=end)
             a = list(seen)[-2]  # the last point short of x: the bracket's near end
-            brentq(affinity, a, x, xtol=_FLOAT_EPS * abs(x - a), fa=seen[a][1], fb=gx,
+            brentq(affinity, a, x, xtol=_FLOAT_EPS * abs(x - a), fa=seen[a], fb=gx,
                    maxiter=max_iter)
         # near a wall g is steep, and only one side of the root may certify:
         # the candidates are the closest evaluated points on either side
-        admissible = [(y, g) for y, (p, g) in seen.items() if p is not None]
+        admissible = [(y, g) for y, g in seen.items() if y not in refused]
         candidates = [max((y for y, g in admissible if g >= 0.0), default=x0),
                       min((y for y, g in admissible if g <= 0.0), default=x0)]
         failure = f"affinity root near eps = {candidates[0]:.17g}"
@@ -405,10 +443,16 @@ def _affinity_root(ev: _Evaluator, pt: _Point, interval: np.ndarray,
         failure = f"affinity keeps its sign up to eps = {candidates[0]:.17g}"
     except NonConvergence as exc:
         candidates, failure = list(seen), str(exc)
-    ranked = {y: _kkt(ev, seen[y][0]) for y in dict.fromkeys(candidates)
-              if seen[y][0] is not None}
-    best = min(ranked, key=lambda y: ranked[y][0])
-    return seen[best][0], len(seen), failure, ranked[best]
+    candidates = [y for y in dict.fromkeys(candidates) if y not in refused]
+    # without an active constituent the residual is |g|, which then cannot win
+    ranked = {}
+    for y in sorted(candidates, key=lambda y: abs(seen[y])):
+        if (not ranked or abs(seen[y]) < min(r for r, _ in ranked.values())
+                or min(a + c * y for a, c in zip(n0, d)) <= ev.wall):
+            points[y] = points.get(y) or ev.point(np.array([y]))
+            ranked[y] = _kkt(ev, points[y])
+    best = min((y for y in candidates if y in ranked), key=lambda y: ranked[y][0])
+    return points[best], len(seen), failure, ranked[best]
 
 
 def _reachable(nu: np.ndarray, n0: np.ndarray) -> np.ndarray:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, RangeError, RangeExceeded
+from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
 from .roots import brentq, expand_bracket
-from .stoichiometry import Composition
+from .stoichiometry import TOL_NEG, Composition
 
 #: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
 KB_SI = 1.380649e-23
@@ -124,6 +125,12 @@ class MatterModel:
         """Analytic dS/dn_k at fixed (E, beta), or None."""
         return None
 
+    def ds_dn_along(self, energy, params, n0, direction, extent) -> float | None:
+        """Analytic direction . dS/dn at fixed (E, beta) at the amounts
+        n0 + extent * direction (sequences of floats), refusing them as
+        Composition and ``evaluate`` would; or None."""
+        return None
+
     def log_amounts(self, temperature, params, potentials) -> tuple:
         """The amounts at which dS/dn at fixed (E, beta) equals ``potentials``
         at the given temperature, in closed form: (ln n, dln n/dln T), one
@@ -200,15 +207,15 @@ class IdealGasMixture(MatterModel):
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.species)
 
-    def _check_comp(self, comp: Composition) -> np.ndarray:
-        n = comp.amounts
-        if n.shape[0] != len(self.species):
+    def _linear_sums(self, n: list, total: float) -> tuple[float, float]:
+        """(e0 . n, dof . n) of the amounts n, whose sum is ``total``, once checked."""
+        if len(n) != len(self.species):
             raise DomainError(
-                f"composition has {n.shape[0]} entries, model has {len(self.species)} species"
+                f"composition has {len(n)} entries, model has {len(self.species)} species"
             )
-        if not self.kb * comp.total > 0.0:  # k_B n may underflow in SI units
+        if not self.kb * total > 0.0:  # k_B n may underflow in SI units
             raise DomainError("composition is empty")
-        return n
+        return sum(map(mul, self._e0, n)), sum(map(mul, self._dof, n))
 
     def _sums(self, comp: Composition) -> tuple[float, float, float]:
         """(e0 . n, dof . n, sum_{n_k > 0} n_k (c_k - ln n_k)) of a checked
@@ -216,12 +223,9 @@ class IdealGasMixture(MatterModel):
         memo = self._memo
         if memo[0] is comp:
             return memo[1]
-        n = self._check_comp(comp).tolist()
-        sums = (
-            sum(e0 * nk for e0, nk in zip(self._e0, n)),
-            sum(dof * nk for dof, nk in zip(self._dof, n)),
-            sum(nk * (c - math.log(nk)) for c, nk in zip(self._c, n) if nk > 0.0),
-        )
+        n = comp.amounts.tolist()
+        sums = (*self._linear_sums(n, comp.total),
+                sum(nk * (c - math.log(nk)) for c, nk in zip(self._c, n) if nk > 0.0))
         self._memo = (comp, sums)
         return sums
 
@@ -240,9 +244,7 @@ class IdealGasMixture(MatterModel):
         e0n, dn, _ = self._sums(comp)
         return 2.0 * (energy - e0n) / (self.kb * dn)
 
-    def entropy(self, energy, params, comp) -> float:
-        e0n, dn, cn = self._sums(comp)
-        v = self._check_volume(params)
+    def _positive_temperature(self, energy: float, e0n: float, dn: float) -> float:
         e_th = energy - e0n
         if e_th <= 0.0:
             raise DomainError(
@@ -251,6 +253,12 @@ class IdealGasMixture(MatterModel):
         t = 2.0 * e_th / (self.kb * dn)
         if t == 0.0:  # dof . n overflowed, or the quotient underflowed
             raise DomainError(f"no positive temperature at thermal energy {e_th:.6g}")
+        return t
+
+    def entropy(self, energy, params, comp) -> float:
+        e0n, dn, cn = self._sums(comp)
+        v = self._check_volume(params)
+        t = self._positive_temperature(energy, e0n, dn)
         return self.kb * (cn + 0.5 * dn * math.log(t) + comp.total * math.log(v))
 
     def evaluate(self, energy, params, comp) -> tuple[float, float]:
@@ -272,16 +280,34 @@ class IdealGasMixture(MatterModel):
     #: large but finite so downstream linear algebra stays well defined
     LN_DIVERGENCE_CAP = 1e30
 
+    def _slopes(self, n: list, t: float, log_v: float) -> list:
+        """dS/dn_k at the amounts n, temperature t and ln V, in floats."""
+        log_t, kb = math.log(t), self.kb
+        return [
+            kb * (c + 0.5 * dof * (log_t - 1.0) + log_v - math.log(nk) - 1.0) - e0 / t
+            if nk > 0.0 else self.LN_DIVERGENCE_CAP
+            for nk, dof, c, e0 in zip(n, self._dof, self._c, self._e0)
+        ]
+
     def ds_dn(self, energy, params, comp) -> np.ndarray:
         t = self.temperature_closed_form(energy, comp)
         log_v = math.log(self._check_volume(params))
-        log_t = math.log(t)
-        kb = self.kb
-        return np.array([
-            kb * (c + 0.5 * dof * (log_t - 1.0) + log_v - math.log(nk) - 1.0) - e0 / t
-            if nk > 0.0 else self.LN_DIVERGENCE_CAP
-            for nk, dof, c, e0 in zip(comp.amounts.tolist(), self._dof, self._c, self._e0)
-        ])
+        return np.array(self._slopes(comp.amounts.tolist(), t, log_v))
+
+    def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
+        # Composition's clamp and the checks of evaluate, in their order, then
+        # the slopes of ds_dn summed in sequence: the bits of direction @ ds_dn
+        n = []
+        for k, (a, d) in enumerate(zip(n0, direction)):
+            nk = a + d * extent
+            if nk < -TOL_NEG:
+                raise NegativeAmount(k, nk)
+            n.append(0.0 if nk < 0.0 else nk)
+        e0n, dn = self._linear_sums(n, sum(n))
+        _check_energy(energy, e0n + GROUND_EPS)
+        log_v = math.log(self._check_volume(params))
+        t = self._positive_temperature(energy, e0n, dn)
+        return sum(map(mul, direction, self._slopes(n, t, log_v)))
 
     def log_amounts(self, temperature, params, potentials) -> tuple:
         # dS/dn_k = k_B (c_k - 1 - ln n_k + (dof_k/2)(ln T - 1) + ln V) - e0_k/T,

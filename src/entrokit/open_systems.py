@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -144,29 +145,36 @@ class ReferenceEnvironment:
 
         Solves the non-elemental rows of n = n_elem(w) + nu eps; raises
         NotExpressible when the composition cannot be reached from the set.
-        Both refusals test against TOL_COMPAT times the total amount (at
-        least 1), as the rounding of the maps grows with the amounts.
         """
-        n = comp.amounts
-        if n.shape[0] != len(self.constituents):
+        w = self._content(comp)
+        n = comp.amounts.tolist()
+        return np.array(w), np.array([sum(map(mul, row, n)) for row in self.content_maps[1]])
+
+    def _content(self, comp: Composition) -> list[float]:
+        """The elemental content w of ``comp``, in floats.  Both refusals test
+        against TOL_COMPAT times the total amount (at least 1), as the
+        rounding of the maps grows with the amounts."""
+        n = comp.amounts.tolist()
+        if len(n) != len(self.constituents):
             raise NotExpressible(
-                f"composition has {n.shape[0]} entries, environment declares "
+                f"composition has {len(n)} entries, environment declares "
                 f"{len(self.constituents)}"
             )
-        content, coords, residual = self.content_maps
+        content, _, residual = self.content_maps
         tol = TOL_COMPAT * max(1.0, comp.total)
-        if np.max(np.abs(residual @ n), initial=0.0) > tol:
+        if any(abs(sum(map(mul, row, n))) > tol for row in residual):
             raise NotExpressible("composition is not reachable from the elemental set")
-        w = content @ n
-        if np.any(w < -tol):
+        w = [sum(map(mul, row, n)) for row in content]
+        if any(x < -tol for x in w):
             raise NotExpressible("composition would need negative elemental amounts")
-        return np.where(w < 0.0, 0.0, w), coords @ n
+        return [0.0 if x < 0.0 else x for x in w]
 
     @cached_property
-    def content_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Matrices of the maps, linear in the amounts n, to the signed elemental
-        content w (declared elemental order), to the reaction coordinates eps,
-        and to the residual of the non-elemental rows of n = n_elem(w) + nu eps.
+    def content_maps(self) -> tuple[tuple, tuple, tuple]:
+        """Rows, as tuples of floats, of the maps, linear in the amounts n, to
+        the signed elemental content w (declared elemental order), to the
+        reaction coordinates eps, and to the residual of the non-elemental
+        rows of n = n_elem(w) + nu eps.
 
         eps is the least-squares solution of the non-elemental rows, through
         their pseudo-inverse at the relative cutoff RCOND; the residual vanishes,
@@ -180,8 +188,8 @@ class ReferenceEnvironment:
         rows_out, select_out = nu[outside], eye[outside]
         coords = np.linalg.pinv(rows_out, rcond=RCOND) @ select_out
         content = eye[elem] - nu[elem] @ coords
-        return (_frozen_array(content), _frozen_array(coords),
-                _frozen_array(rows_out @ coords - select_out))
+        return tuple(tuple(map(tuple, m.tolist()))
+                     for m in (content, coords, rows_out @ coords - select_out))
 
     def physical_sums(self, w) -> tuple[float, float]:
         """Total (energy, entropy) of the elemental boxes holding amounts w."""
@@ -196,16 +204,16 @@ class ReferenceEnvironment:
     def gauge(self, comp: Composition) -> tuple[float, float]:
         """Additive constants (energy, entropy) relating the model scale to
         the reference scale for the given composition."""
-        w, _ = self.decompose(comp)
+        w = self._content(comp)
         e_phys, s_phys = self.physical_sums(w)
-        return (float(w @ self.e0_assigned) - e_phys,
-                float(w @ self.s0_assigned) - s_phys)
+        return (sum(map(mul, w, self.e0_assigned.tolist())) - e_phys,
+                sum(map(mul, w, self.s0_assigned.tolist())) - s_phys)
 
     @cached_property
     def gauge_gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Constant gradients (dg_E/dn, dg_S/dn) of the gauge, which is linear
         in the amounts wherever the composition is expressible."""
-        content = self.content_maps[0]
+        content = np.array(self.content_maps[0])
         e_phys, s_phys = np.array(self.physical_references).T
         return (_frozen_array(content.T @ (self.e0_assigned - e_phys)),
                 _frozen_array(content.T @ (self.s0_assigned - s_phys)))

@@ -369,8 +369,8 @@ class CountingMixture(IdealGasMixture):
 
 @pytest.mark.parametrize("make", [water_problem, water_inert_problem])
 def test_solver_evaluates_ds_dn_once_per_iteration(make):
-    # one dS/dn per affinity evaluation; the certificate and the answer reuse
-    # the evaluated points'
+    # at most one dS/dn per evaluated point (on water only the candidates are
+    # points); the certificate and the answer reuse the evaluated points'
     base = make()
     counting = CountingMixture(base.models[0].species)
     prob = EquilibriumProblem((counting,) + base.models[1:], base.params, base.n0,
@@ -529,9 +529,13 @@ def test_start_with_several_reactions_is_refused():
 
 
 class HiddenHooks(IdealGasMixture):
-    """An ideal-gas mixture that offers no analytic dS/dn."""
+    """An ideal-gas mixture that offers no analytic dS/dn, along a direction
+    or per constituent."""
 
     def ds_dn(self, energy, params, comp):
+        return None
+
+    def ds_dn_along(self, energy, params, n0, direction, extent):
         return None
 
 
@@ -569,24 +573,64 @@ def test_one_reaction_answers_match_the_grid_oracle(kind):
         assert sol.eps_se.epsilon[0] == pytest.approx(eps_grid, abs=1e-6)
 
 
+def _count_probes(monkeypatch):
+    """Lists that fill with the extents of the affinity probes through the
+    model's ``ds_dn_along`` hook and of the points the solver evaluates."""
+    probes, points = [], []
+    real_along, real_point = IdealGasMixture.ds_dn_along, _Evaluator.point
+
+    def along(self, energy, params, n0, direction, extent):
+        probes.append(extent)
+        return real_along(self, energy, params, n0, direction, extent)
+
+    def point(self, eps):
+        points.append(float(eps[0]))
+        return real_point(self, eps)
+
+    monkeypatch.setattr(IdealGasMixture, "ds_dn_along", along)
+    monkeypatch.setattr(_Evaluator, "point", point)
+    return probes, points
+
+
 def test_one_reaction_never_enters_the_dual(monkeypatch):
+    # one region probes through the hook, two regions evaluate points; every
+    # probe counts as an iteration
     def dual(*args):
         raise AssertionError("one reaction reached the dual")
 
     monkeypatch.setattr(equilibrium, "_dual", dual)
-    points = []
-    real_point = _Evaluator.point
-
-    def point(self, eps):
-        points.append(eps)
-        return real_point(self, eps)
-
-    monkeypatch.setattr(_Evaluator, "point", point)
+    probes, points = _count_probes(monkeypatch)
     for kind in ("water", "inert"):
         for seed in range(81, 91):
+            probes.clear()
             points.clear()
             sol = stable_equilibrium(seeded_problem(kind, seed))
-            assert len(points) == sol.iterations <= 16
+            counted = probes if kind == "water" else points
+            assert len(counted) == sol.iterations <= 16
+            if kind == "inert":
+                assert not probes
+
+
+@pytest.mark.parametrize("name", ["water-81", "water-82", "water-83", "wall", "barrier"])
+def test_one_region_solve_evaluates_at_most_two_points(monkeypatch, name):
+    # the probes read g alone; only the candidates that can still certify
+    # best become points, each certified once
+    built, certified = [], []
+    real_point, real_kkt = equilibrium._Point, equilibrium._kkt
+
+    def point(*args, **kwargs):
+        built.append(args)
+        return real_point(*args, **kwargs)
+
+    def kkt(ev, pt):
+        certified.append(pt)
+        return real_kkt(ev, pt)
+
+    monkeypatch.setattr(equilibrium, "_Point", point)
+    monkeypatch.setattr(equilibrium, "_kkt", kkt)
+    sol = stable_equilibrium(SOLVED[name]())
+    assert len(built) <= min(2, sol.iterations)
+    assert len(certified) <= 2
 
 
 @pytest.mark.parametrize("name", ["water-81", "inert-82", "wall", "barrier"])
@@ -616,18 +660,11 @@ def test_entropy_hungry_water_converges_next_to_the_wall(e0):
     assert sol.entropy >= s_grid - 1e-12
 
 
-def test_wall_solve_takes_few_points(monkeypatch):
-    points = []
-    real_point = _Evaluator.point
-
-    def point(self, eps):
-        points.append(float(eps[0]))
-        return real_point(self, eps)
-
-    monkeypatch.setattr(_Evaluator, "point", point)
+def test_wall_solve_takes_few_probes(monkeypatch):
+    probes, _ = _count_probes(monkeypatch)
     sol = stable_equilibrium(wall_problem())
     assert sol.boundary
-    assert len(points) == len(set(points)) == sol.iterations <= 40
+    assert len(probes) == len(set(probes)) == sol.iterations <= 40
 
 
 def test_redundant_network_solves_on_an_independent_reaction():
@@ -792,3 +829,38 @@ def test_energy_below_every_reachable_ground_bound_is_infeasible():
                               10.0, network=CHAIN_NET)
     with pytest.raises(Infeasible):
         stable_equilibrium(prob)
+
+
+def test_active_set_certified_by_nonnegative_multipliers():
+    # constituents 1 and 2 can never form (the second reaction needs each to
+    # make the other); the multipliers (0, g) certify the dual's answer
+    # exactly, while clipping a minimum-norm solve left a residual of 0.542
+    mix = IdealGasMixture([Species(f"S{k}", 3.0 + 0.5 * k, -0.5 * k, 0.1 * k) for k in range(5)])
+    net = ReactionNetwork([[1.0, -2.0], [0.0, 1.0], [0.0, -1.0], [-2.0, 0.0], [-2.0, 2.0]])
+    prob = EquilibriumProblem((mix,), (Parameters([1.0]),),
+                              (Composition([1.197, 0.0, 0.0, 0.234, 0.0]),), 5.0, network=net)
+    sol = stable_equilibrium(prob)
+    assert sol.active == (1, 2)
+    assert sol.kkt_residual <= 1e-10
+
+
+def test_nnls_matches_scipy_and_never_certifies_worse_than_clipping():
+    # small systems of stoichiometric and of normal coefficients; the clipped
+    # minimum-norm solve is one feasible point of the Euclidean residual that
+    # nonnegative least squares minimizes
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(95)
+    for trial in range(200):
+        shape = tuple(rng.integers(1, 5, 2))
+        a = (rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], shape) if trial % 2
+             else rng.normal(size=shape))
+        b = rng.normal(size=shape[0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        x = equilibrium._nnls(a, b)
+        x_ref, _ = nnls(a, b)
+        clipped = np.maximum(np.linalg.lstsq(a, b, rcond=None)[0], 0.0)
+        tol = 1e-10 * (1.0 + np.linalg.norm(b) + np.abs(a).sum() * np.abs(x_ref).sum())
+        assert np.all(x >= 0.0)
+        residual = np.linalg.norm(a @ x - b)
+        assert abs(residual - np.linalg.norm(a @ x_ref - b)) <= tol
+        assert residual <= np.linalg.norm(a @ clipped - b) + tol

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from entrokit import checks
 from entrokit.checks import bracket_single_valued, monotonicity_scan, smoothness_scan
 from entrokit.equilibrium import _fd_pressure, pressure_of
-from entrokit.errors import DomainError, RangeError, RangeExceeded
+from entrokit.errors import DomainError, NegativeAmount, RangeError, RangeExceeded
 from entrokit.stoichiometry import Composition
 from entrokit.matter_models import (
     KB_SI,
@@ -460,9 +461,87 @@ def test_theorem_suite_evaluates_the_relation_a_fixed_number_of_times(
 
 
 def test_weight_process_fuzz_checks_its_one_composition_once_or_so(monkeypatch):
-    calls = _counting(monkeypatch, IdealGasMixture, "_check_comp")
+    calls = _counting(monkeypatch, IdealGasMixture, "_linear_sums")
     records = checks.fuzz_weight_processes(
         ideal_gas_model(3.0), BASE, ThermalReservoir(1.0, 0.0, -1e6, 1e6),
         np.random.default_rng(0), n=200)
     assert len(records) == 200
     assert 1 <= len(calls) <= 3
+
+
+def _probe_outcome(probe, *args):
+    """The bits of a probe's value, or the class and message of its refusal."""
+    try:
+        return "value", struct.pack("d", probe(*args))
+    except (DomainError, NegativeAmount) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _generic_probe(model, energy, params, n0, direction, extent):
+    """direction . dS/dn through a checked composition, as a point evaluates it."""
+    comp = Composition(np.array(n0) + np.array(direction) * extent)
+    model.evaluate(energy, params, comp)
+    return float(np.array(direction) @ model.ds_dn(energy, params, comp))
+
+
+def _assert_probes_agree(model, energy, params, n0, direction, extent):
+    args = (energy, params, list(n0), list(direction), extent)
+    hook = _probe_outcome(model.ds_dn_along, *args)
+    assert hook == _probe_outcome(_generic_probe, model, *args), args
+    return hook[0]
+
+
+def _water_mixture(kb, t_scale, inert):
+    species = [Species("H2", 5.0), Species("O2", 5.0),
+               Species("H2O", 6.0, e0=-2.0 * kb * t_scale, s0=0.3)]
+    return IdealGasMixture(species + [Species("Ar", 3.0, e0=0.3 * kb * t_scale)] * inert, kb=kb)
+
+
+@pytest.mark.parametrize("kb, t_scale, scale", [(1.0, 1.0, 1.0), (KB_SI, 300.0, 1e20)])
+def test_ds_dn_along_has_the_bits_of_the_generic_probe(kb, t_scale, scale):
+    # water, and water beside an inert constituent, at interior extents, at
+    # the ends of the extent interval (an empty constituent) and up to 1e-12
+    # past them, where Composition clamps to 0; refusals agree in class and
+    # message
+    rng = np.random.default_rng(96)
+    kinds = {"value": 0, "DomainError": 0, "NegativeAmount": 0}
+    for trial in range(200):
+        inert = trial % 2
+        mix = _water_mixture(kb, t_scale, inert)
+        direction = [-2.0, -1.0, 2.0] + [0.0] * inert
+        n0 = rng.uniform(0.0, 2.0, 3 + inert) * (rng.random(3 + inert) > 0.2) * scale
+        lo = max((-a / d for a, d in zip(n0, direction) if d > 0.0), default=-1.0)
+        hi = min((a / -d for a, d in zip(n0, direction) if d < 0.0), default=1.0)
+        extent = [rng.uniform(lo, hi), lo, hi, hi + rng.uniform(0.0, 5e-13),
+                  lo - rng.uniform(0.0, 5e-13), hi + 0.1 * scale][trial % 6]
+        comp = Composition(n0) if n0.any() else Composition([scale] * (3 + inert))
+        energy = mix.energy_at_temperature(rng.uniform(0.05, 3.0) * t_scale, None, comp)
+        energy += rng.uniform(-0.5, 0.5) * kb * t_scale * scale
+        params = Parameters([rng.uniform(0.3, 3.0)])
+        kinds[_assert_probes_agree(mix, energy, params, n0, direction, extent)] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+@pytest.mark.parametrize("kb", [1.0, KB_SI])
+def test_ds_dn_along_refuses_what_a_checked_composition_refuses(kb):
+    mix = _water_mixture(kb, 1.0, 0)
+    water, one = [-2.0, -1.0, 2.0], Parameters([1.0])
+    n0 = [2.0, 1.0, 0.0]
+    cases = [
+        (5.0, one, n0, water, 1.0 + 1e-9),        # O2 negative beyond the clamp
+        (5.0, one, n0, water, -0.1),              # H2O negative
+        (5.0, one, [0.0, 0.0, 0.0], water, 0.0),  # empty
+        (5.0, one, [1.0, 1.0], water[:2], 0.1),   # wrong length
+        (5.0, Parameters([0.0]), n0, water, 0.1),
+        (5.0, Parameters([-1.0]), n0, water, 0.1),
+        (5.0, Parameters([math.inf]), n0, water, 0.1),
+        (5.0, Parameters([math.nan]), n0, water, 0.1),
+        (math.inf, one, n0, water, 0.1),
+        (-math.inf, one, n0, water, 0.1),
+        (math.nan, one, n0, water, 0.1),
+        (-4.0 * kb, one, n0, water, 1.0),         # below the ground bound
+        (-2.0 * kb + 5e-13, one, n0, water, 0.5),  # within GROUND_EPS of it
+        (1.0, one, [1e308, 0.0, 0.0], water, 0.0),  # dof . n overflows: T = 0
+    ]
+    for case in cases:
+        assert _assert_probes_agree(mix, *case) != "value", case

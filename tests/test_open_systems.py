@@ -502,10 +502,15 @@ def test_decompose_refusals_keep_their_messages():
     # residual map stands in for an unreachable one; reachability is checked
     # before the sign of the content
     content, coords, residual = env.content_maps
-    env.__dict__["content_maps"] = (content, coords, residual + 1.0)
+    env.__dict__["content_maps"] = (content, coords, _offset(residual, 1.0))
     with pytest.raises(NotExpressible,
                        match="^composition is not reachable from the elemental set$"):
         env.decompose(lone_c)
+
+
+def _offset(rows, delta):
+    """Map rows, each entry moved by ``delta``."""
+    return tuple(tuple(x + delta for x in row) for row in rows)
 
 
 def lone_c_env():
@@ -532,14 +537,15 @@ def test_decompose_tolerances_grow_with_the_amounts(scale):
     for n in ([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0 - 1e-6, 1.0]):
         with pytest.raises(NotExpressible, match="negative elemental"):
             env.decompose(Composition(np.array(n) * scale))
-    env.__dict__["content_maps"] = (*env.content_maps[:2], env.content_maps[2] + 1e-6)
+    env.__dict__["content_maps"] = (*env.content_maps[:2], _offset(env.content_maps[2], 1e-6))
     with pytest.raises(NotExpressible, match="not reachable"):
         env.decompose(Composition(np.array([0.0, 1.0, 1.0]) * scale))
 
 
 def _calls_per_point(monkeypatch, reactive):
     """Calls per tabulated point over seeded water points: checked evaluations
-    (validate and evaluate), relation evaluations, decompositions, and the
+    (validate and evaluate), relation evaluations, decompositions (the
+    elemental content that ``decompose`` and ``gauge`` share), and the
     inversions the pressure makes."""
     from entrokit import equilibrium, matter_models, open_systems
 
@@ -550,7 +556,7 @@ def _calls_per_point(monkeypatch, reactive):
         (matter_models.MatterModel, "validate", "checked"),
         (IdealGasMixture, "evaluate", "checked"),
         (IdealGasMixture, "entropy", "entropy"),
-        (open_systems.ReferenceEnvironment, "decompose", "decompose"),
+        (open_systems.ReferenceEnvironment, "_content", "decompose"),
         (equilibrium, "energy_of", "inversions"),  # the pressure's fallback
     ]:
         real = getattr(owner, name)
@@ -593,3 +599,28 @@ def test_a_reactive_table_point_evaluates_each_solver_point_once(monkeypatch):
     assert per_point["entropy"] <= 16.71
     assert per_point["decompose"] == 1
     assert per_point["inversions"] == 0
+
+
+class WithoutAlongHook(IdealGasMixture):
+    """An ideal-gas mixture whose affinity probes go through checked points."""
+
+    def ds_dn_along(self, energy, params, n0, direction, extent):
+        return None
+
+
+def test_reactive_tables_are_the_same_with_and_without_the_along_hook():
+    # grids of the tabulate benchmark's kind, with energies low enough for
+    # some gaps; rows agree to the bit, and gap messages word for word
+    env, mix = water_env(), water_mix()
+    hidden = WithoutAlongHook(mix.species)
+    rng = np.random.default_rng(97)
+    statuses = set()
+    for _ in range(100):
+        a, b = rng.uniform(0.6, 1.4), rng.uniform(0.1, 0.5)
+        grid = OpenGrid(tuple(rng.uniform(-6.0, 10.0, 2)), (rng.uniform(0.5, 3.0),),
+                        (Composition([2.0 * a, a, b]),), reactive=True, network=WATER_NET)
+        rows = open_fundamental_relation(env, mix, grid)
+        assert [repr(r) for r in rows] == [repr(r) for r in
+                                           open_fundamental_relation(env, hidden, grid)]
+        statuses.update(row.status.split(":")[0] for row in rows)
+    assert statuses == {"ok", "gap"}
