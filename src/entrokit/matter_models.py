@@ -10,7 +10,7 @@ derivatives are derived from the relation itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -34,22 +34,26 @@ H_REL = 1e-6
 
 @dataclass(frozen=True)
 class Parameters:
-    """Geometric parameters of a system.  Built-in models use beta = [volume]."""
+    """Geometric parameters of a system.  Built-in models use beta = [volume];
+    ``volume``, the first entry, is converted once, at construction."""
 
     beta: np.ndarray
+    volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.beta, dtype=float, ndmin=1)
         arr.flags.writeable = False
         object.__setattr__(self, "beta", arr)
+        if arr.shape[0]:
+            object.__setattr__(self, "volume", float(arr[0]))
+
+    def __getattr__(self, name):  # only for unset attributes: an empty vector's volume
+        if name == "volume":
+            return float(self.beta[0])
+        return object.__getattribute__(self, name)
 
     def __len__(self) -> int:
         return self.beta.shape[0]
-
-    @property
-    def volume(self) -> float:
-        """First parameter entry, the region volume for the built-in models."""
-        return float(self.beta[0])
 
     def with_volume(self, volume: float) -> "Parameters":
         beta = np.array(self.beta)

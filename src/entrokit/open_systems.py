@@ -5,7 +5,9 @@ An open state (arbitrary composition) is reproduced as a closed proxy with
 that composition; its entropy is anchored by a reversible measurement against
 the environment's reservoir, and compositions with different constituents
 become comparable because every scale traces back to the same per-species
-reference states at the environment's temperature and pressure.
+reference states at the environment's temperature and pressure.  The gauge,
+reference proxy state and anchored entropy of a composition are kept, so a
+table that revisits a composition runs only the measurement of each state.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ from .stoichiometry import (
 #: One unit amount of a single species: the content of each reference box.
 UNIT = Composition([1.0])
 
+#: Reference records one environment keeps, least recently used out first.
+RECORDS = 32
+
 
 @dataclass(frozen=True)
 class ReferenceEnvironment:
@@ -68,7 +73,8 @@ class ReferenceEnvironment:
     ``e0_assigned`` / ``s0_assigned`` are the per-unit-amount values given to
     those states; the chemical convention sets E0 + p0 V0 = 0 and S0 = 0.
     Values that depend only on the environment are computed once, on first
-    use, and kept with the (immutable) instance.
+    use, and kept with the (immutable) instance; so is the reference record
+    of each of the last ``RECORDS`` (model, composition) pairs it anchored.
     """
 
     constituents: tuple
@@ -137,6 +143,10 @@ class ReferenceEnvironment:
         return self.physical_references[i]
 
     def reservoir(self) -> ThermalReservoir:
+        return self._reservoir
+
+    @cached_property
+    def _reservoir(self) -> ThermalReservoir:
         width = 1e9 * max(1.0, self.t0)
         return ThermalReservoir(self.t0, 0.0, -width, width)
 
@@ -218,6 +228,31 @@ class ReferenceEnvironment:
         return (_frozen_array(content.T @ (self.e0_assigned - e_phys)),
                 _frozen_array(content.T @ (self.s0_assigned - s_phys)))
 
+    @cached_property
+    def _gauge_rows(self) -> tuple[tuple, tuple]:
+        """``gauge_gradient`` as tuples of floats."""
+        return tuple(tuple(g.tolist()) for g in self.gauge_gradient)
+
+    @cached_property
+    def _records(self) -> dict:
+        return {}
+
+    def _reference_record(self, model: MatterModel,
+                          comp: Composition) -> tuple[float, float, SystemState, float]:
+        """(g_E, g_S, reference proxy state, its anchored entropy) of ``model``
+        at ``comp``.  Kept per model object and amounts, the entry holding the
+        model so that its id is not reused; refusals are not kept."""
+        key, records = (id(model), comp.amounts.tobytes()), self._records
+        record = records.pop(key, None)
+        if record is None:
+            g_e, g_s = self.gauge(comp)
+            ref_state = _reference_proxy_state(self, model, comp)
+            record = (model, g_e, g_s, ref_state, g_s + entropy_of(model, ref_state))
+            if len(records) >= RECORDS:
+                del records[next(iter(records))]
+        records[key] = record
+        return record[1:]
+
     @classmethod
     def chemical_convention(cls, constituents, elemental, network, species_models,
                             t0: float, p0: float) -> "ReferenceEnvironment":
@@ -283,9 +318,7 @@ def open_energy_entropy(env: ReferenceEnvironment, model: MatterModel,
     to the elemental reference states, so states of different compositions
     land on one comparable scale.
     """
-    g_e, g_s = env.gauge(ost.comp)
-    ref_state = _reference_proxy_state(env, model, ost.comp)
-    s_anchor = g_s + entropy_of(model, ref_state)
+    g_e, _, ref_state, s_anchor = env._reference_record(model, ost.comp)
     s_open = measure_entropy(model, ost.closed_proxy(), ref_state, s_anchor,
                              env.reservoir())
     return g_e + ost.energy, s_open
@@ -326,22 +359,23 @@ def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
     if env is not None:
         env.decompose(ost.comp)  # NotExpressible unless the environment forms it
     st = ost.closed_proxy()
-    return _potentials(env, model, st, temperature_of(model, st))
+    return np.array(_potentials(env, model, st, temperature_of(model, st)))
 
 
 def _potentials(env: ReferenceEnvironment | None, model: MatterModel, st: SystemState,
-                t: float) -> np.ndarray:
-    """``total_potentials`` at a checked state of temperature ``t`` whose
-    composition the environment forms."""
+                t: float) -> list[float]:
+    """``total_potentials``, in floats, at a checked state of temperature ``t``
+    whose composition the environment forms."""
     ds_dn = model.ds_dn(st.energy, st.params, st.comp)
     if ds_dn is None:
         ds_dn = _fd_ds_dn(model, st.energy, st.params, st.comp)
+    ds_dn = np.asarray(ds_dn, dtype=float).tolist()
     if env is None:
-        mu = -t * np.asarray(ds_dn, dtype=float)
+        mu = [-t * x for x in ds_dn]
     else:
-        g_e, g_s = env.gauge_gradient
-        mu = g_e - t * (g_s + ds_dn)
-    return np.where(st.comp.amounts > 1e-12, mu, math.nan)
+        g_e, g_s = env._gauge_rows
+        mu = [a - t * (b + x) for a, b, x in zip(g_e, g_s, ds_dn)]
+    return [m if n > 1e-12 else math.nan for m, n in zip(mu, st.comp.amounts.tolist())]
 
 
 def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
@@ -428,10 +462,10 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
             st = SystemState(energy, params, comp)
             temp, _ = model.evaluate(energy, params, comp)
             eps = ()
-        # the gauge decomposes the composition, refusing what env cannot form
+        # the reference record refuses what env cannot form, and keeps only what it can
         e_open, s_open = open_energy_entropy(env, model, OpenState(st.comp, st.energy, params))
         pres = _pressure(model, st, temp)
-        mu = tuple(float(x) for x in _potentials(env, model, st, temp))
+        mu = tuple(_potentials(env, model, st, temp))
         return OpenTableRow(e_open, volume, tuple(comp.amounts), s_open, eps,
                             tuple(st.comp.amounts), temp, pres, mu)
     except (DomainError, RangeError, RangeExceeded, InadmissibleStep, Infeasible,

@@ -4,7 +4,9 @@ Each primitive is a state-to-state map evaluated in closed form against the
 model's fundamental relation (a reversible process need not be slow, so no
 time discretization is involved).  The runner keeps exact ledgers of reservoir
 energy, weight work and entropy production, and the measurement operations
-read entropy and temperature off those ledgers alone.
+read entropy and temperature off those ledgers alone.  A reversible standard
+process that starts at the reservoir temperature leaves out its first,
+zero-length isentrope.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .errors import (
     DegenerateStates,
@@ -233,22 +233,21 @@ def _three_leg_schedule(model: MatterModel, st1: SystemState, st2: SystemState,
                         t_res: float) -> Schedule:
     _require_uncorrelated(st1)
     _require_uncorrelated(st2)
-    same_comp = st1.comp is st2.comp or (len(st1.comp) == len(st2.comp) and np.allclose(
-        st1.comp.amounts, st2.comp.amounts, rtol=0.0, atol=1e-12))
-    if not same_comp:
+    x, y = st1.comp.amounts.tolist(), st2.comp.amounts.tolist()
+    if st1.comp is not st2.comp and not (len(x) == len(y) and (
+            x == y or all(abs(p - q) <= 1e-12 for p, q in zip(x, y)))):
         raise DomainError(
             "standard weight processes connect states of identical composition; "
             "anchor differing compositions through a reference environment"
         )
-    s1 = entropy_of(model, st1)
+    t1, s1 = model.evaluate(st1.energy, st1.params, st1.comp)
     s2 = entropy_of(model, st2)
-    params_a = _volume_on_isentrope(model, s1, t_res, st1)
-    params_b = _volume_on_isentrope(model, s2, t_res, st2)
-    return Schedule((
-        Isentropic(params_a),
-        IsothermalContact(target_params=params_b),
-        Isentropic(st2.params),
-    ))
+    legs = (IsothermalContact(target_params=_volume_on_isentrope(model, s2, t_res, st2)),
+            Isentropic(st2.params))
+    # st1 passes the contact's entry test: a first isentrope would have zero length
+    if abs(t1 - t_res) <= TOL_T * max(1.0, t_res):
+        return Schedule(legs)
+    return Schedule((Isentropic(_volume_on_isentrope(model, s1, t_res, st1)), *legs))
 
 
 def reversible_standard_process(model: MatterModel, st1: SystemState,
@@ -256,7 +255,8 @@ def reversible_standard_process(model: MatterModel, st1: SystemState,
                                 reservoir: ThermalReservoir) -> ProcessRecord:
     """Connect two states by the three-leg reversible standard weight process:
     isentropic to the reservoir temperature, isothermal contact, isentropic
-    to the target.  The reservoir picks up exactly -T_R (S2 - S1)."""
+    to the target; a process that starts at the reservoir temperature runs
+    the last two legs.  The reservoir picks up exactly -T_R (S2 - S1)."""
     schedule = _three_leg_schedule(model, st1, st2, reservoir.temperature)
     record = run_schedule(model, st1, reservoir, schedule)
     gap = abs(record.final.energy - st2.energy)

@@ -33,6 +33,19 @@ GAS3 = ideal_gas_model(3.0)
 BASE = state(1.5, 1.0, [1.0])
 
 
+def test_the_volume_is_the_first_parameter_as_a_float():
+    params = Parameters(np.array([2.5, 7.0]))
+    assert type(params.volume) is float and params.volume == 2.5
+    assert params.with_volume(4.0).volume == 4.0 and params.volume == 2.5
+    # an empty vector constructs, and has no volume to read
+    empty = Parameters([])
+    assert len(empty) == 0
+    with pytest.raises(IndexError):
+        empty.volume
+    with pytest.raises(AttributeError, match="has no attribute 'weight'"):
+        empty.weight
+
+
 def test_monatomic_entropy_value():
     # closed form of the declared relation
     assert entropy_of(GAS3, BASE) == pytest.approx(1.5 * math.log(1.5), abs=1e-12)
@@ -451,13 +464,27 @@ def _counting(monkeypatch, cls, name):
 
 def test_theorem_suite_evaluates_the_relation_a_fixed_number_of_times(
         tmp_path, monkeypatch, capsys):
-    # the count of the relation before the composition sums were remembered:
-    # a faster suite did not come from skipping evaluations
+    # 15,130 evaluations before the composition sums were remembered, and
+    # until a standard process that starts at T_R left out its zero-length
+    # first isentrope, which saves exactly one evaluation: a faster suite did
+    # not come from skipping other evaluations
+    from entrokit import process_engine
     from entrokit.cli import _run_theorem_suite
 
     calls = _counting(monkeypatch, IdealGasMixture, "entropy")
+    two_legs = []
+    real = process_engine._three_leg_schedule
+
+    def counted(*args):
+        schedule = real(*args)
+        if len(schedule.steps) == 2:
+            two_legs.append(None)
+        return schedule
+
+    monkeypatch.setattr(process_engine, "_three_leg_schedule", counted)
     assert _run_theorem_suite(tmp_path, 0)
-    assert len(calls) == 15130
+    assert len(two_legs) == 133
+    assert len(calls) == 15130 - len(two_legs) == 14997
 
 
 def test_weight_process_fuzz_checks_its_one_composition_once_or_so(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from entrokit.matter_models import (
     temperature_of,
 )
 from entrokit.open_systems import (
+    RECORDS,
     OpenGrid,
     OpenState,
     ReferenceEnvironment,
@@ -583,11 +585,15 @@ def test_a_nonreactive_table_point_evaluates_each_state_once(monkeypatch):
     # the table state, the reference proxy state and the legs of the
     # reversible measurement: 13 checked evaluations and 9 relation
     # evaluations before they shared one, 2 decompositions and 2 inversions
-    # for a differenced pressure
+    # for a differenced pressure; then 8, 8 and 1.  The two points of a grid
+    # share a composition, so the second reuses the first's reference record
+    # (its decomposition and the reference proxy state's entropy), and the
+    # measurement, which starts at T_R, runs without its zero-length first
+    # isentrope: 7 and 6 evaluations, 1 and 0 decompositions
     per_point = _calls_per_point(monkeypatch, reactive=False)
-    assert per_point["checked"] <= 9
-    assert per_point["entropy"] <= 9
-    assert per_point["decompose"] == 1
+    assert per_point["checked"] <= 6.5
+    assert per_point["entropy"] <= 6.5
+    assert per_point["decompose"] == 0.5
     assert per_point["inversions"] == 0
 
 
@@ -599,6 +605,102 @@ def test_a_reactive_table_point_evaluates_each_solver_point_once(monkeypatch):
     assert per_point["entropy"] <= 16.71
     assert per_point["decompose"] == 1
     assert per_point["inversions"] == 0
+
+
+def _counting_decompositions(monkeypatch):
+    calls = []
+    real = ReferenceEnvironment._content
+
+    def counted(self, comp):
+        calls.append(comp)
+        return real(self, comp)
+
+    monkeypatch.setattr(ReferenceEnvironment, "_content", counted)
+    return calls
+
+
+def _bits(values):
+    return tuple(struct.pack("d", x) for x in values)
+
+
+def test_an_equal_composition_reuses_the_reference_record(monkeypatch):
+    env, mix = water_env(), water_mix()
+    decompositions = _counting_decompositions(monkeypatch)
+    amounts = [1.2, 0.7, 0.3]
+    first = open_energy_entropy(env, mix, OpenState(Composition(amounts), 8.0, Parameters([1.3])))
+    # another object with the same amounts, at another state: no decomposition
+    again = open_energy_entropy(env, mix, OpenState(Composition(amounts), 8.0, Parameters([1.3])))
+    other = open_energy_entropy(env, mix, OpenState(Composition(amounts), 6.0, Parameters([2.1])))
+    assert len(decompositions) == 1 and len(env._records) == 1
+    assert _bits(again) == _bits(first)
+    cold = open_energy_entropy(water_env(), mix,
+                               OpenState(Composition(amounts), 6.0, Parameters([2.1])))
+    assert _bits(other) == _bits(cold)
+    assert env.reservoir() is env.reservoir()
+
+
+def test_each_model_gets_its_own_reference_record():
+    # same species, other formation energy: the second model's values are
+    # those of a cold environment, not the first model's
+    env, comp = water_env(), Composition([1.2, 0.7, 0.3])
+    ost = OpenState(comp, 8.0, Parameters([1.3]))
+    shallow, deep = water_mix(), water_mix(e0_water=-3.0)
+    got = [open_energy_entropy(env, model, ost) for model in (shallow, deep, shallow, deep)]
+    assert len(env._records) == 2
+    for model, values in zip((shallow, deep) * 2, got):
+        assert _bits(values) == _bits(open_energy_entropy(water_env(), model, ost))
+    assert got[0][1] != got[1][1]
+
+
+def test_a_refused_composition_raises_on_every_call(monkeypatch):
+    env, mix = lone_c_env(), IdealGasMixture([Species(n, 3.0) for n in "ABC"])
+    decompositions = _counting_decompositions(monkeypatch)
+    lone_c = OpenState(Composition([0.0, 0.0, 1.0]), 8.0, Parameters([1.3]))
+    for _ in range(3):
+        with pytest.raises(NotExpressible, match="negative elemental amounts"):
+            open_energy_entropy(env, mix, lone_c)
+    assert len(decompositions) == 3 and not env._records
+
+
+def test_reference_records_are_bounded_and_the_least_recently_used_goes(monkeypatch):
+    env, mix = water_env(), water_mix()
+    decompositions = _counting_decompositions(monkeypatch)
+    comps = [Composition([1.0 + 0.01 * k, 0.5, 0.3]) for k in range(RECORDS + 8)]
+
+    def anchor(comp):
+        open_energy_entropy(env, mix, OpenState(comp, 8.0, Parameters([1.3])))
+
+    for comp in comps[:RECORDS]:
+        anchor(comp)
+    anchor(comps[0])  # used again: now the most recent
+    for comp in comps[RECORDS:]:
+        anchor(comp)
+        assert len(env._records) == RECORDS
+    assert len(decompositions) == len(comps)
+    anchor(comps[0])  # kept
+    assert len(decompositions) == len(comps)
+    anchor(comps[1])  # among the first eight out
+    assert len(decompositions) == len(comps) + 1
+    assert len(env._records) == RECORDS
+
+
+def test_tables_are_the_same_from_a_cold_and_a_warm_environment():
+    # grids of the tabulate benchmark's kind over five reused compositions,
+    # each grid handed new composition objects: a warm environment's rows
+    # carry the bits of a new environment's, and gap messages word for word
+    warm, mix = water_env(), water_mix()
+    rng = np.random.default_rng(98)
+    pool = [[2.0 * a, a, b] for a, b in zip(rng.uniform(0.6, 1.4, 5), rng.uniform(0.1, 0.5, 5))]
+    statuses = set()
+    for _ in range(100):
+        grid = OpenGrid(tuple(rng.uniform(-6.0, 10.0, 2)), (rng.uniform(0.5, 3.0),),
+                        (Composition(pool[rng.integers(5)]),))
+        rows = open_fundamental_relation(warm, mix, grid)
+        assert [repr(r) for r in rows] == [repr(r) for r in
+                                           open_fundamental_relation(water_env(), mix, grid)]
+        statuses.update(row.status.split(":")[0] for row in rows)
+    assert statuses == {"ok", "gap"}
+    assert len(warm._records) == 5
 
 
 class WithoutAlongHook(IdealGasMixture):

@@ -29,6 +29,7 @@ from entrokit.matter_models import (
     energy_of,
     entropy_of,
     ideal_gas_model,
+    solve_energy_at_temperature,
     state,
 )
 from entrokit.process_engine import (
@@ -43,6 +44,8 @@ from entrokit.process_engine import (
     measure_entropy_difference,
     measure_entropy_difference_composite,
     measure_temperature_ratio,
+    _three_leg_schedule,
+    _volume_on_isentrope,
     reversible_standard_process,
     run_schedule,
 )
@@ -50,6 +53,7 @@ from entrokit.process_engine import (
 from conftest import ReservoirModel
 
 GAS = ideal_gas_model(3.0)
+GAS2 = IdealGasMixture([Species("A", 3.0), Species("B", 5.0, e0=-0.7, s0=0.2)])
 ST1 = state(1.5, 1.0, [1.0])
 ST2 = state(1.5, 2.0, [1.0])
 RES = ThermalReservoir(1.0, 0.0, -1e6, 1e6)
@@ -281,6 +285,70 @@ def test_compositions_must_match():
     other = state(1.5, 1.0, [2.0])
     with pytest.raises(DomainError):
         reversible_standard_process(GAS, ST1, other, RES)
+
+
+def test_compositions_match_within_an_absolute_1e_12_per_entry():
+    # equal values in another object, and entries 5e-13 apart, connect; the
+    # refusal keeps its message for 2e-12 apart and for another length
+    st1 = state(1.5, 1.0, [1.0, 0.5])
+    for amounts in ([1.0, 0.5], [1.0 + 5e-13, 0.5 - 5e-13]):
+        rec = reversible_standard_process(GAS2, st1, state(1.2, 2.0, amounts), RES)
+        assert rec.reversible
+    for amounts in ([1.0, 0.5 + 2e-12], [1.0, 0.5, 0.0]):
+        with pytest.raises(DomainError, match="^standard weight processes connect states "
+                                              "of identical composition"):
+            reversible_standard_process(GAS2, st1, state(1.2, 2.0, amounts), RES)
+
+
+def _forced_three_legs(model, st1, st2, t_res):
+    """The three-leg schedule with its first isentrope, whatever its length."""
+    s1, s2 = entropy_of(model, st1), entropy_of(model, st2)
+    return Schedule((
+        Isentropic(_volume_on_isentrope(model, s1, t_res, st1)),
+        IsothermalContact(target_params=_volume_on_isentrope(model, s2, t_res, st2)),
+        Isentropic(st2.params),
+    ))
+
+
+def _state_at(model, temperature, volume, amounts):
+    comp = Composition(amounts)
+    params = Parameters([volume])
+    return SystemState(solve_energy_at_temperature(model, temperature, params, comp),
+                       params, comp)
+
+
+def test_a_standard_process_from_the_reservoir_temperature_runs_two_legs():
+    # seeded gases and mixtures: the ledger without the zero-length first
+    # isentrope reads the forced three-leg ledger's entropy within 1e-14 of S
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        model = GAS if rng.random() < 0.5 else GAS2
+        amounts = rng.uniform(0.1, 3.0, len(model.species))
+        t_res = rng.uniform(0.2, 5.0)
+        res = wide_reservoir(t_res)
+        st1 = _state_at(model, t_res, rng.uniform(0.3, 3.0), amounts)
+        st2 = SystemState(rng.uniform(1.0, 3.0) * st1.energy, Parameters([rng.uniform(0.3, 3.0)]),
+                          st1.comp)
+        schedule = _three_leg_schedule(model, st1, st2, t_res)
+        assert [type(step) for step in schedule.steps] == [IsothermalContact, Isentropic]
+        rec = reversible_standard_process(model, st1, st2, res)
+        forced = run_schedule(model, st1, res, _forced_three_legs(model, st1, st2, t_res))
+        assert rec.reversible and forced.reversible
+        scale = 1e-14 * max(1.0, abs(entropy_of(model, st2)))
+        assert abs(rec.d_e_res - forced.d_e_res) / t_res <= scale
+        assert rec.final.energy == pytest.approx(st2.energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e-6, -1e-6])
+def test_a_standard_process_1e_6_off_the_reservoir_temperature_runs_three_legs(offset):
+    st1 = _state_at(GAS, 1.0 + offset, 1.0, [1.0])
+    schedule = _three_leg_schedule(GAS, st1, ST2, 1.0)
+    assert [type(step) for step in schedule.steps] == [Isentropic, IsothermalContact,
+                                                       Isentropic]
+    rec = reversible_standard_process(GAS, st1, ST2, RES)
+    assert rec.reversible
+    assert -rec.d_e_res == pytest.approx(entropy_of(GAS, ST2) - entropy_of(GAS, st1),
+                                         abs=1e-12)
 
 
 def test_reservoir_range_limits_the_exchange():
