@@ -60,7 +60,6 @@ from .open_systems import (
     gibbs_open_residual,
     open_energy_entropy,
     open_fundamental_relation,
-    reference_values,
     total_potentials,
 )
 from .process_engine import (

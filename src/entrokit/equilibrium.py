@@ -5,8 +5,9 @@ initial composition; the free variables are the energy split across
 subsystems and the amounts the reactions can reach.  The inner split is
 solved by temperature equalization (stationarity across subsystems).  Along
 one independent reaction the maximization brackets the zero of the
-reaction's affinity: in a one-region problem a probe is the model's closed
-form ``ds_dn_along`` where it has one, else an evaluated point.  Over
+reaction's affinity in plain floats: in a one-region problem a probe is the
+model's closed form ``ds_dn_along`` where it has one, else an evaluated
+point, and only the answer becomes a state.  Over
 several it minimizes the convex dual in the element potentials and 1/T
 (W. C. Reynolds, STANJAN, 1986; Gordon & McBride, NASA RP-1311, 1994): each
 model gives its amounts at given potentials and temperature in closed form
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -118,11 +120,12 @@ class EquilibriumSolution:
 @dataclass
 class _Point:
     """Reaction coordinates and what the solvers need there, each evaluated
-    once: the amounts, the subsystem compositions, the equal-temperature
-    split and the total entropy.  dS/dn is filled in on first use."""
+    once: the amounts (floats), the subsystem compositions, the
+    equal-temperature split and the total entropy.  dS/dn is filled in on
+    first use."""
 
-    eps: np.ndarray
-    n: np.ndarray
+    eps: list | np.ndarray
+    n: list
     comps: list
     energies: list
     temperature: float
@@ -130,87 +133,75 @@ class _Point:
     ds_dn: np.ndarray | None = None
 
 
-class _Evaluator:
-    """Evaluation of the problem at reaction coordinates or amounts, and the
-    energy split."""
+def _point(prob: EquilibriumProblem, eps, n: list) -> _Point:
+    """The problem evaluated at the amounts ``n`` (floats), which the
+    coordinates ``eps`` reach; raises DomainError, RangeError or
+    NegativeAmount where it has no admissible state."""
+    comps = [Composition(n[sl]) for sl in prob.slices()]
+    return _Point(eps, n, comps, *_split(prob, comps))
 
-    def __init__(self, prob: EquilibriumProblem):
-        self.prob = prob
-        self.slices = prob.slices()
-        self.n0 = prob.n0_concat()
-        self.nu = None if prob.network is None else prob.network.stoich
-        # amounts at most this count as exhausted: 1e-9 of the largest initial one, at least 1
-        self.wall = 1e-9 * max(1.0, float(np.max(np.abs(self.n0), initial=0.0)))
 
-    def amounts(self, eps: np.ndarray) -> np.ndarray:
-        if self.nu is None:
-            return self.n0
-        return self.n0 + self.nu @ eps
+def _point_at(prob: EquilibriumProblem, n: np.ndarray) -> _Point:
+    """The problem evaluated at the amounts ``n``, with the minimum-norm
+    coordinates that reach them."""
+    eps, *_ = np.linalg.lstsq(prob.network.stoich, n - prob.n0_concat(), rcond=1e-10)
+    return _point(prob, eps, n.tolist())
 
-    def point(self, eps: np.ndarray) -> _Point:
-        """The problem evaluated at ``eps``; raises DomainError, RangeError or
-        NegativeAmount where it has no admissible state."""
-        return self._point(eps, self.amounts(eps))
 
-    def point_at(self, n: np.ndarray) -> _Point:
-        """The problem evaluated at the amounts ``n``, with the minimum-norm
-        coordinates that reach them."""
-        eps, *_ = np.linalg.lstsq(self.nu, n - self.n0, rcond=1e-10)
-        return self._point(eps, n)
+def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
+    """Energy split equalizing subsystem temperatures; returns (energies,
+    T, total entropy)."""
+    if len(prob.models) == 1:
+        e = prob.total_energy
+        t_eq, entropy = prob.models[0].evaluate(e, prob.params[0], comps[0])
+        return [e], t_eq, entropy
 
-    def _point(self, eps: np.ndarray, n: np.ndarray) -> _Point:
-        comps = [Composition(n[sl]) for sl in self.slices]
-        return _Point(eps, n, comps, *self.split(comps))
+    floors = [m.energy_floor(p, c) for m, p, c in zip(prob.models, prob.params, comps)]
+    if prob.total_energy <= sum(floors):
+        raise DomainError("total energy does not exceed the summed ground bounds")
 
-    def split(self, comps) -> tuple[list[float], float, float]:
-        """Energy split equalizing subsystem temperatures; returns (energies,
-        T, total entropy)."""
-        prob = self.prob
-        if len(prob.models) == 1:
-            e = prob.total_energy
-            t_eq, entropy = prob.models[0].evaluate(e, prob.params[0], comps[0])
-            return [e], t_eq, entropy
-
-        floors = [m.energy_floor(p, c) for m, p, c in zip(prob.models, prob.params, comps)]
-        if prob.total_energy <= sum(floors):
-            raise DomainError("total energy does not exceed the summed ground bounds")
-
-        def excess(t: float) -> float:
-            return sum(
-                solve_energy_at_temperature(m, t, p, c)
-                for m, p, c in zip(prob.models, prob.params, comps)
-            ) - prob.total_energy
-
-        # the excess grows with T; bracket at powers of 8 on the far side of T = 1
-        t_eq, e1 = 1.0, excess(1.0)
-        if e1 != 0.0:
-            factor = 8.0 if e1 < 0.0 else 0.125
-            t, e = expand_bracket(excess, factor, e1, 0.0, factor=factor)
-            (t_lo, e_lo), (t_hi, e_hi) = sorted([(1.0, e1), (t, e)])
-            t_eq, _ = brentq(excess, t_lo, t_hi, xtol=1e-15 * max(1.0, t_hi), rtol=1e-15,
-                             fa=e_lo, fb=e_hi)
-        energies = [
-            solve_energy_at_temperature(m, t_eq, p, c)
+    def excess(t: float) -> float:
+        return sum(
+            solve_energy_at_temperature(m, t, p, c)
             for m, p, c in zip(prob.models, prob.params, comps)
-        ]
-        entropy = sum(
-            entropy_of(m, SystemState(e, p, c))
-            for m, e, p, c in zip(prob.models, energies, prob.params, comps)
-        )
-        return energies, float(t_eq), entropy
+        ) - prob.total_energy
 
-    def ds_dn(self, pt: _Point) -> np.ndarray:
-        """dS/dn for each constituent at the point's split, computed once."""
-        if pt.ds_dn is None:
-            parts = []
-            for model, e, p, c in zip(self.prob.models, pt.energies, self.prob.params,
-                                      pt.comps):
-                d = model.ds_dn(e, p, c)
-                if d is None:
-                    d = _fd_ds_dn(model, e, p, c)
-                parts.append(np.asarray(d, dtype=float))
-            pt.ds_dn = np.concatenate(parts)
-        return pt.ds_dn
+    # the excess grows with T; bracket at powers of 8 on the far side of T = 1
+    t_eq, e1 = 1.0, excess(1.0)
+    if e1 != 0.0:
+        factor = 8.0 if e1 < 0.0 else 0.125
+        t, e = expand_bracket(excess, factor, e1, 0.0, factor=factor)
+        (t_lo, e_lo), (t_hi, e_hi) = sorted([(1.0, e1), (t, e)])
+        t_eq, _ = brentq(excess, t_lo, t_hi, xtol=1e-15 * max(1.0, t_hi), rtol=1e-15,
+                         fa=e_lo, fb=e_hi)
+    energies = [
+        solve_energy_at_temperature(m, t_eq, p, c)
+        for m, p, c in zip(prob.models, prob.params, comps)
+    ]
+    entropy = sum(
+        entropy_of(m, SystemState(e, p, c))
+        for m, e, p, c in zip(prob.models, energies, prob.params, comps)
+    )
+    return energies, float(t_eq), entropy
+
+
+def _ds_dn(prob: EquilibriumProblem, pt: _Point) -> np.ndarray:
+    """dS/dn for each constituent at the point's split, computed once."""
+    if pt.ds_dn is None:
+        parts = []
+        for model, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps):
+            d = model.ds_dn(e, p, c)
+            if d is None:
+                d = _fd_ds_dn(model, e, p, c)
+            parts.append(np.asarray(d, dtype=float))
+        pt.ds_dn = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return pt.ds_dn
+
+
+def _wall(n0: list) -> float:
+    """Amounts at most this count as exhausted: 1e-9 of the largest initial
+    one, at least 1e-9."""
+    return 1e-9 * max(1.0, max(map(abs, n0), default=0.0))
 
 
 def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
@@ -219,7 +210,7 @@ def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
                       comp.amounts, amounts=range(len(comp)))
 
 
-def _feasible_interval_1d(n0: np.ndarray, col: np.ndarray) -> tuple[float, float]:
+def _feasible_interval_1d(n0: list, col: list) -> tuple[float, float]:
     lo, hi = -math.inf, math.inf
     for nk, c in zip(n0, col):
         if c > 0:
@@ -229,35 +220,35 @@ def _feasible_interval_1d(n0: np.ndarray, col: np.ndarray) -> tuple[float, float
     return lo, hi
 
 
-def _extent_box(ev: _Evaluator) -> np.ndarray:
-    """The feasible extent interval of each reaction alone, one row each."""
-    cols = () if ev.nu is None else ev.nu.T
-    return np.array([_feasible_interval_1d(ev.n0, col) for col in cols]).reshape(-1, 2)
-
-
 def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> EquilibriumSolution:
     """Package the split, potentials and residuals at given reaction coordinates."""
-    ev = _Evaluator(prob)
     eps = np.atleast_1d(np.asarray(eps, dtype=float)) if prob.n_reactions else np.zeros(0)
-    return _package(ev, ev.point(eps), iterations)
+    n = prob.n0_concat()
+    if prob.network is not None:
+        n = n + prob.network.stoich @ eps
+    return _package(prob, _point(prob, eps, n.tolist()), iterations)
 
 
-def _package(ev: _Evaluator, pt: _Point, iterations: int,
+def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
              certificate: tuple | None = None) -> EquilibriumSolution:
     """The solution at a point; ``certificate`` is its ``_kkt`` pair when
     already known."""
-    prob = ev.prob
     states = tuple(
         SystemState(e, p, c) for e, p, c in zip(pt.energies, prob.params, pt.comps)
     )
     if prob.n_reactions:
-        dsdn = ev.ds_dn(pt)
+        nu = prob.network.stoich
+        dsdn = _ds_dn(prob, pt)
         mu = -pt.temperature * dsdn
-        affinities = ev.nu.T @ mu
-        kkt, active = _kkt(ev, pt) if certificate is None else certificate
+        affinities = nu.T @ mu
+        if certificate is None:
+            wall = _wall(prob.n0_concat().tolist())
+            certificate = _kkt(nu, pt.n, (nu.T @ dsdn).tolist(), wall)
+        kkt, active = certificate
         degenerate = prob.network.rank < prob.n_reactions
         if degenerate:
-            eps_report, *_ = np.linalg.lstsq(ev.nu, pt.n - ev.n0, rcond=1e-10)
+            eps_report, *_ = np.linalg.lstsq(nu, np.array(pt.n) - prob.n0_concat(),
+                                             rcond=1e-10)
         else:
             eps_report = pt.eps
     else:
@@ -284,16 +275,18 @@ def _package(ev: _Evaluator, pt: _Point, iterations: int,
     )
 
 
-def _kkt(ev: _Evaluator, pt: _Point) -> tuple[float, tuple]:
-    """KKT residual at the point, and its active constituents: those with
-    amounts at most ``ev.wall``."""
-    grad = ev.nu.T @ ev.ds_dn(pt)
-    active = tuple(int(k) for k in np.nonzero(pt.n <= ev.wall)[0])
-    if not active:
-        return float(np.max(np.abs(grad))), active
+def _kkt(nu, n: list, grad: list, wall: float) -> tuple[float, tuple]:
+    """KKT residual at the amounts ``n``, where the entropy gradient nu^T dS/dn
+    is ``grad`` (floats; ``nu`` has one row per constituent), and its active
+    constituents: those with amounts at most ``wall``.  Without one the
+    residual is max |grad|: along one reaction, the |g| of the probe."""
+    if min(n) > wall:
+        return float(abs(grad[0]) if len(grad) == 1 else np.max(np.abs(grad))), ()
+    active = tuple(k for k, x in enumerate(n) if x <= wall)
     # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
-    a = ev.nu[list(active), :].T
-    return float(np.max(np.abs(grad + a @ _nnls(a, -grad)))), active
+    g = np.array(grad)
+    a = np.array([nu[k] for k in active]).T
+    return float(np.max(np.abs(g + a @ _nnls(a, -g)))), active
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,49 +330,49 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
     the answer fails its KKT certificate.
     """
     tau = prob.n_reactions
-    ev = _Evaluator(prob)
+    n0 = [x for c in prob.n0 for x in c.amounts.tolist()]
+    cols = prob.network.stoich.T.tolist() if tau else []
+    box = [_feasible_interval_1d(n0, col) for col in cols]
     # no reaction, or every one pinned (zero-width extent intervals): nothing to optimize
-    box = _extent_box(ev)
-    if np.max(box[:, 1] - box[:, 0], initial=0.0) <= 1e-13:
+    if max((hi - lo for lo, hi in box), default=0.0) <= 1e-13:
         try:
             return solution_at(prob, np.zeros(tau))
         except (DomainError, RangeError) as exc:
             raise Infeasible(str(exc)) from exc
 
-    if prob.network.rank >= 2:
+    rank = prob.network.rank
+    if rank >= 2:
         if start is not None:
             raise ValueError("start applies to one independent reaction only")
-        pt, it, failure = _dual(ev, max_iter)
+        pt, it, failure = _dual(prob, max_iter)
         certificate = None
     else:
-        if start is not None:
-            eps = np.atleast_1d(np.asarray(start, dtype=float))
-            if np.min(ev.amounts(eps)) < 0.0:
-                raise Infeasible("supplied start is outside the feasible set")
-        solve_ev = ev
-        if prob.network.rank < tau:
-            solve_ev = _Evaluator(EquilibriumProblem(
-                prob.models, prob.params, prob.n0, prob.total_energy,
-                network=ReactionNetwork(ev.nu[:, list(prob.network.independent_columns)])))
-            box = _extent_box(solve_ev)
-            if start is not None:
-                eps, *_ = np.linalg.lstsq(solve_ev.nu, ev.nu @ eps, rcond=None)
+        # dependent reactions: solve on the first independent one
+        j = prob.network.independent_columns[0] if rank < tau else 0
         if start is None:  # the middle of the extent interval, an infinite end at +-1
-            eps = [sum(math.copysign(1.0, y) if math.isinf(y) else y
-                       for y in box[0].tolist()) / 2.0]
-        pt, it, failure, certificate = _affinity_root(solve_ev, float(eps[0]), box[0], max_iter)
-        if solve_ev is not ev:  # the certificate is on the full network
+            x0 = sum(math.copysign(1.0, y) if math.isinf(y) else y for y in box[j]) / 2.0
+        else:
+            nu = prob.network.stoich
+            eps = np.atleast_1d(np.asarray(start, dtype=float))
+            if np.min(prob.n0_concat() + nu @ eps) < 0.0:
+                raise Infeasible("supplied start is outside the feasible set")
+            if rank < tau:
+                eps, *_ = np.linalg.lstsq(nu[:, [j]], nu @ eps, rcond=None)
+            x0 = float(eps[0])
+        pt, it, failure, certificate = _affinity_root(prob, n0, cols[j], x0, box[j], max_iter)
+        if rank < tau:  # the certificate is on the full network
             certificate = None
-    sol = _package(ev, pt, it, certificate)
+    sol = _package(prob, pt, it, certificate)
     if sol.kkt_residual <= max(tol, 1e-8):
         return sol
     raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
 
 
-def _affinity_root(ev: _Evaluator, x0: float, interval: np.ndarray,
-                   max_iter: int) -> tuple:
-    """The entropy maximum along one reaction: the zero of its affinity
-    g(eps) = nu . dS/dn, which falls along eps because S is concave.
+def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
+                   interval: tuple, max_iter: int) -> tuple:
+    """The entropy maximum along one reaction, the column ``col`` acting on
+    the initial amounts ``n0``: the zero of its affinity g(eps) = col . dS/dn,
+    which falls along eps because S is concave.  Everything is in floats.
 
     From the starting extent ``x0`` the bracket moves geometrically toward
     the end of the feasible extent ``interval`` that g points to, and Brent's
@@ -387,22 +380,23 @@ def _affinity_root(ev: _Evaluator, x0: float, interval: np.ndarray,
     optimum.  A point with no admissible state lies past the optimum, so g
     counts as infinite there, pointing back.  A probe of g is the model's
     ``ds_dn_along`` in a one-region problem where the model has it, else an
-    evaluated point; each counts against ``max_iter``.  Only candidates that
-    can still certify best become points.  Returns (point, probes, what to
-    report if the point fails its KKT certificate, the point's ``_kkt`` pair).
+    evaluated point; each counts against ``max_iter``.  A candidate is
+    certified from its probe's g, and only the answer becomes a point, unless
+    its probe made one.  Returns (point, probes, what to report if the point
+    fails its KKT certificate, the point's ``_kkt`` pair).
     """
-    col = ev.nu[:, 0]
-    n0, d = ev.n0.tolist(), col.tolist()
     points, refused = {}, set()  # eps -> point where evaluated; eps without a state
 
+    def amounts(x: float) -> list:
+        return [a + c * x for a, c in zip(n0, col)]
+
     def at_point(x: float) -> float:
-        points[x] = here = ev.point(np.array([x]))
-        return float(col @ ev.ds_dn(here))
+        points[x] = here = _point(prob, [x], amounts(x))
+        return sum(map(mul, col, _ds_dn(prob, here).tolist()))
 
     probe = at_point
-    if len(ev.prob.models) == 1:
-        probe = partial(ev.prob.models[0].ds_dn_along, ev.prob.total_energy, ev.prob.params[0],
-                        n0, d)
+    if len(prob.models) == 1:
+        probe = partial(prob.models[0].ds_dn_along, prob.total_energy, prob.params[0], n0, col)
     try:
         g0 = probe(x0)
         if g0 is None:  # the model has no such hook
@@ -421,7 +415,7 @@ def _affinity_root(ev: _Evaluator, x0: float, interval: np.ndarray,
             refused.add(x)
         return seen[x]
 
-    end = float(interval[1] if g0 > 0.0 else interval[0])
+    end = interval[1] if g0 > 0.0 else interval[0]
     if math.isfinite(end):  # approach the end, cutting the distance 8-fold
         origin, factor, x1 = end, 0.125, end + 0.125 * (x0 - end)
     else:  # step away 8-fold farther each time
@@ -445,14 +439,14 @@ def _affinity_root(ev: _Evaluator, x0: float, interval: np.ndarray,
         candidates, failure = list(seen), str(exc)
     candidates = [y for y in dict.fromkeys(candidates) if y not in refused]
     # without an active constituent the residual is |g|, which then cannot win
-    ranked = {}
+    nu, wall, ranked = [[c] for c in col], _wall(n0), {}
     for y in sorted(candidates, key=lambda y: abs(seen[y])):
-        if (not ranked or abs(seen[y]) < min(r for r, _ in ranked.values())
-                or min(a + c * y for a, c in zip(n0, d)) <= ev.wall):
-            points[y] = points.get(y) or ev.point(np.array([y]))
-            ranked[y] = _kkt(ev, points[y])
+        n = amounts(y)
+        if not ranked or abs(seen[y]) < min(r for r, _ in ranked.values()) or min(n) <= wall:
+            ranked[y] = _kkt(nu, n, [seen[y]], wall)
     best = min((y for y in candidates if y in ranked), key=lambda y: ranked[y][0])
-    return points[best], len(seen), failure, ranked[best]
+    answer = points.get(best) or _point(prob, [best], amounts(best))
+    return answer, len(seen), failure, ranked[best]
 
 
 def _reachable(nu: np.ndarray, n0: np.ndarray) -> np.ndarray:
@@ -472,7 +466,7 @@ def _reachable(nu: np.ndarray, n0: np.ndarray) -> np.ndarray:
     return present
 
 
-def _dual(ev: _Evaluator, max_iter: int) -> tuple[_Point, int, str]:
+def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
     """The entropy maximum over several independent reactions, from the dual
     in the element potentials lam and beta = 1/T:
 
@@ -496,22 +490,22 @@ def _dual(ev: _Evaluator, max_iter: int) -> tuple[_Point, int, str]:
     (point at the last amounts, Newton steps, what to report if the point
     fails its KKT certificate).
     """
-    prob = ev.prob
-    models, params, slices = prob.models, prob.params, ev.slices
-    free = np.any(ev.nu != 0.0, axis=1) & _reachable(ev.nu, ev.n0)
+    models, params, slices = prob.models, prob.params, prob.slices()
+    nu, n0 = prob.network.stoich, prob.n0_concat()
+    free = np.any(nu != 0.0, axis=1) & _reachable(nu, n0)
     # the conserved rows are orthonormal, so their singular values are at most 1
     _, sv, vt = np.linalg.svd(prob.network.conserved[:, free], full_matrices=False)
     a = vt[:int(np.sum(sv > 1e-10))]
-    b = a @ ev.n0[free]
+    b = a @ n0[free]
 
     def at(lam: np.ndarray, beta: float) -> tuple:
         """(g, gradient, amounts, compositions, T, dln n/dln T) at (lam, beta)."""
         if not beta > 0.0:
             raise DomainError("1/T must be positive")
         t = 1.0 / beta
-        potentials = np.zeros(ev.n0.shape[0])
+        potentials = np.zeros(n0.shape[0])
         potentials[free] = a.T @ lam
-        n, dlog = ev.n0.copy(), np.empty_like(ev.n0)
+        n, dlog = n0.copy(), np.empty_like(n0)
         for m, p, sl in zip(models, params, slices):
             log_n, dlog[sl] = m.log_amounts(t, p, potentials[sl])
             moved = free[sl]
@@ -526,11 +520,11 @@ def _dual(ev: _Evaluator, max_iter: int) -> tuple[_Point, int, str]:
         return entropy + lam @ grad[:-1] + beta * grad[-1], grad, n, comps, t, dlog
 
     try:
-        t0 = ev.split([Composition(ev.n0[sl]) for sl in slices])[1]
+        t0 = _split(prob, [Composition(n0[sl]) for sl in slices])[1]
     except (DomainError, RangeError) as exc:
         raise Infeasible(f"no admissible state at the initial composition: {exc}") from exc
     # the potentials that best reproduce the initial amounts, absent ones at a small share
-    target = np.maximum(ev.n0, 1e-3 * ev.n0.max())[free]
+    target = np.maximum(n0, 1e-3 * n0.max())[free]
     at_zero = np.concatenate([m.log_amounts(t0, p, np.zeros(sl.stop - sl.start))[0]
                               for m, p, sl in zip(models, params, slices)])[free]
     kb = np.concatenate([np.full(sl.stop - sl.start, m.kb) for m, sl in zip(models, slices)])
@@ -565,7 +559,7 @@ def _dual(ev: _Evaluator, max_iter: int) -> tuple[_Point, int, str]:
             failure = f"no descent step after {it} steps"
             break
         lam, beta, here = lam + alpha * step[:-1], beta + alpha * step[-1], trial
-    return ev.point_at(here[2]), it, failure
+    return _point_at(prob, here[2]), it, failure
 
 
 def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> float:

@@ -301,12 +301,12 @@ class IdealGasMixture(MatterModel):
     def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
         # Composition's clamp and the checks of evaluate, in their order, then
         # the slopes of ds_dn summed in sequence: the bits of direction @ ds_dn
-        n = []
-        for k, (a, d) in enumerate(zip(n0, direction)):
-            nk = a + d * extent
-            if nk < -TOL_NEG:
-                raise NegativeAmount(k, nk)
-            n.append(0.0 if nk < 0.0 else nk)
+        n = [a + d * extent for a, d in zip(n0, direction)]
+        if min(n, default=0.0) < 0.0:
+            for k, nk in enumerate(n):
+                if nk < -TOL_NEG:
+                    raise NegativeAmount(k, nk)
+            n = [0.0 if nk < 0.0 else nk for nk in n]
         e0n, dn = self._linear_sums(n, sum(n))
         _check_energy(energy, e0n + GROUND_EPS)
         log_v = math.log(self._check_volume(params))

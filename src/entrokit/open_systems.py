@@ -6,8 +6,10 @@ that composition; its entropy is anchored by a reversible measurement against
 the environment's reservoir, and compositions with different constituents
 become comparable because every scale traces back to the same per-species
 reference states at the environment's temperature and pressure.  The gauge,
-reference proxy state and anchored entropy of a composition are kept, so a
-table that revisits a composition runs only the measurement of each state.
+reference proxy state, its (T, S) and anchored entropy of a composition are
+kept, so a table that revisits a composition runs only the measurement of
+each state; the equilibrium compositions of a reactive table, which seldom
+recur, are not kept.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .matter_models import (
     solve_energy_at_temperature,
     temperature_of,
 )
-from .process_engine import measure_entropy
+from .process_engine import _reversible_standard_process
 from .roots import decreasing_root
 from .stoichiometry import (
     Composition,
@@ -237,17 +239,23 @@ class ReferenceEnvironment:
     def _records(self) -> dict:
         return {}
 
-    def _reference_record(self, model: MatterModel,
-                          comp: Composition) -> tuple[float, float, SystemState, float]:
-        """(g_E, g_S, reference proxy state, its anchored entropy) of ``model``
-        at ``comp``.  Kept per model object and amounts, the entry holding the
-        model so that its id is not reused; refusals are not kept."""
+    def _reference_record(self, model: MatterModel, comp: Composition,
+                          keep: bool = True) -> tuple[float, SystemState, tuple, float]:
+        """(g_E, reference proxy state, its (T, S) on the model's scale, its
+        anchored entropy) of ``model`` at ``comp``, the state evaluated once.
+        Kept per model object and amounts, the entry holding the model so
+        that its id is not reused; refusals are not kept, and with
+        ``keep=False`` (compositions that seldom recur) nothing is looked up
+        or kept."""
         key, records = (id(model), comp.amounts.tobytes()), self._records
-        record = records.pop(key, None)
+        record = records.pop(key, None) if keep else None
         if record is None:
             g_e, g_s = self.gauge(comp)
             ref_state = _reference_proxy_state(self, model, comp)
-            record = (model, g_e, g_s, ref_state, g_s + entropy_of(model, ref_state))
+            ts = model.evaluate(ref_state.energy, ref_state.params, comp)
+            record = (model, g_e, ref_state, ts, g_s + ts[1])
+            if not keep:
+                return record[1:]
             if len(records) >= RECORDS:
                 del records[next(iter(records))]
         records[key] = record
@@ -290,13 +298,6 @@ class OpenState:
         return SystemState(self.energy, self.params, self.comp)
 
 
-def reference_values(env: ReferenceEnvironment, comp: Composition) -> tuple[float, float]:
-    """Assigned (E0, S0) for a composition: per-species references weighted by
-    elemental content."""
-    w, _ = env.decompose(comp)
-    return float(w @ env.e0_assigned), float(w @ env.s0_assigned)
-
-
 def _reference_proxy_state(env: ReferenceEnvironment, model: MatterModel,
                            comp: Composition) -> SystemState:
     """Canonical state of the closed proxy at the environment's (T0, p0); the
@@ -318,10 +319,20 @@ def open_energy_entropy(env: ReferenceEnvironment, model: MatterModel,
     to the elemental reference states, so states of different compositions
     land on one comparable scale.
     """
-    g_e, _, ref_state, s_anchor = env._reference_record(model, ost.comp)
-    s_open = measure_entropy(model, ost.closed_proxy(), ref_state, s_anchor,
-                             env.reservoir())
-    return g_e + ost.energy, s_open
+    return _open_energy_entropy(env, model, ost.closed_proxy(),
+                                env._reference_record(model, ost.comp))
+
+
+def _open_energy_entropy(env: ReferenceEnvironment, model: MatterModel, proxy: SystemState,
+                         record: tuple, s_proxy: float | None = None) -> tuple[float, float]:
+    """``open_energy_entropy`` of a closed proxy from its composition's
+    reference record, and the proxy's entropy on the model's scale when the
+    caller has just evaluated it; the measurement then evaluates only the
+    states it makes."""
+    g_e, ref_state, ts_ref, s_anchor = record
+    reservoir = env.reservoir()
+    process = _reversible_standard_process(model, ref_state, proxy, reservoir, ts_ref, s_proxy)
+    return g_e + proxy.energy, s_anchor - process.d_e_res / reservoir.temperature
 
 
 def open_entropy_direct(env: ReferenceEnvironment, model: MatterModel,
@@ -456,14 +467,16 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
             prob = EquilibriumProblem((model,), (params,), (comp,), energy,
                                       network=grid.network)
             sol = stable_equilibrium(prob)
-            st, temp = sol.states[0], sol.temperature
+            st, temp, s = sol.states[0], sol.temperature, sol.entropy
             eps = tuple(float(x) for x in sol.eps_se.epsilon)
         else:
             st = SystemState(energy, params, comp)
-            temp, _ = model.evaluate(energy, params, comp)
+            temp, s = model.evaluate(energy, params, comp)
             eps = ()
-        # the reference record refuses what env cannot form, and keeps only what it can
-        e_open, s_open = open_energy_entropy(env, model, OpenState(st.comp, st.energy, params))
+        # the reference record refuses what env cannot form, and keeps only what
+        # it can; an equilibrium composition seldom recurs, so it is not kept
+        record = env._reference_record(model, st.comp, keep=not grid.reactive)
+        e_open, s_open = _open_energy_entropy(env, model, st, record, s)
         pres = _pressure(model, st, temp)
         mu = tuple(_potentials(env, model, st, temp))
         return OpenTableRow(e_open, volume, tuple(comp.amounts), s_open, eps,

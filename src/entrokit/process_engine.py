@@ -160,6 +160,12 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
     InadmissibleStep.  DomainError and RangeExceeded propagate from the
     model and the reservoir.
     """
+    return _run_schedule(model, st0, reservoir, schedule)
+
+
+def _run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservoir,
+                  schedule: Schedule, ts0: tuple | None = None) -> ProcessRecord:
+    """``run_schedule``, from the first state's (T, S) when ``ts0`` gives it."""
     _require_uncorrelated(st0)
     t_res = reservoir.temperature
     # one checked evaluation per state, with T where an isothermal contact
@@ -167,7 +173,7 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
     contact = [isinstance(step, IsothermalContact) for step in schedule.steps]
     wants_t = [a or b for a, b in zip(contact, contact[1:] + [False])]
     st = st0
-    t_current, s_current = _evaluate(model, st, contact[0])
+    t_current, s_current = _evaluate(model, st, contact[0]) if ts0 is None else ts0
     s_initial = s_current
     res = reservoir
     work = 0.0
@@ -230,7 +236,10 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
 
 
 def _three_leg_schedule(model: MatterModel, st1: SystemState, st2: SystemState,
-                        t_res: float) -> Schedule:
+                        t_res: float, ts1: tuple | None = None,
+                        s2: float | None = None) -> Schedule:
+    """The legs of ``reversible_standard_process``; ``ts1`` and ``s2``, where
+    given, are the first state's (T, S) and the second state's S."""
     _require_uncorrelated(st1)
     _require_uncorrelated(st2)
     x, y = st1.comp.amounts.tolist(), st2.comp.amounts.tolist()
@@ -240,8 +249,9 @@ def _three_leg_schedule(model: MatterModel, st1: SystemState, st2: SystemState,
             "standard weight processes connect states of identical composition; "
             "anchor differing compositions through a reference environment"
         )
-    t1, s1 = model.evaluate(st1.energy, st1.params, st1.comp)
-    s2 = entropy_of(model, st2)
+    t1, s1 = model.evaluate(st1.energy, st1.params, st1.comp) if ts1 is None else ts1
+    if s2 is None:
+        s2 = entropy_of(model, st2)
     legs = (IsothermalContact(target_params=_volume_on_isentrope(model, s2, t_res, st2)),
             Isentropic(st2.params))
     # st1 passes the contact's entry test: a first isentrope would have zero length
@@ -257,8 +267,16 @@ def reversible_standard_process(model: MatterModel, st1: SystemState,
     isentropic to the reservoir temperature, isothermal contact, isentropic
     to the target; a process that starts at the reservoir temperature runs
     the last two legs.  The reservoir picks up exactly -T_R (S2 - S1)."""
-    schedule = _three_leg_schedule(model, st1, st2, reservoir.temperature)
-    record = run_schedule(model, st1, reservoir, schedule)
+    return _reversible_standard_process(model, st1, st2, reservoir)
+
+
+def _reversible_standard_process(model: MatterModel, st1: SystemState, st2: SystemState,
+                                 reservoir: ThermalReservoir, ts1: tuple | None = None,
+                                 s2: float | None = None) -> ProcessRecord:
+    """``reversible_standard_process`` for a caller that has just evaluated
+    the states: ``ts1`` and ``s2`` as in ``_three_leg_schedule``."""
+    schedule = _three_leg_schedule(model, st1, st2, reservoir.temperature, ts1, s2)
+    record = _run_schedule(model, st1, reservoir, schedule, ts1)
     gap = abs(record.final.energy - st2.energy)
     if gap > 1e-9 * max(1.0, abs(st2.energy)):
         raise InadmissibleStep(f"standard process missed the target state by {gap:.3g}")

@@ -43,11 +43,11 @@ class Composition:
     total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.array(self.amounts, dtype=float))
+        arr = np.array(self.amounts, dtype=float, ndmin=1)
         if arr.ndim != 1:
             raise ValueError("composition must be a vector")
-        negative = arr < 0.0
-        if negative.any():
+        if any(x < 0.0 for x in arr.tolist()):  # in floats: cheaper for few entries
+            negative = arr < 0.0
             bad = np.flatnonzero(arr < -TOL_NEG)
             if bad.size:
                 raise NegativeAmount(int(bad[0]), float(arr[bad[0]]))
@@ -123,8 +123,9 @@ class ReactionCoordinates:
     epsilon: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.array(self.epsilon, dtype=float))
-        object.__setattr__(self, "epsilon", _frozen_array(arr))
+        arr = np.array(self.epsilon, dtype=float, ndmin=1)
+        arr.flags.writeable = False
+        object.__setattr__(self, "epsilon", arr)
 
     def __len__(self) -> int:
         return self.epsilon.shape[0]

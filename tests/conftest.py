@@ -1,7 +1,21 @@
-"""Shared test models."""
+"""Shared test models, and the mask that hides a model's optional hooks."""
+
+import copy
 
 from entrokit.errors import DomainError
 from entrokit.matter_models import MatterModel
+
+
+def masked(model: MatterModel, hide) -> MatterModel:
+    """A copy of ``model`` with the optional hooks named in ``hide`` hidden:
+    each becomes MatterModel's own, so it returns None and callers take
+    their fallbacks (``log_amounts`` raises NotImplementedError, and
+    ``evaluate`` takes T from ``ds_de`` or a finite difference).  A name
+    MatterModel does not define raises AttributeError."""
+    hidden = {name: getattr(MatterModel, name) for name in hide}
+    clone = copy.copy(model)
+    clone.__class__ = type(f"Masked{type(model).__name__}", (type(model),), hidden)
+    return clone
 
 
 class ReservoirModel(MatterModel):

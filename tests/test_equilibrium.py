@@ -7,7 +7,6 @@ import pytest
 from entrokit import equilibrium
 from entrokit.equilibrium import (
     EquilibriumProblem,
-    _Evaluator,
     _fd_pressure,
     _package,
     equilibrium_residual,
@@ -20,7 +19,6 @@ from entrokit.errors import DomainError, Infeasible, NegativeAmount, RangeError
 from entrokit.matter_models import (
     KB_SI,
     IdealGasMixture,
-    MatterModel,
     Parameters,
     Species,
     SystemState,
@@ -32,7 +30,7 @@ from entrokit.matter_models import (
 from entrokit.process_engine import DirectContact, Schedule, run_schedule
 from entrokit.stoichiometry import Composition, ReactionNetwork
 
-from conftest import ReservoirModel
+from conftest import ReservoirModel, masked
 
 GAS3 = ideal_gas_model(3.0)
 
@@ -431,9 +429,8 @@ def test_solver_answer_is_the_solution_at_its_coordinates(name):
     prob = SOLVED[name]()
     sol = stable_equilibrium(prob)
     if prob.network.rank >= 2:
-        ev = _Evaluator(prob)
         amounts = np.concatenate([st.comp.amounts for st in sol.states])
-        again = _package(ev, ev.point_at(amounts), sol.iterations)
+        again = _package(prob, equilibrium._point_at(prob, amounts), sol.iterations)
     else:
         again = solution_at(prob, sol.eps_se.epsilon, sol.iterations)
     for field in dataclasses.fields(sol):
@@ -447,24 +444,26 @@ def test_solver_evaluates_each_point_once(monkeypatch, name):
     # the wall the bracket can come back to an earlier point; in the interior
     # no point comes back at all.
     points, splits = [], []
-    real_point, real_split = _Evaluator.point, _Evaluator.split
+    real_point, real_split = equilibrium._point, equilibrium._split
 
-    def point(self, eps):
-        points.append(np.asarray(eps, dtype=float).tobytes())
-        return real_point(self, eps)
+    def point(prob, eps, n):
+        points.append(tuple(n))
+        return real_point(prob, eps, n)
 
-    def split(self, comps):
+    def split(prob, comps):
         splits.append(len(comps))
-        return real_split(self, comps)
+        return real_split(prob, comps)
 
-    monkeypatch.setattr(_Evaluator, "point", point)
-    monkeypatch.setattr(_Evaluator, "split", split)
+    monkeypatch.setattr(equilibrium, "_point", point)
+    monkeypatch.setattr(equilibrium, "_split", split)
     prob = SOLVED[name]()
     stable_equilibrium(prob)
     if prob.network.rank >= 2:
-        # the dual splits the energy at the initial composition and at its answer
-        assert not points and len(splits) == 2
+        # the dual splits the energy at the initial composition, and once more
+        # at its answer, the one point it evaluates
+        assert len(points) == 1 and len(splits) == 2
         return
+    assert points
     assert len(splits) == len(points)
     assert all(a != b for a, b in zip(points, points[1:]))
     if name not in ("wall", "barrier"):
@@ -505,38 +504,22 @@ def test_redundant_network_reports_minimum_norm_coordinates():
 def test_several_reactions_need_the_log_amounts_hook():
     # the dual has no fallback: a model without the hook names it
     plain = seeded_problem("chain", 81)
-    hookless = EquilibriumProblem((HookLess(plain.models[0].species),), plain.params,
-                                  plain.n0, plain.total_energy, network=plain.network)
+    hookless = EquilibriumProblem((masked(plain.models[0], hide=("log_amounts",)),),
+                                  plain.params, plain.n0, plain.total_energy,
+                                  network=plain.network)
     with pytest.raises(NotImplementedError, match="log_amounts"):
         stable_equilibrium(hookless)
     # one reaction and no reaction still solve without it
     for prob in (seeded_problem("water", 81), iso_problem()):
-        hookless = EquilibriumProblem((HookLess(prob.models[0].species),), prob.params,
-                                      prob.n0, prob.total_energy, network=prob.network)
+        hookless = EquilibriumProblem((masked(prob.models[0], hide=("log_amounts",)),),
+                                      prob.params, prob.n0, prob.total_energy,
+                                      network=prob.network)
         assert stable_equilibrium(hookless).entropy == stable_equilibrium(prob).entropy
-
-
-class HookLess(IdealGasMixture):
-    """An ideal-gas mixture that does not give its amounts at given potentials."""
-
-    def log_amounts(self, temperature, params, potentials):
-        return MatterModel.log_amounts(self, temperature, params, potentials)
 
 
 def test_start_with_several_reactions_is_refused():
     with pytest.raises(ValueError, match="start"):
         stable_equilibrium(seeded_problem("chain", 81), start=[0.1, 0.1])
-
-
-class HiddenHooks(IdealGasMixture):
-    """An ideal-gas mixture that offers no analytic dS/dn, along a direction
-    or per constituent."""
-
-    def ds_dn(self, energy, params, comp):
-        return None
-
-    def ds_dn_along(self, energy, params, n0, direction, extent):
-        return None
 
 
 @pytest.mark.parametrize("seed", [81, 82, 83])
@@ -552,8 +535,10 @@ def test_one_reaction_without_derivative_hooks_takes_finite_differences(monkeypa
     plain = seeded_problem("water", seed)
     sol = stable_equilibrium(plain)
     assert not calls
-    hidden = EquilibriumProblem((HiddenHooks(plain.models[0].species),), plain.params,
-                                plain.n0, plain.total_energy, network=plain.network)
+    # no analytic dS/dn, along a direction or per constituent
+    hidden = EquilibriumProblem((masked(plain.models[0], hide=("ds_dn", "ds_dn_along")),),
+                                plain.params, plain.n0, plain.total_energy,
+                                network=plain.network)
     sol_fd = stable_equilibrium(hidden)
     assert len(calls) >= sol_fd.iterations
     # differenced slopes carry rounding noise: the answer certifies by the
@@ -577,18 +562,18 @@ def _count_probes(monkeypatch):
     """Lists that fill with the extents of the affinity probes through the
     model's ``ds_dn_along`` hook and of the points the solver evaluates."""
     probes, points = [], []
-    real_along, real_point = IdealGasMixture.ds_dn_along, _Evaluator.point
+    real_along, real_point = IdealGasMixture.ds_dn_along, equilibrium._point
 
     def along(self, energy, params, n0, direction, extent):
         probes.append(extent)
         return real_along(self, energy, params, n0, direction, extent)
 
-    def point(self, eps):
+    def point(prob, eps, n):
         points.append(float(eps[0]))
-        return real_point(self, eps)
+        return real_point(prob, eps, n)
 
     monkeypatch.setattr(IdealGasMixture, "ds_dn_along", along)
-    monkeypatch.setattr(_Evaluator, "point", point)
+    monkeypatch.setattr(equilibrium, "_point", point)
     return probes, points
 
 
@@ -613,40 +598,55 @@ def test_one_reaction_never_enters_the_dual(monkeypatch):
 
 @pytest.mark.parametrize("name", ["water-81", "water-82", "water-83", "wall", "barrier"])
 def test_one_region_solve_evaluates_at_most_two_points(monkeypatch, name):
-    # the probes read g alone; only the candidates that can still certify
-    # best become points, each certified once
+    # the probes read g alone, and a candidate is certified from its probe's
+    # g and its amounts: only the answer becomes a point, and at most two
+    # candidates are certified
     built, certified = [], []
-    real_point, real_kkt = equilibrium._Point, equilibrium._kkt
+    real_point, real_kkt = equilibrium._point, equilibrium._kkt
 
-    def point(*args, **kwargs):
-        built.append(args)
-        return real_point(*args, **kwargs)
+    def point(prob, eps, n):
+        built.append(tuple(n))
+        return real_point(prob, eps, n)
 
-    def kkt(ev, pt):
-        certified.append(pt)
-        return real_kkt(ev, pt)
+    def kkt(nu, n, grad, wall):
+        certified.append(tuple(n))
+        return real_kkt(nu, n, grad, wall)
 
-    monkeypatch.setattr(equilibrium, "_Point", point)
+    monkeypatch.setattr(equilibrium, "_point", point)
     monkeypatch.setattr(equilibrium, "_kkt", kkt)
     sol = stable_equilibrium(SOLVED[name]())
-    assert len(built) <= min(2, sol.iterations)
-    assert len(certified) <= 2
+    assert len(built) == 1 <= sol.iterations
+    assert 1 <= len(certified) <= 2
 
 
 @pytest.mark.parametrize("name", ["water-81", "inert-82", "wall", "barrier"])
 def test_one_reaction_certifies_its_answer_at_most_twice(monkeypatch, name):
     # the affinity root ranks its distinct candidates by the certificate, and
     # the answer carries the winner's
-    calls = []
+    calls, results = [], []
     real = equilibrium._kkt
 
-    def counted(ev, pt):
-        calls.append(pt.eps.tobytes())
-        return real(ev, pt)
+    def counted(nu, n, grad, wall):
+        calls.append(tuple(n))
+        results.append(real(nu, n, grad, wall))
+        return results[-1]
 
     monkeypatch.setattr(equilibrium, "_kkt", counted)
-    stable_equilibrium(SOLVED[name]())
-    assert len(calls) == len(set(calls)) <= 2
+    sol = stable_equilibrium(SOLVED[name]())
+    assert 1 <= len(calls) == len(set(calls)) <= 2
+    assert (sol.kkt_residual, sol.active) in results
+
+
+@pytest.mark.parametrize("name", ["water-81", "water-82", "water-83", "inert-81", "inert-82"])
+def test_an_interior_answer_is_certified_by_its_own_affinity(name):
+    # no constituent is exhausted, so the KKT residual is |g| with
+    # g = nu . dS/dn at the answer's split: the bits of the generic probe
+    prob = SOLVED[name]()
+    sol = stable_equilibrium(prob)
+    assert not sol.active
+    ds_dn = np.concatenate([m.ds_dn(st.energy, st.params, st.comp)
+                            for m, st in zip(prob.models, sol.states)])
+    assert sol.kkt_residual == abs(float(prob.network.stoich[:, 0] @ ds_dn)) <= 1e-10
 
 
 @pytest.mark.parametrize("e0", [-4.0, -6.0, -8.0, -12.0])
@@ -738,11 +738,11 @@ def nelder_mead_max_entropy(prob, starts):
     over the reaction coordinates finds, inadmissible points counting as -inf."""
     from scipy.optimize import minimize
 
-    ev = _Evaluator(prob)
+    n0, nu = prob.n0_concat(), prob.network.stoich
 
     def neg_entropy(eps):
         try:
-            return -ev.point(np.asarray(eps, dtype=float)).entropy
+            return -equilibrium._point(prob, eps, (n0 + nu @ eps).tolist()).entropy
         except (DomainError, RangeError, NegativeAmount):
             return math.inf
 

@@ -26,12 +26,13 @@ from entrokit.open_systems import (
     open_energy_entropy,
     open_entropy_direct,
     open_fundamental_relation,
-    reference_values,
     total_potentials,
 )
 from entrokit.process_engine import measure_entropy_difference
 from entrokit.scenario import build_reference_env, load_scenario
 from entrokit.stoichiometry import RCOND, Composition, ReactionNetwork
+
+from conftest import masked
 
 WATER_NET = ReactionNetwork([[-2.0], [-1.0], [2.0]])
 NAMES = ("H2", "O2", "H2O")
@@ -51,13 +52,6 @@ def water_mix(e0_water=-2.0):
     ])
 
 
-class HiddenDsDn(IdealGasMixture):
-    """An ideal-gas mixture that offers no analytic dS/dn."""
-
-    def ds_dn(self, energy, params, comp):
-        return None
-
-
 def single_species_env(convention="chemical"):
     no_reactions = ReactionNetwork(np.zeros((1, 0)))
     gas = ideal_gas_model(3.0)
@@ -66,29 +60,47 @@ def single_species_env(convention="chemical"):
     return maker(("X",), (0,), no_reactions, (gas,), 1.0, 1.0)
 
 
-def test_chemical_convention_reference_values():
+def assigned_values(env, comp):
+    """The assigned (E0, S0) of a composition, w . e0_assigned and
+    w . s0_assigned for its elemental content w, from the gauge: the
+    assigned values less the physical ones of the elemental boxes."""
+    w, _ = env.decompose(comp)
+    e_phys, s_phys = env.physical_sums(w)
+    g_e, g_s = env.gauge(comp)
+    return g_e + e_phys, g_s + s_phys
+
+
+def test_chemical_convention_gauge_holds_the_assigned_values():
     env = water_env()
     # E0_i + p0 V0_i = 0 and S0_i = 0, so any composition maps to
     # (-p0 sum w_i V0_i, 0)
     comp = Composition([0.0, 0.0, 2.0])
-    e0, s0 = reference_values(env, comp)
+    w, _ = env.decompose(comp)
+    e0, s0 = assigned_values(env, comp)
     v0 = env.reference_volume(0)
-    assert s0 == 0.0
-    assert e0 == pytest.approx(-1.0 * (2.0 * v0 + 1.0 * v0), rel=1e-12)
+    assert w @ env.s0_assigned == 0.0
+    assert s0 == pytest.approx(0.0, abs=1e-12)
+    assert w @ env.e0_assigned == pytest.approx(-1.0 * (2.0 * v0 + 1.0 * v0), rel=1e-12)
+    assert e0 == pytest.approx(w @ env.e0_assigned, rel=1e-12)
 
 
-def test_reference_values_empty_composition():
+def test_gauge_of_the_empty_composition_is_zero():
     env = water_env()
-    assert reference_values(env, Composition([0.0, 0.0, 0.0])) == (0.0, 0.0)
+    comp = Composition([0.0, 0.0, 0.0])
+    w, _ = env.decompose(comp)
+    assert (w @ env.e0_assigned, w @ env.s0_assigned) == (0.0, 0.0)
+    assert env.gauge(comp) == (0.0, 0.0)
 
 
-def test_reference_values_scale_linearly():
-    env = water_env()
+@pytest.mark.parametrize("convention", ["chemical", "natural"])
+def test_gauge_scales_linearly(convention):
+    env = water_env(convention)
     comp = Composition([1.0, 0.5, 1.0])
-    e1, s1 = reference_values(env, comp)
-    e2, s2 = reference_values(env, Composition(2.0 * comp.amounts))
-    assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
-    assert s2 == pytest.approx(2.0 * s1, abs=1e-12)
+    double = Composition(2.0 * comp.amounts)
+    for one, two in ((assigned_values(env, comp), assigned_values(env, double)),
+                     (env.gauge(comp), env.gauge(double))):
+        assert two[0] == pytest.approx(2.0 * one[0], rel=1e-12, abs=1e-12)
+        assert two[1] == pytest.approx(2.0 * one[1], rel=1e-12, abs=1e-12)
 
 
 def test_decompose_recovers_elemental_content():
@@ -170,7 +182,7 @@ def test_open_energy_uses_reference_scale():
     e_open, _ = open_energy_entropy(env, mix, ost)
     w, _ = env.decompose(ost.comp)
     e_elem = sum(wi * env.physical_reference(i)[0] for i, wi in enumerate(w))
-    e0_assigned, _ = reference_values(env, ost.comp)
+    e0_assigned = w @ env.e0_assigned
     assert e_open == pytest.approx(e0_assigned + ost.energy - e_elem, rel=1e-12)
 
 
@@ -224,7 +236,7 @@ def test_total_potential_near_zero_uses_one_sided_difference():
     mu = total_potentials(None, mix, ost)[2]
     assert math.isfinite(mu)
     assert mu == pytest.approx(-t * ds_dn[2], rel=1e-12)
-    assert math.isfinite(total_potentials(None, HiddenDsDn(mix.species), ost)[2])
+    assert math.isfinite(total_potentials(None, masked(mix, hide=("ds_dn",)), ost)[2])
 
 
 def _central_potential(env, model, ost, k):
@@ -274,7 +286,7 @@ def test_total_potentials_are_undefined_at_the_boundary(amounts):
 def test_total_potential_finite_difference_fallback():
     env = water_env()
     mix = water_mix()
-    hidden = HiddenDsDn(mix.species)
+    hidden = masked(mix, hide=("ds_dn",))
     ost = OpenState(Composition([1.0, 0.5, 1.0]), 9.0, Parameters([1.5]))
     for e in (None, env):
         mu = total_potentials(e, hidden, ost)
@@ -589,22 +601,100 @@ def test_a_nonreactive_table_point_evaluates_each_state_once(monkeypatch):
     # share a composition, so the second reuses the first's reference record
     # (its decomposition and the reference proxy state's entropy), and the
     # measurement, which starts at T_R, runs without its zero-length first
-    # isentrope: 7 and 6 evaluations, 1 and 0 decompositions
+    # isentrope: 7 and 6 evaluations, 1 and 0 decompositions.  With the table
+    # state's S and the reference proxy state's (T, S) handed down, the
+    # measurement evaluates only the two states it makes: 4 and 3
     per_point = _calls_per_point(monkeypatch, reactive=False)
-    assert per_point["checked"] <= 6.5
-    assert per_point["entropy"] <= 6.5
+    assert per_point["checked"] == 3.5
+    assert per_point["entropy"] == 3.5
     assert per_point["decompose"] == 0.5
     assert per_point["inversions"] == 0
 
 
 def test_a_reactive_table_point_evaluates_each_solver_point_once(monkeypatch):
     # each equilibrium point is validated once, not twice; before, these
-    # points made 29.4 checked and 16.71 relation evaluations each
+    # points made 29.4 checked and 16.71 relation evaluations each.  Now the
+    # probes read the closed form, the answer is one evaluation and its
+    # reference proxy state another, and the measurement evaluates the two
+    # states it makes
     per_point = _calls_per_point(monkeypatch, reactive=True)
-    assert per_point["checked"] <= 18
-    assert per_point["entropy"] <= 16.71
+    assert per_point["checked"] == 4
+    assert per_point["entropy"] == 4
     assert per_point["decompose"] == 1
     assert per_point["inversions"] == 0
+
+
+def test_table_points_count_their_relation_evaluations(monkeypatch):
+    # a non-reactive point evaluates its table state and the measurement's
+    # two states, and on a record miss its reference proxy state (4, then 3
+    # on a hit); a reactive point evaluates its answer, its reference proxy
+    # state and the measurement's two states (4), its probes reading the
+    # closed form
+    env, mix = water_env(), water_mix()
+    env.physical_references  # built once, before counting
+    calls = []
+    real = IdealGasMixture.entropy
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(IdealGasMixture, "entropy", counted)
+
+    def evaluations(energy, amounts, reactive):
+        grid = OpenGrid((energy,), (1.3,), (Composition(amounts),), reactive=reactive,
+                        network=WATER_NET)
+        before = len(calls)
+        (row,) = open_fundamental_relation(env, mix, grid)
+        assert row.status == "ok"
+        return len(calls) - before
+
+    assert [evaluations(e, [1.6, 0.8, 0.3], False) for e in (8.0, 7.0, 9.0)] == [4, 3, 3]
+    assert [evaluations(e, [1.6, 0.8, 0.3], True) for e in (8.0, 7.0)] == [4, 4]
+    assert evaluations(8.0, [1.2, 0.6, 0.2], False) == 4
+
+
+def test_reactive_points_do_not_keep_their_records(monkeypatch):
+    # an equilibrium composition seldom recurs: a reactive grid builds each
+    # point's record and keeps none, so it leaves the records as they were,
+    # and a stream of non-reactive grids over five compositions misses once
+    # per composition
+    env, mix = water_env(), water_mix()
+    decompositions = _counting_decompositions(monkeypatch)
+    rng = np.random.default_rng(99)
+    pool = [[2.0 * a, a, b] for a, b in zip(rng.uniform(0.6, 1.4, 5), rng.uniform(0.1, 0.5, 5))]
+    misses, used = 0, set()
+    for k in range(60):
+        reactive = k % 3 == 0
+        c = int(rng.integers(5))
+        grid = OpenGrid(tuple(rng.uniform(5.0, 10.0, 2)), (rng.uniform(0.5, 3.0),),
+                        (Composition(pool[c]),), reactive=reactive, network=WATER_NET)
+        records = [(key, id(record)) for key, record in env._records.items()]
+        before = len(decompositions)
+        assert all(row.status == "ok" for row in open_fundamental_relation(env, mix, grid))
+        if reactive:
+            assert [(key, id(record)) for key, record in env._records.items()] == records
+            assert len(decompositions) - before == 2
+        else:
+            misses += len(decompositions) - before
+            used.add(c)
+    assert misses == len(used) == len(env._records) == 5
+
+
+@pytest.mark.parametrize("reactive", [False, True])
+def test_table_entropy_has_the_bits_of_the_public_measurement(reactive):
+    # a table point hands its state's entropy down to the measurement; the
+    # public open_energy_entropy, which evaluates that state itself, gives
+    # the same bits for the same state
+    env, cold, mix = water_env(), water_env(), water_mix()
+    rng = np.random.default_rng(100)
+    for _ in range(20):
+        a, b = rng.uniform(0.6, 1.4), rng.uniform(0.1, 0.5)
+        grid = OpenGrid(tuple(rng.uniform(5.0, 10.0, 2)), (rng.uniform(0.5, 3.0),),
+                        (Composition([2.0 * a, a, b]),), reactive=reactive, network=WATER_NET)
+        for energy, row in zip(grid.energies, open_fundamental_relation(env, mix, grid)):
+            ost = OpenState(Composition(row.n_se), energy, Parameters([row.volume]))
+            assert _bits((row.energy, row.entropy)) == _bits(open_energy_entropy(cold, mix, ost))
 
 
 def _counting_decompositions(monkeypatch):
@@ -703,18 +793,11 @@ def test_tables_are_the_same_from_a_cold_and_a_warm_environment():
     assert len(warm._records) == 5
 
 
-class WithoutAlongHook(IdealGasMixture):
-    """An ideal-gas mixture whose affinity probes go through checked points."""
-
-    def ds_dn_along(self, energy, params, n0, direction, extent):
-        return None
-
-
 def test_reactive_tables_are_the_same_with_and_without_the_along_hook():
     # grids of the tabulate benchmark's kind, with energies low enough for
     # some gaps; rows agree to the bit, and gap messages word for word
     env, mix = water_env(), water_mix()
-    hidden = WithoutAlongHook(mix.species)
+    hidden = masked(mix, hide=("ds_dn_along",))  # its probes go through checked points
     rng = np.random.default_rng(97)
     statuses = set()
     for _ in range(100):

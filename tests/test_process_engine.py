@@ -21,7 +21,6 @@ from entrokit.errors import (
 )
 from entrokit.matter_models import (
     IdealGasMixture,
-    MatterModel,
     Parameters,
     Species,
     SystemState,
@@ -50,7 +49,7 @@ from entrokit.process_engine import (
     run_schedule,
 )
 
-from conftest import ReservoirModel
+from conftest import ReservoirModel, masked
 
 GAS = ideal_gas_model(3.0)
 GAS2 = IdealGasMixture([Species("A", 3.0), Species("B", 5.0, e0=-0.7, s0=0.2)])
@@ -61,28 +60,6 @@ RES = ThermalReservoir(1.0, 0.0, -1e6, 1e6)
 
 def wide_reservoir(temperature):
     return ThermalReservoir(temperature, 0.0, -1e9, 1e9)
-
-
-class VeiledGas(IdealGasMixture):
-    """The same relation with every closed-form shortcut hidden, to drive the
-    generic root-finding paths of the engine."""
-
-    evaluate = MatterModel.evaluate  # its temperature from ds_de, hidden below
-
-    def ds_de(self, energy, params, comp):
-        return None
-
-    def ds_dv(self, energy, params, comp):
-        return None
-
-    def invert_entropy(self, entropy, params, comp):
-        return None
-
-    def energy_at_temperature(self, temperature, params, comp):
-        return None
-
-    def volume_on_isentrope(self, entropy, temperature, comp):
-        return None
 
 
 def test_isentropic_step_closed_form():
@@ -274,7 +251,10 @@ def test_reverse_process_flips_reservoir_sign():
 
 
 def test_generic_engine_path_matches_closed_form_path():
-    veiled = VeiledGas([Species("gas", 3.0)])
+    # every closed-form shortcut hidden, to drive the generic root-finding paths
+    veiled = masked(IdealGasMixture([Species("gas", 3.0)]),
+                    hide=("evaluate", "ds_de", "ds_dv", "invert_entropy",
+                          "energy_at_temperature", "volume_on_isentrope"))
     rec_fast = reversible_standard_process(GAS, ST1, ST2, RES)
     rec_slow = reversible_standard_process(veiled, ST1, ST2, RES)
     assert rec_slow.d_e_res == pytest.approx(rec_fast.d_e_res, abs=1e-9)

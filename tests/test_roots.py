@@ -17,7 +17,6 @@ from entrokit.equilibrium import EquilibriumProblem, stable_equilibrium
 from entrokit.errors import DomainError, NonConvergence, RangeError
 from entrokit.matter_models import (
     IdealGasMixture,
-    MatterModel,
     Parameters,
     Species,
     energy_of,
@@ -35,6 +34,8 @@ from entrokit.roots import (
     expand_bracket,
 )
 from entrokit.stoichiometry import Composition, ReactionNetwork
+
+from conftest import masked
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -173,35 +174,16 @@ def test_decreasing_root_searches_both_directions():
         decreasing_root(lambda x: 1.0, 0.0, xtol=1e-12)
 
 
-class OpaqueGas(IdealGasMixture):
-    """An ideal gas with every closed-form hook hidden, so each inversion
-    takes its generic root-finding path."""
-
-    evaluate = MatterModel.evaluate  # its temperature from ds_de, hidden below
-
-    def ds_de(self, energy, params, comp):
-        return None
-
-    def ds_dv(self, energy, params, comp):
-        return None
-
-    def invert_entropy(self, entropy, params, comp):
-        return None
-
-    def energy_at_temperature(self, temperature, params, comp):
-        return None
-
-    def volume_on_isentrope(self, entropy, temperature, comp):
-        return None
-
-    def volume_at_pressure(self, temperature, pressure, comp):
-        return None
+#: Every closed-form hook of the ideal gas, hidden so that each inversion
+#: takes its generic root-finding path.
+CLOSED_FORMS = ("evaluate", "ds_de", "ds_dv", "invert_entropy", "energy_at_temperature",
+                "volume_on_isentrope", "volume_at_pressure")
 
 
 GAS = IdealGasMixture([Species("gas", 3.0)])
-OPAQUE = OpaqueGas([Species("gas", 3.0)])
+OPAQUE = masked(IdealGasMixture([Species("gas", 3.0)]), hide=CLOSED_FORMS)
 GAS5 = IdealGasMixture([Species("gas", 5.0)])
-OPAQUE5 = OpaqueGas([Species("gas", 5.0)])
+OPAQUE5 = masked(IdealGasMixture([Species("gas", 5.0)]), hide=CLOSED_FORMS)
 ONE = Composition([1.0])
 NO_REACTIONS = ReactionNetwork(np.zeros((1, 0)))
 
