@@ -280,9 +280,9 @@ def _kkt(nu, n: list, grad: list, wall: float) -> tuple[float, tuple]:
     is ``grad`` (floats; ``nu`` has one row per constituent), and its active
     constituents: those with amounts at most ``wall``.  Without one the
     residual is max |grad|: along one reaction, the |g| of the probe."""
-    if min(n) > wall:
-        return float(abs(grad[0]) if len(grad) == 1 else np.max(np.abs(grad))), ()
     active = tuple(k for k, x in enumerate(n) if x <= wall)
+    if not active:
+        return float(abs(grad[0]) if len(grad) == 1 else np.max(np.abs(grad))), active
     # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
     g = np.array(grad)
     a = np.array([nu[k] for k in active]).T

@@ -302,7 +302,7 @@ class IdealGasMixture(MatterModel):
         # Composition's clamp and the checks of evaluate, in their order, then
         # the slopes of ds_dn summed in sequence: the bits of direction @ ds_dn
         n = [a + d * extent for a, d in zip(n0, direction)]
-        if min(n, default=0.0) < 0.0:
+        if not min(n, default=0.0) >= 0.0:  # a negative entry, or a leading NaN that hides one
             for k, nk in enumerate(n):
                 if nk < -TOL_NEG:
                     raise NegativeAmount(k, nk)
