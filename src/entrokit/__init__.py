@@ -10,7 +10,6 @@ from .correlations import (
     JointState,
     MarginalPair,
     decorrelation_entropy,
-    entropy_difference_correlated,
     joint_energy,
     marginals,
     product_state,
@@ -34,7 +33,6 @@ from .errors import (
     NegativeAmount,
     NonConvergence,
     NotExpressible,
-    NotWeightProcess,
     ParseError,
     RangeError,
     RangeExceeded,
@@ -69,7 +67,6 @@ from .process_engine import (
     ProcessRecord,
     Schedule,
     assign_temperature,
-    check_entropy_nondecrease,
     measure_entropy,
     measure_entropy_difference,
     measure_entropy_difference_composite,
@@ -81,9 +78,6 @@ from .stoichiometry import (
     Composition,
     ReactionCoordinates,
     ReactionNetwork,
-    apply_reactions,
-    balance_rate,
-    compatibility,
     validate_elemental_set,
 )
 

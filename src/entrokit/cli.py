@@ -120,16 +120,16 @@ def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
     prob = build_problem(scn, prob_name)
     sol = stable_equilibrium(prob)
     residual = equilibrium_residual(sol, prob)
-    n_se = np.concatenate([st.comp.amounts for st in sol.states])
+    n_se = [x for st in sol.states for x in st.comp.amounts]
     eps = sol.eps_se.epsilon
     pressures = [pressure_of(m, st) for m, st in zip(prob.models, sol.states)]
     header = (["problem", "S_se", "T"]
               + [f"eps_{i}" for i in range(eps.shape[0])]
-              + [f"n_{i}" for i in range(n_se.shape[0])]
+              + [f"n_{i}" for i in range(len(n_se))]
               + [f"p_{i}" for i in range(len(pressures))]
               + ["kkt_residual", "fd_residual", "boundary", "degenerate"])
     row = ([prob_name, sol.entropy, sol.temperature]
-           + [float(x) for x in eps] + [float(x) for x in n_se] + pressures
+           + [float(x) for x in eps] + n_se + pressures
            + [sol.kkt_residual, residual, sol.boundary, sol.degenerate])
     write_csv(outdir / f"equilibrium_{prob_name}.csv", header, [row])
     print(f"equilibrate {prob_name}: S_se = {sol.entropy:.9g}, T = {sol.temperature:.9g}")

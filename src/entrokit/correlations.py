@@ -115,17 +115,6 @@ def joint_energy(joint: JointState) -> float:
                                 joint.energies_b[None])[0])
 
 
-def entropy_difference_correlated(j1: JointState, j2: JointState) -> float:
-    """Composite entropy difference between two correlated states.
-
-    Combines the subsystem entropy differences with the change of
-    decorrelation entropy; identically equal to H(p2) - H(p1).
-    """
-    _, a1, b1, sigma1 = joint_entropies(j1)
-    _, a2, b2, sigma2 = joint_entropies(j2)
-    return (a2 - a1) + (b2 - b1) - (sigma2 - sigma1)
-
-
 def load_joint_csv(path) -> JointState:
     """Read a joint table from CSV: row 1 the energies of A, row 2 the
     energies of B, then the m-by-k probability table.  ParseError, with the

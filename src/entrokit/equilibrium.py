@@ -130,7 +130,7 @@ class _Point:
     energies: list
     temperature: float
     entropy: float
-    ds_dn: np.ndarray | None = None
+    ds_dn: list | None = None
 
 
 def _point(prob: EquilibriumProblem, eps, n: list) -> _Point:
@@ -185,16 +185,14 @@ def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
     return energies, float(t_eq), entropy
 
 
-def _ds_dn(prob: EquilibriumProblem, pt: _Point) -> np.ndarray:
-    """dS/dn for each constituent at the point's split, computed once."""
+def _ds_dn(prob: EquilibriumProblem, pt: _Point) -> list:
+    """dS/dn for each constituent at the point's split, in floats, computed once."""
     if pt.ds_dn is None:
-        parts = []
+        ds_dn = []
         for model, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps):
             d = model.ds_dn(e, p, c)
-            if d is None:
-                d = _fd_ds_dn(model, e, p, c)
-            parts.append(np.asarray(d, dtype=float))
-        pt.ds_dn = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            ds_dn += _fd_ds_dn(model, e, p, c) if d is None else d
+        pt.ds_dn = ds_dn
     return pt.ds_dn
 
 
@@ -205,9 +203,10 @@ def _wall(n0: list) -> float:
 
 
 def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
-              comp: Composition) -> np.ndarray:
+              comp: Composition) -> list:
+    """The fallback of the ``ds_dn`` hook: a finite difference, in floats."""
     return _fd_slopes(lambda n: model.entropy(energy, params, Composition(n)),
-                      comp.amounts, amounts=range(len(comp)))
+                      comp.amounts, amounts=range(len(comp))).tolist()
 
 
 def _feasible_interval_1d(n0: list, col: list) -> tuple[float, float]:
@@ -238,12 +237,12 @@ def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
     )
     if prob.n_reactions:
         nu = prob.network.stoich
-        dsdn = _ds_dn(prob, pt)
+        dsdn = np.array(_ds_dn(prob, pt))
         mu = -pt.temperature * dsdn
         affinities = nu.T @ mu
         if certificate is None:
-            wall = _wall(prob.n0_concat().tolist())
-            certificate = _kkt(nu, pt.n, (nu.T @ dsdn).tolist(), wall)
+            wall = _wall([x for c in prob.n0 for x in c.amounts])
+            certificate = _kkt(nu, pt.n, nu.T @ dsdn, wall)
         kkt, active = certificate
         degenerate = prob.network.rank < prob.n_reactions
         if degenerate:
@@ -330,7 +329,7 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
     the answer fails its KKT certificate.
     """
     tau = prob.n_reactions
-    n0 = [x for c in prob.n0 for x in c.amounts.tolist()]
+    n0 = [x for c in prob.n0 for x in c.amounts]
     cols = prob.network.stoich.T.tolist() if tau else []
     box = [_feasible_interval_1d(n0, col) for col in cols]
     # no reaction, or every one pinned (zero-width extent intervals): nothing to optimize
@@ -392,7 +391,7 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
 
     def at_point(x: float) -> float:
         points[x] = here = _point(prob, [x], amounts(x))
-        return sum(map(mul, col, _ds_dn(prob, here).tolist()))
+        return sum(map(mul, col, _ds_dn(prob, here)))
 
     probe = at_point
     if len(prob.models) == 1:
@@ -568,11 +567,8 @@ def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> 
     if prob.n_reactions == 0:
         return 0.0
     t_eq = sol.temperature
-    mu_parts = []
-    for model, st in zip(prob.models, sol.states):
-        dsdn = _fd_ds_dn(model, st.energy, st.params, st.comp)
-        mu_parts.append(-t_eq * dsdn)
-    mu = np.concatenate(mu_parts)
+    mu = -t_eq * np.array([x for model, st in zip(prob.models, sol.states)
+                           for x in _fd_ds_dn(model, st.energy, st.params, st.comp)])
     affinity = prob.network.stoich.T @ mu
     return float(np.max(np.abs(affinity)) / t_eq)
 

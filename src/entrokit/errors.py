@@ -32,10 +32,6 @@ class DegenerateStates(EntrokitError):
     """The probe states coincide in entropy, so a reservoir-energy ratio is undefined."""
 
 
-class NotWeightProcess(EntrokitError):
-    """The record charged the reservoir, so it is not a weight process for the system alone."""
-
-
 class InadmissibleStep(EntrokitError):
     """A schedule step would violate its own invariants (negative entropy production,
     temperature mismatch at an isothermal contact, or an unreachable target)."""

@@ -10,14 +10,14 @@ derivatives are derived from the relation itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
 from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
 from .roots import brentq, expand_bracket
-from .stoichiometry import TOL_NEG, Composition
+from .stoichiometry import TOL_NEG, Composition, _float_vector
 
 #: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
 KB_SI = 1.380649e-23
@@ -34,30 +34,25 @@ H_REL = 1e-6
 
 @dataclass(frozen=True)
 class Parameters:
-    """Geometric parameters of a system.  Built-in models use beta = [volume];
-    ``volume``, the first entry, is converted once, at construction."""
+    """Geometric parameters of a system, as a tuple of floats.  Built-in
+    models use beta = (volume,)."""
 
-    beta: np.ndarray
-    volume: float = field(init=False, repr=False, compare=False)
+    beta: tuple
 
     def __post_init__(self):
-        arr = np.array(self.beta, dtype=float, ndmin=1)
-        arr.flags.writeable = False
-        object.__setattr__(self, "beta", arr)
-        if arr.shape[0]:
-            object.__setattr__(self, "volume", float(arr[0]))
+        object.__setattr__(self, "beta", _float_vector(self.beta, "parameters"))
 
-    def __getattr__(self, name):  # only for unset attributes: an empty vector's volume
-        if name == "volume":
-            return float(self.beta[0])
-        return object.__getattribute__(self, name)
+    @property
+    def volume(self) -> float:
+        """The first parameter; IndexError for an empty vector."""
+        return self.beta[0]
 
     def __len__(self) -> int:
-        return self.beta.shape[0]
+        return len(self.beta)
 
     def with_volume(self, volume: float) -> "Parameters":
-        beta = np.array(self.beta)
-        beta[0] = volume
+        beta = list(self.beta)
+        beta[0] = volume  # IndexError for an empty vector, as ``volume``
         return Parameters(beta)
 
 
@@ -81,7 +76,7 @@ class SystemState:
 
 def state(energy: float, volume: float, amounts) -> SystemState:
     """Shorthand constructor for single-volume states."""
-    return SystemState(energy, Parameters([volume]), Composition(np.atleast_1d(amounts)))
+    return SystemState(energy, Parameters([volume]), Composition(amounts))
 
 
 class MatterModel:
@@ -125,8 +120,8 @@ class MatterModel:
         """Analytic dS/dV at fixed (E, n), V the first parameter, or None."""
         return None
 
-    def ds_dn(self, energy, params, comp) -> np.ndarray | None:
-        """Analytic dS/dn_k at fixed (E, beta), or None."""
+    def ds_dn(self, energy, params, comp) -> list | None:
+        """Analytic dS/dn_k at fixed (E, beta), one float per constituent, or None."""
         return None
 
     def ds_dn_along(self, energy, params, n0, direction, extent) -> float | None:
@@ -173,6 +168,11 @@ class Species:
     s0: float = 0.0
 
     def __post_init__(self):
+        for key in ("dof", "e0", "s0"):
+            value = float(getattr(self, key))
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            object.__setattr__(self, key, value)
         if self.dof < 1:
             raise ValueError("dof must be at least 1")
 
@@ -189,11 +189,8 @@ class IdealGasMixture(MatterModel):
     S = kB [ sum_{n_k > 0} n_k (c_k - ln n_k) + (dof . n / 2) ln T + n ln V ],
     so every method needs only three sums over the composition: e0 . n,
     dof . n and the sum over c_k.  ``_sums`` checks the composition and
-    computes them, in plain floats, and keeps them for the last Composition
-    object it saw; a call with that same object reuses them.  This relies on
-    Composition being frozen with read-only amounts, so one object always
-    holds one set of amounts, and the kept reference stops its id from being
-    reused by another object.
+    computes them, in plain floats, and keeps them for the last amounts it
+    saw; a call with equal amounts reuses them.
     """
 
     def __init__(self, species, kb: float = 1.0):
@@ -201,17 +198,17 @@ class IdealGasMixture(MatterModel):
         if not self.species:
             raise ValueError("mixture needs at least one species")
         self.kb = float(kb)
-        self._dof = tuple(float(s.dof) for s in self.species)
-        self._e0 = tuple(float(s.e0) for s in self.species)
+        self._dof = tuple(s.dof for s in self.species)
+        self._e0 = tuple(s.e0 for s in self.species)
         self._c = tuple(0.5 * s.dof * math.log(0.5 * s.dof * self.kb) + s.s0
                         for s in self.species)
-        self._memo = (None, None)  # (composition, its sums), swapped as one
+        self._memo = (None, None)  # (amounts, their sums), swapped as one
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.species)
 
-    def _linear_sums(self, n: list, total: float) -> tuple[float, float]:
+    def _linear_sums(self, n, total: float) -> tuple[float, float]:
         """(e0 . n, dof . n) of the amounts n, whose sum is ``total``, once checked."""
         if len(n) != len(self.species):
             raise DomainError(
@@ -223,14 +220,13 @@ class IdealGasMixture(MatterModel):
 
     def _sums(self, comp: Composition) -> tuple[float, float, float]:
         """(e0 . n, dof . n, sum_{n_k > 0} n_k (c_k - ln n_k)) of a checked
-        composition; remembered for the last composition object."""
-        memo = self._memo
-        if memo[0] is comp:
+        composition; remembered for the last amounts."""
+        memo, n = self._memo, comp.amounts
+        if memo[0] == n:
             return memo[1]
-        n = comp.amounts.tolist()
         sums = (*self._linear_sums(n, comp.total),
                 sum(nk * (c - math.log(nk)) for c, nk in zip(self._c, n) if nk > 0.0))
-        self._memo = (comp, sums)
+        self._memo = (n, sums)
         return sums
 
     def _check_volume(self, params: Parameters) -> float:
@@ -284,7 +280,7 @@ class IdealGasMixture(MatterModel):
     #: large but finite so downstream linear algebra stays well defined
     LN_DIVERGENCE_CAP = 1e30
 
-    def _slopes(self, n: list, t: float, log_v: float) -> list:
+    def _slopes(self, n, t: float, log_v: float) -> list:
         """dS/dn_k at the amounts n, temperature t and ln V, in floats."""
         log_t, kb = math.log(t), self.kb
         return [
@@ -293,10 +289,10 @@ class IdealGasMixture(MatterModel):
             for nk, dof, c, e0 in zip(n, self._dof, self._c, self._e0)
         ]
 
-    def ds_dn(self, energy, params, comp) -> np.ndarray:
+    def ds_dn(self, energy, params, comp) -> list:
         t = self.temperature_closed_form(energy, comp)
         log_v = math.log(self._check_volume(params))
-        return np.array(self._slopes(comp.amounts.tolist(), t, log_v))
+        return self._slopes(comp.amounts, t, log_v)
 
     def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
         # Composition's clamp and the checks of evaluate, in their order, then

@@ -55,7 +55,7 @@ from .stoichiometry import (
     ReactionNetwork,
     TOL_COMPAT,
     RCOND,
-    _frozen_array,
+    _float_vector,
     validate_elemental_set,
 )
 
@@ -85,8 +85,8 @@ class ReferenceEnvironment:
     species_models: tuple     # one single-species model per elemental index
     t0: float
     p0: float
-    e0_assigned: np.ndarray   # per unit amount, one entry per elemental species
-    s0_assigned: np.ndarray
+    e0_assigned: tuple        # per unit amount, one float per elemental species
+    s0_assigned: tuple
 
     def __post_init__(self):
         if self.t0 <= 0 or self.p0 <= 0:
@@ -97,9 +97,9 @@ class ReferenceEnvironment:
                 f"elemental set invalid (complete={report.complete}, "
                 f"independent={report.independent})"
             )
-        e0 = np.atleast_1d(np.asarray(self.e0_assigned, dtype=float))
-        s0 = np.atleast_1d(np.asarray(self.s0_assigned, dtype=float))
-        if e0.shape[0] != len(self.elemental) or s0.shape[0] != len(self.elemental):
+        e0 = _float_vector(self.e0_assigned, "assigned energies")
+        s0 = _float_vector(self.s0_assigned, "assigned entropies")
+        if len(e0) != len(self.elemental) or len(s0) != len(self.elemental):
             raise ValueError("assigned values must align with the elemental species")
         object.__setattr__(self, "constituents", tuple(self.constituents))
         object.__setattr__(self, "elemental", tuple(int(i) for i in self.elemental))
@@ -152,21 +152,21 @@ class ReferenceEnvironment:
         width = 1e9 * max(1.0, self.t0)
         return ThermalReservoir(self.t0, 0.0, -width, width)
 
-    def decompose(self, comp: Composition) -> tuple[np.ndarray, np.ndarray]:
-        """Elemental content w and reaction coordinates forming ``comp``.
+    def decompose(self, comp: Composition) -> tuple[tuple, tuple]:
+        """Elemental content w and reaction coordinates eps forming ``comp``,
+        each a tuple of floats.
 
         Solves the non-elemental rows of n = n_elem(w) + nu eps; raises
         NotExpressible when the composition cannot be reached from the set.
         """
-        w = self._content(comp)
-        n = comp.amounts.tolist()
-        return np.array(w), np.array([sum(map(mul, row, n)) for row in self.content_maps[1]])
+        w, n = self._content(comp), comp.amounts
+        return w, tuple(sum(map(mul, row, n)) for row in self.content_maps[1])
 
-    def _content(self, comp: Composition) -> list[float]:
-        """The elemental content w of ``comp``, in floats.  Both refusals test
-        against TOL_COMPAT times the total amount (at least 1), as the
-        rounding of the maps grows with the amounts."""
-        n = comp.amounts.tolist()
+    def _content(self, comp: Composition) -> tuple:
+        """The elemental content w of ``comp``.  Both refusals test against
+        TOL_COMPAT times the total amount (at least 1), as the rounding of
+        the maps grows with the amounts."""
+        n = comp.amounts
         if len(n) != len(self.constituents):
             raise NotExpressible(
                 f"composition has {len(n)} entries, environment declares "
@@ -179,7 +179,7 @@ class ReferenceEnvironment:
         w = [sum(map(mul, row, n)) for row in content]
         if any(x < -tol for x in w):
             raise NotExpressible("composition would need negative elemental amounts")
-        return [0.0 if x < 0.0 else x for x in w]
+        return tuple(0.0 if x < 0.0 else x for x in w)
 
     @cached_property
     def content_maps(self) -> tuple[tuple, tuple, tuple]:
@@ -218,22 +218,18 @@ class ReferenceEnvironment:
         the reference scale for the given composition."""
         w = self._content(comp)
         e_phys, s_phys = self.physical_sums(w)
-        return (sum(map(mul, w, self.e0_assigned.tolist())) - e_phys,
-                sum(map(mul, w, self.s0_assigned.tolist())) - s_phys)
+        return (sum(map(mul, w, self.e0_assigned)) - e_phys,
+                sum(map(mul, w, self.s0_assigned)) - s_phys)
 
     @cached_property
-    def gauge_gradient(self) -> tuple[np.ndarray, np.ndarray]:
+    def gauge_gradient(self) -> tuple[tuple, tuple]:
         """Constant gradients (dg_E/dn, dg_S/dn) of the gauge, which is linear
-        in the amounts wherever the composition is expressible."""
-        content = np.array(self.content_maps[0])
-        e_phys, s_phys = np.array(self.physical_references).T
-        return (_frozen_array(content.T @ (self.e0_assigned - e_phys)),
-                _frozen_array(content.T @ (self.s0_assigned - s_phys)))
-
-    @cached_property
-    def _gauge_rows(self) -> tuple[tuple, tuple]:
-        """``gauge_gradient`` as tuples of floats."""
-        return tuple(tuple(g.tolist()) for g in self.gauge_gradient)
+        in the amounts wherever the composition is expressible; tuples of
+        floats, one entry per constituent."""
+        content = np.array(self.content_maps[0]).T
+        physical = np.array(self.physical_references).T
+        return tuple(tuple((content @ (np.array(assigned) - phys)).tolist())
+                     for assigned, phys in zip((self.e0_assigned, self.s0_assigned), physical))
 
     @cached_property
     def _records(self) -> dict:
@@ -247,7 +243,7 @@ class ReferenceEnvironment:
         that its id is not reused; refusals are not kept, and with
         ``keep=False`` (compositions that seldom recur) nothing is looked up
         or kept."""
-        key, records = (id(model), comp.amounts.tobytes()), self._records
+        key, records = (id(model), comp.amounts), self._records
         record = records.pop(key, None) if keep else None
         if record is None:
             g_e, g_s = self.gauge(comp)
@@ -265,21 +261,18 @@ class ReferenceEnvironment:
     def chemical_convention(cls, constituents, elemental, network, species_models,
                             t0: float, p0: float) -> "ReferenceEnvironment":
         """Customary assignment E0 + p0 V0 = 0 and S0 = 0 for each species."""
-        env = cls(constituents, elemental, network, species_models, t0, p0,
-                  np.zeros(len(elemental)), np.zeros(len(elemental)))
-        e0 = np.array([-p0 * env.reference_volume(i) for i in range(len(env.elemental))])
-        return cls(constituents, elemental, network, species_models, t0, p0,
-                   e0, np.zeros(len(env.elemental)))
+        zeros = (0.0,) * len(elemental)
+        env = cls(constituents, elemental, network, species_models, t0, p0, zeros, zeros)
+        e0 = [-p0 * env.reference_volume(i) for i in range(len(env.elemental))]
+        return cls(constituents, elemental, network, species_models, t0, p0, e0, zeros)
 
     @classmethod
     def natural_convention(cls, constituents, elemental, network, species_models,
                            t0: float, p0: float) -> "ReferenceEnvironment":
         """Assign the model-scale physical values themselves (identity gauge)."""
-        env = cls(constituents, elemental, network, species_models, t0, p0,
-                  np.zeros(len(elemental)), np.zeros(len(elemental)))
-        phys = [env.physical_reference(i) for i in range(len(env.elemental))]
-        e0 = np.array([p[0] for p in phys])
-        s0 = np.array([p[1] for p in phys])
+        zeros = (0.0,) * len(elemental)
+        env = cls(constituents, elemental, network, species_models, t0, p0, zeros, zeros)
+        e0, s0 = zip(*env.physical_references)
         return cls(constituents, elemental, network, species_models, t0, p0, e0, s0)
 
 
@@ -356,7 +349,7 @@ def _open_energy_function(env, model):
 
 
 def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
-                     ost: OpenState) -> np.ndarray:
+                     ost: OpenState) -> tuple:
     """Total potentials of all constituents: dE/dn_k at fixed entropy and parameters.
 
     Closed form on the open relation E_open = g_E(n) + E(S_open - g_S(n), n, beta):
@@ -370,23 +363,22 @@ def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
     if env is not None:
         env.decompose(ost.comp)  # NotExpressible unless the environment forms it
     st = ost.closed_proxy()
-    return np.array(_potentials(env, model, st, temperature_of(model, st)))
+    return _potentials(env, model, st, temperature_of(model, st))
 
 
 def _potentials(env: ReferenceEnvironment | None, model: MatterModel, st: SystemState,
-                t: float) -> list[float]:
-    """``total_potentials``, in floats, at a checked state of temperature ``t``
-    whose composition the environment forms."""
+                t: float) -> tuple:
+    """``total_potentials`` at a checked state of temperature ``t`` whose
+    composition the environment forms."""
     ds_dn = model.ds_dn(st.energy, st.params, st.comp)
     if ds_dn is None:
         ds_dn = _fd_ds_dn(model, st.energy, st.params, st.comp)
-    ds_dn = np.asarray(ds_dn, dtype=float).tolist()
     if env is None:
         mu = [-t * x for x in ds_dn]
     else:
-        g_e, g_s = env._gauge_rows
+        g_e, g_s = env.gauge_gradient
         mu = [a - t * (b + x) for a, b, x in zip(g_e, g_s, ds_dn)]
-    return [m if n > 1e-12 else math.nan for m, n in zip(mu, st.comp.amounts.tolist())]
+    return tuple(m if n > 1e-12 else math.nan for m, n in zip(mu, st.comp.amounts))
 
 
 def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
@@ -399,7 +391,7 @@ def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
     """
     d_n = np.atleast_1d(np.asarray(d_n, dtype=float))
     d_beta = np.atleast_1d(np.asarray(d_beta, dtype=float))
-    n0 = ost.comp.amounts
+    n0 = np.array(ost.comp.amounts)
     beta0 = np.array(ost.params.beta)
     if d_n.shape[0] != n0.shape[0] or d_beta.shape[0] != beta0.shape[0]:
         raise ValueError("perturbation shapes do not match the state")
@@ -478,13 +470,13 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
         record = env._reference_record(model, st.comp, keep=not grid.reactive)
         e_open, s_open = _open_energy_entropy(env, model, st, record, s)
         pres = _pressure(model, st, temp)
-        mu = tuple(_potentials(env, model, st, temp))
-        return OpenTableRow(e_open, volume, tuple(comp.amounts), s_open, eps,
-                            tuple(st.comp.amounts), temp, pres, mu)
+        mu = _potentials(env, model, st, temp)
+        return OpenTableRow(e_open, volume, comp.amounts, s_open, eps,
+                            st.comp.amounts, temp, pres, mu)
     except (DomainError, RangeError, RangeExceeded, InadmissibleStep, Infeasible,
             NonConvergence, NotExpressible) as exc:
         nan = math.nan
-        return OpenTableRow(nan, volume, tuple(comp.amounts), nan, (), (),
+        return OpenTableRow(nan, volume, comp.amounts, nan, (), (),
                             nan, nan, (), status=f"gap: {exc}")
 
 

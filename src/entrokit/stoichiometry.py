@@ -31,33 +31,44 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _float_vector(values, what: str) -> tuple:
+    """``values``, a sequence or a scalar, as a tuple of Python floats;
+    ValueError unless it is a vector."""
+    if not isinstance(values, (tuple, list)):
+        arr = np.array(values, dtype=float, ndmin=1)
+        if arr.ndim != 1:
+            raise ValueError(f"{what} must be a vector")
+        values = arr.tolist()
+    try:
+        return tuple(map(float, values))
+    except TypeError:  # a nested sequence
+        raise ValueError(f"{what} must be a vector") from None
+
+
 @dataclass(frozen=True)
 class Composition:
-    """Amounts of each constituent, one entry per single-constituent region.
+    """Amounts of each constituent, one entry per single-constituent region,
+    as a tuple of floats; compositions compare and hash by their amounts.
 
     ``total`` (the summed amount) is computed once, at construction; it is
     positive exactly when some amount is.
     """
 
-    amounts: np.ndarray
+    amounts: tuple
     total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.amounts, dtype=float, ndmin=1)
-        if arr.ndim != 1:
-            raise ValueError("composition must be a vector")
-        if any(x < 0.0 for x in arr.tolist()):  # in floats: cheaper for few entries
-            negative = arr < 0.0
-            bad = np.flatnonzero(arr < -TOL_NEG)
-            if bad.size:
-                raise NegativeAmount(int(bad[0]), float(arr[bad[0]]))
-            arr[negative] = 0.0
-        arr.flags.writeable = False
-        object.__setattr__(self, "amounts", arr)
-        object.__setattr__(self, "total", float(arr.sum()))
+        n = _float_vector(self.amounts, "composition")
+        if not min(n, default=0.0) >= 0.0:  # a negative entry, or a leading NaN that hides one
+            for k, x in enumerate(n):
+                if x < -TOL_NEG:
+                    raise NegativeAmount(k, x)
+            n = tuple(0.0 if x < 0.0 else x for x in n)
+        object.__setattr__(self, "amounts", n)
+        object.__setattr__(self, "total", sum(n, 0.0))
 
     def __len__(self) -> int:
-        return self.amounts.shape[0]
+        return len(self.amounts)
 
 
 @dataclass(frozen=True)
@@ -129,56 +140,6 @@ class ReactionCoordinates:
 
     def __len__(self) -> int:
         return self.epsilon.shape[0]
-
-
-def apply_reactions(
-    n0: Composition, net: ReactionNetwork, eps: ReactionCoordinates
-) -> Composition:
-    """Advance a composition by the given reaction extents: n0 + stoich @ eps.
-
-    Raises NegativeAmount if any resulting entry falls below -TOL_NEG.
-    Only the endpoint is checked; intermediate compositions along a path
-    between endpoints are not constrained.
-    """
-    if len(n0) != net.n_constituents:
-        raise ValueError("composition length does not match network")
-    if len(eps) != net.n_reactions:
-        raise ValueError("reaction coordinates length does not match network")
-    return Composition(n0.amounts + net.stoich @ eps.epsilon)
-
-
-def compatibility(
-    n1: Composition, n2: Composition, net: ReactionNetwork
-) -> ReactionCoordinates | None:
-    """Reaction coordinates connecting two compositions, or None if none exist.
-
-    Returns the minimum-norm solution of stoich @ eps = n2 - n1 when the
-    difference lies in the column space of the network (residual inf-norm
-    within TOL_COMPAT); returns None otherwise.
-    """
-    if len(n1) != len(n2):
-        raise ValueError("compositions differ in length")
-    if len(n1) != net.n_constituents:
-        raise ValueError("composition length does not match network")
-    delta = n2.amounts - n1.amounts
-    eps, *_ = np.linalg.lstsq(net.stoich, delta, rcond=RCOND)
-    residual = net.stoich @ eps - delta
-    if np.max(np.abs(residual)) > TOL_COMPAT:
-        return None
-    return ReactionCoordinates(eps)
-
-
-def balance_rate(
-    net: ReactionNetwork, eps_rate: np.ndarray, inflow_rate: np.ndarray
-) -> np.ndarray:
-    """Rate of change of amounts: inflow plus the reaction contribution."""
-    eps_rate = np.atleast_1d(np.asarray(eps_rate, dtype=float))
-    inflow_rate = np.atleast_1d(np.asarray(inflow_rate, dtype=float))
-    if eps_rate.shape[0] != net.n_reactions:
-        raise ValueError("reaction rate length does not match network")
-    if inflow_rate.shape[0] != net.n_constituents:
-        raise ValueError("inflow length does not match network")
-    return inflow_rate + net.stoich @ eps_rate
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from entrokit import checks
 from entrokit.correlations import (
     JointState,
     decorrelation_entropy,
-    entropy_difference_correlated,
     joint_energy,
+    joint_entropies,
     load_joint_csv,
     marginals,
     product_state,
@@ -98,20 +98,29 @@ def test_joint_energy_double_sum_oracle():
         assert joint_energy(joint) == pytest.approx(expected, abs=1e-12)
 
 
-def test_entropy_difference_identical_joints():
+def _difference_through_marginals(j1, j2):
+    """S2 - S1 of two correlated composites from the subsystem entropy changes
+    and the change of decorrelation entropy, as ``joint_entropies`` gives them."""
+    _, a1, b1, sigma1 = joint_entropies(j1)
+    _, a2, b2, sigma2 = joint_entropies(j2)
+    return (a2 - a1) + (b2 - b1) - (sigma2 - sigma1)
+
+
+def test_joint_entropies_difference_of_identical_joints_vanishes():
     joint = make_joint([[0.5, 0.0], [0.0, 0.5]])
-    assert entropy_difference_correlated(joint, joint) == 0.0
+    assert _difference_through_marginals(joint, joint) == 0.0
 
 
-def test_entropy_difference_decorrelation_step_gains_sigma():
+def test_joint_entropies_decorrelation_step_gains_sigma():
     joint = make_joint([[0.4, 0.1], [0.1, 0.4]])
     prod = product_state(joint)
-    diff = entropy_difference_correlated(joint, prod)
+    diff = _difference_through_marginals(joint, prod)
     assert diff == pytest.approx(decorrelation_entropy(joint), abs=1e-12)
+    assert joint_entropies(prod)[0] - joint_entropies(joint)[0] == pytest.approx(diff, abs=1e-12)
     assert diff >= 0.0
 
 
-def test_entropy_difference_equals_joint_shannon_difference():
+def test_joint_entropies_difference_equals_joint_shannon_difference():
     rng = np.random.default_rng(23)
     for _ in range(50):
         j1 = random_joint(rng, 3, 3)
@@ -119,7 +128,9 @@ def test_entropy_difference_equals_joint_shannon_difference():
         p1, p2 = j1.table.ravel(), j2.table.ravel()
         h1 = -sum(x * math.log(x) for x in p1 if x > 0)
         h2 = -sum(x * math.log(x) for x in p2 if x > 0)
-        assert entropy_difference_correlated(j1, j2) == pytest.approx(h2 - h1, abs=1e-12)
+        assert _difference_through_marginals(j1, j2) == pytest.approx(h2 - h1, abs=1e-12)
+        assert joint_entropies(j2)[0] - joint_entropies(j1)[0] == pytest.approx(h2 - h1,
+                                                                                abs=1e-12)
 
 
 def test_invalid_tables_rejected():

@@ -42,6 +42,8 @@ def test_the_volume_is_the_first_parameter_as_a_float():
     assert len(empty) == 0
     with pytest.raises(IndexError):
         empty.volume
+    with pytest.raises(IndexError):
+        empty.with_volume(1.0)
     with pytest.raises(AttributeError, match="has no attribute 'weight'"):
         empty.weight
 
@@ -572,3 +574,53 @@ def test_ds_dn_along_refuses_what_a_checked_composition_refuses(kb):
     ]
     for case in cases:
         assert _assert_probes_agree(mix, *case) != "value", case
+
+
+def _water_species(number):
+    """H2, O2 and H2O, each constant passed through ``number``."""
+    return [Species("H2", number(5.0), number(0.0), number(0.1)),
+            Species("O2", number(5.0), number(0.0), number(-0.2)),
+            Species("H2O", number(6.0), number(-2.0), number(0.3))]
+
+
+def test_numpy_built_species_hold_floats_and_solve_to_the_same_bits():
+    from entrokit.equilibrium import EquilibriumProblem, stable_equilibrium
+    from entrokit.stoichiometry import ReactionNetwork
+
+    mixes = [IdealGasMixture(_water_species(number)) for number in (float, np.float64)]
+    for sp in mixes[1].species:
+        assert all(type(x) is float for x in (sp.dof, sp.e0, sp.s0))
+    assert all(type(x) is float for x in mixes[1]._dof + mixes[1]._e0 + mixes[1]._c)
+
+    def solve_bits(mix):
+        sol = stable_equilibrium(EquilibriumProblem(
+            (mix,), (Parameters([1.0]),), (Composition([1.2, 0.6, 0.1]),), 8.0,
+            network=ReactionNetwork([[-2.0], [-1.0], [2.0]])))
+        return [x.hex() for x in (sol.entropy, sol.temperature, sol.kkt_residual,
+                                  *sol.states[0].comp.amounts)]
+
+    assert solve_bits(mixes[1]) == solve_bits(mixes[0])
+
+
+@pytest.mark.parametrize("key, bad", [("dof", math.nan), ("dof", math.inf), ("e0", math.inf),
+                                      ("e0", -math.inf), ("s0", np.float64("nan"))])
+def test_species_refuses_non_finite_constants(key, bad):
+    with pytest.raises(ValueError, match=key):
+        Species("a", **{"dof": 3.0, "e0": 0.0, "s0": 0.0, key: bad})
+
+
+def test_parameters_and_states_compare_and_hash_as_values():
+    p1, p2 = Parameters([1.5, 2.0]), Parameters(np.array([1.5, 2.0]))
+    assert p1 == p2 and hash(p1) == hash(p2) and p1 != Parameters([1.5, 2.5])
+    assert type(p2.beta) is tuple and all(type(x) is float for x in p2.beta)
+    s1 = SystemState(3.0, p1, Composition([1.0, 2.0]))
+    s2 = SystemState(np.float64(3.0), p2, Composition(np.array([1.0, 2.0])))
+    assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
+    assert s1 != SystemState(3.5, p1, s1.comp)
+    assert s1 != SystemState(3.0, p1, s1.comp, correlated=True)
+
+
+def test_ds_dn_returns_floats():
+    mix = IdealGasMixture(_water_species(float))
+    ds_dn = mix.ds_dn(8.0, Parameters([1.0]), Composition([1.0, 0.5, 0.0]))
+    assert len(ds_dn) == 3 and all(type(x) is float for x in ds_dn)

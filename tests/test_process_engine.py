@@ -15,7 +15,6 @@ from entrokit.errors import (
     DegenerateStates,
     DomainError,
     InadmissibleStep,
-    NotWeightProcess,
     RangeError,
     RangeExceeded,
 )
@@ -38,7 +37,6 @@ from entrokit.process_engine import (
     ProcessRecord,
     Schedule,
     assign_temperature,
-    check_entropy_nondecrease,
     measure_entropy,
     measure_entropy_difference,
     measure_entropy_difference_composite,
@@ -448,9 +446,10 @@ def test_assign_temperature_rescales_with_reference_value():
 
 def test_nondecrease_isentropic_only_is_reversible():
     rec = run_schedule(GAS, ST1, RES, Schedule((Isentropic(Parameters([2.0])),)))
-    verdict = check_entropy_nondecrease(rec, GAS)
-    assert verdict.classification == "reversible"
-    assert verdict.delta_s == pytest.approx(0.0, abs=1e-12)
+    result = nondecrease_check([rec], GAS)
+    assert result.passed and "mismatches=0" in result.detail
+    assert rec.reversible
+    assert result.worst == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nondecrease_stirring_record():
@@ -458,19 +457,26 @@ def test_nondecrease_stirring_record():
     # stirred state relaxes; the entropy rise is S(E + w) - S(E) > 0
     w_in = 0.5
     final = state(ST1.energy + w_in, 1.0, [1.0])
-    rec = ProcessRecord(ST1, final, 0.0, -w_in,
-                        entropy_of(GAS, final) - entropy_of(GAS, ST1), False)
-    verdict = check_entropy_nondecrease(rec, GAS)
-    assert verdict.classification == "irreversible"
+    delta_s = entropy_of(GAS, final) - entropy_of(GAS, ST1)
+    rec = ProcessRecord(ST1, final, 0.0, -w_in, delta_s, False)
+    result = nondecrease_check([rec], GAS)
+    assert result.passed
     expected = 1.5 * math.log((1.5 + w_in) / 1.5)
-    assert verdict.delta_s == pytest.approx(expected, abs=1e-12)
-    assert verdict.delta_s > 0
+    assert result.worst == pytest.approx(expected, abs=1e-12)
+    assert result.worst > 0
+    # the same entropy rise filed as a reversible record is a classification mismatch
+    claimed_reversible = ProcessRecord(ST1, final, 0.0, -w_in, 0.0, True)
+    mismatch = nondecrease_check([claimed_reversible], GAS)
+    assert not mismatch.passed and "mismatches=1" in mismatch.detail
 
 
-def test_nondecrease_rejects_reservoir_charged_records():
-    rec = reversible_standard_process(GAS, ST1, ST2, RES)
-    with pytest.raises(NotWeightProcess):
-        check_entropy_nondecrease(rec, GAS)
+def test_weight_process_fuzz_keeps_no_reservoir_charged_record():
+    rng = np.random.default_rng(5)
+    records = fuzz_weight_processes(GAS, ST1, RES, rng, n=50)
+    assert len(records) == 50
+    assert all(abs(rec.d_e_res) <= 1e-12 * max(1.0, abs(ST1.energy)) for rec in records)
+    charged = reversible_standard_process(GAS, ST1, ST2, RES)
+    assert abs(charged.d_e_res) > 1e-3  # what the fuzzer leaves out
 
 
 def test_theorem_lower_bound_small_fuzz():
