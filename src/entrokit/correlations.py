@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError
-from .stoichiometry import _frozen_array
+from .stoichiometry import _ComparedByValue, _frozen_array
 
 PROB_TOL = 1e-12
 
@@ -50,9 +50,10 @@ def table_energies(tables: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> np.n
     return (p_a @ e_a[:, :, None] + p_b @ e_b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Joint probability table with per-outcome energies for each subsystem."""
+@dataclass(frozen=True, eq=False)
+class JointState(_ComparedByValue):
+    """Joint probability table with per-outcome energies for each subsystem;
+    compared and hashed by value."""
 
     table: np.ndarray
     energies_a: np.ndarray

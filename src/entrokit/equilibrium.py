@@ -6,9 +6,8 @@ subsystems and the amounts the reactions can reach.  The inner split is
 solved by temperature equalization (stationarity across subsystems).  Along
 one independent reaction the maximization brackets the zero of the
 reaction's affinity in plain floats: in a one-region problem a probe is the
-model's closed form ``ds_dn_along`` where it has one, else an evaluated
-point, and only the answer becomes a state.  Over
-several it minimizes the convex dual in the element potentials and 1/T
+model's ``ds_dn_along``, in several an evaluated point, and only the answer
+becomes a state.  Over several it minimizes the convex dual in the element potentials and 1/T
 (W. C. Reynolds, STANJAN, 1986; Gordon & McBride, NASA RP-1311, 1994): each
 model gives its amounts at given potentials and temperature in closed form
 (the ``log_amounts`` hook), and the answer is packaged and certified at those
@@ -34,10 +33,8 @@ from .errors import (
 from .matter_models import (
     H_REL,
     MatterModel,
-    Parameters,
     SystemState,
     _fd_slopes,
-    energy_of,
     entropy_of,
     solve_energy_at_temperature,
     temperature_of,
@@ -188,11 +185,8 @@ def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
 def _ds_dn(prob: EquilibriumProblem, pt: _Point) -> list:
     """dS/dn for each constituent at the point's split, in floats, computed once."""
     if pt.ds_dn is None:
-        ds_dn = []
-        for model, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps):
-            d = model.ds_dn(e, p, c)
-            ds_dn += _fd_ds_dn(model, e, p, c) if d is None else d
-        pt.ds_dn = ds_dn
+        pt.ds_dn = [x for model, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps)
+                    for x in model.ds_dn(e, p, c)]
     return pt.ds_dn
 
 
@@ -200,13 +194,6 @@ def _wall(n0: list) -> float:
     """Amounts at most this count as exhausted: 1e-9 of the largest initial
     one, at least 1e-9."""
     return 1e-9 * max(1.0, max(map(abs, n0), default=0.0))
-
-
-def _fd_ds_dn(model: MatterModel, energy: float, params: Parameters,
-              comp: Composition) -> list:
-    """The fallback of the ``ds_dn`` hook: a finite difference, in floats."""
-    return _fd_slopes(lambda n: model.entropy(energy, params, Composition(n)),
-                      comp.amounts, amounts=range(len(comp))).tolist()
 
 
 def _feasible_interval_1d(n0: list, col: list) -> tuple[float, float]:
@@ -378,8 +365,8 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
     method refines it.  If g keeps its sign up to that end, the end is the
     optimum.  A point with no admissible state lies past the optimum, so g
     counts as infinite there, pointing back.  A probe of g is the model's
-    ``ds_dn_along`` in a one-region problem where the model has it, else an
-    evaluated point; each counts against ``max_iter``.  A candidate is
+    ``ds_dn_along`` in a one-region problem, else an evaluated point; each
+    counts against ``max_iter``.  A candidate is
     certified from its probe's g, and only the answer becomes a point, unless
     its probe made one.  Returns (point, probes, what to report if the point
     fails its KKT certificate, the point's ``_kkt`` pair).
@@ -398,8 +385,6 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
         probe = partial(prob.models[0].ds_dn_along, prob.total_energy, prob.params[0], n0, col)
     try:
         g0 = probe(x0)
-        if g0 is None:  # the model has no such hook
-            probe, g0 = at_point, at_point(x0)
     except (DomainError, RangeError, NegativeAmount) as exc:
         raise Infeasible(f"no admissible interior point: {exc}") from exc
     seen = {x0: g0}  # eps -> g, in order
@@ -568,7 +553,7 @@ def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> 
         return 0.0
     t_eq = sol.temperature
     mu = -t_eq * np.array([x for model, st in zip(prob.models, sol.states)
-                           for x in _fd_ds_dn(model, st.energy, st.params, st.comp)])
+                           for x in MatterModel.ds_dn(model, st.energy, st.params, st.comp)])
     affinity = prob.network.stoich.T @ mu
     return float(np.max(np.abs(affinity)) / t_eq)
 
@@ -589,30 +574,16 @@ def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
 
 
 def pressure_of(model: MatterModel, st: SystemState) -> float:
-    """Pressure p = T dS/dV at fixed (E, n), which is -dE/dV at fixed (S, n):
-    from the model's ``ds_dv`` hook, else the finite difference
-    ``_fd_pressure``.  Raises DomainError where it is not finite."""
+    """Pressure p = T dS/dV at fixed (E, n), which is -dE/dV at fixed (S, n).
+    Raises DomainError where it is not finite."""
     return _pressure(model, st, None)
 
 
 def _pressure(model: MatterModel, st: SystemState, temperature: float | None) -> float:
     """``pressure_of``, reading the temperature of a checked state when given."""
     slope = model.ds_dv(st.energy, st.params, st.comp)
-    if slope is None:
-        p = _fd_pressure(model, st)
-    else:
-        t = temperature_of(model, st) if temperature is None else temperature
-        p = t * slope
+    t = temperature_of(model, st) if temperature is None else temperature
+    p = t * slope
     if not math.isfinite(p):
         raise DomainError(f"pressure {p:.6g} at volume {st.params.volume:.6g} is not finite")
     return p
-
-
-def _fd_pressure(model: MatterModel, st: SystemState) -> float:
-    """-dE/dV at fixed (S, n), differenced with a step of H_REL * V, which also
-    serves V << 1; the fallback of ``pressure_of`` and its test oracle."""
-    s0 = entropy_of(model, st)
-    v0 = st.params.volume
-    (slope,) = _fd_slopes(lambda v: energy_of(model, s0, st.params.with_volume(v[0]), st.comp),
-                          [v0], step=H_REL * v0)
-    return -slope

@@ -16,7 +16,7 @@ from operator import mul
 import numpy as np
 
 from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
-from .roots import brentq, expand_bracket
+from .roots import brentq, decreasing_root, expand_bracket
 from .stoichiometry import TOL_NEG, Composition, _float_vector
 
 #: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
@@ -25,7 +25,7 @@ KB_SI = 1.380649e-23
 #: Smallest admissible thermal energy above the ground bound (log singularity).
 GROUND_EPS = 1e-12
 
-#: Contract tolerance for energy_of: |S(E*) - S| in entropy units.
+#: Contract tolerance for energy_of: |S(E*) - S| <= TOL_INV * max(1, |S|).
 TOL_INV = 1e-10
 
 #: Relative finite-difference step: h_i = H_REL * max(1, |x_i|).
@@ -80,12 +80,12 @@ def state(energy: float, volume: float, amounts) -> SystemState:
 
 
 class MatterModel:
-    """Fundamental relation S(E, beta, n) plus optional analytic shortcuts.
+    """Fundamental relation S(E, beta, n) and what derives from it.
 
-    Subclasses must implement ``entropy`` and ``energy_floor``.  The optional
-    hooks return None when no closed form is available; callers then fall
-    back to finite differences or bracketed root-finding.  ``log_amounts``
-    has no such fallback and raises NotImplementedError.
+    Subclasses must implement ``entropy`` and ``energy_floor``.  Every other
+    method derives from them here, by finite differences or bracketed root
+    finding, and a subclass overrides one only where it has a closed form.
+    ``log_amounts`` alone has no derivation and raises NotImplementedError.
     """
 
     def entropy(self, energy: float, params: Parameters, comp: Composition) -> float:
@@ -106,29 +106,37 @@ class MatterModel:
     def evaluate(self, energy: float, params: Parameters,
                  comp: Composition) -> tuple[float, float]:
         """Temperature 1 / (dS/dE) and entropy of the state (E, beta, n), from
-        one validation; models may override it with a cheaper route."""
+        one validation."""
         self.validate(energy, params, comp)
         return _temperature(self, energy, params, comp), self.entropy(energy, params, comp)
 
-    # analytic hooks, all optional
+    def ds_de(self, energy, params, comp) -> float:
+        """dS/dE at fixed (beta, n): a central difference of the relation."""
+        (slope,) = _fd_slopes(lambda e: entropy_of(self, SystemState(e[0], params, comp)),
+                              [energy])
+        return slope
 
-    def ds_de(self, energy, params, comp) -> float | None:
-        """Analytic dS/dE at fixed (beta, n), or None."""
-        return None
+    def ds_dv(self, energy, params, comp) -> float:
+        """dS/dV at fixed (E, n), V the first parameter: a central difference
+        with a step of H_REL * V, which also serves V << 1."""
+        v = params.volume
+        (slope,) = _fd_slopes(lambda x: self.entropy(energy, params.with_volume(x[0]), comp),
+                              [v], step=H_REL * v)
+        return slope
 
-    def ds_dv(self, energy, params, comp) -> float | None:
-        """Analytic dS/dV at fixed (E, n), V the first parameter, or None."""
-        return None
+    def ds_dn(self, energy, params, comp) -> list:
+        """dS/dn_k at fixed (E, beta), one float per constituent: finite
+        differences, forward along an amount within one step of 0."""
+        return _fd_slopes(lambda n: self.entropy(energy, params, Composition(n)),
+                          comp.amounts, amounts=range(len(comp))).tolist()
 
-    def ds_dn(self, energy, params, comp) -> list | None:
-        """Analytic dS/dn_k at fixed (E, beta), one float per constituent, or None."""
-        return None
-
-    def ds_dn_along(self, energy, params, n0, direction, extent) -> float | None:
-        """Analytic direction . dS/dn at fixed (E, beta) at the amounts
+    def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
+        """direction . dS/dn at fixed (E, beta) at the amounts
         n0 + extent * direction (sequences of floats), refusing them as
-        Composition and ``evaluate`` would; or None."""
-        return None
+        Composition and ``evaluate`` would."""
+        comp = Composition([a + d * extent for a, d in zip(n0, direction)])
+        self.evaluate(energy, params, comp)
+        return sum(map(mul, direction, self.ds_dn(energy, params, comp)))
 
     def log_amounts(self, temperature, params, potentials) -> tuple:
         """The amounts at which dS/dn at fixed (E, beta) equals ``potentials``
@@ -140,21 +148,110 @@ class MatterModel:
             f"{type(self).__name__} has no log_amounts hook, which equilibrium "
             f"over several independent reactions needs")
 
-    def invert_entropy(self, entropy: float, params, comp) -> float | None:
-        """Closed-form E with S(E, beta, n) = entropy, or None."""
-        return None
+    def invert_entropy(self, entropy: float, params, comp, tol: float = TOL_INV) -> float:
+        """E with S(E, beta, n) = entropy, to within tol * max(1, |entropy|):
+        bracketed root finding on the strictly increasing S(E).  Raises
+        RangeError when the entropy is not attained on the admissible energy
+        interval, NonConvergence when the root misses it."""
+        floor = self.energy_floor(params, comp)
+        ceiling = self.energy_ceiling(params, comp)
+        tol = tol * max(1.0, abs(entropy))
 
-    def energy_at_temperature(self, temperature: float, params, comp) -> float | None:
-        """Closed-form E with T(E, beta, n) = temperature, or None."""
-        return None
+        def f(energy: float) -> float:
+            return self.entropy(energy, params, comp) - entropy
 
-    def volume_on_isentrope(self, entropy: float, temperature: float, comp) -> float | None:
-        """Closed-form volume where the isentrope at S meets temperature T, or None."""
-        return None
+        # The floor itself may round onto the wrong side of the log singularity;
+        # nudge upward until the relation is evaluable.
+        lo = floor
+        f_lo = None
+        for _ in range(64):
+            try:
+                f_lo = f(lo)
+                break
+            except DomainError:
+                lo = lo + max(GROUND_EPS, abs(lo) * 1e-15)
+        if f_lo is None:
+            raise RangeError("could not evaluate the relation near the ground bound")
+        if f_lo > tol:
+            raise RangeError(
+                f"entropy {entropy:.6g} below the value {entropy + f_lo:.6g} at the ground bound"
+            )
+        if f_lo >= 0.0:
+            return lo
 
-    def volume_at_pressure(self, temperature: float, pressure: float, comp) -> float | None:
-        """Closed-form volume of the state at temperature T and pressure p, or None."""
-        return None
+        scale = max(1.0, abs(lo))
+        hi, _ = expand_bracket(f, min(lo + scale, ceiling), f_lo, lo, limit=ceiling)
+
+        # solve in log(E - lo): roots just above the ground bound need relative,
+        # not absolute, precision
+        span = hi - lo
+
+        def g(x: float) -> float:
+            return f(lo + math.exp(x))
+
+        x_hi = math.log(span)
+        x_lo = x_hi - 600.0  # E - lo down to span * e^-600
+        g_lo = g(x_lo)
+        if g_lo >= 0.0:
+            root, f_root = lo + math.exp(x_lo), g_lo
+        else:
+            x_root, f_root = brentq(g, x_lo, x_hi, xtol=1e-14, rtol=1e-15, maxiter=300,
+                                    fa=g_lo)
+            root = lo + math.exp(x_root)
+        if abs(f_root) > tol:
+            raise NonConvergence(
+                f"entropy inversion missed its target by {abs(f_root):.3g}", best=root
+            )
+        return float(root)
+
+    def energy_at_temperature(self, temperature: float, params, comp) -> float:
+        """E with T(E, beta, n) = temperature: bracketed root finding on T(E),
+        which is increasing for normal systems.  Raises RangeError when no
+        such state exists."""
+        floor = self.energy_floor(params, comp)
+        ceiling = self.energy_ceiling(params, comp)
+
+        def f(energy: float) -> float:
+            return temperature_of(self, SystemState(energy, params, comp)) - temperature
+
+        # keep a margin for a central difference inside temperature_of
+        margin = 4.0 * H_REL * max(1.0, abs(floor) + 1.0)
+        lo = floor + margin
+        f_lo = f(lo)
+        if f_lo > 0.0:
+            raise RangeError(
+                f"temperature {temperature:.6g} unreachable above the ground bound"
+            )
+        if f_lo == 0.0:
+            return lo
+        hi, f_hi = expand_bracket(f, min(floor + max(1.0, abs(floor)), ceiling), f_lo, floor,
+                                  limit=ceiling)
+        root, _ = brentq(f, lo, hi, xtol=1e-14 * max(1.0, abs(hi)), rtol=1e-15,
+                         fa=f_lo, fb=f_hi)
+        return float(root)
+
+    def volume_on_isentrope(self, entropy: float, temperature: float, params, comp) -> float:
+        """Volume where the isentrope at S meets temperature T, the other
+        parameters as in ``params``: searched outward from ``params``'s
+        volume, as temperature falls while the volume grows."""
+        def f(log_v: float) -> float:
+            at = params.with_volume(math.exp(log_v))
+            energy = energy_of(self, entropy, at, comp, tol=1e-12)
+            return temperature_of(self, SystemState(energy, at, comp)) - temperature
+
+        return math.exp(decreasing_root(f, math.log(params.volume), xtol=1e-13, rtol=1e-15))
+
+    def volume_at_pressure(self, temperature: float, pressure: float, comp) -> float:
+        """Volume of the state at temperature T and pressure p = T dS/dV:
+        searched outward from the ideal-gas volume n T / p, as the pressure
+        falls while the volume grows."""
+        def f(log_v: float) -> float:
+            params = Parameters([math.exp(log_v)])
+            energy = self.energy_at_temperature(temperature, params, comp)
+            return temperature * self.ds_dv(energy, params, comp) - pressure
+
+        start = math.log(comp.total * temperature / pressure)
+        return math.exp(decreasing_root(f, start, xtol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -320,7 +417,7 @@ class IdealGasMixture(MatterModel):
                  - (e0 / temperature + np.asarray(potentials, dtype=float)) / self.kb)
         return log_n, 0.5 * dof + e0 / (self.kb * temperature)
 
-    def invert_entropy(self, entropy, params, comp) -> float:
+    def invert_entropy(self, entropy, params, comp, tol=TOL_INV) -> float:
         e0n, dn, cn = self._sums(comp)
         v = self._check_volume(params)
         log_t = (entropy / self.kb - cn - comp.total * math.log(v)) / (0.5 * dn)
@@ -336,7 +433,7 @@ class IdealGasMixture(MatterModel):
             raise DomainError("temperature must be positive")
         return e0n + 0.5 * dn * self.kb * temperature
 
-    def volume_on_isentrope(self, entropy, temperature, comp) -> float:
+    def volume_on_isentrope(self, entropy, temperature, params, comp) -> float:
         _, dn, cn = self._sums(comp)
         if not 0.5 * self.kb * temperature > 0.0:  # k_B T may underflow in SI units
             raise DomainError("temperature must be positive")
@@ -421,117 +518,34 @@ def energy_of(model: MatterModel, entropy: float, params: Parameters,
               comp: Composition, tol: float = TOL_INV) -> float:
     """Invert the fundamental relation: the energy at which S(E) = entropy.
 
-    Takes the model's closed form when it gives a finite energy on the
-    admissible interval, otherwise bracketed root-finding on the strictly
-    increasing S(E); raises RangeError when the target entropy is not
-    attained on the admissible energy interval.
+    A model's closed form that gives no finite energy on the admissible
+    interval gives way to ``MatterModel.invert_entropy``'s bracket; raises
+    RangeError when the target entropy is not attained on that interval.
     """
-    floor = model.energy_floor(params, comp)
-    ceiling = model.energy_ceiling(params, comp)
-    closed = model.invert_entropy(entropy, params, comp)
-    if closed is not None and math.isfinite(closed) and floor <= closed <= ceiling:
+    closed = model.invert_entropy(entropy, params, comp, tol)
+    if (math.isfinite(closed) and model.energy_floor(params, comp) <= closed
+            <= model.energy_ceiling(params, comp)):
         return float(closed)
-
-    def f(energy: float) -> float:
-        return model.entropy(energy, params, comp) - entropy
-
-    # The floor itself may round onto the wrong side of the log singularity;
-    # nudge upward until the relation is evaluable.
-    lo = floor
-    f_lo = None
-    for _ in range(64):
-        try:
-            f_lo = f(lo)
-            break
-        except DomainError:
-            lo = lo + max(GROUND_EPS, abs(lo) * 1e-15)
-    if f_lo is None:
-        raise RangeError("could not evaluate the relation near the ground bound")
-    if f_lo > tol:
-        raise RangeError(
-            f"entropy {entropy:.6g} below the value {entropy + f_lo:.6g} at the ground bound"
-        )
-    if f_lo >= 0.0:
-        return lo
-
-    scale = max(1.0, abs(lo))
-    hi, _ = expand_bracket(f, min(lo + scale, ceiling), f_lo, lo, limit=ceiling)
-
-    # solve in log(E - lo): roots just above the ground bound need relative,
-    # not absolute, precision
-    span = hi - lo
-
-    def g(x: float) -> float:
-        return f(lo + math.exp(x))
-
-    x_hi = math.log(span)
-    x_lo = x_hi - 600.0  # E - lo down to span * e^-600
-    g_lo = g(x_lo)
-    if g_lo >= 0.0:
-        root, f_root = lo + math.exp(x_lo), g_lo
-    else:
-        x_root, f_root = brentq(g, x_lo, x_hi, xtol=1e-14, rtol=1e-15, maxiter=300,
-                                fa=g_lo)
-        root = lo + math.exp(x_root)
-    if abs(f_root) > tol:
-        raise NonConvergence(
-            f"energy_of missed the entropy target by {abs(f_root):.3g}", best=root
-        )
-    return float(root)
+    return MatterModel.invert_entropy(model, entropy, params, comp, tol)
 
 
 def solve_energy_at_temperature(model: MatterModel, temperature: float,
                                 params: Parameters, comp: Composition) -> float:
-    """Energy at which the state (E, params, comp) has the given temperature.
-
-    Uses the model's closed form when available, otherwise bracketed
-    root-finding on T(E), which is increasing for the built-in models.
-    Raises RangeError when no such state exists.
-    """
-    closed = model.energy_at_temperature(temperature, params, comp)
-    if closed is not None:
-        return closed
-    floor = model.energy_floor(params, comp)
-    ceiling = model.energy_ceiling(params, comp)
-
-    def f(energy: float) -> float:
-        return temperature_of(model, SystemState(energy, params, comp)) - temperature
-
-    # keep a margin for the central difference inside temperature_of
-    margin = 4.0 * H_REL * max(1.0, abs(floor) + 1.0)
-    lo = floor + margin
-    f_lo = f(lo)
-    if f_lo > 0.0:
-        raise RangeError(
-            f"temperature {temperature:.6g} unreachable above the ground bound"
-        )
-    if f_lo == 0.0:
-        return lo
-    hi, f_hi = expand_bracket(f, min(floor + max(1.0, abs(floor)), ceiling), f_lo, floor,
-                              limit=ceiling)
-    root, _ = brentq(f, lo, hi, xtol=1e-14 * max(1.0, abs(hi)), rtol=1e-15,
-                     fa=f_lo, fb=f_hi)
-    return float(root)
+    """Energy at which the state (E, params, comp) has the given temperature;
+    raises RangeError when no such state exists."""
+    return model.energy_at_temperature(temperature, params, comp)
 
 
 def temperature_of(model: MatterModel, st: SystemState) -> float:
-    """Temperature (dE/dS at fixed parameters) of a stable equilibrium state.
-
-    Analytic when the model supplies dS/dE, otherwise a central finite
-    difference of the relation in E.
-    """
+    """Temperature (dE/dS at fixed parameters) of a stable equilibrium state."""
     model.validate(st.energy, st.params, st.comp)
     return _temperature(model, st.energy, st.params, st.comp)
 
 
 def _temperature(model: MatterModel, energy: float, params: Parameters,
                  comp: Composition) -> float:
-    """1 / (dS/dE) at a validated state: the ``ds_de`` hook, else a central
-    difference of the relation."""
+    """1 / (dS/dE) at a validated state."""
     slope = model.ds_de(energy, params, comp)
-    if slope is None:
-        (slope,) = _fd_slopes(lambda e: entropy_of(model, SystemState(e[0], params, comp)),
-                              [energy])
     if slope <= 0:
         raise DomainError(f"fundamental relation not increasing at E={energy:.6g}")
     return 1.0 / slope

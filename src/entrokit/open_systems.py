@@ -21,13 +21,7 @@ from operator import mul
 
 import numpy as np
 
-from .equilibrium import (
-    EquilibriumProblem,
-    _fd_ds_dn,
-    _pressure,
-    pressure_of,
-    stable_equilibrium,
-)
+from .equilibrium import EquilibriumProblem, _pressure, stable_equilibrium
 from .errors import (
     DomainError,
     InadmissibleStep,
@@ -49,7 +43,6 @@ from .matter_models import (
     temperature_of,
 )
 from .process_engine import _reversible_standard_process
-from .roots import decreasing_root
 from .stoichiometry import (
     Composition,
     ReactionNetwork,
@@ -110,19 +103,8 @@ class ReferenceEnvironment:
     # physical reference state of one unit of species i (box at T0, p0)
 
     def reference_volume(self, i: int) -> float:
-        model = self.species_models[i]
-        closed = model.volume_at_pressure(self.t0, self.p0, UNIT)
-        if closed is not None:
-            return closed
-
-        # generic: root-find the volume whose pressure at T0 is p0
-        def f(log_v):
-            params = Parameters([math.exp(log_v)])
-            e = solve_energy_at_temperature(model, self.t0, params, UNIT)
-            return pressure_of(model, SystemState(e, params, UNIT)) - self.p0
-
-        # pressure falls as volume grows; start from the reduced ideal-gas volume
-        return math.exp(decreasing_root(f, math.log(self.t0 / self.p0), xtol=1e-12))
+        """Volume of one unit of species i at (T0, p0)."""
+        return self.species_models[i].volume_at_pressure(self.t0, self.p0, UNIT)
 
     def reference_state(self, i: int) -> SystemState:
         model = self.species_models[i]
@@ -293,12 +275,8 @@ class OpenState:
 
 def _reference_proxy_state(env: ReferenceEnvironment, model: MatterModel,
                            comp: Composition) -> SystemState:
-    """Canonical state of the closed proxy at the environment's (T0, p0); the
-    reduced ideal-gas volume stands in when the model has no closed form."""
-    volume = model.volume_at_pressure(env.t0, env.p0, comp)
-    if volume is None:
-        volume = comp.total * env.t0 / env.p0
-    params = Parameters([volume])
+    """Canonical state of the closed proxy: its state at the environment's (T0, p0)."""
+    params = Parameters([model.volume_at_pressure(env.t0, env.p0, comp)])
     energy = solve_energy_at_temperature(model, env.t0, params, comp)
     return SystemState(energy, params, comp)
 
@@ -355,7 +333,7 @@ def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
     Closed form on the open relation E_open = g_E(n) + E(S_open - g_S(n), n, beta):
     mu_k = dg_E/dn_k - T (dg_S/dn_k + dS/dn_k), with the environment's
     constant gauge gradient and dS/dn_k at fixed (E, beta) from the model's
-    ``ds_dn`` hook, or a finite difference when the model has none.
+    ``ds_dn``.
     ``env=None`` gives mu_k = -T dS/dn_k on the model's own scale.  Amounts at
     or below 1e-12 have no potential (NaN); compositions the environment
     cannot form raise NotExpressible.
@@ -371,8 +349,6 @@ def _potentials(env: ReferenceEnvironment | None, model: MatterModel, st: System
     """``total_potentials`` at a checked state of temperature ``t`` whose
     composition the environment forms."""
     ds_dn = model.ds_dn(st.energy, st.params, st.comp)
-    if ds_dn is None:
-        ds_dn = _fd_ds_dn(model, st.energy, st.params, st.comp)
     if env is None:
         mu = [-t * x for x in ds_dn]
     else:

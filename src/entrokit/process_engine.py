@@ -11,7 +11,6 @@ zero-length isentrope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,9 +30,7 @@ from .matter_models import (
     reservoir_exchange,
     solve_energy_at_temperature,
     state,
-    temperature_of,
 )
-from .roots import decreasing_root
 
 #: Entropy slack below which a process counts as reversible.
 TOL_REV = 1e-9
@@ -120,22 +117,8 @@ def _require_uncorrelated(st: SystemState) -> None:
 def _volume_on_isentrope(model: MatterModel, entropy: float, temperature: float,
                          st: SystemState) -> Parameters:
     """Parameters at which the isentrope through ``entropy`` has the given temperature."""
-    closed = model.volume_on_isentrope(entropy, temperature, st.comp)
-    if closed is not None:
-        return st.params.with_volume(closed)
-    if len(st.params) != 1:
-        raise InadmissibleStep(
-            "generic isentrope search needs a single-volume parameter vector"
-        )
-
-    def f(log_v: float) -> float:
-        params = st.params.with_volume(math.exp(log_v))
-        energy = energy_of(model, entropy, params, st.comp, tol=1e-12)
-        return temperature_of(model, SystemState(energy, params, st.comp)) - temperature
-
-    # temperature falls as volume grows along an isentrope
-    root = decreasing_root(f, math.log(st.params.volume), xtol=1e-13, rtol=1e-15)
-    return st.params.with_volume(math.exp(root))
+    return st.params.with_volume(
+        model.volume_on_isentrope(entropy, temperature, st.params, st.comp))
 
 
 def _evaluate(model: MatterModel, st: SystemState,

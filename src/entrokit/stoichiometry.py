@@ -6,7 +6,7 @@ gives continuous spectra, so no integer-only mode is offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +29,22 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+class _ComparedByValue:
+    """Equality and hashing by value for a frozen dataclass, declared with
+    ``eq=False``, whose fields hold arrays: an array compares by its shape and
+    entries."""
+
+    def _value(self) -> tuple:
+        return tuple((v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        return self._value() == other._value() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
 
 def _float_vector(values, what: str) -> tuple:
@@ -71,12 +87,13 @@ class Composition:
         return len(self.amounts)
 
 
-@dataclass(frozen=True)
-class ReactionNetwork:
+@dataclass(frozen=True, eq=False)
+class ReactionNetwork(_ComparedByValue):
     """Stoichiometric matrix, one column per allowed reaction mechanism.
 
     ``stoich[k, l]`` is the coefficient of constituent ``k`` in reaction ``l``
-    (negative for consumed, positive for produced).
+    (negative for consumed, positive for produced).  Networks compare and
+    hash by their coefficients.
     """
 
     stoich: np.ndarray
@@ -127,9 +144,9 @@ class ReactionNetwork:
         return tuple(cols)
 
 
-@dataclass(frozen=True)
-class ReactionCoordinates:
-    """Extent of each reaction mechanism."""
+@dataclass(frozen=True, eq=False)
+class ReactionCoordinates(_ComparedByValue):
+    """Extent of each reaction mechanism; compared and hashed by value."""
 
     epsilon: np.ndarray
 

@@ -1,17 +1,17 @@
-"""Shared test models, and the mask that hides a model's optional hooks."""
+"""Shared test models, and the mask that hides a model's closed forms."""
 
 import copy
 
 from entrokit.errors import DomainError
-from entrokit.matter_models import MatterModel
+from entrokit.matter_models import TOL_INV, MatterModel
 
 
 def masked(model: MatterModel, hide) -> MatterModel:
-    """A copy of ``model`` with the optional hooks named in ``hide`` hidden:
-    each becomes MatterModel's own, so it returns None and callers take
-    their fallbacks (``log_amounts`` raises NotImplementedError, and
-    ``evaluate`` takes T from ``ds_de`` or a finite difference).  A name
-    MatterModel does not define raises AttributeError."""
+    """A copy of ``model`` with the methods named in ``hide`` hidden: each
+    becomes MatterModel's own, so it takes the base derivation, a finite
+    difference or a bracketed root (``log_amounts`` raises
+    NotImplementedError).  A name MatterModel does not define raises
+    AttributeError."""
     hidden = {name: getattr(MatterModel, name) for name in hide}
     clone = copy.copy(model)
     clone.__class__ = type(f"Masked{type(model).__name__}", (type(model),), hidden)
@@ -48,5 +48,5 @@ class ReservoirModel(MatterModel):
     def ds_de(self, energy, params, comp) -> float:
         return 1.0 / self.temperature
 
-    def invert_entropy(self, entropy, params, comp) -> float:
+    def invert_entropy(self, entropy, params, comp, tol=TOL_INV) -> float:
         return entropy * self.temperature

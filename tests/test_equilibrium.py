@@ -7,7 +7,6 @@ import pytest
 from entrokit import equilibrium
 from entrokit.equilibrium import (
     EquilibriumProblem,
-    _fd_pressure,
     _package,
     equilibrium_residual,
     gibbs_residual,
@@ -17,11 +16,10 @@ from entrokit.equilibrium import (
 )
 from entrokit.errors import DomainError, Infeasible, NegativeAmount, RangeError
 from entrokit.matter_models import (
-    KB_SI,
     IdealGasMixture,
+    MatterModel,
     Parameters,
     Species,
-    SystemState,
     ThermalReservoir,
     ideal_gas_model,
     state,
@@ -284,23 +282,6 @@ def test_pressure_inverse_volume_isotherm():
         assert p == pytest.approx(1.0 / v, rel=1e-7)
 
 
-@pytest.mark.parametrize("kb, scale, t_scale", [(1.0, 1.0, 1.0), (KB_SI, 1e20, 300.0)])
-def test_pressure_closed_form_matches_the_finite_difference(kb, scale, t_scale):
-    # p = T dS/dV from the ds_dv hook against -dE/dV at fixed (S, n), differenced
-    # through the inverted relation, over twelve decades of volume
-    rng = np.random.default_rng(36)
-    for _ in range(40):
-        mix = IdealGasMixture([
-            Species(f"s{k}", rng.uniform(3.0, 8.0), rng.uniform(-2.0, 0.0) * kb * t_scale,
-                    rng.uniform(-1.0, 1.0))
-            for k in range(3)
-        ], kb=kb)
-        comp = Composition(rng.uniform(0.1, 2.0, 3) * scale)
-        energy = mix.energy_at_temperature(rng.uniform(0.5, 3.0) * t_scale, None, comp)
-        st0 = SystemState(energy, Parameters([10.0 ** rng.uniform(-6.0, 6.0)]), comp)
-        assert pressure_of(mix, st0) == pytest.approx(_fd_pressure(mix, st0), rel=1e-7)
-
-
 def test_pressure_nonnegative():
     rng = np.random.default_rng(34)
     for _ in range(25):
@@ -525,13 +506,13 @@ def test_start_with_several_reactions_is_refused():
 @pytest.mark.parametrize("seed", [81, 82, 83])
 def test_one_reaction_without_derivative_hooks_takes_finite_differences(monkeypatch, seed):
     calls = []
-    real = equilibrium._fd_ds_dn
+    real = MatterModel.ds_dn
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(equilibrium, "_fd_ds_dn", counted)
+    monkeypatch.setattr(MatterModel, "ds_dn", counted)
     plain = seeded_problem("water", seed)
     sol = stable_equilibrium(plain)
     assert not calls

@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from entrokit import cli, scenario
 from entrokit.cli import main
+from entrokit.matter_models import MatterModel
+
+from conftest import masked
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -56,13 +60,19 @@ def _cell_matches(got, want):
     return abs(g - w) <= ATOL + RTOL * abs(w)
 
 
-@pytest.mark.parametrize("job", sorted(JOBS))
-def test_shipped_job_matches_golden(job, tmp_path):
-    scenario, flags, name = JOBS[job]
-    code = main(["run", "--scenario", str(ROOT / "scenarios" / scenario),
-                 "--out", str(tmp_path), *flags])
+#: Every method MatterModel derives for a model, so hidden: all but the
+#: relation, its floor and ``log_amounts``, which has no derivation.
+DERIVED = tuple(name for name, value in vars(MatterModel).items()
+                if callable(value) and not name.startswith("_")
+                and name not in ("entropy", "energy_floor", "log_amounts"))
+
+
+def _check_job(job, out):
+    scn, flags, name = JOBS[job]
+    code = main(["run", "--scenario", str(ROOT / "scenarios" / scn), "--out", str(out),
+                 *flags])
     assert code == 0
-    got, want = _read(tmp_path / name), _read(GOLDEN / name)
+    got, want = _read(out / name), _read(GOLDEN / name)
     assert got[0] == want[0]
     assert len(got) == len(want)
     header = want[0]
@@ -75,3 +85,21 @@ def test_shipped_job_matches_golden(job, tmp_path):
                 assert abs(float(g)) <= TOL_RESIDUAL, (col, g)
             else:
                 assert _cell_matches(g, w), (col, g, w)
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_shipped_job_matches_golden(job, tmp_path):
+    _check_job(job, tmp_path)
+
+
+def test_scenario_jobs_match_golden_through_the_base_derivations(monkeypatch, tmp_path):
+    # every scenario-built model with its closed forms hidden, so each method
+    # takes MatterModel's finite difference or bracketed root; the theorem
+    # suite builds its models in the CLI itself
+    def build_model(*args, _real=scenario.build_model):
+        return masked(_real(*args), hide=DERIVED)
+
+    monkeypatch.setattr(scenario, "build_model", build_model)
+    monkeypatch.setattr(cli, "build_model", build_model)
+    for job in sorted(set(JOBS) - {"theorem_suite"}):
+        _check_job(job, tmp_path / job)

@@ -8,12 +8,13 @@ from scipy.integrate import quad
 
 from entrokit import checks
 from entrokit.checks import bracket_single_valued, monotonicity_scan, smoothness_scan
-from entrokit.equilibrium import _fd_pressure, pressure_of
+from entrokit.equilibrium import pressure_of
 from entrokit.errors import DomainError, NegativeAmount, RangeError, RangeExceeded
 from entrokit.stoichiometry import Composition
 from entrokit.matter_models import (
     KB_SI,
     IdealGasMixture,
+    MatterModel,
     Parameters,
     Species,
     SystemState,
@@ -27,7 +28,7 @@ from entrokit.matter_models import (
     temperature_of,
 )
 
-from conftest import ReservoirModel
+from conftest import ReservoirModel, masked
 
 GAS3 = ideal_gas_model(3.0)
 BASE = state(1.5, 1.0, [1.0])
@@ -133,21 +134,6 @@ def test_temperature_equipartition():
     assert temperature_of(gas5, st5) == pytest.approx(2.0 * 5.0 / (5.0 * 2.0), rel=1e-12)
 
 
-def test_temperature_analytic_matches_finite_difference():
-    class Veiled(IdealGasMixture):
-        """Same relation with the analytic derivative hidden."""
-
-        def ds_de(self, energy, params, comp):
-            return None
-
-    veiled = Veiled([Species("gas", 3.0)])
-    for e, v in [(1.5, 1.0), (4.0, 3.0), (0.7, 0.2)]:
-        st0 = state(e, v, [1.0])
-        assert temperature_of(veiled, st0) == pytest.approx(
-            temperature_of(GAS3, st0), rel=1e-8
-        )
-
-
 def test_temperature_nonnegative_across_models():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -233,6 +219,72 @@ def test_mixture_closed_form_hooks_match_generic_inversion():
     assert mix.energy_at_temperature(t, params, comp) == pytest.approx(st0.energy, rel=1e-12)
 
 
+#: The methods MatterModel derives from ``entropy`` and ``energy_floor``, with
+#: the tolerance of that derivation: 1e-5 relative where it differences the
+#: relation, 1e-9 where it finds a root.  ``ds_dn_along`` sums the model's own
+#: ``ds_dn``, so its base is as close as a root.
+DERIVED = {"ds_de": 1e-5, "ds_dv": 1e-5, "ds_dn": 1e-5, "ds_dn_along": 1e-9,
+           "invert_entropy": 1e-9, "energy_at_temperature": 1e-9,
+           "volume_on_isentrope": 1e-9, "volume_at_pressure": 1e-9}
+
+
+def _derived_draws(seed, count):
+    """Seeded mixtures of 1-3 species, amounts scaled between 1e-3 and 1e6
+    and volumes between 1e-3 and 1e3, in reduced units; with each, the
+    arguments of every derived method at one of its states."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        mix = IdealGasMixture([Species(f"x{j}", rng.uniform(3.0, 7.0), rng.uniform(-1.0, 1.0),
+                                       rng.uniform(-1.0, 1.0)) for j in range(k)])
+        comp = Composition(rng.uniform(0.5, 2.0, k) * 10.0 ** rng.uniform(-3.0, 6.0))
+        params = Parameters([10.0 ** rng.uniform(-3.0, 3.0)])
+        t = rng.uniform(0.5, 3.0)
+        energy = mix.energy_at_temperature(t, params, comp)
+        entropy = mix.entropy(energy, params, comp)
+        at_state = (energy, params, comp)
+        # a direction and extent that keep every amount positive
+        along = (energy, params, comp.amounts, rng.uniform(-1.0, 1.0, k).tolist(),
+                 0.1 * min(comp.amounts))
+        yield mix, {
+            "ds_de": at_state, "ds_dv": at_state, "ds_dn": at_state, "ds_dn_along": along,
+            "invert_entropy": (entropy, params, comp),
+            "energy_at_temperature": (t, params, comp),
+            "volume_on_isentrope": (entropy, t * rng.uniform(0.5, 2.0), params, comp),
+            "volume_at_pressure": (t, t * comp.total / params.volume * rng.uniform(0.5, 2.0),
+                                   comp),
+        }
+
+
+@pytest.mark.parametrize("method", sorted(DERIVED))
+def test_closed_forms_match_the_base_derivations(method):
+    # the mixture's closed form against MatterModel's derivation on the same
+    # instance, whose other methods keep their closed forms; dS/dn may vanish,
+    # so its entries also pass within the tolerance absolutely (k_B = 1)
+    tol = DERIVED[method]
+    absolute = tol if method.startswith("ds_dn") else 0.0
+    for mix, args in _derived_draws(61, 50):
+        want = getattr(mix, method)(*args[method])
+        got = getattr(MatterModel, method)(mix, *args[method])
+        assert np.atleast_1d(got) == pytest.approx(np.atleast_1d(want), rel=tol, abs=absolute)
+
+
+def test_bracketed_inversion_tolerance_is_relative_to_the_entropy():
+    # at n = 1e6 the entropy is about 1.3e6, and rounding alone leaves the
+    # bracket's root about 2e-9 from it: above 1e-10, within 1e-10 * |S|
+    gas = ideal_gas_model(3.0)
+    st0 = state(1.5e6, 2e6, [1e6])
+    s = entropy_of(gas, st0)
+    bracketed = energy_of(masked(gas, hide=("invert_entropy",)), s, st0.params, st0.comp)
+    assert bracketed == pytest.approx(gas.invert_entropy(s, st0.params, st0.comp), rel=1e-12)
+    # the ground-bound refusal scales the same way: a target within 1e-10 of
+    # S = 1e6 at the ground bound gives the bound, one farther below is refused
+    res = ReservoirModel(1.0, 1e6, 2e6)
+    assert energy_of(res, 1e6 - 1e-5, st0.params, st0.comp) == 1e6
+    with pytest.raises(RangeError, match="below the value"):
+        energy_of(res, 1e6 - 1e-3, st0.params, st0.comp)
+
+
 @given(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), st.floats(0.2, 5.0),
        st.floats(0.5, 3.0), st.sampled_from([1.0, KB_SI]))
 @settings(max_examples=100, deadline=None)
@@ -313,7 +365,7 @@ def test_fd_slopes_raises_when_the_step_is_lost_to_rounding():
     with pytest.raises(DomainError):
         pressure_of(GAS3, state(1.5, 1e-320, [1.0]))
     with pytest.raises(DomainError):
-        _fd_pressure(GAS3, state(1.5, 1e-320, [1.0]))
+        pressure_of(masked(GAS3, hide=("ds_dv",)), state(1.5, 1e-320, [1.0]))
 
 
 @pytest.mark.parametrize("measure, energy, volume", [
@@ -339,9 +391,9 @@ def test_temperature_checks_the_volume_as_entropy_does(volume):
 
 def test_isentrope_volume_that_underflows_is_a_range_error():
     with pytest.raises(RangeError, match="needs a volume below any positive one"):
-        GAS3.volume_on_isentrope(-1e4, 1.0, Composition([1.0]))
+        GAS3.volume_on_isentrope(-1e4, 1.0, Parameters([1.0]), Composition([1.0]))
     with pytest.raises(RangeError, match="needs a volume beyond any finite one"):
-        GAS3.volume_on_isentrope(1e4, 1.0, Composition([1.0]))
+        GAS3.volume_on_isentrope(1e4, 1.0, Parameters([1.0]), Composition([1.0]))
 
 
 def _oracle_terms(dof, e0, s0, kb, energy, volume, n):
@@ -389,8 +441,10 @@ def test_mixture_relation_matches_the_per_species_oracle():
         e_scale = abs(e0 @ n) + abs(energy)
         assert _close(gas.entropy(energy, params, comp), s_want, s_scale)
         assert _close(gas.invert_entropy(s_want, params, comp), energy, e_scale)
-        assert _close(gas.volume_on_isentrope(s_want, t, comp), volume, volume)
+        assert _close(gas.volume_on_isentrope(s_want, t, params, comp), volume, volume)
         assert _close(gas.energy_at_temperature(t, params, comp), energy, e_scale)
+        assert _close(gas.ds_de(energy, params, comp), 1.0 / t, 1.0 / t)
+        assert _close(gas.ds_dv(energy, params, comp), kb * n.sum() / volume, 0.0)
         # dS/dn_k of the docstring relation, T depending on n through
         # E - e0 . n and dof . n: kB [(dof_k/2) ln((dof_k/2) kB T) + ln(V/n_k)
         # + s0_k - 1 - dof_k/2] - e0_k / T
@@ -419,7 +473,7 @@ def _methods(gas, params):
         lambda c: gas.ds_de(4.0, params, c), lambda c: tuple(gas.ds_dn(4.0, params, c)),
         lambda c: gas.invert_entropy(2.0, params, c),
         lambda c: gas.energy_at_temperature(1.3, params, c),
-        lambda c: gas.volume_on_isentrope(2.0, 1.3, c),
+        lambda c: gas.volume_on_isentrope(2.0, 1.3, params, c),
         lambda c: gas.volume_at_pressure(1.3, 0.7, c),
     ]
 

@@ -559,9 +559,9 @@ def test_decompose_tolerances_grow_with_the_amounts(scale):
 def _calls_per_point(monkeypatch, reactive):
     """Calls per tabulated point over seeded water points: checked evaluations
     (validate and evaluate), relation evaluations, decompositions (the
-    elemental content that ``decompose`` and ``gauge`` share), and the
-    inversions the pressure makes."""
-    from entrokit import equilibrium, matter_models, open_systems
+    elemental content that ``decompose`` and ``gauge`` share), and, as
+    inversions, the pressure's differenced fallback ``MatterModel.ds_dv``."""
+    from entrokit import matter_models, open_systems
 
     env, mix = water_env(), water_mix()
     env.physical_references, env.content_maps  # built once, before counting
@@ -571,7 +571,7 @@ def _calls_per_point(monkeypatch, reactive):
         (IdealGasMixture, "evaluate", "checked"),
         (IdealGasMixture, "entropy", "entropy"),
         (open_systems.ReferenceEnvironment, "_content", "decompose"),
-        (equilibrium, "energy_of", "inversions"),  # the pressure's fallback
+        (matter_models.MatterModel, "ds_dv", "inversions"),  # the pressure's fallback
     ]:
         real = getattr(owner, name)
 

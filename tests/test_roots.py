@@ -15,17 +15,8 @@ from scipy.optimize import brentq as scipy_brentq
 
 from entrokit.equilibrium import EquilibriumProblem, stable_equilibrium
 from entrokit.errors import DomainError, NonConvergence, RangeError
-from entrokit.matter_models import (
-    IdealGasMixture,
-    Parameters,
-    Species,
-    energy_of,
-    entropy_of,
-    solve_energy_at_temperature,
-    state,
-)
+from entrokit.matter_models import IdealGasMixture, Parameters, Species
 from entrokit.open_systems import ReferenceEnvironment
-from entrokit.process_engine import _volume_on_isentrope
 from entrokit.roots import (
     MAX_EXPANSIONS,
     RTOL_MIN,
@@ -182,29 +173,9 @@ CLOSED_FORMS = ("evaluate", "ds_de", "ds_dv", "invert_entropy", "energy_at_tempe
 
 GAS = IdealGasMixture([Species("gas", 3.0)])
 OPAQUE = masked(IdealGasMixture([Species("gas", 3.0)]), hide=CLOSED_FORMS)
-GAS5 = IdealGasMixture([Species("gas", 5.0)])
 OPAQUE5 = masked(IdealGasMixture([Species("gas", 5.0)]), hide=CLOSED_FORMS)
 ONE = Composition([1.0])
 NO_REACTIONS = ReactionNetwork(np.zeros((1, 0)))
-
-
-def _energy_of():
-    params = Parameters([2.0])
-    s = entropy_of(GAS, state(0.7, 2.0, [1.0]))
-    return energy_of(OPAQUE, s, params, ONE), GAS.invert_entropy(s, params, ONE)
-
-
-def _energy_at_temperature():
-    params = Parameters([2.0])
-    return (solve_energy_at_temperature(OPAQUE, 2.5, params, ONE),
-            GAS.energy_at_temperature(2.5, params, ONE))
-
-
-def _isentrope():
-    st0 = state(1.5, 1.0, [1.0])
-    s = entropy_of(GAS, st0)
-    got = _volume_on_isentrope(OPAQUE, s, 0.4, st0).volume
-    return got, GAS.volume_on_isentrope(s, 0.4, ONE)
 
 
 def _split():
@@ -225,15 +196,11 @@ def _reference_volume(p0):
 
 
 @pytest.mark.parametrize("site, rel", [
-    (_energy_of, 1e-12),
-    (_energy_at_temperature, 1e-8),
-    (_isentrope, 1e-8),
     (_split, 1e-8),
     (_reference_volume(1e-8), 1e-6),
     (_reference_volume(1.0), 1e-6),
     (_reference_volume(1e8), 1e-6),
-], ids=["energy_of", "energy_at_temperature", "isentrope", "split",
-        "reference_volume_p1e-8", "reference_volume_p1", "reference_volume_p1e8"])
+], ids=["split", "reference_volume_p1e-8", "reference_volume_p1", "reference_volume_p1e8"])
 def test_generic_inversions_match_closed_forms(site, rel):
     got, want = site()
     assert got == pytest.approx(want, rel=rel)

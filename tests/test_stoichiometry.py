@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entrokit.correlations import JointState
 from entrokit.equilibrium import EquilibriumProblem, solution_at
 from entrokit.errors import DomainError, NegativeAmount
 from entrokit.matter_models import IdealGasMixture, Parameters, Species
-from entrokit.open_systems import ReferenceEnvironment
+from entrokit.open_systems import OpenGrid, ReferenceEnvironment
 from entrokit.stoichiometry import (
     Composition,
+    ReactionCoordinates,
     ReactionNetwork,
     validate_elemental_set,
 )
@@ -194,6 +196,37 @@ def test_compositions_compare_and_hash_as_values():
     a, b = Composition([1.0, 2.0]), Composition(np.array([1.0, 2.0]))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != Composition([1.0, 2.5]) and a != Composition([1.0, 2.0, 0.0])
+
+
+ELEMENTS = (IdealGasMixture([Species("H2", 5.0)]), IdealGasMixture([Species("O2", 5.0)]))
+
+
+def _water_net(scale):
+    return ReactionNetwork([[-2.0], [-1.0], [2.0 * scale]])
+
+
+#: Builders, from plain numbers, of each type whose fields hold arrays or an
+#: instance that does; ``scale`` 1 and 2 give unequal instances.
+ARRAY_HOLDERS = {
+    "ReactionNetwork": _water_net,
+    "ReactionCoordinates": lambda scale: ReactionCoordinates([0.25 * scale, 0.5]),
+    "JointState": lambda scale: JointState([[0.5, 0.0], [0.0, 0.5]], [0.0, scale], [0.0, 1.0]),
+    "OpenGrid": lambda scale: OpenGrid((9.0,), (1.5,), ([1.0, 0.5, 1.0],), reactive=True,
+                                       network=_water_net(scale)),
+    "EquilibriumProblem": lambda scale: EquilibriumProblem(
+        (MIX,), (Parameters([1.0]),), (Composition([2.0, 1.0, 0.0]),), 8.0,
+        network=_water_net(scale)),
+    "ReferenceEnvironment": lambda scale: ReferenceEnvironment.natural_convention(
+        ("H2", "O2", "H2O"), (0, 1), _water_net(scale), ELEMENTS, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_HOLDERS))
+def test_array_holding_types_compare_and_hash_as_values(kind):
+    build = ARRAY_HOLDERS[kind]
+    a, b = build(1.0), build(1.0)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != build(2.0)
 
 
 @pytest.mark.parametrize("amounts, want", [
