@@ -39,7 +39,7 @@ from .matter_models import (
     solve_energy_at_temperature,
     temperature_of,
 )
-from .roots import brentq, expand_bracket
+from .roots import brentq, expand_bracket, increasing_root
 from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork
 
 MAX_ITER = 200
@@ -163,14 +163,7 @@ def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
             for m, p, c in zip(prob.models, prob.params, comps)
         ) - prob.total_energy
 
-    # the excess grows with T; bracket at powers of 8 on the far side of T = 1
-    t_eq, e1 = 1.0, excess(1.0)
-    if e1 != 0.0:
-        factor = 8.0 if e1 < 0.0 else 0.125
-        t, e = expand_bracket(excess, factor, e1, 0.0, factor=factor)
-        (t_lo, e_lo), (t_hi, e_hi) = sorted([(1.0, e1), (t, e)])
-        t_eq, _ = brentq(excess, t_lo, t_hi, xtol=1e-15 * max(1.0, t_hi), rtol=1e-15,
-                         fa=e_lo, fb=e_hi)
+    t_eq, _ = increasing_root(excess, 1.0)  # the excess grows with T
     energies = [
         solve_energy_at_temperature(m, t_eq, p, c)
         for m, p, c in zip(prob.models, prob.params, comps)

@@ -16,7 +16,7 @@ from operator import mul
 import numpy as np
 
 from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
-from .roots import brentq, decreasing_root, expand_bracket
+from .roots import increasing_root
 from .stoichiometry import TOL_NEG, Composition, _float_vector
 
 #: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
@@ -83,9 +83,13 @@ class MatterModel:
     """Fundamental relation S(E, beta, n) and what derives from it.
 
     Subclasses must implement ``entropy`` and ``energy_floor``.  Every other
-    method derives from them here, by finite differences or bracketed root
-    finding, and a subclass overrides one only where it has a closed form.
-    ``log_amounts`` alone has no derivation and raises NotImplementedError.
+    method derives from them here, and a subclass overrides one only where it
+    has a closed form.  Slopes are central differences; dS/dE differences the
+    relation in ln(E - floor), so it stays above the ground bound.  Every
+    inversion is one call of ``roots.increasing_root`` on a distance from an
+    origin: E - floor for the energy at an entropy or a temperature, V for a
+    volume.  ``log_amounts`` alone has no derivation and raises
+    NotImplementedError.
     """
 
     def entropy(self, energy: float, params: Parameters, comp: Composition) -> float:
@@ -111,10 +115,17 @@ class MatterModel:
         return _temperature(self, energy, params, comp), self.entropy(energy, params, comp)
 
     def ds_de(self, energy, params, comp) -> float:
-        """dS/dE at fixed (beta, n): a central difference of the relation."""
-        (slope,) = _fd_slopes(lambda e: entropy_of(self, SystemState(e[0], params, comp)),
-                              [energy])
-        return slope
+        """dS/dE at fixed (beta, n): a central difference of the relation in
+        ln(E - floor) with step H_REL, which stays above the floor at any
+        scale of E - floor."""
+        floor = self.energy_floor(params, comp)
+        span = energy - floor
+        if not span > 0.0:
+            raise DomainError(f"energy {energy:.6g} at or below ground bound {floor:.6g}")
+        (slope,) = _fd_slopes(
+            lambda u: entropy_of(self, SystemState(floor + math.exp(u[0]), params, comp)),
+            [math.log(span)], step=H_REL)
+        return slope / span
 
     def ds_dv(self, energy, params, comp) -> float:
         """dS/dV at fixed (E, n), V the first parameter: a central difference
@@ -150,9 +161,10 @@ class MatterModel:
 
     def invert_entropy(self, entropy: float, params, comp, tol: float = TOL_INV) -> float:
         """E with S(E, beta, n) = entropy, to within tol * max(1, |entropy|):
-        bracketed root finding on the strictly increasing S(E).  Raises
-        RangeError when the entropy is not attained on the admissible energy
-        interval, NonConvergence when the root misses it."""
+        the root of the strictly increasing S in the distance E - lo from the
+        lowest evaluable energy lo.  Raises RangeError when the entropy is not
+        attained on the admissible energy interval, NonConvergence when the
+        root misses it."""
         floor = self.energy_floor(params, comp)
         ceiling = self.energy_ceiling(params, comp)
         tol = tol * max(1.0, abs(entropy))
@@ -179,25 +191,9 @@ class MatterModel:
         if f_lo >= 0.0:
             return lo
 
-        scale = max(1.0, abs(lo))
-        hi, _ = expand_bracket(f, min(lo + scale, ceiling), f_lo, lo, limit=ceiling)
-
-        # solve in log(E - lo): roots just above the ground bound need relative,
-        # not absolute, precision
-        span = hi - lo
-
-        def g(x: float) -> float:
-            return f(lo + math.exp(x))
-
-        x_hi = math.log(span)
-        x_lo = x_hi - 600.0  # E - lo down to span * e^-600
-        g_lo = g(x_lo)
-        if g_lo >= 0.0:
-            root, f_root = lo + math.exp(x_lo), g_lo
-        else:
-            x_root, f_root = brentq(g, x_lo, x_hi, xtol=1e-14, rtol=1e-15, maxiter=300,
-                                    fa=g_lo)
-            root = lo + math.exp(x_root)
+        d, f_root = increasing_root(lambda d: f(min(lo + d, ceiling)), max(1.0, abs(lo)),
+                                    limit=ceiling - lo)
+        root = min(lo + d, ceiling)
         if abs(f_root) > tol:
             raise NonConvergence(
                 f"entropy inversion missed its target by {abs(f_root):.3g}", best=root
@@ -205,53 +201,40 @@ class MatterModel:
         return float(root)
 
     def energy_at_temperature(self, temperature: float, params, comp) -> float:
-        """E with T(E, beta, n) = temperature: bracketed root finding on T(E),
-        which is increasing for normal systems.  Raises RangeError when no
+        """E with T(E, beta, n) = temperature: the root of T, increasing for
+        normal systems, in the distance E - floor.  Raises RangeError when no
         such state exists."""
         floor = self.energy_floor(params, comp)
         ceiling = self.energy_ceiling(params, comp)
 
-        def f(energy: float) -> float:
+        def f(d: float) -> float:
+            energy = min(floor + d, ceiling)
             return temperature_of(self, SystemState(energy, params, comp)) - temperature
 
-        # keep a margin for a central difference inside temperature_of
-        margin = 4.0 * H_REL * max(1.0, abs(floor) + 1.0)
-        lo = floor + margin
-        f_lo = f(lo)
-        if f_lo > 0.0:
-            raise RangeError(
-                f"temperature {temperature:.6g} unreachable above the ground bound"
-            )
-        if f_lo == 0.0:
-            return lo
-        hi, f_hi = expand_bracket(f, min(floor + max(1.0, abs(floor)), ceiling), f_lo, floor,
-                                  limit=ceiling)
-        root, _ = brentq(f, lo, hi, xtol=1e-14 * max(1.0, abs(hi)), rtol=1e-15,
-                         fa=f_lo, fb=f_hi)
-        return float(root)
+        d, _ = increasing_root(f, max(1.0, abs(floor)), limit=ceiling - floor)
+        return float(min(floor + d, ceiling))
 
     def volume_on_isentrope(self, entropy: float, temperature: float, params, comp) -> float:
         """Volume where the isentrope at S meets temperature T, the other
-        parameters as in ``params``: searched outward from ``params``'s
-        volume, as temperature falls while the volume grows."""
-        def f(log_v: float) -> float:
-            at = params.with_volume(math.exp(log_v))
+        parameters as in ``params``: searched from ``params``'s volume, as
+        temperature falls while the volume grows."""
+        def f(v: float) -> float:
+            at = params.with_volume(v)
             energy = energy_of(self, entropy, at, comp, tol=1e-12)
-            return temperature_of(self, SystemState(energy, at, comp)) - temperature
+            return temperature - temperature_of(self, SystemState(energy, at, comp))
 
-        return math.exp(decreasing_root(f, math.log(params.volume), xtol=1e-13, rtol=1e-15))
+        return increasing_root(f, params.volume)[0]
 
     def volume_at_pressure(self, temperature: float, pressure: float, comp) -> float:
         """Volume of the state at temperature T and pressure p = T dS/dV:
-        searched outward from the ideal-gas volume n T / p, as the pressure
-        falls while the volume grows."""
-        def f(log_v: float) -> float:
-            params = Parameters([math.exp(log_v)])
+        searched from the ideal-gas volume n T / p, as the pressure falls
+        while the volume grows."""
+        def f(v: float) -> float:
+            params = Parameters([v])
             energy = self.energy_at_temperature(temperature, params, comp)
-            return temperature * self.ds_dv(energy, params, comp) - pressure
+            return pressure - temperature * self.ds_dv(energy, params, comp)
 
-        start = math.log(comp.total * temperature / pressure)
-        return math.exp(decreasing_root(f, start, xtol=1e-12))
+        return increasing_root(f, comp.total * temperature / pressure)[0]
 
 
 @dataclass(frozen=True)
@@ -474,8 +457,9 @@ class ThermalReservoir:
     e_max: float = 1e9
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("reservoir temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"reservoir temperature must be positive and finite, "
+                             f"got {self.temperature}")
         if not self.e_min <= self.energy <= self.e_max:
             raise RangeExceeded(
                 f"reservoir energy {self.energy:.6g} outside "

@@ -2,11 +2,16 @@
 
 Each operational definition ends in a monotone one-dimensional inversion:
 the energy at an entropy or a temperature, the volume on an isentrope or at
-a pressure, the temperature of an energy split.  All of them bracket the root
-with ``expand_bracket`` and refine it with ``brentq``, Brent's method
-(R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973).
-Failures raise entrokit errors: RangeError when no sign change is found,
-NonConvergence when the iteration budget runs out.
+a pressure, the temperature of an energy split.  Each is a root of a function
+that increases with a distance d > 0 from an origin (the ground bound, zero
+volume, zero temperature), and ``increasing_root`` finds them all: it
+brackets the root by 8-fold steps of d with ``expand_bracket`` and refines d
+to a relative tolerance with ``brentq``, Brent's method (R. P. Brent,
+*Algorithms for Minimization without Derivatives*, 1973).  Only the reaction
+affinity of the equilibrium solver, which lives on a finite interval, builds
+its own bracket from the same two pieces.  Failures raise entrokit errors:
+RangeError when no sign change is found, NonConvergence when the iteration
+budget runs out.
 """
 
 from __future__ import annotations
@@ -20,9 +25,6 @@ RTOL_MIN = 4.0 * 2.220446049250313e-16
 
 #: Values of f that ``expand_bracket`` tries before giving up.
 MAX_EXPANSIONS = 200
-
-#: Bound on |x| for searches in a log coordinate, so that exp(x) stays finite.
-LOG_LIMIT = 700.0
 
 
 def _nan_error(x: float) -> DomainError:
@@ -128,17 +130,29 @@ def expand_bracket(f, x: float, f_ref: float, origin: float, factor: float = 8.0
     raise RangeError(f"no sign change after {MAX_EXPANSIONS} bracket expansions")
 
 
-def decreasing_root(f, x0: float, xtol: float, rtol: float = RTOL_MIN) -> float:
-    """Root of a decreasing f of a log coordinate, searched outward from x0.
+def increasing_root(f, d0: float, limit: float = math.inf) -> tuple[float, float]:
+    """Root of f, which increases with a distance d > 0 from an origin that
+    f adds itself; returns (d, f(d)).
 
-    Strides of 0.5, 1, 2, ... go uphill in x while f > 0 and downhill while
-    f < 0, within |x| <= LOG_LIMIT; Brent's method then refines the root
-    between x0 and the first stride past it.
+    From d0 (at most ``limit``), d grows 8-fold toward ``limit`` while
+    f(d) < 0 and shrinks 8-fold toward 0 while f(d) > 0; Brent's method then
+    refines d between the last two values to a relative 1e-15.
+    Raises RangeError when d reaches ``limit``, or MAX_EXPANSIONS values of f
+    pass, without a sign change.
     """
-    f0 = f(x0)
+    d = min(d0, limit)
+    f0 = f(d)
+    if f0 != f0:
+        raise _nan_error(d)
     if f0 == 0.0:
-        return x0
-    stride = 0.5 if f0 > 0.0 else -0.5
-    x, fx = expand_bracket(f, x0 + stride, f0, x0, factor=2.0,
-                           limit=math.copysign(LOG_LIMIT, stride))
-    return brentq(f, x0, x, xtol, rtol, fa=f0, fb=fx)[0]
+        return d, f0
+    seen = [(d, f0)]  # (d, f(d)) in order of evaluation
+
+    def g(x: float) -> float:
+        seen.append((x, f(x)))
+        return seen[-1][1]
+
+    factor = 8.0 if f0 < 0.0 else 0.125
+    expand_bracket(g, min(factor * d, limit), f0, 0.0, factor=factor, limit=limit)
+    (lo, f_lo), (hi, f_hi) = sorted(seen[-2:])
+    return brentq(f, lo, hi, xtol=1e-15 * hi, rtol=1e-15, fa=f_lo, fb=f_hi)

@@ -6,6 +6,13 @@ from entrokit.errors import DomainError
 from entrokit.matter_models import TOL_INV, MatterModel
 
 
+#: Every method MatterModel derives for a model: all but the relation, its
+#: floor and ``log_amounts``, which has no derivation.
+EVERY_DERIVED = tuple(name for name, value in vars(MatterModel).items()
+                      if callable(value) and not name.startswith("_")
+                      and name not in ("entropy", "energy_floor", "log_amounts"))
+
+
 def masked(model: MatterModel, hide) -> MatterModel:
     """A copy of ``model`` with the methods named in ``hide`` hidden: each
     becomes MatterModel's own, so it takes the base derivation, a finite

@@ -14,9 +14,8 @@ import pytest
 
 from entrokit import cli, scenario
 from entrokit.cli import main
-from entrokit.matter_models import MatterModel
 
-from conftest import masked
+from conftest import EVERY_DERIVED, masked
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -60,13 +59,6 @@ def _cell_matches(got, want):
     return abs(g - w) <= ATOL + RTOL * abs(w)
 
 
-#: Every method MatterModel derives for a model, so hidden: all but the
-#: relation, its floor and ``log_amounts``, which has no derivation.
-DERIVED = tuple(name for name, value in vars(MatterModel).items()
-                if callable(value) and not name.startswith("_")
-                and name not in ("entropy", "energy_floor", "log_amounts"))
-
-
 def _check_job(job, out):
     scn, flags, name = JOBS[job]
     code = main(["run", "--scenario", str(ROOT / "scenarios" / scn), "--out", str(out),
@@ -97,7 +89,7 @@ def test_scenario_jobs_match_golden_through_the_base_derivations(monkeypatch, tm
     # takes MatterModel's finite difference or bracketed root; the theorem
     # suite builds its models in the CLI itself
     def build_model(*args, _real=scenario.build_model):
-        return masked(_real(*args), hide=DERIVED)
+        return masked(_real(*args), hide=EVERY_DERIVED)
 
     monkeypatch.setattr(scenario, "build_model", build_model)
     monkeypatch.setattr(cli, "build_model", build_model)

@@ -28,7 +28,7 @@ from entrokit.matter_models import (
     temperature_of,
 )
 
-from conftest import ReservoirModel, masked
+from conftest import EVERY_DERIVED, ReservoirModel, masked
 
 GAS3 = ideal_gas_model(3.0)
 BASE = state(1.5, 1.0, [1.0])
@@ -228,18 +228,22 @@ DERIVED = {"ds_de": 1e-5, "ds_dv": 1e-5, "ds_dn": 1e-5, "ds_dn_along": 1e-9,
            "volume_on_isentrope": 1e-9, "volume_at_pressure": 1e-9}
 
 
-def _derived_draws(seed, count):
+def _derived_draws(seed, count, kb=1.0):
     """Seeded mixtures of 1-3 species, amounts scaled between 1e-3 and 1e6
-    and volumes between 1e-3 and 1e3, in reduced units; with each, the
-    arguments of every derived method at one of its states."""
+    and volumes between 1e-3 and 1e3, in reduced units; with kb=KB_SI the
+    ground energies are scaled by k_B * 300 K, the temperatures by 300 K and
+    the amounts by 1e18.  With each, the arguments of every derived method
+    at one of its states."""
     rng = np.random.default_rng(seed)
+    t_unit, n_unit = (300.0, 1e18) if kb == KB_SI else (1.0, 1.0)
     for _ in range(count):
         k = int(rng.integers(1, 4))
-        mix = IdealGasMixture([Species(f"x{j}", rng.uniform(3.0, 7.0), rng.uniform(-1.0, 1.0),
-                                       rng.uniform(-1.0, 1.0)) for j in range(k)])
-        comp = Composition(rng.uniform(0.5, 2.0, k) * 10.0 ** rng.uniform(-3.0, 6.0))
+        mix = IdealGasMixture([Species(f"x{j}", rng.uniform(3.0, 7.0),
+                                       rng.uniform(-1.0, 1.0) * kb * t_unit,
+                                       rng.uniform(-1.0, 1.0)) for j in range(k)], kb=kb)
+        comp = Composition(rng.uniform(0.5, 2.0, k) * 10.0 ** rng.uniform(-3.0, 6.0) * n_unit)
         params = Parameters([10.0 ** rng.uniform(-3.0, 3.0)])
-        t = rng.uniform(0.5, 3.0)
+        t = rng.uniform(0.5, 3.0) * t_unit
         energy = mix.energy_at_temperature(t, params, comp)
         entropy = mix.entropy(energy, params, comp)
         at_state = (energy, params, comp)
@@ -251,22 +255,37 @@ def _derived_draws(seed, count):
             "invert_entropy": (entropy, params, comp),
             "energy_at_temperature": (t, params, comp),
             "volume_on_isentrope": (entropy, t * rng.uniform(0.5, 2.0), params, comp),
-            "volume_at_pressure": (t, t * comp.total / params.volume * rng.uniform(0.5, 2.0),
-                                   comp),
+            "volume_at_pressure": (t, kb * t * comp.total / params.volume
+                                   * rng.uniform(0.5, 2.0), comp),
         }
 
 
 @pytest.mark.parametrize("method", sorted(DERIVED))
 def test_closed_forms_match_the_base_derivations(method):
     # the mixture's closed form against MatterModel's derivation on the same
-    # instance, whose other methods keep their closed forms; dS/dn may vanish,
-    # so its entries also pass within the tolerance absolutely (k_B = 1)
+    # instance, whose other methods keep their closed forms, in reduced and SI
+    # units; dS/dn may vanish, so its entries also pass within the tolerance
+    # times k_B absolutely
     tol = DERIVED[method]
-    absolute = tol if method.startswith("ds_dn") else 0.0
-    for mix, args in _derived_draws(61, 50):
-        want = getattr(mix, method)(*args[method])
-        got = getattr(MatterModel, method)(mix, *args[method])
-        assert np.atleast_1d(got) == pytest.approx(np.atleast_1d(want), rel=tol, abs=absolute)
+    for kb in (1.0, KB_SI):
+        absolute = tol * kb if method.startswith("ds_dn") else 0.0
+        for mix, args in _derived_draws(61, 50, kb):
+            want = getattr(mix, method)(*args[method])
+            got = getattr(MatterModel, method)(mix, *args[method])
+            assert np.atleast_1d(got) == pytest.approx(np.atleast_1d(want), rel=tol,
+                                                       abs=absolute), kb
+
+
+@pytest.mark.parametrize("amount", [1e-6, 1e-9])
+def test_energy_at_temperature_reaches_the_states_of_small_systems(amount):
+    # the search runs in E - floor and dS/dE differences in ln(E - floor), so
+    # no absolute margin above the ground bound refuses E = 1.5 n at T = 1
+    gas, params, comp = ideal_gas_model(3.0), Parameters([1.0]), Composition([amount])
+    got = MatterModel.energy_at_temperature(gas, 1.0, params, comp)
+    assert got == pytest.approx(1.5 * amount, rel=1e-12, abs=0.0)
+    opaque = masked(gas, hide=EVERY_DERIVED)
+    assert opaque.energy_at_temperature(1.0, params, comp) == pytest.approx(1.5 * amount,
+                                                                           rel=1e-8, abs=0.0)
 
 
 def test_bracketed_inversion_tolerance_is_relative_to_the_entropy():
@@ -654,6 +673,13 @@ def test_numpy_built_species_hold_floats_and_solve_to_the_same_bits():
                                   *sol.states[0].comp.amounts)]
 
     assert solve_bits(mixes[1]) == solve_bits(mixes[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan"), 0.0, -1.0],
+                         ids=["nan", "inf", "numpy-nan", "zero", "negative"])
+def test_reservoir_refuses_a_temperature_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="temperature"):
+        ThermalReservoir(bad, 0.0, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("key, bad", [("dof", math.nan), ("dof", math.inf), ("e0", math.inf),

@@ -1,7 +1,8 @@
 """The shared root finder: Brent's method checked against scipy's ``brentq``
-as an independent oracle, the bracket expansion, and every inversion site
-driven through its generic path."""
+as an independent oracle, the bracket expansion, the search in a distance
+from an origin, and every inversion site driven through its generic path."""
 
+import ast
 import math
 import os
 import subprocess
@@ -21,8 +22,8 @@ from entrokit.roots import (
     MAX_EXPANSIONS,
     RTOL_MIN,
     brentq,
-    decreasing_root,
     expand_bracket,
+    increasing_root,
 )
 from entrokit.stoichiometry import Composition, ReactionNetwork
 
@@ -157,12 +158,75 @@ def test_expand_bracket_closes_in_on_a_limit_at_its_origin():
         assert f.xs[-1] == end and len(f.xs) <= 21
 
 
-def test_decreasing_root_searches_both_directions():
-    for root in (-30.0, -0.2, 0.0, 0.7, 42.0):
-        got = decreasing_root(lambda x, r=root: math.tanh(r - x), 0.3, xtol=1e-13)
-        assert got == pytest.approx(root, abs=1e-12)
-    with pytest.raises(RangeError):
-        decreasing_root(lambda x: 1.0, 0.0, xtol=1e-12)
+@pytest.mark.parametrize("root", [1e-30, 1e-7, 0.3, 42.0, 1e30])
+@pytest.mark.parametrize("kind", ["linear", "tanh"])
+def test_increasing_root_searches_the_distance_from_its_origin(root, kind):
+    # from d0 = 1 the distance grows or shrinks 8-fold until f changes sign,
+    # and the root comes out to relative precision however close it lies to
+    # the origin: an absolute tolerance would stop near 1e-30 at once
+    fn = (lambda d: d - root) if kind == "linear" else (lambda d: math.tanh(d / root - 1.0))
+    f = Counted(fn)
+    got, f_got = increasing_root(f, 1.0)
+    assert got == pytest.approx(root, rel=1e-14, abs=0.0)
+    assert f_got == fn(got)
+    factor = 8.0 if root > 1.0 else 0.125
+    steps = math.ceil(math.log(root) / math.log(factor))  # the first power past the root
+    assert f.xs[:steps + 1] == [factor ** k for k in range(steps + 1)]
+    ends = sorted(factor ** k for k in (steps - 1, steps))
+    assert all(ends[0] <= d <= ends[1] for d in f.xs[steps + 1:])
+
+
+def test_increasing_root_refuses_at_its_limit_and_after_its_expansions():
+    f = Counted(lambda d: d - 10.0)
+    with pytest.raises(RangeError, match="limit"):
+        increasing_root(f, 1.0, limit=5.0)
+    assert f.xs == [1.0, 5.0]
+    # a start beyond the limit starts at the limit; a root on it is found
+    assert increasing_root(lambda d: d - 5.0, 7.0, limit=5.0) == (5.0, 0.0)
+    never = Counted(lambda d: 1.0)
+    with pytest.raises(RangeError, match="expansions"):
+        increasing_root(never, 1.0)
+    assert len(never.xs) == 1 + MAX_EXPANSIONS
+    with pytest.raises(DomainError):
+        increasing_root(lambda d: math.nan, 1.0)
+
+
+#: The root finder's two pieces, which only ``increasing_root`` and the
+#: reaction affinity's own bracket put together.
+BRACKET_PIECES = {"expand_bracket", "brentq"}
+
+
+def _bracket_users(source: str) -> set:
+    """Top-level functions and Class.methods of a module that name
+    ``expand_bracket`` or ``brentq``, or import either under another name;
+    "<module>" for other module-level statements."""
+    users = set()
+    for node in ast.parse(source).body:
+        owners = ([(f"{node.name}.{getattr(item, 'name', '<body>')}", item)
+                   for item in node.body] if isinstance(node, ast.ClassDef)
+                  else [(getattr(node, "name", "<module>"), node)])
+        for owner, tree in owners:
+            for sub in ast.walk(tree):
+                if (isinstance(sub, ast.Name) and sub.id in BRACKET_PIECES
+                        or isinstance(sub, ast.Attribute) and sub.attr in BRACKET_PIECES
+                        or isinstance(sub, ast.alias) and sub.name in BRACKET_PIECES
+                        and sub.asname not in (None, sub.name)):
+                    users.add(owner)
+    return users
+
+
+def test_only_the_affinity_root_builds_its_own_bracket():
+    # every other inversion is one call of increasing_root
+    users = {(path.stem, owner)
+             for path in sorted((SRC / "entrokit").glob("*.py")) if path.name != "roots.py"
+             for owner in _bracket_users(path.read_text())}
+    assert users == {("equilibrium", "_affinity_root")}
+    # the guard sees calls in methods, in nested functions, through a module
+    # attribute and under an alias
+    sample = ("from .roots import brentq as solve\n"
+              "class M:\n    def f(self):\n        return roots.expand_bracket\n"
+              "def g():\n    def h():\n        return brentq(None, 0, 1)\n")
+    assert _bracket_users(sample) == {"<module>", "M.f", "g"}
 
 
 #: Every closed-form hook of the ideal gas, hidden so that each inversion
