@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import table_energies, table_entropies, valid_tables
+from .correlations import PROB_TOL
 from .errors import InadmissibleStep, DomainError, RangeError, RangeExceeded
 from .matter_models import (
     MatterModel,
@@ -346,12 +346,28 @@ def additivity_check(model_a, model_b, pairs, reservoir) -> CheckResult:
     return CheckResult("entropy-additivity", ok, len(pairs), worst)
 
 
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (0 ln 0 = 0) of each distribution along the last axis."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def _batch_kernels(tables: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> tuple:
+    """``correlations``' kernels over a stack of tables (n, m, k) with energies
+    (n, m) and (n, k): whether JointState accepts each table (finite,
+    non-negative, summing to 1 within PROB_TOL), its sigma and its energy."""
+    flat, p_a, p_b = tables.reshape(tables.shape[0], -1), tables.sum(axis=2), tables.sum(axis=1)
+    valid = ((flat >= 0.0).all(axis=1) & np.isfinite(flat).all(axis=1)
+             & (np.abs(flat.sum(axis=1) - 1.0) <= PROB_TOL))
+    energy = (p_a[:, None, :] @ e_a[:, :, None] + p_b[:, None, :] @ e_b[:, :, None])[:, 0, 0]
+    return valid, _shannon(p_a) + _shannon(p_b) - _shannon(flat), energy
+
+
 def decorrelation_check(rng: np.random.Generator, n: int = 10000,
                         max_dim: int = 4) -> CheckResult:
     """sigma >= 0 with equality exactly for product tables; energy depends
     only on the marginals.  Draws the tables in a per-sample loop's order, then
     checks each stack of equal-shape tables, and its products of marginals,
-    with the batch kernels of ``correlations``."""
+    as whole stacks, building no JointState."""
     stacks: dict = {}
     for _ in range(n):
         m = int(rng.integers(2, max_dim + 1))
@@ -363,14 +379,14 @@ def decorrelation_check(rng: np.random.Generator, n: int = 10000,
         tables, e_a, e_b = (np.array(x) for x in zip(*draws))
         tables /= tables.reshape(len(draws), -1).sum(axis=1)[:, None, None]
         product = tables.sum(axis=2)[:, :, None] * tables.sum(axis=1)[:, None, :]
-        sigma = table_entropies(tables)[3]
-        e_joint = table_energies(tables, e_a, e_b)
-        gap = np.abs(e_joint - table_energies(product, e_a, e_b))
+        valid, sigma, e_joint = _batch_kernels(tables, e_a, e_b)
+        valid_product, sigma_product, e_product = _batch_kernels(product, e_a, e_b)
+        gap = np.abs(e_joint - e_product)
         worst_sigma = min(worst_sigma, float(sigma.min()))
         worst_energy = max(worst_energy, float(gap.max()))
         ok = ok and bool(
-            valid_tables(tables).all() and valid_tables(product).all()
-            and (sigma >= 0.0).all() and (table_entropies(product)[3] <= 1e-12).all()
+            valid.all() and valid_product.all()
+            and (sigma >= 0.0).all() and (sigma_product <= 1e-12).all()
             and (gap <= 1e-12 * np.maximum(1.0, np.abs(e_joint))).all())
     return CheckResult("decorrelation-entropy", ok, n, worst_sigma,
                        detail=f"worst marginal-energy gap={worst_energy:.2e}")

@@ -12,14 +12,8 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import checks
-from .correlations import joint_energy, joint_entropies, load_joint_csv
-from .equilibrium import equilibrium_residual, stable_equilibrium
 from .errors import EntrokitError, Infeasible, IntegrityError, NonConvergence, ParseError
 from .matter_models import ThermalReservoir, state
-from .open_systems import open_fundamental_relation
 from .process_engine import measure_entropy_difference, run_schedule
 from .scenario import (
     Scenario,
@@ -64,11 +58,26 @@ def _load(path) -> Scenario | None:
     return None
 
 
+def _quiet_numpy(job):
+    """``job``, which runs numpy code, with numpy's floating-point warnings
+    off: non-finite values end as issues, gaps or exit codes."""
+    def quiet(*args):
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return job(*args)
+    return quiet
+
+
+def _issues(scn: Scenario) -> list:
+    """``validate_scenario``'s findings; a network's linear algebra runs numpy."""
+    return (validate_scenario if scn.network is None else _quiet_numpy(validate_scenario))(scn)
+
+
 def cmd_validate(args) -> int:
     scn = _load(args.scenario)
     if scn is None:
         return EXIT_PARSE
-    issues = validate_scenario(scn)
+    issues = _issues(scn)
     if not issues:
         print(f"{args.scenario}: OK ({scn.name})")
         return EXIT_OK
@@ -114,8 +123,9 @@ def _run_schedule_cmd(scn: Scenario, sched_name: str, outdir: Path) -> None:
           f"sigma = {record.sigma_gen:.3g}")
 
 
+@_quiet_numpy
 def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
-    from .equilibrium import pressure_of
+    from .equilibrium import equilibrium_residual, pressure_of, stable_equilibrium
 
     prob = build_problem(scn, prob_name)
     sol = stable_equilibrium(prob)
@@ -135,7 +145,10 @@ def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
     print(f"equilibrate {prob_name}: S_se = {sol.entropy:.9g}, T = {sol.temperature:.9g}")
 
 
+@_quiet_numpy
 def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
+    from .open_systems import open_fundamental_relation
+
     decl = scn.tables[table_name]
     model = build_model(scn, decl["system"])
     env = build_reference_env(scn, decl["env"])
@@ -159,6 +172,8 @@ def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
 
 def _run_decorrelate(scn: Scenario, joint_name: str, outdir: Path,
                      scenario_path: Path) -> None:
+    from .correlations import joint_energy, joint_entropies, load_joint_csv
+
     decl = scn.joints[joint_name]
     joint_path = scenario_path.parent / decl["file"]  # an absolute path stays as it is
     joint = load_joint_csv(joint_path)
@@ -171,8 +186,12 @@ def _run_decorrelate(scn: Scenario, joint_name: str, outdir: Path,
     print(f"decorrelate {joint_name}: sigma = {sigma:.9g}")
 
 
+@_quiet_numpy
 def _run_theorem_suite(outdir: Path, seed: int) -> bool:
     """Condensed invariant suite on the built-in models; returns all-passed."""
+    import numpy as np
+
+    from . import checks
     from .matter_models import ideal_gas_model
 
     rng = np.random.default_rng(seed)
@@ -219,7 +238,7 @@ def cmd_run(args) -> int:
         return EXIT_PARSE
     if args.units:  # before validation, which checks the states in these units
         scn.units = args.units
-    issues = validate_scenario(scn)
+    issues = _issues(scn)
     if issues:
         for issue in issues:
             print(str(issue), file=sys.stderr)
@@ -306,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with np.errstate(all="ignore"):  # non-finite values end as issues, gaps or exit codes
-        return args.func(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -3,97 +3,77 @@
 A classical realization of correlated composite states: the composite state
 is a joint table over subsystem outcomes, the uncorrelated counterpart is the
 product of its marginals, and the entropy gained by decorrelating is the
-mutual information of the table (natural log; 0 ln 0 = 0).  Entropies and
-mean energies come from batch kernels, one numpy reduction over a stack of
-equal-shape tables (n, m, k) each; a single JointState is a stack of one.
+mutual information of the table (natural log; 0 ln 0 = 0).  Tables,
+marginals and energies are tuples of floats, and every kernel is a plain sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ParseError
-from .stoichiometry import _ComparedByValue, _frozen_array
+from .stoichiometry import _float_vector
 
 PROB_TOL = 1e-12
 
 
-def _shannon(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy (0 ln 0 = 0) of each distribution along the last axis."""
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+def _shannon(p) -> float:
+    """Shannon entropy (0 ln 0 = 0) of a distribution; +0.0, not -0.0, for a
+    certain one."""
+    return 0.0 - sum(x * math.log(x) for x in p if x > 0.0)
 
 
-def valid_tables(tables: np.ndarray) -> np.ndarray:
-    """Which tables of a stack (n, m, k) are finite, non-negative and sum to 1
-    within PROB_TOL: the tables a JointState accepts."""
-    flat = tables.reshape(tables.shape[0], -1)
-    return ((flat >= 0.0).all(axis=1) & np.isfinite(flat).all(axis=1)
-            & (np.abs(flat.sum(axis=1) - 1.0) <= PROB_TOL))
+@dataclass(frozen=True)
+class JointState:
+    """Joint probability table, a tuple of rows, with per-outcome energies
+    for each subsystem, all as floats; compared and hashed by value."""
 
-
-def table_entropies(tables: np.ndarray) -> tuple:
-    """H(p), H(p_a), H(p_b) and sigma = H(p_a) + H(p_b) - H(p) of each table
-    of a stack (n, m, k), each of shape (n,)."""
-    h = _shannon(tables.reshape(tables.shape[0], -1))
-    h_a = _shannon(tables.sum(axis=2))
-    h_b = _shannon(tables.sum(axis=1))
-    return h, h_a, h_b, h_a + h_b - h
-
-
-def table_energies(tables: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
-    """Mean energy of each table of a stack (n, m, k) with per-outcome energies
-    (n, m) and (n, k); depends only on the marginals."""
-    p_a, p_b = tables.sum(axis=2)[:, None, :], tables.sum(axis=1)[:, None, :]
-    return (p_a @ e_a[:, :, None] + p_b @ e_b[:, :, None])[:, 0, 0]
-
-
-@dataclass(frozen=True, eq=False)
-class JointState(_ComparedByValue):
-    """Joint probability table with per-outcome energies for each subsystem;
-    compared and hashed by value."""
-
-    table: np.ndarray
-    energies_a: np.ndarray
-    energies_b: np.ndarray
+    table: tuple
+    energies_a: tuple
+    energies_b: tuple
 
     def __post_init__(self):
-        table = np.atleast_2d(np.array(self.table, dtype=float))
-        ea = np.atleast_1d(np.array(self.energies_a, dtype=float))
-        eb = np.atleast_1d(np.array(self.energies_b, dtype=float))
-        if table.shape != (ea.shape[0], eb.shape[0]):
-            raise ValueError(
-                f"table shape {table.shape} does not match energies "
-                f"({ea.shape[0]}, {eb.shape[0]})"
-            )
-        if not (np.isfinite(ea).all() and np.isfinite(eb).all()):
+        ea = _float_vector(self.energies_a, "energies of A")
+        eb = _float_vector(self.energies_b, "energies of B")
+        table = tuple(_float_vector(row, "a table row") for row in self.table)
+        for i, row in enumerate(table, start=1):
+            if len(row) != len(eb):
+                raise ValueError(f"table row {i} has {len(row)} entries, "
+                                 f"energies of B {len(eb)}")
+        if len(table) != len(ea):
+            raise ValueError(f"table has {len(table)} rows, energies of A {len(ea)}")
+        if not all(map(math.isfinite, ea + eb)):
             raise ValueError("energies must be finite")
-        if not valid_tables(table[None])[0]:
+        cells = [x for row in table for x in row]
+        if not (all(0.0 <= x < math.inf for x in cells)
+                and abs(sum(cells) - 1.0) <= PROB_TOL):
             raise ValueError("probabilities must be finite, non-negative and sum to 1, "
-                             f"got sum {table.sum():.15g}")
-        object.__setattr__(self, "table", _frozen_array(table))
-        object.__setattr__(self, "energies_a", _frozen_array(ea))
-        object.__setattr__(self, "energies_b", _frozen_array(eb))
+                             f"got sum {sum(cells):.15g}")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "energies_a", ea)
+        object.__setattr__(self, "energies_b", eb)
 
 
 class MarginalPair(NamedTuple):
     """Subsystem outcome distributions obtained from a joint table."""
 
-    p_a: np.ndarray
-    p_b: np.ndarray
+    p_a: tuple
+    p_b: tuple
 
 
 def marginals(joint: JointState) -> MarginalPair:
     """Row and column sums of the joint table."""
-    return MarginalPair(joint.table.sum(axis=1), joint.table.sum(axis=0))
+    return MarginalPair(tuple(map(sum, joint.table)), tuple(map(sum, zip(*joint.table))))
 
 
 def product_state(joint: JointState) -> JointState:
     """The uncorrelated counterpart: outer product of the marginals."""
     m = marginals(joint)
-    return JointState(np.outer(m.p_a, m.p_b), joint.energies_a, joint.energies_b)
+    return JointState(tuple(tuple(a * b for b in m.p_b) for a in m.p_a),
+                      joint.energies_a, joint.energies_b)
 
 
 def decorrelation_entropy(joint: JointState) -> float:
@@ -106,14 +86,17 @@ def decorrelation_entropy(joint: JointState) -> float:
 
 
 def joint_entropies(joint: JointState) -> tuple[float, float, float, float]:
-    """H(p), H(p_a), H(p_b) and sigma of one joint, a stack of one."""
-    return tuple(float(x[0]) for x in table_entropies(joint.table[None]))
+    """H(p), H(p_a), H(p_b) and sigma = H(p_a) + H(p_b) - H(p) of one joint."""
+    m = marginals(joint)
+    h = _shannon(x for row in joint.table for x in row)
+    h_a, h_b = _shannon(m.p_a), _shannon(m.p_b)
+    return h, h_a, h_b, h_a + h_b - h
 
 
 def joint_energy(joint: JointState) -> float:
     """Mean energy of the composite; depends only on the marginals."""
-    return float(table_energies(joint.table[None], joint.energies_a[None],
-                                joint.energies_b[None])[0])
+    m = marginals(joint)
+    return sum(map(mul, m.p_a, joint.energies_a)) + sum(map(mul, m.p_b, joint.energies_b))
 
 
 def load_joint_csv(path) -> JointState:
@@ -135,6 +118,7 @@ def load_joint_csv(path) -> JointState:
     if len(rows) < 3:
         raise ParseError("joint CSV needs two energy rows and a table", lines[-1] if lines else 0)
     try:
-        return JointState(np.array(rows[2:], dtype=float), rows[0], rows[1])
-    except ValueError as exc:
-        raise ParseError(f"joint CSV: {exc}", lines[2]) from None
+        return JointState(rows[2:], rows[0], rows[1])
+    except ValueError as exc:  # at the first row not as long as B's energies, else the first
+        ragged = next((i for i, row in enumerate(rows[2:]) if len(row) != len(rows[1])), 0)
+        raise ParseError(f"joint CSV: {exc}", lines[2 + ragged]) from None

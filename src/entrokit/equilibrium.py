@@ -484,7 +484,7 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
         potentials[free] = a.T @ lam
         n, dlog = n0.copy(), np.empty_like(n0)
         for m, p, sl in zip(models, params, slices):
-            log_n, dlog[sl] = m.log_amounts(t, p, potentials[sl])
+            log_n, dlog[sl] = map(np.array, m.log_amounts(t, p, potentials[sl]))
             moved = free[sl]
             if np.max(log_n[moved], initial=0.0) > 700.0:
                 raise RangeError("amounts beyond any finite value")

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-import numpy as np
-
 from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
 from .roots import increasing_root
 from .stoichiometry import TOL_NEG, Composition, _float_vector
@@ -151,8 +149,8 @@ class MatterModel:
 
     def log_amounts(self, temperature, params, potentials) -> tuple:
         """The amounts at which dS/dn at fixed (E, beta) equals ``potentials``
-        at the given temperature, in closed form: (ln n, dln n/dln T), one
-        entry per constituent, with dln n_k/d potentials_k = -1/k_B (the
+        at the given temperature, in closed form: (ln n, dln n/dln T), tuples
+        of one float per constituent, with dln n_k/d potentials_k = -1/k_B (the
         model's attribute ``kb``).  Equilibrium over several independent
         reactions needs it."""
         raise NotImplementedError(
@@ -395,10 +393,10 @@ class IdealGasMixture(MatterModel):
         if not temperature > 0.0:
             raise DomainError("temperature must be positive")
         log_t, log_v = math.log(temperature), math.log(self._check_volume(params))
-        dof, e0 = np.array(self._dof), np.array(self._e0)
-        log_n = (np.array(self._c) - 1.0 + 0.5 * dof * (log_t - 1.0) + log_v
-                 - (e0 / temperature + np.asarray(potentials, dtype=float)) / self.kb)
-        return log_n, 0.5 * dof + e0 / (self.kb * temperature)
+        kb, species = self.kb, tuple(zip(self._c, self._dof, self._e0))
+        log_n = tuple(c - 1.0 + 0.5 * dof * (log_t - 1.0) + log_v - (e0 / temperature + mu) / kb
+                      for (c, dof, e0), mu in zip(species, map(float, potentials), strict=True))
+        return log_n, tuple(0.5 * dof + e0 / (kb * temperature) for _, dof, e0 in species)
 
     def invert_entropy(self, entropy, params, comp, tol=TOL_INV) -> float:
         e0n, dn, cn = self._sums(comp)
@@ -535,12 +533,14 @@ def _temperature(model: MatterModel, energy: float, params: Parameters,
     return 1.0 / slope
 
 
-def _fd_slopes(f, x, amounts=(), step=None) -> np.ndarray:
-    """Finite-difference slopes of ``f`` at the point ``x``, one per coordinate:
-    a vector for a scalar ``f``, the Jacobian (column i along x_i) for a vector
+def _fd_slopes(f, x, amounts=(), step=None):
+    """Finite-difference slopes of ``f`` at the point ``x``, one per coordinate,
+    as a numpy array: a vector for a scalar ``f``, the Jacobian (column i along x_i) for a vector
     ``f``.  Central, with step ``H_REL * max(1, |x_i|)`` unless ``step`` gives
     one; forward along an amount (the indices ``amounts``) within one step of 0.
     Raises DomainError when a step is lost to rounding."""
+    import numpy as np
+
     x = np.array(x, dtype=float, ndmin=1)
     slopes, f_x = [], None
     for i, x_i in enumerate(x.tolist()):

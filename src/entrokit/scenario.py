@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
-from .equilibrium import EquilibriumProblem
 from .errors import DomainError, ParseError, RangeExceeded
 from .matter_models import (
     KB_SI,
@@ -30,7 +27,6 @@ from .matter_models import (
     ThermalReservoir,
     entropy_of,
 )
-from .open_systems import OpenGrid, ReferenceEnvironment
 from .process_engine import DirectContact, Isentropic, IsothermalContact, Schedule
 from .stoichiometry import Composition, ReactionNetwork, validate_elemental_set
 
@@ -389,7 +385,9 @@ def build_schedule_steps(scn: Scenario, sched_name: str) -> Schedule:
     return Schedule(tuple(_STEPS[op, key](value) for op, key, value in steps))
 
 
-def build_problem(scn: Scenario, prob_name: str) -> EquilibriumProblem:
+def build_problem(scn: Scenario, prob_name: str):
+    from .equilibrium import EquilibriumProblem
+
     get = partial(_get, scn, "equilibrium", prob_name)
     systems = get("systems")
     params, n0 = zip(*(_start(scn, s) for s in systems))
@@ -397,7 +395,9 @@ def build_problem(scn: Scenario, prob_name: str) -> EquilibriumProblem:
                               get("energy"), network=scn.network if get("reactive") else None)
 
 
-def build_reference_env(scn: Scenario, env_name: str) -> ReferenceEnvironment:
+def build_reference_env(scn: Scenario, env_name: str):
+    from .open_systems import ReferenceEnvironment
+
     get = partial(_get, scn, "reference_env", env_name)
     basis = build_model(scn, get("basis"))
     elemental = tuple(basis.names.index(nm) for nm in get("elemental"))
@@ -408,7 +408,9 @@ def build_reference_env(scn: Scenario, env_name: str) -> ReferenceEnvironment:
                  get("temperature"), get("pressure"))
 
 
-def build_grid(scn: Scenario, table_name: str) -> OpenGrid:
+def build_grid(scn: Scenario, table_name: str):
+    from .open_systems import OpenGrid
+
     get = partial(_get, scn, "table", table_name)
     reactive = get("reactive")
     return OpenGrid(get("energies"), get("volumes"), get("compositions"), reactive,
@@ -513,9 +515,11 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
 def _fmt(x) -> str:
     """Text of a number or flag, in CSV cells and serialized scenarios: floats,
     numpy's too, with round-trip precision and bools as true or false."""
-    if isinstance(x, (bool, np.bool_)):
+    if type(x).__module__ == "numpy":  # a numpy scalar, as the Python number it holds
+        x = x.item()
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
 

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NegativeAmount
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Entries more negative than this are an error; entries in (-TOL_NEG, 0) are
 #: rounding noise and get clamped to zero.
@@ -25,19 +27,21 @@ TOL_COMPAT = 1e-9
 RCOND = 1e-10
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndmin: int) -> np.ndarray:
+    import numpy as np
+
+    arr = np.array(values, dtype=float, ndmin=ndmin)
     arr.flags.writeable = False
     return arr
 
 
 class _ComparedByValue:
     """Equality and hashing by value for a frozen dataclass, declared with
-    ``eq=False``, whose fields hold arrays: an array compares by its shape and
+    ``eq=False``, whose fields are arrays: an array compares by its shape and
     entries."""
 
     def _value(self) -> tuple:
-        return tuple((v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+        return tuple((v.shape, tuple(v.ravel().tolist()))
                      for v in (getattr(self, f.name) for f in fields(self)))
 
     def __eq__(self, other):
@@ -51,6 +55,7 @@ def _float_vector(values, what: str) -> tuple:
     """``values``, a sequence or a scalar, as a tuple of Python floats;
     ValueError unless it is a vector."""
     if not isinstance(values, (tuple, list)):
+        import numpy as np
         arr = np.array(values, dtype=float, ndmin=1)
         if arr.ndim != 1:
             raise ValueError(f"{what} must be a vector")
@@ -99,13 +104,13 @@ class ReactionNetwork(_ComparedByValue):
     stoich: np.ndarray
 
     def __post_init__(self):
-        mat = np.atleast_2d(np.array(self.stoich, dtype=float))
+        mat = _frozen_array(self.stoich, ndmin=2)
         if mat.ndim != 2:
             raise ValueError("stoichiometric coefficients must form a matrix")
         for col in range(mat.shape[1]):
-            if not np.any(mat[:, col]):
+            if not mat[:, col].any():
                 raise ValueError(f"reaction {col} changes no amounts (all-zero column)")
-        object.__setattr__(self, "stoich", _frozen_array(mat))
+        object.__setattr__(self, "stoich", mat)
 
     @property
     def n_constituents(self) -> int:
@@ -117,29 +122,34 @@ class ReactionNetwork(_ComparedByValue):
 
     @property
     def _rank_tol(self) -> float:
-        return 1e-10 * max(1.0, float(np.max(np.abs(self.stoich))))
+        return 1e-10 * max(1.0, float(abs(self.stoich).max()))
 
     @cached_property
     def rank(self) -> int:
         """Number of independent reactions, at a cutoff relative to the largest
         coefficient; computed once per network."""
-        return int(np.linalg.matrix_rank(self.stoich, tol=self._rank_tol))
+        from numpy.linalg import matrix_rank
+
+        return int(matrix_rank(self.stoich, tol=self._rank_tol))
 
     @cached_property
     def conserved(self) -> np.ndarray:
         """Orthonormal rows spanning the combinations a of constituents that no
         reaction changes (a . stoich = 0), at the cutoff of ``rank``; computed
         once per network."""
-        u, _, _ = np.linalg.svd(self.stoich)
-        return _frozen_array(u[:, self.rank:].T)
+        from numpy.linalg import svd
+
+        return _frozen_array(svd(self.stoich)[0][:, self.rank:].T, ndmin=2)
 
     @cached_property
     def independent_columns(self) -> tuple[int, ...]:
         """A maximal set of linearly independent reactions at the cutoff of
         ``rank``, first come first kept; computed once per network."""
+        from numpy.linalg import matrix_rank
+
         cols: list[int] = []
         for j in range(self.n_reactions):
-            if np.linalg.matrix_rank(self.stoich[:, cols + [j]], tol=self._rank_tol) > len(cols):
+            if matrix_rank(self.stoich[:, cols + [j]], tol=self._rank_tol) > len(cols):
                 cols.append(j)
         return tuple(cols)
 
@@ -151,9 +161,7 @@ class ReactionCoordinates(_ComparedByValue):
     epsilon: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.epsilon, dtype=float, ndmin=1)
-        arr.flags.writeable = False
-        object.__setattr__(self, "epsilon", arr)
+        object.__setattr__(self, "epsilon", _frozen_array(self.epsilon, ndmin=1))
 
     def __len__(self) -> int:
         return self.epsilon.shape[0]
@@ -192,6 +200,8 @@ def validate_elemental_set(
     other outside constituents, and arbitrary on the set.
     Independence: no reaction column is supported entirely on the set.
     """
+    import numpy as np
+
     r = net.n_constituents
     species = tuple(sorted(set(int(i) for i in species_indices)))
     for i in species:

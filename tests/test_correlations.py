@@ -62,7 +62,7 @@ def test_sigma_matches_mutual_information_oracle():
     rng = np.random.default_rng(21)
     for _ in range(50):
         joint = random_joint(rng, 4, 4)
-        p = joint.table
+        p = np.array(joint.table)
         m = marginals(joint)
         # independent oracle: sum p_ij ln(p_ij / (pa_i pb_j))
         mi = 0.0
@@ -71,6 +71,13 @@ def test_sigma_matches_mutual_information_oracle():
                 if p[i, j] > 0:
                     mi += p[i, j] * math.log(p[i, j] / (m.p_a[i] * m.p_b[j]))
         assert decorrelation_entropy(joint) == pytest.approx(mi, abs=1e-12)
+
+
+def test_certain_joint_has_positive_zero_entropies():
+    # a 1x1 table: every entropy is +0.0, which a CSV cell writes as 0, not -0
+    joint = make_joint([[1.0]], [0.0], [0.0])
+    assert [math.copysign(1.0, h) for h in joint_entropies(joint)] == [1.0] * 4
+    assert joint_entropies(joint) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_joint_energy_uniform_two_by_two():
@@ -92,8 +99,8 @@ def test_joint_energy_double_sum_oracle():
     for _ in range(20):
         joint = random_joint(rng)
         expected = float(np.einsum(
-            "ij,ij->", joint.table,
-            joint.energies_a[:, None] + joint.energies_b[None, :],
+            "ij,ij->", np.array(joint.table),
+            np.array(joint.energies_a)[:, None] + np.array(joint.energies_b)[None, :],
         ))
         assert joint_energy(joint) == pytest.approx(expected, abs=1e-12)
 
@@ -125,7 +132,7 @@ def test_joint_entropies_difference_equals_joint_shannon_difference():
     for _ in range(50):
         j1 = random_joint(rng, 3, 3)
         j2 = random_joint(rng, 3, 3)
-        p1, p2 = j1.table.ravel(), j2.table.ravel()
+        p1, p2 = np.array(j1.table).ravel(), np.array(j2.table).ravel()
         h1 = -sum(x * math.log(x) for x in p1 if x > 0)
         h2 = -sum(x * math.log(x) for x in p2 if x > 0)
         assert _difference_through_marginals(j1, j2) == pytest.approx(h2 - h1, abs=1e-12)
@@ -175,7 +182,7 @@ def test_energy_invariant_under_marginal_preserving_mix(rows):
     joint = make_joint(table)
     # mixing toward the product preserves both marginals exactly
     lam = 0.37
-    mixed = make_joint(lam * table + (1 - lam) * product_state(joint).table,
+    mixed = make_joint(lam * table + (1 - lam) * np.array(product_state(joint).table),
                        joint.energies_a, joint.energies_b)
     assert joint_energy(mixed) == pytest.approx(joint_energy(joint), abs=1e-12)
 
@@ -194,17 +201,20 @@ def test_sigma_zero_iff_product():
             assert sigma <= 1e-12
 
 
-@pytest.mark.parametrize("text, line", [
-    ("0,1\n0,1\na,b\n0,0.5\n", 3),               # a cell that is not a number
-    ("# energies\n0,1\n\n0,1\n", 4),              # no table rows
-    ("0,1\n0,1\n0.5,0\n0,0.25\n", 3),             # JointState: sums to 0.75
-    ("0,1\n0,1\n0.5,0\n0.5\n", 3),                # ragged table
-    ("0,1\n0,1\n0.5,nan\n0,0.5\n", 3),            # non-finite probability
-], ids=["non-numeric", "too-few-rows", "not-normalized", "ragged", "nan"])
-def test_load_joint_csv_reports_parse_errors_with_line(tmp_path, text, line):
+@pytest.mark.parametrize("text, line, message", [
+    ("0,1\n0,1\na,b\n0,0.5\n", 3, "not a number"),
+    ("# energies\n0,1\n\n0,1\n", 4, "needs two energy rows"),
+    ("0,1\n0,1\n0.5,0\n0,0.25\n", 3, "got sum 0.75"),
+    ("0,1\n0,1\n0.5,0\n0.5\n", 4, "table row 2 has 1 entries, energies of B 2"),
+    ("0,1\n0,1\n0.5,0\n0,0.5,0\n", 4, "table row 2 has 3 entries, energies of B 2"),
+    ("0,1\n0,1\n0.5,0\n0,0.5\n0,0\n", 3, "table has 3 rows, energies of A 2"),
+    ("0,1\n0,1\n0.5,nan\n0,0.5\n", 3, "must be finite"),
+], ids=["non-numeric", "too-few-rows", "not-normalized", "ragged", "ragged-long", "extra-row",
+        "nan"])
+def test_load_joint_csv_reports_parse_errors_with_line(tmp_path, text, line, message):
     path = tmp_path / "joint.csv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match=message) as err:
         load_joint_csv(path)
     assert err.value.line == line
 

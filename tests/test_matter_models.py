@@ -316,16 +316,16 @@ def test_log_amounts_inverts_ds_dn(potentials, temperature, volume, kb):
     params = Parameters([volume])
     t = temperature * t_unit
     pot = np.array(potentials) * kb
-    log_n, dlog = mix.log_amounts(t, params, pot)
+    log_n, dlog = map(np.array, mix.log_amounts(t, params, pot))
     comp = Composition(np.exp(log_n))
     energy = mix.energy_at_temperature(t, params, comp)
     assert mix.ds_dn(energy, params, comp) == pytest.approx(pot, rel=1e-9, abs=1e-9 * kb)
     h = 1e-6
-    slope = (mix.log_amounts(t * math.exp(h), params, pot)[0]
-             - mix.log_amounts(t * math.exp(-h), params, pot)[0]) / (2 * h)
+    slope = (np.array(mix.log_amounts(t * math.exp(h), params, pot)[0])
+             - np.array(mix.log_amounts(t * math.exp(-h), params, pot)[0])) / (2 * h)
     assert dlog == pytest.approx(slope, rel=1e-7, abs=1e-7)
     # d ln n_k/d potential_k = -1/k_B
-    shifted = mix.log_amounts(t, params, pot + np.array([kb, 0.0, 0.0]))[0]
+    shifted = np.array(mix.log_amounts(t, params, pot + np.array([kb, 0.0, 0.0]))[0])
     assert shifted - log_n == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
 
 

@@ -1,6 +1,8 @@
 """The shared root finder: Brent's method checked against scipy's ``brentq``
 as an independent oracle, the bracket expansion, the search in a distance
-from an origin, and every inversion site driven through its generic path."""
+from an origin, and every inversion site driven through its generic path.
+Also what the runtime imports: never scipy, and no numpy on the scalar CLI
+jobs."""
 
 import ast
 import math
@@ -270,10 +272,45 @@ def test_generic_inversions_match_closed_forms(site, rel):
     assert got == pytest.approx(want, rel=rel)
 
 
-def test_runtime_imports_leave_scipy_out():
-    code = ("import sys, entrokit, entrokit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh(code: str, *argv: str) -> str:
+    """What ``code``, given ``argv``, prints from a fresh interpreter started
+    in the repository root with ``src`` on its path."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=SRC.parent,
+                         capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout.strip()
+
+
+def test_runtime_imports_leave_scipy_out():
+    code = ("import importlib, pkgutil, sys, entrokit\n"
+            "for info in pkgutil.iter_modules(entrokit.__path__):\n"
+            "    importlib.import_module(f'entrokit.{info.name}')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--scenario", "scenarios/demo_gas.scn"],
+    ["run", "--scenario", "scenarios/demo_gas.scn", "--measure-entropy", "pair1",
+     "--run-schedule", "sched1", "--decorrelate", "j1"],
+], ids=["validate", "measure"])
+def test_scalar_cli_jobs_leave_numpy_out(tmp_path, argv):
+    code = ("import sys\n"
+            "from entrokit import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = ["--out", str(tmp_path)] if argv[0] == "run" else []
+    assert _fresh(code, *argv, *out).splitlines()[-1] == "0 []"
+
+
+def test_every_exported_name_is_its_modules_object():
+    # resolved lazily, in a fresh interpreter, each name is the object that
+    # the module the export table names defines under that name
+    code = ("import importlib, entrokit\n"
+            "home = {name: importlib.import_module(f'entrokit.{module}')\n"
+            "        for name, module in entrokit._HOME.items()}\n"
+            "print(set(entrokit.__all__) <= set(dir(entrokit)), sorted(\n"
+            "    name for name in entrokit.__all__ if getattr(entrokit, name)\n"
+            "    is not getattr(home[name], name) or getattr(entrokit, name).__module__\n"
+            "    != home[name].__name__))")
+    assert _fresh(code) == "True []"

@@ -512,6 +512,16 @@ def test_cli_malformed_joint_table_is_a_parse_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_cli_certain_joint_writes_positive_zero_entropies(tmp_path):
+    path = _mutated(tmp_path, "demo_gas.scn", "file = joint_diag.csv", "file = one.csv")
+    (tmp_path / "one.csv").write_text("0\n0\n1\n", encoding="utf-8")
+    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
+                 "--decorrelate", "j1"])
+    assert code == 0
+    rows = (tmp_path / "out" / "decorrelate_j1.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1] == "j1,0,0,0,0,0"
+
+
 def test_cli_negative_seed_flag_is_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", str(SCENARIOS / "demo_equilibrium.scn"),
