@@ -4,10 +4,11 @@ A problem fixes the total energy, the per-subsystem parameters, and an
 initial composition; the free variables are the energy split across
 subsystems and the amounts the reactions can reach.  The inner split is
 solved by temperature equalization (stationarity across subsystems).  Along
-one independent reaction the maximization brackets the zero of the
-reaction's affinity in plain floats: in a one-region problem a probe is the
-model's ``ds_dn_along``, in several an evaluated point, and only the answer
-becomes a state.  Over several it minimizes the convex dual in the element potentials and 1/T
+one independent reaction the maximization finds the zero of the reaction's
+affinity in plain floats, by ``roots.increasing_root`` in the distance from
+the end it points to: a probe is the model's ``ds_dn_along`` in a one-region
+problem, else an evaluated point, and only the answer becomes a state.  Over
+several it minimizes the convex dual in the element potentials and 1/T
 (W. C. Reynolds, STANJAN, 1986; Gordon & McBride, NASA RP-1311, 1994): each
 model gives its amounts at given potentials and temperature in closed form
 (the ``log_amounts`` hook), and the answer is packaged and certified at those
@@ -39,7 +40,7 @@ from .matter_models import (
     solve_energy_at_temperature,
     temperature_of,
 )
-from .roots import brentq, expand_bracket, increasing_root
+from .roots import increasing_root
 from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork
 
 MAX_ITER = 200
@@ -353,76 +354,90 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
     the initial amounts ``n0``: the zero of its affinity g(eps) = col . dS/dn,
     which falls along eps because S is concave.  Everything is in floats.
 
-    From the starting extent ``x0`` the bracket moves geometrically toward
-    the end of the feasible extent ``interval`` that g points to, and Brent's
-    method refines it.  If g keeps its sign up to that end, the end is the
-    optimum.  A point with no admissible state lies past the optimum, so g
-    counts as infinite there, pointing back.  A probe of g is the model's
-    ``ds_dn_along`` in a one-region problem, else an evaluated point; each
-    counts against ``max_iter``.  A candidate is
+    g at the start ``x0`` points to an end of the feasible extent ``interval``;
+    ``roots.increasing_root`` searches the distance d from it, where what the
+    end exhausts is exactly 0, so amounts near the wall are exact (toward an
+    infinite end, the distance from x0).  f(d) = -u . dS/dn at the amounts
+    origin + u d, u = +-col, rises with d.  A point with no admissible state
+    lies past the optimum: f is infinite there, pointing back to x0.  Once
+    the exhausted amounts are at most the wall and g still points into it, g
+    is probed at the end, the optimum if g points into the wall there too.  A
+    probe is the model's ``ds_dn_along`` in a one-region problem, else an
+    evaluated point; each counts against ``max_iter``.  A candidate is
     certified from its probe's g, and only the answer becomes a point, unless
     its probe made one.  Returns (point, probes, what to report if the point
     fails its KKT certificate, the point's ``_kkt`` pair).
     """
-    points, refused = {}, set()  # eps -> point where evaluated; eps without a state
-
-    def amounts(x: float) -> list:
-        return [a + c * x for a, c in zip(n0, col)]
-
-    def at_point(x: float) -> float:
-        points[x] = here = _point(prob, [x], amounts(x))
-        return sum(map(mul, col, _ds_dn(prob, here)))
-
-    probe = at_point
+    # a point probe reads the frame (anchor, way) when it runs: at first eps = x0
+    points, refused, anchor, way = {}, set(), 0.0, 1.0  # d -> point; d without a state
     if len(prob.models) == 1:
-        probe = partial(prob.models[0].ds_dn_along, prob.total_energy, prob.params[0], n0, col)
+        slope = partial(prob.models[0].ds_dn_along, prob.total_energy, prob.params[0])
+    else:
+        def slope(origin: list, u: list, d: float) -> float:  # keeps its point
+            n = [a + c * d for a, c in zip(origin, u)]
+            points[d] = here = _point(prob, [anchor + way * d], n)
+            return sum(map(mul, u, _ds_dn(prob, here)))
+
     try:
-        g0 = probe(x0)
+        g0 = slope(n0, col, x0)
     except (DomainError, RangeError, NegativeAmount) as exc:
         raise Infeasible(f"no admissible interior point: {exc}") from exc
-    seen = {x0: g0}  # eps -> g, in order
+    end, toward = (interval[1], 1.0) if g0 > 0.0 else (interval[0], -1.0)
+    # d runs from that end back toward x0, or from x0 outward to an infinite end
+    anchor, way = (end, -toward) if math.isfinite(end) else (x0, toward)
+    origin = [0.0 if c and -a / c == end else a + c * anchor for a, c in zip(n0, col)]
+    u, d0, wall = [way * c for c in col], abs(anchor - x0), _wall(n0)
+    seen, points = {d0: -way * g0}, {d0: points.get(x0)}  # d -> f, in order
+    # this close to the end, every constituent it exhausts is at most the wall
+    d_wall = wall / max(map(abs, col))
 
-    def affinity(x: float) -> float:
-        if len(seen) >= max_iter:
-            raise NonConvergence(f"iteration budget {max_iter} exhausted")
-        try:
-            seen[x] = probe(x)
-        except (DomainError, RangeError, NegativeAmount):
-            seen[x] = math.copysign(math.inf, x0 - x)
-            refused.add(x)
-        return seen[x]
+    def at(d: float) -> tuple:  # (extent, amounts) at the distance d
+        if d == d0:
+            return x0, [a + c * x0 for a, c in zip(n0, col)]
+        return anchor + way * d, [a + c * d for a, c in zip(origin, u)]
 
-    end = interval[1] if g0 > 0.0 else interval[0]
-    if math.isfinite(end):  # approach the end, cutting the distance 8-fold
-        origin, factor, x1 = end, 0.125, end + 0.125 * (x0 - end)
-    else:  # step away 8-fold farther each time
-        origin, factor, x1 = x0, 8.0, x0 + math.copysign(max(1.0, abs(x0)), g0)
+    def probe(d: float) -> float:
+        if d not in seen:
+            if len(seen) >= max_iter:
+                raise NonConvergence(f"iteration budget {max_iter} exhausted")
+            try:
+                seen[d] = -slope(origin, u, d)
+            except (DomainError, RangeError, NegativeAmount):
+                seen[d] = math.copysign(math.inf, d - d0)
+                refused.add(d)
+        return seen[d]
+
+    def affinity(d: float) -> float:
+        f = probe(d)
+        if d <= d_wall and f > 0.0 and d > 0.0 and probe(0.0) >= 0.0:
+            raise RangeError("the affinity points into the wall at the wall itself")
+        return f
+
     try:
         if g0 != 0.0:
-            x, gx = expand_bracket(affinity, x1, g0, origin, factor=factor, limit=end)
-            a = list(seen)[-2]  # the last point short of x: the bracket's near end
-            brentq(affinity, a, x, xtol=_FLOAT_EPS * abs(x - a), fa=seen[a], fb=gx,
-                   maxiter=max_iter)
-        # near a wall g is steep, and only one side of the root may certify:
+            increasing_root(affinity, d0 if anchor == end else max(1.0, abs(x0)),
+                            interval[1] - interval[0])
+        # near a wall f is steep, and only one side of the root may certify:
         # the candidates are the closest evaluated points on either side
-        admissible = [(y, g) for y, g in seen.items() if y not in refused]
-        candidates = [max((y for y, g in admissible if g >= 0.0), default=x0),
-                      min((y for y, g in admissible if g <= 0.0), default=x0)]
-        failure = f"affinity root near eps = {candidates[0]:.17g}"
-    except RangeError:  # g keeps its sign up to the end: a boundary optimum
+        admissible = [(d, f) for d, f in seen.items() if d not in refused]
+        candidates = [max((d for d, f in admissible if f <= 0.0), default=d0),
+                      min((d for d, f in admissible if f >= 0.0), default=d0)]
+        failure = f"affinity root near eps = {anchor + way * candidates[0]:.17g}"
+    except RangeError:  # f keeps its sign up to the end: a boundary optimum
         candidates = [list(seen)[-1]]
-        failure = f"affinity keeps its sign up to eps = {candidates[0]:.17g}"
+        failure = f"affinity keeps its sign up to eps = {anchor + way * candidates[0]:.17g}"
     except NonConvergence as exc:
         candidates, failure = list(seen), str(exc)
-    candidates = [y for y in dict.fromkeys(candidates) if y not in refused]
+    candidates = [d for d in dict.fromkeys(candidates) if d not in refused]
     # without an active constituent the residual is |g|, which then cannot win
-    nu, wall, ranked = [[c] for c in col], _wall(n0), {}
-    for y in sorted(candidates, key=lambda y: abs(seen[y])):
-        n = amounts(y)
-        if not ranked or abs(seen[y]) < min(r for r, _ in ranked.values()) or min(n) <= wall:
-            ranked[y] = _kkt(nu, n, [seen[y]], wall)
-    best = min((y for y in candidates if y in ranked), key=lambda y: ranked[y][0])
-    answer = points.get(best) or _point(prob, [best], amounts(best))
+    nu, ranked = [[c] for c in col], {}
+    for d in sorted(candidates, key=lambda d: abs(seen[d])):
+        n = at(d)[1]
+        if not ranked or abs(seen[d]) < min(r for r, _ in ranked.values()) or min(n) <= wall:
+            ranked[d] = _kkt(nu, n, [-way * seen[d]], wall)
+    best = min((d for d in candidates if d in ranked), key=lambda d: ranked[d][0])
+    eps, n = at(best)
+    answer = points.get(best) or _point(prob, [eps], n)
     return answer, len(seen), failure, ranked[best]
 
 

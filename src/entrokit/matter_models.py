@@ -201,15 +201,23 @@ class MatterModel:
     def energy_at_temperature(self, temperature: float, params, comp) -> float:
         """E with T(E, beta, n) = temperature: the root of T, increasing for
         normal systems, in the distance E - floor.  Raises RangeError when no
-        such state exists."""
+        such state exists, as when the search toward the floor loses the
+        distance to the floor's float spacing or meets a refused state."""
         floor = self.energy_floor(params, comp)
         ceiling = self.energy_ceiling(params, comp)
+        start = min(max(1.0, abs(floor)), ceiling - floor)
 
         def f(d: float) -> float:
             energy = min(floor + d, ceiling)
-            return temperature_of(self, SystemState(energy, params, comp)) - temperature
+            try:
+                if energy > floor:
+                    return temperature_of(self, SystemState(energy, params, comp)) - temperature
+            except DomainError:
+                if d >= start:
+                    raise
+            raise RangeError(f"temperature {temperature:.6g} unreachable above the ground bound")
 
-        d, _ = increasing_root(f, max(1.0, abs(floor)), limit=ceiling - floor)
+        d, _ = increasing_root(f, start, limit=ceiling - floor)
         return float(min(floor + d, ceiling))
 
     def volume_on_isentrope(self, entropy: float, temperature: float, params, comp) -> float:
@@ -225,14 +233,16 @@ class MatterModel:
 
     def volume_at_pressure(self, temperature: float, pressure: float, comp) -> float:
         """Volume of the state at temperature T and pressure p = T dS/dV:
-        searched from the ideal-gas volume n T / p, as the pressure falls
-        while the volume grows."""
-        def f(v: float) -> float:
+        searched, as the pressure falls while the volume grows, from
+        V0 p(V0) / p with V0 = n T / p, the ideal gas's volume in any units."""
+        def pressure_at(v: float) -> float:
             params = Parameters([v])
             energy = self.energy_at_temperature(temperature, params, comp)
-            return pressure - temperature * self.ds_dv(energy, params, comp)
+            return temperature * self.ds_dv(energy, params, comp)
 
-        return increasing_root(f, comp.total * temperature / pressure)[0]
+        v0 = comp.total * temperature / pressure
+        return increasing_root(lambda v: pressure - pressure_at(v),
+                               v0 * pressure_at(v0) / pressure)[0]
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,15 @@
 
 Each operational definition ends in a monotone one-dimensional inversion:
 the energy at an entropy or a temperature, the volume on an isentrope or at
-a pressure, the temperature of an energy split.  Each is a root of a function
-that increases with a distance d > 0 from an origin (the ground bound, zero
-volume, zero temperature), and ``increasing_root`` finds them all: it
-brackets the root by 8-fold steps of d with ``expand_bracket`` and refines d
-to a relative tolerance with ``brentq``, Brent's method (R. P. Brent,
-*Algorithms for Minimization without Derivatives*, 1973).  Only the reaction
-affinity of the equilibrium solver, which lives on a finite interval, builds
-its own bracket from the same two pieces.  Failures raise entrokit errors:
-RangeError when no sign change is found, NonConvergence when the iteration
-budget runs out.
+a pressure, the temperature of an energy split, the extent of a reaction at
+its entropy maximum.  Each is a root of a function that increases with a
+distance d > 0 from an origin (the ground bound, zero volume, zero
+temperature, the exhausted end of the extent interval), and
+``increasing_root`` finds them all: it brackets the root by 8-fold steps of
+d and refines d to a relative tolerance with ``brentq``, Brent's method
+(R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973).
+Failures raise entrokit errors: RangeError when no sign change is found,
+NonConvergence when the iteration budget runs out.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import DomainError, NonConvergence, RangeError
 #: Smallest relative tolerance ``brentq`` accepts: four machine epsilons.
 RTOL_MIN = 4.0 * 2.220446049250313e-16
 
-#: Values of f that ``expand_bracket`` tries before giving up.
+#: Values of f that ``increasing_root`` tries after the first before giving up.
 MAX_EXPANSIONS = 200
 
 
@@ -105,31 +104,6 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
                          best=xcur)
 
 
-def expand_bracket(f, x: float, f_ref: float, origin: float, factor: float = 8.0,
-                   limit: float = math.inf) -> tuple[float, float]:
-    """Move x geometrically until f(x) leaves the sign of ``f_ref``.
-
-    ``f_ref`` is a nonzero value of f on the near side of the root.  While
-    f(x) keeps its sign, x becomes ``origin + factor * (x - origin)``,
-    clipped at ``limit``.  Returns (x, f(x)) with f(x) zero or of the
-    opposite sign; raises RangeError when x reaches ``limit``, or
-    MAX_EXPANSIONS values of f pass, without a sign change.
-    """
-    negative = f_ref < 0.0
-    for _ in range(MAX_EXPANSIONS):
-        fx = f(x)
-        if fx != fx:
-            raise _nan_error(x)
-        if fx == 0.0 or (fx < 0.0) != negative:
-            return x, fx
-        if x == limit:
-            raise RangeError(f"root bracket reached its limit {limit:.6g} "
-                             "without a sign change")
-        moved = origin + factor * (x - origin)
-        x = min(moved, limit) if limit > x else max(moved, limit)
-    raise RangeError(f"no sign change after {MAX_EXPANSIONS} bracket expansions")
-
-
 def increasing_root(f, d0: float, limit: float = math.inf) -> tuple[float, float]:
     """Root of f, which increases with a distance d > 0 from an origin that
     f adds itself; returns (d, f(d)).
@@ -138,21 +112,21 @@ def increasing_root(f, d0: float, limit: float = math.inf) -> tuple[float, float
     f(d) < 0 and shrinks 8-fold toward 0 while f(d) > 0; Brent's method then
     refines d between the last two values to a relative 1e-15.
     Raises RangeError when d reaches ``limit``, or MAX_EXPANSIONS values of f
-    pass, without a sign change.
+    pass after the first, without a sign change.
     """
-    d = min(d0, limit)
-    f0 = f(d)
-    if f0 != f0:
-        raise _nan_error(d)
-    if f0 == 0.0:
-        return d, f0
-    seen = [(d, f0)]  # (d, f(d)) in order of evaluation
-
-    def g(x: float) -> float:
-        seen.append((x, f(x)))
-        return seen[-1][1]
-
-    factor = 8.0 if f0 < 0.0 else 0.125
-    expand_bracket(g, min(factor * d, limit), f0, 0.0, factor=factor, limit=limit)
-    (lo, f_lo), (hi, f_hi) = sorted(seen[-2:])
-    return brentq(f, lo, hi, xtol=1e-15 * hi, rtol=1e-15, fa=f_lo, fb=f_hi)
+    d, last = min(d0, limit), None
+    for _ in range(1 + MAX_EXPANSIONS):
+        f_d = f(d)
+        if f_d != f_d:
+            raise _nan_error(d)
+        if f_d == 0.0:
+            return d, f_d
+        if last is not None and (f_d < 0.0) != (last[1] < 0.0):
+            (lo, f_lo), (hi, f_hi) = sorted([last, (d, f_d)])
+            return brentq(f, lo, hi, xtol=1e-15 * hi, rtol=1e-15, fa=f_lo, fb=f_hi)
+        if f_d < 0.0 and d == limit:
+            raise RangeError(f"root bracket reached its limit {limit:.6g} "
+                             "without a sign change")
+        last = d, f_d
+        d = min(8.0 * d, limit) if f_d < 0.0 else 0.125 * d
+    raise RangeError(f"no sign change after {MAX_EXPANSIONS} bracket expansions")

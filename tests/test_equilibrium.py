@@ -221,6 +221,68 @@ def test_near_complete_reaction_runs_to_the_wall():
     assert solution_at(prob, [eps_b - 1e-6]).entropy <= sol.entropy + 1e-9
 
 
+def near_wall_problems(count, seed=2026):
+    """Water problems with drawn heats and entropies of formation, energies
+    and volumes, whose optima range from plentiful reactants to ones left
+    far below the wall's 1e-9."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        e0, s0, energy, volume = rng.uniform([-30.0, -5.0, 2.0, 0.3],
+                                             [0.0, 40.0, 15.0, 3.0]).tolist()
+        mix = IdealGasMixture([
+            Species("H2", 5.0), Species("O2", 5.0), Species("H2O", 6.0, e0=e0, s0=s0),
+        ])
+        yield EquilibriumProblem((mix,), (Parameters([volume]),),
+                                 (Composition([2.0, 1.0, 0.0]),), energy, network=WATER_NET)
+
+
+def test_near_wall_optima_are_certified_maxima():
+    # a reactant left just above the wall is resolved in the distance from
+    # the wall, not to the float spacing of the extent, so every answer
+    # certifies (no NonConvergence) and reaches the grid's maximum
+    near = 0
+    for prob in near_wall_problems(200):
+        sol = stable_equilibrium(prob)
+        _, s_grid = grid_max_entropy(prob, n_grid=51)
+        assert sol.entropy >= s_grid - 1e-12 * abs(s_grid)
+        near += 1e-9 < min(sol.states[0].comp.amounts[:2]) < 5e-8
+    assert near >= 20
+
+
+def test_a_wall_that_rounds_leaves_the_amount_where_the_affinity_vanishes():
+    # 0.84 - 3 (0.84 / 3) rounds to 1.1e-16, not to 0; the search starts
+    # from the wall's amounts with the exhausted H2 at exactly 0, so the
+    # answer reaches the 2.4e-19 of H2 where the affinity vanishes
+    net = ReactionNetwork([[-1.0], [-3.0], [2.0]])
+    mix = IdealGasMixture([
+        Species("N2", 5.0), Species("H2", 5.0), Species("NH3", 6.0, e0=-30.0, s0=60.0),
+    ])
+    prob = EquilibriumProblem((mix,), (Parameters([1.0]),), (Composition([1.0, 0.84, 0.0]),),
+                              2.0, network=net)
+    sol = stable_equilibrium(prob)
+    st = sol.states[0]
+    assert 0.0 < st.comp.amounts[1] < 1e-18
+    terms = [c * x for c, x in zip((-1.0, -3.0, 2.0), mix.ds_dn(st.energy, st.params, st.comp))]
+    assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms))
+    assert sol.iterations <= 40
+
+
+def test_a_finite_slope_at_the_wall_makes_the_wall_the_optimum():
+    # differenced dS/dn stays finite at an exhausted constituent, so with
+    # wall_problem's constants the affinity points into the wall up to the
+    # wall itself: the end of the extent interval is the optimum, certified
+    # by a nonnegative multiplier, and the search stops there
+    mix = masked(wall_problem().models[0], hide=("ds_dn", "ds_dn_along"))
+    prob = EquilibriumProblem((mix,), (Parameters([1.0]),), (Composition([2.0, 1.0, 0.0]),),
+                              10.0, network=WATER_NET)
+    sol = stable_equilibrium(prob)
+    assert sol.boundary and sol.states[0].comp.amounts[1] == 0.0
+    assert sol.eps_se.epsilon[0] == 1.0 and sol.kkt_residual <= 1e-10
+    assert sol.iterations <= 30
+    _, s_grid = grid_max_entropy(prob, n_grid=51)
+    assert sol.entropy >= s_grid
+
+
 def test_spectator_species_at_zero_amount():
     # a constituent no reaction touches stays at zero without poisoning the solve
     sol = stable_equilibrium(spectator_problem())
@@ -412,17 +474,22 @@ def _bits(value):
 @pytest.mark.parametrize("name", sorted(SOLVED))
 def test_solver_answer_is_the_solution_at_its_coordinates(name):
     # the solver packages the point it accepted: evaluating the problem afresh
-    # at the reported coordinates (one reaction), or at the dual's own amounts
-    # (several), gives the same bits
+    # at the reported coordinates and the answer's amounts gives the same bits
     prob = SOLVED[name]()
     sol = stable_equilibrium(prob)
-    if prob.network.rank >= 2:
-        amounts = np.concatenate([st.comp.amounts for st in sol.states])
-        again = _package(prob, equilibrium._point_at(prob, amounts), sol.iterations)
-    else:
-        again = solution_at(prob, sol.eps_se.epsilon, sol.iterations)
+    amounts = [x for st in sol.states for x in st.comp.amounts]
+    again = _package(prob, equilibrium._point(prob, sol.eps_se.epsilon, amounts),
+                     sol.iterations)
     for field in dataclasses.fields(sol):
         assert _bits(getattr(again, field.name)) == _bits(getattr(sol, field.name)), field.name
+    # the coordinates alone reach the answer's amounts to their rounding: one
+    # reaction is solved in the distance from the wall, which the extent
+    # carries only to its float spacing
+    at_eps = solution_at(prob, sol.eps_se.epsilon)
+    scale = 4.0 * np.finfo(float).eps * float(np.max(np.abs(prob.n0_concat())))
+    assert np.max(np.abs(np.concatenate([st.comp.amounts for st in at_eps.states])
+                         - amounts)) <= scale
+    assert at_eps.entropy == pytest.approx(sol.entropy, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVED))

@@ -288,6 +288,35 @@ def test_energy_at_temperature_reaches_the_states_of_small_systems(amount):
                                                                            rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("hide", [(), EVERY_DERIVED], ids=["closed-ds_de", "masked"])
+def test_energy_at_temperature_refuses_a_temperature_below_the_ground_bound(monkeypatch,
+                                                                            hide):
+    # at its ground bound the gas is at T = 2 GROUND_EPS / 3: the search toward
+    # the floor ends in a RangeError naming 1e-20, whether the distance is
+    # lost to the floor's float spacing or the differenced dS/dE fails first
+    model = masked(ideal_gas_model(3.0), hide=hide)
+    calls = []
+    real = type(model).ds_de
+    monkeypatch.setattr(type(model), "ds_de",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    with pytest.raises(RangeError, match="temperature 1e-20 unreachable"):
+        MatterModel.energy_at_temperature(model, 1e-20, Parameters([1.0]), Composition([1.0]))
+    assert 0 < len(calls) <= 40
+
+
+def test_volume_at_pressure_starts_at_the_ideal_gas_volume_in_si_units(monkeypatch):
+    # the search starts from one evaluated pressure, V0 p(V0) / p, which
+    # carries k_B: 1e20 particles at 300 K and 1e5 Pa take at most 3 states
+    gas = masked(ideal_gas_model(3.0, kb=KB_SI), hide=("volume_at_pressure",))
+    calls = []
+    real = type(gas).energy_at_temperature
+    monkeypatch.setattr(type(gas), "energy_at_temperature",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    got = gas.volume_at_pressure(300.0, 1e5, Composition([1e20]))
+    assert got == pytest.approx(KB_SI * 1e20 * 300.0 / 1e5, rel=1e-14, abs=0.0)
+    assert len(calls) <= 3
+
+
 def test_bracketed_inversion_tolerance_is_relative_to_the_entropy():
     # at n = 1e6 the entropy is about 1.3e6, and rounding alone leaves the
     # bracket's root about 2e-9 from it: above 1e-10, within 1e-10 * |S|

@@ -1,6 +1,6 @@
 """The shared root finder: Brent's method checked against scipy's ``brentq``
-as an independent oracle, the bracket expansion, the search in a distance
-from an origin, and every inversion site driven through its generic path.
+as an independent oracle, the search in a distance from an origin and its
+bracket, and every inversion site driven through its generic path.
 Also what the runtime imports: never scipy, and no numpy on the scalar CLI
 jobs."""
 
@@ -24,7 +24,6 @@ from entrokit.roots import (
     MAX_EXPANSIONS,
     RTOL_MIN,
     brentq,
-    expand_bracket,
     increasing_root,
 )
 from entrokit.stoichiometry import Composition, ReactionNetwork
@@ -128,36 +127,31 @@ def test_brentq_nan_raises_domain_error():
         brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0)
 
 
-def test_expand_bracket_steps_geometrically_from_origin():
-    f = Counted(lambda x: x - 100.0)
-    assert expand_bracket(f, 1.0, -1.0, 0.0) == (512.0, 412.0)
-    assert f.xs == [1.0, 8.0, 64.0, 512.0]
+def test_increasing_root_steps_geometrically_from_its_start():
+    f = Counted(lambda d: d - 100.0)
+    assert increasing_root(f, 1.0)[0] == pytest.approx(100.0, rel=1e-14, abs=0.0)
+    assert f.xs[:4] == [1.0, 8.0, 64.0, 512.0]
+    assert all(64.0 <= d <= 512.0 for d in f.xs[4:])
     # shrinking toward the origin
-    g = Counted(lambda t: 1e-3 - t)
-    t, g_t = expand_bracket(g, 0.125, -1.0, 0.0, factor=0.125)
-    assert t == 0.125 ** 4 and g_t > 0.0
+    g = Counted(lambda d: d - 1e-3)
+    assert increasing_root(g, 0.125)[0] == pytest.approx(1e-3, rel=1e-14, abs=0.0)
+    assert g.xs[:4] == [0.125 ** k for k in range(1, 5)]
 
 
-def test_expand_bracket_limits_raise_range_error():
-    never = Counted(lambda x: -1.0)
-    with pytest.raises(RangeError):
-        expand_bracket(never, 1.0, -1.0, 0.0, factor=1.5)
-    assert len(never.xs) == MAX_EXPANSIONS
-    f = Counted(lambda x: -1.0)
-    with pytest.raises(RangeError):
-        expand_bracket(f, 1.0, -1.0, 0.0, limit=100.0)
+def test_increasing_root_limits_raise_range_error():
+    never = Counted(lambda d: -1.0)
+    with pytest.raises(RangeError, match="expansions"):
+        increasing_root(never, 1.0)
+    assert len(never.xs) == 1 + MAX_EXPANSIONS
+    f = Counted(lambda d: -1.0)
+    with pytest.raises(RangeError, match="limit"):
+        increasing_root(f, 1.0, limit=100.0)
     assert f.xs == [1.0, 8.0, 64.0, 100.0]
-
-
-def test_expand_bracket_closes_in_on_a_limit_at_its_origin():
-    # from either side the distance to the limit shrinks 8-fold, until x
-    # lands on the limit itself
-    for x, end in ((0.5, 1.0), (-0.5, -1.0), (3.0, 2.0)):
-        f = Counted(lambda y: -1.0)
-        with pytest.raises(RangeError):
-            expand_bracket(f, x, -1.0, end, factor=0.125, limit=end)
-        assert f.xs[:3] == [x, end + (x - end) / 8, end + (x - end) / 64]
-        assert f.xs[-1] == end and len(f.xs) <= 21
+    # a start at the limit is evaluated once
+    g = Counted(lambda d: -1.0)
+    with pytest.raises(RangeError, match="limit"):
+        increasing_root(g, 200.0, limit=100.0)
+    assert g.xs == [100.0]
 
 
 @pytest.mark.parametrize("root", [1e-30, 1e-7, 0.3, 42.0, 1e30])
@@ -193,8 +187,8 @@ def test_increasing_root_refuses_at_its_limit_and_after_its_expansions():
         increasing_root(lambda d: math.nan, 1.0)
 
 
-#: The root finder's two pieces, which only ``increasing_root`` and the
-#: reaction affinity's own bracket put together.
+#: Names of a bracket search, Brent's method and a bracket expansion, which
+#: no module but ``roots`` may use.
 BRACKET_PIECES = {"expand_bracket", "brentq"}
 
 
@@ -217,12 +211,12 @@ def _bracket_users(source: str) -> set:
     return users
 
 
-def test_only_the_affinity_root_builds_its_own_bracket():
-    # every other inversion is one call of increasing_root
+def test_no_module_outside_roots_builds_a_bracket():
+    # every inversion, the reaction affinity's too, is one call of increasing_root
     users = {(path.stem, owner)
              for path in sorted((SRC / "entrokit").glob("*.py")) if path.name != "roots.py"
              for owner in _bracket_users(path.read_text())}
-    assert users == {("equilibrium", "_affinity_root")}
+    assert users == set()
     # the guard sees calls in methods, in nested functions, through a module
     # attribute and under an alias
     sample = ("from .roots import brentq as solve\n"
