@@ -1,6 +1,9 @@
 """Scenario-driven command line: validate configs, run measurements,
 equilibrations, tabulations and the theorem suite, emit CSV.
 
+Jobs write energies, entropies, pressures and potentials times
+``Scenario.kb``; residuals, the theorem suite and messages stay in k_B units.
+
 Exit codes: 0 ok, 1 theorem-suite failures, 2 parse, 3 integrity/schema,
 4 domain or range, 5 non-convergence.
 """
@@ -93,7 +96,7 @@ def _run_measure(scn: Scenario, pair_name: str, outdir: Path) -> None:
     _, st2 = build_state(scn, decl["to"])
     model = build_model(scn, sys_name)
     reservoir = build_reservoir(scn, decl["reservoir"])
-    delta_s = measure_entropy_difference(model, st1, st2, reservoir)
+    delta_s = scn.kb * measure_entropy_difference(model, st1, st2, reservoir)
     write_csv(
         outdir / f"measure_{pair_name}.csv",
         ["pair", "from", "to", "reservoir", "T_R", "delta_S"],
@@ -110,17 +113,17 @@ def _run_schedule_cmd(scn: Scenario, sched_name: str, outdir: Path) -> None:
     _, st0 = build_state(scn, decl["start"])
     reservoir = build_reservoir(scn, decl["reservoir"])
     schedule = build_schedule_steps(scn, sched_name)
-    record = run_schedule(model, st0, reservoir, schedule)
+    record, kb = run_schedule(model, st0, reservoir, schedule), scn.kb
+    work, sigma = kb * record.work, kb * record.sigma_gen
     write_csv(
         outdir / f"schedule_{sched_name}.csv",
         ["schedule", "E_initial", "V_initial", "E_final", "V_final",
          "dE_res", "work", "sigma_gen", "reversible"],
-        [[sched_name, record.initial.energy, record.initial.params.volume,
-          record.final.energy, record.final.params.volume,
-          record.d_e_res, record.work, record.sigma_gen, record.reversible]],
+        [[sched_name, kb * record.initial.energy, record.initial.params.volume,
+          kb * record.final.energy, record.final.params.volume,
+          kb * record.d_e_res, work, sigma, record.reversible]],
     )
-    print(f"schedule {sched_name}: work = {record.work:.9g}, "
-          f"sigma = {record.sigma_gen:.3g}")
+    print(f"schedule {sched_name}: work = {work:.9g}, sigma = {sigma:.3g}")
 
 
 @_quiet_numpy
@@ -129,20 +132,20 @@ def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
 
     prob = build_problem(scn, prob_name)
     sol = stable_equilibrium(prob)
-    residual = equilibrium_residual(sol, prob)
+    residual, kb = equilibrium_residual(sol, prob), scn.kb
     n_se = [x for st in sol.states for x in st.comp.amounts]
     eps = sol.eps_se.epsilon
-    pressures = [pressure_of(m, st) for m, st in zip(prob.models, sol.states)]
+    pressures = [kb * pressure_of(m, st) for m, st in zip(prob.models, sol.states)]
     header = (["problem", "S_se", "T"]
               + [f"eps_{i}" for i in range(eps.shape[0])]
               + [f"n_{i}" for i in range(len(n_se))]
               + [f"p_{i}" for i in range(len(pressures))]
               + ["kkt_residual", "fd_residual", "boundary", "degenerate"])
-    row = ([prob_name, sol.entropy, sol.temperature]
+    row = ([prob_name, kb * sol.entropy, sol.temperature]
            + [float(x) for x in eps] + n_se + pressures
            + [sol.kkt_residual, residual, sol.boundary, sol.degenerate])
     write_csv(outdir / f"equilibrium_{prob_name}.csv", header, [row])
-    print(f"equilibrate {prob_name}: S_se = {sol.entropy:.9g}, T = {sol.temperature:.9g}")
+    print(f"equilibrate {prob_name}: S_se = {kb * sol.entropy:.9g}, T = {sol.temperature:.9g}")
 
 
 @_quiet_numpy
@@ -159,12 +162,12 @@ def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
     header = (["E"] + [f"n0_{i}" for i in range(r)] + ["V", "S_se"]
               + [f"eps_{i}" for i in range(tau)] + ["T", "p"]
               + [f"mu_{i}" for i in range(r)] + ["status"])
-    out_rows = []
+    out_rows, kb = [], scn.kb
     for row in rows:
         eps = list(row.eps) + [float("nan")] * (tau - len(row.eps))
-        mu = list(row.mu) + [float("nan")] * (r - len(row.mu))
-        out_rows.append([row.energy, *row.n0, row.volume, row.entropy, *eps,
-                         row.temperature, row.pressure, *mu, row.status])
+        mu = [kb * x for x in row.mu] + [float("nan")] * (r - len(row.mu))
+        out_rows.append([kb * row.energy, *row.n0, row.volume, kb * row.entropy, *eps,
+                         row.temperature, kb * row.pressure, *mu, row.status])
     write_csv(outdir / f"table_{table_name}.csv", header, out_rows)
     gaps = sum(1 for row in rows if row.status != "ok")
     print(f"tabulate {table_name}: {len(rows)} points, {gaps} gaps")
@@ -177,7 +180,8 @@ def _run_decorrelate(scn: Scenario, joint_name: str, outdir: Path,
     decl = scn.joints[joint_name]
     joint_path = scenario_path.parent / decl["file"]  # an absolute path stays as it is
     joint = load_joint_csv(joint_path)
-    h, h_a, h_b, sigma = joint_entropies(joint)
+    # the joint file's energies pass through in its own units
+    h, h_a, h_b, sigma = (scn.kb * x for x in joint_entropies(joint))
     write_csv(
         outdir / f"decorrelate_{joint_name}.csv",
         ["joint", "sigma", "H_joint", "H_A", "H_B", "energy"],
@@ -236,8 +240,6 @@ def cmd_run(args) -> int:
     scn = _load(args.scenario)
     if scn is None:
         return EXIT_PARSE
-    if args.units:  # before validation, which checks the states in these units
-        scn.units = args.units
     issues = _issues(scn)
     if issues:
         for issue in issues:
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--seed", type=_seed, default=None)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--units", choices=("reduced", "si"), default=None)
     p_run.add_argument("--measure-entropy", action="append", default=[],
                        metavar="PAIR")
     p_run.add_argument("--run-schedule", action="append", default=[],

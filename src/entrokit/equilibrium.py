@@ -467,9 +467,9 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
     at the amounts n(lam, T) where dS/dn at fixed E is A^T lam, which each
     model's ``log_amounts`` hook gives.  The rows of A span the combinations
     of constituents the network conserves.  g is convex, with gradient
-    (A n0 - A n, E - E(n, T)) and Hessian sum_k n_k w_k w_k^T / k_B, plus
-    C T^2 in its (beta, beta) entry, where w_k = (A_k, u_k), u_k = k_B T
-    dln n_k/dln T is dE/dn_k at fixed T, and C = dE/dT at fixed amounts.
+    (A n0 - A n, E - E(n, T)) and Hessian sum_k n_k w_k w_k^T, plus C T^2 in
+    its (beta, beta) entry, where w_k = (A_k, u_k), u_k = T dln n_k/dln T is
+    dE/dn_k at fixed T, and C = dE/dT at fixed amounts.
     Newton steps backtrack on g, and the full step is taken once the
     predicted decrease falls below the rounding of g; that step ends the
     iteration.
@@ -519,15 +519,14 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
     target = np.maximum(n0, 1e-3 * n0.max())[free]
     at_zero = np.concatenate([m.log_amounts(t0, p, np.zeros(sl.stop - sl.start))[0]
                               for m, p, sl in zip(models, params, slices)])[free]
-    kb = np.concatenate([np.full(sl.stop - sl.start, m.kb) for m, sl in zip(models, slices)])
-    lam, *_ = np.linalg.lstsq(a.T, kb[free] * (at_zero - np.log(target)), rcond=None)
+    lam, *_ = np.linalg.lstsq(a.T, at_zero - np.log(target), rcond=None)
     beta = 1.0 / t0
     here = at(lam, beta)
     failure = f"iteration budget {max_iter} exhausted"
     for it in range(1, max_iter + 1):
         g, grad, n, comps, t, dlog = here
-        w = np.vstack([a, kb[free] * t * dlog[free]])
-        hess = (w * (n[free] / kb[free])) @ w.T
+        w = np.vstack([a, t * dlog[free]])
+        hess = (w * n[free]) @ w.T
         hess[-1, -1] += t * t * sum(
             _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
                        [t], step=H_REL * t)[0]

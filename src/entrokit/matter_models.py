@@ -2,9 +2,10 @@
 
 A model supplies a fundamental relation S(E, beta, n) over its stable
 equilibrium states.  Built in: the classical ideal gas and ideal-gas mixture
-in reduced units (k_B = 1; SI mode applies the single multiplicative constant
-k_B), and the thermal reservoir.  Temperature, inverse relations and
-derivatives are derived from the relation itself.
+in reduced units (k_B = 1: energies, pressures and potentials are their SI
+values over k_B, and entropies pure numbers; ``scenario`` alone reads SI), and
+the thermal reservoir.  Temperature, inverse relations and derivatives are
+derived from the relation itself.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from operator import mul
 from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
 from .roots import increasing_root
 from .stoichiometry import TOL_NEG, Composition, _float_vector
-
-#: Boltzmann constant used in SI units mode (J/K); reduced mode uses 1.
-KB_SI = 1.380649e-23
 
 #: Smallest admissible thermal energy above the ground bound (log singularity).
 GROUND_EPS = 1e-12
@@ -150,9 +148,8 @@ class MatterModel:
     def log_amounts(self, temperature, params, potentials) -> tuple:
         """The amounts at which dS/dn at fixed (E, beta) equals ``potentials``
         at the given temperature, in closed form: (ln n, dln n/dln T), tuples
-        of one float per constituent, with dln n_k/d potentials_k = -1/k_B (the
-        model's attribute ``kb``).  Equilibrium over several independent
-        reactions needs it."""
+        of one float per constituent, with dln n_k/d potentials_k = -1.
+        Equilibrium over several independent reactions needs it."""
         raise NotImplementedError(
             f"{type(self).__name__} has no log_amounts hook, which equilibrium "
             f"over several independent reactions needs")
@@ -233,16 +230,15 @@ class MatterModel:
 
     def volume_at_pressure(self, temperature: float, pressure: float, comp) -> float:
         """Volume of the state at temperature T and pressure p = T dS/dV:
-        searched, as the pressure falls while the volume grows, from
-        V0 p(V0) / p with V0 = n T / p, the ideal gas's volume in any units."""
+        searched, as the pressure falls while the volume grows, from the
+        ideal gas's volume n T / p."""
         def pressure_at(v: float) -> float:
             params = Parameters([v])
             energy = self.energy_at_temperature(temperature, params, comp)
             return temperature * self.ds_dv(energy, params, comp)
 
-        v0 = comp.total * temperature / pressure
         return increasing_root(lambda v: pressure - pressure_at(v),
-                               v0 * pressure_at(v0) / pressure)[0]
+                               comp.total * temperature / pressure)[0]
 
 
 @dataclass(frozen=True)
@@ -268,28 +264,25 @@ class Species:
 class IdealGasMixture(MatterModel):
     """Ideal-gas mixture in a single region of volume V.
 
-    S(E, V, n) = kB * sum_k n_k [ (dof_k/2) ln((dof_k/2) kB T / 1) + ln(V/n_k) + s0_k ]
-    with T = 2 (E - sum_k n_k e0_k) / (kB sum_k dof_k n_k).  For one species
-    with e0 = s0 = 0 and kB = 1 this reduces to
-    S(E, V, n) = n [ (dof/2) ln(E/n) + ln(V/n) ].
+    S(E, V, n) = sum_k n_k [ (dof_k/2) ln((dof_k/2) T) + ln(V/n_k) + s0_k ]
+    with T = 2 (E - sum_k n_k e0_k) / (sum_k dof_k n_k).  For one species
+    with e0 = s0 = 0 this reduces to S(E, V, n) = n [ (dof/2) ln(E/n) + ln(V/n) ].
 
-    With c_k = (dof_k/2) ln((dof_k/2) kB) + s0_k the relation reads
-    S = kB [ sum_{n_k > 0} n_k (c_k - ln n_k) + (dof . n / 2) ln T + n ln V ],
+    With c_k = (dof_k/2) ln(dof_k/2) + s0_k the relation reads
+    S = sum_{n_k > 0} n_k (c_k - ln n_k) + (dof . n / 2) ln T + n ln V,
     so every method needs only three sums over the composition: e0 . n,
     dof . n and the sum over c_k.  ``_sums`` checks the composition and
     computes them, in plain floats, and keeps them for the last amounts it
     saw; a call with equal amounts reuses them.
     """
 
-    def __init__(self, species, kb: float = 1.0):
+    def __init__(self, species):
         self.species = tuple(species)
         if not self.species:
             raise ValueError("mixture needs at least one species")
-        self.kb = float(kb)
         self._dof = tuple(s.dof for s in self.species)
         self._e0 = tuple(s.e0 for s in self.species)
-        self._c = tuple(0.5 * s.dof * math.log(0.5 * s.dof * self.kb) + s.s0
-                        for s in self.species)
+        self._c = tuple(0.5 * s.dof * math.log(0.5 * s.dof) + s.s0 for s in self.species)
         self._memo = (None, None)  # (amounts, their sums), swapped as one
 
     @property
@@ -302,7 +295,7 @@ class IdealGasMixture(MatterModel):
             raise DomainError(
                 f"composition has {len(n)} entries, model has {len(self.species)} species"
             )
-        if not self.kb * total > 0.0:  # k_B n may underflow in SI units
+        if not total > 0.0:
             raise DomainError("composition is empty")
         return sum(map(mul, self._e0, n)), sum(map(mul, self._dof, n))
 
@@ -330,7 +323,7 @@ class IdealGasMixture(MatterModel):
 
     def temperature_closed_form(self, energy: float, comp: Composition) -> float:
         e0n, dn, _ = self._sums(comp)
-        return 2.0 * (energy - e0n) / (self.kb * dn)
+        return 2.0 * (energy - e0n) / dn
 
     def _positive_temperature(self, energy: float, e0n: float, dn: float) -> float:
         e_th = energy - e0n
@@ -338,7 +331,7 @@ class IdealGasMixture(MatterModel):
             raise DomainError(
                 f"thermal energy {e_th:.6g} at or below the ground bound"
             )
-        t = 2.0 * e_th / (self.kb * dn)
+        t = 2.0 * e_th / dn
         if t == 0.0:  # dof . n overflowed, or the quotient underflowed
             raise DomainError(f"no positive temperature at thermal energy {e_th:.6g}")
         return t
@@ -347,14 +340,14 @@ class IdealGasMixture(MatterModel):
         e0n, dn, cn = self._sums(comp)
         v = self._check_volume(params)
         t = self._positive_temperature(energy, e0n, dn)
-        return self.kb * (cn + 0.5 * dn * math.log(t) + comp.total * math.log(v))
+        return cn + 0.5 * dn * math.log(t) + comp.total * math.log(v)
 
     def evaluate(self, energy, params, comp) -> tuple[float, float]:
         # the checks of validate, and T from the sums the relation reads
         e0n, dn, _ = self._sums(comp)
         _check_energy(energy, e0n + GROUND_EPS)
         entropy = self.entropy(energy, params, comp)
-        return 2.0 * (energy - e0n) / (self.kb * dn), entropy
+        return 2.0 * (energy - e0n) / dn, entropy
 
     def ds_de(self, energy, params, comp) -> float:
         self._check_volume(params)
@@ -362,7 +355,7 @@ class IdealGasMixture(MatterModel):
 
     def ds_dv(self, energy, params, comp) -> float:
         self._sums(comp)
-        return self.kb * comp.total / self._check_volume(params)
+        return comp.total / self._check_volume(params)
 
     #: stand-in slope for d(n ln n)/dn at n = 0, where the true slope diverges;
     #: large but finite so downstream linear algebra stays well defined
@@ -370,9 +363,9 @@ class IdealGasMixture(MatterModel):
 
     def _slopes(self, n, t: float, log_v: float) -> list:
         """dS/dn_k at the amounts n, temperature t and ln V, in floats."""
-        log_t, kb = math.log(t), self.kb
+        log_t = math.log(t)
         return [
-            kb * (c + 0.5 * dof * (log_t - 1.0) + log_v - math.log(nk) - 1.0) - e0 / t
+            c + 0.5 * dof * (log_t - 1.0) + log_v - math.log(nk) - 1.0 - e0 / t
             if nk > 0.0 else self.LN_DIVERGENCE_CAP
             for nk, dof, c, e0 in zip(n, self._dof, self._c, self._e0)
         ]
@@ -398,39 +391,39 @@ class IdealGasMixture(MatterModel):
         return sum(map(mul, direction, self._slopes(n, t, log_v)))
 
     def log_amounts(self, temperature, params, potentials) -> tuple:
-        # dS/dn_k = k_B (c_k - 1 - ln n_k + (dof_k/2)(ln T - 1) + ln V) - e0_k/T,
+        # dS/dn_k = c_k - 1 - ln n_k + (dof_k/2)(ln T - 1) + ln V - e0_k/T,
         # solved for ln n_k
         if not temperature > 0.0:
             raise DomainError("temperature must be positive")
         log_t, log_v = math.log(temperature), math.log(self._check_volume(params))
-        kb, species = self.kb, tuple(zip(self._c, self._dof, self._e0))
-        log_n = tuple(c - 1.0 + 0.5 * dof * (log_t - 1.0) + log_v - (e0 / temperature + mu) / kb
+        species = tuple(zip(self._c, self._dof, self._e0))
+        log_n = tuple(c - 1.0 + 0.5 * dof * (log_t - 1.0) + log_v - (e0 / temperature + mu)
                       for (c, dof, e0), mu in zip(species, map(float, potentials), strict=True))
-        return log_n, tuple(0.5 * dof + e0 / (kb * temperature) for _, dof, e0 in species)
+        return log_n, tuple(0.5 * dof + e0 / temperature for _, dof, e0 in species)
 
     def invert_entropy(self, entropy, params, comp, tol=TOL_INV) -> float:
         e0n, dn, cn = self._sums(comp)
         v = self._check_volume(params)
-        log_t = (entropy / self.kb - cn - comp.total * math.log(v)) / (0.5 * dn)
+        log_t = (entropy - cn - comp.total * math.log(v)) / (0.5 * dn)
         try:
             t = math.exp(log_t)
         except OverflowError:
             raise RangeError(f"entropy {entropy:.6g} beyond any finite energy") from None
-        return e0n + 0.5 * dn * self.kb * t
+        return e0n + 0.5 * dn * t
 
     def energy_at_temperature(self, temperature, params, comp) -> float:
         e0n, dn, _ = self._sums(comp)
         if temperature <= 0:
             raise DomainError("temperature must be positive")
-        return e0n + 0.5 * dn * self.kb * temperature
+        return e0n + 0.5 * dn * temperature
 
     def volume_on_isentrope(self, entropy, temperature, params, comp) -> float:
         _, dn, cn = self._sums(comp)
-        if not 0.5 * self.kb * temperature > 0.0:  # k_B T may underflow in SI units
+        if not temperature > 0.0:
             raise DomainError("temperature must be positive")
         const = cn + 0.5 * dn * math.log(temperature)
         try:
-            v = math.exp((entropy / self.kb - const) / comp.total)
+            v = math.exp((entropy - const) / comp.total)
         except OverflowError:
             raise RangeError(f"entropy {entropy:.6g} at temperature {temperature:.6g} "
                              f"needs a volume beyond any finite one") from None
@@ -441,19 +434,17 @@ class IdealGasMixture(MatterModel):
 
     def volume_at_pressure(self, temperature, pressure, comp) -> float:
         self._sums(comp)
-        return self.kb * temperature * comp.total / pressure
+        return temperature * comp.total / pressure
 
 
-def ideal_gas_model(dof_per_particle: float, kb: float = 1.0) -> IdealGasMixture:
+def ideal_gas_model(dof_per_particle: float) -> IdealGasMixture:
     """Single-species ideal gas with the given degrees of freedom."""
-    if dof_per_particle < 1:
-        raise ValueError("dof must be at least 1")
-    return IdealGasMixture([Species("gas", dof_per_particle)], kb=kb)
+    return IdealGasMixture([Species("gas", dof_per_particle)])
 
 
 @dataclass(frozen=True)
 class ThermalReservoir:
-    """Fixed-temperature energy sink with a finite admissible energy range.
+    """Fixed-temperature energy sink with an admissible energy range.
 
     All its stable equilibrium states share the temperature, so its entropy
     change in any exchange is dE / temperature.
@@ -479,7 +470,7 @@ def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalR
     """Move energy into (positive) or out of (negative) a reservoir.
 
     Returns the updated reservoir; raises RangeExceeded rather than leaving
-    the finite admissible range.
+    the admissible range.
     """
     new_energy = reservoir.energy + d_energy
     if not reservoir.e_min <= new_energy <= reservoir.e_max:

@@ -131,8 +131,7 @@ class ReferenceEnvironment:
 
     @cached_property
     def _reservoir(self) -> ThermalReservoir:
-        width = 1e9 * max(1.0, self.t0)
-        return ThermalReservoir(self.t0, 0.0, -width, width)
+        return ThermalReservoir(self.t0, 0.0, -math.inf, math.inf)
 
     def decompose(self, comp: Composition) -> tuple[tuple, tuple]:
         """Elemental content w and reaction coordinates eps forming ``comp``,

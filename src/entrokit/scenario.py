@@ -7,7 +7,9 @@ A value is whitespace-separated tokens (numbers, fractions like 3/2, or
 words); ';' separates the rows of a matrix or the steps of a schedule.
 Tokens are kept as written; ``SCHEMA`` says what every key of every section
 holds, and validation and the builders both read keys through it.  The exact
-grammar is documented in the README.
+grammar is documented in the README.  Only here are SI values read: ``_get``
+divides what ``SCHEMA`` marks as an energy or a pressure by k_B, and
+``build_model`` shifts each s0, so the core runs in reduced units (k_B = 1).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from functools import partial
 
 from .errors import DomainError, ParseError, RangeExceeded
 from .matter_models import (
-    KB_SI,
     IdealGasMixture,
     Parameters,
     Species,
@@ -30,6 +31,9 @@ from .matter_models import (
 from .process_engine import DirectContact, Isentropic, IsothermalContact, Schedule
 from .stoichiometry import Composition, ReactionNetwork, validate_elemental_set
 
+#: Boltzmann constant (J/K), by which an SI file's energies and pressures are divided.
+KB_SI = 1.380649e-23
+
 
 @dataclass(frozen=True)
 class Spec:
@@ -37,7 +41,8 @@ class Spec:
     on its numbers or names (a key of ``_CHECKS``), the words it may be, its
     shape ('species': one entry, in each row, per species of the system the
     section declares or names; or a fixed count), its default (repeated per
-    species then), and the kind of section, or 'constituent', it refers to."""
+    species then), the kind of section, or 'constituent', it refers to, and
+    its 'energy' or 'pressure' unit (a schedule's in its heat= and energy=)."""
 
     type: str
     check: str | None = None
@@ -46,6 +51,7 @@ class Spec:
     default: object = None
     required: bool = False
     ref: str | None = None
+    unit: str | None = None
 
 
 SCHEMA = {
@@ -56,17 +62,17 @@ SCHEMA = {
     "network": {"nu": Spec("rows", required=True), "names": Spec("words")},
     "system": {"species": Spec("words", check="distinct", ref="constituent"),
                "dof": Spec("numbers", check="at least 1", shape="species", default=3.0),
-               "e0": Spec("numbers", shape="species", default=0.0),
+               "e0": Spec("numbers", shape="species", default=0.0, unit="energy"),
                "s0": Spec("numbers", shape="species", default=0.0),
                "amounts": Spec("numbers", check="non-negative", shape="species",
                                default=1.0),
                "volume": Spec("number", check="positive", default=1.0)},
     "reservoir": {"temperature": Spec("number", check="positive", required=True),
-                  "energy": Spec("number", default=0.0),
-                  "range": Spec("numbers", shape=2, default=(-1e9, 1e9))},
+                  "energy": Spec("number", default=0.0, unit="energy"),
+                  "range": Spec("numbers", shape=2, default=(-1e9, 1e9), unit="energy")},
     # a state without volume or amounts takes its system's
     "state": {"system": Spec("word", required=True, ref="system"),
-              "energy": Spec("number", required=True),
+              "energy": Spec("number", required=True, unit="energy"),
               "volume": Spec("number", check="positive"),
               "amounts": Spec("numbers", check="non-negative", shape="species")},
     "pair": {"from": Spec("word", required=True, ref="state"),
@@ -75,19 +81,20 @@ SCHEMA = {
     "schedule": {"system": Spec("word", required=True, ref="system"),
                  "start": Spec("word", required=True, ref="state"),
                  "reservoir": Spec("word", required=True, ref="reservoir"),
-                 "steps": Spec("steps", required=True)},
+                 "steps": Spec("steps", required=True, unit="energy")},
     "equilibrium": {"systems": Spec("words", required=True, ref="system"),
-                    "energy": Spec("number", required=True),
+                    "energy": Spec("number", required=True, unit="energy"),
                     "reactive": Spec("flag", default=False)},
     "reference_env": {"basis": Spec("word", required=True, ref="system"),
                       "elemental": Spec("words", check="distinct", required=True),
                       "temperature": Spec("number", check="positive", required=True),
-                      "pressure": Spec("number", check="positive", required=True),
+                      "pressure": Spec("number", check="positive", required=True,
+                                       unit="pressure"),
                       "convention": Spec("word", choices=("chemical", "natural"),
                                          default="chemical")},
     "table": {"system": Spec("word", required=True, ref="system"),
               "env": Spec("word", required=True, ref="reference_env"),
-              "energies": Spec("numbers", required=True),
+              "energies": Spec("numbers", required=True, unit="energy"),
               "volumes": Spec("numbers", check="positive", required=True),
               "compositions": Spec("rows", check="non-negative", shape="species",
                                    required=True),
@@ -297,11 +304,24 @@ def _typed(kind: str, entries: dict, key: str, n_species: int | None = None):
     raise ParseError(f"'{key}' {problem}, got '{_fmt_value(raw)}'")
 
 
+def _reduced(key: str, spec: Spec, value):
+    """An SI energy or pressure (a schedule's heat= and energy=) over k_B;
+    ParseError for a quotient that overflows."""
+    def divide(x: float) -> float:
+        if not math.isfinite(x / KB_SI):
+            raise ParseError(f"'{key}' holds {x:.6g}, which has no finite value in reduced units")
+        return x / KB_SI
+    if spec.type == "steps":
+        return [(op, k, v if k == "volume" else divide(v)) for op, k, v in value]
+    # a per-species default stays one number while the species are unreadable
+    return [divide(x) for x in value] if isinstance(value, (list, tuple)) else divide(value)
+
+
 def _get(scn: Scenario, kind: str, name: str, key: str, memo: dict | None = None):
-    """Typed value of ``key`` in the declaration ``name`` of ``kind``: the one
-    accessor validation and the builders read declarations through.
-    ``memo`` keeps the typed values, keyed by (kind, name, key), across the
-    calls sharing it."""
+    """Typed value of ``key`` in the declaration ``name`` of ``kind``, in
+    reduced units: the one accessor validation and the builders read
+    declarations through.  ``memo`` keeps the typed values, keyed by
+    (kind, name, key), across the calls sharing it."""
     if memo is not None and (kind, name, key) in memo:
         return memo[kind, name, key]
     decl = getattr(scn, _BUCKETS[kind])[name]
@@ -315,6 +335,8 @@ def _get(scn: Scenario, kind: str, name: str, key: str, memo: dict | None = None
         except (KeyError, ParseError):
             pass
     value = _typed(kind, decl, key, n_species)
+    if scn.units == "si" and SCHEMA[kind][key].unit:
+        value = _reduced(key, SCHEMA[kind][key], value)
     if memo is not None:
         memo[kind, name, key] = value
     return value
@@ -361,9 +383,12 @@ def _start(scn: Scenario, system_name: str, state_name: str | None = None, memo=
 
 
 def build_model(scn: Scenario, system_name: str, memo=None) -> IdealGasMixture:
+    """The system's mixture, each s0 plus (dof/2) ln k_B (0 unless in SI units)."""
     get = partial(_get, scn, "system", system_name, memo=memo)
+    log_kb = math.log(scn.kb)
     species = zip(get("species"), get("dof"), get("e0"), get("s0"))
-    return IdealGasMixture([Species(*sp) for sp in species], kb=scn.kb)
+    return IdealGasMixture([Species(nm, dof, e0, s0 + 0.5 * dof * log_kb)
+                            for nm, dof, e0, s0 in species])
 
 
 def build_reservoir(scn: Scenario, name: str, memo=None) -> ThermalReservoir:
@@ -401,7 +426,7 @@ def build_reference_env(scn: Scenario, env_name: str):
     get = partial(_get, scn, "reference_env", env_name)
     basis = build_model(scn, get("basis"))
     elemental = tuple(basis.names.index(nm) for nm in get("elemental"))
-    species_models = tuple(IdealGasMixture([basis.species[i]], kb=scn.kb) for i in elemental)
+    species_models = tuple(IdealGasMixture([basis.species[i]]) for i in elemental)
     maker = (ReferenceEnvironment.chemical_convention if get("convention") == "chemical"
              else ReferenceEnvironment.natural_convention)
     return maker(basis.names, elemental, scn.network, species_models,
@@ -503,10 +528,17 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
                 integrity(name, f"elemental set not independent: reactions "
                                 f"{report.violating_reactions} live on the set")
 
+    models = {}
+    for name in scn.systems:
+        try:
+            models[name] = build_model(scn, name, memo)
+        except ValueError as exc:  # an SI s0 whose shift overflows
+            schema(name, f"'s0' in reduced units: {exc}")
     for name in scn.states:
         system_name, st = build_state(scn, name, memo)
         try:
-            entropy_of(build_model(scn, system_name, memo), st)
+            if system_name in models:  # else its s0 is reported
+                entropy_of(models[system_name], st)
         except DomainError as exc:
             integrity(name, f"state outside model domain: {exc}")
     return issues

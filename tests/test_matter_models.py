@@ -12,7 +12,6 @@ from entrokit.equilibrium import pressure_of
 from entrokit.errors import DomainError, NegativeAmount, RangeError, RangeExceeded
 from entrokit.stoichiometry import Composition
 from entrokit.matter_models import (
-    KB_SI,
     IdealGasMixture,
     MatterModel,
     Parameters,
@@ -193,19 +192,6 @@ def test_composite_energy_adds_for_uncorrelated_subsystems():
     assert sum(p.energy for p in parts) == pytest.approx(4.7, abs=0.0)
 
 
-def test_si_units_mode_scales_entropy_by_boltzmann_constant():
-    from entrokit.matter_models import KB_SI
-
-    si_gas = ideal_gas_model(3.0, kb=KB_SI)
-    st0 = state(1.5, 1.0, [1.0])
-    s_red = entropy_of(GAS3, st0)
-    s_si = entropy_of(si_gas, st0)
-    assert s_si == pytest.approx(KB_SI * s_red, rel=1e-12)
-    assert temperature_of(si_gas, st0) == pytest.approx(
-        temperature_of(GAS3, st0) / KB_SI, rel=1e-12
-    )
-
-
 def test_mixture_closed_form_hooks_match_generic_inversion():
     mix = IdealGasMixture([Species("a", 3), Species("b", 5, e0=-1.0, s0=0.1)])
     comp = Composition([1.2, 0.7])
@@ -228,19 +214,17 @@ DERIVED = {"ds_de": 1e-5, "ds_dv": 1e-5, "ds_dn": 1e-5, "ds_dn_along": 1e-9,
            "volume_on_isentrope": 1e-9, "volume_at_pressure": 1e-9}
 
 
-def _derived_draws(seed, count, kb=1.0):
+def _derived_draws(seed, count, t_unit=1.0, n_unit=1.0):
     """Seeded mixtures of 1-3 species, amounts scaled between 1e-3 and 1e6
-    and volumes between 1e-3 and 1e3, in reduced units; with kb=KB_SI the
-    ground energies are scaled by k_B * 300 K, the temperatures by 300 K and
-    the amounts by 1e18.  With each, the arguments of every derived method
-    at one of its states."""
+    and volumes between 1e-3 and 1e3; the ground energies and temperatures
+    are scaled by ``t_unit`` and the amounts by ``n_unit``.  With each, the
+    arguments of every derived method at one of its states."""
     rng = np.random.default_rng(seed)
-    t_unit, n_unit = (300.0, 1e18) if kb == KB_SI else (1.0, 1.0)
     for _ in range(count):
         k = int(rng.integers(1, 4))
         mix = IdealGasMixture([Species(f"x{j}", rng.uniform(3.0, 7.0),
-                                       rng.uniform(-1.0, 1.0) * kb * t_unit,
-                                       rng.uniform(-1.0, 1.0)) for j in range(k)], kb=kb)
+                                       rng.uniform(-1.0, 1.0) * t_unit,
+                                       rng.uniform(-1.0, 1.0)) for j in range(k)])
         comp = Composition(rng.uniform(0.5, 2.0, k) * 10.0 ** rng.uniform(-3.0, 6.0) * n_unit)
         params = Parameters([10.0 ** rng.uniform(-3.0, 3.0)])
         t = rng.uniform(0.5, 3.0) * t_unit
@@ -255,7 +239,7 @@ def _derived_draws(seed, count, kb=1.0):
             "invert_entropy": (entropy, params, comp),
             "energy_at_temperature": (t, params, comp),
             "volume_on_isentrope": (entropy, t * rng.uniform(0.5, 2.0), params, comp),
-            "volume_at_pressure": (t, kb * t * comp.total / params.volume
+            "volume_at_pressure": (t, t * comp.total / params.volume
                                    * rng.uniform(0.5, 2.0), comp),
         }
 
@@ -263,17 +247,17 @@ def _derived_draws(seed, count, kb=1.0):
 @pytest.mark.parametrize("method", sorted(DERIVED))
 def test_closed_forms_match_the_base_derivations(method):
     # the mixture's closed form against MatterModel's derivation on the same
-    # instance, whose other methods keep their closed forms, in reduced and SI
-    # units; dS/dn may vanish, so its entries also pass within the tolerance
-    # times k_B absolutely
+    # instance, whose other methods keep their closed forms, at unit scales
+    # and at the reduced image of SI draws (T near 300, amounts near 1e18);
+    # dS/dn may vanish, so its entries also pass within the tolerance absolutely
     tol = DERIVED[method]
-    for kb in (1.0, KB_SI):
-        absolute = tol * kb if method.startswith("ds_dn") else 0.0
-        for mix, args in _derived_draws(61, 50, kb):
+    absolute = tol if method.startswith("ds_dn") else 0.0
+    for units in ((1.0, 1.0), (300.0, 1e18)):
+        for mix, args in _derived_draws(61, 50, *units):
             want = getattr(mix, method)(*args[method])
             got = getattr(MatterModel, method)(mix, *args[method])
             assert np.atleast_1d(got) == pytest.approx(np.atleast_1d(want), rel=tol,
-                                                       abs=absolute), kb
+                                                       abs=absolute), units
 
 
 @pytest.mark.parametrize("amount", [1e-6, 1e-9])
@@ -304,16 +288,16 @@ def test_energy_at_temperature_refuses_a_temperature_below_the_ground_bound(monk
     assert 0 < len(calls) <= 40
 
 
-def test_volume_at_pressure_starts_at_the_ideal_gas_volume_in_si_units(monkeypatch):
-    # the search starts from one evaluated pressure, V0 p(V0) / p, which
-    # carries k_B: 1e20 particles at 300 K and 1e5 Pa take at most 3 states
-    gas = masked(ideal_gas_model(3.0, kb=KB_SI), hide=("volume_at_pressure",))
+def test_volume_at_pressure_starts_at_the_ideal_gas_volume(monkeypatch):
+    # the search starts from the ideal gas's volume n T / p: 1e20 particles
+    # at T = 300 and p = 1e5 take at most 3 states
+    gas = masked(ideal_gas_model(3.0), hide=("volume_at_pressure",))
     calls = []
     real = type(gas).energy_at_temperature
     monkeypatch.setattr(type(gas), "energy_at_temperature",
                         lambda self, *args: calls.append(args) or real(self, *args))
     got = gas.volume_at_pressure(300.0, 1e5, Composition([1e20]))
-    assert got == pytest.approx(KB_SI * 1e20 * 300.0 / 1e5, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(1e20 * 300.0 / 1e5, rel=1e-14, abs=0.0)
     assert len(calls) <= 3
 
 
@@ -334,27 +318,26 @@ def test_bracketed_inversion_tolerance_is_relative_to_the_entropy():
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), st.floats(0.2, 5.0),
-       st.floats(0.5, 3.0), st.sampled_from([1.0, KB_SI]))
+       st.floats(0.5, 3.0), st.sampled_from([1.0, 300.0]))
 @settings(max_examples=100, deadline=None)
-def test_log_amounts_inverts_ds_dn(potentials, temperature, volume, kb):
+def test_log_amounts_inverts_ds_dn(potentials, temperature, volume, t_unit):
     # at the amounts the hook gives, and the energy they have at T, dS/dn is
     # the given potentials; d ln n/d ln T matches a central difference
-    t_unit = 300.0 if kb == KB_SI else 1.0
-    mix = IdealGasMixture([Species("a", 3), Species("b", 5, e0=-kb * t_unit, s0=0.1),
-                           Species("c", 6, e0=0.5 * kb * t_unit)], kb=kb)
+    mix = IdealGasMixture([Species("a", 3), Species("b", 5, e0=-t_unit, s0=0.1),
+                           Species("c", 6, e0=0.5 * t_unit)])
     params = Parameters([volume])
     t = temperature * t_unit
-    pot = np.array(potentials) * kb
+    pot = np.array(potentials)
     log_n, dlog = map(np.array, mix.log_amounts(t, params, pot))
     comp = Composition(np.exp(log_n))
     energy = mix.energy_at_temperature(t, params, comp)
-    assert mix.ds_dn(energy, params, comp) == pytest.approx(pot, rel=1e-9, abs=1e-9 * kb)
+    assert mix.ds_dn(energy, params, comp) == pytest.approx(pot, rel=1e-9, abs=1e-9)
     h = 1e-6
     slope = (np.array(mix.log_amounts(t * math.exp(h), params, pot)[0])
              - np.array(mix.log_amounts(t * math.exp(-h), params, pot)[0])) / (2 * h)
     assert dlog == pytest.approx(slope, rel=1e-7, abs=1e-7)
-    # d ln n_k/d potential_k = -1/k_B
-    shifted = np.array(mix.log_amounts(t, params, pot + np.array([kb, 0.0, 0.0]))[0])
+    # d ln n_k/d potential_k = -1
+    shifted = np.array(mix.log_amounts(t, params, pot + np.array([1.0, 0.0, 0.0]))[0])
     assert shifted - log_n == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
 
 
@@ -444,14 +427,14 @@ def test_isentrope_volume_that_underflows_is_a_range_error():
         GAS3.volume_on_isentrope(1e4, 1.0, Parameters([1.0]), Composition([1.0]))
 
 
-def _oracle_terms(dof, e0, s0, kb, energy, volume, n):
+def _oracle_terms(dof, e0, s0, energy, volume, n):
     """The class docstring's relation, one species at a time: the temperature
-    and the per-species terms n_k [(dof_k/2) ln((dof_k/2) kB T) + ln(V/n_k) + s0_k]
+    and the per-species terms n_k [(dof_k/2) ln((dof_k/2) T) + ln(V/n_k) + s0_k]
     split into their three parts, zero for empty species."""
-    t = 2.0 * (energy - e0 @ n) / (kb * (dof @ n))
+    t = 2.0 * (energy - e0 @ n) / (dof @ n)
     live = n > 0.0
     safe = np.where(live, n, 1.0)
-    thermal = np.where(live, n * 0.5 * dof * np.log(0.5 * dof * kb * t), 0.0)
+    thermal = np.where(live, n * 0.5 * dof * np.log(0.5 * dof * t), 0.0)
     spatial = np.where(live, n * np.log(volume / safe), 0.0)
     constant = np.where(live, n * s0, 0.0)
     return t, thermal, spatial, constant
@@ -467,10 +450,9 @@ def _random_mixtures(seed, count):
         n = rng.uniform(0.1, 3.0, k) * (rng.random(k) < 0.7)
         if not n.any():
             n[int(rng.integers(k))] = rng.uniform(0.1, 3.0)
-        kb = KB_SI if i % 2 else 1.0
-        # the thermal energy per unit of dof . n sets kB T / 2
+        # the thermal energy per unit of dof . n sets T / 2
         energy = e0 @ n + rng.uniform(0.05, 5.0) * (dof @ n)
-        yield dof, e0, s0, n, kb, energy, rng.uniform(0.1, 10.0)
+        yield dof, e0, s0, n, energy, rng.uniform(0.1, 10.0)
 
 
 def _close(got, want, scale):
@@ -479,27 +461,27 @@ def _close(got, want, scale):
 
 
 def test_mixture_relation_matches_the_per_species_oracle():
-    for dof, e0, s0, n, kb, energy, volume in _random_mixtures(11, 400):
+    for dof, e0, s0, n, energy, volume in _random_mixtures(11, 400):
         gas = IdealGasMixture([Species(f"x{k}", d, a, b)
-                               for k, (d, a, b) in enumerate(zip(dof, e0, s0))], kb=kb)
+                               for k, (d, a, b) in enumerate(zip(dof, e0, s0))])
         comp, params = Composition(n), Parameters([volume])
-        t, *parts = _oracle_terms(dof, e0, s0, kb, energy, volume, n)
-        s_want = kb * sum(p.sum() for p in parts)
-        s_scale = kb * sum(np.abs(p).sum() for p in parts)
+        t, *parts = _oracle_terms(dof, e0, s0, energy, volume, n)
+        s_want = sum(p.sum() for p in parts)
+        s_scale = sum(np.abs(p).sum() for p in parts)
         e_scale = abs(e0 @ n) + abs(energy)
         assert _close(gas.entropy(energy, params, comp), s_want, s_scale)
         assert _close(gas.invert_entropy(s_want, params, comp), energy, e_scale)
         assert _close(gas.volume_on_isentrope(s_want, t, params, comp), volume, volume)
         assert _close(gas.energy_at_temperature(t, params, comp), energy, e_scale)
         assert _close(gas.ds_de(energy, params, comp), 1.0 / t, 1.0 / t)
-        assert _close(gas.ds_dv(energy, params, comp), kb * n.sum() / volume, 0.0)
+        assert _close(gas.ds_dv(energy, params, comp), n.sum() / volume, 0.0)
         # dS/dn_k of the docstring relation, T depending on n through
-        # E - e0 . n and dof . n: kB [(dof_k/2) ln((dof_k/2) kB T) + ln(V/n_k)
-        # + s0_k - 1 - dof_k/2] - e0_k / T
+        # E - e0 . n and dof . n: (dof_k/2) ln((dof_k/2) T) + ln(V/n_k)
+        # + s0_k - 1 - dof_k/2 - e0_k / T
         live = n > 0.0
         safe = np.where(live, n, 1.0)
-        pieces = [kb * 0.5 * dof * np.log(0.5 * dof * kb * t), kb * np.log(volume / safe),
-                  kb * s0, kb * (1.0 + 0.5 * dof), e0 / t]
+        pieces = [0.5 * dof * np.log(0.5 * dof * t), np.log(volume / safe),
+                  s0, 1.0 + 0.5 * dof, e0 / t]
         mu_want = pieces[0] + pieces[1] + pieces[2] - pieces[3] - pieces[4]
         mu_scale = sum(np.abs(p) for p in pieces)
         for got, want, scale, alive in zip(gas.ds_dn(energy, params, comp), mu_want,
@@ -622,14 +604,14 @@ def _assert_probes_agree(model, energy, params, n0, direction, extent):
     return hook[0]
 
 
-def _water_mixture(kb, t_scale, inert):
+def _water_mixture(t_scale, inert):
     species = [Species("H2", 5.0), Species("O2", 5.0),
-               Species("H2O", 6.0, e0=-2.0 * kb * t_scale, s0=0.3)]
-    return IdealGasMixture(species + [Species("Ar", 3.0, e0=0.3 * kb * t_scale)] * inert, kb=kb)
+               Species("H2O", 6.0, e0=-2.0 * t_scale, s0=0.3)]
+    return IdealGasMixture(species + [Species("Ar", 3.0, e0=0.3 * t_scale)] * inert)
 
 
-@pytest.mark.parametrize("kb, t_scale, scale", [(1.0, 1.0, 1.0), (KB_SI, 300.0, 1e20)])
-def test_ds_dn_along_has_the_bits_of_the_generic_probe(kb, t_scale, scale):
+@pytest.mark.parametrize("t_scale, scale", [(1.0, 1.0), (300.0, 1e20)])
+def test_ds_dn_along_has_the_bits_of_the_generic_probe(t_scale, scale):
     # water, and water beside an inert constituent, at interior extents, at
     # the ends of the extent interval (an empty constituent) and up to 1e-12
     # past them, where Composition clamps to 0; refusals agree in class and
@@ -638,7 +620,7 @@ def test_ds_dn_along_has_the_bits_of_the_generic_probe(kb, t_scale, scale):
     kinds = {"value": 0, "DomainError": 0, "NegativeAmount": 0}
     for trial in range(200):
         inert = trial % 2
-        mix = _water_mixture(kb, t_scale, inert)
+        mix = _water_mixture(t_scale, inert)
         direction = [-2.0, -1.0, 2.0] + [0.0] * inert
         n0 = rng.uniform(0.0, 2.0, 3 + inert) * (rng.random(3 + inert) > 0.2) * scale
         lo = max((-a / d for a, d in zip(n0, direction) if d > 0.0), default=-1.0)
@@ -647,15 +629,15 @@ def test_ds_dn_along_has_the_bits_of_the_generic_probe(kb, t_scale, scale):
                   lo - rng.uniform(0.0, 5e-13), hi + 0.1 * scale][trial % 6]
         comp = Composition(n0) if n0.any() else Composition([scale] * (3 + inert))
         energy = mix.energy_at_temperature(rng.uniform(0.05, 3.0) * t_scale, None, comp)
-        energy += rng.uniform(-0.5, 0.5) * kb * t_scale * scale
+        energy += rng.uniform(-0.5, 0.5) * t_scale * scale
         params = Parameters([rng.uniform(0.3, 3.0)])
         kinds[_assert_probes_agree(mix, energy, params, n0, direction, extent)] += 1
     assert min(kinds.values()) >= 5, kinds
 
 
-@pytest.mark.parametrize("kb", [1.0, KB_SI])
-def test_ds_dn_along_refuses_what_a_checked_composition_refuses(kb):
-    mix = _water_mixture(kb, 1.0, 0)
+@pytest.mark.parametrize("t_scale", [1.0, 300.0])
+def test_ds_dn_along_refuses_what_a_checked_composition_refuses(t_scale):
+    mix = _water_mixture(t_scale, 0)
     water, one = [-2.0, -1.0, 2.0], Parameters([1.0])
     n0 = [2.0, 1.0, 0.0]
     cases = [
@@ -670,8 +652,8 @@ def test_ds_dn_along_refuses_what_a_checked_composition_refuses(kb):
         (math.inf, one, n0, water, 0.1),
         (-math.inf, one, n0, water, 0.1),
         (math.nan, one, n0, water, 0.1),
-        (-4.0 * kb, one, n0, water, 1.0),         # below the ground bound
-        (-2.0 * kb + 5e-13, one, n0, water, 0.5),  # within GROUND_EPS of it
+        (-4.0 * t_scale, one, n0, water, 1.0),         # below the ground bound
+        (-2.0 * t_scale + 5e-13, one, n0, water, 0.5),  # within GROUND_EPS of it
         (1.0, one, [1e308, 0.0, 0.0], water, 0.0),  # dof . n overflows: T = 0
     ]
     for case in cases:

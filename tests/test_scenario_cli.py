@@ -1,4 +1,6 @@
+import ast
 import csv
+import functools
 import math
 import re
 import shutil
@@ -13,6 +15,7 @@ from entrokit import scenario
 from entrokit.cli import main, write_csv
 from entrokit.errors import ParseError
 from entrokit.scenario import (
+    KB_SI,
     SCHEMA,
     parse_scenario,
     serialize_scenario,
@@ -389,29 +392,185 @@ def test_cli_isentrope_beyond_any_volume_is_a_range_error(tmp_path, capsys, old,
     assert "beyond any finite" in capsys.readouterr().err
 
 
+def _in_si(path) -> str:
+    """The scenario at ``path`` with its numbers reread in SI units."""
+    text = Path(path).read_text(encoding="utf-8")
+    assert "units = reduced" in text
+    Path(path).write_text(text.replace("units = reduced", "units = si"), encoding="utf-8")
+    return str(path)
+
+
 def test_cli_si_temperature_that_underflows_is_a_domain_error(tmp_path, capsys):
-    # k_B T underflows to 0
-    path = _mutated(tmp_path, "demo_gas.scn", "temperature = 1\n", "temperature = 1e-320\n")
-    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"), "--units", "si",
+    # a subnormal reservoir temperature: the isentrope to it needs a volume
+    # beyond any finite one
+    path = _in_si(_mutated(tmp_path, "demo_gas.scn", "temperature = 1\n",
+                           "temperature = 1e-320\n"))
+    code = main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
                  "--measure-entropy", "pair1"])
     assert code == 4
     assert capsys.readouterr().err.startswith("domain error:")
 
 
-def test_cli_units_flag_is_applied_before_validation(tmp_path, capsys):
-    # k_B n underflows to 0 in SI units only: the flag and the file's own
-    # 'units = si' give the same schema-time verdict
-    path = _mutated(tmp_path, "demo_gas.scn", "amounts = 1", "amounts = 1e-320")
-    run = ["run", "--scenario", path, "--out", str(tmp_path / "out"), "--measure-entropy", "pair1"]
-    assert main(run + ["--units", "si"]) == 3
-    by_flag = capsys.readouterr().err.splitlines()
-    in_file = _mutated(tmp_path, "demo_gas.scn", "amounts = 1", "amounts = 1e-320")
-    Path(in_file).write_text(Path(in_file).read_text(encoding="utf-8").replace(
-        "units = reduced", "units = si"), encoding="utf-8")
-    assert main(run) == 3
-    assert capsys.readouterr().err.splitlines() == by_flag
-    assert by_flag and all(ln.startswith("[integrity]") for ln in by_flag)
-    assert "composition is empty" in by_flag[0]
+@pytest.mark.parametrize("old, new, words", [
+    ("energy = 1.5\nvolume = 1", "energy = 1e308\nvolume = 1",
+     "s1: 'energy' holds 1e+308, which has no finite value in reduced units"),
+    ("dof = 3", "dof = 1e307", "gas1: 's0' in reduced units: s0 must be finite, got -inf"),
+], ids=["energy", "s0"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_si_value_without_a_finite_reduced_image_is_a_schema_issue(tmp_path, capsys, old, new,
+                                                                  words, command):
+    # 1e308 J is above 1e308 k_B; (dof/2) ln k_B overflows for dof = 1e307
+    path = _in_si(_mutated(tmp_path, "demo_gas.scn", old, new))
+    argv = [command, "--scenario", path]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out"), *JOBS["demo_gas.scn"]]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"[schema] {words}" in (captured.out + captured.err).splitlines()
+
+
+def test_si_system_with_unreadable_species_is_a_schema_issue(tmp_path, capsys):
+    # its e0 default stays one number, which the SI reader divides as it is
+    path = tmp_path / "bad.scn"
+    path.write_text(MINIMAL.replace("units = reduced", "units = si").replace(
+        "species = Ar", "species = Ar ; Ar"), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 3
+    assert "[schema] gas1: 'species' expects words, got 'Ar ; Ar'" in capsys.readouterr().out
+
+
+def test_cli_refuses_the_units_flag(tmp_path, capsys):
+    # a file's own 'units' key decides how its numbers read
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(SCENARIOS / "demo_gas.scn"), "--out", str(tmp_path),
+              "--units", "si"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --units si" in capsys.readouterr().err
+
+
+def _si_image(path: Path, tmp_path: Path) -> str:
+    """The SI image of a reduced scenario, beside the image of the joint table
+    it reads: every value SCHEMA marks as an energy or a pressure, defaults
+    included, times k_B, each s0 less (dof/2) ln k_B, and 'units = si'."""
+    def times_kb(spec, value):
+        if spec.type == "steps":
+            return [[op, f"{key}={v if key == 'volume' else v * KB_SI!r}"] for op, key, v in value]
+        return [repr(v * KB_SI) for v in value] if spec.type == "numbers" else repr(value * KB_SI)
+
+    scn = parse_scenario(path.read_text(encoding="utf-8"))
+    for kind, bucket in scenario._BUCKETS.items():
+        for name, decl in getattr(scn, bucket).items():
+            get = functools.partial(scenario._get, scn, kind, name)
+            for key, spec in SCHEMA[kind].items():
+                if spec.unit:
+                    decl[key] = times_kb(spec, get(key))
+            if kind == "system":
+                decl["s0"] = [repr(s - 0.5 * d * math.log(KB_SI))
+                              for d, s in zip(get("dof"), get("s0"))]
+    scn.units = "si"
+    (tmp_path / path.name).write_text(serialize_scenario(scn), encoding="utf-8")
+    lines = (SCENARIOS / "joint_diag.csv").read_text(encoding="utf-8").splitlines()
+    lines[1:3] = [",".join(repr(float(x) * KB_SI) for x in ln.split(",")) for ln in lines[1:3]]
+    (tmp_path / "joint_diag.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(tmp_path / path.name)
+
+
+def _read_column(path, column) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[column] for row in csv.DictReader(fh)]
+
+
+#: The CSV columns in units of k_B: energies, entropies, pressures and potentials.
+SI_COLUMNS = re.compile(r"delta_S|E|E_initial|E_final|dE_res|work|sigma_gen|sigma|H_joint|H_A"
+                        r"|H_B|energy|S_se|p|p_\d+|mu_\d+")
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_si_image_of_a_shipped_scenario_writes_k_b_times_its_columns(tmp_path, capsys, name):
+    # k_B only picks units: the image's energies, entropies, pressures and
+    # potentials are k_B times the reduced ones, and every other cell is the same
+    (tmp_path / "si").mkdir()
+    image = _si_image(SCENARIOS / name, tmp_path / "si")
+    for path, out in ((str(SCENARIOS / name), "reduced"), (image, "si_out")):
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / out), *JOBS[name]]) == 0
+    for csv_path in sorted((tmp_path / "reduced").glob("*.csv")):
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        with open(tmp_path / "si_out" / csv_path.name, newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == header
+            si_rows = list(csv.reader(fh))
+        assert len(si_rows) == len(rows)
+        for row, si_row in zip(rows, si_rows):
+            for column, cell, si_cell in zip(header, row, si_row):
+                if SI_COLUMNS.fullmatch(column):
+                    assert float(si_cell) == pytest.approx(KB_SI * float(cell), rel=1e-12,
+                                                           abs=0.0), column
+                else:
+                    assert si_cell == cell, column
+    if name == "demo_equilibrium.scn":
+        eps = float(_read_column(tmp_path / "si_out" / "equilibrium_prob1.csv", "eps_0")[0])
+        assert eps == pytest.approx(0.757933, abs=5e-7)
+    if name == "demo_open.scn":
+        assert _read_column(tmp_path / "si_out" / "table_tab1.csv", "status") == ["ok"] * 6
+
+
+def _si_gas(tmp_path, amount, energy, extra) -> str:
+    """An SI scenario: ``amount`` particles of a monatomic gas in 1 L at
+    ``energy`` J, with a state at twice the volume, and ``extra`` text."""
+    path = tmp_path / "si.scn"
+    path.write_text(f"[scenario]\nunits = si\n\n[system gas]\namounts = {amount}\n"
+                    f"volume = 1e-3\n\n[state a]\nsystem = gas\nenergy = {energy!r}\n\n"
+                    f"[state b]\nsystem = gas\nenergy = {energy!r}\nvolume = 2e-3\n\n{extra}",
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_si_direct_contact_that_destroys_entropy_is_refused(tmp_path, capsys):
+    # 1e10 particles at 300 K push 1 % of their energy into a 600 K reservoir:
+    # sigma is about -1e-15 J/K, or -7.6e7 in units of k_B
+    energy = 1.5 * 1e10 * KB_SI * 300.0
+    path = _si_gas(tmp_path, 1e10, energy,
+                   f"[reservoir hot]\ntemperature = 600\n\n[schedule s]\nsystem = gas\n"
+                   f"start = a\nreservoir = hot\nsteps = direct heat={-0.01 * energy!r}\n")
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
+                 "--run-schedule", "s"]) == 4
+    assert "would destroy entropy" in capsys.readouterr().err
+
+
+def test_one_si_particle_doubling_its_volume_gains_k_b_ln_2(tmp_path, capsys):
+    # one particle at 300 K holds 6.2e-21 J, or 450 in units of k_B
+    path = _si_gas(tmp_path, 1, 1.5 * KB_SI * 300.0,
+                   "[reservoir R]\ntemperature = 300\n\n[pair p]\nfrom = a\nto = b\n"
+                   "reservoir = R\n")
+    assert main(["validate", "--scenario", path]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), "--measure-entropy", "p"]) == 0
+    (delta_s,) = _read_column(out / "measure_p.csv", "delta_S")
+    assert float(delta_s) == pytest.approx(KB_SI * math.log(2.0), rel=1e-12, abs=0.0)
+
+
+def test_scaled_open_table_scales_its_extensive_columns(tmp_path, capsys):
+    # amounts, volumes and energies times 1e12: E, S_se and eps_0 scale with
+    # them, T, p and mu_* stay, and the environment's reservoir takes any exchange
+    path = _mutated(tmp_path, "demo_open.scn", "amounts = 2 1 0", "amounts = 2e12 1e12 0")
+    text = Path(path).read_text(encoding="utf-8")
+    for old, new in (("volume = 1\n", "volume = 1e12\n"),
+                     ("energies = 7 8 9", "energies = 7e12 8e12 9e12"),
+                     ("volumes = 1 2", "volumes = 1e12 2e12"),
+                     ("compositions = 2 1 0", "compositions = 2e12 1e12 0")):
+        assert old in text
+        text = text.replace(old, new)
+    Path(path).write_text(text, encoding="utf-8")
+    for scn_path, out in ((str(SCENARIOS / "demo_open.scn"), "one"), (path, "scaled")):
+        assert main(["run", "--scenario", scn_path, "--out", str(tmp_path / out),
+                     "--tabulate", "tab1"]) == 0
+    one, scaled = ({column: _read_column(tmp_path / out / "table_tab1.csv", column)
+                    for column in ("E", "S_se", "eps_0", "T", "p", "mu_0", "mu_1", "mu_2",
+                                   "status")} for out in ("one", "scaled"))
+    assert scaled["status"] == ["ok"] * 6
+    for column, factor in (("E", 1e12), ("S_se", 1e12), ("eps_0", 1e12), ("T", 1.0), ("p", 1.0),
+                           ("mu_0", 1.0), ("mu_1", 1.0), ("mu_2", 1.0)):
+        assert [float(x) for x in scaled[column]] == pytest.approx(
+            [factor * float(x) for x in one[column]], rel=1e-12, abs=0.0), column
 
 
 def test_cli_tabulate_records_a_gap_where_the_pressure_cannot_be_differenced(tmp_path, capsys):
@@ -447,15 +606,17 @@ def test_cell_with_a_comma_or_a_quote_stays_in_its_cell(tmp_path):
         assert list(csv.reader(fh)) == [["V", "status"], ["1.5", reason], ["2", "ok"]]
 
 
-@pytest.mark.parametrize("temperature, units", [("1e300", []), ("1e308", ["--units", "si"])])
-def test_hot_environment_gap_names_the_vanishing_volume(tmp_path, capsys, temperature, units):
+@pytest.mark.parametrize("units", ["reduced", "si"])
+def test_hot_environment_gap_names_the_vanishing_volume(tmp_path, capsys, units):
     # the reference isentrope at this temperature needs a volume that
     # underflows to 0; every point is a gap that says so
+    temperature = "1e300"
     path = _mutated(tmp_path, "demo_open.scn", "temperature = 1\n",
                     f"temperature = {temperature}\n")
+    if units == "si":
+        _in_si(path)
     out = tmp_path / "out"
-    assert main(["run", "--scenario", path, "--out", str(out), *units,
-                 "--tabulate", "tab1"]) == 0
+    assert main(["run", "--scenario", path, "--out", str(out), "--tabulate", "tab1"]) == 0
     with open(out / "table_tab1.csv", newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert len(rows) == 6
@@ -590,7 +751,7 @@ FUZZ_TOKENS = FUZZ_VALUES + ["5e-324", "-inf", "2.5", "3/2", "1.50", "007", "1e3
 @st.composite
 def _mutated_run(draw):
     """A shipped scenario with one line's value replaced, or one line deleted
-    or duplicated, and the argv of a run of its jobs."""
+    or duplicated, perhaps reread in SI units, and the argv of a run of its jobs."""
     scenario = draw(st.sampled_from(sorted(JOBS)))
     lines = (SCENARIOS / scenario).read_text(encoding="utf-8").splitlines()
     edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
@@ -602,9 +763,11 @@ def _mutated_run(draw):
         i = draw(st.integers(0, len(lines) - 1))
         lines[i:i + 1] = [] if edit == "delete" else [lines[i]] * 2
     seed = str(draw(st.integers(-1, 2**32)))
-    extra = draw(st.sampled_from([[], ["--units", "si"], ["--units", "reduced"],
-                                  ["--seed", seed]]))
-    return scenario, "\n".join(lines), JOBS[scenario] + extra
+    extra = draw(st.sampled_from([[], "si", ["--seed", seed]]))
+    text = "\n".join(lines)
+    if extra == "si":
+        text, extra = text.replace("units = reduced", "units = si"), []
+    return scenario, text, JOBS[scenario] + extra
 
 
 @given(_mutated_run())
@@ -638,3 +801,27 @@ def test_readme_section_table_lists_the_schema_keys():
         listed[section.strip().strip("`").split()[0]] = set(
             re.findall(r"`([a-z_0-9]+)`", re.sub(r"\([^)]*\)", "", keys)))
     assert listed == {kind: set(keys) for kind, keys in SCHEMA.items()}
+
+
+def _kb_sites(source: str) -> set:
+    """Lines of a module that name ``KB_SI`` (or import it) or an attribute,
+    a parameter or a keyword argument ``kb``."""
+    return {node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "KB_SI"
+            or isinstance(node, ast.alias) and node.name == "KB_SI"
+            or isinstance(node, ast.Attribute) and node.attr == "kb"
+            or isinstance(node, (ast.arg, ast.keyword)) and node.arg == "kb"}
+
+
+def test_no_module_but_the_scenario_reader_and_the_cli_knows_k_b():
+    # SI is read and written at the scenario boundary; the core is in reduced units
+    sites = {path.name: _kb_sites(path.read_text(encoding="utf-8"))
+             for path in sorted((SCENARIOS.parent / "src" / "entrokit").glob("*.py"))
+             if path.name not in ("scenario.py", "cli.py")}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+    # the guard sees an import, a read of the constant or of an attribute, a
+    # parameter and a keyword argument
+    sample = ("from .scenario import KB_SI\n"
+              "def f(model, kb=1.0):\n    return model.kb * KB_SI\n"
+              "g(kb=2.0)\n")
+    assert _kb_sites(sample) == {1, 2, 3, 4}
