@@ -2,17 +2,18 @@
 fuzzers, and the bound/additivity/nondecrease checks built on them.
 
 Every check returns a CheckResult so the CLI can print one pass/fail line per
-invariant; the test suite asserts on the same results.
+invariant; the test suite asserts on the same results.  The checks run in
+plain floats, and the samplers draw from a ``random.Random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from itertools import pairwise, product
 
-import numpy as np
-
-from .correlations import PROB_TOL
+from .correlations import _energy, _entropies, _is_distribution, _marginals, _product
 from .errors import InadmissibleStep, DomainError, RangeError, RangeExceeded
 from .matter_models import (
     MatterModel,
@@ -49,14 +50,19 @@ class CheckResult:
         return f"{status} {self.name}: n={self.n_trials} worst={self.worst:.3e} {self.detail}"
 
 
+def _log_grid(floor: float, e_lo: float, e_hi: float, n_points: int) -> list:
+    """``n_points`` energies from e_lo to e_hi, at equal ratios of their
+    distances from ``floor``."""
+    lo, ratio = e_lo - floor, ((e_hi - floor) / (e_lo - floor)) ** (1.0 / (n_points - 1))
+    return [floor + lo * ratio ** i for i in range(n_points - 1)] + [e_hi]
+
+
 def monotonicity_scan(model: MatterModel, params: Parameters, comp,
                       e_lo: float, e_hi: float, n_points: int = 1000) -> CheckResult:
     """Strict increase of S(E) at fixed parameters over a log-spaced grid."""
-    floor = model.energy_floor(params, comp)
-    grid = floor + np.geomspace(e_lo - floor, e_hi - floor, n_points)
+    grid = _log_grid(model.energy_floor(params, comp), e_lo, e_hi, n_points)
     values = [model.entropy(e, params, comp) for e in grid]
-    diffs = np.diff(values)
-    worst = float(np.min(diffs))
+    worst = min(y - x for x, y in pairwise(values))
     return CheckResult("entropy-monotone-in-energy", worst > 0.0, n_points, worst)
 
 
@@ -70,7 +76,7 @@ def smoothness_scan(model: MatterModel, params: Parameters, comp,
     difference gaps at rounding level; those count as smooth.
     """
     floor = model.energy_floor(params, comp)
-    grid = floor + np.geomspace(e_lo - floor, e_hi - floor, n_points)
+    grid = _log_grid(floor, e_lo, e_hi, n_points)
     worst = 4.0
     ok = True
     for e in grid:
@@ -102,21 +108,22 @@ def bracket_single_valued(model: MatterModel, params: Parameters, comp,
                           seed: int = 0) -> CheckResult:
     """Uniqueness guard for the inverse relation: S is monotone across any
     bracket the root-finder would use, so a bracket never holds two roots."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = math.inf
     for _ in range(n_targets):
-        a, b = sorted(rng.uniform(e_lo, e_hi, size=2))
+        a, b = sorted((rng.uniform(e_lo, e_hi), rng.uniform(e_lo, e_hi)))
         if b - a < 1e-9:
             continue
-        samples = [model.entropy(e, params, comp) for e in np.linspace(a, b, 33)]
-        worst = min(worst, float(np.min(np.diff(samples))))
+        grid = [a + (b - a) * i / 32 for i in range(32)] + [b]
+        values = [model.entropy(e, params, comp) for e in grid]
+        worst = min(worst, min(y - x for x, y in pairwise(values)))
     if not math.isfinite(worst):
         worst = 1.0
     return CheckResult("inverse-single-valued", worst > 0.0, n_targets, worst)
 
 
 def fuzz_standard_processes(model: MatterModel, st0: SystemState,
-                            reservoir: ThermalReservoir, rng: np.random.Generator,
+                            reservoir: ThermalReservoir, rng: random.Random,
                             n: int = 1000, reversible_share: float = 0.3):
     """Generate and run ``n`` admissible standard weight processes from st0.
 
@@ -152,7 +159,7 @@ def _random_schedule(model, st0, reservoir, rng) -> Schedule:
     st = st0
     s_here = entropy_of(model, st)
     t_res = reservoir.temperature
-    for _ in range(int(rng.integers(1, 5))):
+    for _ in range(rng.randrange(1, 5)):
         kind = rng.random()
         if kind < 0.45:
             params = st.params.with_volume(st.params.volume * math.exp(rng.uniform(-1.0, 1.0)))
@@ -163,7 +170,7 @@ def _random_schedule(model, st0, reservoir, rng) -> Schedule:
             # direct contact strictly toward the reservoir temperature
             e_res_t = solve_energy_at_temperature(model, t_res, st.params, st.comp)
             q_star = e_res_t - st.energy
-            if abs(q_star) < 1e-9:
+            if abs(q_star) < 1e-9 * (st.energy - model.energy_floor(st.params, st.comp)):
                 continue
             heat = q_star * rng.uniform(0.1, 0.95)
             steps.append(DirectContact(heat))
@@ -184,7 +191,7 @@ def _random_schedule(model, st0, reservoir, rng) -> Schedule:
 
 
 def fuzz_weight_processes(model: MatterModel, st0: SystemState,
-                          reservoir: ThermalReservoir, rng: np.random.Generator,
+                          reservoir: ThermalReservoir, rng: random.Random,
                           n: int = 10000):
     """Generate ``n`` weight processes for the system alone (zero net reservoir
     charge): pure isentropic chains, and dissipative round trips that borrow
@@ -210,7 +217,7 @@ def fuzz_weight_processes(model: MatterModel, st0: SystemState,
 def _isentropic_chain(st0, rng) -> Schedule:
     steps = []
     v = st0.params.volume
-    for _ in range(int(rng.integers(1, 4))):
+    for _ in range(rng.randrange(1, 4)):
         v = v * math.exp(rng.uniform(-1.0, 1.0))
         steps.append(Isentropic(st0.params.with_volume(v)))
     return Schedule(tuple(steps))
@@ -245,16 +252,16 @@ def _dissipation_loop(model, st0, reservoir, rng) -> Schedule:
 def theorem_lower_bound_check(samples, t_res: float,
                               slack: float = 1e-12) -> CheckResult:
     """Reservoir energy bound: dE_res >= -T_R (S2 - S1), equality exactly for
-    the reversible processes."""
+    the reversible processes; the gap is T_R sigma, so tolerances scale with T_R."""
     worst_gap = math.inf
     ok = True
     mismatches = 0
     for record, s1, s2 in samples:
         gap = record.d_e_res - (-t_res * (s2 - s1))
         worst_gap = min(worst_gap, gap)
-        if gap < -slack * max(1.0, t_res):
+        if gap < -slack * t_res:
             ok = False
-        at_bound = gap <= 1e-9 * max(1.0, t_res)
+        at_bound = gap <= 1e-9 * t_res
         rev = record.sigma_gen <= 1e-9
         if at_bound != rev:
             mismatches += 1
@@ -309,8 +316,6 @@ def pmm2_exhaustive_check(model: MatterModel, st0: SystemState,
     n_checked = 0
     worst = -math.inf
     ok = True
-    from itertools import product
-
     for depth in (1, 2):
         for combo in product(atoms, repeat=depth):
             sched = Schedule(tuple(combo) + (closer,))
@@ -346,47 +351,27 @@ def additivity_check(model_a, model_b, pairs, reservoir) -> CheckResult:
     return CheckResult("entropy-additivity", ok, len(pairs), worst)
 
 
-def _shannon(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy (0 ln 0 = 0) of each distribution along the last axis."""
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
-
-
-def _batch_kernels(tables: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> tuple:
-    """``correlations``' kernels over a stack of tables (n, m, k) with energies
-    (n, m) and (n, k): whether JointState accepts each table (finite,
-    non-negative, summing to 1 within PROB_TOL), its sigma and its energy."""
-    flat, p_a, p_b = tables.reshape(tables.shape[0], -1), tables.sum(axis=2), tables.sum(axis=1)
-    valid = ((flat >= 0.0).all(axis=1) & np.isfinite(flat).all(axis=1)
-             & (np.abs(flat.sum(axis=1) - 1.0) <= PROB_TOL))
-    energy = (p_a[:, None, :] @ e_a[:, :, None] + p_b[:, None, :] @ e_b[:, :, None])[:, 0, 0]
-    return valid, _shannon(p_a) + _shannon(p_b) - _shannon(flat), energy
-
-
-def decorrelation_check(rng: np.random.Generator, n: int = 10000,
+def decorrelation_check(rng: random.Random, n: int = 10000,
                         max_dim: int = 4) -> CheckResult:
     """sigma >= 0 with equality exactly for product tables; energy depends
-    only on the marginals.  Draws the tables in a per-sample loop's order, then
-    checks each stack of equal-shape tables, and its products of marginals,
-    as whole stacks, building no JointState."""
-    stacks: dict = {}
-    for _ in range(n):
-        m = int(rng.integers(2, max_dim + 1))
-        k = int(rng.integers(2, max_dim + 1))
-        stacks.setdefault((m, k), []).append(
-            (rng.random((m, k)), rng.normal(size=m), rng.normal(size=k)))
+    only on the marginals.  Runs ``correlations``' kernels on each drawn
+    table and its product of marginals, building no JointState."""
     worst_sigma, worst_energy, ok = math.inf, 0.0, True
-    for draws in stacks.values():
-        tables, e_a, e_b = (np.array(x) for x in zip(*draws))
-        tables /= tables.reshape(len(draws), -1).sum(axis=1)[:, None, None]
-        product = tables.sum(axis=2)[:, :, None] * tables.sum(axis=1)[:, None, :]
-        valid, sigma, e_joint = _batch_kernels(tables, e_a, e_b)
-        valid_product, sigma_product, e_product = _batch_kernels(product, e_a, e_b)
-        gap = np.abs(e_joint - e_product)
-        worst_sigma = min(worst_sigma, float(sigma.min()))
-        worst_energy = max(worst_energy, float(gap.max()))
-        ok = ok and bool(
-            valid.all() and valid_product.all()
-            and (sigma >= 0.0).all() and (sigma_product <= 1e-12).all()
-            and (gap <= 1e-12 * np.maximum(1.0, np.abs(e_joint))).all())
+    for _ in range(n):
+        m, k = rng.randrange(2, max_dim + 1), rng.randrange(2, max_dim + 1)
+        cells = [rng.random() for _ in range(m * k)]
+        e_a = [rng.gauss(0.0, 1.0) for _ in range(m)]
+        e_b = [rng.gauss(0.0, 1.0) for _ in range(k)]
+        total = sum(cells)
+        cells = [x / total for x in cells]
+        p = _marginals([cells[i:i + k] for i in range(0, m * k, k)])
+        outer = _product(p)
+        q, outer_cells = _marginals(outer), [x for row in outer for x in row]
+        sigma, e_joint = _entropies(cells, p)[3], _energy(p, e_a, e_b)
+        gap = abs(e_joint - _energy(q, e_a, e_b))
+        worst_sigma, worst_energy = min(worst_sigma, sigma), max(worst_energy, gap)
+        ok = ok and (_is_distribution(cells) and _is_distribution(outer_cells)
+                     and sigma >= 0.0 and _entropies(outer_cells, q)[3] <= 1e-12
+                     and gap <= 1e-12 * max(1.0, abs(e_joint)))
     return CheckResult("decorrelation-entropy", ok, n, worst_sigma,
                        detail=f"worst marginal-energy gap={worst_energy:.2e}")

@@ -26,6 +26,11 @@ def _shannon(p) -> float:
     return 0.0 - sum(x * math.log(x) for x in p if x > 0.0)
 
 
+def _is_distribution(cells: list) -> bool:
+    """Whether cells are finite, non-negative and sum to 1 within PROB_TOL."""
+    return all(0.0 <= x < math.inf for x in cells) and abs(sum(cells) - 1.0) <= PROB_TOL
+
+
 @dataclass(frozen=True)
 class JointState:
     """Joint probability table, a tuple of rows, with per-outcome energies
@@ -48,8 +53,7 @@ class JointState:
         if not all(map(math.isfinite, ea + eb)):
             raise ValueError("energies must be finite")
         cells = [x for row in table for x in row]
-        if not (all(0.0 <= x < math.inf for x in cells)
-                and abs(sum(cells) - 1.0) <= PROB_TOL):
+        if not _is_distribution(cells):
             raise ValueError("probabilities must be finite, non-negative and sum to 1, "
                              f"got sum {sum(cells):.15g}")
         object.__setattr__(self, "table", table)
@@ -64,16 +68,35 @@ class MarginalPair(NamedTuple):
     p_b: tuple
 
 
+def _marginals(table) -> MarginalPair:
+    """Row and column sums of a table, a sequence of rows."""
+    return MarginalPair(tuple(map(sum, table)), tuple(map(sum, zip(*table))))
+
+
+def _product(m: MarginalPair) -> tuple:
+    """Outer product of two marginals, a tuple of rows."""
+    return tuple(tuple(a * b for b in m.p_b) for a in m.p_a)
+
+
+def _entropies(cells, m: MarginalPair) -> tuple[float, float, float, float]:
+    """H(p), H(p_a), H(p_b) and sigma of a table's cells p with its marginals."""
+    h, h_a, h_b = _shannon(cells), _shannon(m.p_a), _shannon(m.p_b)
+    return h, h_a, h_b, h_a + h_b - h
+
+
+def _energy(m: MarginalPair, energies_a, energies_b) -> float:
+    """Mean energy of a composite with marginals ``m``."""
+    return sum(map(mul, m.p_a, energies_a)) + sum(map(mul, m.p_b, energies_b))
+
+
 def marginals(joint: JointState) -> MarginalPair:
     """Row and column sums of the joint table."""
-    return MarginalPair(tuple(map(sum, joint.table)), tuple(map(sum, zip(*joint.table))))
+    return _marginals(joint.table)
 
 
 def product_state(joint: JointState) -> JointState:
     """The uncorrelated counterpart: outer product of the marginals."""
-    m = marginals(joint)
-    return JointState(tuple(tuple(a * b for b in m.p_b) for a in m.p_a),
-                      joint.energies_a, joint.energies_b)
+    return JointState(_product(marginals(joint)), joint.energies_a, joint.energies_b)
 
 
 def decorrelation_entropy(joint: JointState) -> float:
@@ -87,16 +110,12 @@ def decorrelation_entropy(joint: JointState) -> float:
 
 def joint_entropies(joint: JointState) -> tuple[float, float, float, float]:
     """H(p), H(p_a), H(p_b) and sigma = H(p_a) + H(p_b) - H(p) of one joint."""
-    m = marginals(joint)
-    h = _shannon(x for row in joint.table for x in row)
-    h_a, h_b = _shannon(m.p_a), _shannon(m.p_b)
-    return h, h_a, h_b, h_a + h_b - h
+    return _entropies([x for row in joint.table for x in row], marginals(joint))
 
 
 def joint_energy(joint: JointState) -> float:
     """Mean energy of the composite; depends only on the marginals."""
-    m = marginals(joint)
-    return sum(map(mul, m.p_a, joint.energies_a)) + sum(map(mul, m.p_b, joint.energies_b))
+    return _energy(marginals(joint), joint.energies_a, joint.energies_b)
 
 
 def load_joint_csv(path) -> JointState:

@@ -452,8 +452,8 @@ class ThermalReservoir:
 
     temperature: float
     energy: float = 0.0
-    e_min: float = -1e9
-    e_max: float = 1e9
+    e_min: float = -math.inf
+    e_max: float = math.inf
 
     def __post_init__(self):
         if not 0.0 < self.temperature < math.inf:

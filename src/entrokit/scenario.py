@@ -69,7 +69,8 @@ SCHEMA = {
                "volume": Spec("number", check="positive", default=1.0)},
     "reservoir": {"temperature": Spec("number", check="positive", required=True),
                   "energy": Spec("number", default=0.0, unit="energy"),
-                  "range": Spec("numbers", shape=2, default=(-1e9, 1e9), unit="energy")},
+                  "range": Spec("numbers", shape=2, default=(-math.inf, math.inf),
+                                unit="energy")},
     # a state without volume or amounts takes its system's
     "state": {"system": Spec("word", required=True, ref="system"),
               "energy": Spec("number", required=True, unit="energy"),
@@ -306,9 +307,9 @@ def _typed(kind: str, entries: dict, key: str, n_species: int | None = None):
 
 def _reduced(key: str, spec: Spec, value):
     """An SI energy or pressure (a schedule's heat= and energy=) over k_B;
-    ParseError for a quotient that overflows."""
+    ParseError for a finite value whose quotient overflows."""
     def divide(x: float) -> float:
-        if not math.isfinite(x / KB_SI):
+        if math.isfinite(x) and not math.isfinite(x / KB_SI):
             raise ParseError(f"'{key}' holds {x:.6g}, which has no finite value in reduced units")
         return x / KB_SI
     if spec.type == "steps":
@@ -577,9 +578,7 @@ def serialize_scenario(scn: Scenario) -> str:
     if scn.constituents:
         out += ["[constituents]", f"names = {' '.join(scn.constituents)}", ""]
     if scn.network is not None:
-        rows = " ; ".join(
-            " ".join(_fmt(x) for x in row) for row in scn.network.stoich
-        )
+        rows = " ; ".join(" ".join(map(_fmt, row)) for row in scn.network.rows)
         out += ["[network]", f"names = {' '.join(scn.network_names)}", f"nu = {rows}", ""]
     for kind, bucket in _BUCKETS.items():
         for name, decl in getattr(scn, bucket).items():

@@ -1,12 +1,14 @@
 """Composition vectors, reaction networks and the linear algebra that connects them.
 
 Amounts are real-valued throughout: region counting over ideal surface patches
-gives continuous spectra, so no integer-only mode is offered.
+gives continuous spectra, so no integer-only mode is offered.  Amounts and
+a network's coefficients are tuples of floats; only linear algebra imports numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -33,22 +35,6 @@ def _frozen_array(values, ndmin: int) -> np.ndarray:
     arr = np.array(values, dtype=float, ndmin=ndmin)
     arr.flags.writeable = False
     return arr
-
-
-class _ComparedByValue:
-    """Equality and hashing by value for a frozen dataclass, declared with
-    ``eq=False``, whose fields are arrays: an array compares by its shape and
-    entries."""
-
-    def _value(self) -> tuple:
-        return tuple((v.shape, tuple(v.ravel().tolist()))
-                     for v in (getattr(self, f.name) for f in fields(self)))
-
-    def __eq__(self, other):
-        return self._value() == other._value() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value())
 
 
 def _float_vector(values, what: str) -> tuple:
@@ -92,37 +78,47 @@ class Composition:
         return len(self.amounts)
 
 
-@dataclass(frozen=True, eq=False)
-class ReactionNetwork(_ComparedByValue):
-    """Stoichiometric matrix, one column per allowed reaction mechanism.
+@dataclass(frozen=True)
+class ReactionNetwork:
+    """Stoichiometric coefficients, a tuple of rows of floats: one row per
+    constituent, one column per allowed reaction mechanism.
 
-    ``stoich[k, l]`` is the coefficient of constituent ``k`` in reaction ``l``
+    ``rows[k][l]`` is the coefficient of constituent ``k`` in reaction ``l``
     (negative for consumed, positive for produced).  Networks compare and
-    hash by their coefficients.
+    hash by their coefficients; ``stoich`` is them as a read-only array.
     """
 
-    stoich: np.ndarray
+    rows: tuple
 
     def __post_init__(self):
-        mat = _frozen_array(self.stoich, ndmin=2)
-        if mat.ndim != 2:
-            raise ValueError("stoichiometric coefficients must form a matrix")
-        for col in range(mat.shape[1]):
-            if not mat[:, col].any():
+        rows = self.rows.tolist() if hasattr(self.rows, "tolist") else self.rows
+        try:
+            rows = tuple(tuple(map(float, row)) for row in rows)
+        except TypeError:  # not a sequence of rows of numbers
+            rows = ()
+        if len(set(map(len, rows))) != 1 or not all(math.isfinite(x) for r in rows for x in r):
+            raise ValueError("stoichiometric coefficients must form a matrix of finite numbers")
+        for col, column in enumerate(zip(*rows)):
+            if not any(column):
                 raise ValueError(f"reaction {col} changes no amounts (all-zero column)")
-        object.__setattr__(self, "stoich", mat)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def stoich(self) -> np.ndarray:
+        """The coefficients as a read-only array; built on first use."""
+        return _frozen_array(self.rows, ndmin=2)
 
     @property
     def n_constituents(self) -> int:
-        return self.stoich.shape[0]
+        return len(self.rows)
 
     @property
     def n_reactions(self) -> int:
-        return self.stoich.shape[1]
+        return len(self.rows[0])
 
     @property
     def _rank_tol(self) -> float:
-        return 1e-10 * max(1.0, float(abs(self.stoich).max()))
+        return 1e-10 * max([1.0] + [abs(x) for row in self.rows for x in row])
 
     @cached_property
     def rank(self) -> int:
@@ -155,13 +151,20 @@ class ReactionNetwork(_ComparedByValue):
 
 
 @dataclass(frozen=True, eq=False)
-class ReactionCoordinates(_ComparedByValue):
+class ReactionCoordinates:
     """Extent of each reaction mechanism; compared and hashed by value."""
 
     epsilon: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _frozen_array(self.epsilon, ndmin=1))
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.epsilon.tolist() == other.epsilon.tolist() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.epsilon.tolist()))
 
     def __len__(self) -> int:
         return self.epsilon.shape[0]

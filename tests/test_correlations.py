@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -228,14 +229,16 @@ def test_load_joint_csv_round_trip(tmp_path):
 
 
 def _decorrelation_oracle(rng, n, max_dim):
-    """decorrelation_check as a per-sample loop over validated JointStates."""
+    """decorrelation_check as a per-sample loop over validated JointStates,
+    drawing in the check's order."""
     worst, ok = math.inf, True
     for _ in range(n):
-        m = int(rng.integers(2, max_dim + 1))
-        k = int(rng.integers(2, max_dim + 1))
-        table = rng.random((m, k))
-        table /= table.sum()
-        joint = JointState(table, rng.normal(size=m), rng.normal(size=k))
+        m, k = rng.randrange(2, max_dim + 1), rng.randrange(2, max_dim + 1)
+        table = [[rng.random() for _ in range(k)] for _ in range(m)]
+        total = sum(x for row in table for x in row)
+        table = [[x / total for x in row] for row in table]
+        joint = JointState(table, [rng.gauss(0.0, 1.0) for _ in range(m)],
+                           [rng.gauss(0.0, 1.0) for _ in range(k)])
         sigma = decorrelation_entropy(joint)
         worst = min(worst, sigma)
         prod = product_state(joint)
@@ -247,13 +250,13 @@ def _decorrelation_oracle(rng, n, max_dim):
 
 @pytest.mark.parametrize("max_dim", [2, 4])
 @pytest.mark.parametrize("seed", [0, 5])
-def test_batched_decorrelation_check_matches_the_per_sample_loop(seed, max_dim):
-    rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-    result = checks.decorrelation_check(rng_batch, n=300, max_dim=max_dim)
+def test_decorrelation_check_matches_the_per_joint_state_loop(seed, max_dim):
+    rng_check, rng_loop = random.Random(seed), random.Random(seed)
+    result = checks.decorrelation_check(rng_check, n=300, max_dim=max_dim)
     ok, n_trials, worst = _decorrelation_oracle(rng_loop, 300, max_dim)
     assert (result.passed, result.n_trials) == (ok, n_trials)
     assert result.worst == pytest.approx(worst, abs=1e-15)
-    assert rng_batch.random() == rng_loop.random()  # same draws, in the same order
+    assert rng_check.random() == rng_loop.random()  # same draws, in the same order
 
 
 def test_decorrelation_check_builds_no_joint_state(monkeypatch):
@@ -261,7 +264,7 @@ def test_decorrelation_check_builds_no_joint_state(monkeypatch):
     post_init = JointState.__post_init__
     monkeypatch.setattr(JointState, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
-    assert checks.decorrelation_check(np.random.default_rng(0), 2000).passed
+    assert checks.decorrelation_check(random.Random(0), 2000).passed
     assert built == []
     make_joint(np.full((2, 2), 0.25))  # the patch counts a JointState when one is built
     assert built == [1]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_correlated_state_is_refused():
 
 
 def test_energy_ledger_closes():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     samples = fuzz_standard_processes(GAS, ST1, RES, rng, n=100)
     for rec, _, _ in samples:
         closure = (rec.final.energy - rec.initial.energy) + rec.d_e_res + rec.work
@@ -471,7 +472,7 @@ def test_nondecrease_stirring_record():
 
 
 def test_weight_process_fuzz_keeps_no_reservoir_charged_record():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     records = fuzz_weight_processes(GAS, ST1, RES, rng, n=50)
     assert len(records) == 50
     assert all(abs(rec.d_e_res) <= 1e-12 * max(1.0, abs(ST1.energy)) for rec in records)
@@ -480,14 +481,14 @@ def test_weight_process_fuzz_keeps_no_reservoir_charged_record():
 
 
 def test_theorem_lower_bound_small_fuzz():
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     samples = fuzz_standard_processes(GAS, ST1, RES, rng, n=300)
     assert len(samples) == 300
     assert theorem_lower_bound_check(samples, RES.temperature).passed
 
 
 def test_irreversible_processes_beat_the_bound_strictly():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     samples = fuzz_standard_processes(GAS, ST1, RES, rng, n=200)
     saw_irreversible = False
     for rec, s1, s2 in samples:
@@ -497,8 +498,31 @@ def test_irreversible_processes_beat_the_bound_strictly():
     assert saw_irreversible
 
 
+def test_lower_bound_equality_is_relative_to_the_reservoir_temperature():
+    # a direct contact toward T_R = 1e-6 produces sigma = 2.2e-4, so its gap
+    # T_R sigma = 2.2e-10 lies below an absolute 1e-9 but is off the bound
+    cold = ThermalReservoir(1e-6)
+    rec = run_schedule(GAS, state(1.53e-6, 1.0, [1.0]), cold,
+                       Schedule((DirectContact(-1.5e-8),)))
+    s1, s2 = entropy_of(GAS, rec.initial), entropy_of(GAS, rec.final)
+    assert 1e-4 < rec.sigma_gen < 1e-3 and not rec.reversible
+    result = theorem_lower_bound_check([(rec, s1, s2)], cold.temperature)
+    assert result.passed and "mismatches=0" in result.detail
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+def test_theorem_lower_bound_fuzz_at_any_temperature_scale(scale):
+    # the suite's gas and state with energy and T_R times ``scale``: the
+    # sampler still draws direct contacts, and the check still passes
+    samples = fuzz_standard_processes(GAS, state(1.5 * scale, 1.0, [1.0]),
+                                      ThermalReservoir(scale), random.Random(0), n=200)
+    assert len(samples) == 200
+    assert any(rec.sigma_gen > 1e-9 for rec, _, _ in samples)
+    assert theorem_lower_bound_check(samples, scale).passed
+
+
 def test_weight_process_fuzz_nondecrease():
-    rng = np.random.default_rng(14)
+    rng = random.Random(14)
     records = fuzz_weight_processes(GAS, ST1, RES, rng, n=500)
     assert len(records) == 500
     assert nondecrease_check(records, GAS).passed

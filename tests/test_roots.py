@@ -285,9 +285,11 @@ def test_runtime_imports_leave_scipy_out():
 
 @pytest.mark.parametrize("argv", [
     ["validate", "--scenario", "scenarios/demo_gas.scn"],
+    ["validate", "--scenario", "scenarios/demo_equilibrium.scn"],
     ["run", "--scenario", "scenarios/demo_gas.scn", "--measure-entropy", "pair1",
      "--run-schedule", "sched1", "--decorrelate", "j1"],
-], ids=["validate", "measure"])
+    ["run", "--scenario", "scenarios/demo_gas.scn", "--theorem-suite"],
+], ids=["validate", "validate-network", "measure", "theorem-suite"])
 def test_scalar_cli_jobs_leave_numpy_out(tmp_path, argv):
     code = ("import sys\n"
             "from entrokit import cli\n"

@@ -513,11 +513,12 @@ def test_si_image_of_a_shipped_scenario_writes_k_b_times_its_columns(tmp_path, c
         assert _read_column(tmp_path / "si_out" / "table_tab1.csv", "status") == ["ok"] * 6
 
 
-def _si_gas(tmp_path, amount, energy, extra) -> str:
-    """An SI scenario: ``amount`` particles of a monatomic gas in 1 L at
-    ``energy`` J, with a state at twice the volume, and ``extra`` text."""
+def _si_gas(tmp_path, amount, energy, extra, units="si") -> str:
+    """An SI scenario, or one in ``units``: ``amount`` particles of a
+    monatomic gas in 1 L at ``energy`` J (or k_B), with a state at twice the
+    volume, and ``extra`` text."""
     path = tmp_path / "si.scn"
-    path.write_text(f"[scenario]\nunits = si\n\n[system gas]\namounts = {amount}\n"
+    path.write_text(f"[scenario]\nunits = {units}\n\n[system gas]\namounts = {amount}\n"
                     f"volume = 1e-3\n\n[state a]\nsystem = gas\nenergy = {energy!r}\n\n"
                     f"[state b]\nsystem = gas\nenergy = {energy!r}\nvolume = 2e-3\n\n{extra}",
                     encoding="utf-8")
@@ -546,6 +547,22 @@ def test_one_si_particle_doubling_its_volume_gains_k_b_ln_2(tmp_path, capsys):
     assert main(["run", "--scenario", path, "--out", str(out), "--measure-entropy", "p"]) == 0
     (delta_s,) = _read_column(out / "measure_p.csv", "delta_S")
     assert float(delta_s) == pytest.approx(KB_SI * math.log(2.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("units, kb", [("reduced", 1.0), ("si", KB_SI)])
+def test_macroscopic_gas_measures_against_the_default_reservoir_range(tmp_path, capsys,
+                                                                      units, kb):
+    # 1e20 particles at 300 K doubling their volume move 2.1e22 k_B through a
+    # reservoir declared without a range: the default is unbounded in either
+    # units, and an SI file's infinite default is no value without a reduced image
+    path = _si_gas(tmp_path, 1e20, 1.5 * 1e20 * kb * 300.0,
+                   "[reservoir R]\ntemperature = 300\n\n[pair p]\nfrom = a\nto = b\n"
+                   "reservoir = R\n", units)
+    assert main(["validate", "--scenario", path]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), "--measure-entropy", "p"]) == 0
+    (delta_s,) = _read_column(out / "measure_p.csv", "delta_S")
+    assert float(delta_s) == pytest.approx(kb * 1e20 * math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_scaled_open_table_scales_its_extensive_columns(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,56 @@ def test_network_rejects_zero_column():
         ReactionNetwork([[0.0], [0.0]])
 
 
+@pytest.mark.parametrize("rows", [
+    [[-2, 0], [-1, -1], [2, 0], [0, 1]],
+    ((-2.0, 0.0), (-1.0, -1.0), (2.0, 0.0), (0.0, 1.0)),
+    np.array([[-2, 0], [-1, -1], [2, 0], [0, 1]]),
+], ids=["lists", "tuples", "array"])
+def test_network_holds_float_rows_compared_and_hashed_by_value(rows):
+    net = ReactionNetwork(rows)
+    want = ReactionNetwork([[-2.0, 0.0], [-1.0, -1.0], [2.0, 0.0], [0.0, 1.0]])
+    assert net == want and hash(net) == hash(want) and len({net, want}) == 1
+    assert net.rows == ((-2.0, 0.0), (-1.0, -1.0), (2.0, 0.0), (0.0, 1.0))
+    assert all(type(x) is float for row in net.rows for x in row)
+    assert (net.n_constituents, net.n_reactions) == (4, 2)
+    assert net != ReactionNetwork([[-2.0, 0.0], [-1.0, -1.0], [2.0, 0.0], [0.0, 2.0]])
+
+
+def test_network_stoich_is_a_read_only_array_of_its_rows():
+    net = ReactionNetwork([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
+    assert net.stoich is net.stoich  # built once
+    assert net.stoich.tolist() == [list(row) for row in net.rows]
+    with pytest.raises(ValueError):
+        net.stoich[0, 0] = 5.0
+    assert net.rows[0][0] == -1.0
+
+
+def test_network_without_reactions():
+    net = ReactionNetwork(np.zeros((2, 0)))
+    assert net.rows == ((), ()) and (net.n_constituents, net.n_reactions) == (2, 0)
+    assert net.stoich.shape == (2, 0) and net.rank == 0 and net.independent_columns == ()
+    assert net == ReactionNetwork([[], []])
+
+
+@pytest.mark.parametrize("rows", [[1.0, -1.0], [[1.0, -1.0], [2.0]], np.ones((2, 2, 2)),
+                                  [[float("nan")], [1.0]], [], 3.0],
+                         ids=["vector", "ragged", "three-dimensional", "nan", "empty", "scalar"])
+def test_network_refuses_what_is_not_a_finite_matrix(rows):
+    with pytest.raises(ValueError):
+        ReactionNetwork(rows)
+
+
+def test_saved_network_round_trips():
+    from entrokit.scenario import parse_scenario, serialize_scenario
+
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "demo_equilibrium.scn"
+            ).read_text(encoding="utf-8")
+    scn = parse_scenario(text)
+    again = parse_scenario(serialize_scenario(scn))
+    assert again.network == scn.network and again.network.rows == scn.network.rows
+    assert serialize_scenario(again) == serialize_scenario(scn)
+
+
 def test_composition_clamps_rounding_noise():
     c = Composition([1.0, -1e-14])
     assert c.amounts[1] == 0.0
@@ -205,8 +256,9 @@ def _water_net(scale):
     return ReactionNetwork([[-2.0], [-1.0], [2.0 * scale]])
 
 
-#: Builders, from plain numbers, of each type whose fields hold arrays or an
-#: instance that does; ``scale`` 1 and 2 give unequal instances.
+#: Builders, from plain numbers, of each type that compares and hashes by
+#: value and holds an array, a network or a table; ``scale`` 1 and 2 give
+#: unequal instances.
 ARRAY_HOLDERS = {
     "ReactionNetwork": _water_net,
     "ReactionCoordinates": lambda scale: ReactionCoordinates([0.25 * scale, 0.5]),
