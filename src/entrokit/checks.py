@@ -23,6 +23,7 @@ from .matter_models import (
     energy_of,
     entropy_of,
     solve_energy_at_temperature,
+    temperature_of,
 )
 from .process_engine import (
     DirectContact,
@@ -300,17 +301,19 @@ def pmm2_exhaustive_check(model: MatterModel, st0: SystemState,
 
     Exhausts schedules up to three primitives over a parameter grid, keeps
     those with zero net reservoir charge and restored parameters, and checks
-    the extracted work.
+    the extracted work.  Its fixed heats and tolerances are fractions of the
+    state's thermal energy N T, so the schedules do not depend on its scale.
     """
     t_res = reservoir.temperature
+    thermal = st0.comp.total * temperature_of(model, st0)
     v0 = st0.params.volume
     volumes = [v0 * f for f in (0.5, 0.8, 1.25, 2.0)]
     e_level = solve_energy_at_temperature(model, t_res, st0.params, st0.comp)
     q_star = e_level - st0.energy
-    heats = [q_star * f for f in (0.25, 0.5, 0.9)] + [-0.1, 0.1]
+    heats = [q_star * f for f in (0.25, 0.5, 0.9)] + [-0.1 * thermal, 0.1 * thermal]
 
     atoms: list = [Isentropic(st0.params.with_volume(v)) for v in volumes]
-    atoms += [DirectContact(q) for q in heats if abs(q) > 1e-12]
+    atoms += [DirectContact(q) for q in heats if abs(q) > 1e-12 * thermal]
     closer = Isentropic(st0.params)
 
     n_checked = 0
@@ -323,11 +326,11 @@ def pmm2_exhaustive_check(model: MatterModel, st0: SystemState,
                 record = run_schedule(model, st0, reservoir, sched)
             except (InadmissibleStep, DomainError, RangeError, RangeExceeded):
                 continue
-            if abs(record.d_e_res) > 1e-12 * max(1.0, abs(st0.energy)):
+            if abs(record.d_e_res) > 1e-12 * thermal:
                 continue
             n_checked += 1
             worst = max(worst, record.work)
-            if record.work > 1e-12 * max(1.0, abs(st0.energy)):
+            if record.work > 1e-12 * thermal:
                 ok = False
     if worst == -math.inf:
         worst = 0.0

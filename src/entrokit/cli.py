@@ -61,27 +61,11 @@ def _load(path) -> Scenario | None:
     return None
 
 
-def _quiet_numpy(job):
-    """``job``, which runs numpy code, with numpy's floating-point warnings
-    off: non-finite values end as issues, gaps or exit codes."""
-    def quiet(*args):
-        import numpy as np
-        with np.errstate(all="ignore"):
-            return job(*args)
-    return quiet
-
-
-def _issues(scn: Scenario) -> list:
-    """``validate_scenario``'s findings; only an elemental-set check runs numpy."""
-    linear_algebra = scn.network is not None and bool(scn.ref_envs)
-    return (_quiet_numpy(validate_scenario) if linear_algebra else validate_scenario)(scn)
-
-
 def cmd_validate(args) -> int:
     scn = _load(args.scenario)
     if scn is None:
         return EXIT_PARSE
-    issues = _issues(scn)
+    issues = validate_scenario(scn)
     if not issues:
         print(f"{args.scenario}: OK ({scn.name})")
         return EXIT_OK
@@ -127,7 +111,6 @@ def _run_schedule_cmd(scn: Scenario, sched_name: str, outdir: Path) -> None:
     print(f"schedule {sched_name}: work = {work:.9g}, sigma = {sigma:.3g}")
 
 
-@_quiet_numpy
 def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
     from .equilibrium import equilibrium_residual, pressure_of, stable_equilibrium
 
@@ -138,18 +121,17 @@ def _run_equilibrate(scn: Scenario, prob_name: str, outdir: Path) -> None:
     eps = sol.eps_se.epsilon
     pressures = [kb * pressure_of(m, st) for m, st in zip(prob.models, sol.states)]
     header = (["problem", "S_se", "T"]
-              + [f"eps_{i}" for i in range(eps.shape[0])]
+              + [f"eps_{i}" for i in range(len(eps))]
               + [f"n_{i}" for i in range(len(n_se))]
               + [f"p_{i}" for i in range(len(pressures))]
               + ["kkt_residual", "fd_residual", "boundary", "degenerate"])
     row = ([prob_name, kb * sol.entropy, sol.temperature]
-           + [float(x) for x in eps] + n_se + pressures
+           + list(eps) + n_se + pressures
            + [sol.kkt_residual, residual, sol.boundary, sol.degenerate])
     write_csv(outdir / f"equilibrium_{prob_name}.csv", header, [row])
     print(f"equilibrate {prob_name}: S_se = {kb * sol.entropy:.9g}, T = {sol.temperature:.9g}")
 
 
-@_quiet_numpy
 def _run_tabulate(scn: Scenario, table_name: str, outdir: Path) -> None:
     from .open_systems import open_fundamental_relation
 
@@ -236,7 +218,7 @@ def cmd_run(args) -> int:
     scn = _load(args.scenario)
     if scn is None:
         return EXIT_PARSE
-    issues = _issues(scn)
+    issues = validate_scenario(scn)
     if issues:
         for issue in issues:
             print(str(issue), file=sys.stderr)

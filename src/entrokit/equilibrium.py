@@ -13,16 +13,16 @@ several it minimizes the convex dual in the element potentials and 1/T
 model gives its amounts at given potentials and temperature in closed form
 (the ``log_amounts`` hook), and the answer is packaged and certified at those
 amounts.  Certificates take nonnegative least-squares multipliers.
+Everything is in plain floats except the dual, which alone imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -41,12 +41,12 @@ from .matter_models import (
     temperature_of,
 )
 from .roots import increasing_root
-from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork
+from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork, _float_vector, _lstsq
 
 MAX_ITER = 200
 TOL_KKT = 1e-10
 
-_FLOAT_EPS = float(np.finfo(float).eps)
+_FLOAT_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class EquilibriumProblem:
             start += len(comp)
         return out
 
-    def n0_concat(self) -> np.ndarray:
-        return np.concatenate([c.amounts for c in self.n0])
+    def n0_concat(self) -> list:
+        return [x for c in self.n0 for x in c.amounts]
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ class EquilibriumSolution:
     states: tuple
     entropy: float
     temperature: float
-    chemical_potentials: np.ndarray
-    affinities: np.ndarray
+    chemical_potentials: tuple
+    affinities: tuple
     kkt_residual: float
     boundary: bool
     active: tuple
@@ -122,7 +122,7 @@ class _Point:
     equal-temperature split and the total entropy.  dS/dn is filled in on
     first use."""
 
-    eps: list | np.ndarray
+    eps: list
     n: list
     comps: list
     energies: list
@@ -139,11 +139,14 @@ def _point(prob: EquilibriumProblem, eps, n: list) -> _Point:
     return _Point(eps, n, comps, *_split(prob, comps))
 
 
-def _point_at(prob: EquilibriumProblem, n: np.ndarray) -> _Point:
-    """The problem evaluated at the amounts ``n``, with the minimum-norm
-    coordinates that reach them."""
-    eps, *_ = np.linalg.lstsq(prob.network.stoich, n - prob.n0_concat(), rcond=1e-10)
-    return _point(prob, eps, n.tolist())
+def _moved_by(prob: EquilibriumProblem, n: list) -> list:
+    """The minimum-norm coordinates that take the initial amounts to ``n``."""
+    return _lstsq(prob.network.rows, [a - b for a, b in zip(n, prob.n0_concat())])
+
+
+def _max_abs(values) -> float:
+    """The largest |x| among ``values`` (0 without any); NaN if one is NaN."""
+    return math.nan if any(x != x for x in values) else max(map(abs, values), default=0.0)
 
 
 def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
@@ -202,11 +205,13 @@ def _feasible_interval_1d(n0: list, col: list) -> tuple[float, float]:
 
 def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> EquilibriumSolution:
     """Package the split, potentials and residuals at given reaction coordinates."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=float)) if prob.n_reactions else np.zeros(0)
+    eps = _float_vector(eps, "reaction coordinates") if prob.n_reactions else ()
+    if len(eps) != prob.n_reactions:
+        raise ValueError(f"{len(eps)} reaction coordinates for {prob.n_reactions} reactions")
     n = prob.n0_concat()
-    if prob.network is not None:
-        n = n + prob.network.stoich @ eps
-    return _package(prob, _point(prob, eps, n.tolist()), iterations)
+    if prob.n_reactions:
+        n = [a + sum(map(mul, row, eps)) for a, row in zip(n, prob.network.rows)]
+    return _package(prob, _point(prob, list(eps), n), iterations)
 
 
 def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
@@ -217,27 +222,19 @@ def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
         SystemState(e, p, c) for e, p, c in zip(pt.energies, prob.params, pt.comps)
     )
     if prob.n_reactions:
-        nu = prob.network.stoich
-        dsdn = np.array(_ds_dn(prob, pt))
-        mu = -pt.temperature * dsdn
-        affinities = nu.T @ mu
+        net, dsdn = prob.network, _ds_dn(prob, pt)
+        mu = tuple(-pt.temperature * x for x in dsdn)
+        affinities = tuple(sum(map(mul, col, mu)) for col in net.columns)
         if certificate is None:
-            wall = _wall([x for c in prob.n0 for x in c.amounts])
-            certificate = _kkt(nu, pt.n, nu.T @ dsdn, wall)
+            grad = [sum(map(mul, col, dsdn)) for col in net.columns]
+            certificate = _kkt(net.rows, pt.n, grad, _wall(prob.n0_concat()))
         kkt, active = certificate
-        degenerate = prob.network.rank < prob.n_reactions
-        if degenerate:
-            eps_report, *_ = np.linalg.lstsq(nu, np.array(pt.n) - prob.n0_concat(),
-                                             rcond=1e-10)
-        else:
-            eps_report = pt.eps
+        degenerate = net.rank < prob.n_reactions
+        eps_report = _moved_by(prob, pt.n) if degenerate else pt.eps
     else:
-        mu = np.zeros(0)
-        affinities = np.zeros(0)
+        mu = affinities = eps_report = active = ()
         kkt = 0.0
-        active = ()
         degenerate = False
-        eps_report = np.zeros(0)
 
     return EquilibriumSolution(
         eps_se=ReactionCoordinates(eps_report),
@@ -257,37 +254,43 @@ def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
 
 def _kkt(nu, n: list, grad: list, wall: float) -> tuple[float, tuple]:
     """KKT residual at the amounts ``n``, where the entropy gradient nu^T dS/dn
-    is ``grad`` (floats; ``nu`` has one row per constituent), and its active
-    constituents: those with amounts at most ``wall``.  Without one the
-    residual is max |grad|: along one reaction, the |g| of the probe."""
+    is ``grad`` (floats; ``nu`` has one row of floats per constituent), and
+    its active constituents: those with amounts at most ``wall``.  Without
+    one the residual is max |grad|: along one reaction, the |g| of the probe."""
     active = tuple(k for k, x in enumerate(n) if x <= wall)
     if not active:
-        return float(abs(grad[0]) if len(grad) == 1 else np.max(np.abs(grad))), active
+        return _max_abs(grad), active
     # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
-    g = np.array(grad)
-    a = np.array([nu[k] for k in active]).T
-    return float(np.max(np.abs(g + a @ _nnls(a, -g)))), active
+    a = [[nu[k][l] for k in active] for l in range(len(grad))]
+    lam = _nnls(a, [-g for g in grad])
+    return _max_abs([g + sum(map(mul, row, lam)) for g, row in zip(grad, a)]), active
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x >= 0 minimizing |a x - b|, by the active-set method of Lawson and
-    Hanson (Solving Least Squares Problems, 1974, ch. 23)."""
-    x, free = np.zeros(a.shape[1]), np.zeros(a.shape[1], dtype=bool)
-    tol = 10.0 * _FLOAT_EPS * max(a.shape) * max(1.0, float(np.max(np.abs(a).sum(axis=0))))
-    for _ in range(3 * a.shape[1]):
-        w = a.T @ (b - a @ x)
-        if free.all() or np.max(w[~free]) <= tol:
+def _nnls(a: list, b: list) -> list:
+    """x >= 0 minimizing |a x - b| (``a`` a list of rows), by the active-set
+    method of Lawson and Hanson (Solving Least Squares Problems, 1974, ch. 23)."""
+    cols = list(zip(*a))
+    n, rcond = len(cols), _FLOAT_EPS * max(len(a), len(cols))
+    tol = 10.0 * rcond * max(1.0, max(sum(map(abs, col)) for col in cols))
+    x, free = [0.0] * n, [False] * n
+    for _ in range(3 * n):
+        r = [bi - sum(map(mul, row, x)) for row, bi in zip(a, b)]
+        w = [sum(map(mul, col, r)) for col in cols]
+        bound = [k for k in range(n) if not free[k]]
+        if not bound or max(w[k] for k in bound) <= tol:
             break
-        free[np.argmax(np.where(free, -np.inf, w))] = True
+        free[max(bound, key=w.__getitem__)] = True
         while True:  # solve on the free set, stepping back while an entry is not positive
-            z = np.zeros_like(x)
-            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
-            out = free & (z <= 0.0)
-            if not out.any():
+            on = [k for k in range(n) if free[k]]
+            solved = dict(zip(on, _lstsq([[row[k] for k in on] for row in a], b, rcond)))
+            z = [solved.get(k, 0.0) for k in range(n)]
+            out = [k for k in on if z[k] <= 0.0]
+            if not out:
                 break
-            x += np.min(x[out] / np.maximum(x[out] - z[out], np.finfo(float).tiny)) * (z - x)
-            free &= x > tol
-            x[~free] = 0.0
+            step = min(x[k] / max(x[k] - z[k], sys.float_info.min) for k in out)
+            x = [xk + step * (zk - xk) for xk, zk in zip(x, z)]
+            free = [f and xk > tol for f, xk in zip(free, x)]
+            x = [xk if f else 0.0 for xk, f in zip(x, free)]
         x = z
     return x
 
@@ -310,13 +313,15 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
     the answer fails its KKT certificate.
     """
     tau = prob.n_reactions
-    n0 = [x for c in prob.n0 for x in c.amounts]
-    cols = prob.network.stoich.T.tolist() if tau else []
+    n0 = prob.n0_concat()
+    cols = prob.network.columns if tau else ()
     box = [_feasible_interval_1d(n0, col) for col in cols]
-    # no reaction, or every one pinned (zero-width extent intervals): nothing to optimize
-    if max((hi - lo for lo, hi in box), default=0.0) <= 1e-13:
+    # no reaction, or every one pinned (the amounts it can move span a zero
+    # width): nothing to optimize
+    if max(((hi - lo) * max(map(abs, col)) for (lo, hi), col in zip(box, cols)),
+           default=0.0) <= 1e-13:
         try:
-            return solution_at(prob, np.zeros(tau))
+            return solution_at(prob, [0.0] * tau)
         except (DomainError, RangeError) as exc:
             raise Infeasible(str(exc)) from exc
 
@@ -332,13 +337,15 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
         if start is None:  # the middle of the extent interval, an infinite end at +-1
             x0 = sum(math.copysign(1.0, y) if math.isinf(y) else y for y in box[j]) / 2.0
         else:
-            nu = prob.network.stoich
-            eps = np.atleast_1d(np.asarray(start, dtype=float))
-            if np.min(prob.n0_concat() + nu @ eps) < 0.0:
+            eps = _float_vector(start, "start")
+            if len(eps) != tau:
+                raise ValueError(f"start has {len(eps)} extents for {tau} reactions")
+            moved = [sum(map(mul, row, eps)) for row in prob.network.rows]
+            if min(a + b for a, b in zip(n0, moved)) < 0.0:
                 raise Infeasible("supplied start is outside the feasible set")
             if rank < tau:
-                eps, *_ = np.linalg.lstsq(nu[:, [j]], nu @ eps, rcond=None)
-            x0 = float(eps[0])
+                eps = _lstsq([[c] for c in cols[j]], moved)
+            x0 = eps[0]
         pt, it, failure, certificate = _affinity_root(prob, n0, cols[j], x0, box[j], max_iter)
         if rank < tau:  # the certificate is on the full network
             certificate = None
@@ -441,19 +448,21 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
     return answer, len(seen), failure, ranked[best]
 
 
-def _reachable(nu: np.ndarray, n0: np.ndarray) -> np.ndarray:
-    """Mask of the constituents present in ``n0`` or produced from it.  A
+def _reachable(net: ReactionNetwork, n0: list) -> list:
+    """Flags of the constituents present in ``n0`` or produced from it.  A
     reaction runs, either way, once every constituent it consumes that way is
     present or produced; what it makes is then produced.  A cycle of
     reactions that needs an absent constituent it gives back is not run, and
     its answer fails the KKT certificate rather than passing unnoticed."""
-    present = n0 > 0.0
+    present = [x > 0.0 for x in n0]
+    ways = [*net.columns, *([-c for c in col] for col in net.columns)]
     grown = True
     while grown:
         grown = False
-        for col in np.concatenate([nu, -nu], axis=1).T:
-            if present[col < 0.0].all() and not present[col > 0.0].all():
-                present |= col > 0.0
+        for col in ways:
+            if (all(p for p, c in zip(present, col) if c < 0.0)
+                    and not all(p for p, c in zip(present, col) if c > 0.0)):
+                present = [p or c > 0.0 for p, c in zip(present, col)]
                 grown = True
     return present
 
@@ -482,75 +491,81 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
     (point at the last amounts, Newton steps, what to report if the point
     fails its KKT certificate).
     """
-    models, params, slices = prob.models, prob.params, prob.slices()
-    nu, n0 = prob.network.stoich, prob.n0_concat()
-    free = np.any(nu != 0.0, axis=1) & _reachable(nu, n0)
-    # the conserved rows are orthonormal, so their singular values are at most 1
-    _, sv, vt = np.linalg.svd(prob.network.conserved[:, free], full_matrices=False)
-    a = vt[:int(np.sum(sv > 1e-10))]
-    b = a @ n0[free]
+    import numpy as np
 
-    def at(lam: np.ndarray, beta: float) -> tuple:
-        """(g, gradient, amounts, compositions, T, dln n/dln T) at (lam, beta)."""
-        if not beta > 0.0:
-            raise DomainError("1/T must be positive")
-        t = 1.0 / beta
-        potentials = np.zeros(n0.shape[0])
-        potentials[free] = a.T @ lam
-        n, dlog = n0.copy(), np.empty_like(n0)
-        for m, p, sl in zip(models, params, slices):
-            log_n, dlog[sl] = map(np.array, m.log_amounts(t, p, potentials[sl]))
-            moved = free[sl]
-            if np.max(log_n[moved], initial=0.0) > 700.0:
-                raise RangeError("amounts beyond any finite value")
-            n[sl][moved] = np.exp(log_n[moved])
-        comps = [Composition(n[sl]) for sl in slices]
-        energies = [solve_energy_at_temperature(m, t, p, c)
-                    for m, p, c in zip(models, params, comps)]
-        entropy = sum(m.entropy(e, p, c) for m, e, p, c in zip(models, energies, params, comps))
-        grad = np.append(b - a @ n[free], prob.total_energy - sum(energies))
-        return entropy + lam @ grad[:-1] + beta * grad[-1], grad, n, comps, t, dlog
+    with np.errstate(all="ignore"):  # non-finite values end as refusals or a failed certificate
+        models, params, slices = prob.models, prob.params, prob.slices()
+        initial = prob.n0_concat()
+        nu, n0 = prob.network.stoich, np.array(initial)
+        free = np.any(nu != 0.0, axis=1) & np.array(_reachable(prob.network, initial))
+        # the conserved rows are orthonormal, so their singular values are at most 1
+        _, sv, vt = np.linalg.svd(prob.network.conserved[:, free], full_matrices=False)
+        a = vt[:int(np.sum(sv > 1e-10))]
+        b = a @ n0[free]
 
-    try:
-        t0 = _split(prob, [Composition(n0[sl]) for sl in slices])[1]
-    except (DomainError, RangeError) as exc:
-        raise Infeasible(f"no admissible state at the initial composition: {exc}") from exc
-    # the potentials that best reproduce the initial amounts, absent ones at a small share
-    target = np.maximum(n0, 1e-3 * n0.max())[free]
-    at_zero = np.concatenate([m.log_amounts(t0, p, np.zeros(sl.stop - sl.start))[0]
-                              for m, p, sl in zip(models, params, slices)])[free]
-    lam, *_ = np.linalg.lstsq(a.T, at_zero - np.log(target), rcond=None)
-    beta = 1.0 / t0
-    here = at(lam, beta)
-    failure = f"iteration budget {max_iter} exhausted"
-    for it in range(1, max_iter + 1):
-        g, grad, n, comps, t, dlog = here
-        w = np.vstack([a, t * dlog[free]])
-        hess = (w * n[free]) @ w.T
-        hess[-1, -1] += t * t * sum(
-            _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
-                       [t], step=H_REL * t)[0]
-            for m, p, c in zip(models, params, comps))
-        step = np.linalg.solve(hess, -grad)
-        decrease = -float(grad @ step)
-        if decrease <= 64.0 * _FLOAT_EPS * abs(g):
-            here = at(lam + step[:-1], beta + step[-1])
-            failure = f"element-potential dual converged in {it} steps"
-            break
-        alpha = 1.0
-        for _ in range(60):
-            try:
-                trial = at(lam + alpha * step[:-1], beta + alpha * step[-1])
-            except (DomainError, RangeError):
-                trial = None
-            if trial is not None and trial[0] <= g - 1e-4 * alpha * decrease:
+        def at(lam: np.ndarray, beta: float) -> tuple:
+            """(g, gradient, amounts, compositions, T, dln n/dln T) at (lam, beta)."""
+            if not beta > 0.0:
+                raise DomainError("1/T must be positive")
+            t = 1.0 / beta
+            potentials = np.zeros(n0.shape[0])
+            potentials[free] = a.T @ lam
+            n, dlog = n0.copy(), np.empty_like(n0)
+            for m, p, sl in zip(models, params, slices):
+                log_n, dlog[sl] = map(np.array, m.log_amounts(t, p, potentials[sl]))
+                moved = free[sl]
+                if np.max(log_n[moved], initial=0.0) > 700.0:
+                    raise RangeError("amounts beyond any finite value")
+                n[sl][moved] = np.exp(log_n[moved])
+            comps = [Composition(n[sl]) for sl in slices]
+            energies = [solve_energy_at_temperature(m, t, p, c)
+                        for m, p, c in zip(models, params, comps)]
+            entropy = sum(m.entropy(e, p, c)
+                          for m, e, p, c in zip(models, energies, params, comps))
+            grad = np.append(b - a @ n[free], prob.total_energy - sum(energies))
+            return entropy + lam @ grad[:-1] + beta * grad[-1], grad, n, comps, t, dlog
+
+        try:
+            t0 = _split(prob, [Composition(n0[sl]) for sl in slices])[1]
+        except (DomainError, RangeError) as exc:
+            raise Infeasible(f"no admissible state at the initial composition: {exc}") from exc
+        # the potentials that best reproduce the initial amounts, absent ones at a small share
+        target = np.maximum(n0, 1e-3 * n0.max())[free]
+        at_zero = np.concatenate([m.log_amounts(t0, p, np.zeros(sl.stop - sl.start))[0]
+                                  for m, p, sl in zip(models, params, slices)])[free]
+        lam, *_ = np.linalg.lstsq(a.T, at_zero - np.log(target), rcond=None)
+        beta = 1.0 / t0
+        here = at(lam, beta)
+        failure = f"iteration budget {max_iter} exhausted"
+        for it in range(1, max_iter + 1):
+            g, grad, n, comps, t, dlog = here
+            w = np.vstack([a, t * dlog[free]])
+            hess = (w * n[free]) @ w.T
+            hess[-1, -1] += t * t * sum(
+                _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
+                           [t], step=H_REL * t)[0]
+                for m, p, c in zip(models, params, comps))
+            step = np.linalg.solve(hess, -grad)
+            decrease = -float(grad @ step)
+            if decrease <= 64.0 * _FLOAT_EPS * abs(g):
+                here = at(lam + step[:-1], beta + step[-1])
+                failure = f"element-potential dual converged in {it} steps"
                 break
-            alpha *= 0.5
-        else:
-            failure = f"no descent step after {it} steps"
-            break
-        lam, beta, here = lam + alpha * step[:-1], beta + alpha * step[-1], trial
-    return _point_at(prob, here[2]), it, failure
+            alpha = 1.0
+            for _ in range(60):
+                try:
+                    trial = at(lam + alpha * step[:-1], beta + alpha * step[-1])
+                except (DomainError, RangeError):
+                    trial = None
+                if trial is not None and trial[0] <= g - 1e-4 * alpha * decrease:
+                    break
+                alpha *= 0.5
+            else:
+                failure = f"no descent step after {it} steps"
+                break
+            lam, beta, here = lam + alpha * step[:-1], beta + alpha * step[-1], trial
+        n = here[2].tolist()
+        return _point(prob, _moved_by(prob, n), n), it, failure
 
 
 def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> float:
@@ -559,10 +574,9 @@ def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> 
     if prob.n_reactions == 0:
         return 0.0
     t_eq = sol.temperature
-    mu = -t_eq * np.array([x for model, st in zip(prob.models, sol.states)
-                           for x in MatterModel.ds_dn(model, st.energy, st.params, st.comp)])
-    affinity = prob.network.stoich.T @ mu
-    return float(np.max(np.abs(affinity)) / t_eq)
+    mu = [-t_eq * x for model, st in zip(prob.models, sol.states)
+          for x in MatterModel.ds_dn(model, st.energy, st.params, st.comp)]
+    return _max_abs([sum(map(mul, col, mu)) for col in prob.network.columns]) / t_eq
 
 
 def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
@@ -577,7 +591,7 @@ def gibbs_residual(model: MatterModel, st: SystemState, d_s: float,
     from .open_systems import OpenState, gibbs_open_residual
 
     return gibbs_open_residual(None, model, OpenState(st.comp, st.energy, st.params),
-                               d_s, np.zeros(len(st.comp)), d_beta)
+                               d_s, [0.0] * len(st.comp), d_beta)
 
 
 def pressure_of(model: MatterModel, st: SystemState) -> float:

@@ -135,7 +135,7 @@ class MatterModel:
         """dS/dn_k at fixed (E, beta), one float per constituent: finite
         differences, forward along an amount within one step of 0."""
         return _fd_slopes(lambda n: self.entropy(energy, params, Composition(n)),
-                          comp.amounts, amounts=range(len(comp))).tolist()
+                          comp.amounts, amounts=range(len(comp)))
 
     def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
         """direction . dS/dn at fixed (E, beta) at the amounts
@@ -534,17 +534,15 @@ def _temperature(model: MatterModel, energy: float, params: Parameters,
     return 1.0 / slope
 
 
-def _fd_slopes(f, x, amounts=(), step=None):
-    """Finite-difference slopes of ``f`` at the point ``x``, one per coordinate,
-    as a numpy array: a vector for a scalar ``f``, the Jacobian (column i along x_i) for a vector
-    ``f``.  Central, with step ``H_REL * max(1, |x_i|)`` unless ``step`` gives
-    one; forward along an amount (the indices ``amounts``) within one step of 0.
+def _fd_slopes(f, x, amounts=(), step=None) -> list:
+    """Finite-difference slopes of the scalar ``f`` at the point ``x``, a
+    sequence of floats, one float per coordinate; ``f`` takes a list.
+    Central, with step ``H_REL * max(1, |x_i|)`` unless ``step`` gives one;
+    forward along an amount (the indices ``amounts``) within one step of 0.
     Raises DomainError when a step is lost to rounding."""
-    import numpy as np
-
-    x = np.array(x, dtype=float, ndmin=1)
+    x = list(map(float, x))
     slopes, f_x = [], None
-    for i, x_i in enumerate(x.tolist()):
+    for i, x_i in enumerate(x):
         h = H_REL * max(1.0, abs(x_i)) if step is None else step
         if x_i + h == x_i:
             raise DomainError(f"finite-difference step vanishes at {x_i:.6g}")
@@ -556,4 +554,4 @@ def _fd_slopes(f, x, amounts=(), step=None):
         else:
             lo[i] = x_i - h
             slopes.append((f(hi) - f(lo)) / (2.0 * h))
-    return np.array(slopes).T
+    return slopes

@@ -9,7 +9,7 @@ reference states at the environment's temperature and pressure.  The gauge,
 reference proxy state, its (T, S) and anchored entropy of a composition are
 kept, so a table that revisits a composition runs only the measurement of
 each state; the equilibrium compositions of a reactive table, which seldom
-recur, are not kept.
+recur, are not kept.  Everything here is in plain floats.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-
-import numpy as np
 
 from .equilibrium import EquilibriumProblem, _pressure, stable_equilibrium
 from .errors import (
@@ -47,8 +45,8 @@ from .stoichiometry import (
     Composition,
     ReactionNetwork,
     TOL_COMPAT,
-    RCOND,
     _float_vector,
+    _pinv,
     validate_elemental_set,
 )
 
@@ -173,16 +171,18 @@ class ReferenceEnvironment:
         their pseudo-inverse at the relative cutoff RCOND; the residual vanishes,
         up to rounding, exactly when those rows are solvable.
         """
-        nu = self.network.stoich
-        eye = np.eye(nu.shape[0])
-        elem = list(self.elemental)
-        outside = np.ones(nu.shape[0], dtype=bool)
-        outside[elem] = False
-        rows_out, select_out = nu[outside], eye[outside]
-        coords = np.linalg.pinv(rows_out, rcond=RCOND) @ select_out
-        content = eye[elem] - nu[elem] @ coords
-        return tuple(tuple(map(tuple, m.tolist()))
-                     for m in (content, coords, rows_out @ coords - select_out))
+        rows, r = self.network.rows, self.network.n_constituents
+        outside = [k for k in range(r) if k not in self.elemental]
+        # column k of the eps map: the pseudo-inverse's for an outside k, else zero
+        pinv = dict(zip(outside, zip(*_pinv([rows[k] for k in outside]))))
+        cols = [pinv.get(k, (0.0,) * self.network.n_reactions) for k in range(r)]
+
+        def image(k: int) -> list:  # row k of nu times the eps map
+            return [sum(map(mul, rows[k], col)) for col in cols]
+
+        content = [[float(i == k) - x for i, x in enumerate(image(k))] for k in self.elemental]
+        residual = [[x - float(i == k) for i, x in enumerate(image(k))] for k in outside]
+        return tuple(tuple(map(tuple, m)) for m in (content, zip(*cols), residual))
 
     def physical_sums(self, w) -> tuple[float, float]:
         """Total (energy, entropy) of the elemental boxes holding amounts w."""
@@ -207,10 +207,10 @@ class ReferenceEnvironment:
         """Constant gradients (dg_E/dn, dg_S/dn) of the gauge, which is linear
         in the amounts wherever the composition is expressible; tuples of
         floats, one entry per constituent."""
-        content = np.array(self.content_maps[0]).T
-        physical = np.array(self.physical_references).T
-        return tuple(tuple((content @ (np.array(assigned) - phys)).tolist())
-                     for assigned, phys in zip((self.e0_assigned, self.s0_assigned), physical))
+        content, refs = self.content_maps[0], self.physical_references
+        return tuple(tuple(sum(row[k] * (a - ref[i]) for row, a, ref in zip(content, values, refs))
+                           for k in range(self.network.n_constituents))
+                     for i, values in enumerate((self.e0_assigned, self.s0_assigned)))
 
     @cached_property
     def _records(self) -> dict:
@@ -364,32 +364,33 @@ def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
     A test oracle: T, mu and F are finite differences of the inverted open
     relation itself, taken along the perturbed coordinates only.
     """
-    d_n = np.atleast_1d(np.asarray(d_n, dtype=float))
-    d_beta = np.atleast_1d(np.asarray(d_beta, dtype=float))
-    n0 = np.array(ost.comp.amounts)
-    beta0 = np.array(ost.params.beta)
-    if d_n.shape[0] != n0.shape[0] or d_beta.shape[0] != beta0.shape[0]:
+    d_n = _float_vector(d_n, "amount perturbation")
+    d_beta = _float_vector(d_beta, "parameter perturbation")
+    n0, beta0 = ost.comp.amounts, ost.params.beta
+    if len(d_n) != len(n0) or len(d_beta) != len(beta0):
         raise ValueError("perturbation shapes do not match the state")
 
     e_open_fn = _open_energy_function(env, model)
     g_e, g_s = (0.0, 0.0) if env is None else env.gauge(ost.comp)
-    r = n0.shape[0]
-    x0 = np.concatenate(([g_s + entropy_of(model, ost.closed_proxy())], n0, beta0))
-    dx = np.concatenate(([d_s], d_n, d_beta))
+    r = len(n0)
+    x0 = [g_s + entropy_of(model, ost.closed_proxy()), *n0, *beta0]
+    dx = [float(d_s), *d_n, *d_beta]
 
     def e_at(x):  # x = (S_open, n, beta)
         return e_open_fn(x[0], Composition(x[1:1 + r]), Parameters(x[1 + r:]))
 
-    along = np.nonzero(dx)[0]
+    along = [i for i, d in enumerate(dx) if d]
 
     def e_along(y):
         x = x0.copy()
-        x[along] = y
+        for i, y_i in zip(along, y):
+            x[i] = y_i
         return e_at(x)
 
     amounts = [j for j, i in enumerate(along) if 1 <= i <= r]
-    slopes = _fd_slopes(e_along, x0[along], amounts)
-    return abs(e_at(x0 + dx) - (g_e + ost.energy) - float(slopes @ dx[along]))
+    slopes = _fd_slopes(e_along, [x0[i] for i in along], amounts)
+    moved = sum(s * dx[i] for s, i in zip(slopes, along))
+    return abs(e_at([a + b for a, b in zip(x0, dx)]) - (g_e + ost.energy) - moved)
 
 
 @dataclass(frozen=True)
@@ -435,7 +436,7 @@ def _tabulate_point(env, model, grid, point) -> OpenTableRow:
                                       network=grid.network)
             sol = stable_equilibrium(prob)
             st, temp, s = sol.states[0], sol.temperature, sol.entropy
-            eps = tuple(float(x) for x in sol.eps_se.epsilon)
+            eps = sol.eps_se.epsilon
         else:
             st = SystemState(energy, params, comp)
             temp, s = model.evaluate(energy, params, comp)

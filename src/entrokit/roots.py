@@ -76,15 +76,18 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
             return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+            try:
+                if xpre == xblk:
+                    # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # an infinite or NaN step in C, which bisects
+                stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

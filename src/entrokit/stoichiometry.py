@@ -1,15 +1,19 @@
 """Composition vectors, reaction networks and the linear algebra that connects them.
 
 Amounts are real-valued throughout: region counting over ideal surface patches
-gives continuous spectra, so no integer-only mode is offered.  Amounts and
-a network's coefficients are tuples of floats; only linear algebra imports numpy.
+gives continuous spectra, so no integer-only mode is offered.  Amounts, a
+network's coefficients and reaction coordinates are tuples of floats, and
+their linear algebra runs through one plain-float Jacobi SVD (``_svd``); only
+``stoich`` and ``conserved``, the arrays of the several-reaction dual, import numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import NegativeAmount
@@ -27,6 +31,71 @@ TOL_COMPAT = 1e-9
 
 #: Relative singular-value cutoff for rank detection in least-squares solves.
 RCOND = 1e-10
+
+
+def _svd(rows) -> tuple[list, list, list]:
+    """The thin SVD of the m x n matrix ``rows``: lists s, u and v of the
+    min(m, n) singular values and their left (length m, zero for s = 0) and
+    right (length n) vectors.  One-sided Jacobi (M. R. Hestenes, J. SIAM 6,
+    1958): plane rotations of the columns, accumulated in v, until all are
+    orthogonal to rounding, a wide matrix through its transpose.  Entries are
+    first divided by a power of two near the largest, exactly, which keeps
+    the squared norms finite."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if m < n:
+        s, u, v = _svd(list(zip(*rows)))
+        return s, v, u
+    peak = max((abs(x) for row in rows for x in row), default=0.0)
+    scale = math.ldexp(0.5, math.frexp(peak)[1]) if peak > 0.0 else 1.0
+    cols = [[x / scale for x in col] for col in zip(*rows)]
+    v = [[float(i == k) for i in range(n)] for k in range(n)]
+    for _ in range(40):  # sweeps; small matrices converge in a handful
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                a, b = cols[i], cols[j]
+                gamma = sum(map(mul, a, b))
+                alpha, beta = sum(map(mul, a, a)), sum(map(mul, b, b))
+                if abs(gamma) <= sys.float_info.epsilon * math.sqrt(alpha * beta):
+                    continue
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                sn = c * t
+                rotated = True
+                for pair in (cols, v):
+                    x, y = pair[i], pair[j]
+                    pair[i] = [c * p - sn * q for p, q in zip(x, y)]
+                    pair[j] = [sn * p + c * q for p, q in zip(x, y)]
+        if not rotated:
+            break
+    norms = [math.sqrt(sum(map(mul, col, col))) for col in cols]
+    u = [[x / norm for x in col] if norm > 0.0 else [0.0] * m
+         for col, norm in zip(cols, norms)]
+    return [norm * scale for norm in norms], u, v
+
+
+def _kept(rows, rcond: float) -> list:
+    """The (s, u, v) triples of ``_svd(rows)`` whose singular value exceeds
+    ``rcond`` times the largest, the cutoff of ``numpy.linalg.pinv`` and
+    ``lstsq``; the others count as zero."""
+    s, u, v = _svd(rows)
+    cutoff = rcond * max(s, default=0.0)
+    return [(sk, uk, vk) for sk, uk, vk in zip(s, u, v) if sk > cutoff]
+
+
+def _pinv(rows, rcond: float = RCOND) -> list:
+    """Pseudo-inverse of the m x n matrix ``rows``, n rows of m floats."""
+    m, n, kept = len(rows), len(rows[0]) if rows else 0, _kept(rows, rcond)
+    return [[sum((vk[i] * uk[j] / sk for sk, uk, vk in kept), 0.0) for j in range(m)]
+            for i in range(n)]
+
+
+def _lstsq(rows, b, rcond: float = RCOND) -> list:
+    """The minimum-norm least-squares solution x of ``rows`` x = ``b``:
+    v diag(1/s) u^T b over the kept singular values, in that order, as numpy."""
+    coefs = [(sum(map(mul, uk, b)) / sk, vk) for sk, uk, vk in _kept(rows, rcond)]
+    return [sum((c * vk[i] for c, vk in coefs), 0.0) for i in range(len(rows[0]) if rows else 0)]
 
 
 def _frozen_array(values, ndmin: int) -> np.ndarray:
@@ -116,17 +185,25 @@ class ReactionNetwork:
     def n_reactions(self) -> int:
         return len(self.rows[0])
 
+    @cached_property
+    def columns(self) -> tuple:
+        """The coefficients of each reaction, a tuple of tuples of floats."""
+        return tuple(zip(*self.rows))
+
     @property
     def _rank_tol(self) -> float:
-        return 1e-10 * max([1.0] + [abs(x) for row in self.rows for x in row])
+        return 1e-10 * max((abs(x) for row in self.rows for x in row), default=0.0)
+
+    def _rank(self, cols) -> int:
+        """Rank of the reactions ``cols``, at the cutoff of ``rank``."""
+        tol = self._rank_tol
+        return sum(x > tol for x in _svd([[row[j] for j in cols] for row in self.rows])[0])
 
     @cached_property
     def rank(self) -> int:
         """Number of independent reactions, at a cutoff relative to the largest
         coefficient; computed once per network."""
-        from numpy.linalg import matrix_rank
-
-        return int(matrix_rank(self.stoich, tol=self._rank_tol))
+        return self._rank(range(self.n_reactions))
 
     @cached_property
     def conserved(self) -> np.ndarray:
@@ -141,33 +218,25 @@ class ReactionNetwork:
     def independent_columns(self) -> tuple[int, ...]:
         """A maximal set of linearly independent reactions at the cutoff of
         ``rank``, first come first kept; computed once per network."""
-        from numpy.linalg import matrix_rank
-
         cols: list[int] = []
         for j in range(self.n_reactions):
-            if matrix_rank(self.stoich[:, cols + [j]], tol=self._rank_tol) > len(cols):
+            if self._rank(cols + [j]) > len(cols):
                 cols.append(j)
         return tuple(cols)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReactionCoordinates:
-    """Extent of each reaction mechanism; compared and hashed by value."""
+    """Extent of each reaction mechanism, a tuple of floats; compared and
+    hashed by value."""
 
-    epsilon: np.ndarray
+    epsilon: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _frozen_array(self.epsilon, ndmin=1))
-
-    def __eq__(self, other):
-        same = type(other) is type(self)
-        return self.epsilon.tolist() == other.epsilon.tolist() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.epsilon.tolist()))
+        object.__setattr__(self, "epsilon", _float_vector(self.epsilon, "reaction coordinates"))
 
     def __len__(self) -> int:
-        return self.epsilon.shape[0]
+        return len(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -202,35 +271,31 @@ def validate_elemental_set(
     k there are reaction coordinates whose net change is +1 at k, zero at the
     other outside constituents, and arbitrary on the set.
     Independence: no reaction column is supported entirely on the set.
+    The coordinates forming outside constituent k are the minimum-norm
+    least-squares solution for that target, column k of the pseudo-inverse
+    of the outside rows.
     """
-    import numpy as np
-
     r = net.n_constituents
     species = tuple(sorted(set(int(i) for i in species_indices)))
     for i in species:
         if i < 0 or i >= r:
             raise IndexError(f"species index {i} outside range 0..{r - 1}")
-    in_set = np.zeros(r, dtype=bool)
-    in_set[list(species)] = True
 
-    outside = [k for k in range(r) if not in_set[k]]
+    outside = [k for k in range(r) if k not in species]
     producible: dict[int, ReactionCoordinates] = {}
     unreachable: list[int] = []
-    rows_outside = net.stoich[~in_set, :]
-    for k in outside:
-        target = np.zeros(len(outside))
-        target[outside.index(k)] = 1.0
-        eps, *_ = np.linalg.lstsq(rows_outside, target, rcond=RCOND)
-        if np.max(np.abs(rows_outside @ eps - target)) <= TOL_COMPAT:
+    rows_outside = [net.rows[k] for k in outside]
+    pinv = _pinv(rows_outside)
+    for j, k in enumerate(outside):
+        eps = [p[j] for p in pinv]
+        if all(abs(sum(map(mul, row, eps)) - (i == j)) <= TOL_COMPAT
+               for i, row in enumerate(rows_outside)):
             producible[k] = ReactionCoordinates(eps)
         else:
             unreachable.append(k)
 
-    violating = tuple(
-        col
-        for col in range(net.n_reactions)
-        if not np.any(net.stoich[~in_set, col])
-    )
+    violating = tuple(col for col, column in enumerate(net.columns)
+                      if not any(column[k] for k in outside))
 
     return ElementalSetReport(
         species=species,

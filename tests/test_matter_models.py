@@ -380,13 +380,6 @@ def test_fd_slopes_matches_the_amount_difference_of_the_entropy():
     assert np.array_equal(slopes, expected)
 
 
-def test_fd_slopes_of_a_vector_function_is_its_jacobian():
-    a = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.0]])
-    jac = _fd_slopes(lambda y: a @ y + np.array([y[0] * y[1], 0.0, 0.0]), [1.0, -2.0])
-    assert jac.shape == (3, 2)
-    assert jac == pytest.approx(a + [[-2.0, 1.0], [0.0, 0.0], [0.0, 0.0]], abs=1e-9)
-
-
 def test_fd_slopes_raises_when_the_step_is_lost_to_rounding():
     with pytest.raises(DomainError):
         _fd_slopes(lambda y: y[0], [1e-320], step=1e-6 * 1e-320)  # the step underflows to 0

@@ -534,6 +534,19 @@ def test_pmm2_exhaustive():
     assert result.n_trials > 0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e12])
+def test_pmm2_checks_the_same_schedules_at_any_scale(scale):
+    # the suite's gas and state with energy and T_R times ``scale``, or with
+    # energy and amount times ``scale``: as many schedules qualify as at
+    # scale 1.  (At 1e-12 the gas's ground bound, an absolute GROUND_EPS
+    # above its zero, refuses the expanded states.)
+    assert pmm2_exhaustive_check(GAS, ST1, RES).n_trials == 20
+    for st0, reservoir in ((state(1.5 * scale, 1.0, [1.0]), ThermalReservoir(scale)),
+                           (state(1.5 * scale, 1.0, [scale]), ThermalReservoir(1.0))):
+        result = pmm2_exhaustive_check(GAS, st0, reservoir)
+        assert result.passed and result.n_trials == 20
+
+
 def test_additivity_composite_measurement():
     gas5 = ideal_gas_model(5.0)
     a1, a2 = state(1.0, 1.0, [1.0]), state(2.0, 1.5, [1.0])

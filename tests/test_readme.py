@@ -19,5 +19,5 @@ def test_readme_quick_tour_runs_and_prints_the_equilibrium_extent():
     out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    eps = float(re.match(r"\[\s*([^\]\s]+)\s*\]", out.stdout).group(1))
+    eps = float(re.match(r"\(([^,]+),\)", out.stdout).group(1))
     assert eps == pytest.approx(0.757933, abs=5e-7)

@@ -1,8 +1,8 @@
 """The shared root finder: Brent's method checked against scipy's ``brentq``
 as an independent oracle, the search in a distance from an origin and its
 bracket, and every inversion site driven through its generic path.
-Also what the runtime imports: never scipy, and no numpy on the scalar CLI
-jobs."""
+Also what the runtime imports: never scipy, and no numpy on the shipped CLI
+jobs or a one-reaction solve."""
 
 import ast
 import math
@@ -92,6 +92,17 @@ def test_brentq_matches_scipy(kind, root, slope, below, above, flip, swap, xtol,
         got = err.value.best
     assert abs(got - want) <= xtol + rtol * abs(want)
     assert len(counted.xs) == info.function_calls
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0])
+def test_brentq_bisects_where_an_interpolation_divides_by_an_underflowed_zero(scale):
+    # at 1e-150 the inverse quadratic step's denominator, a product of three
+    # differences of f, underflows to 0; C's brentq then bisects on the
+    # infinite step, and so does the port, with scipy's iterates
+    f = Counted(lambda x: scale * (math.exp(x) - 2.0))
+    want, info = scipy_brentq(f.fn, 0.0, 1.0, full_output=True)
+    assert brentq(f, 0.0, 1.0)[0] == want
+    assert len(f.xs) == info.function_calls
 
 
 def test_brentq_no_sign_change_raises_range_error():
@@ -286,17 +297,40 @@ def test_runtime_imports_leave_scipy_out():
 @pytest.mark.parametrize("argv", [
     ["validate", "--scenario", "scenarios/demo_gas.scn"],
     ["validate", "--scenario", "scenarios/demo_equilibrium.scn"],
+    ["validate", "--scenario", "scenarios/demo_open.scn"],
     ["run", "--scenario", "scenarios/demo_gas.scn", "--measure-entropy", "pair1",
      "--run-schedule", "sched1", "--decorrelate", "j1"],
+    ["run", "--scenario", "scenarios/demo_equilibrium.scn", "--equilibrate", "prob1"],
+    ["run", "--scenario", "scenarios/demo_open.scn", "--tabulate", "tab1"],
     ["run", "--scenario", "scenarios/demo_gas.scn", "--theorem-suite"],
-], ids=["validate", "validate-network", "measure", "theorem-suite"])
-def test_scalar_cli_jobs_leave_numpy_out(tmp_path, argv):
+], ids=["validate", "validate-network", "validate-open", "measure", "equilibrate", "tabulate",
+        "theorem-suite"])
+def test_shipped_cli_jobs_leave_numpy_out(tmp_path, argv):
     code = ("import sys\n"
             "from entrokit import cli\n"
             "code = cli.main(sys.argv[1:])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     out = ["--out", str(tmp_path)] if argv[0] == "run" else []
     assert _fresh(code, *argv, *out).splitlines()[-1] == "0 []"
+
+
+def test_one_reaction_boundary_solve_leaves_numpy_out():
+    # water formation run to exhaustion: the certificate has active
+    # constituents, so it takes nonnegative least-squares multipliers
+    code = ("import sys\n"
+            "from entrokit import equilibrium as eq\n"
+            "from entrokit.matter_models import IdealGasMixture, Parameters, Species\n"
+            "from entrokit.stoichiometry import Composition, ReactionNetwork\n"
+            "calls, nnls = [], eq._nnls\n"
+            "eq._nnls = lambda a, b: calls.append(a) or nnls(a, b)\n"
+            "mix = IdealGasMixture([Species('H2', 5.0), Species('O2', 5.0),\n"
+            "                       Species('H2O', 6.0, e0=-10.0, s0=40.0)])\n"
+            "sol = eq.stable_equilibrium(eq.EquilibriumProblem(\n"
+            "    (mix,), (Parameters([1.0]),), (Composition([2.0, 1.0, 0.0]),), 10.0,\n"
+            "    network=ReactionNetwork([[-2.0], [-1.0], [2.0]])))\n"
+            "print(bool(sol.active), bool(calls),\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert _fresh(code) == "True True []"
 
 
 def test_every_exported_name_is_its_modules_object():

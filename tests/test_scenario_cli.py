@@ -23,6 +23,7 @@ from entrokit.scenario import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = SCENARIOS.parent / "tests" / "golden"
 SHIPPED = sorted(SCENARIOS.glob("*.scn"))
 
 MINIMAL = """
@@ -378,6 +379,43 @@ def test_every_mutated_value_ends_in_a_documented_exit_code(tmp_path, capsys, sc
     odd = {where: code for where, code in codes.items() if code not in (0, 2, 3, 4, 5)}
     assert not odd
     assert not {where: lines for where, lines in noise.items() if lines}
+
+
+#: The water network of demo_equilibrium and demo_open rewritten near the
+#: float limits, and the exit code of each scenario's run job.  Scaled by
+#: 1e-300 it is the same reaction, with the shipped answers.  Scaled by 1e300
+#: the solve finds the shipped extent over 1e300 but its certificate, absolute
+#: in the affinity, grows with the coefficients: equilibrate exits 5, and the
+#: table keeps the points whose probe hit a zero affinity, the rest as gaps.
+#: The second reaction of the near-dependent set is all but supported on
+#: the elemental species, which stays a valid, independent set.
+LIMIT_NETWORKS = {
+    "1e300": ("nu = -2e300 ; -1e300 ; 2e300", {"demo_equilibrium.scn": 5, "demo_open.scn": 0}),
+    "1e-300": ("nu = -2e-300 ; -1e-300 ; 2e-300", {"demo_equilibrium.scn": 0, "demo_open.scn": 0}),
+    "near-dependent": ("names = burn swap\nnu = -2 1 ; -1 -1 ; 2 1e-300",
+                       {"demo_equilibrium.scn": 0, "demo_open.scn": 0}),
+}
+
+
+@pytest.mark.parametrize("network", sorted(LIMIT_NETWORKS))
+@pytest.mark.parametrize("scenario_name", ["demo_equilibrium.scn", "demo_open.scn"])
+def test_networks_near_the_float_limits_end_in_a_documented_exit_code(
+        tmp_path, capsys, scenario_name, network):
+    new, run_codes = LIMIT_NETWORKS[network]
+    path = _mutated(tmp_path, scenario_name, "names = burn\nnu = -2 ; -1 ; 2", new)
+    assert _run_quietly(["validate", "--scenario", path], capsys) == (0, [])
+    out = tmp_path / "out"
+    code, noise = _run_quietly(["run", "--scenario", path, "--out", str(out),
+                                *JOBS[scenario_name]], capsys)
+    assert (code, noise) == (run_codes[scenario_name], [])
+    if network == "1e-300":  # the shipped answers, the extents times 1e300
+        (name,) = [p.name for p in out.iterdir()]
+        with (out / name).open(encoding="utf-8") as fh, \
+                (GOLDEN / name).open(encoding="utf-8") as gh:
+            for got, want in zip(csv.DictReader(fh), csv.DictReader(gh)):
+                assert float(got["eps_0"]) * 1e-300 == pytest.approx(float(want["eps_0"]),
+                                                                    rel=1e-9)
+                assert float(got["S_se"]) == pytest.approx(float(want["S_se"]), rel=1e-9)
 
 
 @pytest.mark.parametrize("old, new", [

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entrokit.correlations import JointState
 from entrokit.equilibrium import EquilibriumProblem, solution_at
@@ -11,9 +11,13 @@ from entrokit.errors import DomainError, NegativeAmount
 from entrokit.matter_models import IdealGasMixture, Parameters, Species
 from entrokit.open_systems import OpenGrid, ReferenceEnvironment
 from entrokit.stoichiometry import (
+    RCOND,
     Composition,
     ReactionCoordinates,
     ReactionNetwork,
+    _lstsq,
+    _pinv,
+    _svd,
     validate_elemental_set,
 )
 
@@ -146,6 +150,16 @@ def test_network_without_reactions():
     assert net.rows == ((), ()) and (net.n_constituents, net.n_reactions) == (2, 0)
     assert net.stoich.shape == (2, 0) and net.rank == 0 and net.independent_columns == ()
     assert net == ReactionNetwork([[], []])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+def test_network_rank_is_relative_to_its_largest_coefficient(scale):
+    # the second reaction is the first one doubled, the third independent
+    net = ReactionNetwork([[-scale, -2.0 * scale, 0.0], [scale, 2.0 * scale, -scale],
+                           [0.0, 0.0, scale]])
+    assert net.columns == ((-scale, scale, 0.0), (-2.0 * scale, 2.0 * scale, 0.0),
+                           (0.0, -scale, scale))
+    assert net.rank == 2 and net.independent_columns == (0, 2)
 
 
 @pytest.mark.parametrize("rows", [[1.0, -1.0], [[1.0, -1.0], [2.0]], np.ones((2, 2, 2)),
@@ -300,3 +314,91 @@ def test_composition_clamps_and_refuses(amounts, want):
     comp = Composition(amounts)
     assert type(comp.amounts) is tuple and comp.amounts == want
     assert all(type(x) is float and math.copysign(1.0, x) == 1.0 for x in comp.amounts)
+
+
+# the Jacobi SVD against numpy.linalg as the oracle
+
+SCALES = st.sampled_from([1e-100, 1.0, 1e100])
+#: Reals in [-10, 10], those below 1e-100 in size as zero: scaled, they stay
+#: clear of subnormal numbers, whose rounding no solver can undo.
+REALS = st.floats(-10.0, 10.0).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+
+
+def _grid(rows, cols, entries):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrices(draw):
+    """m x n matrices up to 6 x 4, wide ones included: integer entries, real
+    ones, or the integer product of two factors of a lower inner size, which
+    has that rank at most; scaled by 1e-100, 1 or 1e100."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["integer", "real", "deficient"]))
+    if kind == "integer":
+        a = draw(_grid(m, n, ints))
+    elif kind == "real":
+        a = draw(_grid(m, n, REALS))
+    else:
+        r = draw(st.integers(0, min(m, n) - 1))
+        b, c = draw(_grid(m, r, ints)), draw(_grid(r, n, ints))
+        a = [[sum(x * c[k][j] for k, x in enumerate(row)) for j in range(n)] for row in b]
+    scale = draw(SCALES)
+    return [[float(x) * scale for x in row] for row in a]
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_jacobi_rank_matches_numpy(a):
+    tol = 1e-10 * max(abs(x) for row in a for x in row)  # ReactionNetwork's cutoff
+    s = np.linalg.svd(np.array(a), compute_uv=False)
+    assume(np.all(np.abs(s - tol) > 1e-12 * s.max()))  # no value that rounding could move across
+    assert sum(x > tol for x in _svd(a)[0]) == np.linalg.matrix_rank(np.array(a), tol=tol)
+
+
+def _kept(a) -> np.ndarray:
+    """The singular values of ``a`` that the RCOND cutoff keeps, when every
+    one is either kept with a condition number at most 1e3 or at rounding
+    level (else the example is skipped)."""
+    s = np.linalg.svd(np.array(a), compute_uv=False)
+    top = s.max()
+    assume(np.all((s >= 1e-3 * top) | (s <= 1e-12 * top)))
+    return s[s > RCOND * top]
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_jacobi_pinv_matches_numpy(a):
+    _kept(a)
+    want = np.linalg.pinv(np.array(a), rcond=RCOND)
+    assume(np.all(np.isfinite(want)))  # an inverse that overflows has no digits to compare
+    got = np.array(_pinv(a)).reshape(want.shape)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(np.abs(want), initial=0.0)
+
+
+@given(matrices().flatmap(lambda a: st.tuples(
+    st.just(a), st.lists(REALS, min_size=len(a), max_size=len(a)), SCALES)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_jacobi_lstsq_is_numpys_minimum_norm_solution(case):
+    a, b, scale = case
+    b = [x * scale for x in b]
+    kept = _kept(a)
+    want = np.linalg.lstsq(np.array(a), np.array(b), rcond=RCOND)[0]
+    assume(np.all(np.isfinite(want)))  # an answer that overflows has no digits to compare
+    got = _lstsq(a, b)
+    assert len(got) == len(want) and all(type(x) is float for x in got)
+    size = np.max(np.abs(want), initial=0.0) + np.max(np.abs(b)) / kept.min(initial=np.inf)
+    assert np.max(np.abs(np.array(got) - want), initial=0.0) <= 1e-9 * size
+
+
+def test_jacobi_svd_handles_empty_and_zero_matrices():
+    assert _svd([]) == ([], [], [])
+    assert _pinv([[], []]) == [] and _lstsq([[], []], [1.0, 2.0]) == []
+    assert _pinv([[0.0, 0.0]]) == [[0.0], [0.0]]
+    # entries near either float limit keep finite norms and an exact scale
+    for x in (1e300, 1e-300):
+        s, u, v = _svd([[x, 0.0], [0.0, 2.0 * x], [0.0, 0.0]])
+        assert sorted(s) == [x, 2.0 * x]
+        assert _pinv([[x], [x]]) == [[pytest.approx(0.5 / x, rel=1e-15)] * 2]
