@@ -41,7 +41,14 @@ from .matter_models import (
     temperature_of,
 )
 from .roots import increasing_root
-from .stoichiometry import Composition, ReactionCoordinates, ReactionNetwork, _float_vector, _lstsq
+from .stoichiometry import (
+    Composition,
+    ReactionCoordinates,
+    ReactionNetwork,
+    _float_vector,
+    _lstsq,
+    _pinv,
+)
 
 MAX_ITER = 200
 TOL_KKT = 1e-10
@@ -282,8 +289,8 @@ def _nnls(a: list, b: list) -> list:
         free[max(bound, key=w.__getitem__)] = True
         while True:  # solve on the free set, stepping back while an entry is not positive
             on = [k for k in range(n) if free[k]]
-            solved = dict(zip(on, _lstsq([[row[k] for k in on] for row in a], b, rcond)))
-            z = [solved.get(k, 0.0) for k in range(n)]
+            pinv = dict(zip(on, _pinv([[row[k] for k in on] for row in a], rcond)))
+            z = [sum(map(mul, pinv[k], b)) if free[k] else 0.0 for k in range(n)]
             out = [k for k in on if z[k] <= 0.0]
             if not out:
                 break

@@ -75,27 +75,21 @@ def _svd(rows) -> tuple[list, list, list]:
     return [norm * scale for norm in norms], u, v
 
 
-def _kept(rows, rcond: float) -> list:
-    """The (s, u, v) triples of ``_svd(rows)`` whose singular value exceeds
-    ``rcond`` times the largest, the cutoff of ``numpy.linalg.pinv`` and
-    ``lstsq``; the others count as zero."""
+def _pinv(rows, rcond: float = RCOND) -> list:
+    """Pseudo-inverse of the m x n matrix ``rows``, n rows of m floats, with
+    numpy's cutoff: singular values at most ``rcond`` times the largest count
+    as zero."""
     s, u, v = _svd(rows)
     cutoff = rcond * max(s, default=0.0)
-    return [(sk, uk, vk) for sk, uk, vk in zip(s, u, v) if sk > cutoff]
+    kept = [(sk, uk, vk) for sk, uk, vk in zip(s, u, v) if sk > cutoff]
+    return [[sum((vk[i] * uk[j] / sk for sk, uk, vk in kept), 0.0) for j in range(len(rows))]
+            for i in range(len(rows[0]) if rows else 0)]
 
 
-def _pinv(rows, rcond: float = RCOND) -> list:
-    """Pseudo-inverse of the m x n matrix ``rows``, n rows of m floats."""
-    m, n, kept = len(rows), len(rows[0]) if rows else 0, _kept(rows, rcond)
-    return [[sum((vk[i] * uk[j] / sk for sk, uk, vk in kept), 0.0) for j in range(m)]
-            for i in range(n)]
-
-
-def _lstsq(rows, b, rcond: float = RCOND) -> list:
-    """The minimum-norm least-squares solution x of ``rows`` x = ``b``:
-    v diag(1/s) u^T b over the kept singular values, in that order, as numpy."""
-    coefs = [(sum(map(mul, uk, b)) / sk, vk) for sk, uk, vk in _kept(rows, rcond)]
-    return [sum((c * vk[i] for c, vk in coefs), 0.0) for i in range(len(rows[0]) if rows else 0)]
+def _lstsq(rows, b) -> list:
+    """The minimum-norm least-squares solution x of ``rows`` x = ``b``: the
+    pseudo-inverse applied to ``b``."""
+    return [sum(map(mul, p, b)) for p in _pinv(rows)]
 
 
 def _frozen_array(values, ndmin: int) -> np.ndarray:
@@ -208,11 +202,12 @@ class ReactionNetwork:
     @cached_property
     def conserved(self) -> np.ndarray:
         """Orthonormal rows spanning the combinations a of constituents that no
-        reaction changes (a . stoich = 0), at the cutoff of ``rank``; computed
-        once per network."""
+        reaction changes (a . stoich = 0), at the cutoff of ``rank`` applied to
+        the singular values of the same decomposition; computed once per network."""
         from numpy.linalg import svd
 
-        return _frozen_array(svd(self.stoich)[0][:, self.rank:].T, ndmin=2)
+        u, s, _ = svd(self.stoich)
+        return _frozen_array(u[:, int((s > self._rank_tol).sum()):].T, ndmin=2)
 
     @cached_property
     def independent_columns(self) -> tuple[int, ...]:

@@ -358,6 +358,18 @@ def test_jacobi_rank_matches_numpy(a):
     assert sum(x > tol for x in _svd(a)[0]) == np.linalg.matrix_rank(np.array(a), tol=tol)
 
 
+@given(matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_conserved_rows_complement_the_jacobi_rank(a):
+    assume(all(any(col) for col in zip(*a)))  # a network has no all-zero reaction
+    net = ReactionNetwork(a)
+    s = np.linalg.svd(np.array(a), compute_uv=False)
+    assume(np.all(np.abs(s - net._rank_tol) > 1e-12 * s.max()))
+    assert net.conserved.shape == (net.n_constituents - net.rank, net.n_constituents)
+    scaled = net.stoich / max(abs(x) for row in a for x in row)
+    assert np.max(np.abs(net.conserved @ scaled), initial=0.0) <= 1e-9
+
+
 def _kept(a) -> np.ndarray:
     """The singular values of ``a`` that the RCOND cutoff keeps, when every
     one is either kept with a condition number at most 1e3 or at rounding
