@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import pairwise, product
 
 from .correlations import _energy, _entropies, _is_distribution, _marginals, _product
-from .errors import InadmissibleStep, DomainError, RangeError, RangeExceeded
+from .errors import DomainError, FrozenRecord, InadmissibleStep, RangeError, RangeExceeded
 from .matter_models import (
     MatterModel,
     Parameters,
@@ -38,13 +37,16 @@ from .process_engine import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    n_trials: int
-    worst: float
-    detail: str = ""
+class CheckResult(FrozenRecord):
+    __slots__ = ("name", "passed", "n_trials", "worst", "detail")
+
+    def __init__(self, name: str, passed: bool, n_trials: int, worst: float,
+                 detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "n_trials", n_trials)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -10,11 +10,10 @@ marginals and energies are tuples of floats, and every kernel is a plain sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import FrozenRecord, ParseError
 from .stoichiometry import _float_vector
 
 PROB_TOL = 1e-12
@@ -31,19 +30,16 @@ def _is_distribution(cells: list) -> bool:
     return all(0.0 <= x < math.inf for x in cells) and abs(sum(cells) - 1.0) <= PROB_TOL
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(FrozenRecord):
     """Joint probability table, a tuple of rows, with per-outcome energies
     for each subsystem, all as floats; compared and hashed by value."""
 
-    table: tuple
-    energies_a: tuple
-    energies_b: tuple
+    __slots__ = ("table", "energies_a", "energies_b")
 
-    def __post_init__(self):
-        ea = _float_vector(self.energies_a, "energies of A")
-        eb = _float_vector(self.energies_b, "energies of B")
-        table = tuple(_float_vector(row, "a table row") for row in self.table)
+    def __init__(self, table, energies_a, energies_b):
+        ea = _float_vector(energies_a, "energies of A")
+        eb = _float_vector(energies_b, "energies of B")
+        table = tuple(_float_vector(row, "a table row") for row in table)
         for i, row in enumerate(table, start=1):
             if len(row) != len(eb):
                 raise ValueError(f"table row {i} has {len(row)} entries, "

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
 
 from .errors import (
     DomainError,
+    FrozenRecord,
     Infeasible,
     NegativeAmount,
     NonConvergence,
     RangeError,
+    Record,
 )
 from .matter_models import (
     H_REL,
@@ -56,38 +57,36 @@ TOL_KKT = 1e-10
 _FLOAT_EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class EquilibriumProblem:
+class EquilibriumProblem(FrozenRecord):
     """Entropy maximization over an energy split and reaction coordinates.
 
     Subsystems share the total energy budget; the network acts on the
     concatenation of their compositions (``n0`` entries in declaration
-    order).  ``network=None`` means non-reactive.
+    order, each a Composition or its amounts).  ``network=None`` means
+    non-reactive.
     """
 
-    models: tuple
-    params: tuple
-    n0: tuple
-    total_energy: float
-    network: ReactionNetwork | None = None
+    __slots__ = ("models", "params", "n0", "total_energy", "network")
 
-    def __post_init__(self):
-        models = tuple(self.models)
-        params = tuple(self.params)
-        n0 = tuple(self.n0)
+    def __init__(self, models, params, n0, total_energy: float,
+                 network: ReactionNetwork | None = None):
+        models, params, n0 = tuple(models), tuple(params), tuple(n0)
         if not (len(models) == len(params) == len(n0)) or not models:
             raise ValueError("models, params and n0 must align and be non-empty")
+        n0 = tuple(c if isinstance(c, Composition) else Composition(c) for c in n0)
+        total_energy = float(total_energy)
+        if network is not None:
+            r = sum(len(c) for c in n0)
+            if network.n_constituents != r:
+                raise ValueError(
+                    f"network has {network.n_constituents} constituents, "
+                    f"problem concatenates {r}"
+                )
         object.__setattr__(self, "models", models)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "total_energy", float(self.total_energy))
-        if self.network is not None:
-            r = sum(len(c) for c in n0)
-            if self.network.n_constituents != r:
-                raise ValueError(
-                    f"network has {self.network.n_constituents} constituents, "
-                    f"problem concatenates {r}"
-                )
+        object.__setattr__(self, "total_energy", total_energy)
+        object.__setattr__(self, "network", network)
 
     @property
     def n_reactions(self) -> int:
@@ -104,38 +103,43 @@ class EquilibriumProblem:
         return [x for c in self.n0 for x in c.amounts]
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(FrozenRecord):
     """A stationary point of the constrained entropy maximization."""
 
-    eps_se: ReactionCoordinates
-    energies: tuple
-    states: tuple
-    entropy: float
-    temperature: float
-    chemical_potentials: tuple
-    affinities: tuple
-    kkt_residual: float
-    boundary: bool
-    active: tuple
-    degenerate: bool
-    iterations: int
+    __slots__ = ("eps_se", "energies", "states", "entropy", "temperature",
+                 "chemical_potentials", "affinities", "kkt_residual", "boundary", "active",
+                 "degenerate", "iterations")
+
+    def __init__(self, eps_se: ReactionCoordinates, energies: tuple, states: tuple,
+                 entropy: float, temperature: float, chemical_potentials: tuple,
+                 affinities: tuple, kkt_residual: float, boundary: bool, active: tuple,
+                 degenerate: bool, iterations: int):
+        object.__setattr__(self, "eps_se", eps_se)
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "chemical_potentials", chemical_potentials)
+        object.__setattr__(self, "affinities", affinities)
+        object.__setattr__(self, "kkt_residual", kkt_residual)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "degenerate", degenerate)
+        object.__setattr__(self, "iterations", iterations)
 
 
-@dataclass
-class _Point:
+class _Point(Record):
     """Reaction coordinates and what the solvers need there, each evaluated
     once: the amounts (floats), the subsystem compositions, the
     equal-temperature split and the total entropy.  dS/dn is filled in on
     first use."""
 
-    eps: list
-    n: list
-    comps: list
-    energies: list
-    temperature: float
-    entropy: float
-    ds_dn: list | None = None
+    __slots__ = ("eps", "n", "comps", "energies", "temperature", "entropy", "ds_dn")
+
+    def __init__(self, eps: list, n: list, comps: list, energies: list, temperature: float,
+                 entropy: float, ds_dn: list | None = None):
+        self.eps, self.n, self.comps, self.energies = eps, n, comps, energies
+        self.temperature, self.entropy, self.ds_dn = temperature, entropy, ds_dn
 
 
 def _point(prob: EquilibriumProblem, eps, n: list) -> _Point:

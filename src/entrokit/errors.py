@@ -1,6 +1,55 @@
-"""Exception hierarchy shared by all entrokit modules."""
+"""Exception hierarchy and value-record bases shared by all entrokit modules."""
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """A value record: a slotted class with a hand-written ``__init__``,
+    whose fields are its ``__slots__`` other than ``__dict__``, unless it
+    lists ``_fields`` itself.  Records of one class are equal when their fields
+    are, ``repr`` names each field, and a record is mutable and unhashable;
+    a ``FrozenRecord`` is immutable and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields") or tuple(
+            name for name in cls.__slots__ if name != "__dict__")
+        if fields:  # FrozenRecord, a base, has none
+            cls._fields = fields
+            cls._key = staticmethod(attrgetter(*fields))  # the values; one field's bare
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through __init__, which takes its fields in order
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, in ``__init__`` (through
+    ``object.__setattr__``); assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class EntrokitError(Exception):

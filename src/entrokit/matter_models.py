@@ -11,10 +11,16 @@ derived from the relation itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
-from .errors import DomainError, NegativeAmount, NonConvergence, RangeError, RangeExceeded
+from .errors import (
+    DomainError,
+    FrozenRecord,
+    NegativeAmount,
+    NonConvergence,
+    RangeError,
+    RangeExceeded,
+)
 from .roots import increasing_root
 from .stoichiometry import TOL_NEG, Composition, _float_vector
 
@@ -28,15 +34,14 @@ TOL_INV = 1e-10
 H_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(FrozenRecord):
     """Geometric parameters of a system, as a tuple of floats.  Built-in
     models use beta = (volume,)."""
 
-    beta: tuple
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _float_vector(self.beta, "parameters"))
+    def __init__(self, beta):
+        object.__setattr__(self, "beta", _float_vector(beta, "parameters"))
 
     @property
     def volume(self) -> float:
@@ -52,8 +57,7 @@ class Parameters:
         return Parameters(beta)
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(FrozenRecord):
     """Energy, parameters and composition of a system at one instant.
 
     ``correlated`` marks states in which the system is correlated with its
@@ -61,13 +65,14 @@ class SystemState:
     in the process engine refuses them.
     """
 
-    energy: float
-    params: Parameters
-    comp: Composition
-    correlated: bool = False
+    __slots__ = ("energy", "params", "comp", "correlated")
 
-    def __post_init__(self):
-        object.__setattr__(self, "energy", float(self.energy))
+    def __init__(self, energy: float, params: Parameters, comp: Composition,
+                 correlated: bool = False):
+        object.__setattr__(self, "energy", float(energy))
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "correlated", correlated)
 
 
 def state(energy: float, volume: float, amounts) -> SystemState:
@@ -241,19 +246,16 @@ class MatterModel:
                                comp.total * temperature / pressure)[0]
 
 
-@dataclass(frozen=True)
-class Species:
+class Species(FrozenRecord):
     """One ideal-gas constituent: translational/internal degrees of freedom,
     ground (formation) energy per particle, and entropy constant per particle."""
 
-    name: str
-    dof: float
-    e0: float = 0.0
-    s0: float = 0.0
+    __slots__ = ("name", "dof", "e0", "s0")
 
-    def __post_init__(self):
-        for key in ("dof", "e0", "s0"):
-            value = float(getattr(self, key))
+    def __init__(self, name: str, dof: float, e0: float = 0.0, s0: float = 0.0):
+        object.__setattr__(self, "name", name)
+        for key, value in (("dof", dof), ("e0", e0), ("s0", s0)):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
             object.__setattr__(self, key, value)
@@ -442,28 +444,28 @@ def ideal_gas_model(dof_per_particle: float) -> IdealGasMixture:
     return IdealGasMixture([Species("gas", dof_per_particle)])
 
 
-@dataclass(frozen=True)
-class ThermalReservoir:
+class ThermalReservoir(FrozenRecord):
     """Fixed-temperature energy sink with an admissible energy range.
 
     All its stable equilibrium states share the temperature, so its entropy
     change in any exchange is dE / temperature.
     """
 
-    temperature: float
-    energy: float = 0.0
-    e_min: float = -math.inf
-    e_max: float = math.inf
+    __slots__ = ("temperature", "energy", "e_min", "e_max")
 
-    def __post_init__(self):
-        if not 0.0 < self.temperature < math.inf:
+    def __init__(self, temperature: float, energy: float = 0.0, e_min: float = -math.inf,
+                 e_max: float = math.inf):
+        if not 0.0 < temperature < math.inf:
             raise ValueError(f"reservoir temperature must be positive and finite, "
-                             f"got {self.temperature}")
-        if not self.e_min <= self.energy <= self.e_max:
+                             f"got {temperature}")
+        if not e_min <= energy <= e_max:
             raise RangeExceeded(
-                f"reservoir energy {self.energy:.6g} outside "
-                f"[{self.e_min:.6g}, {self.e_max:.6g}]"
+                f"reservoir energy {energy:.6g} outside [{e_min:.6g}, {e_max:.6g}]"
             )
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "e_min", e_min)
+        object.__setattr__(self, "e_max", e_max)
 
 
 def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalReservoir:

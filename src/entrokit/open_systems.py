@@ -15,13 +15,13 @@ recur, are not kept.  Everything here is in plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
 from .equilibrium import EquilibriumProblem, _pressure, stable_equilibrium
 from .errors import (
     DomainError,
+    FrozenRecord,
     InadmissibleStep,
     Infeasible,
     NonConvergence,
@@ -57,44 +57,44 @@ UNIT = Composition([1.0])
 RECORDS = 32
 
 
-@dataclass(frozen=True)
-class ReferenceEnvironment:
+class ReferenceEnvironment(FrozenRecord):
     """Per-species reference states and assigned values at (T0, p0).
 
     Each elemental species lives in its own box, far from the others, in a
     stable equilibrium state at the environment temperature and pressure.
-    ``e0_assigned`` / ``s0_assigned`` are the per-unit-amount values given to
-    those states; the chemical convention sets E0 + p0 V0 = 0 and S0 = 0.
-    Values that depend only on the environment are computed once, on first
-    use, and kept with the (immutable) instance; so is the reference record
-    of each of the last ``RECORDS`` (model, composition) pairs it anchored.
+    ``elemental`` holds the indices of the elemental species, and
+    ``species_models`` one single-species model per index; ``e0_assigned`` /
+    ``s0_assigned`` are the per-unit-amount values given to those states,
+    one float per elemental species; the chemical convention sets
+    E0 + p0 V0 = 0 and S0 = 0.  Values that depend only on the environment
+    are computed once, on first use, and kept with the (immutable) instance;
+    so is the reference record of each of the last ``RECORDS`` (model,
+    composition) pairs it anchored.
     """
 
-    constituents: tuple
-    elemental: tuple          # indices of the elemental species
-    network: ReactionNetwork
-    species_models: tuple     # one single-species model per elemental index
-    t0: float
-    p0: float
-    e0_assigned: tuple        # per unit amount, one float per elemental species
-    s0_assigned: tuple
+    __slots__ = ("constituents", "elemental", "network", "species_models", "t0", "p0",
+                 "e0_assigned", "s0_assigned", "__dict__")  # the dict holds the cached values
 
-    def __post_init__(self):
-        if self.t0 <= 0 or self.p0 <= 0:
+    def __init__(self, constituents, elemental, network: ReactionNetwork, species_models,
+                 t0: float, p0: float, e0_assigned, s0_assigned):
+        if t0 <= 0 or p0 <= 0:
             raise ValueError("reference temperature and pressure must be positive")
-        report = validate_elemental_set(self.elemental, self.network)
+        report = validate_elemental_set(elemental, network)
         if not report.valid:
             raise NotExpressible(
                 f"elemental set invalid (complete={report.complete}, "
                 f"independent={report.independent})"
             )
-        e0 = _float_vector(self.e0_assigned, "assigned energies")
-        s0 = _float_vector(self.s0_assigned, "assigned entropies")
-        if len(e0) != len(self.elemental) or len(s0) != len(self.elemental):
+        e0 = _float_vector(e0_assigned, "assigned energies")
+        s0 = _float_vector(s0_assigned, "assigned entropies")
+        if len(e0) != len(elemental) or len(s0) != len(elemental):
             raise ValueError("assigned values must align with the elemental species")
-        object.__setattr__(self, "constituents", tuple(self.constituents))
-        object.__setattr__(self, "elemental", tuple(int(i) for i in self.elemental))
-        object.__setattr__(self, "species_models", tuple(self.species_models))
+        object.__setattr__(self, "constituents", tuple(constituents))
+        object.__setattr__(self, "elemental", tuple(int(i) for i in elemental))
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "species_models", tuple(species_models))
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "e0_assigned", e0)
         object.__setattr__(self, "s0_assigned", s0)
 
@@ -257,16 +257,15 @@ class ReferenceEnvironment:
         return cls(constituents, elemental, network, species_models, t0, p0, e0, s0)
 
 
-@dataclass(frozen=True)
-class OpenState:
+class OpenState(FrozenRecord):
     """State of an open system: composition not fixed to a compatibility class."""
 
-    comp: Composition
-    energy: float
-    params: Parameters
+    __slots__ = ("comp", "energy", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "energy", float(self.energy))
+    def __init__(self, comp: Composition, energy: float, params: Parameters):
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "energy", float(energy))
+        object.__setattr__(self, "params", params)
 
     def closed_proxy(self) -> SystemState:
         return SystemState(self.energy, self.params, self.comp)
@@ -393,38 +392,44 @@ def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
     return abs(e_at([a + b for a, b in zip(x0, dx)]) - (g_e + ost.energy) - moved)
 
 
-@dataclass(frozen=True)
-class OpenGrid:
+class OpenGrid(FrozenRecord):
     """Grid specification for tabulating an open fundamental relation."""
 
-    energies: tuple
-    volumes: tuple
-    compositions: tuple   # composition vectors (n, or n0 when reactive)
-    reactive: bool = False
-    network: ReactionNetwork | None = None
+    __slots__ = ("energies", "volumes", "compositions", "reactive", "network")
 
-    def __post_init__(self):
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        object.__setattr__(self, "volumes", tuple(float(v) for v in self.volumes))
-        object.__setattr__(self, "compositions",
+    def __init__(self, energies, volumes, compositions, reactive: bool = False,
+                 network: ReactionNetwork | None = None):
+        object.__setattr__(self, "energies", tuple(float(e) for e in energies))
+        object.__setattr__(self, "volumes", tuple(float(v) for v in volumes))
+        object.__setattr__(self, "compositions",  # n, or n0 when reactive
                            tuple(Composition(c) if not isinstance(c, Composition) else c
-                                 for c in self.compositions))
-        if self.reactive and self.network is None:
+                                 for c in compositions))
+        if reactive and network is None:
             raise ValueError("reactive tabulation needs a network")
+        object.__setattr__(self, "reactive", reactive)
+        object.__setattr__(self, "network", network)
 
 
-@dataclass(frozen=True)
-class OpenTableRow:
-    energy: float             # open (reference) scale
-    volume: float
-    n0: tuple
-    entropy: float            # open (reference) scale
-    eps: tuple
-    n_se: tuple
-    temperature: float
-    pressure: float
-    mu: tuple
-    status: str = "ok"
+class OpenTableRow(FrozenRecord):
+    """One point of an open table; ``energy`` and ``entropy`` on the open
+    (reference) scale."""
+
+    __slots__ = ("energy", "volume", "n0", "entropy", "eps", "n_se", "temperature",
+                 "pressure", "mu", "status")
+
+    def __init__(self, energy: float, volume: float, n0: tuple, entropy: float, eps: tuple,
+                 n_se: tuple, temperature: float, pressure: float, mu: tuple,
+                 status: str = "ok"):
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "n_se", n_se)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "pressure", pressure)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "status", status)
 
 
 def _tabulate_point(env, model, grid, point) -> OpenTableRow:

@@ -11,12 +11,12 @@ zero-length isentrope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
     DegenerateStates,
     DomainError,
+    FrozenRecord,
     InadmissibleStep,
 )
 from .matter_models import (
@@ -42,15 +42,16 @@ TOL_T = 1e-9
 TOL_S = 1e-12
 
 
-@dataclass(frozen=True)
-class Isentropic:
+class Isentropic(FrozenRecord):
     """Change parameters at constant entropy; energy balance goes to the weight."""
 
-    target_params: Parameters
+    __slots__ = ("target_params",)
+
+    def __init__(self, target_params: Parameters):
+        object.__setattr__(self, "target_params", target_params)
 
 
-@dataclass(frozen=True)
-class IsothermalContact:
+class IsothermalContact(FrozenRecord):
     """Change state in reversible contact with the reservoir at T = T_R.
 
     Exactly one of ``target_params`` (move along the isotherm to new
@@ -59,41 +60,43 @@ class IsothermalContact:
     must be given.
     """
 
-    target_params: Parameters | None = None
-    target_energy: float | None = None
+    __slots__ = ("target_params", "target_energy")
 
-    def __post_init__(self):
-        if (self.target_params is None) == (self.target_energy is None):
+    def __init__(self, target_params: Parameters | None = None,
+                 target_energy: float | None = None):
+        if (target_params is None) == (target_energy is None):
             raise ValueError("give exactly one of target_params or target_energy")
+        object.__setattr__(self, "target_params", target_params)
+        object.__setattr__(self, "target_energy", target_energy)
 
 
-@dataclass(frozen=True)
-class DirectContact:
+class DirectContact(FrozenRecord):
     """Transfer energy ``heat`` from reservoir to system at constant parameters,
     regardless of temperature mismatch.  Admissible only when the transfer does
     not destroy entropy."""
 
-    heat: float
+    __slots__ = ("heat",)
+
+    def __init__(self, heat: float):
+        object.__setattr__(self, "heat", heat)
 
 
 Primitive = Union[Isentropic, IsothermalContact, DirectContact]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(FrozenRecord):
     """Ordered, non-empty sequence of primitives."""
 
-    steps: tuple
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
+    def __init__(self, steps):
+        steps = tuple(steps)
         if not steps:
             raise ValueError("schedule must contain at least one step")
         object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class ProcessRecord:
+class ProcessRecord(FrozenRecord):
     """Ledger of one executed process.
 
     ``d_e_res`` is the reservoir energy change, ``work`` the work done by the
@@ -101,12 +104,16 @@ class ProcessRecord:
     bookkeeping closes: dE_system + d_e_res + work = 0.
     """
 
-    initial: SystemState
-    final: SystemState
-    d_e_res: float
-    work: float
-    sigma_gen: float
-    reversible: bool
+    __slots__ = ("initial", "final", "d_e_res", "work", "sigma_gen", "reversible")
+
+    def __init__(self, initial: SystemState, final: SystemState, d_e_res: float,
+                 work: float, sigma_gen: float, reversible: bool):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "d_e_res", d_e_res)
+        object.__setattr__(self, "work", work)
+        object.__setattr__(self, "sigma_gen", sigma_gen)
+        object.__setattr__(self, "reversible", reversible)
 
 
 def _require_uncorrelated(st: SystemState) -> None:

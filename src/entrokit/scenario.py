@@ -15,11 +15,9 @@ divides what ``SCHEMA`` marks as an energy or a pressure by k_B, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
-from .errors import DomainError, ParseError, RangeExceeded
+from .errors import DomainError, FrozenRecord, ParseError, RangeExceeded, Record
 from .matter_models import (
     IdealGasMixture,
     Parameters,
@@ -35,8 +33,7 @@ from .stoichiometry import Composition, ReactionNetwork, validate_elemental_set
 KB_SI = 1.380649e-23
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(FrozenRecord):
     """How one key of a section is read: its type (a key of ``_TYPES``), a check
     on its numbers or names (a key of ``_CHECKS``), the words it may be, its
     shape ('species': one entry, in each row, per species of the system the
@@ -44,14 +41,19 @@ class Spec:
     species then), the kind of section, or 'constituent', it refers to, and
     its 'energy' or 'pressure' unit (a schedule's in its heat= and energy=)."""
 
-    type: str
-    check: str | None = None
-    choices: tuple = ()
-    shape: str | int | None = None
-    default: object = None
-    required: bool = False
-    ref: str | None = None
-    unit: str | None = None
+    __slots__ = ("type", "check", "choices", "shape", "default", "required", "ref", "unit")
+
+    def __init__(self, type: str, check: str | None = None, choices: tuple = (),
+                 shape: str | int | None = None, default: object = None,
+                 required: bool = False, ref: str | None = None, unit: str | None = None):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "ref", ref)
+        object.__setattr__(self, "unit", unit)
 
 
 SCHEMA = {
@@ -130,43 +132,50 @@ _STEPS = {
 }
 
 
-@dataclass
-class Section:
-    kind: str
-    name: str
-    entries: dict
-    line: int
+class Section(Record):
+    __slots__ = ("kind", "name", "entries", "line")
+
+    def __init__(self, kind: str, name: str, entries: dict, line: int):
+        self.kind, self.name, self.entries, self.line = kind, name, entries, line
 
 
-@dataclass
-class Issue:
+class Issue(Record):
     """One validation finding; ``category`` is 'schema' or 'integrity'."""
 
-    category: str
-    where: str
-    message: str
+    __slots__ = ("category", "where", "message")
+
+    def __init__(self, category: str, where: str, message: str):
+        self.category, self.where, self.message = category, where, message
 
     def __str__(self) -> str:
         return f"[{self.category}] {self.where}: {self.message}"
 
 
-@dataclass
-class Scenario:
-    name: str = "scenario"
-    units: str = "reduced"
-    seed: int = 0
-    constituents: tuple = ()
-    network_names: tuple = ()
-    network: ReactionNetwork | None = None
-    systems: dict = field(default_factory=dict)
-    reservoirs: dict = field(default_factory=dict)
-    states: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)
-    schedules: dict = field(default_factory=dict)
-    problems: dict = field(default_factory=dict)
-    ref_envs: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
-    joints: dict = field(default_factory=dict)
+class Scenario(Record):
+    """A parsed scenario; ``_BUCKETS`` names its dicts of declarations."""
+
+    __slots__ = ("name", "units", "seed", "constituents", "network_names", "network",
+                 "systems", "reservoirs", "states", "pairs", "schedules", "problems",
+                 "ref_envs", "tables", "joints")
+
+    def __init__(self, name: str = "scenario", units: str = "reduced", seed: int = 0,
+                 constituents: tuple = (), network_names: tuple = (),
+                 network: ReactionNetwork | None = None, systems: dict | None = None,
+                 reservoirs: dict | None = None, states: dict | None = None,
+                 pairs: dict | None = None, schedules: dict | None = None,
+                 problems: dict | None = None, ref_envs: dict | None = None,
+                 tables: dict | None = None, joints: dict | None = None):
+        self.name, self.units, self.seed = name, units, seed
+        self.constituents, self.network_names, self.network = constituents, network_names, network
+        self.systems = {} if systems is None else systems
+        self.reservoirs = {} if reservoirs is None else reservoirs
+        self.states = {} if states is None else states
+        self.pairs = {} if pairs is None else pairs
+        self.schedules = {} if schedules is None else schedules
+        self.problems = {} if problems is None else problems
+        self.ref_envs = {} if ref_envs is None else ref_envs
+        self.tables = {} if tables is None else tables
+        self.joints = {} if joints is None else joints
 
     @property
     def kb(self) -> float:
@@ -230,14 +239,18 @@ def parse_sections(text: str) -> list[Section]:
 def _number(tok: str) -> float:
     """A finite number written as an int, a float or a rational like 3/2; nan,
     inf and overflowing literals such as 1e999 are not numbers."""
-    for convert in (float, Fraction):
+    try:
+        value = float(tok)
+    except ValueError:
+        from fractions import Fraction  # imported for a rational alone, which is rare
+
         try:
-            value = float(convert(tok))
+            value = float(Fraction(tok))
         except (ValueError, ZeroDivisionError, OverflowError):
-            continue
-        if math.isfinite(value):
-            return value
-    raise ValueError(tok)
+            raise ValueError(tok) from None
+    if not math.isfinite(value):
+        raise ValueError(tok)
+    return value
 
 
 def _step(row) -> tuple:

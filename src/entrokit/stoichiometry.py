@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import NegativeAmount
+from .errors import FrozenRecord, NegativeAmount
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,8 +114,7 @@ def _float_vector(values, what: str) -> tuple:
         raise ValueError(f"{what} must be a vector") from None
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(FrozenRecord):
     """Amounts of each constituent, one entry per single-constituent region,
     as a tuple of floats; compositions compare and hash by their amounts.
 
@@ -124,11 +122,11 @@ class Composition:
     positive exactly when some amount is.
     """
 
-    amounts: tuple
-    total: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("amounts", "total")
+    _fields = ("amounts",)
 
-    def __post_init__(self):
-        n = _float_vector(self.amounts, "composition")
+    def __init__(self, amounts):
+        n = _float_vector(amounts, "composition")
         if not min(n, default=0.0) >= 0.0:  # a negative entry, or a leading NaN that hides one
             for k, x in enumerate(n):
                 if x < -TOL_NEG:
@@ -141,8 +139,7 @@ class Composition:
         return len(self.amounts)
 
 
-@dataclass(frozen=True)
-class ReactionNetwork:
+class ReactionNetwork(FrozenRecord):
     """Stoichiometric coefficients, a tuple of rows of floats: one row per
     constituent, one column per allowed reaction mechanism.
 
@@ -151,10 +148,10 @@ class ReactionNetwork:
     hash by their coefficients; ``stoich`` is them as a read-only array.
     """
 
-    rows: tuple
+    __slots__ = ("rows", "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self):
-        rows = self.rows.tolist() if hasattr(self.rows, "tolist") else self.rows
+    def __init__(self, rows):
+        rows = rows.tolist() if hasattr(rows, "tolist") else rows
         try:
             rows = tuple(tuple(map(float, row)) for row in rows)
         except TypeError:  # not a sequence of rows of numbers
@@ -220,22 +217,20 @@ class ReactionNetwork:
         return tuple(cols)
 
 
-@dataclass(frozen=True)
-class ReactionCoordinates:
+class ReactionCoordinates(FrozenRecord):
     """Extent of each reaction mechanism, a tuple of floats; compared and
     hashed by value."""
 
-    epsilon: tuple
+    __slots__ = ("epsilon",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _float_vector(self.epsilon, "reaction coordinates"))
+    def __init__(self, epsilon):
+        object.__setattr__(self, "epsilon", _float_vector(epsilon, "reaction coordinates"))
 
     def __len__(self) -> int:
         return len(self.epsilon)
 
 
-@dataclass(frozen=True)
-class ElementalSetReport:
+class ElementalSetReport(FrozenRecord):
     """Outcome of checking a candidate elemental-species set.
 
     ``producible`` maps each outside constituent to the reaction coordinates
@@ -244,12 +239,18 @@ class ElementalSetReport:
     set, each a witness against independence.
     """
 
-    species: tuple[int, ...]
-    complete: bool
-    independent: bool
-    unreachable: tuple[int, ...] = ()
-    producible: dict = field(default_factory=dict)
-    violating_reactions: tuple[int, ...] = ()
+    __slots__ = ("species", "complete", "independent", "unreachable", "producible",
+                 "violating_reactions")
+
+    def __init__(self, species: tuple[int, ...], complete: bool, independent: bool,
+                 unreachable: tuple[int, ...] = (), producible: dict | None = None,
+                 violating_reactions: tuple[int, ...] = ()):
+        object.__setattr__(self, "species", species)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "unreachable", unreachable)
+        object.__setattr__(self, "producible", {} if producible is None else producible)
+        object.__setattr__(self, "violating_reactions", violating_reactions)
 
     @property
     def valid(self) -> bool:

@@ -261,9 +261,9 @@ def test_decorrelation_check_matches_the_per_joint_state_loop(seed, max_dim):
 
 def test_decorrelation_check_builds_no_joint_state(monkeypatch):
     built = []
-    post_init = JointState.__post_init__
-    monkeypatch.setattr(JointState, "__post_init__",
-                        lambda self: built.append(1) or post_init(self))
+    init = JointState.__init__
+    monkeypatch.setattr(JointState, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
     assert checks.decorrelation_check(random.Random(0), 2000).passed
     assert built == []
     make_joint(np.full((2, 2), 0.25))  # the patch counts a JointState when one is built

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from entrokit.equilibrium import (
     solution_at,
     stable_equilibrium,
 )
-from entrokit.errors import DomainError, Infeasible, NegativeAmount, RangeError
+from entrokit.errors import DomainError, Infeasible, NegativeAmount, RangeError, Record
 from entrokit.matter_models import (
     IdealGasMixture,
     MatterModel,
@@ -115,6 +114,17 @@ def test_isomerization_symmetry():
     sol = stable_equilibrium(iso_problem())
     assert sol.eps_se.epsilon[0] == pytest.approx(0.5, abs=1e-10)
     assert np.allclose(sol.states[0].comp.amounts, [0.5, 0.5], atol=1e-10)
+
+
+def test_problem_reads_initial_amounts_given_as_lists():
+    # each n0 entry may be its amounts; the problem holds it as a Composition
+    given = water_problem()
+    prob = EquilibriumProblem(given.models, given.params, ([2.0, 1.0, 0.0],), 8.0,
+                              network=WATER_NET)
+    assert prob == given and prob.n0 == (Composition([2.0, 1.0, 0.0]),)
+    assert stable_equilibrium(prob) == stable_equilibrium(given)
+    with pytest.raises(NegativeAmount):
+        EquilibriumProblem((GAS3,), (Parameters([1.0]),), ([-1.0],), 1.5)
 
 
 def test_isomerization_from_asymmetric_starts():
@@ -460,9 +470,9 @@ SOLVED = {
 
 
 def _bits(value):
-    """The exact bits of a solution field, through tuples and dataclasses."""
-    if dataclasses.is_dataclass(value):
-        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    """The exact bits of a solution field, through tuples and records."""
+    if isinstance(value, Record):
+        return tuple(_bits(getattr(value, name)) for name in value._fields)
     if isinstance(value, (tuple, list)):
         return tuple(_bits(v) for v in value)
     if isinstance(value, (float, np.ndarray)):
@@ -480,8 +490,8 @@ def test_solver_answer_is_the_solution_at_its_coordinates(name):
     amounts = [x for st in sol.states for x in st.comp.amounts]
     again = _package(prob, equilibrium._point(prob, sol.eps_se.epsilon, amounts),
                      sol.iterations)
-    for field in dataclasses.fields(sol):
-        assert _bits(getattr(again, field.name)) == _bits(getattr(sol, field.name)), field.name
+    for name in sol._fields:
+        assert _bits(getattr(again, name)) == _bits(getattr(sol, name)), name
     # the coordinates alone reach the answer's amounts to their rounding: one
     # reaction is solved in the distance from the wall, which the extent
     # carries only to its float spacing

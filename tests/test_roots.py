@@ -1,8 +1,8 @@
 """The shared root finder: Brent's method checked against scipy's ``brentq``
 as an independent oracle, the search in a distance from an origin and its
 bracket, and every inversion site driven through its generic path.
-Also what the runtime imports: never scipy, and no numpy on the shipped CLI
-jobs or a one-reaction solve."""
+Also what the runtime imports: never scipy or dataclasses, and no numpy on
+the shipped CLI jobs or a one-reaction solve."""
 
 import ast
 import math
@@ -309,9 +309,32 @@ def test_shipped_cli_jobs_leave_numpy_out(tmp_path, argv):
     code = ("import sys\n"
             "from entrokit import cli\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
     out = ["--out", str(tmp_path)] if argv[0] == "run" else []
-    assert _fresh(code, *argv, *out).splitlines()[-1] == "0 []"
+    *_, numpy_line, modules_line = _fresh(code, *argv, *out).splitlines()
+    assert numpy_line == "0 []"
+    # records are slotted classes, and no shipped scenario writes a rational
+    assert modules_line == "[]"
+
+
+def _imports_of(source: str, module: str) -> set:
+    """Lines of a module that import ``module`` or a name from it."""
+    return {node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module}
+
+
+def test_no_module_imports_dataclasses():
+    # every value record is a plain slotted class on the bases in ``errors``
+    sites = {path.name: _imports_of(path.read_text(encoding="utf-8"), "dataclasses")
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+    # the guard sees a plain, an aliased and a from-import, also inside a function
+    sample = ("import dataclasses\nimport os, dataclasses as dc\n"
+              "def f():\n    from dataclasses import dataclass\n"
+              "from .dataclasses import x\nimport dataclasses_json\n")
+    assert _imports_of(sample, "dataclasses") == {1, 2, 4}
 
 
 def test_one_reaction_boundary_solve_leaves_numpy_out():

@@ -318,6 +318,24 @@ def test_cli_theorem_suite(tmp_path):
     assert all(",true," in ln for ln in lines[1:])
 
 
+def test_cli_theorem_suite_failure_exits_1(tmp_path, monkeypatch):
+    # a failing check fails the run and is written as such; the others still run
+    from entrokit import checks
+
+    failing = checks.CheckResult("entropy-additivity", False, 30, 1.0, "forced")
+    monkeypatch.setattr(checks, "additivity_check", lambda *args: failing)
+    out = tmp_path / "suite"
+    code = main([
+        "run", "--scenario", str(SCENARIOS / "demo_gas.scn"),
+        "--out", str(out), "--seed", "3", "--theorem-suite",
+    ])
+    assert code == 1
+    with open(out / "theorem_suite.csv", encoding="utf-8", newline="") as fh:
+        passed = {row["check"]: row["passed"] for row in csv.DictReader(fh)}
+    assert passed.pop("entropy-additivity") == "false"
+    assert len(passed) == 7 and set(passed.values()) == {"true"}
+
+
 def _mutated(tmp_path, scenario, old, new):
     """A copy of a shipped scenario with ``old`` replaced by ``new``, next to
     the joint table the shipped scenarios read."""
