@@ -134,7 +134,7 @@ def fuzz_standard_processes(model: MatterModel, st0: SystemState,
     the reversible three-leg construction to a random target; the rest are
     random admissible mixes of the three primitives.
     """
-    out = []
+    out, s0 = [], None
     attempts = 0
     while len(out) < n and attempts < 20 * n:
         attempts += 1
@@ -151,9 +151,9 @@ def fuzz_standard_processes(model: MatterModel, st0: SystemState,
                 record = run_schedule(model, st0, reservoir, sched)
         except (InadmissibleStep, DomainError, RangeError, RangeExceeded):
             continue
-        s1 = entropy_of(model, record.initial)
-        s2 = entropy_of(model, record.final)
-        out.append((record, s1, s2))
+        if s0 is None:  # every record starts at st0
+            s0 = entropy_of(model, st0)
+        out.append((record, s0, entropy_of(model, record.final)))
     return out
 
 
@@ -199,7 +199,7 @@ def fuzz_weight_processes(model: MatterModel, st0: SystemState,
     """Generate ``n`` weight processes for the system alone (zero net reservoir
     charge): pure isentropic chains, and dissipative round trips that borrow
     heat from the reservoir and return it at a different temperature."""
-    out = []
+    out, s0 = [], None
     attempts = 0
     while len(out) < n and attempts < 20 * n:
         attempts += 1
@@ -207,7 +207,9 @@ def fuzz_weight_processes(model: MatterModel, st0: SystemState,
             if rng.random() < 0.5:
                 sched = _isentropic_chain(st0, rng)
             else:
-                sched = _dissipation_loop(model, st0, reservoir, rng)
+                if s0 is None:
+                    s0 = entropy_of(model, st0)
+                sched = _dissipation_loop(model, st0, s0, reservoir, rng)
             record = run_schedule(model, st0, reservoir, sched)
         except (InadmissibleStep, DomainError, RangeError, RangeExceeded):
             continue
@@ -226,10 +228,10 @@ def _isentropic_chain(st0, rng) -> Schedule:
     return Schedule(tuple(steps))
 
 
-def _dissipation_loop(model, st0, reservoir, rng) -> Schedule:
-    """Extract heat hot, reinject it cold: net zero reservoir charge, sigma > 0."""
+def _dissipation_loop(model, st0, s0, reservoir, rng) -> Schedule:
+    """Extract heat hot, reinject it cold, from st0 of entropy s0: net zero
+    reservoir charge, sigma > 0."""
     t_res = reservoir.temperature
-    s0 = entropy_of(model, st0)
     # leg 1: compress until hot
     t_hot = t_res * rng.uniform(1.3, 1.6)
     params_hot = _volume_on_isentrope(model, s0, t_hot, st0)

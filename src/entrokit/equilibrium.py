@@ -157,7 +157,7 @@ def _moved_by(prob: EquilibriumProblem, n: list) -> list:
 
 def _max_abs(values) -> float:
     """The largest |x| among ``values`` (0 without any); NaN if one is NaN."""
-    return math.nan if any(x != x for x in values) else max(map(abs, values), default=0.0)
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values), default=0.0)
 
 
 def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
@@ -229,13 +229,11 @@ def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
              certificate: tuple | None = None) -> EquilibriumSolution:
     """The solution at a point; ``certificate`` is its ``_kkt`` pair when
     already known."""
-    states = tuple(
-        SystemState(e, p, c) for e, p, c in zip(pt.energies, prob.params, pt.comps)
-    )
+    states = tuple(map(SystemState, pt.energies, prob.params, pt.comps))
     if prob.n_reactions:
-        net, dsdn = prob.network, _ds_dn(prob, pt)
-        mu = tuple(-pt.temperature * x for x in dsdn)
-        affinities = tuple(sum(map(mul, col, mu)) for col in net.columns)
+        net, dsdn, t = prob.network, _ds_dn(prob, pt), pt.temperature
+        mu = tuple([-t * x for x in dsdn])
+        affinities = tuple([sum(map(mul, col, mu)) for col in net.columns])
         if certificate is None:
             grad = [sum(map(mul, col, dsdn)) for col in net.columns]
             certificate = _kkt(net.rows, pt.n, grad, _wall(prob.n0_concat()))
@@ -268,7 +266,7 @@ def _kkt(nu, n: list, grad: list, wall: float) -> tuple[float, tuple]:
     is ``grad`` (floats; ``nu`` has one row of floats per constituent), and
     its active constituents: those with amounts at most ``wall``.  Without
     one the residual is max |grad|: along one reaction, the |g| of the probe."""
-    active = tuple(k for k, x in enumerate(n) if x <= wall)
+    active = () if min(n) > wall else tuple(k for k, x in enumerate(n) if x <= wall)
     if not active:
         return _max_abs(grad), active
     # residual of the KKT system grad = -sum(lambda_k nu_k), lambda >= 0
@@ -363,7 +361,7 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
     sol = _package(prob, pt, it, certificate)
     if sol.kkt_residual <= max(tol, 1e-8):
         return sol
-    raise NonConvergence(f"{failure} (kkt residual {sol.kkt_residual:.3g})", best=sol)
+    raise NonConvergence(f"{failure()} (kkt residual {sol.kkt_residual:.3g})", best=sol)
 
 
 def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
@@ -376,15 +374,18 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
     ``roots.increasing_root`` searches the distance d from it, where what the
     end exhausts is exactly 0, so amounts near the wall are exact (toward an
     infinite end, the distance from x0).  f(d) = -u . dS/dn at the amounts
-    origin + u d, u = +-col, rises with d.  A point with no admissible state
-    lies past the optimum: f is infinite there, pointing back to x0.  Once
-    the exhausted amounts are at most the wall and g still points into it, g
-    is probed at the end, the optimum if g points into the wall there too.  A
-    probe is the model's ``ds_dn_along`` in a one-region problem, else an
-    evaluated point; each counts against ``max_iter``.  A candidate is
-    certified from its probe's g, and only the answer becomes a point, unless
-    its probe made one.  Returns (point, probes, what to report if the point
-    fails its KKT certificate, the point's ``_kkt`` pair).
+    origin + u d, u = +-col, rises with d, and the search ends once
+    |f| <= 1e-12 max|col|, the rounding level of g.  A point with no
+    admissible state lies past the optimum: f is infinite there, pointing
+    back to x0.  Once the exhausted amounts are at most the wall and g still
+    points into it, g is probed at the end, the optimum if g points into the
+    wall there too.  A probe is the model's ``ds_dn_along`` in a one-region
+    problem, else an evaluated point; each counts against ``max_iter``.  The
+    candidates are the closest admissible probes on either side of the root,
+    kept as the probes come in; a candidate is certified from its probe's g,
+    and only the answer becomes a point, unless its probe made one.  Returns
+    (point, probes, a function giving what to report if the point fails its
+    KKT certificate, the point's ``_kkt`` pair).
     """
     # a point probe reads the frame (anchor, way) when it runs: at first eps = x0
     points, refused, anchor, way = {}, set(), 0.0, 1.0  # d -> point; d without a state
@@ -404,59 +405,67 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
     # d runs from that end back toward x0, or from x0 outward to an infinite end
     anchor, way = (end, -toward) if math.isfinite(end) else (x0, toward)
     origin = [0.0 if c and -a / c == end else a + c * anchor for a, c in zip(n0, col)]
-    u, d0, wall = [way * c for c in col], abs(anchor - x0), _wall(n0)
+    u, d0, wall, scale = [way * c for c in col], abs(anchor - x0), _wall(n0), max(map(abs, col))
     seen, points = {d0: -way * g0}, {d0: points.get(x0)}  # d -> f, in order
+    # the closest admissible probes with f <= 0 and with f >= 0
+    below, above = (d0, math.inf) if seen[d0] <= 0.0 else (-math.inf, d0)
     # this close to the end, every constituent it exhausts is at most the wall
-    d_wall = wall / max(map(abs, col))
+    d_wall = wall / scale
 
     def at(d: float) -> tuple:  # (extent, amounts) at the distance d
         if d == d0:
             return x0, [a + c * x0 for a, c in zip(n0, col)]
         return anchor + way * d, [a + c * d for a, c in zip(origin, u)]
 
-    def probe(d: float) -> float:
-        if d not in seen:
+    def affinity(d: float) -> float:
+        nonlocal below, above
+        f = seen.get(d)
+        if f is None:
             if len(seen) >= max_iter:
                 raise NonConvergence(f"iteration budget {max_iter} exhausted")
             try:
-                seen[d] = -slope(origin, u, d)
+                f = -slope(origin, u, d)
             except (DomainError, RangeError, NegativeAmount):
-                seen[d] = math.copysign(math.inf, d - d0)
+                f = math.copysign(math.inf, d - d0)
                 refused.add(d)
-        return seen[d]
-
-    def affinity(d: float) -> float:
-        f = probe(d)
-        if d <= d_wall and f > 0.0 and d > 0.0 and probe(0.0) >= 0.0:
+            else:
+                if f <= 0.0 and d > below:
+                    below = d
+                if f >= 0.0 and d < above:
+                    above = d
+            seen[d] = f
+        if f > 0.0 and 0.0 < d <= d_wall and affinity(0.0) >= 0.0:
             raise RangeError("the affinity points into the wall at the wall itself")
         return f
 
     try:
         if g0 != 0.0:
             increasing_root(affinity, d0 if anchor == end else max(1.0, abs(x0)),
-                            interval[1] - interval[0])
+                            interval[1] - interval[0], ftol=1e-12 * scale)
         # near a wall f is steep, and only one side of the root may certify:
         # the candidates are the closest evaluated points on either side
-        admissible = [(d, f) for d, f in seen.items() if d not in refused]
-        candidates = [max((d for d, f in admissible if f <= 0.0), default=d0),
-                      min((d for d, f in admissible if f >= 0.0), default=d0)]
-        failure = f"affinity root near eps = {anchor + way * candidates[0]:.17g}"
+        candidates = (d0 if below == -math.inf else below, d0 if above == math.inf else above)
+        failure = partial("affinity root near eps = {:.17g}".format,
+                          anchor + way * candidates[0])
     except RangeError:  # f keeps its sign up to the end: a boundary optimum
-        candidates = [list(seen)[-1]]
-        failure = f"affinity keeps its sign up to eps = {anchor + way * candidates[0]:.17g}"
+        candidates = (next(reversed(seen)),)
+        failure = partial("affinity keeps its sign up to eps = {:.17g}".format,
+                          anchor + way * candidates[0])
     except NonConvergence as exc:
-        candidates, failure = list(seen), str(exc)
-    candidates = [d for d in dict.fromkeys(candidates) if d not in refused]
-    # without an active constituent the residual is |g|, which then cannot win
-    nu, ranked = [[c] for c in col], {}
-    for d in sorted(candidates, key=lambda d: abs(seen[d])):
-        n = at(d)[1]
-        if not ranked or abs(seen[d]) < min(r for r, _ in ranked.values()) or min(n) <= wall:
-            ranked[d] = _kkt(nu, n, [-way * seen[d]], wall)
-    best = min((d for d in candidates if d in ranked), key=lambda d: ranked[d][0])
-    eps, n = at(best)
-    answer = points.get(best) or _point(prob, [eps], n)
-    return answer, len(seen), failure, ranked[best]
+        candidates, failure = tuple(seen), partial(str, exc)
+    # without an active constituent the residual is the probe's |g|, so a
+    # candidate whose |g| is not below the best residual so far cannot win
+    nu, best = [[c] for c in col], None  # (residual, d, extent, amounts, _kkt pair)
+    for d in dict.fromkeys(candidates):
+        if d in refused:
+            continue
+        eps, n = at(d)
+        if best is None or abs(seen[d]) < best[0] or min(n) <= wall:
+            certificate = _kkt(nu, n, [-way * seen[d]], wall)
+            if best is None or certificate[0] < best[0]:
+                best = certificate[0], d, eps, n, certificate
+    _, d, eps, n, certificate = best
+    return points.get(d) or _point(prob, [eps], n), len(seen), failure, certificate
 
 
 def _reachable(net: ReactionNetwork, n0: list) -> list:
@@ -478,7 +487,7 @@ def _reachable(net: ReactionNetwork, n0: list) -> list:
     return present
 
 
-def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
+def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     """The entropy maximum over several independent reactions, from the dual
     in the element potentials lam and beta = 1/T:
 
@@ -499,8 +508,8 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
     enters E(n, T).  The iteration starts at the temperature of the initial
     composition, with the potentials that best reproduce it; an initial
     composition without an admissible state raises Infeasible.  Returns
-    (point at the last amounts, Newton steps, what to report if the point
-    fails its KKT certificate).
+    (point at the last amounts, Newton steps, a function giving what to
+    report if the point fails its KKT certificate).
     """
     import numpy as np
 
@@ -547,7 +556,7 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
         lam, *_ = np.linalg.lstsq(a.T, at_zero - np.log(target), rcond=None)
         beta = 1.0 / t0
         here = at(lam, beta)
-        failure = f"iteration budget {max_iter} exhausted"
+        failure = partial(str, f"iteration budget {max_iter} exhausted")
         for it in range(1, max_iter + 1):
             g, grad, n, comps, t, dlog = here
             w = np.vstack([a, t * dlog[free]])
@@ -560,7 +569,7 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
             decrease = -float(grad @ step)
             if decrease <= 64.0 * _FLOAT_EPS * abs(g):
                 here = at(lam + step[:-1], beta + step[-1])
-                failure = f"element-potential dual converged in {it} steps"
+                failure = partial("element-potential dual converged in {} steps".format, it)
                 break
             alpha = 1.0
             for _ in range(60):
@@ -572,7 +581,7 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple[_Point, int, str]:
                     break
                 alpha *= 0.5
             else:
-                failure = f"no descent step after {it} steps"
+                failure = partial("no descent step after {} steps".format, it)
                 break
             lam, beta, here = lam + alpha * step[:-1], beta + alpha * step[-1], trial
         n = here[2].tolist()

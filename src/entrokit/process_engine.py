@@ -4,9 +4,12 @@ Each primitive is a state-to-state map evaluated in closed form against the
 model's fundamental relation (a reversible process need not be slow, so no
 time discretization is involved).  The runner keeps exact ledgers of reservoir
 energy, weight work and entropy production, and the measurement operations
-read entropy and temperature off those ledgers alone.  A reversible standard
-process that starts at the reservoir temperature leaves out its first,
-zero-length isentrope.
+read entropy and temperature off those ledgers alone.  Each primitive is one
+function from a state and its (T, S) to the next state and its ledger
+entries: ``run_schedule`` dispatches a schedule's steps to them, and a
+reversible standard process calls them for its legs directly, building no
+step records.  One that starts at the reservoir temperature leaves out its
+first, zero-length isentrope.
 """
 
 from __future__ import annotations
@@ -136,6 +139,66 @@ def _evaluate(model: MatterModel, st: SystemState,
     return None, entropy_of(model, st)
 
 
+def _isentrope(model: MatterModel, st: SystemState, s: float, params: Parameters,
+               with_t: bool) -> tuple:
+    """Isentropic step from ``st``, of entropy ``s``, to ``params``; the energy
+    balance goes to the weight.  Returns (next state, its T or None, its S,
+    work on the weight, heat from the reservoir)."""
+    e_next = energy_of(model, s, params, st.comp, tol=1e-12)
+    nxt = SystemState(e_next, params, st.comp)
+    t_next, s_next = _evaluate(model, nxt, with_t)
+    if abs(s_next - s) > TOL_S * max(1.0, abs(s)):
+        raise InadmissibleStep("isentropic step failed to conserve entropy")
+    return nxt, t_next, s_next, st.energy - e_next, 0.0
+
+
+def _isothermal_contact(model: MatterModel, st: SystemState, t: float, s: float,
+                        t_res: float, params: Parameters | None,
+                        energy: float | None = None) -> tuple:
+    """Reversible contact from ``st``, of temperature ``t`` and entropy ``s``,
+    with the reservoir at ``t_res``: along the isotherm to ``params``, or to
+    ``energy`` at fixed parameters.  Returns what ``_isentrope`` does."""
+    if abs(t - t_res) > TOL_T * max(1.0, t_res):
+        raise InadmissibleStep(
+            f"isothermal contact entered at T={t:.9g}, reservoir at {t_res:.9g}"
+        )
+    if params is not None:
+        e_next = solve_energy_at_temperature(model, t_res, params, st.comp)
+    else:
+        params, e_next = st.params, energy
+    nxt = SystemState(e_next, params, st.comp)
+    t_next, s_next = _evaluate(model, nxt, True)
+    if abs(t_next - t_res) > TOL_T * max(1.0, t_res):
+        raise InadmissibleStep(
+            f"isothermal contact exited at T={t_next:.9g}, reservoir at {t_res:.9g}"
+        )
+    heat = t_res * (s_next - s)  # reversible exchange
+    return nxt, t_next, s_next, (st.energy - e_next) + heat, heat
+
+
+def _direct_contact(model: MatterModel, st: SystemState, s: float, t_res: float,
+                    heat: float, with_t: bool) -> tuple:
+    """Energy ``heat`` from the reservoir at ``t_res`` into ``st``, of entropy
+    ``s``, at fixed parameters; refused where it destroys entropy.  Returns
+    what ``_isentrope`` does."""
+    nxt = SystemState(st.energy + heat, st.params, st.comp)
+    t_next, s_next = _evaluate(model, nxt, with_t)
+    sigma_step = (s_next - s) - heat / t_res
+    if sigma_step < -TOL_REV:
+        raise InadmissibleStep(f"direct contact would destroy entropy ({sigma_step:.3g})")
+    return nxt, t_next, s_next, 0.0, heat
+
+
+def _record(st0: SystemState, st: SystemState, reservoir: ThermalReservoir,
+            res: ThermalReservoir, s0: float, s: float, work: float) -> ProcessRecord:
+    """The ledger of a process from ``st0``, of entropy ``s0``, to ``st``, of
+    entropy ``s``, that took ``reservoir`` to ``res`` and did ``work``."""
+    d_e_res = res.energy - reservoir.energy
+    sigma = (s - s0) + d_e_res / reservoir.temperature
+    return ProcessRecord(initial=st0, final=st, d_e_res=d_e_res, work=work, sigma_gen=sigma,
+                         reversible=abs(sigma) <= TOL_REV)
+
+
 def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservoir,
                  schedule: Schedule) -> ProcessRecord:
     """Execute a schedule and return its ledger.
@@ -146,86 +209,38 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
     InadmissibleStep.  DomainError and RangeExceeded propagate from the
     model and the reservoir.
     """
-    return _run_schedule(model, st0, reservoir, schedule)
-
-
-def _run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservoir,
-                  schedule: Schedule, ts0: tuple | None = None) -> ProcessRecord:
-    """``run_schedule``, from the first state's (T, S) when ``ts0`` gives it."""
     _require_uncorrelated(st0)
     t_res = reservoir.temperature
     # one checked evaluation per state, with T where an isothermal contact
     # starts or ends: the contact's entry check reads the carried value
     contact = [isinstance(step, IsothermalContact) for step in schedule.steps]
     wants_t = [a or b for a, b in zip(contact, contact[1:] + [False])]
-    st = st0
-    t_current, s_current = _evaluate(model, st, contact[0]) if ts0 is None else ts0
-    s_initial = s_current
-    res = reservoir
-    work = 0.0
-
+    t, s0 = _evaluate(model, st0, contact[0])
+    st, s, res, work = st0, s0, reservoir, 0.0
     for step, with_t in zip(schedule.steps, wants_t):
         if isinstance(step, Isentropic):
-            e_next = energy_of(model, s_current, step.target_params, st.comp, tol=1e-12)
-            nxt = SystemState(e_next, step.target_params, st.comp)
-            t_next, s_next = _evaluate(model, nxt, with_t)
-            if abs(s_next - s_current) > TOL_S * max(1.0, abs(s_current)):
-                raise InadmissibleStep("isentropic step failed to conserve entropy")
-            work += st.energy - e_next
-
+            leg = _isentrope(model, st, s, step.target_params, with_t)
         elif isinstance(step, IsothermalContact):
-            if abs(t_current - t_res) > TOL_T * max(1.0, t_res):
-                raise InadmissibleStep(
-                    f"isothermal contact entered at T={t_current:.9g}, reservoir at {t_res:.9g}"
-                )
-            if step.target_params is not None:
-                params = step.target_params
-                e_next = solve_energy_at_temperature(model, t_res, params, st.comp)
-            else:
-                params = st.params
-                e_next = step.target_energy
-            nxt = SystemState(e_next, params, st.comp)
-            t_next, s_next = _evaluate(model, nxt, True)
-            if abs(t_next - t_res) > TOL_T * max(1.0, t_res):
-                raise InadmissibleStep(
-                    f"isothermal contact exited at T={t_next:.9g}, reservoir at {t_res:.9g}"
-                )
-            heat = t_res * (s_next - s_current)  # reversible exchange
-            res = reservoir_exchange(res, -heat)
-            work += (st.energy - e_next) + heat
-
+            leg = _isothermal_contact(model, st, t, s, t_res, step.target_params,
+                                      step.target_energy)
         elif isinstance(step, DirectContact):
-            e_next = st.energy + step.heat
-            nxt = SystemState(e_next, st.params, st.comp)
-            t_next, s_next = _evaluate(model, nxt, with_t)
-            sigma_step = (s_next - s_current) - step.heat / t_res
-            if sigma_step < -TOL_REV:
-                raise InadmissibleStep(
-                    f"direct contact would destroy entropy ({sigma_step:.3g})"
-                )
-            res = reservoir_exchange(res, -step.heat)
-
+            leg = _direct_contact(model, st, s, t_res, step.heat, with_t)
         else:
             raise TypeError(f"unknown primitive {step!r}")
-        st, t_current, s_current = nxt, t_next, s_next
-
-    d_e_res = res.energy - reservoir.energy
-    sigma = (s_current - s_initial) + d_e_res / t_res
-    return ProcessRecord(
-        initial=st0,
-        final=st,
-        d_e_res=d_e_res,
-        work=work,
-        sigma_gen=sigma,
-        reversible=abs(sigma) <= TOL_REV,
-    )
+        st, t, s, w, heat = leg
+        work += w
+        if heat:
+            res = reservoir_exchange(res, -heat)
+    return _record(st0, st, reservoir, res, s0, s, work)
 
 
-def _three_leg_schedule(model: MatterModel, st1: SystemState, st2: SystemState,
-                        t_res: float, ts1: tuple | None = None,
-                        s2: float | None = None) -> Schedule:
-    """The legs of ``reversible_standard_process``; ``ts1`` and ``s2``, where
-    given, are the first state's (T, S) and the second state's S."""
+def _standard_legs(model: MatterModel, st1: SystemState, st2: SystemState, t_res: float,
+                   ts1: tuple | None = None, s2: float | None = None) -> tuple:
+    """Where the legs of ``reversible_standard_process`` end: (T1, S1, the
+    parameters that end the first isentrope, or None where st1 passes the
+    contact's entry test and the process runs two legs, the parameters that
+    end the isothermal contact).  ``ts1`` and ``s2``, where given, are the
+    first state's (T, S) and the second state's S."""
     _require_uncorrelated(st1)
     _require_uncorrelated(st2)
     x, y = st1.comp.amounts, st2.comp.amounts
@@ -237,12 +252,11 @@ def _three_leg_schedule(model: MatterModel, st1: SystemState, st2: SystemState,
     t1, s1 = model.evaluate(st1.energy, st1.params, st1.comp) if ts1 is None else ts1
     if s2 is None:
         s2 = entropy_of(model, st2)
-    legs = (IsothermalContact(target_params=_volume_on_isentrope(model, s2, t_res, st2)),
-            Isentropic(st2.params))
+    contact = _volume_on_isentrope(model, s2, t_res, st2)
     # st1 passes the contact's entry test: a first isentrope would have zero length
     if abs(t1 - t_res) <= TOL_T * max(1.0, t_res):
-        return Schedule(legs)
-    return Schedule((Isentropic(_volume_on_isentrope(model, s1, t_res, st1)), *legs))
+        return t1, s1, None, contact
+    return t1, s1, _volume_on_isentrope(model, s1, t_res, st1), contact
 
 
 def reversible_standard_process(model: MatterModel, st1: SystemState,
@@ -259,13 +273,23 @@ def _reversible_standard_process(model: MatterModel, st1: SystemState, st2: Syst
                                  reservoir: ThermalReservoir, ts1: tuple | None = None,
                                  s2: float | None = None) -> ProcessRecord:
     """``reversible_standard_process`` for a caller that has just evaluated
-    the states: ``ts1`` and ``s2`` as in ``_three_leg_schedule``."""
-    schedule = _three_leg_schedule(model, st1, st2, reservoir.temperature, ts1, s2)
-    record = _run_schedule(model, st1, reservoir, schedule, ts1)
-    gap = abs(record.final.energy - st2.energy)
+    the states: ``ts1`` and ``s2`` as in ``_standard_legs``.  It runs the
+    primitives of ``run_schedule`` on the legs, with no step records."""
+    t_res = reservoir.temperature
+    t, s1, first, contact = _standard_legs(model, st1, st2, t_res, ts1, s2)
+    st, s, work = st1, s1, 0.0
+    if first is not None:
+        st, t, s, w, _ = _isentrope(model, st, s, first, True)
+        work += w
+    st, t, s, w, heat = _isothermal_contact(model, st, t, s, t_res, contact)
+    work += w
+    res = reservoir_exchange(reservoir, -heat)
+    st, t, s, w, _ = _isentrope(model, st, s, st2.params, False)
+    work += w
+    gap = abs(st.energy - st2.energy)
     if gap > 1e-9 * max(1.0, abs(st2.energy)):
         raise InadmissibleStep(f"standard process missed the target state by {gap:.3g}")
-    return record
+    return _record(st1, st, reservoir, res, s1, s, work)
 
 
 def measure_entropy_difference(model: MatterModel, st1: SystemState,

@@ -9,6 +9,8 @@ temperature, the exhausted end of the extent interval), and
 ``increasing_root`` finds them all: it brackets the root by 8-fold steps of
 d and refines d to a relative tolerance with ``brentq``, Brent's method
 (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973).
+Both stop early at a value |f| <= ``ftol`` when the caller gives one: the
+reaction affinity's, whose refinement ends at rounding level.
 Failures raise entrokit errors: RangeError when no sign change is found,
 NonConvergence when the iteration budget runs out.
 """
@@ -32,13 +34,14 @@ def _nan_error(x: float) -> DomainError:
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
            maxiter: int = 100, fa: float | None = None,
-           fb: float | None = None) -> tuple[float, float]:
+           fb: float | None = None, ftol: float = 0.0) -> tuple[float, float]:
     """Root of f between a and b by Brent's method; returns (root, f(root)).
 
     A step-for-step port of the classic C ``brentq`` routine: the same
     arguments, iterates and evaluations, converging once the bracket is
-    narrower than ``xtol + rtol * |x|``.  ``fa`` and ``fb`` are f(a) and f(b)
-    when the caller has them already; they are not evaluated again.
+    narrower than ``xtol + rtol * |x|``, or at an iterate with |f| <= ``ftol``
+    (by default only at a zero, as in C).  ``fa`` and ``fb`` are f(a) and
+    f(b) when the caller has them already; they are not evaluated again.
 
     Raises RangeError when f(a) and f(b) have the same sign, NonConvergence
     (last iterate as ``best``) after ``maxiter`` iterations, and DomainError
@@ -55,9 +58,9 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
     fcur = f(xcur) if fb is None else fb
     if fcur != fcur:
         raise _nan_error(xcur)
-    if fpre == 0.0:
+    if abs(fpre) <= ftol:
         return xpre, fpre
-    if fcur == 0.0:
+    if abs(fcur) <= ftol:
         return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise RangeError(f"no sign change between {xpre:.6g} and {xcur:.6g}")
@@ -72,7 +75,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
 
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
+        if abs(fcur) <= ftol or abs(sbis) < delta:
             return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
@@ -107,13 +110,15 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
                          best=xcur)
 
 
-def increasing_root(f, d0: float, limit: float = math.inf) -> tuple[float, float]:
+def increasing_root(f, d0: float, limit: float = math.inf,
+                    ftol: float = 0.0) -> tuple[float, float]:
     """Root of f, which increases with a distance d > 0 from an origin that
     f adds itself; returns (d, f(d)).
 
     From d0 (at most ``limit``), d grows 8-fold toward ``limit`` while
     f(d) < 0 and shrinks 8-fold toward 0 while f(d) > 0; Brent's method then
-    refines d between the last two values to a relative 1e-15.
+    refines d between the last two values to a relative 1e-15.  Any value
+    with |f(d)| <= ``ftol`` ends the search at its d.
     Raises RangeError when d reaches ``limit``, or MAX_EXPANSIONS values of f
     pass after the first, without a sign change.
     """
@@ -122,11 +127,12 @@ def increasing_root(f, d0: float, limit: float = math.inf) -> tuple[float, float
         f_d = f(d)
         if f_d != f_d:
             raise _nan_error(d)
-        if f_d == 0.0:
+        if abs(f_d) <= ftol:
             return d, f_d
         if last is not None and (f_d < 0.0) != (last[1] < 0.0):
             (lo, f_lo), (hi, f_hi) = sorted([last, (d, f_d)])
-            return brentq(f, lo, hi, xtol=1e-15 * hi, rtol=1e-15, fa=f_lo, fb=f_hi)
+            return brentq(f, lo, hi, xtol=1e-15 * hi, rtol=1e-15, fa=f_lo, fb=f_hi,
+                          ftol=ftol)
         if f_d < 0.0 and d == limit:
             raise RangeError(f"root bracket reached its limit {limit:.6g} "
                              "without a sign change")

@@ -233,8 +233,10 @@ class ReactionCoordinates(FrozenRecord):
 class ElementalSetReport(FrozenRecord):
     """Outcome of checking a candidate elemental-species set.
 
-    ``producible`` maps each outside constituent to the reaction coordinates
-    that form one unit of it from the set (absent if not producible).
+    ``producible`` pairs each outside constituent the set can form with the
+    reaction coordinates that form one unit of it, a tuple of (index,
+    ReactionCoordinates) pairs in constituent order, so the report is a
+    value like the other records.
     ``violating_reactions`` lists reaction columns supported entirely on the
     set, each a witness against independence.
     """
@@ -243,13 +245,13 @@ class ElementalSetReport(FrozenRecord):
                  "violating_reactions")
 
     def __init__(self, species: tuple[int, ...], complete: bool, independent: bool,
-                 unreachable: tuple[int, ...] = (), producible: dict | None = None,
+                 unreachable: tuple[int, ...] = (), producible: tuple = (),
                  violating_reactions: tuple[int, ...] = ()):
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "complete", complete)
         object.__setattr__(self, "independent", independent)
         object.__setattr__(self, "unreachable", unreachable)
-        object.__setattr__(self, "producible", {} if producible is None else producible)
+        object.__setattr__(self, "producible", tuple(producible))
         object.__setattr__(self, "violating_reactions", violating_reactions)
 
     @property
@@ -278,7 +280,7 @@ def validate_elemental_set(
             raise IndexError(f"species index {i} outside range 0..{r - 1}")
 
     outside = [k for k in range(r) if k not in species]
-    producible: dict[int, ReactionCoordinates] = {}
+    producible: list[tuple[int, ReactionCoordinates]] = []
     unreachable: list[int] = []
     rows_outside = [net.rows[k] for k in outside]
     pinv = _pinv(rows_outside)
@@ -286,7 +288,7 @@ def validate_elemental_set(
         eps = [p[j] for p in pinv]
         if all(abs(sum(map(mul, row, eps)) - (i == j)) <= TOL_COMPAT
                for i, row in enumerate(rows_outside)):
-            producible[k] = ReactionCoordinates(eps)
+            producible.append((k, ReactionCoordinates(eps)))
         else:
             unreachable.append(k)
 
@@ -298,6 +300,6 @@ def validate_elemental_set(
         complete=not unreachable,
         independent=not violating,
         unreachable=tuple(unreachable),
-        producible=producible,
+        producible=tuple(producible),
         violating_reactions=violating,
     )

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -291,6 +292,40 @@ def test_a_finite_slope_at_the_wall_makes_the_wall_the_optimum():
     assert sol.iterations <= 30
     _, s_grid = grid_max_entropy(prob, n_grid=51)
     assert sol.entropy >= s_grid
+
+
+def test_one_region_water_solves_take_a_fixed_number_of_probes():
+    # a probe budget over table-like problems: the water mixture of a
+    # tabulated open relation, at five compositions and E in [5, 10],
+    # V in [0.5, 3] drawn from random.Random.  The affinity root stops once
+    # |g| <= 1e-12 max|nu|, at rounding level: 1,483 probes over the 200
+    # solves (7.4 a solve; 1,731 when Brent's method refined d to a relative
+    # 1e-15)
+    mix = water_problem().models[0]
+    comps = [Composition([2.0 * a, a, b])
+             for a, b in zip((0.6, 0.8, 1.0, 1.2, 1.4), (0.3, 0.1, 0.5, 0.2, 0.4))]
+    rng = random.Random(29)
+    probes = 0
+    for _ in range(200):
+        volume, comp = rng.uniform(0.5, 3.0), comps[rng.randrange(5)]
+        prob = EquilibriumProblem((mix,), (Parameters([volume]),), (comp,),
+                                  rng.uniform(5.0, 10.0), network=WATER_NET)
+        sol = stable_equilibrium(prob)
+        assert sol.kkt_residual <= 1e-10
+        probes += sol.iterations
+    assert probes == 1483
+
+
+def test_masked_water_takes_a_fixed_number_of_probes():
+    # differenced dS/dn with the reactant below the difference step: the
+    # forward difference's noise (near 1e-8) stays above the rounding-level
+    # stop, so the refinement runs on to its x-tolerance
+    mix = masked(wall_problem(e0=-4.0, s0=20.0).models[0], hide=("ds_dn", "ds_dn_along"))
+    prob = EquilibriumProblem((mix,), (Parameters([1.0]),), (Composition([2.0, 1.0, 0.0]),),
+                              10.0, network=WATER_NET)
+    sol = stable_equilibrium(prob)
+    assert sol.kkt_residual <= 1e-8
+    assert sol.iterations == 32
 
 
 def test_spectator_species_at_zero_amount():
@@ -911,19 +946,47 @@ def test_active_set_certified_by_nonnegative_multipliers():
     assert sol.kkt_residual <= 1e-10
 
 
+def _lines_run(fn, marker, call):
+    """How many times the line of ``fn`` holding ``marker`` runs during ``call()``."""
+    import inspect
+    import sys
+
+    source, first = inspect.getsourcelines(fn)
+    target = first + next(i for i, line in enumerate(source) if marker in line)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(None)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(None)
+    return len(hits), result
+
+
 def test_nnls_matches_scipy_and_never_certifies_worse_than_clipping():
-    # small systems of stoichiometric and of normal coefficients; the clipped
-    # minimum-norm solve is one feasible point of the Euclidean residual that
-    # nonnegative least squares minimizes
+    # systems of 1 to 8 rows and columns, of stoichiometric and of normal
+    # coefficients; the clipped minimum-norm solve is one feasible point of
+    # the Euclidean residual that nonnegative least squares minimizes.  In 67
+    # of the draws an entry of a free-set solve is not positive, and the
+    # iterate steps back along the segment to it
     from scipy.optimize import nnls
 
     rng = np.random.default_rng(95)
-    for trial in range(200):
-        shape = tuple(rng.integers(1, 5, 2))
+    stepped_back = 0
+    for trial in range(1000):
+        shape = tuple(rng.integers(1, 9, 2))
         a = (rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], shape) if trial % 2
              else rng.normal(size=shape))
         b = rng.normal(size=shape[0]) * 10.0 ** rng.uniform(-3.0, 3.0)
-        x = np.array(equilibrium._nnls(a.tolist(), b.tolist()))
+        steps, x = _lines_run(equilibrium._nnls, "step = min(",
+                              lambda: equilibrium._nnls(a.tolist(), b.tolist()))
+        stepped_back += steps > 0
+        x = np.array(x)
         x_ref, _ = nnls(a, b)
         clipped = np.maximum(np.linalg.lstsq(a, b, rcond=None)[0], 0.0)
         tol = 1e-10 * (1.0 + np.linalg.norm(b) + np.abs(a).sum() * np.abs(x_ref).sum())
@@ -931,3 +994,4 @@ def test_nnls_matches_scipy_and_never_certifies_worse_than_clipping():
         residual = np.linalg.norm(a @ x - b)
         assert abs(residual - np.linalg.norm(a @ x_ref - b)) <= tol
         assert residual <= np.linalg.norm(a @ clipped - b) + tol
+    assert stepped_back >= 50

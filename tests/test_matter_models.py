@@ -547,25 +547,27 @@ def test_theorem_suite_evaluates_the_relation_a_fixed_number_of_times(
     # a standard process that starts at T_R leaves out its zero-length first
     # isentrope, which saves exactly one evaluation: a faster suite does not
     # come from skipping other evaluations.  The suite's draws from
-    # random.Random(0) make 14,963 evaluations with every process on three
-    # legs (15,130, with 133 two-leg processes, from numpy's generator)
+    # random.Random(0) make 13,824 evaluations with every process on three
+    # legs: each of its 243 standard processes evaluates its first state
+    # once, the 400 records of fuzz_standard_processes share st0's entropy,
+    # and so do the 498 dissipation loops of fuzz_weight_processes
     from entrokit import process_engine
     from entrokit.cli import _run_theorem_suite
 
     calls = _counting(monkeypatch, IdealGasMixture, "entropy")
     two_legs = []
-    real = process_engine._three_leg_schedule
+    real = process_engine._standard_legs
 
     def counted(*args):
-        schedule = real(*args)
-        if len(schedule.steps) == 2:
+        legs = real(*args)
+        if legs[2] is None:  # no first isentrope
             two_legs.append(None)
-        return schedule
+        return legs
 
-    monkeypatch.setattr(process_engine, "_three_leg_schedule", counted)
+    monkeypatch.setattr(process_engine, "_standard_legs", counted)
     assert _run_theorem_suite(tmp_path, 0)
     assert len(two_legs) == 123
-    assert len(calls) == 14963 - len(two_legs) == 14840
+    assert len(calls) == 13824 - len(two_legs) == 13701
 
 
 def test_weight_process_fuzz_checks_its_one_composition_once_or_so(monkeypatch):

@@ -42,7 +42,7 @@ from entrokit.process_engine import (
     measure_entropy_difference,
     measure_entropy_difference_composite,
     measure_temperature_ratio,
-    _three_leg_schedule,
+    _standard_legs,
     _volume_on_isentrope,
     reversible_standard_process,
     run_schedule,
@@ -289,6 +289,13 @@ def _forced_three_legs(model, st1, st2, t_res):
     ))
 
 
+def _standard_schedule(model, st1, st2, t_res):
+    """The legs that ``_standard_legs`` decides for a standard process, as a schedule."""
+    *_, first, contact = _standard_legs(model, st1, st2, t_res)
+    legs = (IsothermalContact(target_params=contact), Isentropic(st2.params))
+    return Schedule(legs if first is None else (Isentropic(first), *legs))
+
+
 def _state_at(model, temperature, volume, amounts):
     comp = Composition(amounts)
     params = Parameters([volume])
@@ -308,7 +315,7 @@ def test_a_standard_process_from_the_reservoir_temperature_runs_two_legs():
         st1 = _state_at(model, t_res, rng.uniform(0.3, 3.0), amounts)
         st2 = SystemState(rng.uniform(1.0, 3.0) * st1.energy, Parameters([rng.uniform(0.3, 3.0)]),
                           st1.comp)
-        schedule = _three_leg_schedule(model, st1, st2, t_res)
+        schedule = _standard_schedule(model, st1, st2, t_res)
         assert [type(step) for step in schedule.steps] == [IsothermalContact, Isentropic]
         rec = reversible_standard_process(model, st1, st2, res)
         forced = run_schedule(model, st1, res, _forced_three_legs(model, st1, st2, t_res))
@@ -321,13 +328,43 @@ def test_a_standard_process_from_the_reservoir_temperature_runs_two_legs():
 @pytest.mark.parametrize("offset", [1e-6, -1e-6])
 def test_a_standard_process_1e_6_off_the_reservoir_temperature_runs_three_legs(offset):
     st1 = _state_at(GAS, 1.0 + offset, 1.0, [1.0])
-    schedule = _three_leg_schedule(GAS, st1, ST2, 1.0)
+    schedule = _standard_schedule(GAS, st1, ST2, 1.0)
     assert [type(step) for step in schedule.steps] == [Isentropic, IsothermalContact,
                                                        Isentropic]
     rec = reversible_standard_process(GAS, st1, ST2, RES)
     assert rec.reversible
     assert -rec.d_e_res == pytest.approx(entropy_of(GAS, ST2) - entropy_of(GAS, st1),
                                          abs=1e-12)
+
+
+def _ledger_bits(record):
+    """Every number of a ledger, as its exact bits."""
+    numbers = (record.d_e_res, record.work, record.sigma_gen, record.final.energy,
+               *record.final.params.beta, *record.final.comp.amounts)
+    return [x.hex() for x in numbers], record.reversible, record.initial
+
+
+def test_the_standard_process_and_the_runner_give_bit_identical_ledgers():
+    # the standard process calls the runner's primitives on its legs: over
+    # the same legs, from T_R (two legs) and away from it (three), both
+    # write the same ledger to the last bit
+    rng = np.random.default_rng(43)
+    two = three = 0
+    for _ in range(80):
+        model = GAS if rng.random() < 0.5 else GAS2
+        amounts = rng.uniform(0.1, 3.0, len(model.species))
+        t_res = rng.uniform(0.2, 5.0)
+        res = wide_reservoir(t_res)
+        t1 = t_res if rng.random() < 0.5 else t_res * rng.uniform(0.3, 3.0)
+        st1 = _state_at(model, t1, rng.uniform(0.3, 3.0), amounts)
+        st2 = SystemState(rng.uniform(1.0, 3.0) * st1.energy, Parameters([rng.uniform(0.3, 3.0)]),
+                          st1.comp)
+        schedule = _standard_schedule(model, st1, st2, t_res)
+        two += len(schedule.steps) == 2
+        three += len(schedule.steps) == 3
+        rec = reversible_standard_process(model, st1, st2, res)
+        assert _ledger_bits(rec) == _ledger_bits(run_schedule(model, st1, res, schedule))
+    assert two >= 20 and three >= 20
 
 
 def test_reservoir_range_limits_the_exchange():
@@ -469,6 +506,46 @@ def test_nondecrease_stirring_record():
     claimed_reversible = ProcessRecord(ST1, final, 0.0, -w_in, 0.0, True)
     mismatch = nondecrease_check([claimed_reversible], GAS)
     assert not mismatch.passed and "mismatches=1" in mismatch.detail
+
+
+def _reversed(record, sigma_gen):
+    """The record run backwards, from its final state to its initial one,
+    claiming the entropy production ``sigma_gen``."""
+    return ProcessRecord(record.final, record.initial, -record.d_e_res, -record.work,
+                         sigma_gen, abs(sigma_gen) <= 1e-9)
+
+
+def test_nondecrease_check_fails_a_record_that_loses_entropy():
+    # a dissipative weight process from the runner, filed backwards: the gas
+    # ends with less entropy than it started with.  Its claimed production
+    # stays positive, so the classification agrees and only the loss fails
+    records = fuzz_weight_processes(GAS, ST1, RES, random.Random(5), n=50)
+    forward = max(records, key=lambda rec: rec.sigma_gen)
+    assert forward.sigma_gen > 1e-3
+    backward = _reversed(forward, forward.sigma_gen)
+    loss = entropy_of(GAS, forward.initial) - entropy_of(GAS, forward.final)
+    result = nondecrease_check([*records, backward], GAS)
+    assert result.passed is False
+    assert result.worst == loss < -1e-3
+    assert result.detail == "reversibility mismatches=0"
+    assert nondecrease_check(records, GAS).passed is True
+
+
+def test_lower_bound_check_fails_a_record_below_the_bound():
+    # a reversible standard process from the runner sits on the bound
+    # dE_res = -T_R (S2 - S1); the same record with 1e-6 T_R less reservoir
+    # energy lies below it, while it stays classified as reversible
+    t_res = 2.0
+    res = wide_reservoir(t_res)
+    rec = reversible_standard_process(GAS, ST1, ST2, res)
+    s1, s2 = entropy_of(GAS, ST1), entropy_of(GAS, ST2)
+    assert theorem_lower_bound_check([(rec, s1, s2)], t_res).passed is True
+    below = ProcessRecord(rec.initial, rec.final, rec.d_e_res - 1e-6 * t_res, rec.work,
+                          rec.sigma_gen, rec.reversible)
+    result = theorem_lower_bound_check([(rec, s1, s2), (below, s1, s2)], t_res)
+    assert result.passed is False
+    assert result.worst == pytest.approx(-1e-6 * t_res, rel=1e-6)
+    assert result.detail == "equality/reversibility mismatches=0"
 
 
 def test_weight_process_fuzz_keeps_no_reservoir_charged_record():

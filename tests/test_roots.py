@@ -133,6 +133,25 @@ def test_brentq_does_not_reevaluate_supplied_endpoints():
     assert f_root == f.fn(root)
 
 
+def test_brentq_and_increasing_root_stop_at_the_first_value_within_ftol():
+    # a stop on |f| only cuts the iteration short: the iterates are those
+    # of the default run up to the first within ftol, where both return
+    for ftol in (1e-3, 1e-6, 1e-9):
+        full, cut = Counted(lambda x: x ** 3 - 2.0), Counted(lambda x: x ** 3 - 2.0)
+        brentq(full, 0.0, 2.0, xtol=1e-15)
+        root, f_root = brentq(cut, 0.0, 2.0, xtol=1e-15, ftol=ftol)
+        stop = next(i for i, x in enumerate(full.xs) if abs(full.fn(x)) <= ftol)
+        assert cut.xs == full.xs[:stop + 1]
+        assert (root, f_root) == (cut.xs[-1], cut.fn(root)) and abs(f_root) <= ftol
+        assert len(cut.xs) < len(full.xs)
+        full, cut = Counted(lambda d: d ** 3 - 30.0), Counted(lambda d: d ** 3 - 30.0)
+        increasing_root(full, 1.0)
+        d, f_d = increasing_root(cut, 1.0, ftol=ftol)
+        stop = next(i for i, x in enumerate(full.xs) if abs(full.fn(x)) <= ftol)
+        assert cut.xs == full.xs[:stop + 1] and abs(f_d) <= ftol
+        assert len(cut.xs) < len(full.xs)
+
+
 def test_brentq_nan_raises_domain_error():
     with pytest.raises(DomainError):
         brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0)

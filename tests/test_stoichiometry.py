@@ -100,7 +100,9 @@ def test_decompose_splits_a_balance_into_exchange_and_reaction(inflow, extent):
 def test_elemental_set_complete_and_independent():
     report = validate_elemental_set({0, 1}, WATER)
     assert report.complete and report.independent and report.valid
-    assert 2 in report.producible
+    # one (constituent, coordinates) pair: half a reaction forms one H2O
+    ((k, eps),) = report.producible
+    assert k == 2 and eps.epsilon == pytest.approx((0.5,), abs=1e-12)
 
 
 def test_elemental_set_water_alone_incomplete():
