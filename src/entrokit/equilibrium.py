@@ -13,7 +13,8 @@ several it minimizes the convex dual in the element potentials and 1/T
 model gives its amounts at given potentials and temperature in closed form
 (the ``log_amounts`` hook), and the answer is packaged and certified at those
 amounts.  Certificates take nonnegative least-squares multipliers.
-Everything is in plain floats except the dual, which alone imports numpy.
+Everything is in plain floats: every linear solve, the dual's included, runs
+on the one Jacobi SVD of ``stoichiometry``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .stoichiometry import (
     _float_vector,
     _lstsq,
     _pinv,
+    _svd,
 )
 
 MAX_ITER = 200
@@ -499,9 +501,11 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     (A n0 - A n, E - E(n, T)) and Hessian sum_k n_k w_k w_k^T, plus C T^2 in
     its (beta, beta) entry, where w_k = (A_k, u_k), u_k = T dln n_k/dln T is
     dE/dn_k at fixed T, and C = dE/dT at fixed amounts.
-    Newton steps backtrack on g, and the full step is taken once the
+    Newton steps, least-squares solutions of the Newton system in (lam,
+    beta), backtrack on g, and the full step is taken once the
     predicted decrease falls below the rounding of g; that step ends the
-    iteration.
+    iteration.  A trial point with no admissible state or a non-finite g is
+    refused.
 
     Constituents no reaction touches, and those no reaction can produce
     (``_reachable``), keep their initial amounts, and their energy at T
@@ -511,81 +515,86 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     (point at the last amounts, Newton steps, a function giving what to
     report if the point fails its KKT certificate).
     """
-    import numpy as np
+    models, params, slices = prob.models, prob.params, prob.slices()
+    n0, net = prob.n0_concat(), prob.network
+    free = [k for k, (row, reached) in enumerate(zip(net.rows, _reachable(net, n0)))
+            if reached and any(row)]
+    # the conserved rows are orthonormal, so their singular values are at most 1
+    sv, _, v = _svd([[row[k] for k in free] for row in net.conserved])
+    a = [vk for sk, vk in zip(sv, v) if sk > 1e-10]
+    b = [sum(n0[k] * x for k, x in zip(free, ak)) for ak in a]
 
-    with np.errstate(all="ignore"):  # non-finite values end as refusals or a failed certificate
-        models, params, slices = prob.models, prob.params, prob.slices()
-        initial = prob.n0_concat()
-        nu, n0 = prob.network.stoich, np.array(initial)
-        free = np.any(nu != 0.0, axis=1) & np.array(_reachable(prob.network, initial))
-        # the conserved rows are orthonormal, so their singular values are at most 1
-        _, sv, vt = np.linalg.svd(prob.network.conserved[:, free], full_matrices=False)
-        a = vt[:int(np.sum(sv > 1e-10))]
-        b = a @ n0[free]
+    def at(lam: list, beta: float) -> tuple:
+        """(g, gradient, amounts, compositions, T, dln n/dln T) at (lam, beta)."""
+        if not beta > 0.0:
+            raise DomainError("1/T must be positive")
+        t = 1.0 / beta
+        potentials = [0.0] * len(n0)
+        for k, col in zip(free, zip(*a)):
+            potentials[k] = sum(map(mul, col, lam))
+        log_n, dlog = [], []
+        for m, p, sl in zip(models, params, slices):
+            logs, slopes = m.log_amounts(t, p, potentials[sl])
+            log_n += logs
+            dlog += slopes
+        if any(log_n[k] > 700.0 for k in free):
+            raise RangeError("amounts beyond any finite value")
+        n = n0.copy()
+        for k in free:
+            n[k] = math.exp(log_n[k])
+        comps = [Composition(n[sl]) for sl in slices]
+        energies = [solve_energy_at_temperature(m, t, p, c)
+                    for m, p, c in zip(models, params, comps)]
+        entropy = sum(m.entropy(e, p, c) for m, e, p, c in zip(models, energies, params, comps))
+        grad = [bk - sum(n[k] * x for k, x in zip(free, ak)) for ak, bk in zip(a, b)]
+        grad.append(prob.total_energy - sum(energies))
+        return entropy + sum(map(mul, lam, grad)) + beta * grad[-1], grad, n, comps, t, dlog
 
-        def at(lam: np.ndarray, beta: float) -> tuple:
-            """(g, gradient, amounts, compositions, T, dln n/dln T) at (lam, beta)."""
-            if not beta > 0.0:
-                raise DomainError("1/T must be positive")
-            t = 1.0 / beta
-            potentials = np.zeros(n0.shape[0])
-            potentials[free] = a.T @ lam
-            n, dlog = n0.copy(), np.empty_like(n0)
-            for m, p, sl in zip(models, params, slices):
-                log_n, dlog[sl] = map(np.array, m.log_amounts(t, p, potentials[sl]))
-                moved = free[sl]
-                if np.max(log_n[moved], initial=0.0) > 700.0:
-                    raise RangeError("amounts beyond any finite value")
-                n[sl][moved] = np.exp(log_n[moved])
-            comps = [Composition(n[sl]) for sl in slices]
-            energies = [solve_energy_at_temperature(m, t, p, c)
-                        for m, p, c in zip(models, params, comps)]
-            entropy = sum(m.entropy(e, p, c)
-                          for m, e, p, c in zip(models, energies, params, comps))
-            grad = np.append(b - a @ n[free], prob.total_energy - sum(energies))
-            return entropy + lam @ grad[:-1] + beta * grad[-1], grad, n, comps, t, dlog
+    def moved(alpha: float) -> tuple:  # (lam, beta) a share alpha along the Newton step
+        return [x + alpha * d for x, d in zip(lam, step)], beta + alpha * step[-1]
 
-        try:
-            t0 = _split(prob, [Composition(n0[sl]) for sl in slices])[1]
-        except (DomainError, RangeError) as exc:
-            raise Infeasible(f"no admissible state at the initial composition: {exc}") from exc
-        # the potentials that best reproduce the initial amounts, absent ones at a small share
-        target = np.maximum(n0, 1e-3 * n0.max())[free]
-        at_zero = np.concatenate([m.log_amounts(t0, p, np.zeros(sl.stop - sl.start))[0]
-                                  for m, p, sl in zip(models, params, slices)])[free]
-        lam, *_ = np.linalg.lstsq(a.T, at_zero - np.log(target), rcond=None)
-        beta = 1.0 / t0
-        here = at(lam, beta)
-        failure = partial(str, f"iteration budget {max_iter} exhausted")
-        for it in range(1, max_iter + 1):
-            g, grad, n, comps, t, dlog = here
-            w = np.vstack([a, t * dlog[free]])
-            hess = (w * n[free]) @ w.T
-            hess[-1, -1] += t * t * sum(
-                _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
-                           [t], step=H_REL * t)[0]
-                for m, p, c in zip(models, params, comps))
-            step = np.linalg.solve(hess, -grad)
-            decrease = -float(grad @ step)
-            if decrease <= 64.0 * _FLOAT_EPS * abs(g):
-                here = at(lam + step[:-1], beta + step[-1])
-                failure = partial("element-potential dual converged in {} steps".format, it)
+    try:
+        t0 = _split(prob, [Composition(n0[sl]) for sl in slices])[1]
+    except (DomainError, RangeError) as exc:
+        raise Infeasible(f"no admissible state at the initial composition: {exc}") from exc
+    # the potentials that best reproduce the initial amounts, absent ones at a
+    # small share, which is positive even where it underflows
+    floor = max(1e-3 * max(n0), math.ulp(0.0))
+    at_zero = [x for m, p, sl in zip(models, params, slices)
+               for x in m.log_amounts(t0, p, [0.0] * (sl.stop - sl.start))[0]]
+    lam = _lstsq(list(zip(*a)), [at_zero[k] - math.log(max(n0[k], floor)) for k in free])
+    beta = 1.0 / t0
+    here = at(lam, beta)
+    failure = partial(str, f"iteration budget {max_iter} exhausted")
+    for it in range(1, max_iter + 1):
+        g, grad, n, comps, t, dlog = here
+        w = [*a, [t * dlog[k] for k in free]]
+        hess = [[sum(n[k] * x * y for k, x, y in zip(free, wi, wj)) for wj in w] for wi in w]
+        hess[-1][-1] += t * t * sum(
+            _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
+                       [t], step=H_REL * t)[0]
+            for m, p, c in zip(models, params, comps))
+        step = _lstsq(hess, [-x for x in grad])
+        decrease = -sum(map(mul, grad, step))
+        if decrease <= 64.0 * _FLOAT_EPS * abs(g):
+            here = at(*moved(1.0))
+            failure = partial("element-potential dual converged in {} steps".format, it)
+            break
+        alpha = 1.0
+        for _ in range(60):
+            try:
+                trial = at(*moved(alpha))
+            except (DomainError, RangeError):
+                trial = None
+            if trial is not None and trial[0] <= g - 1e-4 * alpha * decrease:
                 break
-            alpha = 1.0
-            for _ in range(60):
-                try:
-                    trial = at(lam + alpha * step[:-1], beta + alpha * step[-1])
-                except (DomainError, RangeError):
-                    trial = None
-                if trial is not None and trial[0] <= g - 1e-4 * alpha * decrease:
-                    break
-                alpha *= 0.5
-            else:
-                failure = partial("no descent step after {} steps".format, it)
-                break
-            lam, beta, here = lam + alpha * step[:-1], beta + alpha * step[-1], trial
-        n = here[2].tolist()
-        return _point(prob, _moved_by(prob, n), n), it, failure
+            alpha *= 0.5
+        else:
+            failure = partial("no descent step after {} steps".format, it)
+            break
+        (lam, beta), here = moved(alpha), trial
+    n = here[2]
+    return _point(prob, _moved_by(prob, n), n), it, failure
 
 
 def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> float:

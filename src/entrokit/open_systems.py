@@ -120,10 +120,6 @@ class ReferenceEnvironment(FrozenRecord):
             refs.append((st.energy, entropy_of(model, st)))
         return tuple(refs)
 
-    def physical_reference(self, i: int) -> tuple[float, float]:
-        """(energy, entropy) of one unit of species i at (T0, p0), model scale."""
-        return self.physical_references[i]
-
     def reservoir(self) -> ThermalReservoir:
         return self._reservoir
 

@@ -559,10 +559,8 @@ def validate_scenario(scn: Scenario) -> list[Issue]:
 
 
 def _fmt(x) -> str:
-    """Text of a number or flag, in CSV cells and serialized scenarios: floats,
-    numpy's too, with round-trip precision and bools as true or false."""
-    if type(x).__module__ == "numpy":  # a numpy scalar, as the Python number it holds
-        x = x.item()
+    """Text of a number or flag, in CSV cells and serialized scenarios: floats
+    with round-trip precision and bools as true or false."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):

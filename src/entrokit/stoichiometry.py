@@ -3,8 +3,8 @@
 Amounts are real-valued throughout: region counting over ideal surface patches
 gives continuous spectra, so no integer-only mode is offered.  Amounts, a
 network's coefficients and reaction coordinates are tuples of floats, and
-their linear algebra runs through one plain-float Jacobi SVD (``_svd``); only
-``stoich`` and ``conserved``, the arrays of the several-reaction dual, import numpy.
+all of their linear algebra, the rows a network conserves included, runs
+through one plain-float Jacobi SVD (``_svd``).
 """
 
 from __future__ import annotations
@@ -13,12 +13,8 @@ import math
 import sys
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import FrozenRecord, NegativeAmount
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Entries more negative than this are an error; entries in (-TOL_NEG, 0) are
 #: rounding noise and get clamped to zero.
@@ -39,7 +35,8 @@ def _svd(rows) -> tuple[list, list, list]:
     1958): plane rotations of the columns, accumulated in v, until all are
     orthogonal to rounding, a wide matrix through its transpose.  Entries are
     first divided by a power of two near the largest, exactly, which keeps
-    the squared norms finite."""
+    the squared norms finite; a non-finite entry gives non-finite values,
+    never an exception."""
     m, n = len(rows), len(rows[0]) if rows else 0
     if m < n:
         s, u, v = _svd(list(zip(*rows)))
@@ -55,8 +52,8 @@ def _svd(rows) -> tuple[list, list, list]:
                 a, b = cols[i], cols[j]
                 gamma = sum(map(mul, a, b))
                 alpha, beta = sum(map(mul, a, a)), sum(map(mul, b, b))
-                if abs(gamma) <= sys.float_info.epsilon * math.sqrt(alpha * beta):
-                    continue
+                if not abs(gamma) > sys.float_info.epsilon * math.sqrt(alpha * beta):
+                    continue  # orthogonal to rounding, or a non-finite column
                 zeta = (beta - alpha) / (2.0 * gamma)
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
@@ -91,23 +88,13 @@ def _lstsq(rows, b) -> list:
     return [sum(map(mul, p, b)) for p in _pinv(rows)]
 
 
-def _frozen_array(values, ndmin: int) -> np.ndarray:
-    import numpy as np
-
-    arr = np.array(values, dtype=float, ndmin=ndmin)
-    arr.flags.writeable = False
-    return arr
-
-
 def _float_vector(values, what: str) -> tuple:
-    """``values``, a sequence or a scalar, as a tuple of Python floats;
-    ValueError unless it is a vector."""
+    """``values``, a sequence, an array (read through its ``tolist``) or a
+    scalar, as a tuple of Python floats; ValueError unless it is a vector."""
     if not isinstance(values, (tuple, list)):
-        import numpy as np
-        arr = np.array(values, dtype=float, ndmin=1)
-        if arr.ndim != 1:
-            raise ValueError(f"{what} must be a vector")
-        values = arr.tolist()
+        values = values.tolist() if hasattr(values, "tolist") else values
+        if not hasattr(values, "__iter__"):  # a number
+            values = (values,)
     try:
         return tuple(map(float, values))
     except TypeError:  # a nested sequence
@@ -145,7 +132,7 @@ class ReactionNetwork(FrozenRecord):
 
     ``rows[k][l]`` is the coefficient of constituent ``k`` in reaction ``l``
     (negative for consumed, positive for produced).  Networks compare and
-    hash by their coefficients; ``stoich`` is them as a read-only array.
+    hash by their coefficients.
     """
 
     __slots__ = ("rows", "__dict__")  # the dict holds the cached properties
@@ -162,11 +149,6 @@ class ReactionNetwork(FrozenRecord):
             if not any(column):
                 raise ValueError(f"reaction {col} changes no amounts (all-zero column)")
         object.__setattr__(self, "rows", rows)
-
-    @cached_property
-    def stoich(self) -> np.ndarray:
-        """The coefficients as a read-only array; built on first use."""
-        return _frozen_array(self.rows, ndmin=2)
 
     @property
     def n_constituents(self) -> int:
@@ -197,14 +179,15 @@ class ReactionNetwork(FrozenRecord):
         return self._rank(range(self.n_reactions))
 
     @cached_property
-    def conserved(self) -> np.ndarray:
+    def conserved(self) -> tuple:
         """Orthonormal rows spanning the combinations a of constituents that no
-        reaction changes (a . stoich = 0), at the cutoff of ``rank`` applied to
-        the singular values of the same decomposition; computed once per network."""
-        from numpy.linalg import svd
-
-        u, s, _ = svd(self.stoich)
-        return _frozen_array(u[:, int((s > self._rank_tol).sum()):].T, ndmin=2)
+        reaction changes (a . column = 0 for every column), a tuple of tuples of
+        floats: the right singular vectors of the transposed coefficients, padded
+        with zero rows to square, whose singular values are at most the cutoff
+        of ``rank``; computed once per network."""
+        r = self.n_constituents
+        s, _, v = _svd([*self.columns, *[[0.0] * r] * (r - self.n_reactions)])
+        return tuple(tuple(vk) for sk, vk in zip(s, v) if sk <= self._rank_tol)
 
     @cached_property
     def independent_columns(self) -> tuple[int, ...]:

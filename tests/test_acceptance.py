@@ -165,7 +165,7 @@ def _grid_oracle(prob, n_grid, refinements=3):
     model = prob.models[0]
     params = prob.params[0]
     n0 = prob.n0[0].amounts
-    nu = prob.network.stoich
+    nu = np.array(prob.network.rows)
     tau = nu.shape[1]
 
     def axis_interval(j):

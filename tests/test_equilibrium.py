@@ -14,7 +14,15 @@ from entrokit.equilibrium import (
     solution_at,
     stable_equilibrium,
 )
-from entrokit.errors import DomainError, Infeasible, NegativeAmount, RangeError, Record
+from entrokit.errors import (
+    DomainError,
+    EntrokitError,
+    Infeasible,
+    NegativeAmount,
+    NonConvergence,
+    RangeError,
+    Record,
+)
 from entrokit.matter_models import (
     IdealGasMixture,
     MatterModel,
@@ -61,7 +69,7 @@ def grid_max_entropy(prob, n_grid=10001, refinements=3):
     model = prob.models[0]
     params = prob.params[0]
     n0 = prob.n0_concat()
-    col = prob.network.stoich[:, 0]
+    col = np.array(prob.network.rows)[:, 0]
     lo, hi = -math.inf, math.inf
     for nk, c in zip(n0, col):
         if c > 0:
@@ -345,8 +353,6 @@ def test_infeasible_energy_budget():
 
 
 def test_nonconvergence_reports_best_iterate():
-    from entrokit.errors import NonConvergence
-
     prob = water_problem()
     with pytest.raises(NonConvergence) as err:
         stable_equilibrium(prob, start=[0.02], max_iter=1)
@@ -580,7 +586,7 @@ def test_network_rank_is_computed_once_per_network(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ReactionNetwork, "_rank", counted)
-    net = ReactionNetwork(CHAIN_NET.stoich)  # a fresh network: nothing cached yet
+    net = ReactionNetwork(CHAIN_NET.rows)  # a fresh network: nothing cached yet
     for seed in (81, 82, 83):
         base = seeded_problem("chain", seed)
         stable_equilibrium(EquilibriumProblem(base.models, base.params, base.n0,
@@ -747,7 +753,7 @@ def test_an_interior_answer_is_certified_by_its_own_affinity(name):
     assert not sol.active
     ds_dn = np.concatenate([m.ds_dn(st.energy, st.params, st.comp)
                             for m, st in zip(prob.models, sol.states)])
-    assert sol.kkt_residual == abs(float(prob.network.stoich[:, 0] @ ds_dn)) <= 1e-10
+    assert sol.kkt_residual == abs(float(np.array(prob.network.rows)[:, 0] @ ds_dn)) <= 1e-10
 
 
 @pytest.mark.parametrize("e0", [-4.0, -6.0, -8.0, -12.0])
@@ -840,7 +846,7 @@ def nelder_mead_max_entropy(prob, starts):
     over the reaction coordinates finds, inadmissible points counting as -inf."""
     from scipy.optimize import minimize
 
-    n0, nu = prob.n0_concat(), prob.network.stoich
+    n0, nu = prob.n0_concat(), np.array(prob.network.rows)
 
     def neg_entropy(eps):
         try:
@@ -865,6 +871,66 @@ def test_deep_chain_problems_solve_and_match_the_oracle():
         assert sol.kkt_residual <= 1e-10
         oracle = nelder_mead_max_entropy(prob, CHAIN_STARTS)
         assert sol.entropy >= oracle - 1e-12 * abs(sol.entropy)
+
+
+def test_dual_newton_steps_over_the_chain_problems():
+    # the seeded chains and the deep-well draw: a change to the dual's linear
+    # algebra that moved its iterates would move this count
+    probs = [*(seeded_problem("chain", seed) for seed in (81, 82, 83)),
+             *deep_chain_problems(30)]
+    assert sum(stable_equilibrium(prob).iterations for prob in probs) == 374
+
+
+def _scaled_chain(nu=1.0, amounts=1.0, energy=None, n0=None):
+    """``seeded_problem("chain", 81)`` with its coefficients times ``nu``, its
+    amounts and energy times ``amounts``, or the energy or amounts given."""
+    base = seeded_problem("chain", 81)
+    n0 = n0 if n0 is not None else [amounts * x for x in base.n0[0].amounts]
+    energy = energy if energy is not None else amounts * base.total_energy
+    net = ReactionNetwork([[nu * x for x in row] for row in CHAIN_NET.rows])
+    return EquilibriumProblem(base.models, base.params, (Composition(n0),), energy, network=net)
+
+
+@pytest.mark.parametrize("change, outcome", [
+    (dict(nu=1e300), (NonConvergence, "converged in 5 steps")),
+    (dict(nu=1e150), (NonConvergence, "converged in 5 steps")),
+    (dict(nu=1e-150), 5),
+    (dict(nu=1e-300), 5),
+    (dict(amounts=1e12), 5),
+    (dict(amounts=1e-12), 5),
+    (dict(amounts=1e100), 5),
+    (dict(amounts=1e-100), (Infeasible, "below ground bound")),
+    (dict(energy=1e-300), 17),
+    (dict(energy=1e300), (NonConvergence, "no descent step after 1 steps")),
+    (dict(n0=[1.0, 0.0, 0.0]), 6),
+], ids=["nu*1e300", "nu*1e150", "nu*1e-150", "nu*1e-300", "n*1e12", "n*1e-12", "n*1e100",
+        "n*1e-100", "E=1e-300", "E=1e300", "n0=100"])
+def test_dual_outcome_at_extreme_scales(change, outcome):
+    # each scaled chain ends in a documented refusal, a failed certificate or
+    # an answer in a fixed number of Newton steps; the E = 1e300 row is the
+    # dual's "no descent step" exit
+    prob = _scaled_chain(**change)
+    if isinstance(outcome, int):
+        sol = stable_equilibrium(prob)
+        assert sol.kkt_residual <= 1e-8 and sol.iterations == outcome
+        return
+    error, message = outcome
+    with pytest.raises(error, match=message):
+        stable_equilibrium(prob)
+
+
+@pytest.mark.parametrize("rows, n0", [
+    ([[-5e-324, 0.0], [1.0, -1.0], [0.0, 1.0]], [4e-323, 0.0, 0.0]),
+    ([[-5e-324, 0.0], [1.0, -5e-324], [0.0, 1.0]], [4e-323, 4e-323, 0.0]),
+], ids=["one-subnormal-amount", "two-subnormal-amounts"])
+def test_dual_ends_subnormal_amounts_in_its_own_errors(rows, n0):
+    # a share of the largest amount underflows to 0 here; the start still
+    # takes a logarithm of every amount, and no math error escapes
+    base = seeded_problem("chain", 81)
+    prob = EquilibriumProblem(base.models, base.params, (Composition(n0),), base.total_energy,
+                              network=ReactionNetwork(rows))
+    with pytest.raises(EntrokitError):
+        stable_equilibrium(prob)
 
 
 def test_reaction_beside_a_semipermeable_wall():
@@ -893,7 +959,7 @@ def test_untouched_constituents_keep_their_amounts_exactly():
     base = seeded_problem("chain", 81)
     mix = IdealGasMixture(base.models[0].species + (Species("D", 3.0),))
     inert = IdealGasMixture([Species("Ar", 3.0, e0=0.3)])
-    net = ReactionNetwork(np.vstack([CHAIN_NET.stoich, np.zeros((2, 2))]))
+    net = ReactionNetwork(np.vstack([np.array(CHAIN_NET.rows), np.zeros((2, 2))]))
     n_inert = 0.7123456789
     prob = EquilibriumProblem((mix, inert), (base.params[0], Parameters([2.0])),
                               (Composition([1.5, 0.5, 0.5, 0.0]), Composition([n_inert])),

@@ -182,7 +182,7 @@ def test_open_energy_uses_reference_scale():
     ost = OpenState(Composition([2.0, 1.0, 0.0]), 9.0, Parameters([1.5]))
     e_open, _ = open_energy_entropy(env, mix, ost)
     w, _ = env.decompose(ost.comp)
-    e_elem = sum(wi * env.physical_reference(i)[0] for i, wi in enumerate(w))
+    e_elem = sum(wi * env.physical_references[i][0] for i, wi in enumerate(w))
     e0_assigned = np.dot(w, env.e0_assigned)
     assert e_open == pytest.approx(e0_assigned + ost.energy - e_elem, rel=1e-12)
 
@@ -338,7 +338,7 @@ def test_cached_physical_reference_equals_fresh_solve():
     env = water_env(t0=1.3, p0=0.7)
     for i, model in enumerate(env.species_models):
         fresh = env.reference_state(i)
-        assert env.physical_reference(i) == (fresh.energy, entropy_of(model, fresh))
+        assert env.physical_references[i] == (fresh.energy, entropy_of(model, fresh))
     assert env.physical_references is env.physical_references
 
 
@@ -460,7 +460,7 @@ def chain_env():
 def _lstsq_decompose(env, n):
     """Per-call oracle: the non-elemental rows of n = n_elem(w) + nu eps
     solved for eps by least squares, then w from the elemental rows."""
-    nu = env.network.stoich
+    nu = np.array(env.network.rows)
     outside = [k for k in range(nu.shape[0]) if k not in env.elemental]
     eps, *_ = np.linalg.lstsq(nu[outside], n[outside], rcond=RCOND)
     elem = list(env.elemental)

@@ -338,10 +338,14 @@ def test_shipped_cli_jobs_leave_numpy_out(tmp_path, argv):
 
 
 def _imports_of(source: str, module: str) -> set:
-    """Lines of a module that import ``module`` or a name from it."""
+    """Lines of a module that import the package ``module``, one of its
+    submodules or a name from either."""
+    def within(name: str) -> bool:
+        return name.split(".")[0] == module
+
     return {node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
-            or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module}
+            if isinstance(node, ast.Import) and any(within(a.name) for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and within(node.module)}
 
 
 def test_no_module_imports_dataclasses():
@@ -349,11 +353,25 @@ def test_no_module_imports_dataclasses():
     sites = {path.name: _imports_of(path.read_text(encoding="utf-8"), "dataclasses")
              for path in sorted(SRC.rglob("*.py"))}
     assert {name: lines for name, lines in sites.items() if lines} == {}
-    # the guard sees a plain, an aliased and a from-import, also inside a function
+    # the guard sees a plain, an aliased and a from-import, also inside a
+    # function, and the import of a submodule or of a name from one
     sample = ("import dataclasses\nimport os, dataclasses as dc\n"
               "def f():\n    from dataclasses import dataclass\n"
-              "from .dataclasses import x\nimport dataclasses_json\n")
-    assert _imports_of(sample, "dataclasses") == {1, 2, 4}
+              "from .dataclasses import x\nimport dataclasses_json\n"
+              "from dataclasses.sub import y\nimport dataclasses.sub\n")
+    assert _imports_of(sample, "dataclasses") == {1, 2, 4, 7, 8}
+
+
+def test_no_module_imports_numpy():
+    # every linear solve, the element-potential dual's included, runs on the
+    # plain-float Jacobi SVD of ``stoichiometry``
+    sites = {path.name: _imports_of(path.read_text(encoding="utf-8"), "numpy")
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+    sample = ("from numpy.linalg import svd\nimport numpy.linalg\nimport numpy as np\n"
+              "def f():\n    from numpy import errstate\n"
+              "from .numpy import x\nimport numpydoc\n")
+    assert _imports_of(sample, "numpy") == {1, 2, 3, 5}
 
 
 def test_one_reaction_boundary_solve_leaves_numpy_out():
@@ -373,6 +391,25 @@ def test_one_reaction_boundary_solve_leaves_numpy_out():
             "print(bool(sol.active), bool(calls),\n"
             "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     assert _fresh(code) == "True True []"
+
+
+def test_two_reaction_solve_leaves_numpy_out():
+    # the deep A -> B -> C chain, two independent reactions: the
+    # element-potential dual solves it in plain floats
+    code = ("import sys\n"
+            "from entrokit import equilibrium as eq\n"
+            "from entrokit.matter_models import IdealGasMixture, Parameters, Species\n"
+            "from entrokit.stoichiometry import Composition, ReactionNetwork\n"
+            "calls, dual = [], eq._dual\n"
+            "eq._dual = lambda *args: calls.append(args) or dual(*args)\n"
+            "mix = IdealGasMixture([Species('A', 3.0, 0.0, 5.0), Species('B', 4.0, -12.0, 20.0),\n"
+            "                       Species('C', 5.0, -18.0, 25.0)])\n"
+            "sol = eq.stable_equilibrium(eq.EquilibriumProblem(\n"
+            "    (mix,), (Parameters([1.0]),), (Composition([1.5, 0.5, 0.5]),), 6.0,\n"
+            "    network=ReactionNetwork([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])))\n"
+            "print(len(calls), sol.kkt_residual <= 1e-10,\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert _fresh(code) == "1 True []"
 
 
 def test_every_exported_name_is_its_modules_object():

@@ -106,8 +106,8 @@ names = A B
 nu = -1/2 ; 3/2
 """
     scn = parse_scenario(text)
-    assert scn.network.stoich[0, 0] == pytest.approx(-0.5)
-    assert scn.network.stoich[1, 0] == pytest.approx(1.5)
+    assert scn.network.rows[0][0] == pytest.approx(-0.5)
+    assert scn.network.rows[1][0] == pytest.approx(1.5)
 
 
 def test_validate_flags_undeclared_reservoir():
