@@ -502,10 +502,10 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     its (beta, beta) entry, where w_k = (A_k, u_k), u_k = T dln n_k/dln T is
     dE/dn_k at fixed T, and C = dE/dT at fixed amounts.
     Newton steps, least-squares solutions of the Newton system in (lam,
-    beta), backtrack on g, and the full step is taken once the
-    predicted decrease falls below the rounding of g; that step ends the
-    iteration.  A trial point with no admissible state or a non-finite g is
-    refused.
+    beta) scaled to a unit diagonal, backtrack on g, and the full step is
+    taken once the predicted decrease falls below the rounding of g; that
+    step ends the iteration.  A trial point with no admissible state or a
+    non-finite g is refused.
 
     Constituents no reaction touches, and those no reaction can produce
     (``_reachable``), keep their initial amounts, and their energy at T
@@ -562,7 +562,9 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     floor = max(1e-3 * max(n0), math.ulp(0.0))
     at_zero = [x for m, p, sl in zip(models, params, slices)
                for x in m.log_amounts(t0, p, [0.0] * (sl.stop - sl.start))[0]]
-    lam = _lstsq(list(zip(*a)), [at_zero[k] - math.log(max(n0[k], floor)) for k in free])
+    # the rows of a are orthonormal, so a y is the minimum-norm solution of a^T lam = y
+    y = [at_zero[k] - math.log(max(n0[k], floor)) for k in free]
+    lam = [sum(map(mul, ak, y)) for ak in a]
     beta = 1.0 / t0
     here = at(lam, beta)
     failure = partial(str, f"iteration budget {max_iter} exhausted")
@@ -574,7 +576,12 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
             _fd_slopes(lambda x, m=m, p=p, c=c: solve_energy_at_temperature(m, x[0], p, c),
                        [t], step=H_REL * t)[0]
             for m, p, c in zip(models, params, comps))
-        step = _lstsq(hess, [-x for x in grad])
+        # lam and beta differ in units by powers of T: the system is solved
+        # with its diagonal scaled to one, so no direction of either is cut off
+        d = [1.0 / math.sqrt(h[i]) if h[i] > 0.0 else 1.0 for i, h in enumerate(hess)]
+        y = _lstsq([[di * x * dj for x, dj in zip(h, d)] for h, di in zip(hess, d)],
+                   [-di * x for di, x in zip(d, grad)])
+        step = [di * x for di, x in zip(d, y)]
         decrease = -sum(map(mul, grad, step))
         if decrease <= 64.0 * _FLOAT_EPS * abs(g):
             here = at(*moved(1.0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from functools import cached_property
 from operator import mul
 
@@ -90,11 +91,12 @@ def _lstsq(rows, b) -> list:
 
 def _float_vector(values, what: str) -> tuple:
     """``values``, a sequence, an array (read through its ``tolist``) or a
-    scalar, as a tuple of Python floats; ValueError unless it is a vector."""
+    scalar, a numeric string included, as a tuple of Python floats;
+    ValueError unless it is a vector."""
     if not isinstance(values, (tuple, list)):
         values = values.tolist() if hasattr(values, "tolist") else values
-        if not hasattr(values, "__iter__"):  # a number
-            values = (values,)
+        if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+            values = (values,)  # a scalar: a set or a mapping fails as one
     try:
         return tuple(map(float, values))
     except TypeError:  # a nested sequence
@@ -168,23 +170,24 @@ class ReactionNetwork(FrozenRecord):
         return 1e-10 * max((abs(x) for row in self.rows for x in row), default=0.0)
 
     def _rank(self, cols) -> int:
-        """Rank of the reactions ``cols``, at the cutoff of ``rank``."""
+        """Rank of the reactions ``cols``, at the cutoff of ``conserved``."""
         tol = self._rank_tol
         return sum(x > tol for x in _svd([[row[j] for j in cols] for row in self.rows])[0])
 
     @cached_property
     def rank(self) -> int:
         """Number of independent reactions, at a cutoff relative to the largest
-        coefficient; computed once per network."""
-        return self._rank(range(self.n_reactions))
+        coefficient: the constituents less the rows ``conserved`` keeps, from
+        the same decomposition; computed once per network."""
+        return self.n_constituents - len(self.conserved)
 
     @cached_property
     def conserved(self) -> tuple:
         """Orthonormal rows spanning the combinations a of constituents that no
         reaction changes (a . column = 0 for every column), a tuple of tuples of
         floats: the right singular vectors of the transposed coefficients, padded
-        with zero rows to square, whose singular values are at most the cutoff
-        of ``rank``; computed once per network."""
+        with zero rows to square, whose singular values are at most 1e-10 times
+        the largest coefficient; computed once per network."""
         r = self.n_constituents
         s, _, v = _svd([*self.columns, *[[0.0] * r] * (r - self.n_reactions)])
         return tuple(tuple(vk) for sk, vk in zip(s, v) if sk <= self._rank_tol)

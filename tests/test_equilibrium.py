@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from entrokit import equilibrium
+from entrokit import equilibrium, stoichiometry
 from entrokit.equilibrium import (
     EquilibriumProblem,
     _package,
@@ -577,21 +577,23 @@ def test_solver_evaluates_each_point_once(monkeypatch, name):
 
 
 def test_network_rank_is_computed_once_per_network(monkeypatch):
-    # every rank is the count of a Jacobi SVD's singular values above the cutoff
+    # the rank and the conserved rows come from one Jacobi SVD per network:
+    # three solves on a fresh network take one SVD more than three more on it
     calls = []
-    real = ReactionNetwork._rank
+    real = stoichiometry._svd
+    monkeypatch.setattr(stoichiometry, "_svd", lambda rows: calls.append(rows) or real(rows))
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def svds(net):
+        calls.clear()
+        for seed in (81, 82, 83):
+            base = seeded_problem("chain", seed)
+            stable_equilibrium(EquilibriumProblem(base.models, base.params, base.n0,
+                                                  base.total_energy, network=net))
+        return len(calls)
 
-    monkeypatch.setattr(ReactionNetwork, "_rank", counted)
     net = ReactionNetwork(CHAIN_NET.rows)  # a fresh network: nothing cached yet
-    for seed in (81, 82, 83):
-        base = seeded_problem("chain", seed)
-        stable_equilibrium(EquilibriumProblem(base.models, base.params, base.n0,
-                                              base.total_energy, network=net))
-    assert len(calls) == 1
+    assert svds(net) - svds(net) == 1
+    assert net.rank == 2 and {"rank", "conserved"} <= vars(net).keys()
 
 
 def test_redundant_network_reports_minimum_norm_coordinates():
@@ -873,12 +875,24 @@ def test_deep_chain_problems_solve_and_match_the_oracle():
         assert sol.entropy >= oracle - 1e-12 * abs(sol.entropy)
 
 
+def conservation_defect(prob, sol):
+    """max |a (n - n0)| over the conserved rows a, relative to the largest
+    |a| n0: the share of a conserved quantity the answer lost or made."""
+    a = np.array(prob.network.conserved, ndmin=2)
+    n0 = np.array(prob.n0_concat())
+    n = np.concatenate([st.comp.amounts for st in sol.states])
+    return np.max(np.abs(a @ (n - n0))) / np.max(np.abs(a) @ n0)
+
+
 def test_dual_newton_steps_over_the_chain_problems():
     # the seeded chains and the deep-well draw: a change to the dual's linear
-    # algebra that moved its iterates would move this count
+    # algebra that moved its iterates would move this count, and every answer
+    # keeps what the network conserves, which its certificate does not check
     probs = [*(seeded_problem("chain", seed) for seed in (81, 82, 83)),
              *deep_chain_problems(30)]
-    assert sum(stable_equilibrium(prob).iterations for prob in probs) == 374
+    sols = [stable_equilibrium(prob) for prob in probs]
+    assert sum(sol.iterations for sol in sols) == 374
+    assert max(map(conservation_defect, probs, sols)) <= 1e-12
 
 
 def _scaled_chain(nu=1.0, amounts=1.0, energy=None, n0=None):
@@ -901,18 +915,23 @@ def _scaled_chain(nu=1.0, amounts=1.0, energy=None, n0=None):
     (dict(amounts=1e100), 5),
     (dict(amounts=1e-100), (Infeasible, "below ground bound")),
     (dict(energy=1e-300), 17),
+    (dict(energy=1e5), 12),
+    (dict(energy=1e6), 14),
     (dict(energy=1e300), (NonConvergence, "no descent step after 1 steps")),
     (dict(n0=[1.0, 0.0, 0.0]), 6),
 ], ids=["nu*1e300", "nu*1e150", "nu*1e-150", "nu*1e-300", "n*1e12", "n*1e-12", "n*1e100",
-        "n*1e-100", "E=1e-300", "E=1e300", "n0=100"])
+        "n*1e-100", "E=1e-300", "E=1e5", "E=1e6", "E=1e300", "n0=100"])
 def test_dual_outcome_at_extreme_scales(change, outcome):
     # each scaled chain ends in a documented refusal, a failed certificate or
-    # an answer in a fixed number of Newton steps; the E = 1e300 row is the
-    # dual's "no descent step" exit
+    # an answer in a fixed number of Newton steps that keeps what the network
+    # conserves; at E = 1e5 and 1e6, T is some 1e4 and 1e5, and the Newton
+    # system mixes lam entries of order n with a beta entry of order n T^2;
+    # the E = 1e300 row is the dual's "no descent step" exit
     prob = _scaled_chain(**change)
     if isinstance(outcome, int):
         sol = stable_equilibrium(prob)
         assert sol.kkt_residual <= 1e-8 and sol.iterations == outcome
+        assert conservation_defect(prob, sol) <= 1e-12
         return
     error, message = outcome
     with pytest.raises(error, match=message):

@@ -298,8 +298,15 @@ def test_array_holding_types_compare_and_hash_as_values(kind):
     (np.array([2.0, 0.5]), (2.0, 0.5)),
     ((np.float64(1.0), 2), (1.0, 2.0)),
     (3.0, (3.0,)),
+    ("12", (12.0,)),
+    ("ab", ValueError),
+    (range(3), (0.0, 1.0, 2.0)),
+    ({1.0, 2.0}, ValueError),
+    ({1.0: 2.0}, ValueError),
+    (iter([1.0, 2.0]), ValueError),
 ], ids=["below-tolerance", "rounding-noise", "row", "column", "matrix", "array",
-        "numpy-scalars", "scalar"])
+        "numpy-scalars", "scalar", "numeric-string", "text", "range", "set", "mapping",
+        "iterator"])
 def test_composition_clamps_and_refuses(amounts, want):
     if isinstance(want, type):
         with pytest.raises(want):
