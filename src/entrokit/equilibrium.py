@@ -505,7 +505,8 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     beta) scaled to a unit diagonal, backtrack on g, and the full step is
     taken once the predicted decrease falls below the rounding of g; that
     step ends the iteration.  A trial point with no admissible state or a
-    non-finite g is refused.
+    non-finite g is refused; a start or a full step without one ends the
+    iteration at the last admissible point, the initial amounts at the start.
 
     Constituents no reaction touches, and those no reaction can produce
     (``_reachable``), keep their initial amounts, and their energy at T
@@ -566,7 +567,10 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     y = [at_zero[k] - math.log(max(n0[k], floor)) for k in free]
     lam = [sum(map(mul, ak, y)) for ak in a]
     beta = 1.0 / t0
-    here = at(lam, beta)
+    try:
+        here = at(lam, beta)
+    except (DomainError, RangeError) as exc:
+        return _point(prob, [0.0] * prob.n_reactions, n0), 0, partial(str, f"no start: {exc}")
     failure = partial(str, f"iteration budget {max_iter} exhausted")
     for it in range(1, max_iter + 1):
         g, grad, n, comps, t, dlog = here
@@ -584,8 +588,11 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
         step = [di * x for di, x in zip(d, y)]
         decrease = -sum(map(mul, grad, step))
         if decrease <= 64.0 * _FLOAT_EPS * abs(g):
-            here = at(*moved(1.0))
-            failure = partial("element-potential dual converged in {} steps".format, it)
+            try:
+                here = at(*moved(1.0))
+                failure = partial("element-potential dual converged in {} steps".format, it)
+            except (DomainError, RangeError) as exc:
+                failure = partial(str, f"full step refused after {it} steps: {exc}")
             break
         alpha = 1.0
         for _ in range(60):

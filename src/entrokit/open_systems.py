@@ -46,7 +46,6 @@ from .stoichiometry import (
     ReactionNetwork,
     TOL_COMPAT,
     _float_vector,
-    _pinv,
     validate_elemental_set,
 )
 
@@ -66,10 +65,11 @@ class ReferenceEnvironment(FrozenRecord):
     ``species_models`` one single-species model per index; ``e0_assigned`` /
     ``s0_assigned`` are the per-unit-amount values given to those states,
     one float per elemental species; the chemical convention sets
-    E0 + p0 V0 = 0 and S0 = 0.  Values that depend only on the environment
-    are computed once, on first use, and kept with the (immutable) instance;
-    so is the reference record of each of the last ``RECORDS`` (model,
-    composition) pairs it anchored.
+    E0 + p0 V0 = 0 and S0 = 0.  The set's ``validate_elemental_set`` report
+    is kept for the content maps, and values that depend only on the
+    environment are computed once, on first use, and kept with the
+    (immutable) instance; so is the reference record of each of the last
+    ``RECORDS`` (model, composition) pairs it anchored.
     """
 
     __slots__ = ("constituents", "elemental", "network", "species_models", "t0", "p0",
@@ -77,8 +77,7 @@ class ReferenceEnvironment(FrozenRecord):
 
     def __init__(self, constituents, elemental, network: ReactionNetwork, species_models,
                  t0: float, p0: float, e0_assigned, s0_assigned):
-        if t0 <= 0 or p0 <= 0:
-            raise ValueError("reference temperature and pressure must be positive")
+        _check_conditions(t0, p0)
         report = validate_elemental_set(elemental, network)
         if not report.valid:
             raise NotExpressible(
@@ -97,28 +96,13 @@ class ReferenceEnvironment(FrozenRecord):
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "e0_assigned", e0)
         object.__setattr__(self, "s0_assigned", s0)
-
-    # physical reference state of one unit of species i (box at T0, p0)
-
-    def reference_volume(self, i: int) -> float:
-        """Volume of one unit of species i at (T0, p0)."""
-        return self.species_models[i].volume_at_pressure(self.t0, self.p0, UNIT)
-
-    def reference_state(self, i: int) -> SystemState:
-        model = self.species_models[i]
-        params = Parameters([self.reference_volume(i)])
-        energy = solve_energy_at_temperature(model, self.t0, params, UNIT)
-        return SystemState(energy, params, UNIT)
+        object.__setattr__(self, "_report", report)  # in the dict: not a field
 
     @cached_property
     def physical_references(self) -> tuple:
         """(energy, entropy) of one unit of each elemental species at (T0, p0),
         model scale, in declared elemental order."""
-        refs = []
-        for i, model in enumerate(self.species_models):
-            st = self.reference_state(i)
-            refs.append((st.energy, entropy_of(model, st)))
-        return tuple(refs)
+        return _physical_references(self.species_models, self.t0, self.p0)
 
     def reservoir(self) -> ThermalReservoir:
         return self._reservoir
@@ -132,71 +116,50 @@ class ReferenceEnvironment(FrozenRecord):
         each a tuple of floats.
 
         Solves the non-elemental rows of n = n_elem(w) + nu eps; raises
-        NotExpressible when the composition cannot be reached from the set.
+        NotExpressible where that needs negative elemental amounts.
         """
         w, n = self._content(comp), comp.amounts
         return w, tuple(sum(map(mul, row, n)) for row in self.content_maps[1])
 
     def _content(self, comp: Composition) -> tuple:
-        """The elemental content w of ``comp``.  Both refusals test against
-        TOL_COMPAT times the total amount (at least 1), as the rounding of
-        the maps grows with the amounts."""
+        """The elemental content w of ``comp``.  The sign refusal tests
+        against TOL_COMPAT times the total amount (at least 1), as the
+        rounding of the maps grows with the amounts."""
         n = comp.amounts
         if len(n) != len(self.constituents):
             raise NotExpressible(
                 f"composition has {len(n)} entries, environment declares "
                 f"{len(self.constituents)}"
             )
-        content, _, residual = self.content_maps
-        tol = TOL_COMPAT * max(1.0, comp.total)
-        if any(abs(sum(map(mul, row, n))) > tol for row in residual):
-            raise NotExpressible("composition is not reachable from the elemental set")
-        w = [sum(map(mul, row, n)) for row in content]
-        if any(x < -tol for x in w):
+        w = [sum(map(mul, row, n)) for row in self.content_maps[0]]
+        if any(x < -TOL_COMPAT * max(1.0, comp.total) for x in w):
             raise NotExpressible("composition would need negative elemental amounts")
         return tuple(0.0 if x < 0.0 else x for x in w)
 
     @cached_property
-    def content_maps(self) -> tuple[tuple, tuple, tuple]:
+    def content_maps(self) -> tuple[tuple, tuple]:
         """Rows, as tuples of floats, of the maps, linear in the amounts n, to
-        the signed elemental content w (declared elemental order), to the
-        reaction coordinates eps, and to the residual of the non-elemental
-        rows of n = n_elem(w) + nu eps.
+        the signed elemental content w (declared elemental order) and to the
+        reaction coordinates eps of n = n_elem(w) + nu eps.
 
-        eps is the least-squares solution of the non-elemental rows, through
-        their pseudo-inverse at the relative cutoff RCOND; the residual vanishes,
-        up to rounding, exactly when those rows are solvable.
+        Column k of the eps map holds the coordinates ``validate_elemental_set``
+        found to form one unit of outside constituent k (zeros for an elemental
+        k): eps is the least-squares solution of the non-elemental rows through
+        their pseudo-inverse at the relative cutoff RCOND, and w what is left.
         """
-        rows, r = self.network.rows, self.network.n_constituents
-        outside = [k for k in range(r) if k not in self.elemental]
-        # column k of the eps map: the pseudo-inverse's for an outside k, else zero
-        pinv = dict(zip(outside, zip(*_pinv([rows[k] for k in outside]))))
-        cols = [pinv.get(k, (0.0,) * self.network.n_reactions) for k in range(r)]
-
-        def image(k: int) -> list:  # row k of nu times the eps map
-            return [sum(map(mul, rows[k], col)) for col in cols]
-
-        content = [[float(i == k) - x for i, x in enumerate(image(k))] for k in self.elemental]
-        residual = [[x - float(i == k) for i, x in enumerate(image(k))] for k in outside]
-        return tuple(tuple(map(tuple, m)) for m in (content, zip(*cols), residual))
-
-    def physical_sums(self, w) -> tuple[float, float]:
-        """Total (energy, entropy) of the elemental boxes holding amounts w."""
-        e = s = 0.0
-        for wi, (e_phys, s_phys) in zip(w, self.physical_references):
-            if wi == 0.0:
-                continue
-            e += wi * e_phys
-            s += wi * s_phys
-        return e, s
+        rows, formed = self.network.rows, dict(self._report.producible)
+        zeros = (0.0,) * self.network.n_reactions
+        cols = [formed[k].epsilon if k in formed else zeros for k in range(len(rows))]
+        content = [[float(i == k) - sum(map(mul, rows[k], col)) for i, col in enumerate(cols)]
+                   for k in self.elemental]
+        return tuple(map(tuple, content)), tuple(zip(*cols))
 
     def gauge(self, comp: Composition) -> tuple[float, float]:
         """Additive constants (energy, entropy) relating the model scale to
-        the reference scale for the given composition."""
-        w = self._content(comp)
-        e_phys, s_phys = self.physical_sums(w)
-        return (sum(map(mul, w, self.e0_assigned)) - e_phys,
-                sum(map(mul, w, self.s0_assigned)) - s_phys)
+        the reference scale for the given composition: the gauge gradient
+        times its amounts, where ``decompose`` forms it."""
+        self._content(comp)  # NotExpressible unless the environment forms it
+        return tuple(sum(map(mul, g, comp.amounts)) for g in self.gauge_gradient)
 
     @cached_property
     def gauge_gradient(self) -> tuple[tuple, tuple]:
@@ -224,7 +187,7 @@ class ReferenceEnvironment(FrozenRecord):
         record = records.pop(key, None) if keep else None
         if record is None:
             g_e, g_s = self.gauge(comp)
-            ref_state = _reference_proxy_state(self, model, comp)
+            ref_state = _state_at(model, self.t0, self.p0, comp)
             ts = model.evaluate(ref_state.energy, ref_state.params, comp)
             record = (model, g_e, ref_state, ts, g_s + ts[1])
             if not keep:
@@ -238,19 +201,37 @@ class ReferenceEnvironment(FrozenRecord):
     def chemical_convention(cls, constituents, elemental, network, species_models,
                             t0: float, p0: float) -> "ReferenceEnvironment":
         """Customary assignment E0 + p0 V0 = 0 and S0 = 0 for each species."""
-        zeros = (0.0,) * len(elemental)
-        env = cls(constituents, elemental, network, species_models, t0, p0, zeros, zeros)
-        e0 = [-p0 * env.reference_volume(i) for i in range(len(env.elemental))]
-        return cls(constituents, elemental, network, species_models, t0, p0, e0, zeros)
+        _check_conditions(t0, p0)
+        e0 = [-p0 * _state_at(model, t0, p0, UNIT).params.volume for model in species_models]
+        return cls(constituents, elemental, network, species_models, t0, p0, e0, [0.0] * len(e0))
 
     @classmethod
     def natural_convention(cls, constituents, elemental, network, species_models,
                            t0: float, p0: float) -> "ReferenceEnvironment":
         """Assign the model-scale physical values themselves (identity gauge)."""
-        zeros = (0.0,) * len(elemental)
-        env = cls(constituents, elemental, network, species_models, t0, p0, zeros, zeros)
-        e0, s0 = zip(*env.physical_references)
+        _check_conditions(t0, p0)
+        e0, s0 = zip(*_physical_references(species_models, t0, p0))
         return cls(constituents, elemental, network, species_models, t0, p0, e0, s0)
+
+
+def _check_conditions(t0: float, p0: float) -> None:
+    """ValueError unless t0 and p0 are positive and finite."""
+    if not (0.0 < t0 < math.inf and 0.0 < p0 < math.inf):
+        raise ValueError(f"t0 and p0 must be positive and finite, got {t0} and {p0}")
+
+
+def _state_at(model: MatterModel, t0: float, p0: float, comp: Composition) -> SystemState:
+    """The state of ``model`` holding ``comp`` at temperature t0 and pressure
+    p0: a closed proxy's reference state, or, holding ``UNIT``, an elemental
+    species' box."""
+    params = Parameters([model.volume_at_pressure(t0, p0, comp)])
+    return SystemState(solve_energy_at_temperature(model, t0, params, comp), params, comp)
+
+
+def _physical_references(species_models, t0: float, p0: float) -> tuple:
+    """(energy, entropy) of each species' box at (t0, p0), model scale."""
+    states = [_state_at(model, t0, p0, UNIT) for model in species_models]
+    return tuple((st.energy, entropy_of(model, st)) for model, st in zip(species_models, states))
 
 
 class OpenState(FrozenRecord):
@@ -265,14 +246,6 @@ class OpenState(FrozenRecord):
 
     def closed_proxy(self) -> SystemState:
         return SystemState(self.energy, self.params, self.comp)
-
-
-def _reference_proxy_state(env: ReferenceEnvironment, model: MatterModel,
-                           comp: Composition) -> SystemState:
-    """Canonical state of the closed proxy: its state at the environment's (T0, p0)."""
-    params = Parameters([model.volume_at_pressure(env.t0, env.p0, comp)])
-    energy = solve_energy_at_temperature(model, env.t0, params, comp)
-    return SystemState(energy, params, comp)
 
 
 def open_energy_entropy(env: ReferenceEnvironment, model: MatterModel,

@@ -14,8 +14,6 @@ first, zero-length isentrope.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import (
     DegenerateStates,
     DomainError,
@@ -82,9 +80,6 @@ class DirectContact(FrozenRecord):
 
     def __init__(self, heat: float):
         object.__setattr__(self, "heat", heat)
-
-
-Primitive = Union[Isentropic, IsothermalContact, DirectContact]
 
 
 class Schedule(FrozenRecord):

@@ -914,19 +914,21 @@ def _scaled_chain(nu=1.0, amounts=1.0, energy=None, n0=None):
     (dict(amounts=1e-12), 5),
     (dict(amounts=1e100), 5),
     (dict(amounts=1e-100), (Infeasible, "below ground bound")),
+    (dict(amounts=1e305), (NonConvergence, "^no start: amounts beyond any finite value")),
     (dict(energy=1e-300), 17),
     (dict(energy=1e5), 12),
     (dict(energy=1e6), 14),
     (dict(energy=1e300), (NonConvergence, "no descent step after 1 steps")),
     (dict(n0=[1.0, 0.0, 0.0]), 6),
 ], ids=["nu*1e300", "nu*1e150", "nu*1e-150", "nu*1e-300", "n*1e12", "n*1e-12", "n*1e100",
-        "n*1e-100", "E=1e-300", "E=1e5", "E=1e6", "E=1e300", "n0=100"])
+        "n*1e-100", "n*1e305", "E=1e-300", "E=1e5", "E=1e6", "E=1e300", "n0=100"])
 def test_dual_outcome_at_extreme_scales(change, outcome):
     # each scaled chain ends in a documented refusal, a failed certificate or
     # an answer in a fixed number of Newton steps that keeps what the network
     # conserves; at E = 1e5 and 1e6, T is some 1e4 and 1e5, and the Newton
     # system mixes lam entries of order n with a beta entry of order n T^2;
-    # the E = 1e300 row is the dual's "no descent step" exit
+    # the E = 1e300 row is the dual's "no descent step" exit; at n*1e305 the
+    # start has no admissible state, and the initial amounts are what it reports
     prob = _scaled_chain(**change)
     if isinstance(outcome, int):
         sol = stable_equilibrium(prob)
@@ -934,8 +936,10 @@ def test_dual_outcome_at_extreme_scales(change, outcome):
         assert conservation_defect(prob, sol) <= 1e-12
         return
     error, message = outcome
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as caught:
         stable_equilibrium(prob)
+    if change == dict(amounts=1e305):
+        assert caught.value.best == solution_at(prob, [0.0] * prob.n_reactions)
 
 
 @pytest.mark.parametrize("rows, n0", [

@@ -176,6 +176,24 @@ def test_theorem8_scan_builtin_models():
     assert monotonicity_scan(res_model, Parameters([1.0]), BASE.comp, -4.9, 4.9).passed
 
 
+class DippingModel(MatterModel):
+    """A relation that is not a fundamental one: S = E + 2 sin E falls
+    wherever cos E < -1/2."""
+
+    def entropy(self, energy, params, comp) -> float:
+        return energy + 2.0 * math.sin(energy)
+
+    def energy_floor(self, params, comp) -> float:
+        return 0.0
+
+
+def test_theorem8_scan_fails_a_relation_with_a_dip():
+    # negative control: S falls over 2 pi/3 < E < 4 pi/3, which the grid spans
+    result = monotonicity_scan(DippingModel(), Parameters([1.0]), BASE.comp, 0.5, 10.0)
+    assert result.passed is False
+    assert result.worst < 0.0
+
+
 def test_smoothness_scan_builtin_models():
     assert smoothness_scan(GAS3, Parameters([1.0]), BASE.comp, 0.1, 100.0, n_points=200).passed
     res_model = ReservoirModel(1.3, -5.0, 5.0)

@@ -1,5 +1,6 @@
 import math
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from entrokit.open_systems import (
     OpenState,
     ReferenceEnvironment,
     _open_energy_function,
+    _state_at,
     gibbs_open_residual,
     open_energy_entropy,
     open_entropy_direct,
@@ -66,7 +68,8 @@ def assigned_values(env, comp):
     w . s0_assigned for its elemental content w, from the gauge: the
     assigned values less the physical ones of the elemental boxes."""
     w, _ = env.decompose(comp)
-    e_phys, s_phys = env.physical_sums(w)
+    e_phys = sum(wi * e for wi, (e, _) in zip(w, env.physical_references))
+    s_phys = sum(wi * s for wi, (_, s) in zip(w, env.physical_references))
     g_e, g_s = env.gauge(comp)
     return g_e + e_phys, g_s + s_phys
 
@@ -78,7 +81,7 @@ def test_chemical_convention_gauge_holds_the_assigned_values():
     comp = Composition([0.0, 0.0, 2.0])
     w, _ = env.decompose(comp)
     e0, s0 = assigned_values(env, comp)
-    v0 = env.reference_volume(0)
+    v0 = env.species_models[0].volume_at_pressure(env.t0, env.p0, Composition([1.0]))
     assert np.dot(w, env.s0_assigned) == 0.0
     assert s0 == pytest.approx(0.0, abs=1e-12)
     assert np.dot(w, env.e0_assigned) == pytest.approx(-1.0 * (2.0 * v0 + 1.0 * v0), rel=1e-12)
@@ -131,7 +134,7 @@ def test_decompose_rejects_wrong_length():
 def test_open_state_at_the_reference_state_returns_assigned_values():
     env = single_species_env()
     gas = ideal_gas_model(3.0)
-    ref = env.reference_state(0)
+    ref = _state_at(gas, env.t0, env.p0, Composition([1.0]))
     ost = OpenState(Composition([1.0]), ref.energy, ref.params)
     e_open, s_open = open_energy_entropy(env, gas, ost)
     assert e_open == pytest.approx(env.e0_assigned[0], abs=1e-9)
@@ -337,7 +340,7 @@ def test_gauge_gradient_spans_constituents_with_signed_content():
 def test_cached_physical_reference_equals_fresh_solve():
     env = water_env(t0=1.3, p0=0.7)
     for i, model in enumerate(env.species_models):
-        fresh = env.reference_state(i)
+        fresh = _state_at(model, env.t0, env.p0, Composition([1.0]))
         assert env.physical_references[i] == (fresh.energy, entropy_of(model, fresh))
     assert env.physical_references is env.physical_references
 
@@ -495,7 +498,54 @@ def test_content_maps_are_built_once_and_decompose_solves_nothing(monkeypatch):
         env.decompose(Composition(n))
         env.gauge(Composition(n))
     env.gauge_gradient
-    assert len(calls) == 1  # the pseudo-inverse of the content maps
+    assert calls == []  # the content maps come from the elemental-set report
+
+
+def _construction_counts(monkeypatch, build):
+    """Constructions, elemental-set validations and SVDs while ``build()``
+    makes an environment and its content maps, references and gauge
+    gradient are read."""
+    from entrokit import open_systems
+
+    calls = {"init": 0, "validate": 0, "svd": 0}
+    for owner, name, key in [(ReferenceEnvironment, "__init__", "init"),
+                             (open_systems, "validate_elemental_set", "validate"),
+                             (stoichiometry, "_svd", "svd")]:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _key=key):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    env = build()
+    env.content_maps, env.physical_references, env.gauge_gradient
+    return calls
+
+
+@pytest.mark.parametrize("convention", ["scenario", "chemical", "natural"])
+def test_an_environment_is_built_once_from_one_elemental_decomposition(monkeypatch,
+                                                                        convention):
+    # the report that validates the elemental set also gives the content
+    # maps, so a build makes one construction, one validation and one SVD
+    # (the pseudo-inverse of the outside rows)
+    scn = load_scenario(SCENARIOS / "demo_open.scn")
+    build = (partial(build_reference_env, scn, "env1") if convention == "scenario"
+             else partial(water_env, convention))
+    assert _construction_counts(monkeypatch, build) == {"init": 1, "validate": 1, "svd": 1}
+
+
+@pytest.mark.parametrize("t0, p0", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                    (0.0, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
+def test_reference_conditions_must_be_positive_and_finite(t0, p0):
+    sp_h2 = IdealGasMixture([Species("H2", 5.0)])
+    sp_o2 = IdealGasMixture([Species("O2", 5.0)])
+    args = (NAMES, (0, 1), WATER_NET, (sp_h2, sp_o2), t0, p0)
+    for make in (partial(ReferenceEnvironment, *args, (0.0, 0.0), (0.0, 0.0)),
+                 partial(ReferenceEnvironment.chemical_convention, *args),
+                 partial(ReferenceEnvironment.natural_convention, *args)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make()
 
 
 def test_decompose_refusals_keep_their_messages():
@@ -512,19 +562,6 @@ def test_decompose_refusals_keep_their_messages():
     with pytest.raises(NotExpressible,
                        match="^composition would need negative elemental amounts$"):
         env.decompose(lone_c)
-    # a complete elemental set reaches every composition, so an offset
-    # residual map stands in for an unreachable one; reachability is checked
-    # before the sign of the content
-    content, coords, residual = env.content_maps
-    env.__dict__["content_maps"] = (content, coords, _offset(residual, 1.0))
-    with pytest.raises(NotExpressible,
-                       match="^composition is not reachable from the elemental set$"):
-        env.decompose(lone_c)
-
-
-def _offset(rows, delta):
-    """Map rows, each entry moved by ``delta``."""
-    return tuple(tuple(x + delta for x in row) for row in rows)
 
 
 def lone_c_env():
@@ -551,9 +588,6 @@ def test_decompose_tolerances_grow_with_the_amounts(scale):
     for n in ([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0 - 1e-6, 1.0]):
         with pytest.raises(NotExpressible, match="negative elemental"):
             env.decompose(Composition(np.array(n) * scale))
-    env.__dict__["content_maps"] = (*env.content_maps[:2], _offset(env.content_maps[2], 1e-6))
-    with pytest.raises(NotExpressible, match="not reachable"):
-        env.decompose(Composition(np.array([0.0, 1.0, 1.0]) * scale))
 
 
 def _calls_per_point(monkeypatch, reactive):

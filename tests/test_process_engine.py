@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from entrokit import checks
 from entrokit.checks import (
+    additivity_check,
     fuzz_standard_processes,
     fuzz_weight_processes,
     nondecrease_check,
@@ -637,6 +639,19 @@ def test_additivity_composite_measurement():
     analytic = (entropy_of(GAS, a2) - entropy_of(GAS, a1)
                 + entropy_of(gas5, b2) - entropy_of(gas5, b1))
     assert combined == pytest.approx(analytic, abs=1e-9)
+
+
+def test_additivity_check_fails_a_composite_off_by_one_part_in_1e9(monkeypatch):
+    # negative control: the composite measurement, off by a relative 1e-9,
+    # no longer equals the sum of the subsystem measurements
+    gas5 = ideal_gas_model(5.0)
+    pairs = [((state(1.0, 1.0, [1.0]), state(2.0, 1.5, [1.0])),
+              (state(2.5, 1.0, [1.0]), state(1.2, 0.7, [1.0])))]
+    assert additivity_check(GAS, gas5, pairs, RES).passed is True
+    real = checks.measure_entropy_difference_composite
+    monkeypatch.setattr(checks, "measure_entropy_difference_composite",
+                        lambda *args: real(*args) * (1.0 + 1e-9))
+    assert additivity_check(GAS, gas5, pairs, RES).passed is False
 
 
 def test_schedule_must_be_nonempty():

@@ -278,10 +278,10 @@ def _split():
 
 
 def _reference_volume(p0):
-    def volume():
-        env = ReferenceEnvironment(("X",), (0,), NO_REACTIONS, (OPAQUE,),
-                                   1.0, p0, [0.0], [0.0])
-        return env.reference_volume(0), GAS.volume_at_pressure(1.0, p0, ONE)
+    def volume():  # the chemical convention assigns E0 = -p0 V0
+        env = ReferenceEnvironment.chemical_convention(("X",), (0,), NO_REACTIONS, (OPAQUE,),
+                                                       1.0, p0)
+        return -env.e0_assigned[0] / p0, GAS.volume_at_pressure(1.0, p0, ONE)
     return volume
 
 
