@@ -42,11 +42,11 @@ class CheckResult(FrozenRecord):
 
     def __init__(self, name: str, passed: bool, n_trials: int, worst: float,
                  detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "n_trials", n_trials)
-        object.__setattr__(self, "worst", worst)
-        object.__setattr__(self, "detail", detail)
+        self._set_name(self, name)
+        self._set_passed(self, passed)
+        self._set_n_trials(self, n_trials)
+        self._set_worst(self, worst)
+        self._set_detail(self, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

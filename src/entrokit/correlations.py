@@ -52,9 +52,9 @@ class JointState(FrozenRecord):
         if not _is_distribution(cells):
             raise ValueError("probabilities must be finite, non-negative and sum to 1, "
                              f"got sum {sum(cells):.15g}")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "energies_a", ea)
-        object.__setattr__(self, "energies_b", eb)
+        self._set_table(self, table)
+        self._set_energies_a(self, ea)
+        self._set_energies_b(self, eb)
 
 
 class MarginalPair(NamedTuple):

@@ -75,20 +75,20 @@ class EquilibriumProblem(FrozenRecord):
         models, params, n0 = tuple(models), tuple(params), tuple(n0)
         if not (len(models) == len(params) == len(n0)) or not models:
             raise ValueError("models, params and n0 must align and be non-empty")
-        n0 = tuple(c if isinstance(c, Composition) else Composition(c) for c in n0)
+        n0 = tuple([c if isinstance(c, Composition) else Composition(c) for c in n0])
         total_energy = float(total_energy)
         if network is not None:
-            r = sum(len(c) for c in n0)
-            if network.n_constituents != r:
+            r = sum([len(c.amounts) for c in n0])
+            if len(network.rows) != r:
                 raise ValueError(
                     f"network has {network.n_constituents} constituents, "
                     f"problem concatenates {r}"
                 )
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "total_energy", total_energy)
-        object.__setattr__(self, "network", network)
+        self._set_models(self, models)
+        self._set_params(self, params)
+        self._set_n0(self, n0)
+        self._set_total_energy(self, total_energy)
+        self._set_network(self, network)
 
     @property
     def n_reactions(self) -> int:
@@ -102,32 +102,39 @@ class EquilibriumProblem(FrozenRecord):
         return out
 
     def n0_concat(self) -> list:
+        if len(self.n0) == 1:
+            return list(self.n0[0].amounts)
         return [x for c in self.n0 for x in c.amounts]
 
 
 class EquilibriumSolution(FrozenRecord):
-    """A stationary point of the constrained entropy maximization."""
+    """A stationary point of the constrained entropy maximization.  Besides
+    its fields it keeps dS/dn at its states, the list of floats its chemical
+    potentials come from (None without reactions), so that a caller in the
+    package reads it without evaluating it again."""
 
     __slots__ = ("eps_se", "energies", "states", "entropy", "temperature",
                  "chemical_potentials", "affinities", "kkt_residual", "boundary", "active",
-                 "degenerate", "iterations")
+                 "degenerate", "iterations", "_ds_dn")
+    _fields = __slots__[:-1]
 
     def __init__(self, eps_se: ReactionCoordinates, energies: tuple, states: tuple,
                  entropy: float, temperature: float, chemical_potentials: tuple,
                  affinities: tuple, kkt_residual: float, boundary: bool, active: tuple,
                  degenerate: bool, iterations: int):
-        object.__setattr__(self, "eps_se", eps_se)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "chemical_potentials", chemical_potentials)
-        object.__setattr__(self, "affinities", affinities)
-        object.__setattr__(self, "kkt_residual", kkt_residual)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "iterations", iterations)
+        self._set_eps_se(self, eps_se)
+        self._set_energies(self, energies)
+        self._set_states(self, states)
+        self._set_entropy(self, entropy)
+        self._set_temperature(self, temperature)
+        self._set_chemical_potentials(self, chemical_potentials)
+        self._set_affinities(self, affinities)
+        self._set_kkt_residual(self, kkt_residual)
+        self._set_boundary(self, boundary)
+        self._set_active(self, active)
+        self._set_degenerate(self, degenerate)
+        self._set_iterations(self, iterations)
+        self._set__ds_dn(self, None)
 
 
 class _Point(Record):
@@ -148,7 +155,10 @@ def _point(prob: EquilibriumProblem, eps, n: list) -> _Point:
     """The problem evaluated at the amounts ``n`` (floats), which the
     coordinates ``eps`` reach; raises DomainError, RangeError or
     NegativeAmount where it has no admissible state."""
-    comps = [Composition(n[sl]) for sl in prob.slices()]
+    if len(prob.n0) == 1:
+        comps = [Composition(n)]
+    else:
+        comps = [Composition(n[sl]) for sl in prob.slices()]
     return _Point(eps, n, comps, *_split(prob, comps))
 
 
@@ -159,7 +169,9 @@ def _moved_by(prob: EquilibriumProblem, n: list) -> list:
 
 def _max_abs(values) -> float:
     """The largest |x| among ``values`` (0 without any); NaN if one is NaN."""
-    return math.nan if any(map(math.isnan, values)) else max(map(abs, values), default=0.0)
+    if not values:
+        return 0.0
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
 
 
 def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
@@ -195,15 +207,19 @@ def _split(prob: EquilibriumProblem, comps) -> tuple[list[float], float, float]:
 def _ds_dn(prob: EquilibriumProblem, pt: _Point) -> list:
     """dS/dn for each constituent at the point's split, in floats, computed once."""
     if pt.ds_dn is None:
-        pt.ds_dn = [x for model, e, p, c in zip(prob.models, pt.energies, prob.params, pt.comps)
-                    for x in model.ds_dn(e, p, c)]
+        if len(prob.models) == 1:
+            pt.ds_dn = list(prob.models[0].ds_dn(pt.energies[0], prob.params[0], pt.comps[0]))
+        else:
+            pt.ds_dn = [x for model, e, p, c in zip(prob.models, pt.energies, prob.params,
+                                                     pt.comps)
+                        for x in model.ds_dn(e, p, c)]
     return pt.ds_dn
 
 
 def _wall(n0: list) -> float:
     """Amounts at most this count as exhausted: 1e-9 of the largest initial
     one, at least 1e-9."""
-    return 1e-9 * max(1.0, max(map(abs, n0), default=0.0))
+    return 1e-9 * max(1.0, max(map(abs, n0))) if n0 else 1e-9
 
 
 def _feasible_interval_1d(n0: list, col: list) -> tuple[float, float]:
@@ -229,10 +245,11 @@ def solution_at(prob: EquilibriumProblem, eps, iterations: int = 0) -> Equilibri
 
 def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
              certificate: tuple | None = None) -> EquilibriumSolution:
-    """The solution at a point; ``certificate`` is its ``_kkt`` pair when
-    already known."""
+    """The solution at a point, which keeps the point's dS/dn; ``certificate``
+    is its ``_kkt`` pair when already known."""
     states = tuple(map(SystemState, pt.energies, prob.params, pt.comps))
-    if prob.n_reactions:
+    tau = prob.n_reactions
+    if tau:
         net, dsdn, t = prob.network, _ds_dn(prob, pt), pt.temperature
         mu = tuple([-t * x for x in dsdn])
         affinities = tuple([sum(map(mul, col, mu)) for col in net.columns])
@@ -240,27 +257,18 @@ def _package(prob: EquilibriumProblem, pt: _Point, iterations: int,
             grad = [sum(map(mul, col, dsdn)) for col in net.columns]
             certificate = _kkt(net.rows, pt.n, grad, _wall(prob.n0_concat()))
         kkt, active = certificate
-        degenerate = net.rank < prob.n_reactions
+        degenerate = net.rank < tau
         eps_report = _moved_by(prob, pt.n) if degenerate else pt.eps
     else:
         mu = affinities = eps_report = active = ()
         kkt = 0.0
         degenerate = False
 
-    return EquilibriumSolution(
-        eps_se=ReactionCoordinates(eps_report),
-        energies=tuple(pt.energies),
-        states=states,
-        entropy=float(pt.entropy),
-        temperature=pt.temperature,
-        chemical_potentials=mu,
-        affinities=affinities,
-        kkt_residual=kkt,
-        boundary=bool(active),
-        active=active,
-        degenerate=degenerate,
-        iterations=iterations,
-    )
+    sol = EquilibriumSolution(ReactionCoordinates(eps_report), tuple(pt.energies), states,
+                              float(pt.entropy), pt.temperature, mu, affinities, kkt,
+                              bool(active), active, degenerate, iterations)
+    sol._set__ds_dn(sol, pt.ds_dn)
+    return sol
 
 
 def _kkt(nu, n: list, grad: list, wall: float) -> tuple[float, tuple]:
@@ -329,8 +337,8 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
     box = [_feasible_interval_1d(n0, col) for col in cols]
     # no reaction, or every one pinned (the amounts it can move span a zero
     # width): nothing to optimize
-    if max(((hi - lo) * max(map(abs, col)) for (lo, hi), col in zip(box, cols)),
-           default=0.0) <= 1e-13:
+    widths = [(hi - lo) * max(map(abs, col)) for (lo, hi), col in zip(box, cols)]
+    if (max(widths) if widths else 0.0) <= 1e-13:
         try:
             return solution_at(prob, [0.0] * tau)
         except (DomainError, RangeError) as exc:
@@ -346,7 +354,7 @@ def stable_equilibrium(prob: EquilibriumProblem, max_iter: int = MAX_ITER,
         # dependent reactions: solve on the first independent one
         j = prob.network.independent_columns[0] if rank < tau else 0
         if start is None:  # the middle of the extent interval, an infinite end at +-1
-            x0 = sum(math.copysign(1.0, y) if math.isinf(y) else y for y in box[j]) / 2.0
+            x0 = sum([math.copysign(1.0, y) if math.isinf(y) else y for y in box[j]]) / 2.0
         else:
             eps = _float_vector(start, "start")
             if len(eps) != tau:
@@ -382,10 +390,13 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
     back to x0.  Once the exhausted amounts are at most the wall and g still
     points into it, g is probed at the end, the optimum if g points into the
     wall there too.  A probe is the model's ``ds_dn_along`` in a one-region
-    problem, else an evaluated point; each counts against ``max_iter``.  The
-    candidates are the closest admissible probes on either side of the root,
-    kept as the probes come in; a candidate is certified from its probe's g,
-    and only the answer becomes a point, unless its probe made one.  Returns
+    problem, one frame for the mixture, else an evaluated point; each counts
+    against ``max_iter``, and ``affinity`` is the one frame the search adds to
+    it.  The candidates are the closest admissible probes on either side of
+    the root, kept as the probes come in; a candidate is certified from its
+    probe's g, and only the answer becomes a point, unless its probe made one:
+    its dS/dn, evaluated once, then gives the solution's potentials and is kept
+    with it.  Returns
     (point, probes, a function giving what to report if the point fails its
     KKT certificate, the point's ``_kkt`` pair).
     """
@@ -455,9 +466,10 @@ def _affinity_root(prob: EquilibriumProblem, n0: list, col: list, x0: float,
                           anchor + way * candidates[0])
     except NonConvergence as exc:
         candidates, failure = tuple(seen), partial(str, exc)
+    del affinity  # it refers to itself: freed now, not at the next collection
     # without an active constituent the residual is the probe's |g|, so a
     # candidate whose |g| is not below the best residual so far cannot win
-    nu, best = [[c] for c in col], None  # (residual, d, extent, amounts, _kkt pair)
+    nu, best = list(zip(col)), None  # (residual, d, extent, amounts, _kkt pair)
     for d in dict.fromkeys(candidates):
         if d in refused:
             continue
@@ -507,6 +519,8 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
     step ends the iteration.  A trial point with no admissible state or a
     non-finite g is refused; a start or a full step without one ends the
     iteration at the last admissible point, the initial amounts at the start.
+    Last amounts with no admissible state at the total energy give way to the
+    initial amounts too, whose point the certificate then judges.
 
     Constituents no reaction touches, and those no reaction can produce
     (``_reachable``), keep their initial amounts, and their energy at T
@@ -608,7 +622,11 @@ def _dual(prob: EquilibriumProblem, max_iter: int) -> tuple:
             break
         (lam, beta), here = moved(alpha), trial
     n = here[2]
-    return _point(prob, _moved_by(prob, n), n), it, failure
+    try:
+        return _point(prob, _moved_by(prob, n), n), it, failure
+    except (DomainError, RangeError, NegativeAmount) as exc:
+        failure = partial(str, f"no admissible state at the amounts of step {it}: {exc}")
+    return _point(prob, [0.0] * prob.n_reactions, n0), it, failure
 
 
 def equilibrium_residual(sol: EquilibriumSolution, prob: EquilibriumProblem) -> float:

@@ -41,7 +41,7 @@ class Parameters(FrozenRecord):
     __slots__ = ("beta",)
 
     def __init__(self, beta):
-        object.__setattr__(self, "beta", _float_vector(beta, "parameters"))
+        self._set_beta(self, _float_vector(beta, "parameters"))
 
     @property
     def volume(self) -> float:
@@ -69,10 +69,10 @@ class SystemState(FrozenRecord):
 
     def __init__(self, energy: float, params: Parameters, comp: Composition,
                  correlated: bool = False):
-        object.__setattr__(self, "energy", float(energy))
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "correlated", correlated)
+        self._set_energy(self, float(energy))
+        self._set_params(self, params)
+        self._set_comp(self, comp)
+        self._set_correlated(self, correlated)
 
 
 def state(energy: float, volume: float, amounts) -> SystemState:
@@ -145,7 +145,8 @@ class MatterModel:
     def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
         """direction . dS/dn at fixed (E, beta) at the amounts
         n0 + extent * direction (sequences of floats), refusing them as
-        Composition and ``evaluate`` would."""
+        Composition and ``evaluate`` would: here through both of them, and
+        in a model's closed form in one frame, with the same bits."""
         comp = Composition([a + d * extent for a, d in zip(n0, direction)])
         self.evaluate(energy, params, comp)
         return sum(map(mul, direction, self.ds_dn(energy, params, comp)))
@@ -253,12 +254,12 @@ class Species(FrozenRecord):
     __slots__ = ("name", "dof", "e0", "s0")
 
     def __init__(self, name: str, dof: float, e0: float = 0.0, s0: float = 0.0):
-        object.__setattr__(self, "name", name)
+        self._set_name(self, name)
         for key, value in (("dof", dof), ("e0", e0), ("s0", s0)):
             value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-            object.__setattr__(self, key, value)
+            getattr(self, f"_set_{key}")(self, value)
         if self.dof < 1:
             raise ValueError("dof must be at least 1")
 
@@ -285,6 +286,8 @@ class IdealGasMixture(MatterModel):
         self._dof = tuple(s.dof for s in self.species)
         self._e0 = tuple(s.e0 for s in self.species)
         self._c = tuple(0.5 * s.dof * math.log(0.5 * s.dof) + s.s0 for s in self.species)
+        # (c_k, dof_k / 2, e0_k), the constants of each slope dS/dn_k
+        self._slope_terms = tuple(zip(self._c, (0.5 * s.dof for s in self.species), self._e0))
         self._memo = (None, None)  # (amounts, their sums), swapped as one
 
     @property
@@ -308,12 +311,12 @@ class IdealGasMixture(MatterModel):
         if memo[0] == n:
             return memo[1]
         sums = (*self._linear_sums(n, comp.total),
-                sum(nk * (c - math.log(nk)) for c, nk in zip(self._c, n) if nk > 0.0))
+                sum([nk * (c - math.log(nk)) for c, nk in zip(self._c, n) if nk > 0.0]))
         self._memo = (n, sums)
         return sums
 
     def _check_volume(self, params: Parameters) -> float:
-        v = params.volume
+        v = params.beta[0]  # IndexError for an empty vector, as ``volume``
         if v <= 0:
             raise DomainError(f"volume must be positive, got {v:.6g}")
         if not v < math.inf:
@@ -338,16 +341,24 @@ class IdealGasMixture(MatterModel):
             raise DomainError(f"no positive temperature at thermal energy {e_th:.6g}")
         return t
 
+    # entropy, evaluate and ds_dn_along test an admissible state in one
+    # expression, and only a refusal (or a NaN) runs the checks themselves,
+    # each in its order and with its message: the bits and the refusals of
+    # the checks, without a frame per check.
+
     def entropy(self, energy, params, comp) -> float:
         e0n, dn, cn = self._sums(comp)
-        v = self._check_volume(params)
-        t = self._positive_temperature(energy, e0n, dn)
+        v = params.beta[0]  # IndexError for an empty vector, as ``volume``
+        if not (0.0 < v < math.inf and energy - e0n > 0.0
+                and (t := 2.0 * (energy - e0n) / dn) != 0.0):
+            v, t = self._check_volume(params), self._positive_temperature(energy, e0n, dn)
         return cn + 0.5 * dn * math.log(t) + comp.total * math.log(v)
 
     def evaluate(self, energy, params, comp) -> tuple[float, float]:
         # the checks of validate, and T from the sums the relation reads
         e0n, dn, _ = self._sums(comp)
-        _check_energy(energy, e0n + GROUND_EPS)
+        if not (math.isfinite(energy) and energy >= e0n + GROUND_EPS):
+            _check_energy(energy, e0n + GROUND_EPS)
         entropy = self.entropy(energy, params, comp)
         return 2.0 * (energy - e0n) / dn, entropy
 
@@ -363,34 +374,36 @@ class IdealGasMixture(MatterModel):
     #: large but finite so downstream linear algebra stays well defined
     LN_DIVERGENCE_CAP = 1e30
 
-    def _slopes(self, n, t: float, log_v: float) -> list:
-        """dS/dn_k at the amounts n, temperature t and ln V, in floats."""
-        log_t = math.log(t)
-        return [
-            c + 0.5 * dof * (log_t - 1.0) + log_v - math.log(nk) - 1.0 - e0 / t
-            if nk > 0.0 else self.LN_DIVERGENCE_CAP
-            for nk, dof, c, e0 in zip(n, self._dof, self._c, self._e0)
-        ]
-
     def ds_dn(self, energy, params, comp) -> list:
+        # c_k + (dof_k/2)(ln T - 1) + ln V - ln n_k - 1 - e0_k/T, left to right
         t = self.temperature_closed_form(energy, comp)
-        log_v = math.log(self._check_volume(params))
-        return self._slopes(comp.amounts, t, log_v)
+        lt1, log_v = math.log(t) - 1.0, math.log(self._check_volume(params))
+        log, cap = math.log, self.LN_DIVERGENCE_CAP
+        return [c + hd * lt1 + log_v - log(nk) - 1.0 - e0 / t if nk > 0.0 else cap
+                for nk, (c, hd, e0) in zip(comp.amounts, self._slope_terms)]
 
     def ds_dn_along(self, energy, params, n0, direction, extent) -> float:
-        # Composition's clamp and the checks of evaluate, in their order, then
-        # the slopes of ds_dn summed in sequence: the bits of direction @ ds_dn
+        # one frame: Composition's clamp, then the checks of evaluate as in
+        # entropy, then the slopes of ds_dn, term for term, each times its
+        # direction and summed in sequence: the bits of direction @ ds_dn
         n = [a + d * extent for a, d in zip(n0, direction)]
-        if not min(n, default=0.0) >= 0.0:  # a negative entry, or a leading NaN that hides one
+        if n and not min(n) >= 0.0:  # a negative entry, or a leading NaN that hides one
             for k, nk in enumerate(n):
                 if nk < -TOL_NEG:
                     raise NegativeAmount(k, nk)
             n = [0.0 if nk < 0.0 else nk for nk in n]
-        e0n, dn = self._linear_sums(n, sum(n))
-        _check_energy(energy, e0n + GROUND_EPS)
-        log_v = math.log(self._check_volume(params))
-        t = self._positive_temperature(energy, e0n, dn)
-        return sum(map(mul, direction, self._slopes(n, t, log_v)))
+        total, e0n, dn = sum(n), sum(map(mul, self._e0, n)), sum(map(mul, self._dof, n))
+        if not (len(n) == len(self._e0) and total > 0.0 and math.isfinite(energy)
+                and energy >= e0n + GROUND_EPS and 0.0 < params.beta[0] < math.inf
+                and energy - e0n > 0.0 and (t := 2.0 * (energy - e0n) / dn) != 0.0):
+            self._linear_sums(n, total)
+            _check_energy(energy, e0n + GROUND_EPS)
+            self._check_volume(params)
+            t = self._positive_temperature(energy, e0n, dn)
+        lt1, log_v = math.log(t) - 1.0, math.log(params.beta[0])
+        log, cap = math.log, self.LN_DIVERGENCE_CAP
+        return sum([d * (c + hd * lt1 + log_v - log(nk) - 1.0 - e0 / t) if nk > 0.0 else d * cap
+                    for d, nk, (c, hd, e0) in zip(direction, n, self._slope_terms)])
 
     def log_amounts(self, temperature, params, potentials) -> tuple:
         # dS/dn_k = c_k - 1 - ln n_k + (dof_k/2)(ln T - 1) + ln V - e0_k/T,
@@ -462,10 +475,10 @@ class ThermalReservoir(FrozenRecord):
             raise RangeExceeded(
                 f"reservoir energy {energy:.6g} outside [{e_min:.6g}, {e_max:.6g}]"
             )
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "e_min", e_min)
-        object.__setattr__(self, "e_max", e_max)
+        self._set_temperature(self, temperature)
+        self._set_energy(self, energy)
+        self._set_e_min(self, e_min)
+        self._set_e_max(self, e_max)
 
 
 def reservoir_exchange(reservoir: ThermalReservoir, d_energy: float) -> ThermalReservoir:

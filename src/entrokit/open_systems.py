@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import product
 from operator import mul
 
 from .equilibrium import EquilibriumProblem, _pressure, stable_equilibrium
@@ -88,21 +89,27 @@ class ReferenceEnvironment(FrozenRecord):
         s0 = _float_vector(s0_assigned, "assigned entropies")
         if len(e0) != len(elemental) or len(s0) != len(elemental):
             raise ValueError("assigned values must align with the elemental species")
-        object.__setattr__(self, "constituents", tuple(constituents))
-        object.__setattr__(self, "elemental", tuple(int(i) for i in elemental))
-        object.__setattr__(self, "network", network)
-        object.__setattr__(self, "species_models", tuple(species_models))
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "e0_assigned", e0)
-        object.__setattr__(self, "s0_assigned", s0)
+        self._set_constituents(self, tuple(constituents))
+        self._set_elemental(self, tuple(int(i) for i in elemental))
+        self._set_network(self, network)
+        self._set_species_models(self, tuple(species_models))
+        self._set_t0(self, t0)
+        self._set_p0(self, p0)
+        self._set_e0_assigned(self, e0)
+        self._set_s0_assigned(self, s0)
         object.__setattr__(self, "_report", report)  # in the dict: not a field
 
     @cached_property
     def physical_references(self) -> tuple:
         """(energy, entropy) of one unit of each elemental species at (T0, p0),
         model scale, in declared elemental order."""
-        return _physical_references(self.species_models, self.t0, self.p0)
+        return _physical_references(self.species_models, self._box_states)
+
+    @cached_property
+    def _box_states(self) -> list:
+        """Each elemental species' box, solved once: the conventions keep the
+        boxes they solved for their assigned values."""
+        return _boxes(self.species_models, self.t0, self.p0)
 
     def reservoir(self) -> ThermalReservoir:
         return self._reservoir
@@ -119,12 +126,14 @@ class ReferenceEnvironment(FrozenRecord):
         NotExpressible where that needs negative elemental amounts.
         """
         w, n = self._content(comp), comp.amounts
-        return w, tuple(sum(map(mul, row, n)) for row in self.content_maps[1])
+        return (tuple([0.0 if x < 0.0 else x for x in w]),
+                tuple([sum(map(mul, row, n)) for row in self.content_maps[1]]))
 
-    def _content(self, comp: Composition) -> tuple:
-        """The elemental content w of ``comp``.  The sign refusal tests
-        against TOL_COMPAT times the total amount (at least 1), as the
-        rounding of the maps grows with the amounts."""
+    def _content(self, comp: Composition) -> list:
+        """The elemental content w of ``comp``, before ``decompose`` clamps
+        its rounding below 0.  The sign refusal tests against TOL_COMPAT
+        times the total amount (at least 1), as the rounding of the maps
+        grows with the amounts."""
         n = comp.amounts
         if len(n) != len(self.constituents):
             raise NotExpressible(
@@ -132,9 +141,10 @@ class ReferenceEnvironment(FrozenRecord):
                 f"{len(self.constituents)}"
             )
         w = [sum(map(mul, row, n)) for row in self.content_maps[0]]
-        if any(x < -TOL_COMPAT * max(1.0, comp.total) for x in w):
+        bound = -TOL_COMPAT * max(1.0, comp.total)
+        if any([x < bound for x in w]):
             raise NotExpressible("composition would need negative elemental amounts")
-        return tuple(0.0 if x < 0.0 else x for x in w)
+        return w
 
     @cached_property
     def content_maps(self) -> tuple[tuple, tuple]:
@@ -159,7 +169,7 @@ class ReferenceEnvironment(FrozenRecord):
         the reference scale for the given composition: the gauge gradient
         times its amounts, where ``decompose`` forms it."""
         self._content(comp)  # NotExpressible unless the environment forms it
-        return tuple(sum(map(mul, g, comp.amounts)) for g in self.gauge_gradient)
+        return tuple([sum(map(mul, g, comp.amounts)) for g in self.gauge_gradient])
 
     @cached_property
     def gauge_gradient(self) -> tuple[tuple, tuple]:
@@ -202,16 +212,22 @@ class ReferenceEnvironment(FrozenRecord):
                             t0: float, p0: float) -> "ReferenceEnvironment":
         """Customary assignment E0 + p0 V0 = 0 and S0 = 0 for each species."""
         _check_conditions(t0, p0)
-        e0 = [-p0 * _state_at(model, t0, p0, UNIT).params.volume for model in species_models]
-        return cls(constituents, elemental, network, species_models, t0, p0, e0, [0.0] * len(e0))
+        boxes = _boxes(species_models, t0, p0)
+        e0 = [-p0 * st.params.volume for st in boxes]
+        env = cls(constituents, elemental, network, species_models, t0, p0, e0, [0.0] * len(e0))
+        object.__setattr__(env, "_box_states", boxes)
+        return env
 
     @classmethod
     def natural_convention(cls, constituents, elemental, network, species_models,
                            t0: float, p0: float) -> "ReferenceEnvironment":
         """Assign the model-scale physical values themselves (identity gauge)."""
         _check_conditions(t0, p0)
-        e0, s0 = zip(*_physical_references(species_models, t0, p0))
-        return cls(constituents, elemental, network, species_models, t0, p0, e0, s0)
+        refs = _physical_references(species_models, _boxes(species_models, t0, p0))
+        e0, s0 = zip(*refs)
+        env = cls(constituents, elemental, network, species_models, t0, p0, e0, s0)
+        object.__setattr__(env, "physical_references", refs)  # the boxes are solved once
+        return env
 
 
 def _check_conditions(t0: float, p0: float) -> None:
@@ -228,10 +244,14 @@ def _state_at(model: MatterModel, t0: float, p0: float, comp: Composition) -> Sy
     return SystemState(solve_energy_at_temperature(model, t0, params, comp), params, comp)
 
 
-def _physical_references(species_models, t0: float, p0: float) -> tuple:
-    """(energy, entropy) of each species' box at (t0, p0), model scale."""
-    states = [_state_at(model, t0, p0, UNIT) for model in species_models]
-    return tuple((st.energy, entropy_of(model, st)) for model, st in zip(species_models, states))
+def _boxes(species_models, t0: float, p0: float) -> list:
+    """Each elemental species' box at (t0, p0): its state holding ``UNIT``."""
+    return [_state_at(model, t0, p0, UNIT) for model in species_models]
+
+
+def _physical_references(species_models, boxes) -> tuple:
+    """(energy, entropy) of each species' box ``boxes``, model scale."""
+    return tuple([(st.energy, entropy_of(model, st)) for model, st in zip(species_models, boxes)])
 
 
 class OpenState(FrozenRecord):
@@ -240,9 +260,9 @@ class OpenState(FrozenRecord):
     __slots__ = ("comp", "energy", "params")
 
     def __init__(self, comp: Composition, energy: float, params: Parameters):
-        object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "energy", float(energy))
-        object.__setattr__(self, "params", params)
+        self._set_comp(self, comp)
+        self._set_energy(self, float(energy))
+        self._set_params(self, params)
 
     def closed_proxy(self) -> SystemState:
         return SystemState(self.energy, self.params, self.comp)
@@ -268,9 +288,10 @@ def _open_energy_entropy(env: ReferenceEnvironment, model: MatterModel, proxy: S
     caller has just evaluated it; the measurement then evaluates only the
     states it makes."""
     g_e, ref_state, ts_ref, s_anchor = record
-    reservoir = env.reservoir()
-    process = _reversible_standard_process(model, ref_state, proxy, reservoir, ts_ref, s_proxy)
-    return g_e + proxy.energy, s_anchor - process.d_e_res / reservoir.temperature
+    reservoir = env._reservoir
+    res = _reversible_standard_process(model, ref_state, proxy, reservoir, ts_ref, s_proxy)[1]
+    d_e_res = res.energy - reservoir.energy  # as its ledger would hold it
+    return g_e + proxy.energy, s_anchor - d_e_res / reservoir.temperature
 
 
 def open_entropy_direct(env: ReferenceEnvironment, model: MatterModel,
@@ -308,20 +329,19 @@ def total_potentials(env: ReferenceEnvironment | None, model: MatterModel,
     if env is not None:
         env.decompose(ost.comp)  # NotExpressible unless the environment forms it
     st = ost.closed_proxy()
-    return _potentials(env, model, st, temperature_of(model, st))
+    t = temperature_of(model, st)
+    return _potentials(env, st, t, model.ds_dn(st.energy, st.params, st.comp))
 
 
-def _potentials(env: ReferenceEnvironment | None, model: MatterModel, st: SystemState,
-                t: float) -> tuple:
-    """``total_potentials`` at a checked state of temperature ``t`` whose
-    composition the environment forms."""
-    ds_dn = model.ds_dn(st.energy, st.params, st.comp)
+def _potentials(env: ReferenceEnvironment | None, st: SystemState, t: float,
+                ds_dn: list) -> tuple:
+    """``total_potentials`` at a checked state of temperature ``t`` and
+    dS/dn ``ds_dn`` whose composition the environment forms."""
     if env is None:
-        mu = [-t * x for x in ds_dn]
-    else:
-        g_e, g_s = env.gauge_gradient
-        mu = [a - t * (b + x) for a, b, x in zip(g_e, g_s, ds_dn)]
-    return tuple(m if n > 1e-12 else math.nan for m, n in zip(mu, st.comp.amounts))
+        return tuple([-t * x if n > 1e-12 else math.nan for x, n in zip(ds_dn, st.comp.amounts)])
+    g_e, g_s = env.gauge_gradient
+    return tuple([a - t * (b + x) if n > 1e-12 else math.nan
+                  for a, b, x, n in zip(g_e, g_s, ds_dn, st.comp.amounts)])
 
 
 def gibbs_open_residual(env: ReferenceEnvironment | None, model: MatterModel,
@@ -368,15 +388,15 @@ class OpenGrid(FrozenRecord):
 
     def __init__(self, energies, volumes, compositions, reactive: bool = False,
                  network: ReactionNetwork | None = None):
-        object.__setattr__(self, "energies", tuple(float(e) for e in energies))
-        object.__setattr__(self, "volumes", tuple(float(v) for v in volumes))
-        object.__setattr__(self, "compositions",  # n, or n0 when reactive
-                           tuple(Composition(c) if not isinstance(c, Composition) else c
-                                 for c in compositions))
+        self._set_energies(self, tuple(map(float, energies)))
+        self._set_volumes(self, tuple(map(float, volumes)))
+        self._set_compositions(self,  # n, or n0 when reactive
+                               tuple([c if isinstance(c, Composition) else Composition(c)
+                                      for c in compositions]))
         if reactive and network is None:
             raise ValueError("reactive tabulation needs a network")
-        object.__setattr__(self, "reactive", reactive)
-        object.__setattr__(self, "network", network)
+        self._set_reactive(self, reactive)
+        self._set_network(self, network)
 
 
 class OpenTableRow(FrozenRecord):
@@ -389,38 +409,39 @@ class OpenTableRow(FrozenRecord):
     def __init__(self, energy: float, volume: float, n0: tuple, entropy: float, eps: tuple,
                  n_se: tuple, temperature: float, pressure: float, mu: tuple,
                  status: str = "ok"):
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "n_se", n_se)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "pressure", pressure)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "status", status)
+        self._set_energy(self, energy)
+        self._set_volume(self, volume)
+        self._set_n0(self, n0)
+        self._set_entropy(self, entropy)
+        self._set_eps(self, eps)
+        self._set_n_se(self, n_se)
+        self._set_temperature(self, temperature)
+        self._set_pressure(self, pressure)
+        self._set_mu(self, mu)
+        self._set_status(self, status)
 
 
 def _tabulate_point(env, model, grid, point) -> OpenTableRow:
     energy, volume, comp = point
     params = Parameters([volume])
     try:
-        if grid.reactive:
-            prob = EquilibriumProblem((model,), (params,), (comp,), energy,
-                                      network=grid.network)
-            sol = stable_equilibrium(prob)
-            st, temp, s = sol.states[0], sol.temperature, sol.entropy
+        if grid.reactive:  # the solution keeps dS/dn at its state
+            sol = stable_equilibrium(EquilibriumProblem((model,), (params,), (comp,), energy,
+                                                        network=grid.network))
+            st, temp, s, ds_dn = sol.states[0], sol.temperature, sol.entropy, sol._ds_dn
             eps = sol.eps_se.epsilon
         else:
             st = SystemState(energy, params, comp)
             temp, s = model.evaluate(energy, params, comp)
-            eps = ()
+            eps, ds_dn = (), None
         # the reference record refuses what env cannot form, and keeps only what
         # it can; an equilibrium composition seldom recurs, so it is not kept
         record = env._reference_record(model, st.comp, keep=not grid.reactive)
         e_open, s_open = _open_energy_entropy(env, model, st, record, s)
         pres = _pressure(model, st, temp)
-        mu = _potentials(env, model, st, temp)
+        if ds_dn is None:
+            ds_dn = model.ds_dn(st.energy, st.params, st.comp)
+        mu = _potentials(env, st, temp, ds_dn)
         return OpenTableRow(e_open, volume, comp.amounts, s_open, eps,
                             st.comp.amounts, temp, pres, mu)
     except (DomainError, RangeError, RangeExceeded, InadmissibleStep, Infeasible,
@@ -438,9 +459,5 @@ def open_fundamental_relation(env: ReferenceEnvironment, model: MatterModel,
     equilibrium reaction coordinates.  Failed points become flagged gaps
     rather than aborting the table.
     """
-    return [
-        _tabulate_point(env, model, grid, (e, v, c))
-        for e in grid.energies
-        for v in grid.volumes
-        for c in grid.compositions
-    ]
+    return [_tabulate_point(env, model, grid, point)
+            for point in product(grid.energies, grid.volumes, grid.compositions)]

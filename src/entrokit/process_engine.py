@@ -49,7 +49,7 @@ class Isentropic(FrozenRecord):
     __slots__ = ("target_params",)
 
     def __init__(self, target_params: Parameters):
-        object.__setattr__(self, "target_params", target_params)
+        self._set_target_params(self, target_params)
 
 
 class IsothermalContact(FrozenRecord):
@@ -67,8 +67,8 @@ class IsothermalContact(FrozenRecord):
                  target_energy: float | None = None):
         if (target_params is None) == (target_energy is None):
             raise ValueError("give exactly one of target_params or target_energy")
-        object.__setattr__(self, "target_params", target_params)
-        object.__setattr__(self, "target_energy", target_energy)
+        self._set_target_params(self, target_params)
+        self._set_target_energy(self, target_energy)
 
 
 class DirectContact(FrozenRecord):
@@ -79,7 +79,7 @@ class DirectContact(FrozenRecord):
     __slots__ = ("heat",)
 
     def __init__(self, heat: float):
-        object.__setattr__(self, "heat", heat)
+        self._set_heat(self, heat)
 
 
 class Schedule(FrozenRecord):
@@ -91,7 +91,7 @@ class Schedule(FrozenRecord):
         steps = tuple(steps)
         if not steps:
             raise ValueError("schedule must contain at least one step")
-        object.__setattr__(self, "steps", steps)
+        self._set_steps(self, steps)
 
 
 class ProcessRecord(FrozenRecord):
@@ -106,17 +106,16 @@ class ProcessRecord(FrozenRecord):
 
     def __init__(self, initial: SystemState, final: SystemState, d_e_res: float,
                  work: float, sigma_gen: float, reversible: bool):
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "d_e_res", d_e_res)
-        object.__setattr__(self, "work", work)
-        object.__setattr__(self, "sigma_gen", sigma_gen)
-        object.__setattr__(self, "reversible", reversible)
+        self._set_initial(self, initial)
+        self._set_final(self, final)
+        self._set_d_e_res(self, d_e_res)
+        self._set_work(self, work)
+        self._set_sigma_gen(self, sigma_gen)
+        self._set_reversible(self, reversible)
 
 
-def _require_uncorrelated(st: SystemState) -> None:
-    if st.correlated:
-        raise DomainError("entropy is undefined for a state correlated with its environment")
+#: Why every measurement refuses a state correlated with its environment.
+_CORRELATED = "entropy is undefined for a state correlated with its environment"
 
 
 def _volume_on_isentrope(model: MatterModel, entropy: float, temperature: float,
@@ -162,7 +161,7 @@ def _isothermal_contact(model: MatterModel, st: SystemState, t: float, s: float,
     else:
         params, e_next = st.params, energy
     nxt = SystemState(e_next, params, st.comp)
-    t_next, s_next = _evaluate(model, nxt, True)
+    t_next, s_next = model.evaluate(nxt.energy, params, st.comp)
     if abs(t_next - t_res) > TOL_T * max(1.0, t_res):
         raise InadmissibleStep(
             f"isothermal contact exited at T={t_next:.9g}, reservoir at {t_res:.9g}"
@@ -190,8 +189,7 @@ def _record(st0: SystemState, st: SystemState, reservoir: ThermalReservoir,
     entropy ``s``, that took ``reservoir`` to ``res`` and did ``work``."""
     d_e_res = res.energy - reservoir.energy
     sigma = (s - s0) + d_e_res / reservoir.temperature
-    return ProcessRecord(initial=st0, final=st, d_e_res=d_e_res, work=work, sigma_gen=sigma,
-                         reversible=abs(sigma) <= TOL_REV)
+    return ProcessRecord(st0, st, d_e_res, work, sigma, abs(sigma) <= TOL_REV)
 
 
 def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservoir,
@@ -204,7 +202,8 @@ def run_schedule(model: MatterModel, st0: SystemState, reservoir: ThermalReservo
     InadmissibleStep.  DomainError and RangeExceeded propagate from the
     model and the reservoir.
     """
-    _require_uncorrelated(st0)
+    if st0.correlated:
+        raise DomainError(_CORRELATED)
     t_res = reservoir.temperature
     # one checked evaluation per state, with T where an isothermal contact
     # starts or ends: the contact's entry check reads the carried value
@@ -236,8 +235,8 @@ def _standard_legs(model: MatterModel, st1: SystemState, st2: SystemState, t_res
     contact's entry test and the process runs two legs, the parameters that
     end the isothermal contact).  ``ts1`` and ``s2``, where given, are the
     first state's (T, S) and the second state's S."""
-    _require_uncorrelated(st1)
-    _require_uncorrelated(st2)
+    if st1.correlated or st2.correlated:
+        raise DomainError(_CORRELATED)
     x, y = st1.comp.amounts, st2.comp.amounts
     if x != y and not (len(x) == len(y) and all(abs(p - q) <= 1e-12 for p, q in zip(x, y))):
         raise DomainError(
@@ -261,15 +260,18 @@ def reversible_standard_process(model: MatterModel, st1: SystemState,
     isentropic to the reservoir temperature, isothermal contact, isentropic
     to the target; a process that starts at the reservoir temperature runs
     the last two legs.  The reservoir picks up exactly -T_R (S2 - S1)."""
-    return _reversible_standard_process(model, st1, st2, reservoir)
+    st, res, s1, s, work = _reversible_standard_process(model, st1, st2, reservoir)
+    return _record(st1, st, reservoir, res, s1, s, work)
 
 
 def _reversible_standard_process(model: MatterModel, st1: SystemState, st2: SystemState,
                                  reservoir: ThermalReservoir, ts1: tuple | None = None,
-                                 s2: float | None = None) -> ProcessRecord:
-    """``reversible_standard_process`` for a caller that has just evaluated
-    the states: ``ts1`` and ``s2`` as in ``_standard_legs``.  It runs the
-    primitives of ``run_schedule`` on the legs, with no step records."""
+                                 s2: float | None = None) -> tuple:
+    """The legs of ``reversible_standard_process``, for a caller that has
+    just evaluated the states: ``ts1`` and ``s2`` as in ``_standard_legs``.
+    It runs the primitives of ``run_schedule`` on the legs, with no step
+    records, and returns what its ledger reads: (final state, reservoir
+    after, S1, final S, work)."""
     t_res = reservoir.temperature
     t, s1, first, contact = _standard_legs(model, st1, st2, t_res, ts1, s2)
     st, s, work = st1, s1, 0.0
@@ -284,7 +286,7 @@ def _reversible_standard_process(model: MatterModel, st1: SystemState, st2: Syst
     gap = abs(st.energy - st2.energy)
     if gap > 1e-9 * max(1.0, abs(st2.energy)):
         raise InadmissibleStep(f"standard process missed the target state by {gap:.3g}")
-    return _record(st1, st, reservoir, res, s1, s, work)
+    return st, res, s1, s, work
 
 
 def measure_entropy_difference(model: MatterModel, st1: SystemState,

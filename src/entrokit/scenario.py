@@ -46,14 +46,14 @@ class Spec(FrozenRecord):
     def __init__(self, type: str, check: str | None = None, choices: tuple = (),
                  shape: str | int | None = None, default: object = None,
                  required: bool = False, ref: str | None = None, unit: str | None = None):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "choices", choices)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "ref", ref)
-        object.__setattr__(self, "unit", unit)
+        self._set_type(self, type)
+        self._set_check(self, check)
+        self._set_choices(self, choices)
+        self._set_shape(self, shape)
+        self._set_default(self, default)
+        self._set_required(self, required)
+        self._set_ref(self, ref)
+        self._set_unit(self, unit)
 
 
 SCHEMA = {

@@ -116,13 +116,13 @@ class Composition(FrozenRecord):
 
     def __init__(self, amounts):
         n = _float_vector(amounts, "composition")
-        if not min(n, default=0.0) >= 0.0:  # a negative entry, or a leading NaN that hides one
+        if n and not min(n) >= 0.0:  # a negative entry, or a leading NaN that hides one
             for k, x in enumerate(n):
                 if x < -TOL_NEG:
                     raise NegativeAmount(k, x)
             n = tuple(0.0 if x < 0.0 else x for x in n)
-        object.__setattr__(self, "amounts", n)
-        object.__setattr__(self, "total", sum(n, 0.0))
+        self._set_amounts(self, n)
+        self._set_total(self, sum(n, 0.0))
 
     def __len__(self) -> int:
         return len(self.amounts)
@@ -150,13 +150,13 @@ class ReactionNetwork(FrozenRecord):
         for col, column in enumerate(zip(*rows)):
             if not any(column):
                 raise ValueError(f"reaction {col} changes no amounts (all-zero column)")
-        object.__setattr__(self, "rows", rows)
+        self._set_rows(self, rows)
 
-    @property
+    @cached_property
     def n_constituents(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def n_reactions(self) -> int:
         return len(self.rows[0])
 
@@ -210,7 +210,7 @@ class ReactionCoordinates(FrozenRecord):
     __slots__ = ("epsilon",)
 
     def __init__(self, epsilon):
-        object.__setattr__(self, "epsilon", _float_vector(epsilon, "reaction coordinates"))
+        self._set_epsilon(self, _float_vector(epsilon, "reaction coordinates"))
 
     def __len__(self) -> int:
         return len(self.epsilon)
@@ -233,12 +233,12 @@ class ElementalSetReport(FrozenRecord):
     def __init__(self, species: tuple[int, ...], complete: bool, independent: bool,
                  unreachable: tuple[int, ...] = (), producible: tuple = (),
                  violating_reactions: tuple[int, ...] = ()):
-        object.__setattr__(self, "species", species)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "unreachable", unreachable)
-        object.__setattr__(self, "producible", tuple(producible))
-        object.__setattr__(self, "violating_reactions", violating_reactions)
+        self._set_species(self, species)
+        self._set_complete(self, complete)
+        self._set_independent(self, independent)
+        self._set_unreachable(self, unreachable)
+        self._set_producible(self, tuple(producible))
+        self._set_violating_reactions(self, violating_reactions)
 
     @property
     def valid(self) -> bool:

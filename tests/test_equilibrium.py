@@ -942,6 +942,22 @@ def test_dual_outcome_at_extreme_scales(change, outcome):
         assert caught.value.best == solution_at(prob, [0.0] * prob.n_reactions)
 
 
+def test_dual_last_amounts_without_a_state_end_in_nonconvergence():
+    # a chain whose energies are of order 1e211: the dual's last amounts have
+    # no admissible split at the total energy, and the answer gives way to
+    # the initial amounts, which fail the certificate
+    species = [Species("A", 5.161893584270816, -1.4029350405863067e+211, 0.21746512274926366),
+               Species("B", 6.252765665933808, 1.3228194861103637e+210, -0.3266904516200517),
+               Species("C", 3.1243057265398897, 2.944421374189806e+210, -0.663792144892136)]
+    n0 = [0.4146030896216505, 0.4291061546491356, 0.04480121342354004]
+    prob = EquilibriumProblem((IdealGasMixture(species),), (Parameters([1.5711433102082581]),),
+                              (Composition(n0),), 1.0888688878778538e+211, network=CHAIN_NET)
+    with pytest.raises(NonConvergence, match="^no admissible state at the amounts of step 1: "
+                                             "energy .* below ground bound") as caught:
+        stable_equilibrium(prob)
+    assert caught.value.best == solution_at(prob, [0.0, 0.0], iterations=1)
+
+
 @pytest.mark.parametrize("rows, n0", [
     ([[-5e-324, 0.0], [1.0, -1.0], [0.0, 1.0]], [4e-323, 0.0, 0.0]),
     ([[-5e-324, 0.0], [1.0, -5e-324], [0.0, 1.0]], [4e-323, 4e-323, 0.0]),

@@ -194,6 +194,32 @@ def test_theorem8_scan_fails_a_relation_with_a_dip():
     assert result.worst < 0.0
 
 
+class KinkedModel(MatterModel):
+    """A relation with a kink, not differentiable at E = ``kink``:
+    S = ln E + |E - kink| / 10, increasing on either side."""
+
+    def __init__(self, kink: float):
+        self.kink = kink
+
+    def entropy(self, energy, params, comp) -> float:
+        return math.log(energy) + abs(energy - self.kink) / 10.0
+
+    def energy_floor(self, params, comp) -> float:
+        return 0.0
+
+
+def test_smoothness_scan_fails_a_relation_with_a_kink():
+    # negative control: the kink sits 1e-4 above the scan's energy nearest 3,
+    # inside its three central differences, which then close in on the slope
+    # at first order: the Richardson ratio is near 1/2, not 4
+    grid = checks._log_grid(0.0, 1.0, 10.0, 200)
+    kink = min(grid, key=lambda e: abs(e - 3.0)) + 1e-4
+    result = smoothness_scan(KinkedModel(kink), Parameters([1.0]), BASE.comp, 1.0, 10.0,
+                             n_points=200)
+    assert result.passed is False
+    assert result.worst == pytest.approx(0.5, abs=1e-3)
+
+
 def test_smoothness_scan_builtin_models():
     assert smoothness_scan(GAS3, Parameters([1.0]), BASE.comp, 0.1, 100.0, n_points=200).passed
     res_model = ReservoirModel(1.3, -5.0, 5.0)

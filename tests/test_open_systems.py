@@ -20,6 +20,7 @@ from entrokit.matter_models import (
 )
 from entrokit.open_systems import (
     RECORDS,
+    UNIT,
     OpenGrid,
     OpenState,
     ReferenceEnvironment,
@@ -535,6 +536,28 @@ def test_an_environment_is_built_once_from_one_elemental_decomposition(monkeypat
     assert _construction_counts(monkeypatch, build) == {"init": 1, "validate": 1, "svd": 1}
 
 
+@pytest.mark.parametrize("convention", ["chemical", "natural"])
+def test_each_elemental_box_is_solved_once(monkeypatch, convention):
+    # the conventions solve each box for their assigned values, and the
+    # physical references read those boxes: one state per elemental species
+    from entrokit import open_systems
+
+    calls = []
+    real = open_systems._state_at
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(open_systems, "_state_at", counted)
+    env = water_env(convention)
+    env.gauge_gradient, env.physical_references
+    assert calls == [UNIT, UNIT]
+    fresh = open_systems._physical_references(env.species_models,
+                                              open_systems._boxes(env.species_models, 1.0, 1.0))
+    assert env.physical_references == fresh
+
+
 @pytest.mark.parametrize("t0, p0", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
                                     (0.0, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
 def test_reference_conditions_must_be_positive_and_finite(t0, p0):
@@ -686,6 +709,29 @@ def test_table_points_count_their_relation_evaluations(monkeypatch):
     assert [evaluations(e, [1.6, 0.8, 0.3], False) for e in (8.0, 7.0, 9.0)] == [4, 3, 3]
     assert [evaluations(e, [1.6, 0.8, 0.3], True) for e in (8.0, 7.0)] == [4, 4]
     assert evaluations(8.0, [1.2, 0.6, 0.2], False) == 4
+
+
+def test_a_reactive_table_point_keeps_its_call_budget(tmp_path, monkeypatch):
+    # demo_open's tab1 through the CLI: six reactive points, each with seven
+    # probes through ds_dn_along, three checked evaluations (its answer, its
+    # reference proxy state and the measurement's contact state) and one
+    # ds_dn, at its answer, which the table's potentials reuse
+    from entrokit.cli import main
+
+    calls = dict.fromkeys(("ds_dn_along", "evaluate", "ds_dn"), 0)
+    for name in calls:
+        real = getattr(IdealGasMixture, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(IdealGasMixture, name, counted)
+    assert main(["run", "--scenario", str(SCENARIOS / "demo_open.scn"),
+                 "--out", str(tmp_path), "--tabulate", "tab1"]) == 0
+    assert calls["ds_dn_along"] == 42
+    assert calls["evaluate"] <= 18
+    assert calls["ds_dn"] == 6
 
 
 def test_reactive_points_do_not_keep_their_records(monkeypatch):

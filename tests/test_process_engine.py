@@ -23,6 +23,7 @@ from entrokit.errors import (
 )
 from entrokit.matter_models import (
     IdealGasMixture,
+    MatterModel,
     Parameters,
     Species,
     SystemState,
@@ -611,6 +612,36 @@ def test_pmm2_exhaustive():
     result = pmm2_exhaustive_check(GAS, ST1, RES)
     assert result.passed
     assert result.n_trials > 0
+
+
+class TwoBranchModel(MatterModel):
+    """A relation convex in E, S = (E - 1)^2 + ln V, which is no fundamental
+    one: a state above E = 1 shares its entropy with a lower-energy state
+    below it, the one its inversion gives, so it is not stable."""
+
+    def entropy(self, energy, params, comp) -> float:
+        return (energy - 1.0) ** 2 + math.log(params.volume)
+
+    def energy_floor(self, params, comp) -> float:
+        return 0.0
+
+    def invert_entropy(self, entropy, params, comp, tol=1e-10) -> float:
+        excess = entropy - math.log(params.volume)
+        if excess < 0.0:
+            raise RangeError(f"entropy {entropy:.6g} below the relation's least value")
+        return 1.0 - math.sqrt(excess)
+
+    def energy_at_temperature(self, temperature, params, comp) -> float:
+        return 1.0 + 0.5 / temperature  # where dS/dE = 2 (E - 1) = 1 / T
+
+
+def test_pmm2_fails_a_relation_convex_in_energy():
+    # negative control: from E = 1.5, a closed isentropic cycle ends on the
+    # lower branch at E = 0.5 and hands the difference to the weight, with
+    # no net exchange with the reservoir
+    result = pmm2_exhaustive_check(TwoBranchModel(), state(1.5, 1.0, [1.0]), RES)
+    assert result.passed is False
+    assert result.worst == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e12])
